@@ -25,10 +25,12 @@ use ckpt_workload::YEAR;
 /// Coverage: a small Petascale-Weibull cell through the default
 /// coarse-to-fine `PeriodLB` search, a sequential Exponential cell through
 /// the exhaustive search, a cell whose `Liu` row fails to build
-/// (footnote-2 behaviour) so error rows are pinned too, and a sequential
+/// (footnote-2 behaviour) so error rows are pinned too, a sequential
 /// Exponential `DPMakespan` cell so the Algorithm-1 value recursion has a
 /// pinned row (`registry-exhaustive` in ckpt-lint requires every
-/// `PolicyKind` label to appear in some golden file).
+/// `PolicyKind` label to appear in some golden file), and a sequential
+/// Weibull `DPMakespan` cell that pins the age-dependent table (the
+/// memoryless cell never leaves the flat fast path).
 pub fn golden_cells() -> Vec<(String, Scenario, Vec<PolicyKind>, RunnerOptions)> {
     let peta = Scenario::petascale(
         DistSpec::Weibull { shape: 0.7, mtbf: 125.0 * YEAR },
@@ -51,6 +53,12 @@ pub fn golden_cells() -> Vec<(String, Scenario, Vec<PolicyKind>, RunnerOptions)>
     );
     dp_mk.total_work = 8.0 * 3_600.0;
     let dp_mk_cfg = DpMakespanConfig { quanta: Some(24), assume_memoryless: true };
+    let mut dp_mk_aged = Scenario::single_processor(
+        DistSpec::Weibull { shape: 0.7, mtbf: 86_400.0 },
+        8,
+    );
+    dp_mk_aged.total_work = 2.0 * 86_400.0;
+    let dp_mk_aged_cfg = DpMakespanConfig { quanta: Some(40), assume_memoryless: false };
     vec![
         (
             peta.label.clone(),
@@ -78,6 +86,12 @@ pub fn golden_cells() -> Vec<(String, Scenario, Vec<PolicyKind>, RunnerOptions)>
             dp_mk.label.clone(),
             dp_mk,
             vec![PolicyKind::Young, PolicyKind::DpMakespan(dp_mk_cfg)],
+            RunnerOptions { period_lb: None, ..RunnerOptions::default() },
+        ),
+        (
+            dp_mk_aged.label.clone(),
+            dp_mk_aged,
+            vec![PolicyKind::Young, PolicyKind::DpMakespan(dp_mk_aged_cfg)],
             RunnerOptions { period_lb: None, ..RunnerOptions::default() },
         ),
     ]
