@@ -147,6 +147,18 @@ fn dp_makespan_build(c: &mut Criterion) {
             std::hint::black_box(dp.value(60, 0.0))
         })
     });
+    // The Table 3 1-week cell at its auto-sized quanta (385): the size
+    // at which the O(n³) Bellman fill, not the ladders, sets the cost.
+    c.bench_function("dp_makespan_build_auto_weibull_week", |b| {
+        b.iter(|| {
+            let dp = DpMakespan::new(
+                &spec,
+                Box::new(Weibull::from_mtbf(0.7, WEEK)),
+                DpMakespanConfig { quanta: None, assume_memoryless: false },
+            );
+            std::hint::black_box(dp.value(dp.quanta(), 0.0))
+        })
+    });
 }
 
 fn engine_throughput(c: &mut Criterion) {

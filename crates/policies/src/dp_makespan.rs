@@ -14,8 +14,11 @@
 //! gives an affine one-step equation `V = aᵢ + bᵢ·V` with `bᵢ = 1 − Psucᵢ ∈
 //! (0,1)`, whose optimal fixed point is `V = minᵢ aᵢ/(1 − bᵢ)` (the
 //! standard single-self-loop MDP solution). We therefore compute the
-//! post-failure backbone `V(·, R)` bottom-up in `x` first, then memoise all
-//! other `(x, τ)` states lazily with `τ` quantised to the grid.
+//! post-failure backbone `V(·, R)` bottom-up in `x` first, then fill all
+//! other `(x, τ)` states lazily with `τ` quantised to the grid: one
+//! row per age key, holding its `Psuc`/`E[Tlost]`/successor ladders
+//! (which depend on the chunk `i` but never on `x`) and a dense value
+//! column, so the O(x) Bellman step reads arrays only.
 //!
 //! `E[Trec]` comes from Proposition 1:
 //! `E[Trec] = D + R + (1−Psuc(R|0))/Psuc(R|0) · (D + E[Tlost(R|0)])`.
@@ -79,9 +82,54 @@ pub struct DpMakespan {
     /// on `x` alone, so the whole table is one dense vector filled
     /// bottom-up at construction — no mutex, no hashing per decision.
     flat: Vec<(f64, u32)>,
-    /// Lazy memo for general (age-dependent) states, keyed by
-    /// `(x, τ/u rounded)`.
-    memo: Mutex<HashMap<(u32, u64), (f64, u32)>>,
+    /// General (age-dependent) states, one row per age key `τ/u rounded`;
+    /// locked once per top-level query.
+    table: Mutex<AgeTable>,
+}
+
+/// `next` entry of a successor that sits exactly at the post-recovery
+/// age `R`: its value is the backbone's.
+const BACKBONE: u32 = u32::MAX;
+
+/// The general table's states at one age key `k`, all evaluated at the
+/// key's representative age `k·u`.
+#[derive(Debug, Default)]
+struct AgeRow {
+    key: u64,
+    /// `Psuc(i·u + C | k·u)` for a chunk of `i` quanta (slot 0 unused;
+    /// empty until the row is first evaluated).
+    psuc: Vec<f64>,
+    /// `E[Tlost(i·u + C | k·u)]`.
+    lost: Vec<f64>,
+    /// Row of the age `k·u + i·u + C` a successful chunk reaches, or
+    /// [`BACKBONE`].
+    next: Vec<u32>,
+    /// `V(x, k·u)` and its chunk; chunk 0 marks a state not yet evaluated.
+    vals: Vec<(f64, u32)>,
+}
+
+impl AgeRow {
+    fn has(&self, x: usize) -> bool {
+        self.vals.get(x).is_some_and(|s| s.1 != 0)
+    }
+}
+
+/// Age rows, found by key through `index`; rows exist only for keys
+/// some query or ladder has reached.
+#[derive(Debug, Default)]
+struct AgeTable {
+    index: HashMap<u64, u32>,
+    rows: Vec<AgeRow>,
+}
+
+impl AgeTable {
+    fn row_of(&mut self, key: u64) -> u32 {
+        let rows = &mut self.rows;
+        *self.index.entry(key).or_insert_with(|| {
+            rows.push(AgeRow { key, ..AgeRow::default() });
+            (rows.len() - 1) as u32
+        })
+    }
 }
 
 impl std::fmt::Debug for DpMakespan {
@@ -155,7 +203,7 @@ impl DpMakespan {
             kernel,
             backbone: Vec::new(),
             flat: Vec::new(),
-            memo: Mutex::new(HashMap::new()),
+            table: Mutex::new(AgeTable::default()),
         };
         this.compute_backbone();
         this
@@ -179,7 +227,7 @@ impl DpMakespan {
     /// Post-failure backbone `V(·, R)`: solve the affine self-loop fixed
     /// point for each `x` ascending, pushing each entry before computing
     /// the next — the successor values `V(x−i, R+attempt)` are evaluated
-    /// through the general memo, whose own failure branches only consult
+    /// through the general table, whose own failure branches only consult
     /// backbone entries at indices `< x`, which are already in place.
     fn compute_backbone(&mut self) {
         let n = self.quanta();
@@ -194,10 +242,15 @@ impl DpMakespan {
         // the values the old inner loops recomputed were identical.)
         let mut psuc_r = vec![0.0f64; n + 1];
         let mut lost_r = vec![0.0f64; n + 1];
+        let mut table = AgeTable::default();
+        let mut next_r = vec![BACKBONE; n + 1];
         for i in 1..=n {
             let attempt = i as f64 * self.u + c;
             psuc_r[i] = self.psuc(attempt, r);
             lost_r[i] = self.tlost(attempt, r);
+            if !memoryless {
+                next_r[i] = self.next_row(&mut table, r + attempt);
+            }
         }
         self.backbone.push((0.0, 0));
         if memoryless {
@@ -216,8 +269,10 @@ impl DpMakespan {
                     0.0
                 } else if memoryless {
                     self.flat[x - i].0
+                } else if next_r[i] == BACKBONE {
+                    self.backbone[x - i].0
                 } else {
-                    self.value_bounded(x - i, r + attempt, x)
+                    self.fill(&mut table, next_r[i], x - i).0
                 };
                 let lost = lost_r[i];
                 let a_i = psuc * (attempt + succ) + (1.0 - psuc) * (lost + self.e_rec);
@@ -249,6 +304,7 @@ impl DpMakespan {
                 self.flat.push((bv, bi));
             }
         }
+        *self.table.get_mut() = table;
     }
 
     /// `Psuc(x|τ)`: exact (typically closed-form) for memoryless
@@ -271,14 +327,6 @@ impl DpMakespan {
         }
     }
 
-    /// Memoised `V(x, τ)` for states reachable only with `x < bound` ...
-    /// recursion strictly decreases `x`, so `bound` documents the
-    /// invariant; it is debug-asserted.
-    fn value_bounded(&self, x: usize, tau: f64, bound: usize) -> f64 {
-        debug_assert!(x < bound);
-        self.value(x, tau)
-    }
-
     /// Memoised `V(x, τ)`; the failure branch uses the precomputed
     /// backbone, so recursion strictly decreases `x` and terminates.
     pub fn value(&self, x: usize, tau: f64) -> f64 {
@@ -291,10 +339,16 @@ impl DpMakespan {
     }
 
     fn tau_key(&self, tau: f64) -> u64 {
-        if self.config.assume_memoryless {
-            0
+        (tau / self.u).round() as u64
+    }
+
+    /// Row of the state at age `tau`, or [`BACKBONE`] for the
+    /// post-failure age.
+    fn next_row(&self, table: &mut AgeTable, tau: f64) -> u32 {
+        if (tau - self.spec.recovery).abs() < 1e-9 {
+            BACKBONE
         } else {
-            (tau / self.u).round() as u64
+            table.row_of(self.tau_key(tau))
         }
     }
 
@@ -306,35 +360,81 @@ impl DpMakespan {
         if let Some(&s) = self.flat.get(x) {
             return s;
         }
-        // Post-failure states hit the backbone exactly.
-        if !self.config.assume_memoryless && (tau - self.spec.recovery).abs() < 1e-9 {
-            return self.backbone[x];
+        let mut table = self.table.lock();
+        match self.next_row(&mut table, tau) {
+            // Post-failure states hit the backbone exactly.
+            BACKBONE => self.backbone[x],
+            row => self.fill(&mut table, row, x),
         }
-        let key = (x as u32, self.tau_key(tau));
-        if let Some(&v) = self.memo.lock().get(&key) {
-            return v;
+    }
+
+    /// Build a row's ladders, once: every Bellman step of the row reads
+    /// the same `Psuc`, `E[Tlost]` and successor age for a chunk of `i`
+    /// quanta, whatever its `x`.
+    fn build_ladders(&self, table: &mut AgeTable, row: u32) {
+        let n = self.quanta();
+        let c = self.spec.checkpoint;
+        // The key's *representative* age, not any incoming exact one:
+        // every value in the row is then a pure function of `(x, key)`,
+        // so concurrent sessions agree on it no matter which thread
+        // fills it first.
+        let tau_rep = table.rows[row as usize].key as f64 * self.u;
+        let mut psuc = vec![0.0f64; n + 1];
+        let mut lost = vec![0.0f64; n + 1];
+        let mut next = vec![BACKBONE; n + 1];
+        for i in 1..=n {
+            let attempt = i as f64 * self.u + c;
+            psuc[i] = self.psuc(attempt, tau_rep);
+            lost[i] = self.tlost(attempt, tau_rep);
+            next[i] = self.next_row(table, tau_rep + attempt);
         }
-        // Evaluate at the key's *representative* age, not the incoming
-        // exact one: the memoised value is then a pure function of the key,
-        // so concurrent sessions agree on it no matter which thread fills
-        // the memo first.
-        let tau_rep = key.1 as f64 * self.u;
+        let r = &mut table.rows[row as usize];
+        r.psuc = psuc;
+        r.lost = lost;
+        r.next = next;
+    }
+
+    /// `V(x, k·u)` of `row`, evaluating it (and, first, every successor
+    /// state it reads) on a miss.
+    fn fill(&self, table: &mut AgeTable, row: u32, x: usize) -> (f64, u32) {
+        let ri = row as usize;
+        if table.rows[ri].has(x) {
+            return table.rows[ri].vals[x];
+        }
+        if table.rows[ri].psuc.is_empty() {
+            self.build_ladders(table, row);
+        }
+        for i in 1..x {
+            let next = table.rows[ri].next[i];
+            if next != BACKBONE && !table.rows[next as usize].has(x - i) {
+                self.fill(table, next, x - i);
+            }
+        }
+        let r = &table.rows[ri];
         let c = self.spec.checkpoint;
         let fail_v = self.backbone[x].0;
         let mut best = f64::INFINITY;
         let mut best_i = 1u32;
         for i in 1..=x {
             let attempt = i as f64 * self.u + c;
-            let psuc = self.psuc(attempt, tau_rep);
-            let succ = if x - i == 0 { 0.0 } else { self.value(x - i, tau_rep + attempt) };
-            let lost = self.tlost(attempt, tau_rep);
+            let psuc = r.psuc[i];
+            let succ = match r.next[i] {
+                _ if x - i == 0 => 0.0,
+                BACKBONE => self.backbone[x - i].0,
+                next => table.rows[next as usize].vals[x - i].0,
+            };
+            let lost = r.lost[i];
             let cur = psuc * (attempt + succ) + (1.0 - psuc) * (lost + self.e_rec + fail_v);
             if cur < best {
                 best = cur;
                 best_i = i as u32;
             }
         }
-        self.memo.lock().insert(key, (best, best_i));
+        let vals = &mut table.rows[ri].vals;
+        if vals.len() <= x {
+            vals.resize(x + 1, (0.0, 0));
+        }
+        vals[x] = (best, best_i);
         (best, best_i)
     }
 
@@ -510,6 +610,139 @@ mod tests {
             assert!(c > 0.0 && c <= remaining + 1e-9);
             remaining -= c;
         }
+    }
+
+    /// The general table as a lazy `(x, τ-key)` hash memo with its own
+    /// backbone — the pre-row formulation, kept as the reference the
+    /// per-age rows must reproduce bit for bit.
+    struct Reference<'a> {
+        dp: &'a DpMakespan,
+        backbone: Vec<(f64, u32)>,
+        memo: HashMap<(u32, u64), (f64, u32)>,
+    }
+
+    impl<'a> Reference<'a> {
+        fn new(dp: &'a DpMakespan) -> Self {
+            let mut me = Self { dp, backbone: vec![(0.0, 0)], memo: HashMap::new() };
+            let (r, c) = (dp.spec.recovery, dp.spec.checkpoint);
+            for x in 1..=dp.quanta() {
+                let mut best = f64::INFINITY;
+                let mut best_i = 1u32;
+                for i in 1..=x {
+                    let attempt = i as f64 * dp.u + c;
+                    let psuc = dp.psuc(attempt, r);
+                    if psuc <= 0.0 {
+                        continue;
+                    }
+                    let succ = if x - i == 0 { 0.0 } else { me.state(x - i, r + attempt).0 };
+                    let lost = dp.tlost(attempt, r);
+                    let a_i = psuc * (attempt + succ) + (1.0 - psuc) * (lost + dp.e_rec);
+                    let cand = a_i / psuc;
+                    if cand < best {
+                        best = cand;
+                        best_i = i as u32;
+                    }
+                }
+                me.backbone.push((best, best_i));
+            }
+            me
+        }
+
+        fn state(&mut self, x: usize, tau: f64) -> (f64, u32) {
+            let dp = self.dp;
+            if x == 0 {
+                return (0.0, 0);
+            }
+            if (tau - dp.spec.recovery).abs() < 1e-9 {
+                return self.backbone[x];
+            }
+            let key = (x as u32, (tau / dp.u).round() as u64);
+            if let Some(&v) = self.memo.get(&key) {
+                return v;
+            }
+            let tau_rep = key.1 as f64 * dp.u;
+            let fail_v = self.backbone[x].0;
+            let mut best = f64::INFINITY;
+            let mut best_i = 1u32;
+            for i in 1..=x {
+                let attempt = i as f64 * dp.u + dp.spec.checkpoint;
+                let psuc = dp.psuc(attempt, tau_rep);
+                let succ = if x - i == 0 { 0.0 } else { self.state(x - i, tau_rep + attempt).0 };
+                let lost = dp.tlost(attempt, tau_rep);
+                let cur = psuc * (attempt + succ) + (1.0 - psuc) * (lost + dp.e_rec + fail_v);
+                if cur < best {
+                    best = cur;
+                    best_i = i as u32;
+                }
+            }
+            self.memo.insert(key, (best, best_i));
+            (best, best_i)
+        }
+    }
+
+    fn assert_matches_reference(dp: &DpMakespan, reference: &mut Reference<'_>, tau: f64) {
+        for x in 1..=dp.quanta() {
+            let (v, i) = reference.state(x, tau);
+            assert_eq!(dp.value(x, tau).to_bits(), v.to_bits(), "V({x}, {tau})");
+            assert_eq!(dp.chunk_quanta(x, tau), i, "chunk at ({x}, {tau})");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        fn age_rows_match_the_hash_memo_reference(
+            shape in 0.5..1.5f64,
+            mtbf in 3_600.0..30.0 * DAY,
+            // 1: the rejuvenated-platform minimum over `procs` processors
+            // (the parallel DPMakespan input); 0: the Weibull itself.
+            min_of in 0u8..2,
+            procs in 2u64..64,
+            quanta in 10usize..=120,
+            work_days in 0.5..20.0f64,
+            checkpoint in 10.0..2_000.0f64,
+            recovery in 10.0..2_000.0f64,
+            tau_frac in 0.0..1.0f64,
+        ) {
+            let spec = JobSpec::sequential(work_days * DAY, checkpoint, recovery, 60.0);
+            let weibull = Weibull::from_mtbf(shape, mtbf);
+            let dist: Box<dyn FailureDistribution> = if min_of == 1 {
+                Box::new(ckpt_dist::MinOf::new(Box::new(weibull), procs))
+            } else {
+                Box::new(weibull)
+            };
+            let dp = DpMakespan::new(
+                &spec,
+                dist,
+                DpMakespanConfig { quanta: Some(quanta), assume_memoryless: false },
+            );
+            let mut reference = Reference::new(&dp);
+            for (x, (got, want)) in dp.backbone.iter().zip(&reference.backbone).enumerate() {
+                proptest::prop_assert_eq!(got.0.to_bits(), want.0.to_bits(), "V({}, R)", x);
+                proptest::prop_assert_eq!(got.1, want.1, "chunk at ({}, R)", x);
+            }
+            let horizon = dp.kernel.horizon();
+            for tau in [0.0, spec.recovery, tau_frac * horizon, 3.0 * horizon] {
+                assert_matches_reference(&dp, &mut reference, tau);
+            }
+        }
+    }
+
+    #[test]
+    fn far_age_query_allocates_only_reachable_rows() {
+        let spec = JobSpec::table1_single_processor();
+        let dp = DpMakespan::new(
+            &spec,
+            Box::new(Weibull::from_mtbf(0.7, DAY)),
+            DpMakespanConfig { quanta: Some(40), assume_memoryless: false },
+        );
+        let before = dp.table.lock().rows.len();
+        let mut reference = Reference::new(&dp);
+        assert_matches_reference(&dp, &mut reference, 1e12);
+        // Rows reachable from one age span ~x·(1 + C/u) keys, plus the
+        // unevaluated successor keys their ladders name — never ~τ/u.
+        let added = dp.table.lock().rows.len() - before;
+        assert!(added < 4 * 40, "{added} rows for one far-age query");
     }
 
     #[test]

@@ -37,7 +37,11 @@
 #      regress sentinel against a committed 20% slowdown fixture (must
 #      flag it, exit 1) and against the real results/BENCH_history.jsonl
 #      (must validate the schema and pass, refreshing
-#      results/BENCH_regress.txt).
+#      results/BENCH_regress.txt);
+#   9. the perfbench digest gate: one short seq-weibull run at the
+#      reference seed must report "correct": true — at 600 traces its
+#      digests are the only pin on DPMakespan's age-dependent table at
+#      the size Table 3 uses.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -137,5 +141,17 @@ fi
 target/release/ckpt-bench regress \
   --history results/BENCH_history.jsonl --out results/BENCH_regress.txt
 echo "regress sentinel: fixture flagged, real history passes"
+
+echo "== perfbench digest gate (seq-weibull, seed 0) =="
+# perfbench is a cargo package of its own; building it under target/
+# keeps it out of the benchmark's default .bench_build directory.
+perf_result=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+  --workload seq-weibull --seed 0 --seconds 1 | tail -n 1) || true
+if ! printf '%s' "$perf_result" \
+  | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'; then
+  echo "perfbench: seq-weibull digests or invariants failed: $perf_result" >&2
+  exit 1
+fi
+echo "perfbench seq-weibull: correct"
 
 echo "== check.sh: all green =="
