@@ -342,10 +342,15 @@ impl DpMakespan {
         (tau / self.u).round() as u64
     }
 
+    /// Post-failure states hit the backbone exactly.
+    fn at_recovery(&self, tau: f64) -> bool {
+        (tau - self.spec.recovery).abs() < 1e-9
+    }
+
     /// Row of the state at age `tau`, or [`BACKBONE`] for the
     /// post-failure age.
     fn next_row(&self, table: &mut AgeTable, tau: f64) -> u32 {
-        if (tau - self.spec.recovery).abs() < 1e-9 {
+        if self.at_recovery(tau) {
             BACKBONE
         } else {
             table.row_of(self.tau_key(tau))
@@ -360,12 +365,12 @@ impl DpMakespan {
         if let Some(&s) = self.flat.get(x) {
             return s;
         }
-        let mut table = self.table.lock();
-        match self.next_row(&mut table, tau) {
-            // Post-failure states hit the backbone exactly.
-            BACKBONE => self.backbone[x],
-            row => self.fill(&mut table, row, x),
+        if self.at_recovery(tau) {
+            return self.backbone[x];
         }
+        let mut table = self.table.lock();
+        let row = table.row_of(self.tau_key(tau));
+        self.fill(&mut table, row, x)
     }
 
     /// Build a row's ladders, once: every Bellman step of the row reads
