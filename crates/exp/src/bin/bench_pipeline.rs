@@ -4,18 +4,17 @@
 //! Usage: `bench_pipeline [--traces N] [--label NAME] [--out PATH]
 //! [--search full|coarse] [--trace-out PATH] [--report-out PATH]
 //! [--threads N] [--cell bench|lanl18|lanl19] [--history PATH|none]
-//! [--flight-out PATH] [--prom-out PATH]`
+//! [--flight-out PATH]`
 //!
 //! Every run appends one JSONL record — git sha, host CPUs, lane
 //! width, stage timings, key obs counter deltas — to the bench history
 //! (`--history`, default `results/BENCH_history.jsonl`, `none`
 //! disables), the series `ckpt-bench regress` judges. `--flight-out`
-//! dumps the live flight-recorder ring, `--prom-out` the Prometheus
-//! text exposition of the session (both need `--features obs` to carry
-//! data; without it they write valid empty documents).
+//! dumps the live flight-recorder ring (it needs `--features obs` to
+//! carry data; without it it writes a valid empty document).
 //!
-//! `--threads N` pins the work-stealing executor's worker count (the
-//! effective count and steal counters land in the JSON's
+//! `--threads N` pins the executor's worker count (the effective count
+//! and claim counters land in the JSON's
 //! `pipeline.exec` block); `--cell` selects the scaling cells used by
 //! `scripts/bench_exec_scaling.sh` (`lanl18`/`lanl19` are the LANL
 //! log-based clusters at the same p = 4096).
@@ -64,7 +63,6 @@ fn main() {
     let mut report_out: Option<String> = None;
     let mut history = "results/BENCH_history.jsonl".to_string();
     let mut flight_out: Option<String> = None;
-    let mut prom_out: Option<String> = None;
     let mut search = PeriodSearch::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -89,7 +87,6 @@ fn main() {
             "--report-out" => report_out = Some(args.next().expect("--report-out PATH")),
             "--history" => history = args.next().expect("--history PATH|none"),
             "--flight-out" => flight_out = Some(args.next().expect("--flight-out PATH")),
-            "--prom-out" => prom_out = Some(args.next().expect("--prom-out PATH")),
             "--search" => {
                 search = match args.next().as_deref() {
                     Some("full") => PeriodSearch::Full,
@@ -157,9 +154,8 @@ fn main() {
     );
     if let Some(e) = &perf.exec {
         eprintln!(
-            "  exec: {} workers, {} waves, claims {} local + {} injector + {} stolen \
-             ({} failed probes)",
-            e.workers, e.waves, e.local_claims, e.injector_claims, e.steals, e.failed_probes
+            "  exec: {} workers, {} waves, claims {} heavy + {} other",
+            e.workers, e.waves, e.local_claims, e.injector_claims
         );
     }
 
@@ -193,11 +189,6 @@ fn main() {
             std::fs::write(path, data.perf_report())
                 .unwrap_or_else(|e| panic!("write {path}: {e}"));
             eprintln!("bench_pipeline[{label}]: wrote perf report {path}");
-        }
-        if let Some(path) = &prom_out {
-            std::fs::write(path, data.prometheus_text())
-                .unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("bench_pipeline[{label}]: wrote prometheus text {path}");
         }
     }
 

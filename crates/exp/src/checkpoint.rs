@@ -25,8 +25,8 @@
 //!   completed in, before or after any number of kills — reconstructing
 //!   the exact [`ExecOutput`](crate::exec::ExecOutput) arithmetic of
 //!   the live executor. A SIGKILL'd-and-resumed study therefore writes
-//!   byte-identical aggregates to an uninterrupted run, at any rayon
-//!   thread count (`tests/study_resume.rs` pins this).
+//!   byte-identical aggregates to an uninterrupted run, at any worker
+//!   count (`tests/study_resume.rs` pins this).
 //!
 //! Nothing in this module ever stores a wall-clock timestamp: the clock
 //! gates *when* a snapshot is written, never *what* is written.
@@ -40,7 +40,6 @@ use crate::{cache::TraceCache, jsonio, jsonio::Json};
 use ckpt_policies::DistId;
 use ckpt_sim::{lower_bound_makespan, RunStats};
 use ckpt_workload::JobSpec;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -48,7 +47,7 @@ use std::path::{Path, PathBuf};
 /// any other version is rejected on resume.
 pub const STORE_VERSION: u64 = 1;
 
-/// Items per rayon chunk of the run loop. Chunks execute strictly in
+/// Items per executor chunk of the run loop. Chunks execute strictly in
 /// item-id order; a checkpoint can be cut after any chunk.
 const CHUNK_ITEMS: usize = 8;
 
@@ -969,7 +968,6 @@ fn execute_item(
             {
                 Ok(p) => {
                     let stats: Vec<TraceStatsBits> = (item.trace_lo..item.trace_hi)
-                        .into_par_iter()
                         .map(|t| {
                             let ct =
                                 TraceCache::global().get_or_generate(&cell.scenario, built, t);
@@ -990,7 +988,6 @@ fn execute_item(
         }
         ItemKind::LowerBound => {
             let makespans: Vec<u64> = (item.trace_lo..item.trace_hi)
-                .into_par_iter()
                 .map(|t| {
                     let ct = TraceCache::global().get_or_generate(&cell.scenario, built, t);
                     lower_bound_makespan(&ctx.spec, &ct.traces).makespan.to_bits()
@@ -1001,7 +998,6 @@ fn execute_item(
         ItemKind::Coarse { candidate } => {
             let factor = ctx.sim_plan.grid[candidate];
             let stats: Vec<TraceStatsBits> = (item.trace_lo..item.trace_hi)
-                .into_par_iter()
                 .map(|t| simulate_candidate(ctx, built, &cell.scenario, factor, t))
                 .collect();
             ItemPayload::Coarse { stats }
@@ -1029,7 +1025,7 @@ fn execute_item(
                 .flat_map(|&c| (0..ctx.sim_plan.traces).map(move |t| (c, t)))
                 .collect();
             let flat: Vec<TraceStatsBits> = pairs
-                .par_iter()
+                .iter()
                 .map(|&(c, t)| {
                     simulate_candidate(ctx, built, &cell.scenario, ctx.sim_plan.grid[c], t)
                 })
@@ -1232,9 +1228,9 @@ pub fn run_study(
         progress.begin_chunk(&chunk);
         progress.console_tick(false);
         let _ = progress.write(&dir);
-        // Drain the chunk through the work-stealing executor: items are
+        // Drain the chunk through the shared-cursor executor: items are
         // independent within a chunk, DP policy items are the long
-        // poles (seeded into the worker deques), and the manifest-ID
+        // poles (claimed first), and the manifest-ID
         // pairing makes the `completed` insertion order-free — the map
         // is keyed, and `reduce::commit` folds in ID order anyway.
         let is_heavy = |item: &WorkItem| match item.kind {

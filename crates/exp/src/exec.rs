@@ -1,4 +1,4 @@
-//! Execution layer: drains a [`SimPlan`] through the work-stealing
+//! Execution layer: drains a [`SimPlan`] through the shared-cursor
 //! wave executor ([`crate::steal`]).
 //!
 //! [`execute`] is the only place the pipeline touches the engine: it
@@ -6,8 +6,7 @@
 //! every worker), instantiates the roster through the policy
 //! [`registry`](crate::registry), and drains the plan's task waves with
 //! `drain_wave` — [`steal::run_wave`] under the plan's task numbering,
-//! with DP sims marked heavy so they seed the per-worker deques and
-//! start first. Results are committed in task-ID order, so every
+//! with DP sims marked heavy so they are claimed first. Results are committed in task-ID order, so every
 //! reduction downstream sees results in plan order and the output is
 //! bit-identical at any worker count ([`steal::workers`], settable via
 //! the CLI `--threads`).
@@ -67,8 +66,8 @@ pub struct ExecOutput {
 }
 
 /// Is this policy kind a wave long pole (a DP sim)? Shared with the
-/// checkpointed study runner so both drains seed the same task classes
-/// into the worker deques.
+/// checkpointed study runner so both drains claim the same task
+/// classes first.
 pub(crate) fn heavy_policy_kind(k: &crate::policies_spec::PolicyKind) -> bool {
     matches!(
         k,
@@ -77,11 +76,9 @@ pub(crate) fn heavy_policy_kind(k: &crate::policies_spec::PolicyKind) -> bool {
     )
 }
 
-/// Drain one wave through the work-stealing executor. Heavy tasks seed
-/// the per-worker deques (each worker starts on a long pole instead of
-/// trailing it — the schedule the old rayon drain approximated with a
-/// heavy-first permutation and `with_max_len(1)`); the cheap bulk
-/// drains through the shared injector. Results are committed in task
+/// Drain one wave through the shared-cursor executor. Heavy tasks are
+/// claimed first (so a long pole starts early instead of trailing the
+/// wave), then the cheap bulk. Results are committed in task
 /// order, which is what makes downstream reductions independent of
 /// worker count and scheduling; the wave's scheduling counters
 /// accumulate on `perf.exec`.

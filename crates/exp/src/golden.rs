@@ -8,7 +8,7 @@
 //! bit-identical, so the integration test under `tests/` can byte-compare
 //! a fresh run against the committed files in `results/golden/` to prove
 //! the plan → execute → reduce pipeline reproduces the pre-refactor
-//! monolith exactly, at any rayon thread count.
+//! monolith exactly, at any executor worker count.
 
 use crate::perf::format_f64;
 use crate::policies_spec::PolicyKind;

@@ -10,13 +10,11 @@
 //!   lower-bound evals, `PeriodLB` candidates), in which waves, as
 //!   typed seed-stable [`SimTask`]s with explicit dependencies;
 //! * [`exec`] — the executor draining a plan against the shared trace
-//!   [`cache`] through the work-stealing wave substrate, with
+//!   [`cache`] through the shared-cursor wave substrate, with
 //!   policy-build failures as values;
-//! * [`steal`] — the work-stealing wave executor itself: injector +
-//!   per-worker deques + randomized stealing, with results committed
-//!   in task-ID order so output is bit-identical at any worker count
-//!   (the coordinator state machine is model-checked in
-//!   `tests/steal_model.rs`);
+//! * [`steal`] — the wave executor itself: workers claim tasks (heavy
+//!   ones first) from one shared cursor, and results are committed in
+//!   task-ID order so output is bit-identical at any worker count;
 //! * [`reduce`] — pure aggregation into the §4.1 *average makespan
 //!   degradation* rows;
 //! * [`runner`] — [`run_scenario`] / [`run_scenario_checked`] wiring the

@@ -112,7 +112,7 @@ impl ObsPerf {
 }
 
 /// Wave-executor scheduling counters accumulated over one run: how the
-/// work-stealing drain ([`crate::steal`]) distributed the task waves.
+/// shared-cursor drain ([`crate::steal`]) distributed the task waves.
 /// These describe scheduling only — results are bit-identical at any
 /// worker count — so they are reported, never golden-pinned.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
@@ -121,14 +121,10 @@ pub struct ExecPerf {
     pub workers: u64,
     /// Waves drained.
     pub waves: u64,
-    /// Claims served from a worker's own deque (seeded heavy tasks).
+    /// Claims of heavy tasks (claimed first in every wave).
     pub local_claims: u64,
-    /// Claims served from the shared injector (the cheap bulk).
+    /// Claims of every other task.
     pub injector_claims: u64,
-    /// Claims served by stealing from another worker's deque.
-    pub steals: u64,
-    /// Steal probes that found an empty victim deque.
-    pub failed_probes: u64,
 }
 
 impl ExecPerf {
@@ -138,8 +134,6 @@ impl ExecPerf {
         self.waves += 1;
         self.local_claims += s.local_claims;
         self.injector_claims += s.injector_claims;
-        self.steals += s.steals;
-        self.failed_probes += s.failed_probes;
     }
 }
 
@@ -164,8 +158,8 @@ pub struct PipelinePerf {
     /// Shared DP cache counters accumulated over the `policy_sims` stage
     /// (the executor snapshots the global caches around the wave).
     pub plan_cache: PlanCachePerf,
-    /// Wave-executor scheduling counters (worker count, claim/steal
-    /// mix). `Some` once any wave has drained; `None` is omitted from
+    /// Wave-executor scheduling counters (worker count, heavy/other
+    /// claim mix). `Some` once any wave has drained; `None` is omitted from
     /// the JSON so pre-executor documents keep their exact bytes.
     pub exec: Option<ExecPerf>,
     /// Obs-registry counter deltas for this run. Present only while a
@@ -291,18 +285,11 @@ mod tests {
     fn exec_block_is_optional_and_ordered() {
         let mut p = PipelinePerf::default();
         assert!(!p.to_json().contains("\"exec\""));
-        p.exec = Some(ExecPerf {
-            workers: 8,
-            waves: 3,
-            local_claims: 5,
-            injector_claims: 90,
-            steals: 7,
-            failed_probes: 2,
-        });
+        p.exec = Some(ExecPerf { workers: 8, waves: 3, local_claims: 5, injector_claims: 90 });
         let j = p.to_json();
         assert!(j.contains(
             "\"exec\": {\"workers\": 8, \"waves\": 3, \"local_claims\": 5, \
-             \"injector_claims\": 90, \"steals\": 7, \"failed_probes\": 2}"
+             \"injector_claims\": 90}"
         ), "{j}");
         let plan_cache = j.find("\"plan_cache\"").expect("plan_cache present");
         let exec = j.find("\"exec\"").expect("exec present");

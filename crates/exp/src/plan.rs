@@ -8,7 +8,7 @@
 //! in [`crate::exec`]. Because every task is identified by stable
 //! indices (policy index, candidate index, trace index) and trace seeds
 //! derive from the scenario label and trace index alone, a plan is
-//! **seed-stable**: executing it with any rayon thread count, in any
+//! **seed-stable**: executing it with any worker count, in any
 //! task order, yields bit-identical results.
 //!
 //! Dependencies are explicit in the wave structure:

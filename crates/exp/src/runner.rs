@@ -5,7 +5,7 @@
 //!
 //! 1. [`crate::plan::plan_scenario`] — pure `Scenario → SimPlan`
 //!    (which sims run, in which waves, on which traces);
-//! 2. [`crate::exec::execute`] — the rayon executor draining the plan
+//! 2. [`crate::exec::execute`] — the wave executor draining the plan
 //!    against cached traces, with policy-build failures as values;
 //! 3. [`crate::reduce::reduce`] — fold into the §4.1 degradation rows.
 //!
@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn results_identical_across_thread_counts() {
         // The pipeline must be bit-identical regardless of executor
-        // parallelism: per-task work is independent and the steal
+        // parallelism: per-task work is independent and the wave
         // executor commits every wave in task-ID order (trace index,
         // candidate index), whatever worker claimed what.
         let sc = tiny_scenario();

@@ -1,44 +1,33 @@
-//! Work-stealing wave executor with a deterministic commit.
+//! Shared-cursor wave executor with a deterministic commit.
 //!
 //! This is the execution substrate under [`crate::exec`] and the
-//! checkpointed study runner ([`crate::checkpoint`]): one injector
-//! queue, per-worker deques, randomized stealing — the coordinator
-//! shape of `DistributedExecution.tla` (SNIPPETS.md Snippet 2) — with
-//! one crucial addition that makes the whole repository's determinism
-//! story work: **results are buffered per worker and committed in
-//! task-ID order** after the wave drains, so every reduction
-//! downstream (and every golden, and every checkpoint payload) sees
-//! the same bytes at any worker count.
+//! checkpointed study runner ([`crate::checkpoint`]). Its whole job is
+//! to hand out independent tasks and commit their results in task
+//! order:
 //!
-//! Scheduling is split from execution so it can be machine-checked:
-//!
-//! * [`WaveState`] is the pure coordinator state machine — injector,
-//!   deques, in-flight claims, completion set. Every transition
-//!   (`claim`, `complete`) is a plain method on `&mut self` with no
-//!   I/O and no clock, so `tests/steal_model.rs` can drive it through
-//!   arbitrary interleavings (steal races, worker stalls, a poisoned
-//!   task) and assert no-task-loss, no-duplication, and progress.
-//! * [`run_wave`] wraps that state machine in real threads: the state
-//!   sits behind one mutex (claims and completions are O(1) pops; the
-//!   task bodies — policy sims, DP solves — run unlocked and dwarf
-//!   them), workers buffer `(task_id, result)` pairs locally, and the
-//!   commit loop scatters them into a task-ID-indexed vector.
+//! * [`claim_order`] fixes one claim order per wave — the heavy tasks
+//!   (long poles) in task order, then the rest in task order;
+//! * [`run_wave`] drains that order with one claim rule: every worker
+//!   takes the next position with a single `fetch_add` on a shared
+//!   cursor. The calling thread is worker 0 and `w − 1` scoped threads
+//!   join it, so one worker spawns nothing and runs the same loop;
+//! * workers buffer `(task_id, result)` pairs locally, and the commit
+//!   scatters them into task-ID order after the wave drains, so every
+//!   reduction downstream (and every golden, and every checkpoint
+//!   payload) sees the same bytes at any worker count.
 //!
 //! A panicking task does not hang or poison the wave: the worker
 //! catches it, the wave drains every sibling, and the commit step
 //! re-raises the panic of the **lowest** poisoned task ID — the same
 //! task a sequential drain would have panicked on first.
 
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide worker count, settable from the CLI (`--threads N`).
-/// 0 means "not configured": fall back to `CKPT_THREADS`, then to the
-/// machine's available parallelism.
+/// 0 means "not configured": fall back to the machine's available
+/// parallelism.
 // lint: allow(shared-mutable-in-exec) — the worker-count knob: written
 // once at CLI parse time, read at wave start; never touches results.
 static WORKERS: AtomicUsize = AtomicUsize::new(0);
@@ -89,34 +78,29 @@ fn mark_poisoned(id: usize) {
 }
 
 /// The effective worker count for the next wave: the explicitly
-/// configured value, else `CKPT_THREADS`, else available parallelism.
+/// configured value, else available parallelism.
 pub fn workers() -> usize {
-    let n = WORKERS.load(Ordering::Relaxed);
-    if n > 0 {
-        return n;
+    match WORKERS.load(Ordering::Relaxed) {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
     }
-    if let Some(n) = std::env::var("CKPT_THREADS").ok().and_then(|v| v.parse().ok()) {
-        if n > 0 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Scheduling counters of one wave. These describe *how* the wave ran
-/// (and so vary with worker count and timing); the results themselves
-/// never do.
+/// (`per_worker` varies with worker count and timing); the results
+/// themselves never do.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WaveStats {
     /// Workers the wave ran with.
     pub workers: usize,
-    /// Claims served from the worker's own deque (seeded heavy tasks).
+    /// Claims of heavy tasks (the head of the claim order).
     pub local_claims: u64,
-    /// Claims served from the shared injector (the cheap bulk).
+    /// Claims of every other task (the tail of the claim order).
     pub injector_claims: u64,
-    /// Claims served by stealing from another worker's deque.
+    /// Always 0: the shared cursor never steals. Kept so readers of the
+    /// old work-stealing counters still compile.
     pub steals: u64,
-    /// Steal probes that found the victim's deque empty.
+    /// Always 0, like `steals`.
     pub failed_probes: u64,
     /// Tasks executed per worker (occupancy; sums to the task count).
     pub per_worker: Vec<u64>,
@@ -125,181 +109,18 @@ pub struct WaveStats {
 impl WaveStats {
     /// Total tasks claimed (= executed, once the wave drains).
     pub fn claims(&self) -> u64 {
-        self.local_claims + self.injector_claims + self.steals
+        self.local_claims + self.injector_claims
     }
 }
 
-/// The pure coordinator state machine of one wave.
-///
-/// Tasks are `0..n` by ID. Heavy tasks are dealt round-robin into the
-/// per-worker deques at seed time (each worker starts on its own long
-/// poles — the heavy-first schedule the old rayon drain approximated
-/// with `with_max_len(1)`); everything else waits in the injector in
-/// task order. A worker claims from its own deque first (LIFO end),
-/// then the injector (FIFO), then steals from a random victim's
-/// opposite end (FIFO) — so thieves drain a loaded worker's backlog
-/// oldest-first while the owner keeps its cache-warm tail.
-///
-/// Tasks never spawn tasks, so `claim` returning `None` is a stable
-/// exit condition: new work can never appear after the queues and the
-/// claimant's own slot are empty.
-pub struct WaveState {
-    /// Shared FIFO of the cheap bulk, in task order.
-    injector: VecDeque<usize>,
-    /// Per-worker deques, seeded with the heavy tasks.
-    deques: Vec<VecDeque<usize>>,
-    /// The task each worker currently executes, if any.
-    executing: Vec<Option<usize>>,
-    /// Completion flags (no-duplication is checked here).
-    done: Vec<bool>,
-    /// Tasks not yet completed.
-    remaining: usize,
-    /// Per-worker victim-selection RNG, deterministically seeded.
-    rngs: Vec<StdRng>,
-    /// Scheduling counters.
-    pub stats: WaveStats,
+/// The claim order of one wave: the IDs of heavy tasks in task order,
+/// then every other ID in task order. Starting the long poles first
+/// keeps one from trailing the wave.
+pub fn claim_order(heavy: &[bool]) -> Vec<usize> {
+    let (mut order, rest): (Vec<usize>, Vec<usize>) = (0..heavy.len()).partition(|&id| heavy[id]);
+    order.extend(rest);
+    order
 }
-
-impl WaveState {
-    /// Seed a wave of `heavy.len()` tasks over `workers` workers.
-    /// `heavy[id]` marks the long poles; `seed` fixes every victim
-    /// RNG (per-worker streams are split by worker index).
-    pub fn new(heavy: &[bool], workers: usize, seed: u64) -> Self {
-        let workers = workers.max(1);
-        let mut deques = vec![VecDeque::new(); workers];
-        let mut injector = VecDeque::new();
-        let mut dealt = 0usize;
-        for (id, &h) in heavy.iter().enumerate() {
-            if h {
-                deques[dealt % workers].push_back(id);
-                dealt += 1;
-            } else {
-                injector.push_back(id);
-            }
-        }
-        Self {
-            injector,
-            deques,
-            executing: vec![None; workers],
-            done: vec![false; heavy.len()],
-            remaining: heavy.len(),
-            rngs: (0..workers)
-                .map(|w| StdRng::seed_from_u64(seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-                .collect(),
-            stats: WaveStats { workers, per_worker: vec![0; workers], ..WaveStats::default() },
-        }
-    }
-
-    /// Worker `w` claims its next task: own deque (LIFO), injector
-    /// (FIFO), then randomized steal. `None` ⇒ no claimable work
-    /// exists anywhere; since tasks never spawn tasks, the worker can
-    /// exit. Panics if `w` already holds an uncompleted claim.
-    pub fn claim(&mut self, w: usize) -> Option<usize> {
-        assert!(self.executing[w].is_none(), "worker {w} claimed while executing");
-        let id = self.deques[w]
-            .pop_back()
-            .inspect(|_| self.stats.local_claims += 1)
-            .or_else(|| {
-                self.injector.pop_front().inspect(|_| self.stats.injector_claims += 1)
-            })
-            .or_else(|| self.steal(w))?;
-        self.executing[w] = Some(id);
-        self.stats.per_worker[w] += 1;
-        Some(id)
-    }
-
-    /// One randomized steal attempt: probe every other worker once, in
-    /// an order drawn from `w`'s own RNG (a Fisher–Yates shuffle), and
-    /// take the FIFO end of the first non-empty victim deque.
-    fn steal(&mut self, w: usize) -> Option<usize> {
-        let workers = self.deques.len();
-        let mut victims: Vec<usize> = (0..workers).filter(|&v| v != w).collect();
-        for i in (1..victims.len()).rev() {
-            let j = (self.rngs[w].next_u64() % (i as u64 + 1)) as usize;
-            victims.swap(i, j);
-        }
-        for v in victims {
-            if let Some(id) = self.deques[v].pop_front() {
-                self.stats.steals += 1;
-                return Some(id);
-            }
-            self.stats.failed_probes += 1;
-        }
-        None
-    }
-
-    /// Worker `w` reports its claimed task complete. Returns the task
-    /// ID. Panics on double completion or completion without a claim —
-    /// the no-duplication invariant is enforced, not just tested.
-    pub fn complete(&mut self, w: usize) -> usize {
-        let Some(id) = self.executing[w].take() else {
-            panic!("worker {w} completed without a claim")
-        };
-        assert!(!self.done[id], "task {id} completed twice");
-        self.done[id] = true;
-        self.remaining -= 1;
-        id
-    }
-
-    /// Every task completed?
-    pub fn drained(&self) -> bool {
-        self.remaining == 0
-    }
-
-    /// Tasks not yet completed.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// The task worker `w` currently holds, if any.
-    pub fn executing(&self, w: usize) -> Option<usize> {
-        self.executing[w]
-    }
-
-    /// Worker count this wave was seeded with.
-    pub fn worker_count(&self) -> usize {
-        self.deques.len()
-    }
-
-    /// Structural invariant, checked by the model tests after every
-    /// transition: each task is in **exactly one** place — queued
-    /// (injector or one deque), executing on one worker, or done — and
-    /// `remaining` agrees with the completion flags.
-    ///
-    /// # Panics
-    /// When the invariant is violated (that is the point).
-    pub fn check_invariants(&self) {
-        let n = self.done.len();
-        let mut seen = vec![0u32; n];
-        for &id in &self.injector {
-            seen[id] += 1;
-        }
-        for d in &self.deques {
-            for &id in d {
-                seen[id] += 1;
-            }
-        }
-        for id in self.executing.iter().flatten() {
-            seen[*id] += 1;
-        }
-        for (id, (&count, &done)) in seen.iter().zip(&self.done).enumerate() {
-            let expected = u32::from(!done);
-            assert!(
-                count == expected,
-                "task {id}: present {count} times, done={done} (expected {expected})"
-            );
-        }
-        assert!(
-            self.remaining == self.done.iter().filter(|&&d| !d).count(),
-            "remaining counter disagrees with completion flags"
-        );
-    }
-}
-
-/// Fixed wave seed: the steal pattern is irrelevant to results, so one
-/// constant stream (split per worker) keeps runs reproducible enough
-/// to read steal-rate counters across repeats.
-const WAVE_SEED: u64 = 0xC0FF_EE00_5EED_CAFE;
 
 type TaskPanic = Box<dyn std::any::Any + Send + 'static>;
 
@@ -307,10 +128,9 @@ type TaskPanic = Box<dyn std::any::Any + Send + 'static>;
 /// task-ID order: `out[i] == run(i, &tasks[i])`, bit-identical at any
 /// worker count.
 ///
-/// `is_heavy` marks long-pole tasks for deque seeding (they start
-/// first, one per worker); everything else drains through the shared
-/// injector. With `workers <= 1` (or one task) no thread is spawned
-/// and tasks run sequentially in task order.
+/// `is_heavy` marks long-pole tasks; they are claimed first (see
+/// [`claim_order`]). The worker count is clamped to the task count,
+/// and the calling thread is always worker 0.
 ///
 /// # Panics
 /// If a task panics, every sibling still runs to completion, and the
@@ -326,78 +146,45 @@ where
 {
     let n = tasks.len();
     let w = workers.max(1).min(n.max(1));
-    if w <= 1 {
-        // Same poison protocol as the threaded path: record the event
-        // and dump the flight ring before re-raising, so a 1-worker
-        // run leaves the same diagnostic record an 8-worker run does.
-        let mut out: Vec<R> = Vec::with_capacity(n);
-        for (i, t) in tasks.iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| run(i, t))) {
-                Ok(r) => out.push(r),
-                Err(payload) => {
-                    mark_poisoned(i);
-                    dump_flight();
-                    resume_unwind(payload);
-                }
-            }
-        }
-        let stats = WaveStats {
-            workers: 1,
-            injector_claims: n as u64,
-            per_worker: vec![n as u64],
-            ..WaveStats::default()
-        };
-        publish(&stats);
-        return (out, stats);
-    }
-
     let heavy: Vec<bool> = tasks.iter().map(is_heavy).collect();
-    // lint: allow(shared-mutable-in-exec) — the sanctioned commit path:
-    // the one coordinator lock every claim/complete goes through.
-    let state = parking_lot::Mutex::new(WaveState::new(&heavy, w, WAVE_SEED));
+    let order = claim_order(&heavy);
+    // lint: allow(shared-mutable-in-exec) — the sanctioned claim path:
+    // one cursor over the claim order; results never pass through it.
+    let cursor = AtomicUsize::new(0);
 
-    // One result bucket per worker; merged in task-ID order below.
+    // One worker's loop: claim the next position, run the task unlocked
+    // (a panic is a value here so siblings keep draining), buffer the
+    // result locally. `Relaxed` suffices: the cursor publishes no data
+    // (`tasks` and `order` are fixed before any worker starts, and
+    // results come back through `join`).
+    let drain = || {
+        let mut local: Vec<(usize, Result<R, TaskPanic>)> = Vec::new();
+        while let Some(&id) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let out = catch_unwind(AssertUnwindSafe(|| run(id, &tasks[id])));
+            if out.is_err() {
+                mark_poisoned(id);
+            }
+            local.push((id, out));
+        }
+        local
+    };
+    // `drain` captures only shared references, so it is `Copy`: each
+    // scoped worker gets its own copy of the same loop.
     let buckets: Vec<Vec<(usize, Result<R, TaskPanic>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..w)
-            .map(|wid| {
-                let state = &state;
-                let run = &run;
-                scope.spawn(move || {
-                    let mut local: Vec<(usize, Result<R, TaskPanic>)> = Vec::new();
-                    loop {
-                        // The claim must be its own statement: a guard
-                        // living in a `while let` scrutinee would span
-                        // the body and self-deadlock on `complete`.
-                        let claimed = state.lock().claim(wid);
-                        let Some(id) = claimed else { break };
-                        // The task body runs unlocked; a panic is a
-                        // value here so siblings keep draining.
-                        let out = catch_unwind(AssertUnwindSafe(|| run(id, &tasks[id])));
-                        if out.is_err() {
-                            mark_poisoned(id);
-                        }
-                        state.lock().complete(wid);
-                        local.push((id, out));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(bucket) => bucket,
-                // Only a coordinator bug panics outside a task; don't
-                // swallow it.
-                Err(p) => resume_unwind(p),
-            })
-            .collect()
+        let handles: Vec<_> = (1..w).map(|_| scope.spawn(drain)).collect();
+        let mut buckets = vec![drain()];
+        // Only an executor bug panics outside a task; don't swallow it.
+        buckets.extend(handles.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))));
+        buckets
     });
 
-    let stats = {
-        let state = state.into_inner();
-        debug_assert!(state.drained(), "wave exited with tasks remaining");
-        state.stats
+    let heavy_count = heavy.iter().filter(|&&h| h).count() as u64;
+    let stats = WaveStats {
+        workers: w,
+        local_claims: heavy_count,
+        injector_claims: n as u64 - heavy_count,
+        per_worker: buckets.iter().map(|b| b.len() as u64).collect(),
+        ..WaveStats::default()
     };
     publish(&stats);
 
@@ -428,8 +215,8 @@ where
 }
 
 /// Publish a wave's scheduling counters to `ckpt-obs` (no-op unless a
-/// session records). Steal rate = `exec.steals / exec.claims_*`;
-/// per-worker occupancy lands on the labeled `exec.worker_tasks`.
+/// session records). Per-worker occupancy lands on the labeled
+/// `exec.worker_tasks`.
 fn publish(stats: &WaveStats) {
     if !ckpt_obs::active() {
         return;
@@ -437,8 +224,6 @@ fn publish(stats: &WaveStats) {
     ckpt_obs::gauge_max("exec.workers", stats.workers as u64);
     ckpt_obs::counter_add("exec.claims_local", stats.local_claims);
     ckpt_obs::counter_add("exec.claims_injector", stats.injector_claims);
-    ckpt_obs::counter_add("exec.steals", stats.steals);
-    ckpt_obs::counter_add("exec.failed_probes", stats.failed_probes);
     for (w, &count) in stats.per_worker.iter().enumerate() {
         ckpt_obs::counter_add_labeled("exec.worker_tasks", &format!("w{w:02}"), count);
     }
@@ -451,28 +236,20 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn seeding_deals_heavy_round_robin_and_queues_rest_in_order() {
-        // Tasks 0..6; 1, 3, 5 heavy; 2 workers.
-        let heavy = [false, true, false, true, false, true];
-        let st = WaveState::new(&heavy, 2, 7);
-        assert_eq!(st.injector.iter().copied().collect::<Vec<_>>(), vec![0, 2, 4]);
-        assert_eq!(st.deques[0].iter().copied().collect::<Vec<_>>(), vec![1, 5]);
-        assert_eq!(st.deques[1].iter().copied().collect::<Vec<_>>(), vec![3]);
-        st.check_invariants();
-    }
-
-    #[test]
-    fn sequential_path_preserves_task_order() {
+    fn one_worker_runs_the_claim_order_on_the_calling_thread() {
         let tasks: Vec<u64> = (0..10).collect();
-        let order = parking_lot::Mutex::new(Vec::new());
-        let (out, stats) = run_wave(&tasks, 1, |_| false, |i, &t| {
-            order.lock().push(i);
+        let caller = std::thread::current().id();
+        let order = std::sync::Mutex::new(Vec::new());
+        let (out, stats) = run_wave(&tasks, 1, |&t| t % 4 == 3, |i, &t| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(i);
             t * 2
         });
         assert_eq!(out, (0..10).map(|t| t * 2).collect::<Vec<_>>());
-        assert_eq!(*order.lock(), (0..10).collect::<Vec<_>>());
+        assert_eq!(*order.lock().unwrap(), [3, 7, 0, 1, 2, 4, 5, 6, 8, 9]);
         assert_eq!(stats.workers, 1);
-        assert_eq!(stats.claims(), 10);
+        assert_eq!((stats.local_claims, stats.injector_claims), (2, 8));
+        assert_eq!(stats.per_worker, [10]);
     }
 
     #[test]
@@ -484,6 +261,7 @@ mod tests {
             assert_eq!(out, (0..97).map(|t| t * 1000 + t).collect::<Vec<_>>());
             assert_eq!(stats.workers, w);
             assert_eq!(stats.claims(), 97);
+            assert_eq!((stats.steals, stats.failed_probes), (0, 0));
             assert_eq!(stats.per_worker.iter().sum::<u64>(), 97);
         }
     }
@@ -508,47 +286,29 @@ mod tests {
 
     #[test]
     fn panicking_task_surfaces_lowest_id_after_all_siblings_ran() {
-        let executed = AtomicU64::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            run_wave(
-                &(0..20).collect::<Vec<u64>>(),
-                4,
-                |_| false,
-                |i, _| {
-                    executed.fetch_add(1, Ordering::Relaxed);
-                    assert!(i != 7 && i != 13, "poisoned task {i}");
-                    i
-                },
-            )
-        }));
-        let payload = caught.expect_err("wave must re-raise the task panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("assert! panics carry a String");
-        // Lowest poisoned ID wins, deterministically.
-        assert!(msg.contains("poisoned task 7"), "{msg}");
-        // ... and no sibling was dropped on the floor.
-        assert_eq!(executed.load(Ordering::Relaxed), 20);
-    }
-
-    #[test]
-    fn victim_order_is_deterministic_per_seed() {
-        let mut a = WaveState::new(&[true; 16], 4, 99);
-        let mut b = WaveState::new(&[true; 16], 4, 99);
-        // Drain both from worker 3 only: claim order includes steals,
-        // which must replay identically for an identical seed.
-        let mut ids_a = Vec::new();
-        while let Some(id) = a.claim(3) {
-            a.complete(3);
-            ids_a.push(id);
+        for workers in [1, 4] {
+            let executed = AtomicU64::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                run_wave(
+                    &(0..20).collect::<Vec<u64>>(),
+                    workers,
+                    |_| false,
+                    |i, _| {
+                        executed.fetch_add(1, Ordering::Relaxed);
+                        assert!(i != 7 && i != 13, "poisoned task {i}");
+                        i
+                    },
+                )
+            }));
+            let payload = caught.expect_err("wave must re-raise the task panic");
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("assert! panics carry a String");
+            // Lowest poisoned ID wins, deterministically.
+            assert!(msg.contains("poisoned task 7"), "{msg}");
+            // ... and no sibling was dropped on the floor.
+            assert_eq!(executed.load(Ordering::Relaxed), 20);
         }
-        let mut ids_b = Vec::new();
-        while let Some(id) = b.claim(3) {
-            b.complete(3);
-            ids_b.push(id);
-        }
-        assert_eq!(ids_a, ids_b);
-        assert!(a.drained());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! **Where the parallelism lives.** A study runs its cells
 //! *sequentially*, in input order; within each cell the runner's waves
 //! (trace generation, policy simulations, candidate sims) fan out over
-//! the work-stealing executor ([`crate::steal`]). That split is
+//! the shared-cursor executor ([`crate::steal`]). That split is
 //! deliberate: cross-cell parallelism would interleave the shared DP
 //! plan / trace cache traffic of different cells, making the per-cell
 //! delta counters that [`Study::prewarm`] and the obs layer report

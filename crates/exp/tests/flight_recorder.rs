@@ -77,9 +77,9 @@ fn events<'a>(dump: &'a jsonio::Json) -> &'a [jsonio::Json] {
     dump.get("events").and_then(jsonio::Json::as_arr).expect("events array")
 }
 
-/// The dump of a poisoned wave names the failing task — threaded and
-/// sequential paths alike — and degrades to a valid empty document
-/// without the feature.
+/// The dump of a poisoned wave names the failing task — at one worker
+/// and at four alike — and degrades to a valid empty document without
+/// the feature.
 #[test]
 fn poisoned_wave_dump_names_the_failing_task() {
     let _serial = lock();

@@ -1,6 +1,6 @@
 //! Golden-result pinning: the plan → execute → reduce pipeline must
 //! reproduce the committed `results/golden/*.json` files **byte for
-//! byte**, at any rayon thread count.
+//! byte**, at any executor worker count.
 //!
 //! The files were generated from the pre-refactor monolithic runner
 //! (via the `gen_golden` bin), so this test is the refactor's
@@ -14,6 +14,7 @@
 
 use ckpt_exp::golden::{golden_cells, golden_json};
 use ckpt_exp::runner::run_scenario;
+use ckpt_exp::steal::set_workers;
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -28,20 +29,20 @@ fn check_all_cells() {
         let actual = golden_json(&run_scenario(&scenario, &kinds, &options));
         assert_eq!(
             actual, expected,
-            "pipeline output diverged from {} — bit-identity broken",
-            path.display()
+            "pipeline output diverged from {} at {} workers — bit-identity broken",
+            path.display(),
+            ckpt_exp::steal::workers()
         );
     }
 }
 
+/// One test loops the worker counts: `set_workers` is process-global,
+/// and tests in one binary run concurrently.
 #[test]
-fn pipeline_reproduces_golden_results_single_threaded() {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
-    pool.install(check_all_cells);
-}
-
-#[test]
-fn pipeline_reproduces_golden_results_eight_threads() {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(8).build().expect("pool");
-    pool.install(check_all_cells);
+fn pipeline_reproduces_golden_results_at_1_2_and_8_workers() {
+    for workers in [1, 2, 8] {
+        set_workers(workers);
+        check_all_cells();
+    }
+    set_workers(0);
 }

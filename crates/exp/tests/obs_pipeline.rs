@@ -2,7 +2,7 @@
 //! it: an open `ckpt-obs` session collects stage/task spans, the
 //! per-fingerprint cache counters, and the `perf.obs` breakdown, while
 //! the pipeline's *results* stay byte-identical with recording on or
-//! off, at any rayon thread count.
+//! off, at any executor worker count.
 //!
 //! Without the `obs` feature sessions cannot open, so each test
 //! degrades to its recording-off half (the golden check still runs);
@@ -13,13 +13,15 @@
 
 use ckpt_exp::golden::{golden_cells, golden_json};
 use ckpt_exp::runner::{run_scenario, PeriodSearch, RunnerOptions};
+use ckpt_exp::steal::set_workers;
 use ckpt_exp::{DistSpec, PolicyKind, Scenario, Study};
 use ckpt_sim::SimOptions;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-/// Obs sessions are process-global and exclusive; every test here
-/// records (or must observe a quiet registry), so they serialize.
+/// Obs sessions are process-global and exclusive, and so is the
+/// `set_workers` knob; every test here records (or must observe a quiet
+/// registry), so they serialize.
 static SESSION_TESTS: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -163,8 +165,9 @@ fn check_all_cells_against_disk() {
         let actual = golden_json(&run_scenario(&scenario, &kinds, &options));
         assert_eq!(
             actual, expected,
-            "recording session perturbed {} — obs must be result-invisible",
-            path.display()
+            "recording session perturbed {} at {} workers — obs must be result-invisible",
+            path.display(),
+            ckpt_exp::steal::workers()
         );
     }
 }
@@ -172,16 +175,14 @@ fn check_all_cells_against_disk() {
 #[test]
 fn goldens_stay_byte_identical_while_recording() {
     let _serial = lock();
-    for threads in [1usize, 8] {
+    for workers in [1, 2, 8] {
+        set_workers(workers);
         let session = ckpt_obs::ObsSession::start();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        pool.install(check_all_cells_against_disk);
+        check_all_cells_against_disk();
         if let Some(session) = session {
             let data = session.finish();
             assert!(data.counter("sim.runs") > 0, "session must actually have recorded");
         }
     }
+    set_workers(0);
 }

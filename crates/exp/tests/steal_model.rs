@@ -1,172 +1,37 @@
-//! Machine-checked model of the work-stealing wave executor
-//! (`ckpt_exp::steal`) — the Rust analogue of `DistributedExecution.tla`
-//! (SNIPPETS.md Snippet 2), proptest-driven instead of TLC-driven.
+//! Pins the shared-cursor wave executor (`ckpt_exp::steal`).
 //!
-//! The coordinator ([`WaveState`]) is a pure state machine, so the
-//! model tests explore arbitrary interleavings directly: a generated
-//! schedule picks which worker acts at each step (claim or complete),
-//! optionally designates one worker that **stalls forever** holding
-//! its claim, and `check_invariants` is asserted after every single
-//! transition. The properties, as in the TLA+ model:
-//!
-//! * **No task loss** — after quiescence, every task is completed
-//!   except the one a stalled worker still holds.
-//! * **No duplication** — every task is claimed exactly once
-//!   (`WaveState::complete` additionally hard-asserts it).
-//! * **Progress** — from any reachable state, the non-stalled workers
-//!   drain the wave within a fuel bound linear in tasks + workers
-//!   (claims never block, so there is no deadlock to reach).
-//!
-//! The threaded half runs the same executor with real threads:
-//! results must be bit-identical to the sequential drain for any
-//! worker count / heavy marking, and a poisoned (panicking) task must
-//! surface the lowest poisoned task ID deterministically *after*
-//! every sibling ran — no hang, no dropped tasks.
+//! * **Claim order** — heavy task IDs first, then the rest, each class
+//!   in task order; a pure function, so it is checked without threads.
+//! * **Bit-identity** — with real threads, the committed output equals
+//!   the one-worker drain for any worker count and heavy marking, and
+//!   every task is claimed exactly once.
+//! * **Poisoning** — a panicking task surfaces the lowest poisoned task
+//!   ID deterministically *after* every sibling ran: no hang, no
+//!   dropped tasks.
+//! * **Slow tasks** — a worker stuck on a slow task does not strand the
+//!   rest of the wave.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use ckpt_exp::steal::{run_wave, WaveState};
+use ckpt_exp::steal::{claim_order, run_wave};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Drive a wave through an arbitrary schedule, then drain it to
-/// quiescence with the non-stalled workers, checking the structural
-/// invariant after every transition. Returns per-task claim counts.
-fn drive(
-    n: usize,
-    workers: usize,
-    heavy: &[bool],
-    seed: u64,
-    schedule: &[usize],
-    stalled: Option<usize>,
-) -> Vec<u32> {
-    let mut state = WaveState::new(heavy, workers, seed);
-    state.check_invariants();
-    let mut claims = vec![0u32; n];
-
-    // Phase 1: the generated interleaving. Claims and completions race
-    // in whatever order the schedule dictates; a stalled worker claims
-    // once and then never completes.
-    for &step in schedule {
-        let w = step % workers;
-        if stalled == Some(w) {
-            if state.executing(w).is_none() {
-                if let Some(id) = state.claim(w) {
-                    claims[id] += 1;
-                }
-                state.check_invariants();
-            }
-            continue;
-        }
-        if state.executing(w).is_some() {
-            state.complete(w);
-        } else if let Some(id) = state.claim(w) {
-            claims[id] += 1;
-        }
-        state.check_invariants();
-    }
-
-    // Phase 2: progress. The live workers must drain everything that
-    // is not held by the stalled worker, within a fuel bound: every
-    // round either transitions (claim or complete) at least once or
-    // the wave is quiescent, and there are at most 2n transitions.
-    let mut fuel = 2 * n + workers + 4;
-    loop {
-        let mut progressed = false;
-        for w in 0..workers {
-            if stalled == Some(w) {
-                continue;
-            }
-            if state.executing(w).is_some() {
-                state.complete(w);
-                progressed = true;
-            } else if let Some(id) = state.claim(w) {
-                claims[id] += 1;
-                progressed = true;
-            }
-            state.check_invariants();
-        }
-        if !progressed {
-            break;
-        }
-        fuel -= 1;
-        assert!(fuel > 0, "no progress bound: wave failed to drain within fuel");
-    }
-
-    // No task loss: quiescence means everything completed except a
-    // stalled worker's held claim.
-    let held = stalled.and_then(|w| state.executing(w));
-    assert_eq!(
-        state.remaining(),
-        usize::from(held.is_some()),
-        "tasks lost at quiescence (held: {held:?})"
-    );
-    assert_eq!(state.drained(), held.is_none());
-
-    // Scheduling counters account for every claim exactly once.
-    let total: u64 = claims.iter().map(|&c| u64::from(c)).sum();
-    assert_eq!(state.stats.claims(), total);
-    assert_eq!(state.stats.per_worker.iter().sum::<u64>(), total);
-    claims
+#[test]
+fn claim_order_puts_heavy_first_and_keeps_task_order_in_each_class() {
+    assert_eq!(claim_order(&[false, true, false, true, false, true]), [1, 3, 5, 0, 2, 4]);
+    assert_eq!(claim_order(&[true, true, false]), [0, 1, 2]);
+    assert_eq!(claim_order(&[false, false]), [0, 1]);
+    assert!(claim_order(&[]).is_empty());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The TLA+ properties over arbitrary schedules: no-loss, no-dup,
-    /// progress — including steal races (idle workers raid loaded
-    /// deques mid-schedule) and a stalled worker.
-    fn model_no_loss_no_dup_progress(
-        n in 1usize..32,
-        workers in 1usize..6,
-        heavy_sel in vec(0usize..2, 32),
-        seed in 0u64..u64::MAX,
-        schedule in vec(0usize..64, 0..160),
-        stall_sel in 0usize..12,
-    ) {
-        let heavy: Vec<bool> = (0..n).map(|i| heavy_sel[i] == 1).collect();
-        // Stalling the only worker would (correctly) strand the whole
-        // wave; the property needs a live worker to steal the backlog.
-        let stalled = (workers >= 2 && stall_sel < workers).then_some(stall_sel);
-        let claims = drive(n, workers, &heavy, seed, &schedule, stalled);
-        // No duplication: every task claimed exactly once (a stalled
-        // worker's held task was still claimed exactly once).
-        prop_assert!(claims.iter().all(|&c| c == 1), "claim counts: {claims:?}");
-    }
-
-    /// Replay determinism: the same seed and schedule visit the exact
-    /// same claim sequence, steals included.
-    fn model_schedules_replay_deterministically(
-        n in 1usize..24,
-        workers in 2usize..6,
-        heavy_sel in vec(0usize..2, 24),
-        seed in 0u64..u64::MAX,
-        schedule in vec(0usize..64, 0..120),
-    ) {
-        let heavy: Vec<bool> = (0..n).map(|i| heavy_sel[i] == 1).collect();
-        let replay = || {
-            let mut state = WaveState::new(&heavy, workers, seed);
-            let mut log = Vec::new();
-            for &step in &schedule {
-                let w = step % workers;
-                if state.executing(w).is_some() {
-                    log.push((w, usize::MAX, state.complete(w)));
-                } else if let Some(id) = state.claim(w) {
-                    log.push((w, id, usize::MAX));
-                }
-            }
-            (log, state.stats.clone())
-        };
-        let (log_a, stats_a) = replay();
-        let (log_b, stats_b) = replay();
-        prop_assert_eq!(log_a, log_b);
-        prop_assert_eq!(stats_a, stats_b);
-    }
-
     /// Real threads: the committed output is bit-identical to the
-    /// sequential drain for any worker count and heavy marking, and
+    /// one-worker drain for any worker count and heavy marking, and
     /// every task is claimed exactly once.
     fn threaded_wave_matches_sequential(
         n in 0usize..48,
@@ -186,9 +51,8 @@ proptest! {
 }
 
 /// A poisoned task must not hang the wave, drop siblings, or surface
-/// nondeterministically: the threaded drain runs *every* task, then
-/// re-raises the panic of the lowest poisoned task ID — the same task
-/// the sequential drain panics on first.
+/// nondeterministically: the drain runs *every* task at any worker
+/// count, then re-raises the panic of the lowest poisoned task ID.
 #[test]
 fn poisoned_task_surfaces_lowest_id_and_drops_no_sibling() {
     // The default panic hook would print a backtrace per poisoned task
@@ -196,9 +60,15 @@ fn poisoned_task_surfaces_lowest_id_and_drops_no_sibling() {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let result = catch_unwind(|| {
-        for (n, workers, poison_stride) in
-            [(1usize, 4usize, 1usize), (9, 2, 3), (20, 4, 7), (33, 8, 5), (16, 16, 4)]
-        {
+        for (n, workers, poison_stride) in [
+            (1usize, 4usize, 1usize),
+            (9, 1, 3),
+            (9, 2, 3),
+            (20, 4, 7),
+            (33, 8, 5),
+            (16, 16, 4),
+            (7, 3, 8),
+        ] {
             let tasks: Vec<u64> = (0..n as u64).collect();
             let poisoned: Vec<bool> = (0..n).map(|i| i % poison_stride == poison_stride - 1).collect();
             let lowest = poisoned.iter().position(|&p| p);
@@ -210,11 +80,11 @@ fn poisoned_task_surfaces_lowest_id_and_drops_no_sibling() {
                     t
                 })
             }));
+            assert_eq!(executed.load(Ordering::Relaxed), n as u64, "every sibling runs");
             match lowest {
                 None => {
                     let (out, _) = outcome.unwrap_or_else(|_| panic!("clean wave must not panic"));
                     assert_eq!(out, tasks);
-                    assert_eq!(executed.load(Ordering::Relaxed), n as u64);
                 }
                 Some(lo) => {
                     let payload = outcome.err().unwrap_or_else(|| panic!("poisoned wave must panic"));
@@ -222,14 +92,6 @@ fn poisoned_task_surfaces_lowest_id_and_drops_no_sibling() {
                         .downcast_ref::<String>()
                         .unwrap_or_else(|| panic!("assert! panics carry a String"));
                     assert!(msg.contains(&format!("poisoned task {lo}")), "{msg}");
-                    // The threaded drain (clamped workers >= 2 here
-                    // whenever n >= 2) runs every sibling before
-                    // re-raising; the sequential clamp (n == 1) stops
-                    // at the poisoned task, which is then trivially
-                    // the whole wave.
-                    if n.min(workers) >= 2 {
-                        assert_eq!(executed.load(Ordering::Relaxed), n as u64);
-                    }
                 }
             }
         }
@@ -240,19 +102,18 @@ fn poisoned_task_surfaces_lowest_id_and_drops_no_sibling() {
     }
 }
 
-/// Worker stalls mid-wave with real threads: a worker that claims and
-/// then blocks for a while must not prevent others from stealing its
-/// deque backlog — the wave still completes every task.
+/// A worker that claims a slow task must not hold up the rest: the
+/// other workers keep claiming from the cursor, and the wave still
+/// completes every task.
 #[test]
-fn slow_worker_backlog_is_stolen_not_stranded() {
-    // Task 0 is heavy *and slow* (seeded to worker 0's deque along
-    // with several siblings at 4 workers); while it sleeps, the other
-    // workers must steal the rest of worker 0's deque.
+fn slow_task_does_not_strand_the_rest() {
+    // Task 0 is heavy *and slow*: it is claimed first, and while it
+    // sleeps the other workers drain everything else.
     let tasks: Vec<u64> = (0..32).collect();
     let (out, stats) = run_wave(
         &tasks,
         4,
-        |&t| t < 8, // eight heavy tasks: two seeded per worker deque
+        |&t| t < 8,
         |i, &t| {
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(40));

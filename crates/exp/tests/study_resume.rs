@@ -3,7 +3,7 @@
 //! checkpoints — the final chunk's results are lost, the store is left
 //! exactly as the last snapshot wrote it) and then resumed must commit
 //! aggregates **byte-identical** to an uninterrupted run of the same
-//! definition — at 1 and at 8 rayon threads, with the interruption
+//! definition — at 1, 2 and 8 executor workers, with the interruption
 //! landing both early (policy wave) and late (the refine item resumes
 //! against coarse payloads read back from disk).
 //!
@@ -16,7 +16,22 @@
 use ckpt_exp::checkpoint::{build_manifest, run_study, CheckpointConfig, StudyDef, StudyOutcome};
 use ckpt_exp::{DistSpec, PeriodSearch, PolicyKind, RunnerOptions, Scenario};
 use ckpt_sim::SimOptions;
+use ckpt_exp::steal::set_workers;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+/// `set_workers` is process-global and tests run concurrently: every
+/// test that pins a worker count holds this lock while it runs.
+static WORKER_TESTS: Mutex<()> = Mutex::new(());
+
+/// Run `f` with the executor pinned to `workers`, then reset the knob.
+fn at_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    let _serial = WORKER_TESTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    set_workers(workers);
+    let out = f();
+    set_workers(0);
+    out
+}
 
 /// Two cells: an exhaustive-search cell and a coarse-to-fine cell whose
 /// refine item folds coarse payloads — the two commit paths a kill can
@@ -147,17 +162,11 @@ fn check_kill_and_resume(root: &Path, stop: u64) {
 }
 
 #[test]
-fn kill_mid_wave_then_resume_is_bit_identical_single_threaded() {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
-    let root = store_root("1thread");
-    pool.install(|| check_kill_and_resume(&root, 16));
-}
-
-#[test]
-fn kill_mid_wave_then_resume_is_bit_identical_eight_threads() {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(8).build().expect("pool");
-    let root = store_root("8threads");
-    pool.install(|| check_kill_and_resume(&root, 16));
+fn kill_mid_wave_then_resume_is_bit_identical_at_1_2_and_8_workers() {
+    for workers in [1, 2, 8] {
+        let root = store_root(&format!("{workers}workers"));
+        at_workers(workers, || check_kill_and_resume(&root, 16));
+    }
 }
 
 #[test]
@@ -165,11 +174,10 @@ fn kill_just_before_refine_resumes_coarse_payloads_from_disk() {
     // Stop one item short of the end: the refine item (always the
     // cell's last) runs in the resume process, assembling its coarse
     // columns from payloads that crossed a process boundary.
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(8).build().expect("pool");
     let root = store_root("late");
     let total =
         build_manifest(&two_cell_def("interrupted"), &config(&root)).items.len() as u64;
-    pool.install(|| check_kill_and_resume(&root, total - 1));
+    at_workers(8, || check_kill_and_resume(&root, total - 1));
 }
 
 #[test]

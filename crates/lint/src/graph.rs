@@ -216,8 +216,7 @@ impl Graph {
 }
 
 /// Scan every indexed fn body for nondeterminism sinks. Reuses the
-/// per-file scanners for hash iteration and unordered reductions (mapped
-/// into fns by line), plus token checks for clock reads and entropy RNG
+/// per-file scanner for hash iteration (mapped into fns by line), plus token checks for clock reads and entropy RNG
 /// construction.
 fn collect_sinks(index: &Index, ctxs: &[FileCtx<'_>]) -> Vec<Sink> {
     let mut out = Vec::new();
@@ -249,9 +248,8 @@ fn collect_sinks(index: &Index, ctxs: &[FileCtx<'_>]) -> Vec<Sink> {
                 out.push(Sink { fn_idx: i, line: t.line, col: t.col, what });
             }
         }
-        // Hash-order iteration and unordered float reductions: the
-        // per-file scanners already know the patterns; map their raw
-        // findings onto enclosing fns.
+        // Hash-order iteration: the per-file scanner already knows the
+        // patterns; map its raw findings onto enclosing fns.
         for raw in rules::nondeterministic_iteration(ctx) {
             if let Some(i) = index.enclosing_fn(file_idx, raw.line) {
                 out.push(Sink {
@@ -259,16 +257,6 @@ fn collect_sinks(index: &Index, ctxs: &[FileCtx<'_>]) -> Vec<Sink> {
                     line: raw.line,
                     col: raw.col,
                     what: "hash-order iteration".to_string(),
-                });
-            }
-        }
-        for raw in rules::unordered_float_reduce(ctx) {
-            if let Some(i) = index.enclosing_fn(file_idx, raw.line) {
-                out.push(Sink {
-                    fn_idx: i,
-                    line: raw.line,
-                    col: raw.col,
-                    what: "unordered parallel float reduction".to_string(),
                 });
             }
         }

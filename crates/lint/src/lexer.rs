@@ -4,7 +4,7 @@
 //! `grep`-style matching cannot give:
 //!
 //! 1. text inside string/char literals never produces tokens (so a rule
-//!    table containing `"par_iter"` does not lint itself);
+//!    table containing `"HashMap"` does not lint itself);
 //! 2. comments are separated from code but *kept*, with line spans (so
 //!    `// SAFETY:` audits and `// lint: allow(...)` pragmas can be
 //!    located precisely);

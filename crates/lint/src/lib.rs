@@ -1,9 +1,9 @@
 //! `ckpt-lint` — workspace determinism & safety lint.
 //!
 //! The simulation study is pinned by golden results that must stay
-//! byte-identical at 1 and 8 rayon threads. Nothing in rustc or clippy
-//! statically prevents the classic determinism killers — unordered
-//! parallel float reduction, hash-order iteration feeding result rows,
+//! byte-identical at any executor worker count. Nothing in rustc or
+//! clippy statically prevents the classic determinism killers —
+//! hash-order iteration feeding result rows,
 //! wall-clock reads inside sim paths, naked transcendentals bypassing
 //! the `KernelTable` — so this crate does: a small comment/string-aware
 //! Rust lexer plus per-rule token scanners, run as

@@ -1,8 +1,8 @@
 //! The rule scanners.
 //!
 //! Each rule protects one concrete invariant of the golden-result
-//! bit-identity contract (byte-identical study output at 1 and 8 rayon
-//! threads) or of the workspace's safety discipline. Scanners are
+//! bit-identity contract (byte-identical study output at any executor
+//! worker count) or of the workspace's safety discipline. Scanners are
 //! lexical — they work on the token stream of one file, never across
 //! files — so each rule documents exactly what it can and cannot see.
 
@@ -25,7 +25,6 @@ pub struct RawFinding {
 /// workspace rules: they run on the cross-file index/graph in
 /// [`crate::lint_files`], not in the per-file [`scan`] dispatcher.
 pub const ALL_RULES: &[&str] = &[
-    "unordered-float-reduce",
     "nondeterministic-iteration",
     "unsafe-needs-safety-comment",
     "wall-clock-in-sim",
@@ -94,7 +93,7 @@ pub fn default_rule_config(rule: &str) -> RuleConfig {
         }
         "shared-mutable-in-exec" => {
             // The executor layer: every cross-worker mutation must flow
-            // through the wave coordinator + task-ID-ordered commit.
+            // through the claim cursor + task-ID-ordered commit.
             rc.paths = vec![
                 "crates/exp/src/exec.rs".into(),
                 "crates/exp/src/steal.rs".into(),
@@ -115,10 +114,6 @@ pub fn default_rule_config(rule: &str) -> RuleConfig {
 /// One-line contract statement per rule (for `--list-rules` and docs).
 pub fn rule_summary(rule: &str) -> &'static str {
     match rule {
-        "unordered-float-reduce" => {
-            "parallel float reductions (`par_iter().sum()/reduce()/fold()`) are \
-             schedule-dependent; results must flow through an order-preserving drain"
-        }
         "nondeterministic-iteration" => {
             "iterating a HashMap/HashSet yields hash-order (seeded per process); \
              result-feeding crates must use BTreeMap or sort explicitly"
@@ -146,7 +141,7 @@ pub fn rule_summary(rule: &str) -> &'static str {
         }
         "shared-mutable-in-exec" => {
             "locks/atomics/interior-mutability cells in the executor layer \
-             outside the sanctioned coordinator + ordered-commit path are new \
+             outside the sanctioned claim-cursor + ordered-commit path are new \
              coordination channels; audit and pragma each site"
         }
         "todo-fixme-gate" => "TODO/FIXME/XXX/HACK markers must not land on main",
@@ -155,7 +150,7 @@ pub fn rule_summary(rule: &str) -> &'static str {
             "no call path from a [taint] determinism root (exec drain, sim hot \
              loop, reduce commit, checkpoint writer) may reach an unsanctioned \
              nondeterminism sink (wall-clock read, entropy RNG, hash-order \
-             iteration, unordered float reduction) — the full chain is reported"
+             iteration) — the full chain is reported"
         }
         "stale-pragma" => {
             "a `// lint: allow(...)` entry that suppresses no finding is dead \
@@ -173,7 +168,6 @@ pub fn rule_summary(rule: &str) -> &'static str {
 /// Run one rule's scanner over a file.
 pub fn scan(rule: &str, ctx: &FileCtx<'_>, rc: &RuleConfig) -> Vec<RawFinding> {
     match rule {
-        "unordered-float-reduce" => unordered_float_reduce(ctx),
         "nondeterministic-iteration" => nondeterministic_iteration(ctx),
         "unsafe-needs-safety-comment" => unsafe_needs_safety_comment(ctx),
         "wall-clock-in-sim" => wall_clock_in_sim(ctx),
@@ -204,68 +198,6 @@ fn punct_at(ctx: &FileCtx<'_>, i: usize, text: &str) -> bool {
 
 // ---------------------------------------------------------------- rule 1
 
-const PAR_SOURCES: &[&str] =
-    &["par_iter", "par_iter_mut", "into_par_iter", "par_bridge", "par_chunks", "par_windows"];
-const UNORDERED_SINKS: &[&str] = &["sum", "reduce", "fold", "product"];
-
-/// `par_iter().…sum()/reduce()/fold()` in one method chain: the combine
-/// order is whatever the rayon scheduler produced, so float results are
-/// not bit-stable across thread counts. (A reduction stored and summed
-/// in a later statement escapes this scanner — the ordered-drain
-/// executor is the sanctioned pattern either way.)
-pub(crate) fn unordered_float_reduce(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
-    let t = ctx.tokens;
-    let mut out = Vec::new();
-    for i in 0..t.len() {
-        if !(t[i].kind == TokenKind::Ident && PAR_SOURCES.contains(&t[i].text.as_str())) {
-            continue;
-        }
-        if i == 0 || !punct_at(ctx, i - 1, ".") {
-            continue;
-        }
-        // Walk the rest of the chain at nesting depth 0 (closure bodies
-        // inside call arguments sit at depth ≥ 1).
-        let mut depth = 0i64;
-        let mut j = i + 1;
-        while j < t.len() {
-            match t[j].text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                }
-                ";" if depth == 0 => break,
-                _ => {}
-            }
-            if depth == 0
-                && punct_at(ctx, j, ".")
-                && t.get(j + 1).is_some_and(|n| {
-                    n.kind == TokenKind::Ident && UNORDERED_SINKS.contains(&n.text.as_str())
-                })
-                && (punct_at(ctx, j + 2, "(") || punct_at(ctx, j + 2, "::"))
-            {
-                let sink = &t[j + 1];
-                out.push(raw(
-                    sink.line,
-                    sink.col,
-                    format!(
-                        "`{}()` chained onto `{}()` reduces in scheduler order; \
-                         collect in input order (exp::exec drain) and reduce sequentially",
-                        sink.text, t[i].text
-                    ),
-                ));
-                break;
-            }
-            j += 1;
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------- rule 2
-
 const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
 const ITER_METHODS: &[&str] = &[
     "iter",
@@ -278,8 +210,6 @@ const ITER_METHODS: &[&str] = &[
     "into_iter",
     "into_keys",
     "into_values",
-    "par_iter",
-    "into_par_iter",
 ];
 
 /// Names bound to HashMap/HashSet in this file (let bindings with type
@@ -405,7 +335,7 @@ pub(crate) fn nondeterministic_iteration(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
     out
 }
 
-// ---------------------------------------------------------------- rule 3
+// ---------------------------------------------------------------- rule 2
 
 /// `unsafe` without a `// SAFETY:` comment in the 3 lines above it (or
 /// on the same line).
@@ -430,7 +360,7 @@ fn unsafe_needs_safety_comment(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
     out
 }
 
-// ---------------------------------------------------------------- rule 4
+// ---------------------------------------------------------------- rule 3
 
 /// Wall-clock types anywhere in the simulation crates. Even an unused
 /// import is flagged: timing belongs in ckpt-exp's perf layer, which
@@ -469,7 +399,7 @@ fn wall_clock_in_sim(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
         .collect()
 }
 
-// ---------------------------------------------------------------- rule 5
+// ---------------------------------------------------------------- rule 4
 
 const TRANSCENDENTALS: &[&str] =
     &["powf", "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2", "log10"];
@@ -501,7 +431,7 @@ fn naked_transcendental(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
     out
 }
 
-// ---------------------------------------------------------------- rule 6
+// ---------------------------------------------------------------- rule 5
 
 /// `==`/`!=` with a float literal or `f64::CONST` operand. Identifier-
 /// vs-identifier float compares are invisible to a lexical pass; the
@@ -537,7 +467,7 @@ fn float_eq(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
     out
 }
 
-// ---------------------------------------------------------------- rule 7
+// ---------------------------------------------------------------- rule 6
 
 /// One finding per audited kernel function that contains panicking `[]`
 /// index/slice expressions. The pragma above the `fn` re-affirms the
@@ -581,7 +511,7 @@ fn panicking_index_in_kernel(ctx: &FileCtx<'_>, rc: &RuleConfig) -> Vec<RawFindi
     out
 }
 
-// ---------------------------------------------------------------- rule 8
+// ---------------------------------------------------------------- rule 7
 
 const MARKERS: &[&str] = &["TODO", "FIXME", "XXX", "HACK"];
 
@@ -618,7 +548,7 @@ fn todo_fixme_gate(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
     out
 }
 
-// ---------------------------------------------------------------- rule 9
+// ---------------------------------------------------------------- rule 8
 
 /// Pragmas naming unregistered rules: a typo here would silently keep a
 /// real finding alive (or suppress nothing), so it is its own finding.
@@ -638,7 +568,7 @@ fn unknown_pragma(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
     out
 }
 
-// ---------------------------------------------------------------- rule 10
+// ---------------------------------------------------------------- rule 9
 
 /// Interior-mutability and synchronization types that create a shared
 /// mutable coordination channel between workers. `Atomic*` is matched
@@ -650,7 +580,7 @@ const SHARED_MUTABLE_TYPES: &[&str] = &[
 ];
 
 /// The executor's bit-identity contract rests on *all* cross-worker
-/// mutation flowing through the wave coordinator lock and the
+/// mutation flowing through the wave's claim cursor and the
 /// task-ID-ordered commit. Any other lock, atomic, `static mut`, or
 /// interior-mutability cell in `exec.rs`/`steal.rs` is either a new
 /// coordination channel (audit it, then pragma the site) or a latent
@@ -682,8 +612,8 @@ fn shared_mutable_in_exec(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
                 tok.col,
                 format!(
                     "`{name}` is shared mutable state in the executor layer; route \
-                     coordination through the wave coordinator's ordered commit, or \
-                     audit the site and pragma it"
+                     coordination through the wave's claim cursor and ordered commit, \
+                     or audit the site and pragma it"
                 ),
             ));
         } else if name == "static" && ident_at(ctx, i + 1, "mut") {
@@ -691,7 +621,7 @@ fn shared_mutable_in_exec(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
                 tok.line,
                 tok.col,
                 "`static mut` is unsynchronized shared state in the executor layer; \
-                 use the wave coordinator, or audit the site and pragma it"
+                 use the wave's claim cursor, or audit the site and pragma it"
                     .into(),
             ));
         }
@@ -711,19 +641,6 @@ mod tests {
         let ctx = FileCtx::build("x.rs", src, &lexed);
         let cfg = Config::default_config();
         scan(rule, &ctx, cfg.rule(rule))
-    }
-
-    #[test]
-    fn par_sum_flagged_sequential_sum_not() {
-        let hits = scan_src("unordered-float-reduce", "let s: f64 = v.par_iter().map(|x| x * 2.0).sum();");
-        assert_eq!(hits.len(), 1);
-        assert!(scan_src("unordered-float-reduce", "let s: f64 = v.iter().sum();").is_empty());
-        // A sum inside the closure argument is not the chain's sink.
-        assert!(scan_src(
-            "unordered-float-reduce",
-            "let v: Vec<f64> = xs.par_iter().map(|r| r.iter().sum::<f64>()).collect();"
-        )
-        .is_empty());
     }
 
     #[test]

@@ -187,75 +187,6 @@ impl ObsData {
         out
     }
 
-    /// Prometheus text exposition of the session's metrics — the
-    /// metrics doorway for the planned checkpoint-advisor service.
-    /// Counters and gauges map directly; histograms export as summaries
-    /// (p50/p90/p99 via the log-bucket [`Histogram::quantile`], plus
-    /// `_sum`/`_count`). Metric names are `ckpt_` + the dotted obs name
-    /// with non-alphanumerics folded to `_`; counter labels land on a
-    /// `label` dimension. Deterministic given identical metric content:
-    /// every map iterated here is a `BTreeMap`.
-    pub fn prometheus_text(&self) -> String {
-        fn metric_name(name: &str) -> String {
-            let mut out = String::with_capacity(name.len() + 5);
-            out.push_str("ckpt_");
-            for c in name.chars() {
-                out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-            }
-            out
-        }
-        fn fmt(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else if v.is_nan() {
-                "NaN".to_string()
-            } else if v > 0.0 {
-                "+Inf".to_string()
-            } else {
-                "-Inf".to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str("# TYPE ckpt_obs_wall_seconds gauge\n");
-        out.push_str(&format!("ckpt_obs_wall_seconds {}\n", fmt(self.wall_us as f64 / 1e6)));
-
-        let mut last_counter: Option<String> = None;
-        for ((name, label), value) in &self.counters.0 {
-            let metric = metric_name(name);
-            if last_counter.as_deref() != Some(metric.as_str()) {
-                out.push_str(&format!("# TYPE {metric} counter\n"));
-                last_counter = Some(metric.clone());
-            }
-            if label.is_empty() {
-                out.push_str(&format!("{metric} {value}\n"));
-            } else {
-                out.push_str(&format!(
-                    "{metric}{{label=\"{}\"}} {value}\n",
-                    escape_str(label)
-                ));
-            }
-        }
-
-        for (name, value) in &self.gauges {
-            let metric = metric_name(name);
-            out.push_str(&format!("# TYPE {metric} gauge\n{metric} {value}\n"));
-        }
-
-        for (name, h) in &self.histograms {
-            let metric = metric_name(name);
-            out.push_str(&format!("# TYPE {metric} summary\n"));
-            for q in [0.5, 0.9, 0.99] {
-                out.push_str(&format!(
-                    "{metric}{{quantile=\"{q}\"}} {}\n",
-                    fmt(h.quantile(q))
-                ));
-            }
-            out.push_str(&format!("{metric}_sum {}\n", fmt(h.sum)));
-            out.push_str(&format!("{metric}_count {}\n", h.count));
-        }
-        out
-    }
-
     /// A `perf report`-style text summary: span totals by name, then
     /// counters, gauges, and histograms. Deterministic given identical
     /// counter/histogram content (timings obviously vary).
@@ -445,26 +376,5 @@ mod tests {
         assert!(empty.contains("\"recording\": false"));
         assert!(empty.contains("\"events\": [\n  ]"));
         assert_eq!(empty.matches('{').count(), empty.matches('}').count());
-    }
-
-    #[test]
-    fn prometheus_text_exports_all_metric_families() {
-        let p = sample().prometheus_text();
-        assert!(p.contains("# TYPE ckpt_obs_wall_seconds gauge"));
-        assert!(p.contains("ckpt_obs_wall_seconds 2\n"));
-        assert!(p.contains("# TYPE ckpt_dp_sweeps counter"));
-        assert!(p.contains("ckpt_dp_sweeps 42\n"));
-        assert!(p.contains("ckpt_plans_hit{label=\"weibull\"} 7\n"));
-        assert!(p.contains("# TYPE ckpt_wave_width gauge"));
-        assert!(p.contains("ckpt_wave_width 8\n"));
-        assert!(p.contains("# TYPE ckpt_sim_decisions summary"));
-        assert!(p.contains("ckpt_sim_decisions{quantile=\"0.5\"}"));
-        assert!(p.contains("ckpt_sim_decisions_sum 8\n"));
-        assert!(p.contains("ckpt_sim_decisions_count 2\n"));
-        // One `# TYPE` line per counter family, not per labeled cell.
-        let mut d = sample();
-        d.counters.0.insert(("plans.hit".into(), "exp".into()), 3);
-        let p2 = d.prometheus_text();
-        assert_eq!(p2.matches("# TYPE ckpt_plans_hit counter").count(), 1);
     }
 }

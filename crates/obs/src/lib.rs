@@ -25,12 +25,11 @@
 //!
 //! Exporters: [`ObsData::chrome_trace_json`] (chrome://tracing /
 //! Perfetto timeline of the exec drain), [`ObsData::perf_report`]
-//! (text summary), and [`ObsData::prometheus_text`] (metrics
-//! exposition). Alongside the post-hoc exporters, each shard keeps a
+//! (text summary). Alongside the post-hoc exporters, each shard keeps a
 //! bounded **flight recorder** ring of its most recent span closures
 //! and counter deltas; [`flight_dump_json`] serialises the merged rings
 //! at any moment mid-session, so a poisoned task or a SIGKILL'd study
-//! leaves a readable last-N-events record (see `ckpt-exp`'s steal and
+//! leaves a readable last-N-events record (see `ckpt-exp`'s executor and
 //! checkpoint layers for the dump sites).
 //!
 //! ```

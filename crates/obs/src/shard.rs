@@ -84,8 +84,7 @@ impl ShardData {
     }
 }
 
-/// All shards ever registered (rayon pool threads live for the process,
-/// so this list stays small and stable).
+/// All shards ever registered: one per thread that ever recorded.
 static REGISTRY: Mutex<Vec<Arc<Mutex<ShardData>>>> = Mutex::new(Vec::new());
 
 fn relock<'a, T>(

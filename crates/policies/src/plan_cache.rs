@@ -310,7 +310,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     }
 }
 
-/// Shards per cache: enough to keep 8–16 rayon workers off each other's
+/// Shards per cache: enough to keep 8–16 executor workers off each other's
 /// locks without bloating the struct.
 const CACHE_SHARDS: usize = 16;
 /// Plans are short `Arc<[f64]>` schedules (tens of bytes): keep many.

@@ -6,8 +6,9 @@
 //! only after their results are final, so an open session can never
 //! feed back into control flow. This property test drives random
 //! Weibull scenarios through [`simulate_traceset`] once without a
-//! session and once per rayon thread count (1 and 8) with a session
-//! recording, and compares the full [`RunStats`] structs bit for bit.
+//! session, then on 1 and on 8 concurrent threads under one recording
+//! session each, and compares every thread's full [`RunStats`] to the
+//! unrecorded baseline bit for bit.
 //!
 //! Without the `obs` feature sessions cannot open and the test reduces
 //! to a determinism check; `scripts/check.sh` runs it with the feature
@@ -72,25 +73,27 @@ proptest! {
         let baseline = run_case(case);
 
         for threads in [1usize, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
             let obs = ckpt_obs::ObsSession::start(); // None without `obs`
-            let recorded = pool.install(|| run_case(case));
+            let recorded: Vec<RunStats> = std::thread::scope(|scope| {
+                let handles: Vec<_> =
+                    (0..threads).map(|_| scope.spawn(|| run_case(case))).collect();
+                handles.into_iter().map(|h| h.join().expect("case thread")).collect()
+            });
             if let Some(obs) = obs {
                 let data = obs.finish();
                 prop_assert!(
-                    data.counter("sim.runs") >= 1,
-                    "session must actually have recorded the run"
+                    data.counter("sim.runs") >= threads as u64,
+                    "session must actually have recorded every run"
                 );
             }
-            prop_assert_eq!(
-                &baseline,
-                &recorded,
-                "recording at {} thread(s) changed RunStats",
-                threads
-            );
+            for stats in &recorded {
+                prop_assert_eq!(
+                    &baseline,
+                    stats,
+                    "recording on {} concurrent thread(s) changed RunStats",
+                    threads
+                );
+            }
         }
     }
 }

@@ -7,10 +7,8 @@
 # The bench runs with the `obs` feature on, so a ckpt-obs session
 # records it: alongside the JSON it emits a chrome://tracing timeline
 # (results/BENCH_pipeline_trace.json — load in chrome://tracing or
-# https://ui.perfetto.dev), a perf-report text summary
-# (results/BENCH_pipeline_report.txt) and a Prometheus text-format
-# counter snapshot (results/BENCH_pipeline_prom.txt), and the binary
-# fails if the obs span totals disagree with the pipeline stage timings
+# https://ui.perfetto.dev) and a perf-report text summary
+# (results/BENCH_pipeline_report.txt), and the binary fails if the obs span totals disagree with the pipeline stage timings
 # by more than 5%. Every run also appends one record (git sha, host,
 # lane width, stage timings, obs counters) to
 # results/BENCH_history.jsonl — the series `ckpt-bench regress` judges.
@@ -44,7 +42,6 @@ cargo run --release -q -p ckpt-exp --features obs --bin bench_pipeline -- \
   --traces "$TRACES" --label optimized --search coarse --out "$tmp" \
   --trace-out "$OUT/BENCH_pipeline_trace.json" \
   --report-out "$OUT/BENCH_pipeline_report.txt" \
-  --prom-out "$OUT/BENCH_pipeline_prom.txt" \
   --history "$OUT/BENCH_history.jsonl"
 
 jq -n --slurpfile base "$BASELINE" --slurpfile fresh "$tmp" '

@@ -3,7 +3,7 @@
 #
 #   1. release build of the whole workspace;
 #   2. the full test suite (unit + integration, incl. the golden-result
-#      bit-identity pin at 1 and 8 rayon threads);
+#      bit-identity pin at 1, 2 and 8 executor workers);
 #   3. the observability gate: build + test the workspace with the
 #      `obs` feature on, so the live recorder paths (session collection,
 #      obs/no-obs bit-identity, prewarm hit-rate proof) are exercised —
@@ -18,9 +18,9 @@
 #      refreshed via scripts/lint_report.sh, and the whole analysis
 #      must finish inside its 5-second budget;
 #   6. the worker-count invariance gate: the golden study runs at
-#      --threads 1, 2, and 8 through the work-stealing executor, and
-#      every aggregate is byte-compared against results/golden/ — the
-#      scheduler may steal differently at every count, but the
+#      --threads 1, 2, and 8 through the shared-cursor executor, and
+#      every aggregate is byte-compared against results/golden/ — tasks
+#      land on different workers at every count, but the
 #      task-ID-ordered commit must make the results indistinguishable;
 #   7. the kill-and-resume gate: SIGKILL the golden study at ~50%
 #      completion (the checkpointer kills its own process, so the exit
@@ -41,7 +41,10 @@
 #   9. the perfbench digest gate: one short seq-weibull run at the
 #      reference seed must report "correct": true — at 600 traces its
 #      digests are the only pin on DPMakespan's age-dependent table at
-#      the size Table 3 uses.
+#      the size Table 3 uses. The build may rewrite perfbench/Cargo.lock
+#      (perfbench is frozen, and its lock still lists packages the
+#      workspace dropped), so the lock is saved before the run and
+#      restored after it.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -145,8 +148,10 @@ echo "regress sentinel: fixture flagged, real history passes"
 echo "== perfbench digest gate (seq-weibull, seed 0) =="
 # perfbench is a cargo package of its own; building it under target/
 # keeps it out of the benchmark's default .bench_build directory.
+cp perfbench/Cargo.lock "$study_tmp/perfbench.Cargo.lock"
 perf_result=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
   --workload seq-weibull --seed 0 --seconds 1 | tail -n 1) || true
+cp "$study_tmp/perfbench.Cargo.lock" perfbench/Cargo.lock
 if ! printf '%s' "$perf_result" \
   | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'; then
   echo "perfbench: seq-weibull digests or invariants failed: $perf_result" >&2
