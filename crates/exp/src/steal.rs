@@ -267,6 +267,17 @@ mod tests {
     }
 
     #[test]
+    fn stats_split_heavy_and_other_claims_at_any_worker_count() {
+        let tasks: Vec<u64> = (0..40).collect();
+        for w in [1, 2, 5] {
+            let (_, stats) = run_wave(&tasks, w, |&t| t % 5 == 0, |_, &t| t);
+            assert_eq!((stats.local_claims, stats.injector_claims), (8, 32));
+            assert_eq!((stats.steals, stats.failed_probes), (0, 0));
+            assert_eq!(stats.per_worker.len(), w);
+        }
+    }
+
+    #[test]
     fn empty_and_single_task_waves_work() {
         let (out, _) = run_wave(&[] as &[u64], 8, |_| false, |_, &t| t);
         assert!(out.is_empty());

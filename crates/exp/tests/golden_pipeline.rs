@@ -16,9 +16,23 @@ use ckpt_exp::golden::{golden_cells, golden_json};
 use ckpt_exp::runner::run_scenario;
 use ckpt_exp::steal::set_workers;
 use std::path::PathBuf;
+use std::sync::Mutex;
+
+/// `set_workers` is process-global and tests in one binary run
+/// concurrently: every test here holds this lock while it pins a count.
+static WORKER_TESTS: Mutex<()> = Mutex::new(());
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/golden")
+}
+
+/// Check every golden cell with the executor pinned to `workers`, then
+/// reset the knob.
+fn check_all_cells_at(workers: usize) {
+    let _serial = WORKER_TESTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    set_workers(workers);
+    check_all_cells();
+    set_workers(0);
 }
 
 fn check_all_cells() {
@@ -36,13 +50,17 @@ fn check_all_cells() {
     }
 }
 
-/// One test loops the worker counts: `set_workers` is process-global,
-/// and tests in one binary run concurrently.
 #[test]
-fn pipeline_reproduces_golden_results_at_1_2_and_8_workers() {
-    for workers in [1, 2, 8] {
-        set_workers(workers);
-        check_all_cells();
-    }
-    set_workers(0);
+fn pipeline_reproduces_golden_results_single_threaded() {
+    check_all_cells_at(1);
+}
+
+#[test]
+fn pipeline_reproduces_golden_results_two_workers() {
+    check_all_cells_at(2);
+}
+
+#[test]
+fn pipeline_reproduces_golden_results_eight_threads() {
+    check_all_cells_at(8);
 }

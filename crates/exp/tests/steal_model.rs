@@ -30,6 +30,20 @@ fn claim_order_puts_heavy_first_and_keeps_task_order_in_each_class() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
+    /// The claim order is a permutation of the task IDs whose head is
+    /// exactly the heavy IDs, and each class keeps task order.
+    fn claim_order_is_a_heavy_first_stable_permutation(heavy_sel in vec(0usize..2, 0..64)) {
+        let heavy: Vec<bool> = heavy_sel.iter().map(|&h| h == 1).collect();
+        let order = claim_order(&heavy);
+        let k = heavy.iter().filter(|&&h| h).count();
+        let mut ids = order.clone();
+        ids.sort_unstable();
+        prop_assert_eq!(ids, (0..heavy.len()).collect::<Vec<_>>());
+        prop_assert!(order[..k].iter().all(|&id| heavy[id]));
+        prop_assert!(order[..k].windows(2).all(|p| p[0] < p[1]));
+        prop_assert!(order[k..].windows(2).all(|p| p[0] < p[1]));
+    }
+
     /// Real threads: the committed output is bit-identical to the
     /// one-worker drain for any worker count and heavy marking, and
     /// every task is claimed exactly once.
@@ -99,6 +113,27 @@ fn poisoned_task_surfaces_lowest_id_and_drops_no_sibling() {
     std::panic::set_hook(hook);
     if let Err(p) = result {
         std::panic::resume_unwind(p);
+    }
+}
+
+/// Heavy-first claiming runs a poisoned heavy task before a poisoned
+/// light task with a lower ID; the commit still re-raises the lower ID,
+/// the task a drain in task order would have panicked on first.
+#[test]
+fn lowest_poisoned_id_wins_over_an_earlier_claimed_heavy_task() {
+    let tasks: Vec<u64> = (0..12).collect();
+    for workers in [1, 3] {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_wave(&tasks, workers, |&t| t >= 9, |i, &t| {
+                assert!(i != 2 && i != 10, "poisoned task {i}");
+                t
+            })
+        }));
+        let payload = outcome.err().unwrap_or_else(|| panic!("poisoned wave must panic"));
+        let msg = payload
+            .downcast_ref::<String>()
+            .unwrap_or_else(|| panic!("assert! panics carry a String"));
+        assert!(msg.contains("poisoned task 2"), "{workers} workers: {msg}");
     }
 }
 

@@ -162,11 +162,21 @@ fn check_kill_and_resume(root: &Path, stop: u64) {
 }
 
 #[test]
-fn kill_mid_wave_then_resume_is_bit_identical_at_1_2_and_8_workers() {
-    for workers in [1, 2, 8] {
-        let root = store_root(&format!("{workers}workers"));
-        at_workers(workers, || check_kill_and_resume(&root, 16));
-    }
+fn kill_mid_wave_then_resume_is_bit_identical_single_threaded() {
+    let root = store_root("1worker");
+    at_workers(1, || check_kill_and_resume(&root, 16));
+}
+
+#[test]
+fn kill_mid_wave_then_resume_is_bit_identical_two_workers() {
+    let root = store_root("2workers");
+    at_workers(2, || check_kill_and_resume(&root, 16));
+}
+
+#[test]
+fn kill_mid_wave_then_resume_is_bit_identical_eight_threads() {
+    let root = store_root("8workers");
+    at_workers(8, || check_kill_and_resume(&root, 16));
 }
 
 #[test]
