@@ -1,8 +1,10 @@
-//! Durable, resumable study execution: the checkpointed counterpart of
-//! [`Study::run_all`](crate::study::Study::run_all).
+//! Durable, resumable study execution: the whole-study form of the one
+//! engine, with a checkpoint store attached.
 //!
-//! The in-memory pipeline (`Scenario → SimPlan → ExecOutput →
-//! ScenarioResult`) becomes a restartable state machine in three parts:
+//! [`run_study`] drains the same [`WorkItem`]s, through the same item
+//! body and drain ([`crate::exec`]), and folds them with the same fold
+//! ([`crate::reduce::commit`]) as an in-memory
+//! [`execute`](crate::exec::execute). What the store adds:
 //!
 //! * a **manifest** — the full study decomposed into typed
 //!   [`WorkItem`]s (cell × policy × trace-block, plus lower-bound,
@@ -19,29 +21,37 @@
 //!   the latter read through the one sanctioned clock in
 //!   [`ckpt_obs::clock`] — with retention (`max_checkpoints`,
 //!   `keep_final`). Snapshots are full-state, so "move in-progress
-//!   items back to pending" is implicit: pending = manifest − snapshot;
-//! * a **commit layer** ([`crate::reduce::commit`]) that folds the
-//!   per-item payloads in task-ID order — regardless of the order items
-//!   completed in, before or after any number of kills — reconstructing
-//!   the exact [`ExecOutput`](crate::exec::ExecOutput) arithmetic of
-//!   the live executor. A SIGKILL'd-and-resumed study therefore writes
-//!   byte-identical aggregates to an uninterrupted run, at any worker
-//!   count (`tests/study_resume.rs` pins this).
+//!   items back to pending" is implicit: pending = manifest − snapshot.
+//!   A snapshot whose payloads do not fit their manifest items is
+//!   skipped like a corrupt one;
+//! * **waves cut for the store**: besides the cut at each refine item,
+//!   a wave ends every [`CHUNK_ITEMS`] items, so a checkpoint, a kill
+//!   or a progress line can land between any two chunks.
+//!
+//! The fold restores every per-trace float from its exact bit pattern
+//! in item-ID order — regardless of the order items completed in,
+//! before or after any number of kills — so a SIGKILL'd-and-resumed
+//! study writes aggregates byte-identical to an uninterrupted run and
+//! to `run_scenario`, at any worker count (`tests/study_resume.rs` and
+//! `tests/entry_points.rs` pin this).
 //!
 //! Nothing in this module ever stores a wall-clock timestamp: the clock
 //! gates *when* a snapshot is written, never *what* is written.
 
 use crate::error::Error;
-use crate::plan::{self, plan_scenario, SimPlan};
+use crate::exec::CellCtx;
+use crate::perf::PipelinePerf;
+use crate::plan::{plan_scenario, SimPlan};
 use crate::policies_spec::PolicyKind;
 use crate::runner::{RunnerOptions, ScenarioResult};
 use crate::scenario::{BuiltDist, Scenario};
-use crate::{cache::TraceCache, jsonio, jsonio::Json};
+use crate::{jsonio, jsonio::Json};
 use ckpt_policies::DistId;
-use ckpt_sim::{lower_bound_makespan, RunStats};
-use ckpt_workload::JobSpec;
+use ckpt_sim::RunStats;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+pub use crate::plan::{ItemKind, WorkItem};
 
 /// On-disk format version of manifests and checkpoints. A snapshot from
 /// any other version is rejected on resume.
@@ -90,7 +100,7 @@ impl Default for CheckpointConfig {
             interval_seconds: 30.0,
             max_checkpoints: 3,
             keep_final: true,
-            trace_block: 4,
+            trace_block: crate::plan::TRACE_BLOCK,
             golden_dir: None,
             stop_after_items: None,
             kill_at: None,
@@ -150,43 +160,6 @@ impl StudyDef {
     }
 }
 
-/// One deterministic unit of study work, identified entirely by indices
-/// into the manifest (so payloads rebind to items across processes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkItem {
-    /// Global item id; items execute in id order.
-    pub id: u64,
-    /// Index into [`StudyDef::cells`].
-    pub cell: usize,
-    /// What the item simulates.
-    pub kind: ItemKind,
-    /// First trace index covered (inclusive).
-    pub trace_lo: usize,
-    /// Last trace index covered (exclusive).
-    pub trace_hi: usize,
-}
-
-/// The simulation kind of a [`WorkItem`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemKind {
-    /// Roster policy `policy` over the item's trace block.
-    Policy {
-        /// Index into the cell's roster.
-        policy: usize,
-    },
-    /// Omniscient lower bound over the trace block.
-    LowerBound,
-    /// `PeriodLB` coarse candidate `candidate` over the trace block.
-    Coarse {
-        /// Index into the cell's factor grid.
-        candidate: usize,
-    },
-    /// The refine wave: depends on every `Coarse` item of its cell
-    /// (smaller ids — the run loop's strict id order is the barrier),
-    /// fans out over (fresh candidate × trace) internally.
-    Refine,
-}
-
 /// One simulation's stats, floats as exact bit patterns. Makespans must
 /// decode finite (the store's NaN/Inf-free invariant); `chunk_min` is
 /// legitimately `+∞` when a run made no decisions, so chunk bounds are
@@ -206,7 +179,7 @@ pub struct TraceStatsBits {
 }
 
 impl TraceStatsBits {
-    fn of(st: &RunStats) -> Self {
+    pub(crate) fn of(st: &RunStats) -> Self {
         Self {
             makespan: st.makespan.to_bits(),
             failures: st.failures,
@@ -266,6 +239,41 @@ pub enum ItemPayload {
         /// Display of the build error.
         error: String,
     },
+}
+
+impl ItemPayload {
+    /// Check that this payload has the shape its manifest item promises:
+    /// the matching kind, one stats entry (or makespan) per trace of the
+    /// block (none for an unbuilt policy), and refine columns in strictly
+    /// increasing grid order, each inside the grid and covering all
+    /// `traces`. A `CellFailed` payload fits any item.
+    ///
+    /// # Errors
+    /// [`Error::Checkpoint`] naming the item when the shape is off.
+    pub(crate) fn check_fits(&self, item: &WorkItem, traces: usize, grid_len: usize) -> Result<(), Error> {
+        let block = item.trace_hi.saturating_sub(item.trace_lo);
+        let fits = match (item.kind, self) {
+            (_, Self::CellFailed { .. }) => true,
+            (ItemKind::Policy { .. }, Self::Policy { built, stats, .. }) => {
+                stats.len() == if *built { block } else { 0 }
+            }
+            (ItemKind::LowerBound, Self::LowerBound { makespans }) => makespans.len() == block,
+            (ItemKind::Coarse { .. }, Self::Coarse { stats }) => stats.len() == block,
+            (ItemKind::Refine, Self::Refine { columns }) => {
+                columns.windows(2).all(|w| w[0].candidate < w[1].candidate)
+                    && columns.iter().all(|c| c.candidate < grid_len && c.stats.len() == traces)
+            }
+            _ => false,
+        };
+        if fits {
+            Ok(())
+        } else {
+            Err(bad(format!(
+                "item {} ({:?}, traces {}..{}) has a payload of the wrong shape",
+                item.id, item.kind, item.trace_lo, item.trace_hi
+            )))
+        }
+    }
 }
 
 /// One cell's identity row in the manifest — everything its numbers
@@ -423,35 +431,9 @@ pub fn build_manifest(def: &StudyDef, config: &CheckpointConfig) -> StudyManifes
     let block = config.trace_block.max(1);
     let mut cells = Vec::with_capacity(def.cells.len());
     let mut items: Vec<WorkItem> = Vec::new();
-    let mut id: u64 = 0;
-    let mut push = |items: &mut Vec<WorkItem>, cell, kind, lo, hi| {
-        items.push(WorkItem { id, cell, kind, trace_lo: lo, trace_hi: hi });
-        id += 1;
-    };
     for (c, cell) in def.cells.iter().enumerate() {
         let sim_plan = plan_scenario(&cell.scenario, &cell.kinds, &cell.options);
-        let blocks: Vec<(usize, usize)> = (0..sim_plan.traces)
-            .step_by(block)
-            .map(|lo| (lo, (lo + block).min(sim_plan.traces)))
-            .collect();
-        for policy in 0..sim_plan.kinds.len() {
-            for &(lo, hi) in &blocks {
-                push(&mut items, c, ItemKind::Policy { policy }, lo, hi);
-            }
-        }
-        if sim_plan.lower_bound {
-            for &(lo, hi) in &blocks {
-                push(&mut items, c, ItemKind::LowerBound, lo, hi);
-            }
-        }
-        for &candidate in &sim_plan.coarse {
-            for &(lo, hi) in &blocks {
-                push(&mut items, c, ItemKind::Coarse { candidate }, lo, hi);
-            }
-        }
-        if sim_plan.refine_step.is_some() && !sim_plan.grid.is_empty() {
-            push(&mut items, c, ItemKind::Refine, 0, sim_plan.traces);
-        }
+        items.extend(sim_plan.items(c, block, items.len() as u64));
         cells.push(ManifestCell {
             label: cell.scenario.label.clone(),
             stem: cell.stem.clone(),
@@ -879,171 +861,6 @@ impl Drop for FlightDumpGuard {
 }
 
 // ---------------------------------------------------------------------
-// Item execution
-// ---------------------------------------------------------------------
-
-/// Per-cell execution context, built once per process.
-struct CellCtx {
-    sim_plan: SimPlan,
-    built: Result<BuiltDist, Error>,
-    spec: JobSpec,
-}
-
-impl CellCtx {
-    fn build(cell: &StudyCell) -> Self {
-        Self {
-            sim_plan: plan_scenario(&cell.scenario, &cell.kinds, &cell.options),
-            built: cell.scenario.dist.try_build(),
-            spec: cell.scenario.job_spec(),
-        }
-    }
-}
-
-/// Simulate one candidate factor on one trace — the exact construction
-/// [`crate::exec::search_candidates`] performs per task.
-fn simulate_candidate(
-    ctx: &CellCtx,
-    built: &BuiltDist,
-    scenario: &Scenario,
-    factor: f64,
-    trace: usize,
-) -> TraceStatsBits {
-    let ct = TraceCache::global().get_or_generate(scenario, built, trace);
-    let base = crate::registry::optexp_base(&ctx.spec, built.proc_mtbf);
-    let policy = base.as_fixed_period().scaled(factor);
-    TraceStatsBits::of(&crate::exec::simulate_on(&ctx.spec, &policy, &ct, ctx.sim_plan.sim))
-}
-
-/// The coarse columns of one cell, assembled from completed payloads in
-/// trace order: `columns[candidate] = per-trace makespans`. Shared by
-/// the refine executor (incumbent) and the commit layer (final winner).
-pub(crate) fn assemble_coarse_columns(
-    sim_plan: &SimPlan,
-    cell_items: &[WorkItem],
-    completed: &BTreeMap<u64, ItemPayload>,
-) -> Vec<Option<Vec<f64>>> {
-    let mut columns: Vec<Option<Vec<f64>>> = vec![None; sim_plan.grid.len()];
-    for item in cell_items {
-        let ItemKind::Coarse { candidate } = item.kind else { continue };
-        let Some(ItemPayload::Coarse { stats }) = completed.get(&item.id) else { continue };
-        let col =
-            columns[candidate].get_or_insert_with(|| vec![0.0; sim_plan.traces]);
-        for (k, st) in stats.iter().enumerate() {
-            col[item.trace_lo + k] = st.makespan_f64();
-        }
-    }
-    columns
-}
-
-/// Mean per candidate, summed in trace order — the executor's exact
-/// reduction (`col.iter().sum::<f64>() / len`).
-fn column_means(columns: &[Option<Vec<f64>>]) -> Vec<Option<f64>> {
-    columns
-        .iter()
-        .map(|c| c.as_ref().map(|col| col.iter().sum::<f64>() / col.len().max(1) as f64))
-        .collect()
-}
-
-/// Execute one work item. Pure in the payload: the result depends only
-/// on the manifest position and (for `Refine`) on the cell's completed
-/// coarse payloads, never on wall-clock, thread count, or process
-/// history.
-fn execute_item(
-    def: &StudyDef,
-    ctxs: &[CellCtx],
-    cell_items: &[Vec<WorkItem>],
-    item: &WorkItem,
-    completed: &BTreeMap<u64, ItemPayload>,
-) -> ItemPayload {
-    let _span = ckpt_obs::task_span("study.item", item.id);
-    let cell = &def.cells[item.cell];
-    let ctx = &ctxs[item.cell];
-    let built = match &ctx.built {
-        Ok(b) => b,
-        Err(e) => return ItemPayload::CellFailed { error: e.to_string() },
-    };
-    match item.kind {
-        ItemKind::Policy { policy } => {
-            match crate::registry::build_policy(&ctx.sim_plan.kinds[policy], &cell.scenario, built)
-            {
-                Ok(p) => {
-                    let stats: Vec<TraceStatsBits> = (item.trace_lo..item.trace_hi)
-                        .map(|t| {
-                            let ct =
-                                TraceCache::global().get_or_generate(&cell.scenario, built, t);
-                            TraceStatsBits::of(&crate::exec::simulate_on(
-                                &ctx.spec,
-                                p.as_ref(),
-                                &ct,
-                                ctx.sim_plan.sim,
-                            ))
-                        })
-                        .collect();
-                    ItemPayload::Policy { built: true, reason: String::new(), stats }
-                }
-                Err(e) => {
-                    ItemPayload::Policy { built: false, reason: e.to_string(), stats: Vec::new() }
-                }
-            }
-        }
-        ItemKind::LowerBound => {
-            let makespans: Vec<u64> = (item.trace_lo..item.trace_hi)
-                .map(|t| {
-                    let ct = TraceCache::global().get_or_generate(&cell.scenario, built, t);
-                    lower_bound_makespan(&ctx.spec, &ct.traces).makespan.to_bits()
-                })
-                .collect();
-            ItemPayload::LowerBound { makespans }
-        }
-        ItemKind::Coarse { candidate } => {
-            let factor = ctx.sim_plan.grid[candidate];
-            let stats: Vec<TraceStatsBits> = (item.trace_lo..item.trace_hi)
-                .map(|t| simulate_candidate(ctx, built, &cell.scenario, factor, t))
-                .collect();
-            ItemPayload::Coarse { stats }
-        }
-        ItemKind::Refine => {
-            // Incumbent from the cell's (already completed — strict id
-            // order) coarse columns, exactly as the live executor picks
-            // it between its waves.
-            let columns =
-                assemble_coarse_columns(&ctx.sim_plan, &cell_items[item.cell], completed);
-            let means = column_means(&columns);
-            let Some(incumbent) = plan::winner(&means) else {
-                return ItemPayload::Refine { columns: Vec::new() };
-            };
-            // Same fresh filter as the live refine wave: candidates the
-            // coarse pass already evaluated are not re-simulated (their
-            // count feeds `candidate_sims`, so it must match too).
-            let fresh: Vec<usize> = ctx
-                .sim_plan
-                .refine_window(incumbent)
-                .filter(|i| !ctx.sim_plan.coarse.contains(i))
-                .collect();
-            let pairs: Vec<(usize, usize)> = fresh
-                .iter()
-                .flat_map(|&c| (0..ctx.sim_plan.traces).map(move |t| (c, t)))
-                .collect();
-            let flat: Vec<TraceStatsBits> = pairs
-                .iter()
-                .map(|&(c, t)| {
-                    simulate_candidate(ctx, built, &cell.scenario, ctx.sim_plan.grid[c], t)
-                })
-                .collect();
-            let columns = fresh
-                .iter()
-                .enumerate()
-                .map(|(k, &candidate)| RefineColumn {
-                    candidate,
-                    stats: flat[k * ctx.sim_plan.traces..(k + 1) * ctx.sim_plan.traces].to_vec(),
-                })
-                .collect();
-            ItemPayload::Refine { columns }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The run loop
 // ---------------------------------------------------------------------
 
@@ -1084,33 +901,26 @@ fn kill_self() -> ! {
     std::process::abort();
 }
 
-/// Load the newest usable snapshot of `dir`. Corrupt or version-skewed
-/// files are skipped (counted as rejected); a *fingerprint* mismatch is
-/// a hard error — the store describes different numbers than `expect`
-/// and must not be silently reused.
-fn load_latest(dir: &Path, study: &str, expect: &str) -> Result<Option<CheckpointFile>, Error> {
+/// Load the newest usable snapshot of `dir`. Corrupt, version-skewed
+/// or shape-damaged files (a payload that does not fit its manifest
+/// item) are skipped and counted as rejected, falling back to the
+/// previous snapshot; a *fingerprint* mismatch is a hard error — the
+/// store describes different numbers than `manifest` and must not be
+/// silently reused.
+fn load_latest(dir: &Path, manifest: &StudyManifest) -> Result<Option<CheckpointFile>, Error> {
+    let (study, expect) = (&manifest.study, &manifest.fingerprint);
     let mut files = list_checkpoints(dir);
     files.reverse();
     for (_, path) in files {
-        let src = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(_) => {
-                ckpt_obs::counter_add("study.checkpoint_rejected", 1);
-                continue;
-            }
-        };
-        let ckpt = match parse_checkpoint(&src) {
-            Ok(c) => c,
-            Err(_) => {
-                ckpt_obs::counter_add("study.checkpoint_rejected", 1);
-                continue;
-            }
-        };
-        if ckpt.version != STORE_VERSION || ckpt.study != study {
+        let Some(ckpt) = std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|src| parse_checkpoint(&src).ok())
+            .filter(|c| c.version == STORE_VERSION && &c.study == study)
+        else {
             ckpt_obs::counter_add("study.checkpoint_rejected", 1);
             continue;
-        }
-        if ckpt.fingerprint != expect {
+        };
+        if &ckpt.fingerprint != expect {
             ckpt_obs::counter_add("study.checkpoint_rejected", 1);
             return Err(bad(format!(
                 "stale checkpoint store for study `{study}`: snapshot fingerprint {} \
@@ -1120,9 +930,29 @@ fn load_latest(dir: &Path, study: &str, expect: &str) -> Result<Option<Checkpoin
                 path.display()
             )));
         }
+        if payloads_fit(&ckpt.completed, manifest).is_err() {
+            ckpt_obs::counter_add("study.checkpoint_rejected", 1);
+            continue;
+        }
         return Ok(Some(ckpt));
     }
     Ok(None)
+}
+
+/// Every payload of a snapshot against its manifest item (ids the
+/// manifest does not know are dropped by the caller, never folded).
+fn payloads_fit(
+    completed: &BTreeMap<u64, ItemPayload>,
+    manifest: &StudyManifest,
+) -> Result<(), Error> {
+    for (&id, payload) in completed {
+        // Manifest ids are dense: item `id` sits at index `id`.
+        let item = usize::try_from(id).ok().and_then(|i| manifest.items.get(i));
+        let Some(item) = item.filter(|i| i.id == id) else { continue };
+        let cell = manifest.cells.get(item.cell).ok_or_else(|| bad("item cell out of range"))?;
+        payload.check_fits(item, cell.traces, cell.grid_len)?;
+    }
+    Ok(())
 }
 
 /// Run (or resume) a study through the checkpoint store.
@@ -1165,7 +995,7 @@ pub fn run_study(
                 )));
             }
         }
-        if let Some(ckpt) = load_latest(&dir, &def.id, &manifest.fingerprint)? {
+        if let Some(ckpt) = load_latest(&dir, &manifest)? {
             next_seq = ckpt.seq + 1;
             completed = ckpt.completed;
         }
@@ -1198,11 +1028,23 @@ pub fn run_study(
     let items_resumed = completed.len() as u64;
     ckpt_obs::counter_add("study.items_resumed", items_resumed);
 
-    let ctxs: Vec<CellCtx> = def.cells.iter().map(CellCtx::build).collect();
+    let plans: Vec<SimPlan> = def
+        .cells
+        .iter()
+        .map(|c| plan_scenario(&c.scenario, &c.kinds, &c.options))
+        .collect();
+    let built: Vec<Result<BuiltDist, Error>> =
+        def.cells.iter().map(|c| c.scenario.dist.try_build()).collect();
     let mut cell_items: Vec<Vec<WorkItem>> = vec![Vec::new(); def.cells.len()];
     for item in &manifest.items {
         cell_items[item.cell].push(*item);
     }
+    let mut cells: Vec<CellCtx> = def
+        .cells
+        .iter()
+        .enumerate()
+        .map(|(c, cell)| CellCtx::new(&cell.scenario, &plans[c], built[c].as_ref(), &cell_items[c]))
+        .collect();
     let pending: Vec<WorkItem> = manifest
         .items
         .iter()
@@ -1224,30 +1066,14 @@ pub fn run_study(
     progress.write(&dir)?;
     write_flightrec(&dir);
 
+    // Scheduling counters only: each cell's result carries the perf its
+    // commit folds.
+    let mut drain_perf = PipelinePerf::default();
     for chunk in chunk_pending(&pending) {
         progress.begin_chunk(&chunk);
         progress.console_tick(false);
         let _ = progress.write(&dir);
-        // Drain the chunk through the shared-cursor executor: items are
-        // independent within a chunk, DP policy items are the long
-        // poles (claimed first), and the manifest-ID
-        // pairing makes the `completed` insertion order-free — the map
-        // is keyed, and `reduce::commit` folds in ID order anyway.
-        let is_heavy = |item: &WorkItem| match item.kind {
-            ItemKind::Policy { policy } => {
-                crate::exec::heavy_policy_kind(&ctxs[item.cell].sim_plan.kinds[policy])
-            }
-            _ => false,
-        };
-        let (outs, _stats) = crate::steal::run_wave(
-            &chunk,
-            crate::steal::workers(),
-            is_heavy,
-            |_, item| (item.id, execute_item(def, &ctxs, &cell_items, item, &completed)),
-        );
-        for (id, payload) in outs {
-            completed.insert(id, payload);
-        }
+        crate::exec::drain(&mut cells, &chunk, &mut completed, &mut drain_perf);
         executed += chunk.len() as u64;
         since_ckpt += chunk.len() as u64;
         ckpt_obs::counter_add("study.items_executed", chunk.len() as u64);
@@ -1312,12 +1138,7 @@ pub fn run_study(
         .map_err(|e| bad(format!("create {}: {e}", agg_dir.display())))?;
     let mut results = Vec::with_capacity(def.cells.len());
     for (c, cell) in def.cells.iter().enumerate() {
-        let result = crate::reduce::commit(
-            &cell.scenario,
-            &ctxs[c].sim_plan,
-            &cell_items[c],
-            &completed,
-        );
+        let result = crate::reduce::commit(&cell.scenario, &plans[c], &cell_items[c], &completed);
         if let Ok(r) = &result {
             write_atomic(&agg_dir.join(format!("{}.json", cell.stem)), &crate::golden::golden_json(r))?;
         }

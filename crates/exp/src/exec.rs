@@ -1,32 +1,38 @@
-//! Execution layer: drains a [`SimPlan`] through the shared-cursor
-//! wave executor ([`crate::steal`]).
+//! Execution layer: the one engine. Both entry points run their
+//! [`WorkItem`]s through one cell context, one item body and one drain.
 //!
-//! [`execute`] is the only place the pipeline touches the engine: it
-//! fetches traces through the shared [`TraceCache`] (`Arc`-shared with
-//! every worker), instantiates the roster through the policy
-//! [`registry`](crate::registry), and drains the plan's task waves with
-//! `drain_wave` — [`steal::run_wave`] under the plan's task numbering,
-//! with DP sims marked heavy so they are claimed first. Results are committed in task-ID order, so every
-//! reduction downstream sees results in plan order and the output is
-//! bit-identical at any worker count ([`steal::workers`], settable via
-//! the CLI `--threads`).
+//! * [`CellCtx`] holds what a cell's items need — plan, built
+//!   distribution, [`JobSpec`], the `OptExp` base of the `PeriodLB`
+//!   search, the roster (built once per cell per process) and the
+//!   cell's traces, fetched from the shared [`TraceCache`] in one wave
+//!   before its first pending item runs.
+//! * [`CellCtx::run_item`] runs one item and returns its
+//!   [`ItemPayload`]; it is the only code in the crate that simulates.
+//! * [`drain`] runs one wave of items through [`steal::run_wave`] (DP
+//!   policy items claimed first) and records the payloads under their
+//!   item ids, so the output is bit-identical at any worker count.
 //!
-//! Failures are values here: a policy that cannot be instantiated for
-//! the cell (Liu's footnote-2 cases) becomes an [`Error`] stored in
-//! [`ExecOutput::policy_build`] and a column of absent cells — never a
-//! panic, never an aborted scenario. Per-stage wall-clock and work
-//! counters (including the wave scheduling counters on
-//! [`PipelinePerf::exec`]) feed the caller's [`PipelinePerf`].
+//! [`execute`] drains one cell's items in memory, with no store
+//! attached, and folds them ([`crate::reduce::fold`]);
+//! [`crate::checkpoint::run_study`] drains a whole manifest through the
+//! same [`drain`] with the store attached. A policy that cannot be
+//! built for the cell (Liu's footnote-2 cases) is a value — an unbuilt
+//! payload, then an [`Error`] in [`ExecOutput::policy_build`] — never a
+//! panic; a distribution that cannot be built makes every item of its
+//! cell a `CellFailed` payload.
 
 use crate::cache::{CachedTrace, TraceCache};
+use crate::checkpoint::{ItemPayload, RefineColumn, TraceStatsBits};
 use crate::error::Error;
 use crate::perf::PipelinePerf;
-use crate::plan::{self, SimPlan, SimTask};
+use crate::plan::{ItemKind, SimPlan, WorkItem};
+use crate::policies_spec::PolicyKind;
 use crate::scenario::{BuiltDist, Scenario};
 use crate::steal;
-use ckpt_policies::Policy;
+use ckpt_policies::{OptExp, Policy};
 use ckpt_sim::lower_bound_makespan;
 use ckpt_workload::JobSpec;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -65,44 +71,203 @@ pub struct ExecOutput {
     pub search: Option<SearchOutput>,
 }
 
-/// Is this policy kind a wave long pole (a DP sim)? Shared with the
-/// checkpointed study runner so both drains claim the same task
-/// classes first.
-pub(crate) fn heavy_policy_kind(k: &crate::policies_spec::PolicyKind) -> bool {
-    matches!(
-        k,
-        crate::policies_spec::PolicyKind::DpNextFailure(_)
-            | crate::policies_spec::PolicyKind::DpMakespan(_)
-    )
+/// What a prepared cell holds beyond its plan: the per-process effects
+/// its items share.
+struct Ready {
+    spec: JobSpec,
+    /// The `OptExp` instance whose period the `PeriodLB` candidates scale.
+    base: OptExp,
+    /// The roster, built once; sessions are per simulation.
+    roster: Vec<Result<Box<dyn Policy>, Error>>,
+    /// The cell's traces, in trace order.
+    traces: Vec<Arc<CachedTrace>>,
 }
 
-/// Drain one wave through the shared-cursor executor. Heavy tasks are
-/// claimed first (so a long pole starts early instead of trailing the
-/// wave), then the cheap bulk. Results are committed in task
-/// order, which is what makes downstream reductions independent of
-/// worker count and scheduling; the wave's scheduling counters
-/// accumulate on `perf.exec`.
-fn drain_wave<T, F, H>(tasks: &[SimTask], perf: &mut PipelinePerf, is_heavy: H, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(SimTask) -> T + Sync,
-    H: Fn(&SimTask) -> bool,
-{
-    let (out, stats) = steal::run_wave(tasks, steal::workers(), is_heavy, |_, &t| run(t));
-    perf.exec.get_or_insert_with(Default::default).absorb(&stats);
-    out
+/// One cell's execution context: its scenario, plan, built distribution
+/// and manifest items, plus (once [`CellCtx::prepare`]d) its traces and
+/// roster.
+pub(crate) struct CellCtx<'a> {
+    scenario: &'a Scenario,
+    plan: &'a SimPlan,
+    built: Result<&'a BuiltDist, &'a Error>,
+    /// The cell's items (the refine item folds the coarse ones).
+    items: &'a [WorkItem],
+    ready: Option<Ready>,
 }
 
-/// Per-task output of the roster wave.
-enum RosterOutput {
-    Policy { cell: Option<PolicyCell>, decisions: u64, failures: u64 },
-    LowerBound { makespan: f64 },
+impl<'a> CellCtx<'a> {
+    pub(crate) fn new(
+        scenario: &'a Scenario,
+        plan: &'a SimPlan,
+        built: Result<&'a BuiltDist, &'a Error>,
+        items: &'a [WorkItem],
+    ) -> Self {
+        Self { scenario, plan, built, items, ready: None }
+    }
+
+    /// Generate the cell's traces in one wave (the `trace_gen` stage),
+    /// then build the roster. Idempotent; a cell whose distribution
+    /// failed to build has nothing to prepare.
+    fn prepare(&mut self, perf: &mut PipelinePerf) {
+        let Ok(built) = self.built else { return };
+        if self.ready.is_some() {
+            return;
+        }
+        let (scenario, plan) = (self.scenario, self.plan);
+        // lint: allow(transitive-nondeterminism) — stage timer feeds PipelinePerf only, never result rows
+        let t_stage = Instant::now();
+        let stage_span = ckpt_obs::span("stage.trace_gen");
+        let cache = TraceCache::global();
+        let indices: Vec<usize> = (0..plan.traces).collect();
+        let (traces, stats) = steal::run_wave(&indices, steal::workers(), |_| false, |_, &i| {
+            cache.get_or_generate(scenario, built, i)
+        });
+        perf.exec.get_or_insert_with(Default::default).absorb(&stats);
+        drop(stage_span);
+        perf.push_stage("trace_gen", t_stage, plan.traces as u64);
+
+        let spec = scenario.job_spec();
+        self.ready = Some(Ready {
+            base: crate::registry::optexp_base(&spec, built.proc_mtbf),
+            roster: plan
+                .kinds
+                .iter()
+                .map(|k| crate::registry::build_policy(k, scenario, built))
+                .collect(),
+            spec,
+            traces,
+        });
+    }
+
+    /// DP policy items are a wave's long poles: claimed first, so they
+    /// overlap the cheap items instead of trailing them.
+    fn is_heavy_item(&self, item: &WorkItem) -> bool {
+        let ItemKind::Policy { policy } = item.kind else { return false };
+        matches!(self.plan.kinds[policy], PolicyKind::DpNextFailure(_) | PolicyKind::DpMakespan(_))
+    }
+
+    /// The item body. Pure in the payload: it depends only on the item
+    /// and (for `Refine`) on the cell's coarse payloads in `done`, never
+    /// on wall-clock, worker count, or process history.
+    fn run_item(&self, item: &WorkItem, done: &BTreeMap<u64, ItemPayload>) -> ItemPayload {
+        if let Err(e) = self.built {
+            return ItemPayload::CellFailed { error: e.to_string() };
+        }
+        let Some(r) = &self.ready else {
+            unreachable!("the drain prepares a cell before its first item runs")
+        };
+        let traces = item.trace_lo..item.trace_hi;
+        match item.kind {
+            ItemKind::Policy { policy } => match &r.roster[policy] {
+                Ok(p) => ItemPayload::Policy {
+                    built: true,
+                    reason: String::new(),
+                    stats: traces.map(|t| self.policy_sim(r, policy, p.as_ref(), t)).collect(),
+                },
+                Err(e) => {
+                    ItemPayload::Policy { built: false, reason: e.to_string(), stats: Vec::new() }
+                }
+            },
+            ItemKind::LowerBound => ItemPayload::LowerBound {
+                makespans: traces
+                    .map(|t| {
+                        let _span = ckpt_obs::task_span(
+                            "task.lower_bound",
+                            (self.plan.kinds.len() * self.plan.traces + t) as u64,
+                        );
+                        lower_bound_makespan(&r.spec, &r.traces[t].traces).makespan.to_bits()
+                    })
+                    .collect(),
+            },
+            ItemKind::Coarse { candidate } => {
+                ckpt_obs::counter_add_labeled(
+                    "period_search.candidate_sims",
+                    "coarse",
+                    traces.len() as u64,
+                );
+                ItemPayload::Coarse {
+                    stats: traces.map(|t| self.candidate_sim(r, "coarse", candidate, t)).collect(),
+                }
+            }
+            ItemKind::Refine => self.run_refine(r, done),
+        }
+    }
+
+    /// The refine item: the incumbent of the cell's coarse columns picks
+    /// the window, and every candidate in it the coarse pass did not
+    /// evaluate is simulated on every trace, fanned out over the workers.
+    fn run_refine(&self, r: &Ready, done: &BTreeMap<u64, ItemPayload>) -> ItemPayload {
+        let mut coarse = crate::reduce::CellFold::new(self.plan);
+        for item in self.items.iter().filter(|i| matches!(i.kind, ItemKind::Coarse { .. })) {
+            // Coarse payloads come from earlier waves or a validated
+            // snapshot; one that does not fold also fails the commit, so
+            // an empty refine never reaches an aggregate.
+            if coarse.fold_payload(item, done.get(&item.id)).is_err() {
+                return ItemPayload::Refine { columns: Vec::new() };
+            }
+        }
+        let Some(incumbent) = coarse.search_winner() else {
+            return ItemPayload::Refine { columns: Vec::new() };
+        };
+        let fresh: Vec<usize> =
+            self.plan.refine_window(incumbent).filter(|i| !self.plan.coarse.contains(i)).collect();
+        let traces = self.plan.traces;
+        let pairs: Vec<(usize, usize)> =
+            fresh.iter().flat_map(|&c| (0..traces).map(move |t| (c, t))).collect();
+        ckpt_obs::counter_add_labeled("period_search.candidate_sims", "refine", pairs.len() as u64);
+        let (flat, _) = steal::run_wave(&pairs, steal::workers(), |_| false, |_, &(c, t)| {
+            self.candidate_sim(r, "refine", c, t)
+        });
+        let columns = fresh
+            .iter()
+            .enumerate()
+            .map(|(k, &candidate)| RefineColumn {
+                candidate,
+                stats: flat[k * traces..(k + 1) * traces].to_vec(),
+            })
+            .collect();
+        ItemPayload::Refine { columns }
+    }
+
+    /// One roster policy on one trace. The task id is the sim's plan
+    /// position, so the merged span order is identical at any worker
+    /// count.
+    fn policy_sim(&self, r: &Ready, policy: usize, p: &dyn Policy, trace: usize) -> TraceStatsBits {
+        let mut span =
+            ckpt_obs::task_span("task.policy_sim", (policy * self.plan.traces + trace) as u64);
+        if ckpt_obs::active() {
+            span.label("policy", p.name().to_string());
+            span.label("dist", self.scenario.label.clone());
+            span.label("p", self.scenario.procs.to_string());
+        }
+        TraceStatsBits::of(&simulate_on(&r.spec, p, &r.traces[trace], self.plan.sim))
+    }
+
+    /// One `PeriodLB` candidate on one trace (ids above the roster's and
+    /// lower bound's id ranges).
+    fn candidate_sim(
+        &self,
+        r: &Ready,
+        wave: &'static str,
+        candidate: usize,
+        trace: usize,
+    ) -> TraceStatsBits {
+        let factor = self.plan.grid[candidate];
+        let mut span = ckpt_obs::task_span(
+            "task.candidate_sim",
+            ((self.plan.kinds.len() + 1 + candidate) * self.plan.traces + trace) as u64,
+        );
+        if ckpt_obs::active() {
+            span.label("wave", wave);
+            span.label("factor", format!("{factor}"));
+        }
+        let policy = r.base.as_fixed_period().scaled(factor);
+        TraceStatsBits::of(&simulate_on(&r.spec, &policy, &r.traces[trace], self.plan.sim))
+    }
 }
 
-/// Run one policy session on one cached trace. Shared with the
-/// checkpointed study runner ([`crate::checkpoint`]), whose item
-/// executors must perform bit-identical sims to this executor's waves.
-pub(crate) fn simulate_on(
+/// Run one policy session on one cached trace.
+fn simulate_on(
     spec: &JobSpec,
     policy: &dyn Policy,
     ct: &CachedTrace,
@@ -120,221 +285,71 @@ pub(crate) fn simulate_on(
     )
 }
 
-/// Execute a plan against a scenario: fetch traces, build the roster,
-/// drain the roster wave, then the candidate waves. Pushes the
-/// `trace_gen`, `policy_sims` and `period_search` stages onto `perf`.
+/// Drain one wave of items: prepare every cell the wave touches, run the
+/// items through the shared-cursor executor (DP policy items claimed
+/// first), and record each payload under its item id. The items of one
+/// wave must be independent: a refine item needs its cell's coarse items
+/// drained in an earlier wave.
+pub(crate) fn drain(
+    cells: &mut [CellCtx<'_>],
+    wave: &[WorkItem],
+    completed: &mut BTreeMap<u64, ItemPayload>,
+    perf: &mut PipelinePerf,
+) {
+    if wave.is_empty() {
+        return;
+    }
+    for item in wave {
+        cells[item.cell].prepare(perf);
+    }
+    let (cells, done) = (&*cells, &*completed);
+    let (payloads, stats) = steal::run_wave(
+        wave,
+        steal::workers(),
+        |item| cells[item.cell].is_heavy_item(item),
+        |_, item| cells[item.cell].run_item(item, done),
+    );
+    perf.exec.get_or_insert_with(Default::default).absorb(&stats);
+    completed.extend(wave.iter().map(|i| i.id).zip(payloads));
+}
+
+/// Execute one cell in memory: its plan's items, drained with no store
+/// attached, then folded. The roster, lower-bound and coarse items form
+/// one wave (the `policy_sims` stage); the refine item, which depends on
+/// the coarse columns, is the second (the `period_search` stage).
+/// Pushes the `trace_gen`, `policy_sims` and `period_search` stages
+/// onto `perf`, plus the fold's work counters.
 pub fn execute(
     scenario: &Scenario,
     built: &BuiltDist,
     sim_plan: &SimPlan,
     perf: &mut PipelinePerf,
 ) -> ExecOutput {
-    let spec = scenario.job_spec();
-
-    // Stage 1: trace generation (process-wide cache, shared via Arc).
-    // lint: allow(transitive-nondeterminism) — stage timer feeds PipelinePerf only, never result rows
-    let t_stage = Instant::now();
-    let stage_span = ckpt_obs::span("stage.trace_gen");
-    let cache = TraceCache::global();
-    let trace_tasks: Vec<usize> = (0..sim_plan.traces).collect();
-    let (cached, trace_stats) = steal::run_wave(
-        &trace_tasks,
-        steal::workers(),
-        |_| false,
-        |_, &idx| cache.get_or_generate(scenario, built, idx),
-    );
-    let cached: Vec<Arc<CachedTrace>> = cached;
-    perf.exec.get_or_insert_with(Default::default).absorb(&trace_stats);
-    drop(stage_span);
-    perf.push_stage("trace_gen", t_stage, sim_plan.traces as u64);
-
-    // Instantiate the roster once through the registry; sessions are
-    // per-task. Build failures become values.
-    let policies: Vec<Result<Box<dyn Policy>, Error>> = sim_plan
-        .kinds
-        .iter()
-        .map(|k| crate::registry::build_policy(k, scenario, built))
-        .collect();
-
-    // Stage 2: the roster wave (policy sims plus lower bounds). DP sims
-    // are the wave's long poles — schedule them first so they overlap the
-    // cheap periodic sims instead of trailing them. The shared plan/
-    // kernel-row caches are snapshotted around the wave so the perf
-    // report attributes exactly this run's hits/misses/evictions.
-    // lint: allow(transitive-nondeterminism) — stage timer feeds PipelinePerf only, never result rows
-    let t_stage = Instant::now();
-    let stage_span = ckpt_obs::span("stage.policy_sims");
+    let items = sim_plan.items(0, crate::plan::TRACE_BLOCK, 0);
+    let mut cell = CellCtx::new(scenario, sim_plan, Ok(built), &items);
+    cell.prepare(perf);
+    // The shared plan/kernel-row caches are snapshotted around the drain
+    // so the perf report attributes exactly this run's hits/misses.
     let caches_before = ckpt_policies::DpCaches::global().stats();
-    let tasks = sim_plan.roster_wave();
-    let is_heavy = |task: &SimTask| match task {
-        SimTask::Policy { policy, .. } => heavy_policy_kind(&sim_plan.kinds[*policy]),
-        _ => false,
-    };
-    ckpt_obs::gauge_max("wave.roster_tasks", tasks.len() as u64);
-    let outputs = drain_wave(&tasks, perf, is_heavy, |task| match task {
-        SimTask::Policy { policy, trace } => match &policies[policy] {
-            Ok(p) => {
-                // Task id = plan position: deterministic, so the merged
-                // span order is identical at any thread count.
-                let mut span = ckpt_obs::task_span(
-                    "task.policy_sim",
-                    (policy * sim_plan.traces + trace) as u64,
-                );
-                if ckpt_obs::active() {
-                    span.label("policy", p.name().to_string());
-                    span.label("dist", scenario.label.clone());
-                    span.label("p", scenario.procs.to_string());
-                }
-                let st = simulate_on(&spec, p.as_ref(), &cached[trace], sim_plan.sim);
-                RosterOutput::Policy {
-                    cell: Some(PolicyCell {
-                        makespan: st.makespan,
-                        failures: st.failures,
-                        chunk_min: st.chunk_min,
-                        chunk_max: st.chunk_max,
-                    }),
-                    decisions: st.decisions,
-                    failures: st.failures,
-                }
-            }
-            Err(_) => RosterOutput::Policy { cell: None, decisions: 0, failures: 0 },
-        },
-        SimTask::LowerBound { trace } => {
-            let _span = ckpt_obs::task_span(
-                "task.lower_bound",
-                (sim_plan.kinds.len() * sim_plan.traces + trace) as u64,
-            );
-            RosterOutput::LowerBound {
-                makespan: lower_bound_makespan(&spec, &cached[trace].traces).makespan,
-            }
-        }
-        SimTask::Candidate { .. } => {
-            unreachable!("candidate tasks are drained in the search waves")
-        }
-    });
-    // Scatter task outputs into [policy][trace] matrices (plan order is
-    // preserved by drain_wave, so this is a deterministic transpose).
-    let mut cells: Vec<Vec<Option<PolicyCell>>> =
-        vec![vec![None; sim_plan.traces]; sim_plan.kinds.len()];
-    let mut lower_bounds =
-        sim_plan.lower_bound.then(|| vec![0.0f64; sim_plan.traces]);
-    for (task, out) in tasks.iter().zip(outputs) {
-        match (task, out) {
-            (SimTask::Policy { policy, trace }, RosterOutput::Policy { cell, decisions, failures }) => {
-                cells[*policy][*trace] = cell;
-                perf.decisions += decisions;
-                perf.failures += failures;
-            }
-            (SimTask::LowerBound { trace }, RosterOutput::LowerBound { makespan }) => {
-                if let Some(lb) = &mut lower_bounds {
-                    lb[*trace] = makespan;
-                }
-            }
-            _ => unreachable!("wave outputs align with their tasks"),
-        }
+    let split = items.iter().position(|i| i.kind == ItemKind::Refine).unwrap_or(items.len());
+    let mut completed = BTreeMap::new();
+    for (stage, span, wave) in [
+        ("policy_sims", "stage.policy_sims", &items[..split]),
+        ("period_search", "stage.period_search", &items[split..]),
+    ] {
+        // lint: allow(transitive-nondeterminism) — stage timer feeds PipelinePerf only, never result rows
+        let t_stage = Instant::now();
+        let stage_span = ckpt_obs::span(span);
+        drain(std::slice::from_mut(&mut cell), wave, &mut completed, perf);
+        drop(stage_span);
+        perf.push_stage(stage, t_stage, wave.len() as u64);
     }
-    let ran_policies = policies.iter().filter(|b| b.is_ok()).count() as u64;
-    perf.policy_sims = ran_policies * sim_plan.traces as u64;
     perf.plan_cache =
         ckpt_policies::DpCaches::global().stats().delta_since(&caches_before).into();
-    drop(stage_span);
-    perf.push_stage("policy_sims", t_stage, perf.policy_sims);
-
-    // Stage 3: PeriodLB candidate waves (coarse, then refine).
-    // lint: allow(transitive-nondeterminism) — stage timer feeds PipelinePerf only, never result rows
-    let t_stage = Instant::now();
-    let stage_span = ckpt_obs::span("stage.period_search");
-    let search = search_candidates(&spec, built, sim_plan, &cached, perf);
-    drop(stage_span);
-    perf.push_stage("period_search", t_stage, perf.candidate_sims);
-
-    ExecOutput {
-        policy_build: policies.into_iter().map(|r| r.map(|_| ())).collect(),
-        cells,
-        lower_bounds,
-        search,
+    match crate::reduce::fold(sim_plan, &items, &completed, perf) {
+        Ok(out) => out,
+        Err(e) => unreachable!("every item ran in this process, so its payload fits: {e}"),
     }
-}
-
-/// Drain the candidate waves: evaluate the plan's coarse indices, pick
-/// the incumbent, evaluate the refine window, and return the winner by
-/// mean makespan (ties toward the smaller factor).
-fn search_candidates(
-    spec: &JobSpec,
-    built: &BuiltDist,
-    sim_plan: &SimPlan,
-    cached: &[Arc<CachedTrace>],
-    perf: &mut PipelinePerf,
-) -> Option<SearchOutput> {
-    if sim_plan.grid.is_empty() {
-        return None;
-    }
-    perf.candidate_grid_size = sim_plan.grid.len() as u64;
-    let base = crate::registry::optexp_base(spec, built.proc_mtbf);
-    // columns[candidate] = (per-trace makespans, mean).
-    let mut columns: Vec<Option<(Vec<f64>, f64)>> = vec![None; sim_plan.grid.len()];
-
-    let mut evaluate_wave = |wave: &'static str,
-                             indices: &[usize],
-                             columns: &mut Vec<Option<(Vec<f64>, f64)>>| {
-        let fresh: Vec<usize> =
-            indices.iter().copied().filter(|&i| columns[i].is_none()).collect();
-        let tasks = sim_plan.candidate_wave(&fresh);
-        ckpt_obs::gauge_max("wave.candidate_tasks", tasks.len() as u64);
-        let outputs = drain_wave(&tasks, perf, |_| false, |task| {
-            let SimTask::Candidate { candidate, trace } = task else {
-                unreachable!("candidate waves contain only candidate tasks")
-            };
-            // Candidate ids live above the roster wave's id range.
-            let mut span = ckpt_obs::task_span(
-                "task.candidate_sim",
-                ((sim_plan.kinds.len() + 1 + candidate) * sim_plan.traces + trace) as u64,
-            );
-            if ckpt_obs::active() {
-                span.label("wave", wave);
-                span.label("factor", format!("{}", sim_plan.grid[candidate]));
-            }
-            let policy = base.as_fixed_period().scaled(sim_plan.grid[candidate]);
-            let st = simulate_on(spec, &policy, &cached[trace], sim_plan.sim);
-            (st.makespan, st.decisions, st.failures)
-        });
-        ckpt_obs::counter_add_labeled("period_search.candidate_sims", wave, tasks.len() as u64);
-        perf.candidate_sims += tasks.len() as u64;
-        for (task, (makespan, decisions, failures)) in tasks.iter().zip(&outputs) {
-            let SimTask::Candidate { candidate, trace } = task else {
-                unreachable!("candidate waves contain only candidate tasks")
-            };
-            let col = &mut columns[*candidate]
-                .get_or_insert_with(|| (vec![0.0; sim_plan.traces], 0.0))
-                .0;
-            col[*trace] = *makespan;
-            perf.decisions += decisions;
-            perf.failures += failures;
-        }
-        // Means in candidate order, summed in trace order: the exact
-        // reduction the monolith performed.
-        for &i in &fresh {
-            if let Some((col, mean)) = &mut columns[i] {
-                *mean = col.iter().sum::<f64>() / col.len().max(1) as f64;
-            }
-        }
-    };
-
-    evaluate_wave("coarse", &sim_plan.coarse, &mut columns);
-    if sim_plan.refine_step.is_some() {
-        let means: Vec<Option<f64>> =
-            columns.iter().map(|c| c.as_ref().map(|(_, m)| *m)).collect();
-        if let Some(incumbent) = plan::winner(&means) {
-            let window: Vec<usize> = sim_plan.refine_window(incumbent).collect();
-            evaluate_wave("refine", &window, &mut columns);
-        }
-    }
-
-    let means: Vec<Option<f64>> =
-        columns.iter().map(|c| c.as_ref().map(|(_, m)| *m)).collect();
-    let winner = plan::winner(&means)?;
-    let (column, _) = columns[winner].take()?;
-    Some(SearchOutput { factor: sim_plan.grid[winner], column })
 }
 
 #[cfg(test)]

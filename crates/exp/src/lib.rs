@@ -1,34 +1,39 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
-//! The scenario pipeline is three explicit layers plus a thin
-//! orchestrator — `Scenario → SimPlan → ExecOutput → ScenarioResult`:
+//! The scenario pipeline is one engine with two entry points —
+//! `Scenario → SimPlan → WorkItems → payloads → ExecOutput →
+//! ScenarioResult`. An in-memory run ([`run_scenario`]) and a
+//! checkpointed study ([`run_study`]) drain the same work items through
+//! the same item body and fold them the same way; the study only
+//! attaches a store:
 //!
 //! * [`scenario`] — a fully-specified experimental cell (failure model,
 //!   platform size, job/overhead models, trace count) and its trace
 //!   generation (prefix-stable across platform sizes, §4.3);
 //! * [`plan`] — pure planning: which sims run (roster policies,
-//!   lower-bound evals, `PeriodLB` candidates), in which waves, as
-//!   typed seed-stable [`SimTask`]s with explicit dependencies;
-//! * [`exec`] — the executor draining a plan against the shared trace
-//!   [`cache`] through the shared-cursor wave substrate, with
+//!   lower-bound evals, `PeriodLB` candidates), cut into typed
+//!   seed-stable [`WorkItem`](plan::WorkItem)s, the only unit of work;
+//! * [`exec`] — the one engine: a per-cell context (plan, distribution,
+//!   roster, traces from the shared [`cache`]), the item body that is
+//!   the crate's only simulating code, and the wave drain, with
 //!   policy-build failures as values;
 //! * [`steal`] — the wave executor itself: workers claim tasks (heavy
 //!   ones first) from one shared cursor, and results are committed in
 //!   task-ID order so output is bit-identical at any worker count;
-//! * [`reduce`] — pure aggregation into the §4.1 *average makespan
-//!   degradation* rows;
+//! * [`reduce`] — the fold from item payloads to executor output, and
+//!   pure aggregation into the §4.1 *average makespan degradation* rows;
 //! * [`runner`] — [`run_scenario`] / [`run_scenario_checked`] wiring the
-//!   three layers together, plus the user-facing option/result types;
+//!   layers together, plus the user-facing option/result types;
 //! * [`registry`] — the single `PolicyKind → Box<dyn Policy>`
 //!   construction site (runner, CLI and benches all build here);
 //! * [`policies_spec`] — declarative policy lists instantiated per
 //!   scenario (so e.g. `OptExp` picks up each cell's `p` and `C(p)`);
 //! * [`study`] — the batch API: one roster + options, many scenarios,
 //!   per-cell `Result`s;
-//! * [`checkpoint`] — the durable form of a study: persisted work-item
-//!   manifests with content fingerprints, kill-safe checkpoint/resume
-//!   under `results/study/<id>/`, and byte-identical aggregates via the
-//!   [`reduce`] commit layer;
+//! * [`checkpoint`] — the store a study run attaches: persisted
+//!   work-item manifests with content fingerprints, kill-safe
+//!   checkpoint/resume under `results/study/<id>/`, and aggregates
+//!   byte-identical to an in-memory run via the same [`reduce`] fold;
 //! * [`jsonio`] — the minimal JSON reader behind the checkpoint store
 //!   (the vendored `serde_json` is write-only);
 //! * [`error`] — the experiment-level [`Error`] type (`From`-chained

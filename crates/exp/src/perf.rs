@@ -16,7 +16,7 @@ pub struct StagePerf {
     pub name: String,
     /// Wall-clock seconds spent in the stage.
     pub seconds: f64,
-    /// Stage-specific volume: traces generated, simulations run, rows
+    /// Stage-specific volume: traces generated, work items drained, rows
     /// aggregated.
     pub items: u64,
 }
@@ -155,8 +155,8 @@ pub struct PipelinePerf {
     pub decisions: u64,
     /// Failures struck across all simulations.
     pub failures: u64,
-    /// Shared DP cache counters accumulated over the `policy_sims` stage
-    /// (the executor snapshots the global caches around the wave).
+    /// Shared DP cache counters accumulated over the item drain (the
+    /// executor snapshots the global caches around it).
     pub plan_cache: PlanCachePerf,
     /// Wave-executor scheduling counters (worker count, heavy/other
     /// claim mix). `Some` once any wave has drained; `None` is omitted from

@@ -1,29 +1,23 @@
-//! Planning layer: a pure `Scenario → SimPlan` function.
+//! Planning layer: a pure `Scenario → SimPlan` function, and the
+//! plan's decomposition into [`WorkItem`]s, the only unit of work.
 //!
 //! A [`SimPlan`] is the complete, typed description of the simulation
 //! work one scenario requires — which policies run on which traces,
 //! whether the omniscient lower bound is evaluated, and how the
-//! `PeriodLB` candidate grid is explored. Nothing in this module
-//! generates traces, builds policies, or simulates; those effects live
-//! in [`crate::exec`]. Because every task is identified by stable
-//! indices (policy index, candidate index, trace index) and trace seeds
-//! derive from the scenario label and trace index alone, a plan is
-//! **seed-stable**: executing it with any worker count, in any
-//! task order, yields bit-identical results.
+//! `PeriodLB` candidate grid is explored. [`SimPlan::items`] cuts it
+//! into policy × trace-block items, lower-bound and coarse-candidate
+//! blocks, and one refine item; both entry points drain them
+//! ([`crate::exec`]). Nothing in this module generates traces, builds
+//! policies, or simulates. Because every item is identified by stable
+//! indices and trace seeds derive from the scenario label and trace
+//! index alone, a plan is **seed-stable**: executing it with any worker
+//! count, in any item order, yields bit-identical results. The one
+//! dependency is the refine item: its window is a pure function of the
+//! coarse incumbent ([`SimPlan::refine_window`]).
 //!
-//! Dependencies are explicit in the wave structure:
-//!
-//! * [`SimPlan::roster_wave`] — policy sims and lower-bound evals; no
-//!   prerequisites.
-//! * [`SimPlan::coarse`] — the first `PeriodLB` candidate wave; no
-//!   prerequisites (it is a pure function of the grid).
-//! * [`SimPlan::refine_window`] — the second candidate wave *depends on*
-//!   the coarse wave: its indices are a function of the coarse
-//!   incumbent.
-//!
-//! The coarse-to-fine exploration strategy and the process-wide trace
-//! cache are properties of the plan (`search`, `cache_traces`), not
-//! hidden behaviour of the runner.
+//! [`SimTask`], [`SimPlan::roster_wave`] and [`SimPlan::candidate_wave`]
+//! are the older per-simulation decomposition, kept for external
+//! callers.
 
 use crate::policies_spec::PolicyKind;
 use crate::runner::{PeriodSearch, RunnerOptions};
@@ -56,6 +50,47 @@ pub enum SimTask {
     },
 }
 
+/// Traces per work item when no store sets the block size
+/// ([`crate::checkpoint::CheckpointConfig::trace_block`] defaults to it).
+pub const TRACE_BLOCK: usize = 4;
+
+/// One deterministic unit of work, identified entirely by indices (so a
+/// persisted payload rebinds to its item across processes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WorkItem {
+    /// Global item id; items are numbered in plan order.
+    pub id: u64,
+    /// Index of the item's cell (0 for a single-cell run).
+    pub cell: usize,
+    /// What the item simulates.
+    pub kind: ItemKind,
+    /// First trace index covered (inclusive).
+    pub trace_lo: usize,
+    /// Last trace index covered (exclusive).
+    pub trace_hi: usize,
+}
+
+/// The simulation kind of a [`WorkItem`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ItemKind {
+    /// Roster policy `policy` over the item's trace block.
+    Policy {
+        /// Index into the cell's roster.
+        policy: usize,
+    },
+    /// Omniscient lower bound over the trace block.
+    LowerBound,
+    /// `PeriodLB` coarse candidate `candidate` over the trace block.
+    Coarse {
+        /// Index into the cell's factor grid.
+        candidate: usize,
+    },
+    /// The refine wave: depends on every `Coarse` item of its cell
+    /// (smaller ids, drained in an earlier wave), fans out over (fresh
+    /// candidate × trace) internally.
+    Refine,
+}
+
 /// The typed, executable description of one scenario's simulation work.
 #[derive(Debug, Clone)]
 pub struct SimPlan {
@@ -78,10 +113,6 @@ pub struct SimPlan {
     pub refine_step: Option<usize>,
     /// The exploration strategy the waves were derived from.
     pub search: PeriodSearch,
-    /// Traces are fetched through the process-wide [`crate::cache::TraceCache`]
-    /// (keyed by scenario label, platform size and trace index), so
-    /// repeated plans for the same cell share generation work.
-    pub cache_traces: bool,
     /// Engine safety options applied to every simulation.
     pub sim: SimOptions,
 }
@@ -108,12 +139,40 @@ pub fn plan_scenario(
         coarse,
         refine_step,
         search: options.period_search,
-        cache_traces: true,
         sim: options.sim,
     }
 }
 
 impl SimPlan {
+    /// The plan's work items for cell `cell`, numbered from `first_id`:
+    /// each roster policy over every trace block, the lower-bound blocks,
+    /// each coarse candidate over every block, then (with a refine wave)
+    /// one refine item over all traces.
+    pub fn items(&self, cell: usize, block: usize, first_id: u64) -> Vec<WorkItem> {
+        let block = block.max(1);
+        let blocks: Vec<(usize, usize)> = (0..self.traces)
+            .step_by(block)
+            .map(|lo| (lo, (lo + block).min(self.traces)))
+            .collect();
+        let mut kinds: Vec<ItemKind> =
+            (0..self.kinds.len()).map(|policy| ItemKind::Policy { policy }).collect();
+        if self.lower_bound {
+            kinds.push(ItemKind::LowerBound);
+        }
+        kinds.extend(self.coarse.iter().map(|&candidate| ItemKind::Coarse { candidate }));
+        let mut ranges: Vec<(ItemKind, usize, usize)> = kinds
+            .into_iter()
+            .flat_map(|kind| blocks.iter().map(move |&(lo, hi)| (kind, lo, hi)))
+            .collect();
+        if self.refine_step.is_some() && !self.grid.is_empty() {
+            ranges.push((ItemKind::Refine, 0, self.traces));
+        }
+        (first_id..)
+            .zip(ranges)
+            .map(|(id, (kind, trace_lo, trace_hi))| WorkItem { id, cell, kind, trace_lo, trace_hi })
+            .collect()
+    }
+
     /// The first wave: every roster policy sim plus (when enabled) the
     /// lower-bound evals. No prerequisites; tasks are independent.
     pub fn roster_wave(&self) -> Vec<SimTask> {

@@ -1,4 +1,14 @@
-//! Reduction layer: fold executor output into a [`ScenarioResult`].
+//! Reduction layer: fold item payloads into executor output, and that
+//! into a [`ScenarioResult`].
+//!
+//! [`fold`] is the only route from results to an [`ExecOutput`]: it
+//! restores one cell's [`ItemPayload`]s in item-ID order into the
+//! per-policy cells, lower bounds and `PeriodLB` columns, plus the work
+//! counters on [`PipelinePerf`]. [`CellFold::search_winner`] picks the search
+//! winner — column means summed in trace order, then [`plan::winner`] —
+//! for the refine item's incumbent and for the final result alike.
+//! [`crate::exec::execute`] is items → drain → fold; [`commit`] (the
+//! study runner's per-cell step) is fold → [`reduce`].
 //!
 //! Implements the paper's §4.1 *average makespan degradation*: for each
 //! trace `i`, `v(i,j) = res(i,j) / min_{j'} res(i,j')` where the minimum
@@ -7,12 +17,12 @@
 //! policy produced a makespan are excluded; if that leaves nothing,
 //! every row reports an error instead of panicking.
 //!
-//! This layer is pure arithmetic over [`ExecOutput`] — no simulation,
-//! no I/O — so its cost shows up as the `aggregate` perf stage and its
+//! This layer is pure arithmetic — no simulation, no I/O — so
+//! [`reduce`]'s cost shows up as the `aggregate` perf stage and its
 //! output is a deterministic function of the executor's (already
 //! thread-count-independent) results.
 
-use crate::checkpoint::{ItemKind, ItemPayload, WorkItem};
+use crate::checkpoint::{ItemKind, ItemPayload, TraceStatsBits, WorkItem};
 use crate::error::Error;
 use crate::exec::{ExecOutput, PolicyCell, SearchOutput};
 use crate::perf::PipelinePerf;
@@ -146,19 +156,159 @@ pub fn reduce(
     }
 }
 
-fn incomplete(what: &str, id: u64) -> Error {
-    Error::Checkpoint { reason: format!("incomplete study: {what} item {id} has no payload") }
+/// One cell's payloads folded in item order: the executor output being
+/// assembled, the `PeriodLB` columns, and the work counters.
+pub(crate) struct CellFold<'p> {
+    plan: &'p SimPlan,
+    out: ExecOutput,
+    /// `columns[candidate]` = per-trace makespans (coarse and refine
+    /// items both land here).
+    columns: Vec<Option<Vec<f64>>>,
+    /// Decisions, failures and candidate sims of the folded payloads.
+    perf: PipelinePerf,
 }
 
-/// Commit layer of the checkpointed study runner: fold one cell's
-/// persisted [`ItemPayload`]s — in task-ID order, regardless of the
-/// order items completed in across any number of processes — back into
-/// the [`ExecOutput`] + [`PipelinePerf`] arithmetic of the live
-/// executor, then [`reduce`] as usual. Because every per-trace float is
-/// restored from its exact bit pattern and every reduction here mirrors
-/// [`crate::exec::execute`] operation for operation, the resulting
-/// [`ScenarioResult`] serialises byte-identically to an uninterrupted
-/// in-memory run.
+impl<'p> CellFold<'p> {
+    pub(crate) fn new(plan: &'p SimPlan) -> Self {
+        let out = ExecOutput {
+            policy_build: (0..plan.kinds.len()).map(|_| Ok(())).collect(),
+            cells: vec![vec![None; plan.traces]; plan.kinds.len()],
+            lower_bounds: plan.lower_bound.then(|| vec![0.0f64; plan.traces]),
+            search: None,
+        };
+        Self { plan, out, columns: vec![None; plan.grid.len()], perf: PipelinePerf::default() }
+    }
+
+    /// Fold one item's payload.
+    ///
+    /// # Errors
+    /// [`Error::Checkpoint`] when the payload is missing, belongs to a
+    /// failed cell, or does not fit its item — a fold never guesses.
+    pub(crate) fn fold_payload(
+        &mut self,
+        item: &WorkItem,
+        payload: Option<&ItemPayload>,
+    ) -> Result<(), Error> {
+        let payload = payload.ok_or_else(|| Error::Checkpoint {
+            reason: format!("incomplete study: {:?} item {} has no payload", item.kind, item.id),
+        })?;
+        payload.check_fits(item, self.plan.traces, self.plan.grid.len())?;
+        let (plan, perf) = (self.plan, &mut self.perf);
+        let mut tally = |st: &TraceStatsBits| {
+            perf.decisions += st.decisions;
+            perf.failures += st.failures;
+        };
+        match (item.kind, payload) {
+            (ItemKind::Policy { policy }, ItemPayload::Policy { built: true, stats, .. }) => {
+                for (k, st) in stats.iter().enumerate() {
+                    self.out.cells[policy][item.trace_lo + k] = Some(PolicyCell {
+                        makespan: st.makespan_f64(),
+                        failures: st.failures,
+                        chunk_min: f64::from_bits(st.chunk_min),
+                        chunk_max: f64::from_bits(st.chunk_max),
+                    });
+                    tally(st);
+                }
+            }
+            (ItemKind::Policy { policy }, ItemPayload::Policy { reason, .. }) => {
+                // The registry's failure is deterministic, so every block
+                // of this policy carries the same reason; the row only
+                // needs its Display (reduce stringifies).
+                self.out.policy_build[policy] = Err(Error::Policy {
+                    name: plan.policy_names[policy].clone(),
+                    reason: reason.clone(),
+                });
+            }
+            (ItemKind::LowerBound, ItemPayload::LowerBound { makespans }) => {
+                if let Some(lb) = &mut self.out.lower_bounds {
+                    for (k, &bits) in makespans.iter().enumerate() {
+                        lb[item.trace_lo + k] = f64::from_bits(bits);
+                    }
+                }
+            }
+            (ItemKind::Coarse { candidate }, ItemPayload::Coarse { stats }) => {
+                let col = self.columns[candidate].get_or_insert_with(|| vec![0.0; plan.traces]);
+                for (k, st) in stats.iter().enumerate() {
+                    col[item.trace_lo + k] = st.makespan_f64();
+                    tally(st);
+                }
+                perf.candidate_sims += stats.len() as u64;
+            }
+            (ItemKind::Refine, ItemPayload::Refine { columns }) => {
+                for rc in columns {
+                    let col =
+                        self.columns[rc.candidate].get_or_insert_with(|| vec![0.0; plan.traces]);
+                    for (t, st) in rc.stats.iter().enumerate() {
+                        col[t] = st.makespan_f64();
+                        tally(st);
+                    }
+                    perf.candidate_sims += rc.stats.len() as u64;
+                }
+            }
+            _ => {
+                return Err(Error::Checkpoint {
+                    reason: format!("item {} belongs to a cell that failed to build", item.id),
+                })
+            }
+        }
+        Ok(())
+    }
+
+    /// The search winner among the evaluated columns: smallest mean
+    /// makespan (each mean summed in trace order), ties toward the
+    /// smaller factor.
+    pub(crate) fn search_winner(&self) -> Option<usize> {
+        let means: Vec<Option<f64>> = self
+            .columns
+            .iter()
+            .map(|c| c.as_ref().map(|col| col.iter().sum::<f64>() / col.len().max(1) as f64))
+            .collect();
+        plan::winner(&means)
+    }
+
+    /// The executor output, with the work counters added to `perf`.
+    fn into_output(mut self, perf: &mut PipelinePerf) -> ExecOutput {
+        perf.decisions += self.perf.decisions;
+        perf.failures += self.perf.failures;
+        perf.candidate_sims += self.perf.candidate_sims;
+        perf.policy_sims = self.out.policy_build.iter().filter(|b| b.is_ok()).count() as u64
+            * self.plan.traces as u64;
+        if !self.plan.grid.is_empty() {
+            perf.candidate_grid_size = self.plan.grid.len() as u64;
+            self.out.search = self.search_winner().and_then(|w| {
+                let column = self.columns[w].take()?;
+                Some(SearchOutput { factor: self.plan.grid[w], column })
+            });
+        }
+        self.out
+    }
+}
+
+/// Fold one cell's payloads, in item-ID order, into the [`ExecOutput`]
+/// of its plan, adding the work counters (sims, decisions, failures) to
+/// `perf`. Every per-trace float is restored from its exact bit
+/// pattern, so the output is the same whichever process, worker count
+/// or resume produced the payloads.
+///
+/// # Errors
+/// [`Error::Checkpoint`] when a payload is missing or does not fit its
+/// item.
+pub(crate) fn fold(
+    sim_plan: &SimPlan,
+    items: &[WorkItem],
+    completed: &BTreeMap<u64, ItemPayload>,
+    perf: &mut PipelinePerf,
+) -> Result<ExecOutput, Error> {
+    let mut acc = CellFold::new(sim_plan);
+    for item in items {
+        acc.fold_payload(item, completed.get(&item.id))?;
+    }
+    Ok(acc.into_output(perf))
+}
+
+/// Commit one cell of a checkpointed study: [`fold`] its persisted
+/// payloads, then [`reduce`]. The result serialises byte-identically to
+/// an in-memory run of the same cell, which folds the same way.
 ///
 /// # Errors
 /// [`Error::Cell`] (wrapping the scenario's build failure) when the
@@ -192,95 +342,7 @@ pub fn commit(
     }
 
     let mut perf = PipelinePerf::default();
-    let mut policy_build: Vec<Result<(), Error>> =
-        (0..sim_plan.kinds.len()).map(|_| Ok(())).collect();
-    let mut cells: Vec<Vec<Option<PolicyCell>>> =
-        vec![vec![None; sim_plan.traces]; sim_plan.kinds.len()];
-    let mut lower_bounds = sim_plan.lower_bound.then(|| vec![0.0f64; sim_plan.traces]);
-    // columns[candidate] = per-trace makespans (coarse and refine items
-    // both land here, as in the live search's shared `columns`).
-    let mut columns: Vec<Option<Vec<f64>>> = vec![None; sim_plan.grid.len()];
-
-    for item in cell_items {
-        match (item.kind, completed.get(&item.id)) {
-            (ItemKind::Policy { policy }, Some(ItemPayload::Policy { built, reason, stats })) => {
-                if *built {
-                    for (k, st) in stats.iter().enumerate() {
-                        cells[policy][item.trace_lo + k] = Some(PolicyCell {
-                            makespan: st.makespan_f64(),
-                            failures: st.failures,
-                            chunk_min: f64::from_bits(st.chunk_min),
-                            chunk_max: f64::from_bits(st.chunk_max),
-                        });
-                        perf.decisions += st.decisions;
-                        perf.failures += st.failures;
-                    }
-                } else {
-                    // The registry's failure is deterministic, so every
-                    // block of this policy carries the same reason; the
-                    // row only needs its Display (reduce stringifies).
-                    policy_build[policy] = Err(Error::Policy {
-                        name: sim_plan.policy_names[policy].clone(),
-                        reason: reason.clone(),
-                    });
-                }
-            }
-            (ItemKind::LowerBound, Some(ItemPayload::LowerBound { makespans })) => {
-                if let Some(lb) = &mut lower_bounds {
-                    for (k, &bits) in makespans.iter().enumerate() {
-                        lb[item.trace_lo + k] = f64::from_bits(bits);
-                    }
-                }
-            }
-            (ItemKind::Coarse { candidate }, Some(ItemPayload::Coarse { stats })) => {
-                let col =
-                    columns[candidate].get_or_insert_with(|| vec![0.0; sim_plan.traces]);
-                for (k, st) in stats.iter().enumerate() {
-                    col[item.trace_lo + k] = st.makespan_f64();
-                    perf.decisions += st.decisions;
-                    perf.failures += st.failures;
-                }
-                perf.candidate_sims += stats.len() as u64;
-            }
-            (ItemKind::Refine, Some(ItemPayload::Refine { columns: refined })) => {
-                for rc in refined {
-                    let col = columns[rc.candidate]
-                        .get_or_insert_with(|| vec![0.0; sim_plan.traces]);
-                    for (t, st) in rc.stats.iter().enumerate() {
-                        col[t] = st.makespan_f64();
-                        perf.decisions += st.decisions;
-                        perf.failures += st.failures;
-                    }
-                    perf.candidate_sims += rc.stats.len() as u64;
-                }
-            }
-            (ItemKind::Policy { .. }, _) => return Err(incomplete("policy", item.id)),
-            (ItemKind::LowerBound, _) => return Err(incomplete("lower-bound", item.id)),
-            (ItemKind::Coarse { .. }, _) => return Err(incomplete("coarse", item.id)),
-            (ItemKind::Refine, _) => return Err(incomplete("refine", item.id)),
-        }
-    }
-
-    perf.policy_sims =
-        policy_build.iter().filter(|b| b.is_ok()).count() as u64 * sim_plan.traces as u64;
-    let search = if sim_plan.grid.is_empty() {
-        None
-    } else {
-        perf.candidate_grid_size = sim_plan.grid.len() as u64;
-        // Winner by mean makespan over every evaluated column, means
-        // summed in trace order — the live search's final reduction.
-        let means: Vec<Option<f64>> = columns
-            .iter()
-            .map(|c| c.as_ref().map(|col| col.iter().sum::<f64>() / col.len().max(1) as f64))
-            .collect();
-        plan::winner(&means).and_then(|w| {
-            columns[w]
-                .take()
-                .map(|column| SearchOutput { factor: sim_plan.grid[w], column })
-        })
-    };
-
-    let out = ExecOutput { policy_build, cells, lower_bounds, search };
+    let out = fold(sim_plan, cell_items, completed, &mut perf)?;
     let mut result = reduce(scenario, sim_plan, &out, &mut perf);
     result.perf = perf;
     Ok(result)
@@ -367,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn commit_refuses_missing_payloads() {
+    fn commit_refuses_missing_and_misshapen_payloads() {
         let sc = Scenario::single_processor(
             DistSpec::Exponential { mtbf: 6.0 * 3_600.0 },
             2,
@@ -377,15 +439,25 @@ mod tests {
             &[crate::policies_spec::PolicyKind::Young],
             &RunnerOptions { period_lb: None, lower_bound: false, ..RunnerOptions::default() },
         );
-        let items = vec![WorkItem {
-            id: 0,
-            cell: 0,
-            kind: ItemKind::Policy { policy: 0 },
-            trace_lo: 0,
-            trace_hi: 2,
-        }];
-        let completed = BTreeMap::new();
+        let items = sim_plan.items(0, 2, 0);
+        let mut completed = BTreeMap::new();
         let err = commit(&sc, &sim_plan, &items, &completed).expect_err("nothing completed");
         assert!(err.to_string().contains("incomplete study"), "{err}");
+
+        // One stats entry per trace of the block: a short list is never
+        // folded as 0.0, a long one never written out of range, and a
+        // payload of another kind never folded at all.
+        let bits = 1.0f64.to_bits();
+        let st =
+            TraceStatsBits { makespan: bits, failures: 0, decisions: 1, chunk_min: 0, chunk_max: 0 };
+        let policy =
+            |n| ItemPayload::Policy { built: true, reason: String::new(), stats: vec![st; n] };
+        completed.insert(0, policy(2));
+        assert!(commit(&sc, &sim_plan, &items, &completed).is_ok());
+        for bad in [policy(1), policy(3), ItemPayload::Coarse { stats: vec![st; 2] }] {
+            completed.insert(0, bad);
+            let err = commit(&sc, &sim_plan, &items, &completed).expect_err("misshapen payload");
+            assert!(matches!(err, Error::Checkpoint { .. }), "{err}");
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! [`run_scenario_checked`] is three calls:
 //!
 //! 1. [`crate::plan::plan_scenario`] — pure `Scenario → SimPlan`
-//!    (which sims run, in which waves, on which traces);
-//! 2. [`crate::exec::execute`] — the wave executor draining the plan
-//!    against cached traces, with policy-build failures as values;
+//!    (which sims run, on which traces);
+//! 2. [`crate::exec::execute`] — the plan's work items drained against
+//!    cached traces with no store attached, then folded, with
+//!    policy-build failures as values;
 //! 3. [`crate::reduce::reduce`] — fold into the §4.1 degradation rows.
 //!
 //! This module keeps the user-facing types: [`RunnerOptions`],

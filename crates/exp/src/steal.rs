@@ -1,7 +1,8 @@
 //! Shared-cursor wave executor with a deterministic commit.
 //!
-//! This is the execution substrate under [`crate::exec`] and the
-//! checkpointed study runner ([`crate::checkpoint`]). Its whole job is
+//! This is the execution substrate under [`crate::exec`]'s item drain,
+//! which both the in-memory run and the checkpointed study runner
+//! ([`crate::checkpoint`]) go through. Its whole job is
 //! to hand out independent tasks and commit their results in task
 //! order:
 //!

@@ -9,11 +9,16 @@
 //!
 //! Also pins the staleness contract: a resume whose rebuilt manifest
 //! fingerprint differs from the on-disk one is rejected, never
-//! silently reused.
+//! silently reused; and the shape contract: a snapshot whose payloads
+//! do not fit their manifest items (under a still-valid fingerprint) is
+//! skipped for the previous one, never folded into an aggregate.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use ckpt_exp::checkpoint::{build_manifest, run_study, CheckpointConfig, StudyDef, StudyOutcome};
+use ckpt_exp::checkpoint::{
+    build_manifest, checkpoint_json, parse_checkpoint, run_study, CheckpointConfig, ItemPayload,
+    StudyDef, StudyOutcome,
+};
 use ckpt_exp::{DistSpec, PeriodSearch, PolicyKind, RunnerOptions, Scenario};
 use ckpt_sim::SimOptions;
 use ckpt_exp::steal::set_workers;
@@ -210,4 +215,93 @@ fn stale_manifest_fingerprint_refuses_to_resume() {
     assert!(msg.contains("refusing to resume"), "{msg}");
     assert!(msg.contains("fingerprint"), "{msg}");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Run `two_cell_def` to completion, damage one payload of the newest
+/// snapshot with `damage` (the fingerprint stays valid), and resume:
+/// the resume must fall back to the previous snapshot, re-execute what
+/// it lacks, and rewrite byte-identical aggregates.
+fn damaged_newest_snapshot_falls_back(tag: &str, damage: impl Fn(&mut ItemPayload) -> bool) {
+    let root = store_root(tag);
+    let def = two_cell_def("damaged");
+    at_workers(2, || {
+        match run_study(&def, &config(&root), false).expect("clean run") {
+            StudyOutcome::Complete(_) => {}
+            StudyOutcome::Stopped { .. } => panic!("no stop hook configured"),
+        }
+        let clean = read_aggregates(&root, "damaged", &def);
+
+        let dir = root.join("damaged");
+        let newest = std::fs::read_dir(&dir)
+            .expect("store dir")
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("ckpt-")))
+            .max()
+            .expect("a snapshot");
+        let mut snap = parse_checkpoint(&std::fs::read_to_string(&newest).expect("read"))
+            .expect("parses");
+        assert!(
+            snap.completed.values_mut().any(&damage),
+            "the newest snapshot holds a payload of the damaged kind"
+        );
+        std::fs::write(
+            &newest,
+            checkpoint_json(&snap.study, &snap.fingerprint, snap.seq, &snap.completed),
+        )
+        .expect("write damaged snapshot");
+
+        match run_study(&def, &config(&root), true) {
+            Ok(StudyOutcome::Complete(report)) => {
+                assert!(
+                    report.items_executed > 0,
+                    "the damaged snapshot must be skipped, not resumed from"
+                );
+                assert_eq!(
+                    read_aggregates(&root, "damaged", &def),
+                    clean,
+                    "a damaged snapshot changed an aggregate"
+                );
+            }
+            Ok(StudyOutcome::Stopped { .. }) => panic!("no stop hook configured"),
+            Err(e) => assert!(
+                matches!(e, ckpt_exp::Error::Checkpoint { .. }),
+                "a damaged store fails with a typed checkpoint error, got {e}"
+            ),
+        }
+    });
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn truncated_lower_bound_payload_falls_back_to_the_previous_snapshot() {
+    damaged_newest_snapshot_falls_back("short-lb", |p| match p {
+        ItemPayload::LowerBound { makespans } => makespans.pop().is_some(),
+        _ => false,
+    });
+}
+
+#[test]
+fn over_long_coarse_payload_falls_back_to_the_previous_snapshot() {
+    damaged_newest_snapshot_falls_back("long-coarse", |p| match p {
+        ItemPayload::Coarse { stats } => {
+            let extra = *stats.last().expect("a coarse block is never empty");
+            stats.push(extra);
+            true
+        }
+        _ => false,
+    });
+}
+
+#[test]
+fn out_of_range_refine_candidate_falls_back_to_the_previous_snapshot() {
+    damaged_newest_snapshot_falls_back("refine-range", |p| match p {
+        ItemPayload::Refine { columns } => match columns.last_mut() {
+            Some(col) => {
+                col.candidate = 1_000;
+                true
+            }
+            None => false,
+        },
+        _ => false,
+    });
 }

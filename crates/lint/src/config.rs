@@ -168,8 +168,6 @@ impl Config {
                     "ckpt_exp::steal::run_wave".into(),
                     // The sim hot loop.
                     "ckpt_sim::engine::simulate".into(),
-                    // The aggregate commit path.
-                    "ckpt_exp::reduce::commit".into(),
                     // The checkpoint store writer (kill-safe resume).
                     "ckpt_exp::checkpoint::run_study".into(),
                 ],

@@ -147,8 +147,8 @@ pub fn rule_summary(rule: &str) -> &'static str {
         "todo-fixme-gate" => "TODO/FIXME/XXX/HACK markers must not land on main",
         "unknown-pragma" => "a `// lint: allow(...)` pragma names an unregistered rule",
         "transitive-nondeterminism" => {
-            "no call path from a [taint] determinism root (exec drain, sim hot \
-             loop, reduce commit, checkpoint writer) may reach an unsanctioned \
+            "no call path from a [taint] determinism root (in-memory execute, \
+             wave drain, sim hot loop, checkpoint writer) may reach an unsanctioned \
              nondeterminism sink (wall-clock read, entropy RNG, hash-order \
              iteration) — the full chain is reported"
         }

@@ -38,10 +38,13 @@
 #      flag it, exit 1) and against the real results/BENCH_history.jsonl
 #      (must validate the schema and pass, refreshing
 #      results/BENCH_regress.txt);
-#   9. the perfbench digest gate: one short seq-weibull run at the
-#      reference seed must report "correct": true — at 600 traces its
-#      digests are the only pin on DPMakespan's age-dependent table at
-#      the size Table 3 uses. The build may rewrite perfbench/Cargo.lock
+#   9. the perfbench digest gate: one short seq-weibull run and one
+#      short exa-exp-study run at the reference seed must each report
+#      "correct": true — at 600 traces the seq-weibull digests are the
+#      only pin on DPMakespan's age-dependent table at the size Table 3
+#      uses, and the exa-exp-study digests pin the study path's
+#      aggregates (run_study with a store) at benchmark scale. The
+#      build may rewrite perfbench/Cargo.lock
 #      (perfbench is frozen, and its lock still lists packages the
 #      workspace dropped), so the lock is saved before the run and
 #      restored after it.
@@ -145,18 +148,20 @@ target/release/ckpt-bench regress \
   --history results/BENCH_history.jsonl --out results/BENCH_regress.txt
 echo "regress sentinel: fixture flagged, real history passes"
 
-echo "== perfbench digest gate (seq-weibull, seed 0) =="
+echo "== perfbench digest gate (seq-weibull and exa-exp-study, seed 0) =="
 # perfbench is a cargo package of its own; building it under target/
 # keeps it out of the benchmark's default .bench_build directory.
 cp perfbench/Cargo.lock "$study_tmp/perfbench.Cargo.lock"
-perf_result=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
-  --workload seq-weibull --seed 0 --seconds 1 | tail -n 1) || true
-cp "$study_tmp/perfbench.Cargo.lock" perfbench/Cargo.lock
-if ! printf '%s' "$perf_result" \
-  | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'; then
-  echo "perfbench: seq-weibull digests or invariants failed: $perf_result" >&2
-  exit 1
-fi
-echo "perfbench seq-weibull: correct"
+for workload in seq-weibull exa-exp-study; do
+  perf_result=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+    --workload "$workload" --seed 0 --seconds 1 | tail -n 1) || true
+  cp "$study_tmp/perfbench.Cargo.lock" perfbench/Cargo.lock
+  if ! printf '%s' "$perf_result" \
+    | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'; then
+    echo "perfbench: $workload digests or invariants failed: $perf_result" >&2
+    exit 1
+  fi
+  echo "perfbench $workload: correct"
+done
 
 echo "== check.sh: all green =="
