@@ -24,9 +24,8 @@
 //! ```text
 //! ckpt-exp run --study golden|bench [--id ID] [--resume ID]
 //!              [--traces N] [--study-root DIR] [--checkpoint-items N]
-//!              [--checkpoint-secs S] [--trace-block B] [--max-checkpoints N]
-//!              [--kill-at FRAC] [--prewarm] [--no-checkpoint] [--threads N]
-//!              [--progress]
+//!              [--checkpoint-secs S] [--max-checkpoints N] [--kill-at FRAC]
+//!              [--threads N] [--progress]
 //! ckpt-exp study ls [--study-root DIR]
 //! ckpt-exp study gc [--study-root DIR] [--max-checkpoints N] [--purge ID]
 //! ```
@@ -34,13 +33,14 @@
 //! `run` executes a study through the checkpoint store under
 //! `<study-root>/<id>/`, writing a durable manifest plus periodic
 //! snapshots; `--resume ID` continues a killed run from its newest
-//! snapshot (stale stores are rejected by fingerprint). `--kill-at 0.5`
-//! SIGKILLs the process mid-sweep (for testing the resume path),
-//! `--no-checkpoint` runs the plain in-memory study and leaves the
-//! store untouched, `--progress` prints live per-kind completion lines
-//! on stderr (the store's `progress.json` is written either way). Exit
-//! codes: 0 on success, 1 when any cell or prewarm failed, 2 on store
-//! errors (stale fingerprint, bad id).
+//! snapshot (stale stores are rejected by fingerprint). `--kill-at FRAC`
+//! (`0 < FRAC < 1`) stops the run once this process has executed
+//! `ceil(FRAC × manifest items)` items, before the snapshot that would
+//! cover them, and SIGKILLs the process (for testing the resume path).
+//! `--progress` prints live per-kind completion lines on stderr (the
+//! store's `progress.json` is written either way). Exit codes: 0 on
+//! success, 1 when any cell failed, 2 on bad arguments or store errors
+//! (stale fingerprint, bad id), 137 after `--kill-at`.
 
 use ckpt_exp::experiments as ex;
 use ckpt_exp::output::{csv_series, markdown_table, CSV_HEADER};
@@ -144,16 +144,37 @@ struct RunArgs {
     root: PathBuf,
     checkpoint_items: u64,
     checkpoint_secs: f64,
-    trace_block: usize,
     max_checkpoints: usize,
     kill_at: Option<f64>,
-    prewarm: bool,
-    no_checkpoint: bool,
     threads: Option<usize>,
     progress: bool,
 }
 
-fn parse_run_args(rest: &[String]) -> RunArgs {
+/// Parse `--kill-at FRAC`: a fraction strictly between 0 and 1.
+fn parse_kill_at(value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(frac) if frac > 0.0 && frac < 1.0 => Ok(frac),
+        _ => Err(format!("--kill-at FRAC needs 0 < FRAC < 1, got `{value}`")),
+    }
+}
+
+/// Items this process executes before `--kill-at FRAC` fires.
+fn kill_after_items(frac: f64, total: usize) -> u64 {
+    (frac * total as f64).ceil() as u64
+}
+
+/// SIGKILL our own process: the real thing, so no destructor, no flush,
+/// no final checkpoint runs — exactly the failure the resume path
+/// claims to survive.
+fn kill_self() -> ! {
+    let pid = std::process::id().to_string();
+    let _ = std::process::Command::new("kill").args(["-9", &pid]).status();
+    // SIGKILL cannot be handled; reaching here means `kill` was
+    // unavailable. Abort still skips destructors and exit handlers.
+    std::process::abort();
+}
+
+fn parse_run_args(rest: &[String]) -> Result<RunArgs, String> {
     let mut args = RunArgs {
         study: "golden".into(),
         id: None,
@@ -162,11 +183,8 @@ fn parse_run_args(rest: &[String]) -> RunArgs {
         root: PathBuf::from("results/study"),
         checkpoint_items: 64,
         checkpoint_secs: 30.0,
-        trace_block: 4,
         max_checkpoints: 3,
         kill_at: None,
-        prewarm: false,
-        no_checkpoint: false,
         threads: None,
         progress: false,
     };
@@ -185,15 +203,10 @@ fn parse_run_args(rest: &[String]) -> RunArgs {
             "--checkpoint-secs" => {
                 args.checkpoint_secs = next("--checkpoint-secs S").parse().expect("number")
             }
-            "--trace-block" => {
-                args.trace_block = next("--trace-block B").parse().expect("number")
-            }
             "--max-checkpoints" => {
                 args.max_checkpoints = next("--max-checkpoints N").parse().expect("number")
             }
-            "--kill-at" => args.kill_at = Some(next("--kill-at FRAC").parse().expect("number")),
-            "--prewarm" => args.prewarm = true,
-            "--no-checkpoint" => args.no_checkpoint = true,
+            "--kill-at" => args.kill_at = Some(parse_kill_at(&next("--kill-at FRAC"))?),
             "--progress" => args.progress = true,
             "--threads" => {
                 args.threads = Some(next("--threads N").parse().expect("number"))
@@ -201,7 +214,7 @@ fn parse_run_args(rest: &[String]) -> RunArgs {
             other => panic!("unknown `run` argument {other}"),
         }
     }
-    args
+    Ok(args)
 }
 
 /// The named studies `run` knows how to build. `golden` is the pinned
@@ -234,7 +247,13 @@ fn study_def(name: &str, id: &str, traces: Option<usize>) -> ckpt_exp::StudyDef 
 }
 
 fn cmd_run(rest: &[String]) -> i32 {
-    let args = parse_run_args(rest);
+    let args = match parse_run_args(rest) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
     if let Some(n) = args.threads {
         ckpt_exp::steal::set_workers(n);
     }
@@ -249,60 +268,19 @@ fn cmd_run(rest: &[String]) -> i32 {
         .unwrap_or_else(|| args.study.clone());
     let def = study_def(&args.study, &id, args.traces);
 
-    if args.prewarm {
-        // Per-cell rosters: prewarm each cell through a study configured
-        // with exactly its roster and options. Failures are labeled
-        // (`Error::Cell`), counted on `study.prewarm_errors`, and turn
-        // into exit code 1.
-        let mut failed = false;
-        for cell in &def.cells {
-            let warm = ckpt_exp::Study::new()
-                .with_kinds(cell.kinds.clone())
-                .with_options(cell.options.clone())
-                .prewarm(std::slice::from_ref(&cell.scenario))
-                .remove(0);
-            match warm {
-                Ok(()) => eprintln!("prewarmed {}", cell.stem),
-                Err(e) => {
-                    eprintln!("prewarm failed: {e}");
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            return 1;
-        }
-    }
-
-    if args.no_checkpoint {
-        // Plain in-memory study: the checkpoint store is not touched.
-        let mut exit = 0;
-        for cell in &def.cells {
-            let study = ckpt_exp::Study::new()
-                .with_kinds(cell.kinds.clone())
-                .with_options(cell.options.clone());
-            match study.run_all(std::slice::from_ref(&cell.scenario)).remove(0) {
-                Ok(r) => println!("{}: ok ({} rows)", cell.stem, r.outcomes.len()),
-                Err(e) => {
-                    eprintln!("{}: {e}", cell.stem);
-                    exit = 1;
-                }
-            }
-        }
-        return exit;
-    }
-
-    let config = ckpt_exp::CheckpointConfig {
+    let mut config = ckpt_exp::CheckpointConfig {
         root: args.root.clone(),
         interval_items: args.checkpoint_items,
         interval_seconds: args.checkpoint_secs,
         max_checkpoints: args.max_checkpoints,
-        trace_block: args.trace_block,
         golden_dir: Some(PathBuf::from("results/golden")),
-        kill_at: args.kill_at,
+        stop_after_items: None,
         progress: args.progress,
-        ..ckpt_exp::CheckpointConfig::default()
     };
+    if let Some(frac) = args.kill_at {
+        let total = ckpt_exp::checkpoint::build_manifest(&def, &config).items.len();
+        config.stop_after_items = Some(kill_after_items(frac, total));
+    }
     match ckpt_exp::run_study(&def, &config, args.resume.is_some()) {
         Ok(ckpt_exp::StudyOutcome::Complete(report)) => {
             eprintln!(
@@ -326,8 +304,8 @@ fn cmd_run(rest: &[String]) -> i32 {
             exit
         }
         Ok(ckpt_exp::StudyOutcome::Stopped { completed, total }) => {
-            eprintln!("study stopped at {completed}/{total} items");
-            1
+            eprintln!("study stopped at {completed}/{total} items; killing the process");
+            kill_self()
         }
         Err(e) => {
             eprintln!("{e}");
@@ -616,5 +594,27 @@ fn run_all(args: &Args) {
             .status()
             .expect("spawn self");
         assert!(status.success(), "{exp} failed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kill_at_accepts_only_open_unit_fractions() {
+        assert_eq!(parse_kill_at("0.5"), Ok(0.5));
+        for bad in ["0", "1", "1.5", "-0.2", "nan", "half"] {
+            assert!(parse_kill_at(bad).is_err(), "--kill-at {bad} must be refused");
+        }
+        let args: Vec<String> = ["--kill-at", "1.5"].map(String::from).to_vec();
+        assert!(parse_run_args(&args).is_err());
+    }
+
+    #[test]
+    fn kill_at_stops_after_the_ceiling_of_its_share() {
+        assert_eq!(kill_after_items(0.5, 10), 5);
+        assert_eq!(kill_after_items(0.5, 11), 6);
+        assert_eq!(kill_after_items(0.01, 10), 1);
     }
 }

@@ -19,14 +19,18 @@
 //!   item's payload (floats as exact `u64` bit patterns). Written every
 //!   `interval_items` completed items *or* `interval_seconds` seconds —
 //!   the latter read through the one sanctioned clock in
-//!   [`ckpt_obs::clock`] — with retention (`max_checkpoints`,
-//!   `keep_final`). Snapshots are full-state, so "move in-progress
-//!   items back to pending" is implicit: pending = manifest − snapshot.
-//!   A snapshot whose payloads do not fit their manifest items is
-//!   skipped like a corrupt one;
+//!   [`ckpt_obs::clock`] — keeping the newest `max_checkpoints`; the
+//!   final snapshot always outlives completion. Snapshots are
+//!   full-state, so "move in-progress items back to pending" is
+//!   implicit: pending = manifest − snapshot. A snapshot whose payloads
+//!   do not fit their manifest items is skipped like a corrupt one;
 //! * **waves cut for the store**: besides the cut at each refine item,
 //!   a wave ends every [`CHUNK_ITEMS`] items, so a checkpoint, a kill
 //!   or a progress line can land between any two chunks.
+//!
+//! A cell whose distribution cannot be built gets no work items: it
+//! commits to the typed build error ([`Error::Cell`]), exactly as
+//! [`Study::run_all`](crate::study::Study::run_all) reports it.
 //!
 //! The fold restores every per-trace float from its exact bit pattern
 //! in item-ID order — regardless of the order items completed in,
@@ -41,7 +45,7 @@
 use crate::error::Error;
 use crate::exec::CellCtx;
 use crate::perf::PipelinePerf;
-use crate::plan::{plan_scenario, SimPlan};
+use crate::plan::{plan_scenario, SimPlan, TRACE_BLOCK};
 use crate::policies_spec::PolicyKind;
 use crate::runner::{RunnerOptions, ScenarioResult};
 use crate::scenario::{BuiltDist, Scenario};
@@ -73,20 +77,14 @@ pub struct CheckpointConfig {
     pub interval_seconds: f64,
     /// Keep at most this many checkpoint files (newest win).
     pub max_checkpoints: usize,
-    /// Keep the final snapshot after the study completes; `false`
-    /// removes every `ckpt-*.json` once the aggregates are written.
-    pub keep_final: bool,
-    /// Traces per work item (the "trace-block" of the manifest).
-    pub trace_block: usize,
     /// Directory of committed golden files to fold into the manifest
     /// fingerprint (`None` ⇒ a zero golden hash).
     pub golden_dir: Option<PathBuf>,
-    /// Test hook: abort the run loop (no status, no checkpoint — as if
-    /// killed between snapshots) once this many items executed.
+    /// Stop hook: return [`StudyOutcome::Stopped`] once this process
+    /// executed this many items, *before* the snapshot that would cover
+    /// them — the store is left as a kill between snapshots leaves it
+    /// (the CLI's `--kill-at` SIGKILLs itself on that outcome).
     pub stop_after_items: Option<u64>,
-    /// CLI hook: SIGKILL our own process once `completed ≥ frac·total`,
-    /// *before* the snapshot that would cover those items.
-    pub kill_at: Option<f64>,
     /// Emit live progress lines on stderr (`run --study … --progress`).
     /// `progress.json` snapshots are written to the store regardless.
     pub progress: bool,
@@ -99,11 +97,8 @@ impl Default for CheckpointConfig {
             interval_items: 64,
             interval_seconds: 30.0,
             max_checkpoints: 3,
-            keep_final: true,
-            trace_block: crate::plan::TRACE_BLOCK,
             golden_dir: None,
             stop_after_items: None,
-            kill_at: None,
             progress: false,
         }
     }
@@ -233,12 +228,6 @@ pub enum ItemPayload {
         /// One column per fresh candidate, in grid order.
         columns: Vec<RefineColumn>,
     },
-    /// The cell's distribution could not be built; every item of the
-    /// cell carries the same error and the cell commits to `Err`.
-    CellFailed {
-        /// Display of the build error.
-        error: String,
-    },
 }
 
 impl ItemPayload {
@@ -246,14 +235,13 @@ impl ItemPayload {
     /// the matching kind, one stats entry (or makespan) per trace of the
     /// block (none for an unbuilt policy), and refine columns in strictly
     /// increasing grid order, each inside the grid and covering all
-    /// `traces`. A `CellFailed` payload fits any item.
+    /// `traces`.
     ///
     /// # Errors
     /// [`Error::Checkpoint`] naming the item when the shape is off.
     pub(crate) fn check_fits(&self, item: &WorkItem, traces: usize, grid_len: usize) -> Result<(), Error> {
         let block = item.trace_hi.saturating_sub(item.trace_lo);
         let fits = match (item.kind, self) {
-            (_, Self::CellFailed { .. }) => true,
             (ItemKind::Policy { .. }, Self::Policy { built, stats, .. }) => {
                 stats.len() == if *built { block } else { 0 }
             }
@@ -318,7 +306,7 @@ pub struct StudyManifest {
     pub fingerprint: String,
     /// SIMD lane width the kernels were compiled for.
     pub lanes: usize,
-    /// Traces per work item.
+    /// Traces per work item ([`TRACE_BLOCK`]).
     pub trace_block: usize,
     /// FNV-1a 64 over the committed golden files (16 hex digits;
     /// all-zero when no golden directory was configured).
@@ -351,8 +339,8 @@ pub struct StudyReport {
 pub enum StudyOutcome {
     /// Ran to completion; aggregates are on disk.
     Complete(StudyReport),
-    /// The `stop_after_items` hook fired (test emulation of a kill
-    /// between checkpoints — nothing was written for the final chunk).
+    /// The `stop_after_items` hook fired (a kill between checkpoints:
+    /// nothing was written for the final chunk).
     Stopped {
         /// Completed items at the stop, including resumed ones.
         completed: u64,
@@ -416,8 +404,8 @@ fn golden_hash(dir: Option<&Path>) -> u64 {
 /// Stable persistent distribution identity: the value fingerprint when
 /// the distribution has one, else the spec label (never the
 /// process-local instance id, which would poison resume).
-fn dist_identity(scenario: &Scenario) -> String {
-    match scenario.dist.try_build() {
+fn dist_identity(scenario: &Scenario, built: &Result<BuiltDist, Error>) -> String {
+    match built {
         Ok(built) => match DistId::of(built.dist.as_ref()) {
             DistId::Shared(fp) => format!("fp:{fp:016x}"),
             DistId::Instance(_) => format!("label:{}", scenario.dist.label()),
@@ -426,20 +414,29 @@ fn dist_identity(scenario: &Scenario) -> String {
     }
 }
 
-/// Decompose a study into its manifest (typed items + fingerprint).
-pub fn build_manifest(def: &StudyDef, config: &CheckpointConfig) -> StudyManifest {
-    let block = config.trace_block.max(1);
+/// One cell as the manifest decomposed it: its plan and its
+/// distribution, built once.
+type CellPlan = (SimPlan, Result<BuiltDist, Error>);
+
+/// Decompose a study into its manifest and each cell's plan and built
+/// distribution. A cell whose distribution cannot be built keeps its
+/// identity row but gets no work items.
+fn decompose(def: &StudyDef, config: &CheckpointConfig) -> (StudyManifest, Vec<CellPlan>) {
     let mut cells = Vec::with_capacity(def.cells.len());
+    let mut plans = Vec::with_capacity(def.cells.len());
     let mut items: Vec<WorkItem> = Vec::new();
     for (c, cell) in def.cells.iter().enumerate() {
         let sim_plan = plan_scenario(&cell.scenario, &cell.kinds, &cell.options);
-        items.extend(sim_plan.items(c, block, items.len() as u64));
+        let built = cell.scenario.dist.try_build();
+        if built.is_ok() {
+            items.extend(sim_plan.items(c, items.len() as u64));
+        }
         cells.push(ManifestCell {
             label: cell.scenario.label.clone(),
             stem: cell.stem.clone(),
             procs: cell.scenario.procs,
             traces: sim_plan.traces,
-            dist_id: dist_identity(&cell.scenario),
+            dist_id: dist_identity(&cell.scenario, &built),
             roster: cell.kinds.iter().map(|k| format!("{k:?}")).collect(),
             options: format!("{:?}", cell.options),
             grid_len: sim_plan.grid.len(),
@@ -447,19 +444,25 @@ pub fn build_manifest(def: &StudyDef, config: &CheckpointConfig) -> StudyManifes
             refine_step: sim_plan.refine_step.unwrap_or(0),
             lower_bound: sim_plan.lower_bound,
         });
+        plans.push((sim_plan, built));
     }
     let mut manifest = StudyManifest {
         version: STORE_VERSION,
         study: def.id.clone(),
         fingerprint: String::new(),
         lanes: ckpt_math::simd::LANES,
-        trace_block: block,
+        trace_block: TRACE_BLOCK,
         golden_hash: format!("{:016x}", golden_hash(config.golden_dir.as_deref())),
         cells,
         items,
     };
     manifest.fingerprint = format!("{:016x}", fnv1a(manifest_json(&manifest).as_bytes()));
-    manifest
+    (manifest, plans)
+}
+
+/// Decompose a study into its manifest (typed items + fingerprint).
+pub fn build_manifest(def: &StudyDef, config: &CheckpointConfig) -> StudyManifest {
+    decompose(def, config).0
 }
 
 // ---------------------------------------------------------------------
@@ -509,9 +512,6 @@ fn payload_json(p: &ItemPayload) -> String {
                 })
                 .collect();
             format!("{{\"kind\": \"refine\", \"columns\": [{}]}}", cols.join(", "))
-        }
-        ItemPayload::CellFailed { error } => {
-            format!("{{\"kind\": \"cell_failed\", \"error\": {}}}", json_str(error))
         }
     }
 }
@@ -682,7 +682,6 @@ fn parse_payload(v: &Json) -> Result<ItemPayload, Error> {
                 })
                 .collect::<Result<_, Error>>()?,
         }),
-        "cell_failed" => Ok(ItemPayload::CellFailed { error: get_str(v, "error")? }),
         other => Err(bad(format!("unknown payload kind `{other}`"))),
     }
 }
@@ -890,17 +889,6 @@ fn chunk_pending(pending: &[WorkItem]) -> Vec<Vec<WorkItem>> {
     chunks
 }
 
-/// SIGKILL our own process (CLI `--kill-at` hook): the real thing, so
-/// no destructor, no flush, no final checkpoint runs — exactly the
-/// failure the resume path claims to survive.
-fn kill_self() -> ! {
-    let pid = std::process::id().to_string();
-    let _ = std::process::Command::new("kill").args(["-9", &pid]).status();
-    // SIGKILL cannot be handled; reaching here means `kill` was
-    // unavailable. Abort still skips destructors and exit handlers.
-    std::process::abort();
-}
-
 /// Load the newest usable snapshot of `dir`. Corrupt, version-skewed
 /// or shape-damaged files (a payload that does not fit its manifest
 /// item) are skipped and counted as rejected, falling back to the
@@ -973,7 +961,7 @@ pub fn run_study(
     config: &CheckpointConfig,
     resume: bool,
 ) -> Result<StudyOutcome, Error> {
-    let manifest = build_manifest(def, config);
+    let (manifest, plans) = decompose(def, config);
     let dir = study_dir(config, &def.id);
     let mut completed: BTreeMap<u64, ItemPayload> = BTreeMap::new();
     let mut next_seq: u64 = 0;
@@ -1028,13 +1016,6 @@ pub fn run_study(
     let items_resumed = completed.len() as u64;
     ckpt_obs::counter_add("study.items_resumed", items_resumed);
 
-    let plans: Vec<SimPlan> = def
-        .cells
-        .iter()
-        .map(|c| plan_scenario(&c.scenario, &c.kinds, &c.options))
-        .collect();
-    let built: Vec<Result<BuiltDist, Error>> =
-        def.cells.iter().map(|c| c.scenario.dist.try_build()).collect();
     let mut cell_items: Vec<Vec<WorkItem>> = vec![Vec::new(); def.cells.len()];
     for item in &manifest.items {
         cell_items[item.cell].push(*item);
@@ -1042,8 +1023,11 @@ pub fn run_study(
     let mut cells: Vec<CellCtx> = def
         .cells
         .iter()
-        .enumerate()
-        .map(|(c, cell)| CellCtx::new(&cell.scenario, &plans[c], built[c].as_ref(), &cell_items[c]))
+        .zip(&plans)
+        .zip(&cell_items)
+        .map(|((cell, (plan, built)), items)| {
+            CellCtx::new(&cell.scenario, plan, built.as_ref().ok(), items)
+        })
         .collect();
     let pending: Vec<WorkItem> = manifest
         .items
@@ -1079,11 +1063,6 @@ pub fn run_study(
         ckpt_obs::counter_add("study.items_executed", chunk.len() as u64);
         progress.finish_chunk(&chunk);
 
-        if let Some(frac) = config.kill_at {
-            if completed.len() as f64 >= frac * items_total as f64 {
-                kill_self();
-            }
-        }
         if let Some(stop) = config.stop_after_items {
             if executed >= stop {
                 // Emulated kill between snapshots: leave the store
@@ -1137,19 +1116,17 @@ pub fn run_study(
     std::fs::create_dir_all(&agg_dir)
         .map_err(|e| bad(format!("create {}: {e}", agg_dir.display())))?;
     let mut results = Vec::with_capacity(def.cells.len());
-    for (c, cell) in def.cells.iter().enumerate() {
-        let result = crate::reduce::commit(&cell.scenario, &plans[c], &cell_items[c], &completed);
+    for ((cell, (plan, built)), items) in def.cells.iter().zip(&plans).zip(&cell_items) {
+        let result = match built {
+            Ok(_) => crate::reduce::commit(&cell.scenario, plan, items, &completed),
+            Err(e) => Err(Error::for_cell(&cell.scenario.label, e.clone())),
+        };
         if let Ok(r) = &result {
             write_atomic(&agg_dir.join(format!("{}.json", cell.stem)), &crate::golden::golden_json(r))?;
         }
         results.push((cell.stem.clone(), result));
     }
 
-    if !config.keep_final {
-        for (_, path) in list_checkpoints(&dir) {
-            let _ = std::fs::remove_file(path);
-        }
-    }
     write_status(&dir, &format!("done {items_total}/{items_total}"))?;
 
     Ok(StudyOutcome::Complete(StudyReport {
@@ -1176,7 +1153,8 @@ pub struct StudySummary {
     pub status: String,
     /// Checkpoint files on disk.
     pub checkpoints: usize,
-    /// Aggregate files on disk.
+    /// Aggregate files on disk (`aggregate/*.json`; a `*.json.tmp` left
+    /// by a kill inside [`write_atomic`] is not an aggregate).
     pub aggregates: usize,
     /// Items in the manifest (0 when unreadable).
     pub items: usize,
@@ -1203,9 +1181,7 @@ pub fn list_studies(root: &Path) -> Vec<StudySummary> {
                 .ok()
                 .and_then(|s| parse_manifest(&s).ok())
                 .map_or(0, |m| m.items.len());
-            let aggregates = std::fs::read_dir(path.join("aggregate"))
-                .map(|d| d.filter_map(Result::ok).count())
-                .unwrap_or(0);
+            let aggregates = files_with_extension(&path.join("aggregate"), "json").len();
             Some(StudySummary {
                 id,
                 status,
@@ -1219,8 +1195,19 @@ pub fn list_studies(root: &Path) -> Vec<StudySummary> {
     out
 }
 
+/// Files of `dir` whose extension is `ext` (empty when unreadable).
+fn files_with_extension(dir: &Path, ext: &str) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
+    entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == ext))
+        .collect()
+}
+
 /// Garbage-collect the store: prune every study to `max_checkpoints`
-/// snapshots; `purge` removes one study directory entirely. Returns a
+/// snapshots and delete the `*.tmp` files a kill inside [`write_atomic`]
+/// left in its directory or `aggregate/`; `purge` removes one study
+/// directory entirely. Run it on stores no process is writing. Returns a
 /// human-readable action log.
 ///
 /// # Errors
@@ -1245,11 +1232,18 @@ pub fn gc_studies(
         if Some(summary.id.as_str()) == purge {
             continue;
         }
+        let dir = root.join(&summary.id);
         let before = summary.checkpoints;
-        prune_checkpoints(&root.join(&summary.id), max_checkpoints);
-        let after = list_checkpoints(&root.join(&summary.id)).len();
+        prune_checkpoints(&dir, max_checkpoints);
+        let after = list_checkpoints(&dir).len();
         if after < before {
             actions.push(format!("{}: pruned {} checkpoint(s)", summary.id, before - after));
+        }
+        let mut stray = files_with_extension(&dir, "tmp");
+        stray.extend(files_with_extension(&dir.join("aggregate"), "tmp"));
+        let removed = stray.iter().filter(|p| std::fs::remove_file(p).is_ok()).count();
+        if removed > 0 {
+            actions.push(format!("{}: removed {removed} stray temp file(s)", summary.id));
         }
     }
     Ok(actions)
@@ -1285,8 +1279,9 @@ mod tests {
 
     #[test]
     fn manifest_decomposes_and_fingerprint_is_stable() {
-        let def = tiny_def("t");
-        let config = CheckpointConfig { trace_block: 2, ..CheckpointConfig::default() };
+        let mut def = tiny_def("t");
+        def.cells[0].scenario.traces = 2 * TRACE_BLOCK;
+        let config = CheckpointConfig::default();
         let a = build_manifest(&def, &config);
         let b = build_manifest(&def, &config);
         assert_eq!(a, b, "manifest build must be deterministic");
@@ -1294,6 +1289,7 @@ mod tests {
         // full search ⇒ no refine item.
         assert_eq!(a.items.len(), 2 * 2 + 2 + 3 * 2);
         assert!(a.items.iter().all(|i| !matches!(i.kind, ItemKind::Refine)));
+        assert_eq!(a.trace_block, TRACE_BLOCK);
         assert_eq!(a.lanes, ckpt_math::simd::LANES);
         // Ids are dense and ordered.
         for (k, item) in a.items.iter().enumerate() {
@@ -1310,11 +1306,10 @@ mod tests {
         def.cells[0].kinds.pop();
         let b = build_manifest(&def, &config);
         assert_ne!(a.fingerprint, b.fingerprint);
-        // Different trace block ⇒ different fingerprint.
-        let c = build_manifest(
-            &tiny_def("t"),
-            &CheckpointConfig { trace_block: 2, ..config },
-        );
+        // Different trace count ⇒ different fingerprint.
+        let mut def = tiny_def("t");
+        def.cells[0].scenario.traces += 1;
+        let c = build_manifest(&def, &config);
         assert_ne!(a.fingerprint, c.fingerprint);
     }
 
@@ -1386,7 +1381,6 @@ mod tests {
                 }],
             },
         );
-        completed.insert(6, ItemPayload::CellFailed { error: "distribution: boom".into() });
         let src = checkpoint_json("s", "00ff", 7, &completed);
         let parsed = parse_checkpoint(&src).expect("parses");
         assert_eq!(parsed.seq, 7);
@@ -1512,6 +1506,46 @@ mod tests {
         let actions = gc_studies(&root, 1, Some("lsgc")).expect("purge");
         assert!(actions[0].contains("purged"), "{actions:?}");
         assert!(list_studies(&root).is_empty());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A kill between `write_atomic`'s write and its rename leaves a
+    /// `*.json.tmp` behind: `ls` must not count it as an aggregate, and
+    /// `gc` must delete it (in the study dir and in `aggregate/`).
+    #[test]
+    fn ls_ignores_and_gc_removes_stray_temp_files() {
+        let root = std::env::temp_dir()
+            .join(format!("ckpt-store-tmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let def = tiny_def("tmp");
+        let config = CheckpointConfig {
+            root: root.clone(),
+            interval_seconds: 1e9,
+            ..CheckpointConfig::default()
+        };
+        run_study(&def, &config, false).expect("runs");
+        let dir = root.join("tmp");
+        let strays = [
+            dir.join("aggregate/other-cell.json.tmp"),
+            dir.join(format!("{}.tmp", ckpt_name(99))),
+        ];
+        for path in &strays {
+            std::fs::write(path, "{").unwrap();
+        }
+        let ls = list_studies(&root);
+        assert_eq!(ls[0].aggregates, 1, "a temp file is not an aggregate");
+        assert_eq!(ls[0].checkpoints, 1, "a temp file is not a checkpoint");
+
+        let actions = gc_studies(&root, 3, None).expect("gc");
+        assert_eq!(actions, ["tmp: removed 2 stray temp file(s)"]);
+        for path in &strays {
+            assert!(!path.exists(), "{} survived gc", path.display());
+        }
+        // Only the strays went: the study still lists whole.
+        let ls = list_studies(&root);
+        assert_eq!((ls[0].aggregates, ls[0].checkpoints), (1, 1));
+        assert!(dir.join("manifest.json").is_file());
+        assert!(gc_studies(&root, 3, None).expect("gc").is_empty(), "gc is idempotent");
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -43,7 +43,7 @@ pub enum Error {
     NoBaseline,
     /// A scenario-level failure annotated with the scenario's label, so
     /// a failed cell in a 100-cell sweep is attributable from the error
-    /// value alone (`Study::run_all` / `Study::prewarm` wrap here).
+    /// value alone (`Study::run_all` and `run_study` wrap here).
     Cell {
         /// The failing scenario's label.
         label: String,

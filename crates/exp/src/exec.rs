@@ -18,8 +18,7 @@
 //! same [`drain`] with the store attached. A policy that cannot be
 //! built for the cell (Liu's footnote-2 cases) is a value — an unbuilt
 //! payload, then an [`Error`] in [`ExecOutput::policy_build`] — never a
-//! panic; a distribution that cannot be built makes every item of its
-//! cell a `CellFailed` payload.
+//! panic; a cell whose distribution cannot be built has no items.
 
 use crate::cache::{CachedTrace, TraceCache};
 use crate::checkpoint::{ItemPayload, RefineColumn, TraceStatsBits};
@@ -84,12 +83,13 @@ struct Ready {
 }
 
 /// One cell's execution context: its scenario, plan, built distribution
-/// and manifest items, plus (once [`CellCtx::prepare`]d) its traces and
+/// (`None` for a cell that could not be built, which has no items) and
+/// manifest items, plus (once [`CellCtx::prepare`]d) its traces and
 /// roster.
 pub(crate) struct CellCtx<'a> {
     scenario: &'a Scenario,
     plan: &'a SimPlan,
-    built: Result<&'a BuiltDist, &'a Error>,
+    built: Option<&'a BuiltDist>,
     /// The cell's items (the refine item folds the coarse ones).
     items: &'a [WorkItem],
     ready: Option<Ready>,
@@ -99,7 +99,7 @@ impl<'a> CellCtx<'a> {
     pub(crate) fn new(
         scenario: &'a Scenario,
         plan: &'a SimPlan,
-        built: Result<&'a BuiltDist, &'a Error>,
+        built: Option<&'a BuiltDist>,
         items: &'a [WorkItem],
     ) -> Self {
         Self { scenario, plan, built, items, ready: None }
@@ -109,7 +109,7 @@ impl<'a> CellCtx<'a> {
     /// then build the roster. Idempotent; a cell whose distribution
     /// failed to build has nothing to prepare.
     fn prepare(&mut self, perf: &mut PipelinePerf) {
-        let Ok(built) = self.built else { return };
+        let Some(built) = self.built else { return };
         if self.ready.is_some() {
             return;
         }
@@ -150,9 +150,7 @@ impl<'a> CellCtx<'a> {
     /// and (for `Refine`) on the cell's coarse payloads in `done`, never
     /// on wall-clock, worker count, or process history.
     fn run_item(&self, item: &WorkItem, done: &BTreeMap<u64, ItemPayload>) -> ItemPayload {
-        if let Err(e) = self.built {
-            return ItemPayload::CellFailed { error: e.to_string() };
-        }
+        // An unbuilt cell has no items, so every item finds its cell ready.
         let Some(r) = &self.ready else {
             unreachable!("the drain prepares a cell before its first item runs")
         };
@@ -325,8 +323,8 @@ pub fn execute(
     sim_plan: &SimPlan,
     perf: &mut PipelinePerf,
 ) -> ExecOutput {
-    let items = sim_plan.items(0, crate::plan::TRACE_BLOCK, 0);
-    let mut cell = CellCtx::new(scenario, sim_plan, Ok(built), &items);
+    let items = sim_plan.items(0, 0);
+    let mut cell = CellCtx::new(scenario, sim_plan, Some(built), &items);
     cell.prepare(perf);
     // The shared plan/kernel-row caches are snapshotted around the drain
     // so the perf report attributes exactly this run's hits/misses.

@@ -50,8 +50,8 @@ pub enum SimTask {
     },
 }
 
-/// Traces per work item when no store sets the block size
-/// ([`crate::checkpoint::CheckpointConfig::trace_block`] defaults to it).
+/// Traces per policy, lower-bound and coarse work item, in memory and
+/// in every study manifest alike.
 pub const TRACE_BLOCK: usize = 4;
 
 /// One deterministic unit of work, identified entirely by indices (so a
@@ -145,14 +145,13 @@ pub fn plan_scenario(
 
 impl SimPlan {
     /// The plan's work items for cell `cell`, numbered from `first_id`:
-    /// each roster policy over every trace block, the lower-bound blocks,
-    /// each coarse candidate over every block, then (with a refine wave)
-    /// one refine item over all traces.
-    pub fn items(&self, cell: usize, block: usize, first_id: u64) -> Vec<WorkItem> {
-        let block = block.max(1);
+    /// each roster policy over every [`TRACE_BLOCK`] of traces, the
+    /// lower-bound blocks, each coarse candidate over every block, then
+    /// (with a refine wave) one refine item over all traces.
+    pub fn items(&self, cell: usize, first_id: u64) -> Vec<WorkItem> {
         let blocks: Vec<(usize, usize)> = (0..self.traces)
-            .step_by(block)
-            .map(|lo| (lo, (lo + block).min(self.traces)))
+            .step_by(TRACE_BLOCK)
+            .map(|lo| (lo, (lo + TRACE_BLOCK).min(self.traces)))
             .collect();
         let mut kinds: Vec<ItemKind> =
             (0..self.kinds.len()).map(|policy| ItemKind::Policy { policy }).collect();

@@ -16,7 +16,7 @@
 //! Nothing here feeds results: the reporter observes the run loop, and
 //! the run loop never reads it back.
 
-use crate::checkpoint::{StudyManifest, WorkItem};
+use crate::checkpoint::WorkItem;
 use crate::error::Error;
 use crate::perf::format_f64;
 use serde_json::escape_str;
@@ -102,15 +102,6 @@ impl StudyProgress {
         // Make the very first tick print immediately.
         p.last_console = now - CONSOLE_PERIOD_SECONDS;
         p
-    }
-
-    /// Convenience: seed from a manifest.
-    pub fn from_manifest(
-        manifest: &StudyManifest,
-        is_done: impl Fn(u64) -> bool,
-        console: bool,
-    ) -> Self {
-        Self::new(&manifest.study, &manifest.items, is_done, console)
     }
 
     /// A chunk enters the executor: its items are now in flight.

@@ -182,8 +182,8 @@ impl<'p> CellFold<'p> {
     /// Fold one item's payload.
     ///
     /// # Errors
-    /// [`Error::Checkpoint`] when the payload is missing, belongs to a
-    /// failed cell, or does not fit its item — a fold never guesses.
+    /// [`Error::Checkpoint`] when the payload is missing or does not fit
+    /// its item — a fold never guesses.
     pub(crate) fn fold_payload(
         &mut self,
         item: &WorkItem,
@@ -247,7 +247,7 @@ impl<'p> CellFold<'p> {
             }
             _ => {
                 return Err(Error::Checkpoint {
-                    reason: format!("item {} belongs to a cell that failed to build", item.id),
+                    reason: format!("item {} has a payload of another kind", item.id),
                 })
             }
         }
@@ -311,36 +311,14 @@ pub(crate) fn fold(
 /// an in-memory run of the same cell, which folds the same way.
 ///
 /// # Errors
-/// [`Error::Cell`] (wrapping the scenario's build failure) when the
-/// cell's distribution could not be built; [`Error::Checkpoint`] when a
-/// required item payload is missing or has the wrong shape — a commit
-/// must never guess.
+/// [`Error::Checkpoint`] when a required item payload is missing or has
+/// the wrong shape — a commit must never guess.
 pub fn commit(
     scenario: &Scenario,
     sim_plan: &SimPlan,
     cell_items: &[WorkItem],
     completed: &BTreeMap<u64, ItemPayload>,
 ) -> Result<ScenarioResult, Error> {
-    // An unbuildable distribution marks every item of the cell; surface
-    // the *typed* build error (re-derived, deterministic) with the cell
-    // label attached, exactly as `Study::run_all` would have.
-    if cell_items
-        .iter()
-        .any(|i| matches!(completed.get(&i.id), Some(ItemPayload::CellFailed { .. })))
-    {
-        let source = match scenario.dist.try_build() {
-            Err(e) => e,
-            Ok(_) => Error::Checkpoint {
-                reason: format!(
-                    "cell `{}` persisted as failed but its distribution now builds — \
-                     stale store",
-                    scenario.label
-                ),
-            },
-        };
-        return Err(Error::for_cell(&scenario.label, source));
-    }
-
     let mut perf = PipelinePerf::default();
     let out = fold(sim_plan, cell_items, completed, &mut perf)?;
     let mut result = reduce(scenario, sim_plan, &out, &mut perf);
@@ -439,7 +417,7 @@ mod tests {
             &[crate::policies_spec::PolicyKind::Young],
             &RunnerOptions { period_lb: None, lower_bound: false, ..RunnerOptions::default() },
         );
-        let items = sim_plan.items(0, 2, 0);
+        let items = sim_plan.items(0, 0);
         let mut completed = BTreeMap::new();
         let err = commit(&sc, &sim_plan, &items, &completed).expect_err("nothing completed");
         assert!(err.to_string().contains("incomplete study"), "{err}");

@@ -15,7 +15,7 @@
 //! the shared-cursor executor ([`crate::steal`]). That split is
 //! deliberate: cross-cell parallelism would interleave the shared DP
 //! plan / trace cache traffic of different cells, making the per-cell
-//! delta counters that [`Study::prewarm`] and the obs layer report
+//! delta counters that `perf.plan_cache` and the obs layer report
 //! unattributable — while buying nothing, since each cell's waves
 //! already saturate the worker pool. Results are worker-count-invariant
 //! either way (the executor commits in task-ID order), so only the
@@ -95,48 +95,6 @@ impl Study {
     /// built); per-policy failures surface as error rows in the result.
     pub fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, Error> {
         run_scenario_checked(scenario, &self.roster_for(scenario), &self.options)
-    }
-
-    /// Warm the process-wide caches for `scenarios` before a figure
-    /// sweep: each cell is run once through the pipeline with the
-    /// study's roster but **no** `LowerBound` row and **no** `PeriodLB`
-    /// search, which generates every trace set into
-    /// [`TraceCache`](crate::cache::TraceCache) and populates the shared
-    /// DP plan / kernel-row caches with every key the roster's policy
-    /// simulations will ask for. A subsequent [`Study::run`] /
-    /// [`Study::run_all`] over the same cells then replays the exact
-    /// same lookups, so its plan-cache and trace-cache hit rate is
-    /// ~100% — observable through the `plan_cache.*` / `trace_cache.*`
-    /// obs counters when a `ckpt-obs` session records the sweep.
-    ///
-    /// Warming cannot change results: caches are keyed by the exact
-    /// quantised state and only ever serve the pure function of the key
-    /// (see `crates/sim/tests/cache_equivalence.rs`).
-    ///
-    /// Results are discarded; one `Result` per cell reports scenario-
-    /// level failures (same contract as [`Study::run_all`]): each `Err`
-    /// carries its scenario's label ([`Error::Cell`]), and every failed
-    /// warm bumps the `study.prewarm_errors` obs counter (labeled by
-    /// cell), so a sweep driver can both attribute and count failures
-    /// without re-running anything.
-    pub fn prewarm(&self, scenarios: &[Scenario]) -> Vec<Result<(), Error>> {
-        let options = RunnerOptions {
-            lower_bound: false,
-            period_lb: None,
-            period_search: self.options.period_search,
-            sim: self.options.sim,
-        };
-        scenarios
-            .iter()
-            .map(|sc| {
-                run_scenario_checked(sc, &self.roster_for(sc), &options)
-                    .map(|_| ())
-                    .map_err(|e| {
-                        ckpt_obs::counter_add_labeled("study.prewarm_errors", &sc.label, 1);
-                        Error::for_cell(&sc.label, e)
-                    })
-            })
-            .collect()
     }
 
     /// Run every scenario, one result per cell in input order. Failures
@@ -221,37 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_runs_cells_and_preserves_results() {
-        use crate::policies_spec::PolicyKind;
-        let mut cell = tiny(6.0 * 3_600.0);
-        cell.label = "study-prewarm-cell".into();
-        let study = Study::new()
-            .with_kinds([PolicyKind::DpNextFailure(Default::default()), PolicyKind::Young])
-            .with_options(fast_options());
-
-        let warmed = study.prewarm(std::slice::from_ref(&cell));
-        assert_eq!(warmed.len(), 1);
-        warmed[0].as_ref().expect("well-formed cell prewarms");
-
-        // The warm run must serve the DP policy from the shared caches
-        // (flow counters are global and monotonic, so a positive delta
-        // is attributable even with tests running in parallel) ...
-        let before = ckpt_policies::DpCaches::global().stats();
-        let hot = study.run(&cell).expect("runs");
-        let delta = ckpt_policies::DpCaches::global().stats().delta_since(&before);
-        assert!(delta.plans.hits > 0, "prewarmed run must hit the shared plan cache");
-
-        // ... and warming must not perturb results: a repeat run is
-        // bit-identical.
-        let again = study.run(&cell).expect("runs");
-        for (a, b) in hot.outcomes.iter().zip(&again.outcomes) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.mean_makespan, b.mean_makespan, "{}", a.name);
-            assert_eq!(a.avg_degradation, b.avg_degradation, "{}", a.name);
-        }
-    }
-
-    #[test]
     fn study_results_are_bit_identical_across_worker_counts() {
         // The study-level half of the worker-invariance contract: the
         // same batch at 1 and at 8 workers produces bitwise-equal rows.
@@ -310,22 +237,6 @@ mod tests {
             "{err:?}"
         );
         assert!(err.to_string().starts_with("cell study-bad-cell: "), "{err}");
-    }
-
-    #[test]
-    fn prewarm_errors_are_labeled_and_counted() {
-        let mut bad = tiny(6.0 * 3_600.0);
-        bad.dist = DistSpec::LanlLog { cluster: 99 };
-        bad.label = "study-bad-prewarm".into();
-        let study = Study::new()
-            .with_kinds([PolicyKind::Young])
-            .with_options(fast_options());
-        let warmed = study.prewarm(std::slice::from_ref(&bad));
-        let err = warmed[0].as_ref().expect_err("cluster 99 is unmodelled");
-        assert!(
-            matches!(err, Error::Cell { label, .. } if label == "study-bad-prewarm"),
-            "{err:?}"
-        );
     }
 
     #[test]

@@ -76,20 +76,16 @@ fn refine_column() -> impl Strategy<Value = RefineColumn> {
 /// generated unconditionally and the unused ones discarded.
 fn payload() -> impl Strategy<Value = ItemPayload> {
     (
-        0..5usize,
+        0..4usize,
         (any_bool(), any_string(), vec(stats_bits(), 0..4)),
         vec(finite_bits(), 0..4),
         vec(refine_column(), 0..3),
-        any_string(),
     )
-        .prop_map(|(variant, (built, reason, stats), makespans, columns, error)| {
-            match variant {
-                0 => ItemPayload::Policy { built, reason, stats },
-                1 => ItemPayload::LowerBound { makespans },
-                2 => ItemPayload::Coarse { stats },
-                3 => ItemPayload::Refine { columns },
-                _ => ItemPayload::CellFailed { error },
-            }
+        .prop_map(|(variant, (built, reason, stats), makespans, columns)| match variant {
+            0 => ItemPayload::Policy { built, reason, stats },
+            1 => ItemPayload::LowerBound { makespans },
+            2 => ItemPayload::Coarse { stats },
+            _ => ItemPayload::Refine { columns },
         })
 }
 

@@ -155,15 +155,13 @@ fn run_study_leaves_flightrec_and_progress_in_the_store() {
     let session = ckpt_obs::ObsSession::start();
     let root = tmp_path("store");
     let _ = std::fs::remove_dir_all(&root);
-    let def = StudyDef::new(
-        "flightrec",
-        [(small_cell("flightrec-store-cell"), vec![PolicyKind::Young], fast_options())],
-    );
+    let mut cell = small_cell("flightrec-store-cell");
+    cell.traces = 8;
+    let def = StudyDef::new("flightrec", [(cell, vec![PolicyKind::Young], fast_options())]);
     let config = CheckpointConfig {
         root: root.clone(),
         interval_items: 2, // force mid-run checkpoint commits
         interval_seconds: 1e9,
-        trace_block: 2,
         ..CheckpointConfig::default()
     };
     let report = match run_study(&def, &config, false).expect("study runs") {

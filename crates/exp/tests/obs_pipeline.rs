@@ -14,7 +14,7 @@
 use ckpt_exp::golden::{golden_cells, golden_json};
 use ckpt_exp::runner::{run_scenario, PeriodSearch, RunnerOptions};
 use ckpt_exp::steal::set_workers;
-use ckpt_exp::{DistSpec, PolicyKind, Scenario, Study};
+use ckpt_exp::{DistSpec, PolicyKind, Scenario};
 use ckpt_sim::SimOptions;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -105,49 +105,44 @@ fn session_collects_stage_spans_and_obs_breakdown() {
     assert!(!quiet.perf.to_json().contains("\"obs\""));
 }
 
+/// What the shared caches buy, read off the cold-run counters: the
+/// first run of a cell misses its DP plans and generates its traces; a
+/// repeat run of the same cell in the same process replays exactly the
+/// same lookups, so it misses nothing and solves nothing.
 #[test]
-fn prewarm_makes_figure_sweeps_cache_hot() {
+fn repeat_run_of_a_cell_is_served_by_the_shared_caches() {
     let _serial = lock();
 
     // Unique MTBF again: the labeled counters below see only this cell.
     let dist = DistSpec::Weibull { shape: 0.7, mtbf: 23_417.0 * 3_600.0 };
-    let mut sc = Scenario::single_processor(dist.clone(), 4);
+    let mut sc = Scenario::single_processor(dist, 4);
     sc.total_work = 12.0 * 3_600.0;
-    sc.label = "obs-prewarm-cell".into();
-    let study = Study::new()
-        .with_kinds([PolicyKind::DpNextFailure(Default::default()), PolicyKind::OptExp])
-        .with_options(fast_options());
-
-    for warmed in study.prewarm(std::slice::from_ref(&sc)) {
-        warmed.expect("well-formed cell prewarms");
-    }
+    sc.label = "obs-repeat-cell".into();
+    let kinds = [PolicyKind::DpNextFailure(Default::default()), PolicyKind::OptExp];
+    let label = fp_label(&sc.dist);
 
     let Some(session) = ckpt_obs::ObsSession::start() else { return };
-    let r = study.run(&sc).expect("runs");
-    let data = session.finish();
+    let cold = run_scenario(&sc, &kinds, &fast_options());
+    let cold_data = session.finish();
+    assert!(cold_data.counters.labeled("plan_cache.plans.misses", &label) > 0);
+    assert!(cold_data.counter("trace_cache.misses") >= sc.traces as u64);
 
-    // ~100% hit rate, proven per fingerprint: the full sweep run after
-    // prewarm must not miss the shared plan/kernel caches at all.
-    let label = fp_label(&sc.dist);
-    let plan_hits = data.counters.labeled("plan_cache.plans.hits", &label);
-    assert!(plan_hits > 0, "DP policy must consult the plan cache");
+    let Some(session) = ckpt_obs::ObsSession::start() else { return };
+    let warm = run_scenario(&sc, &kinds, &fast_options());
+    let data = session.finish();
+    assert!(data.counters.labeled("plan_cache.plans.hits", &label) > 0);
     assert_eq!(
         data.counters.labeled("plan_cache.plans.misses", &label),
         0,
-        "prewarmed plan cache must serve every lookup"
+        "the repeat run must find every plan in the shared cache"
     );
-    assert_eq!(
-        data.counters.labeled("plan_cache.kernel_rows.misses", &label),
-        0,
-        "prewarmed kernel-row cache must serve every lookup"
-    );
-    // The traces were generated during prewarm, so the sweep run only hits.
+    assert_eq!(data.counters.labeled("plan_cache.kernel_rows.misses", &label), 0);
     assert!(data.counter("trace_cache.hits") >= sc.traces as u64);
     assert_eq!(data.counter("trace_cache.misses"), 0);
-    // And the attached breakdown tells the same story.
-    let obs = r.perf.obs.expect("session open → perf.obs attached");
-    assert_eq!(obs.dp_solves, 0, "no cold solves after prewarm");
-    assert_eq!(obs.trace_cache_misses, 0);
+    let obs = warm.perf.obs.as_ref().expect("session open → perf.obs attached");
+    assert_eq!(obs.dp_solves, 0, "no cold solves on the repeat run");
+    // Caches serve the pure function of their key: same bytes.
+    assert_eq!(golden_json(&cold), golden_json(&warm));
 }
 
 fn golden_dir() -> PathBuf {

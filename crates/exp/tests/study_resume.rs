@@ -11,7 +11,10 @@
 //! fingerprint differs from the on-disk one is rejected, never
 //! silently reused; and the shape contract: a snapshot whose payloads
 //! do not fit their manifest items (under a still-valid fingerprint) is
-//! skipped for the previous one, never folded into an aggregate.
+//! skipped for the previous one, never folded into an aggregate; and the
+//! failed-cell contract: a cell whose distribution cannot be built gets
+//! no items and commits to its typed, labelled build error, while its
+//! neighbours commit as if it were absent.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -19,7 +22,9 @@ use ckpt_exp::checkpoint::{
     build_manifest, checkpoint_json, parse_checkpoint, run_study, CheckpointConfig, ItemPayload,
     StudyDef, StudyOutcome,
 };
-use ckpt_exp::{DistSpec, PeriodSearch, PolicyKind, RunnerOptions, Scenario};
+use ckpt_exp::golden::golden_json;
+use ckpt_exp::runner::run_scenario;
+use ckpt_exp::{DistSpec, Error, PeriodSearch, PolicyKind, RunnerOptions, Scenario};
 use ckpt_sim::SimOptions;
 use ckpt_exp::steal::set_workers;
 use std::path::{Path, PathBuf};
@@ -42,7 +47,15 @@ fn at_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
 /// refine item folds coarse payloads — the two commit paths a kill can
 /// split.
 fn two_cell_def(id: &str) -> StudyDef {
-    let mut a = Scenario::single_processor(DistSpec::Exponential { mtbf: 6.0 * 3_600.0 }, 4);
+    let (a, b) = two_cells();
+    StudyDef::new(id, [a, b])
+}
+
+fn two_cells() -> (
+    (Scenario, Vec<PolicyKind>, RunnerOptions),
+    (Scenario, Vec<PolicyKind>, RunnerOptions),
+) {
+    let mut a = Scenario::single_processor(DistSpec::Exponential { mtbf: 6.0 * 3_600.0 }, 8);
     a.total_work = 12.0 * 3_600.0;
     let full = RunnerOptions {
         lower_bound: true,
@@ -51,7 +64,7 @@ fn two_cell_def(id: &str) -> StudyDef {
         sim: SimOptions::default(),
     };
 
-    let mut b = Scenario::single_processor(DistSpec::Exponential { mtbf: 3.0 * 3_600.0 }, 4);
+    let mut b = Scenario::single_processor(DistSpec::Exponential { mtbf: 3.0 * 3_600.0 }, 8);
     b.total_work = 12.0 * 3_600.0;
     let coarse_fine = RunnerOptions {
         lower_bound: true,
@@ -62,12 +75,9 @@ fn two_cell_def(id: &str) -> StudyDef {
         sim: SimOptions::default(),
     };
 
-    StudyDef::new(
-        id,
-        [
-            (a, vec![PolicyKind::Young, PolicyKind::OptExp], full),
-            (b, vec![PolicyKind::Young, PolicyKind::OptExp], coarse_fine),
-        ],
+    (
+        (a, vec![PolicyKind::Young, PolicyKind::OptExp], full),
+        (b, vec![PolicyKind::Young, PolicyKind::OptExp], coarse_fine),
     )
 }
 
@@ -86,7 +96,6 @@ fn config(root: &Path) -> CheckpointConfig {
         interval_items: 2,
         // …and the time trigger never fires (kept deterministic).
         interval_seconds: 1e9,
-        trace_block: 2,
         ..CheckpointConfig::default()
     }
 }
@@ -304,4 +313,69 @@ fn out_of_range_refine_candidate_falls_back_to_the_previous_snapshot() {
         },
         _ => false,
     });
+}
+
+/// An unbuildable cell (LANL cluster 99 is not modelled) next to the
+/// coarse-to-fine cell: no items for it in the manifest, a labelled
+/// `Error::Cell` and no aggregate file from the commit, and the good
+/// cell's aggregate byte-identical to `run_scenario` — uninterrupted
+/// and across a stop and a resume.
+#[test]
+fn unbuildable_cell_commits_its_build_error_and_spares_its_neighbour() {
+    let root = store_root("unbuildable");
+    let (_, good) = two_cells();
+    let mut bad = good.0.clone();
+    bad.dist = DistSpec::LanlLog { cluster: 99 };
+    bad.label = "study-unbuildable-cell".into();
+    let def = |id: &str| {
+        StudyDef::new(id, [(bad.clone(), good.1.clone(), good.2.clone()), good.clone()])
+    };
+    let (bad_stem, good_stem) = {
+        let d = def("stems");
+        (d.cells[0].stem.clone(), d.cells[1].stem.clone())
+    };
+    let expected = golden_json(&run_scenario(&good.0, &good.1, &good.2));
+
+    let manifest = build_manifest(&def("clean"), &config(&root));
+    assert!(!manifest.items.is_empty());
+    assert!(manifest.items.iter().all(|i| i.cell == 1), "the unbuildable cell has no items");
+    let total = manifest.items.len() as u64;
+
+    let check = |id: &str, report: &ckpt_exp::checkpoint::StudyReport| {
+        let (stem, result) = &report.results[0];
+        assert_eq!(stem, &bad_stem);
+        assert!(
+            matches!(result, Err(Error::Cell { label, .. }) if label == "study-unbuildable-cell"),
+            "{result:?}"
+        );
+        assert!(report.results[1].1.is_ok(), "{:?}", report.results[1].1);
+        let agg = root.join(id).join("aggregate");
+        assert!(!agg.join(format!("{bad_stem}.json")).exists(), "no aggregate for a failed cell");
+        let bytes = std::fs::read_to_string(agg.join(format!("{good_stem}.json"))).expect("read");
+        assert_eq!(bytes, expected, "the good cell's aggregate diverged from run_scenario");
+    };
+
+    at_workers(2, || {
+        match run_study(&def("clean"), &config(&root), false).expect("runs") {
+            StudyOutcome::Complete(report) => check("clean", &report),
+            StudyOutcome::Stopped { .. } => panic!("no stop hook configured"),
+        }
+
+        let stop = total / 2;
+        let stop_cfg = CheckpointConfig { stop_after_items: Some(stop), ..config(&root) };
+        match run_study(&def("resumed"), &stop_cfg, false).expect("interrupted run starts") {
+            StudyOutcome::Stopped { completed, total: t } => {
+                assert!(completed >= stop && completed < t);
+            }
+            StudyOutcome::Complete(_) => panic!("stop hook must fire before completion"),
+        }
+        match run_study(&def("resumed"), &config(&root), true).expect("resume runs") {
+            StudyOutcome::Complete(report) => {
+                assert!(report.items_resumed > 0 && report.items_executed > 0);
+                check("resumed", &report);
+            }
+            StudyOutcome::Stopped { .. } => panic!("no stop hook on the resume"),
+        }
+    });
+    let _ = std::fs::remove_dir_all(&root);
 }

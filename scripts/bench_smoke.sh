@@ -11,10 +11,7 @@
 #   2. run the standard Petascale Weibull bench cell at a reduced trace
 #      count and print the per-stage breakdown and the plan-cache
 #      counters, so a perf regression is visible at a glance;
-#   3. assert that a checkpointing-off study run (`run --no-checkpoint`)
-#      leaves the checkpoint store untouched — durability must be
-#      strictly opt-in, with zero filesystem footprint when off;
-#   4. a regress preflight: `ckpt-bench regress` replays the committed
+#   3. a regress preflight: `ckpt-bench regress` replays the committed
 #      results/BENCH_history.jsonl (schema validation + rolling-median
 #      verdict) so a malformed history line or an already-recorded
 #      slowdown surfaces here, not in the next nightly append. The
@@ -62,16 +59,6 @@ cargo run --release -q -p ckpt-exp --bin bench_pipeline -- \
   else
     cat
   fi
-
-echo "== checkpointing-off gate (store stays untouched) =="
-store="$tmp/study-off"
-target/release/ckpt-exp run --study bench --id off --traces "$TRACES" \
-  --study-root "$store" --no-checkpoint >/dev/null
-if [ -e "$store" ]; then
-  echo "NO-CHECKPOINT VIOLATION: $store was created by a checkpointing-off run" >&2
-  exit 1
-fi
-echo "store untouched by --no-checkpoint run"
 
 echo "== regress preflight (committed bench history) =="
 cargo build --release -q -p ckpt-bench

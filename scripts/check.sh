@@ -6,7 +6,7 @@
 #      bit-identity pin at 1, 2 and 8 executor workers);
 #   3. the observability gate: build + test the workspace with the
 #      `obs` feature on, so the live recorder paths (session collection,
-#      obs/no-obs bit-identity, prewarm hit-rate proof) are exercised —
+#      obs/no-obs bit-identity, repeat-run cache-hit proof) are exercised —
 #      without the feature those tests degrade to their recording-off
 #      halves;
 #   4. clippy with warnings as errors — the lib crates carry
@@ -23,8 +23,9 @@
 #      land on different workers at every count, but the
 #      task-ID-ordered commit must make the results indistinguishable;
 #   7. the kill-and-resume gate: SIGKILL the golden study at ~50%
-#      completion (the checkpointer kills its own process, so the exit
-#      code is 137), resume it from the surviving snapshot, and
+#      completion (`--kill-at` stops the run before the snapshot that
+#      would cover those items and the CLI kills its own process, so
+#      the exit code is 137), resume it from the surviving snapshot, and
 #      byte-compare the committed aggregates against results/golden/ —
 #      the durability contract, proven end-to-end through real process
 #      death rather than an in-process stop hook. The kill leg runs at
