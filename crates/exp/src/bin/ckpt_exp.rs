@@ -174,7 +174,12 @@ fn kill_self() -> ! {
     std::process::abort();
 }
 
-fn parse_run_args(rest: &[String]) -> Result<RunArgs, String> {
+const RUN_USAGE: &str = "usage: ckpt-exp run [--study golden|bench] [--id ID | --resume ID] \
+[--traces N] [--study-root DIR] [--checkpoint-items N] [--checkpoint-secs S] \
+[--max-checkpoints N] [--kill-at FRAC] [--threads N] [--progress]";
+
+/// Parse `run`'s flags; `Ok(None)` when `--help` asks for the usage.
+fn parse_run_args(rest: &[String]) -> Result<Option<RunArgs>, String> {
     let mut args = RunArgs {
         study: "golden".into(),
         id: None,
@@ -211,10 +216,11 @@ fn parse_run_args(rest: &[String]) -> Result<RunArgs, String> {
             "--threads" => {
                 args.threads = Some(next("--threads N").parse().expect("number"))
             }
-            other => panic!("unknown `run` argument {other}"),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown `run` argument {other}\n{RUN_USAGE}")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// The named studies `run` knows how to build. `golden` is the pinned
@@ -248,7 +254,11 @@ fn study_def(name: &str, id: &str, traces: Option<usize>) -> ckpt_exp::StudyDef 
 
 fn cmd_run(rest: &[String]) -> i32 {
     let args = match parse_run_args(rest) {
-        Ok(args) => args,
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{RUN_USAGE}");
+            return 0;
+        }
         Err(e) => {
             eprintln!("{e}");
             return 2;

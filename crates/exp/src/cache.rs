@@ -1,13 +1,22 @@
 //! Shared trace/event cache.
 //!
-//! Trace generation is deterministic in `(scenario label, unit count,
-//! horizon, start time, trace index)`, so the same `TraceSet` and its
-//! merged `PlatformEvents` are recomputed identically every time an
-//! experiment revisits a cell — e.g. the period-variation sweeps call
-//! `run_scenario` once per factor on the *same* traces. This module
-//! memoises both behind `Arc`s: one generation, shared by every policy,
-//! every period candidate, and every subsequent `run_scenario` call in
-//! the process.
+//! Trace generation is deterministic in `(scenario label, horizon, start
+//! time, trace index)` and prefix-stable in the unit count (§4.3): the
+//! first `p` units of a `b`-unit set are the `p`-unit set. So the cache
+//! keeps one stream per `(label, horizon, start, index)`, the widest any
+//! cell has asked for, with its merged `PlatformEvents`, behind `Arc`s:
+//!
+//! * a request of the same width shares the allocation;
+//! * a narrower request copies the prefix of the traces and re-merges
+//!   its events (O(f log f) in the prefix's f failures, no sampling);
+//!   the narrowed result is not cached, so each such request gets its
+//!   own allocation;
+//! * a wider one samples only the units the stream lacks, re-merges the
+//!   events of the widened set, and replaces the entry.
+//!
+//! So the Exascale cells at 2^16, 2^18 and 2^20 processors sample each
+//! unit once, and a period sweep that revisits a cell (one `run_scenario`
+//! per factor on the same traces) generates nothing.
 
 use crate::scenario::{BuiltDist, Scenario};
 use ckpt_platform::{PlatformEvents, TraceSet};
@@ -29,13 +38,19 @@ impl CachedTrace {
     pub fn procs_per_unit(&self) -> u32 {
         self.traces.topology.procs_per_unit() as u32
     }
+
+    /// The first `units` units of this trace with their events.
+    fn prefix(&self, units: usize) -> Self {
+        let traces = self.traces.prefix(units);
+        Self { events: Arc::new(traces.platform_events()), traces: Arc::new(traces) }
+    }
 }
 
-/// Everything trace generation depends on, bit-exact.
+/// Everything trace generation depends on, bit-exact, except the unit
+/// count (prefix-stable).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     label: String,
-    units: usize,
     horizon_bits: u64,
     start_bits: u64,
     index: u64,
@@ -54,42 +69,60 @@ impl TraceCache {
         CACHE.get_or_init(TraceCache::default)
     }
 
-    /// The `index`-th trace set of `scenario`, generated at most once per
-    /// process.
+    /// The `index`-th trace set of `scenario`, each unit sampled at most
+    /// once per process.
     pub fn get_or_generate(
         &self,
         scenario: &Scenario,
         built: &BuiltDist,
         index: usize,
     ) -> Arc<CachedTrace> {
+        let units = built.topology.units_for_procs(scenario.procs);
         let key = CacheKey {
             label: scenario.label.clone(),
-            units: built.topology.units_for_procs(scenario.procs),
             horizon_bits: scenario.horizon.to_bits(),
             start_bits: scenario.start_time.to_bits(),
             index: index as u64,
         };
-        if let Some(hit) = self.map.lock().get(&key) {
+        let widest = self.map.lock().get(&key).cloned();
+        if let Some(hit) = widest.as_ref().filter(|w| w.traces.unit_count() >= units) {
             ckpt_obs::counter_add("trace_cache.hits", 1);
-            return Arc::clone(hit);
+            return if hit.traces.unit_count() == units {
+                Arc::clone(hit)
+            } else {
+                Arc::new(hit.prefix(units))
+            };
         }
         ckpt_obs::counter_add("trace_cache.misses", 1);
         // Generate outside the lock: generation is deterministic, so a
-        // racing thread computing the same key produces the same value
-        // and first-insert-wins keeps sharing maximal.
+        // racing thread computing the same key produces the same value.
         let mut span = ckpt_obs::task_span("trace.generate", index as u64);
         if ckpt_obs::active() {
             span.label("cell", scenario.label.clone());
         }
-        let traces = Arc::new(scenario.generate_traces(built, index));
-        let events = Arc::new(traces.platform_events());
+        let traces = match widest {
+            Some(narrow) => scenario.widen_traces(built, index, &narrow.traces),
+            None => scenario.generate_traces(built, index),
+        };
+        let entry = Arc::new(CachedTrace {
+            events: Arc::new(traces.platform_events()),
+            traces: Arc::new(traces),
+        });
         drop(span);
-        let entry = Arc::new(CachedTrace { traces, events });
         let mut map = self.map.lock();
-        Arc::clone(map.entry(key).or_insert(entry))
+        let widest = map.entry(key).or_insert_with(|| Arc::clone(&entry));
+        if widest.traces.unit_count() < units {
+            *widest = Arc::clone(&entry);
+        }
+        // First insert of a width wins, which keeps sharing maximal.
+        if widest.traces.unit_count() == units {
+            Arc::clone(widest)
+        } else {
+            entry
+        }
     }
 
-    /// Number of cached trace sets.
+    /// Number of cached streams (one per label, horizon, start and index).
     pub fn len(&self) -> usize {
         self.map.lock().len()
     }
@@ -151,6 +184,44 @@ mod tests {
         let direct = s.generate_traces(&b, 0);
         let cached = TraceCache::default().get_or_generate(&s, &b, 0);
         assert_eq!(direct.units, cached.traces.units);
-        assert_eq!(direct.platform_events().len(), cached.events.len());
+        assert_eq!(direct.platform_events(), *cached.events);
+    }
+
+    /// One label at 2^4, 2^8 and 2^6 units from a fresh cache: every
+    /// order of widening and narrowing must give each width exactly the
+    /// stream generated directly at that width.
+    #[test]
+    fn widening_and_narrowing_match_direct_generation_in_any_order() {
+        let dist = DistSpec::Weibull { shape: 0.7, mtbf: 400_000.0 };
+        let built = dist.build();
+        let at = |procs: u64| {
+            let mut s = Scenario::single_processor(dist.clone(), 2);
+            s.label = "cache-widen-cell".into();
+            s.horizon = 100_000.0;
+            s.procs = procs;
+            s
+        };
+        for order in [[16, 64, 256], [256, 64, 16], [16, 256, 64]] {
+            let cache = TraceCache::default();
+            for procs in order {
+                for index in 0..2 {
+                    let sc = at(procs);
+                    let got = cache.get_or_generate(&sc, &built, index);
+                    let direct = sc.generate_traces(&built, index);
+                    let want = direct.platform_events();
+                    assert_eq!(got.traces.units, direct.units, "order {order:?} procs {procs}");
+                    assert_eq!(got.events.times(), want.times(), "order {order:?} procs {procs}");
+                    assert_eq!(got.events.units(), want.units(), "order {order:?} procs {procs}");
+                    assert_eq!(got.events.slots(), want.slots(), "order {order:?} procs {procs}");
+                    assert_eq!(got.events.slot_count(), want.slot_count());
+                }
+            }
+            assert_eq!(cache.len(), 2, "one stream per index, whatever the widths");
+        }
+        let sparse = at(256).generate_traces(&built, 0);
+        assert!(
+            (1..256).contains(&sparse.units.failing_count()),
+            "want failing and never-failing units mixed"
+        );
     }
 }

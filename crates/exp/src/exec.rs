@@ -29,7 +29,7 @@ use crate::policies_spec::PolicyKind;
 use crate::scenario::{BuiltDist, Scenario};
 use crate::steal;
 use ckpt_policies::{OptExp, Policy};
-use ckpt_sim::lower_bound_makespan;
+use ckpt_sim::lower_bound_on_events;
 use ckpt_workload::JobSpec;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -173,7 +173,10 @@ impl<'a> CellCtx<'a> {
                             "task.lower_bound",
                             (self.plan.kinds.len() * self.plan.traces + t) as u64,
                         );
-                        lower_bound_makespan(&r.spec, &r.traces[t].traces).makespan.to_bits()
+                        let ct = &r.traces[t];
+                        let (start, horizon) = (ct.traces.start_time, ct.traces.horizon);
+                        let stats = lower_bound_on_events(&r.spec, &ct.events, start, horizon);
+                        stats.makespan.to_bits()
                     })
                     .collect(),
             },

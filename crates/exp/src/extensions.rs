@@ -101,7 +101,12 @@ pub fn replication_study(scenario: &Scenario, traces: usize) -> ReplicationRow {
         // Replication: the same units split into two halves.
         let a = traces_full.prefix(units_half);
         let b = ckpt_platform::TraceSet {
-            units: traces_full.units[units_half..units_full.min(2 * units_half)].to_vec(),
+            units: traces_full
+                .units
+                .iter()
+                .take(units_full.min(2 * units_half))
+                .skip(units_half)
+                .collect(),
             topology: traces_full.topology,
             horizon: traces_full.horizon,
             start_time: traces_full.start_time,

@@ -34,7 +34,7 @@ pub use renewal::{
     spares_for_quantile_renewal,
 };
 pub use topology::Topology;
-pub use trace::{FailureTrace, PlatformEvents, TraceSet};
+pub use trace::{FailureTrace, PlatformEvents, TraceSet, UnitTrace, UnitTraces};
 
 /// Which processors get rejuvenated (rebooted / replaced) after a failure
 /// (§3.1's "important remark on rejuvenation").

@@ -6,6 +6,15 @@
 //! Each unit's trace is the sequence of absolute failure dates obtained by
 //! iid sampling of inter-arrival times from time 0 until the horizon.
 //!
+//! A trace set stores its failures compactly ([`UnitTraces`]): a CSR over
+//! the units that fail at least once, so a unit that never fails within
+//! the horizon — almost every one at Exascale — costs nothing but a count.
+//! The merged [`PlatformEvents`] stream tags each event with its unit's
+//! *slot*, the unit's rank among the failing units, so per-unit state
+//! downstream can be dense in the failing units rather than in `p`.
+//! Slots, like the traces, are prefix-stable, and a set can be widened
+//! ([`TraceSet::widen`]) by sampling only the units it lacks.
+//!
 //! Under the failed-only rejuvenation model a unit's lifetime restarts
 //! exactly at its own failures, so the whole trace can be pre-sampled —
 //! failure dates do not depend on what the job does. (Downtime is *not*
@@ -27,24 +36,21 @@ pub struct FailureTrace {
     pub failures: Vec<f64>,
 }
 
-impl FailureTrace {
-    /// Sample a trace by accumulating iid inter-arrival times until the
-    /// horizon is passed.
-    pub fn sample(dist: &dyn FailureDistribution, horizon: f64, seed: u64) -> Self {
-        assert!(horizon > 0.0, "horizon must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut failures = Vec::new();
-        let mut t = 0.0;
-        loop {
-            t += dist.sample(&mut rng);
-            if t >= horizon || t.is_nan() {
-                break;
-            }
-            failures.push(t);
+/// Append the failure dates of one unit to `out`, accumulating iid
+/// inter-arrival times drawn from `seed` until the horizon is passed.
+fn sample_dates(dist: &dyn FailureDistribution, horizon: f64, seed: u64, out: &mut Vec<f64>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut t = 0.0;
+    loop {
+        t += dist.sample(&mut rng);
+        if t >= horizon || t.is_nan() {
+            break;
         }
-        Self { failures }
+        out.push(t);
     }
+}
 
+impl FailureTrace {
     /// Date of the last failure strictly before `t`, if any.
     pub fn last_failure_before(&self, t: f64) -> Option<f64> {
         let idx = self.failures.partition_point(|&f| f < t);
@@ -58,12 +64,151 @@ impl FailureTrace {
     }
 }
 
-/// A full trace set: one [`FailureTrace`] per unit, plus the topology that
-/// maps units to processors.
+/// One unit's failure dates, borrowed from a [`UnitTraces`] store.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UnitTrace<'a> {
+    /// Absolute failure dates in seconds, strictly increasing.
+    pub failures: &'a [f64],
+}
+
+/// The failure dates of every unit of a trace set, stored as a CSR over
+/// the units that fail at least once.
+///
+/// At Exascale almost no unit fails within a trace, so the store costs
+/// O(failures), not O(units): a unit that never fails is only counted.
+/// The `k`-th failing unit (its *slot*) is `ids[k]`, and its dates are
+/// `dates[ends[k - 1]..ends[k]]` (from 0 for `k = 0`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct UnitTraces {
+    /// Number of units, failing or not.
+    count: usize,
+    /// Ids of the failing units, ascending.
+    ids: Vec<u32>,
+    /// End of each failing unit's dates in `dates`.
+    ends: Vec<usize>,
+    /// Every failing unit's dates, unit after unit.
+    dates: Vec<f64>,
+}
+
+impl UnitTraces {
+    /// Number of units, failing or not.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether the set has no unit at all.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Number of units that fail at least once.
+    pub fn failing_count(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The failing units in id order (slot order), with their dates.
+    pub fn failing(&self) -> impl Iterator<Item = (u32, &[f64])> + '_ {
+        self.ids.iter().enumerate().map(|(k, &id)| (id, self.dates_of(k)))
+    }
+
+    /// Every unit in id order, never-failing ones with no dates. Walks
+    /// all units: prefer [`Self::failing`] on hot paths.
+    pub fn iter(&self) -> impl Iterator<Item = UnitTrace<'_>> + '_ {
+        let mut failing = self.failing().peekable();
+        (0..self.count).map(move |u| {
+            let failures = match failing.peek() {
+                Some(&(id, dates)) if id as usize == u => {
+                    failing.next();
+                    dates
+                }
+                _ => &[],
+            };
+            UnitTrace { failures }
+        })
+    }
+
+    /// Append one unit with the given failure dates.
+    pub fn push(&mut self, failures: &[f64]) {
+        self.dates.extend_from_slice(failures);
+        self.close_unit();
+    }
+
+    /// The first `units` units (prefix-coherent; at most [`Self::len`]).
+    pub fn prefix(&self, units: usize) -> Self {
+        let units = units.min(self.count);
+        let k = self.ids.partition_point(|&id| (id as usize) < units);
+        let end = k.checked_sub(1).map_or(0, |j| self.ends[j]);
+        Self {
+            count: units,
+            ids: self.ids[..k].to_vec(),
+            ends: self.ends[..k].to_vec(),
+            dates: self.dates[..end].to_vec(),
+        }
+    }
+
+    /// Sample units `self.len()..units`, each from its own child seed
+    /// `seeds.child(unit)`, straight into the store.
+    fn sample_to(
+        &mut self,
+        dist: &dyn FailureDistribution,
+        units: usize,
+        horizon: f64,
+        seeds: &SeedSequence,
+    ) {
+        for unit in self.count..units {
+            sample_dates(dist, horizon, seeds.child(unit as u64).seed(), &mut self.dates);
+            self.close_unit();
+        }
+    }
+
+    /// Close the unit whose dates were just appended: record it as a
+    /// failing unit when it added any.
+    fn close_unit(&mut self) {
+        if self.dates.len() > self.ends.last().copied().unwrap_or(0) {
+            self.ids.push(self.count as u32);
+            self.ends.push(self.dates.len());
+        }
+        self.count += 1;
+    }
+
+    fn dates_of(&self, k: usize) -> &[f64] {
+        let start = k.checked_sub(1).map_or(0, |j| self.ends[j]);
+        &self.dates[start..self.ends[k]]
+    }
+}
+
+impl<'a> FromIterator<UnitTrace<'a>> for UnitTraces {
+    fn from_iter<I: IntoIterator<Item = UnitTrace<'a>>>(iter: I) -> Self {
+        let mut out = Self::default();
+        for tr in iter {
+            out.push(tr.failures);
+        }
+        out
+    }
+}
+
+impl FromIterator<FailureTrace> for UnitTraces {
+    fn from_iter<I: IntoIterator<Item = FailureTrace>>(iter: I) -> Self {
+        let mut out = Self::default();
+        for tr in iter {
+            out.push(&tr.failures);
+        }
+        out
+    }
+}
+
+impl From<Vec<FailureTrace>> for UnitTraces {
+    fn from(traces: Vec<FailureTrace>) -> Self {
+        traces.into_iter().collect()
+    }
+}
+
+/// A full trace set: the failure dates of every unit, plus the topology
+/// that maps units to processors.
 #[derive(Debug, Clone)]
 pub struct TraceSet {
-    /// One trace per failure unit (processor or node).
-    pub units: Vec<FailureTrace>,
+    /// Failure dates per failure unit (processor or node).
+    pub units: UnitTraces,
     /// Unit → processor mapping.
     pub topology: Topology,
     /// Horizon the traces were sampled to, seconds.
@@ -117,10 +262,23 @@ impl TraceSet {
         if !(0.0..horizon).contains(&start_time) {
             return Err(PlatformError::StartOutsideHorizon { start: start_time, horizon });
         }
-        let units = (0..units)
-            .map(|i| FailureTrace::sample(dist, horizon, seeds.child(i as u64).seed()))
-            .collect();
-        Ok(Self { units, topology, horizon, start_time })
+        let empty = Self { units: UnitTraces::default(), topology, horizon, start_time };
+        Ok(empty.widen(dist, units, &seeds))
+    }
+
+    /// This set grown to `units` units: the existing units are kept and
+    /// only the new ones are sampled, so by the prefix property the result
+    /// equals generating `units` units directly with the same `seeds` and
+    /// `dist`. No-op when `units` does not exceed [`Self::unit_count`].
+    pub fn widen(
+        &self,
+        dist: &dyn FailureDistribution,
+        units: usize,
+        seeds: &SeedSequence,
+    ) -> Self {
+        let mut wide = self.clone();
+        wide.units.sample_to(dist, units, self.horizon, seeds);
+        wide
     }
 
     /// Number of failure units.
@@ -152,7 +310,7 @@ impl TraceSet {
             return Err(PlatformError::BadPrefix { want: units, have: self.units.len() });
         }
         Ok(Self {
-            units: self.units[..units].to_vec(),
+            units: self.units.prefix(units),
             topology: self.topology,
             horizon: self.horizon,
             start_time: self.start_time,
@@ -160,28 +318,29 @@ impl TraceSet {
     }
 
     /// Merge into the platform-wide event stream used by the simulator.
+    /// Walks the failing units only, so it costs O(failures log failures)
+    /// whatever the unit count.
     pub fn platform_events(&self) -> PlatformEvents {
-        let mut events: Vec<(f64, u32)> = self
+        let mut events: Vec<(f64, u32, u32)> = self
             .units
-            .iter()
+            .failing()
             .enumerate()
-            .flat_map(|(u, tr)| tr.failures.iter().map(move |&t| (t, u as u32)))
+            .flat_map(|(k, (u, dates))| dates.iter().map(move |&t| (t, u, k as u32)))
             .collect();
+        // Stable: equal dates keep unit order.
         events.sort_by(|a, b| a.0.total_cmp(&b.0));
         PlatformEvents {
-            times: events.iter().map(|&(t, _)| t).collect(),
-            units: events.iter().map(|&(_, u)| u).collect(),
+            times: events.iter().map(|e| e.0).collect(),
+            units: events.iter().map(|e| e.1).collect(),
+            slots: events.iter().map(|e| e.2).collect(),
+            slot_count: self.units.failing_count(),
         }
     }
 
     /// Empirical platform MTBF over `[start_time, horizon)` — used to
     /// sanity-check the analytic formulas of [`crate::mtbf`].
     pub fn empirical_platform_mtbf(&self) -> Option<f64> {
-        let n: usize = self
-            .units
-            .iter()
-            .map(|tr| tr.failures.iter().filter(|&&t| t >= self.start_time).count())
-            .sum();
+        let n = self.units.dates.iter().filter(|&&t| t >= self.start_time).count();
         if n == 0 {
             None
         } else {
@@ -194,10 +353,18 @@ impl TraceSet {
 /// structure of arrays: the simulator's hot path scans dates only (to find
 /// the next failure past a time), so keeping dates densely packed halves
 /// the bytes touched per probe versus a `Vec<(f64, u32)>`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Each event also carries its unit's *slot*: the unit's rank among the
+/// units that ever fail in the set. Slots are dense in
+/// `0..slot_count()`, so per-unit state indexed by slot costs
+/// O(failing units), not O(units). They are prefix-stable like the
+/// traces: a unit keeps its slot in every wider set.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlatformEvents {
     times: Vec<f64>,
     units: Vec<u32>,
+    slots: Vec<u32>,
+    slot_count: usize,
 }
 
 impl PlatformEvents {
@@ -209,6 +376,16 @@ impl PlatformEvents {
     /// Failing unit of each event, parallel to [`Self::times`].
     pub fn units(&self) -> &[u32] {
         &self.units
+    }
+
+    /// Slot of each event's unit, parallel to [`Self::times`].
+    pub fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+
+    /// Number of slots: the failing units of the trace set.
+    pub fn slot_count(&self) -> usize {
+        self.slot_count
     }
 
     /// The `i`-th event as a `(date, unit)` pair.
@@ -251,20 +428,20 @@ mod tests {
     #[test]
     fn traces_are_sorted_and_within_horizon() {
         let d = Exponential::from_mtbf(10.0);
-        let tr = FailureTrace::sample(&d, 1000.0, 42);
-        assert!(!tr.failures.is_empty());
-        for w in tr.failures.windows(2) {
+        let set = TraceSet::generate(&d, 1, Topology::per_processor(), 1000.0, 0.0, seeds());
+        let tr = set.units.iter().next().unwrap().failures;
+        assert!(!tr.is_empty());
+        for w in tr.windows(2) {
             assert!(w[0] < w[1]);
         }
-        assert!(*tr.failures.last().unwrap() < 1000.0);
+        assert!(*tr.last().unwrap() < 1000.0);
     }
 
     #[test]
     fn expected_failure_count_matches_mtbf() {
         let d = Exponential::from_mtbf(10.0);
-        let n: usize = (0..200)
-            .map(|i| FailureTrace::sample(&d, 1000.0, 1000 + i).failures.len())
-            .sum();
+        let set = TraceSet::generate(&d, 200, Topology::per_processor(), 1000.0, 0.0, seeds());
+        let n: usize = set.units.iter().map(|u| u.failures.len()).sum();
         let avg = n as f64 / 200.0;
         assert!((avg - 100.0).abs() < 3.0, "avg failures {avg}");
     }
@@ -281,12 +458,66 @@ mod tests {
 
     #[test]
     fn prefix_stability() {
-        // §4.3: first p traces of a b-unit set == the p-unit set.
-        let d = Weibull::from_mtbf(0.7, 50.0);
-        let big = TraceSet::generate(&d, 64, Topology::per_processor(), 500.0, 0.0, seeds());
-        let small = TraceSet::generate(&d, 16, Topology::per_processor(), 500.0, 0.0, seeds());
-        assert_eq!(&big.units[..16], &small.units[..]);
-        assert_eq!(big.prefix(16).units, small.units);
+        // §4.3: first p traces of a b-unit set == the p-unit set, whether
+        // every unit fails (MTBF 50) or some never do (MTBF 2000).
+        for (mtbf, failing) in [(50.0, 64..=64), (2_000.0, 1..=63)] {
+            let d = Weibull::from_mtbf(0.7, mtbf);
+            let t = Topology::per_processor();
+            let big = TraceSet::generate(&d, 64, t, 500.0, 0.0, seeds());
+            assert!(failing.contains(&big.units.failing_count()), "mtbf {mtbf}");
+            for narrow in [1, 16, 40, 64] {
+                let small = TraceSet::generate(&d, narrow, t, 500.0, 0.0, seeds());
+                assert_eq!(big.units.prefix(narrow), small.units);
+                assert_eq!(big.prefix(narrow).units, small.units);
+                assert_eq!(small.widen(&d, 64, &seeds()).units, big.units, "mtbf {mtbf}");
+            }
+        }
+    }
+
+    #[test]
+    fn compact_store_round_trips_sparse_units() {
+        let units: UnitTraces = vec![
+            FailureTrace { failures: vec![] },
+            FailureTrace { failures: vec![3.0, 9.0] },
+            FailureTrace { failures: vec![] },
+            FailureTrace { failures: vec![1.0] },
+            FailureTrace { failures: vec![] },
+        ]
+        .into();
+        assert_eq!((units.len(), units.failing_count()), (5, 2));
+        let lens: Vec<usize> = units.iter().map(|u| u.failures.len()).collect();
+        assert_eq!(lens, [0, 2, 0, 1, 0]);
+        let failing: Vec<(u32, &[f64])> = units.failing().collect();
+        assert_eq!(failing, [(1, &[3.0, 9.0][..]), (3, &[1.0][..])]);
+        assert_eq!(units.prefix(3), units.iter().take(3).collect());
+        assert_eq!(units.prefix(3).failing_count(), 1);
+    }
+
+    #[test]
+    fn events_carry_dense_prefix_stable_slots() {
+        let set = TraceSet {
+            units: vec![
+                FailureTrace { failures: vec![] },
+                FailureTrace { failures: vec![4.0, 8.0] },
+                FailureTrace { failures: vec![] },
+                FailureTrace { failures: vec![4.0, 6.0] },
+            ]
+            .into(),
+            topology: Topology::per_processor(),
+            horizon: 100.0,
+            start_time: 0.0,
+        };
+        let ev = set.platform_events();
+        assert_eq!(ev.times(), &[4.0, 4.0, 6.0, 8.0]);
+        // Equal dates keep unit order; slots rank the failing units.
+        assert_eq!(ev.units(), &[1, 3, 3, 1]);
+        assert_eq!(ev.slots(), &[0, 1, 1, 0]);
+        assert_eq!(ev.slot_count(), 2);
+        // A unit keeps its slot in every prefix that holds it.
+        let narrow = set.prefix(2).platform_events();
+        assert_eq!(narrow.units(), &[1, 1]);
+        assert_eq!(narrow.slots(), &[0, 0]);
+        assert_eq!(narrow.slot_count(), 1);
     }
 
     #[test]
@@ -308,7 +539,8 @@ mod tests {
             units: vec![
                 FailureTrace { failures: vec![5.0, 50.0] },
                 FailureTrace { failures: vec![10.0] },
-            ],
+            ]
+            .into(),
             topology: Topology::per_processor(),
             horizon: 100.0,
             start_time: 0.0,

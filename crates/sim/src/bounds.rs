@@ -6,39 +6,44 @@
 //! makespan is an absolute lower bound on any policy's makespan for the
 //! same trace; it is unattainable in practice.
 
-use ckpt_platform::TraceSet;
+use ckpt_platform::{PlatformEvents, TraceSet};
 use ckpt_workload::JobSpec;
 
 use crate::stats::RunStats;
 
 /// Omniscient lower bound on the makespan achievable on this trace.
 pub fn lower_bound_makespan(spec: &JobSpec, traces: &TraceSet) -> RunStats {
-    let events = traces.platform_events();
+    lower_bound_on_events(spec, &traces.platform_events(), traces.start_time, traces.horizon)
+}
+
+/// [`lower_bound_makespan`] on a pre-merged event stream, for callers that
+/// already hold one (the trace cache does).
+pub fn lower_bound_on_events(
+    spec: &JobSpec,
+    events: &PlatformEvents,
+    start_time: f64,
+    horizon: f64,
+) -> RunStats {
     let mut stats = RunStats::new();
-    let mut now = traces.start_time;
+    let mut now = start_time;
     let mut remaining = spec.work;
     let mut cursor = events.first_at_or_after(now);
-    // Track per-unit last failures only to honour the no-failure-during-
-    // own-downtime rule.
-    let mut last_failure: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+    // Per-slot last failures, only to honour the no-failure-during-own-
+    // downtime rule (sentinel `NEG_INFINITY` = not failed yet).
+    let mut last_failure = vec![f64::NEG_INFINITY; events.slot_count()];
+    let (times, slots) = (events.times(), events.slots());
+    let shadowed = |last: &[f64], i: usize| times[i] - last[slots[i] as usize] < spec.downtime;
     let eps = spec.work * 1e-12;
 
     while remaining > eps {
         // Next effective failure.
-        let next = loop {
-            if cursor >= events.len() {
-                break None;
-            }
-            let (t, u) = events.get(cursor);
-            match last_failure.get(&u) {
-                Some(&lf) if t - lf < spec.downtime => cursor += 1,
-                _ => break Some((t, u)),
-            }
-        };
-        match next {
+        while cursor < times.len() && shadowed(&last_failure, cursor) {
+            cursor += 1;
+        }
+        match times.get(cursor) {
             // Everything fits before the next failure (one final
             // just-in-time checkpoint included).
-            Some((tf, _)) if now + remaining + spec.checkpoint > tf => {
+            Some(&tf) if now + remaining + spec.checkpoint > tf => {
                 // Compute until C before the failure, checkpoint, lose
                 // nothing.
                 let window = (tf - now - spec.checkpoint).max(0.0);
@@ -50,35 +55,27 @@ pub fn lower_bound_makespan(spec: &JobSpec, traces: &TraceSet) -> RunStats {
                     stats.chunks_completed += 1;
                 }
                 stats.failures += 1;
-                last_failure.insert(next.expect("some").1, tf);
+                last_failure[slots[cursor] as usize] = tf;
                 cursor += 1;
                 // Downtime (with cascades) then one recovery; the oracle
                 // also foresees recovery failures and absorbs them.
                 now = tf;
                 let mut ready = now + spec.downtime;
-                loop {
-                    match (cursor < events.len()).then(|| events.get(cursor)) {
-                        Some((t, u)) if t < ready + spec.recovery => {
-                            cursor += 1;
-                            if let Some(&lf) = last_failure.get(&u) {
-                                if t - lf < spec.downtime {
-                                    continue;
-                                }
-                            }
-                            if t < ready {
-                                // Cascaded downtime.
-                                stats.failures += 1;
-                                last_failure.insert(u, t);
-                                ready = ready.max(t + spec.downtime);
-                            } else {
-                                // Failure during recovery: abort, extend.
-                                stats.failures += 1;
-                                stats.recovery_time += t - ready;
-                                last_failure.insert(u, t);
-                                ready = t + spec.downtime;
-                            }
-                        }
-                        _ => break,
+                while cursor < times.len() && times[cursor] < ready + spec.recovery {
+                    let (t, i) = (times[cursor], cursor);
+                    cursor += 1;
+                    if shadowed(&last_failure, i) {
+                        continue;
+                    }
+                    stats.failures += 1;
+                    last_failure[slots[i] as usize] = t;
+                    if t < ready {
+                        // Cascaded downtime.
+                        ready = ready.max(t + spec.downtime);
+                    } else {
+                        // Failure during recovery: abort, extend.
+                        stats.recovery_time += t - ready;
+                        ready = t + spec.downtime;
                     }
                 }
                 stats.downtime_time += ready - now;
@@ -95,8 +92,8 @@ pub fn lower_bound_makespan(spec: &JobSpec, traces: &TraceSet) -> RunStats {
             }
         }
     }
-    stats.makespan = now - traces.start_time;
-    stats.past_horizon = now > traces.horizon;
+    stats.makespan = now - start_time;
+    stats.past_horizon = now > horizon;
     stats
 }
 

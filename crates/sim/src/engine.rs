@@ -1,12 +1,16 @@
 //! Trace-driven execution engine (failed-only rejuvenation — the paper's
 //! main model).
 //!
-//! Unit state is kept *flat*: a dense `Vec<f64>` of last-failure dates
-//! indexed by unit id (sentinel `NEG_INFINITY` = never failed) plus a
-//! descending recency list that yields the policy's age snapshot in O(f)
-//! without sorting. The event stream is consumed through the
-//! structure-of-arrays [`PlatformEvents`] so the hot scan for the next
-//! failure only touches the packed date array.
+//! Unit state costs O(failing units), not O(processors): it is indexed by
+//! each event's *slot* (its unit's rank among the units that ever fail,
+//! [`PlatformEvents::slots`]) and holds a last-failure date per slot
+//! (sentinel `NEG_INFINITY` = not failed yet) plus a move-to-front list
+//! of the failed slots, most recent first. A failure updates the list in
+//! O(1), and since failures arrive in time order the list is the dates
+//! descending, which yields the policy's age snapshot in O(f) without
+//! sorting. The event stream is consumed through the structure-of-arrays
+//! [`PlatformEvents`] so the hot scan for the next failure only touches
+//! the packed date array.
 
 use ckpt_platform::{AgeView, PlatformEvents, TraceSet};
 use ckpt_policies::PolicySession;
@@ -68,64 +72,125 @@ pub fn simulate_logged(
     (stats, log.into_events())
 }
 
-/// Dense per-unit failure state: last-failure date per unit (sentinel
-/// `NEG_INFINITY` = never failed) and the same dates descending, so the
-/// age snapshot is a subtraction per failed unit rather than a sort.
+/// End-of-list marker of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// Failure state of the units that fail in the stream, indexed by slot
+/// ([`PlatformEvents::slots`]), so it costs O(failing units) whatever the
+/// processor count: the last-failure date per slot (sentinel
+/// `NEG_INFINITY` = not failed yet) and a move-to-front list of the
+/// failed slots, most recent failure first. Failures arrive in time
+/// order, so the list is the failed units' dates descending and the age
+/// snapshot is a walk of it rather than a sort.
 struct UnitState {
     last_failure: Vec<f64>,
-    recency: Vec<f64>,
+    /// Neighbours of each slot in the recency list (`NIL` at the ends).
+    prev: Vec<u32>,
+    next: Vec<u32>,
+    /// Most recently failed slot.
+    head: u32,
+    /// Number of slots in the list.
+    failed: u64,
 }
 
 impl UnitState {
-    /// Bulk-load the failures before `cursor` (pre-start history): the
-    /// incremental path would be quadratic on failure-dense histories.
-    fn preload(unit_count: usize, times: &[f64], units: &[u32], cursor: usize) -> Self {
-        let mut last_failure = vec![f64::NEG_INFINITY; unit_count];
-        for i in 0..cursor {
-            // Events are time-ordered: the last write wins.
-            last_failure[units[i] as usize] = times[i];
+    /// State after the failures before `cursor` (pre-start history).
+    fn preload(events: &PlatformEvents, cursor: usize) -> Self {
+        let n = events.slot_count();
+        let mut state = Self {
+            last_failure: vec![f64::NEG_INFINITY; n],
+            prev: vec![NIL; n],
+            next: vec![NIL; n],
+            head: NIL,
+            failed: 0,
+        };
+        for (&t, &slot) in events.times()[..cursor].iter().zip(&events.slots()[..cursor]) {
+            state.note_failure(slot, t);
         }
-        let mut recency: Vec<f64> =
-            last_failure.iter().copied().filter(|t| t.is_finite()).collect();
-        recency.sort_by(|a, b| b.partial_cmp(a).expect("no NaN"));
-        Self { last_failure, recency }
+        state
     }
 
-    /// Whether the event `(t, unit)` falls inside the unit's own downtime
+    /// Whether the event `(t, slot)` falls inside the unit's own downtime
     /// (the paper forbids failures during a downtime).
     #[inline]
-    fn shadowed(&self, t: f64, unit: u32, downtime: f64) -> bool {
+    fn shadowed(&self, t: f64, slot: u32, downtime: f64) -> bool {
         // Never-failed units have `t − (−∞) = ∞`, which is not shadowed.
-        t - self.last_failure[unit as usize] < downtime
+        t - self.last_failure[slot as usize] < downtime
     }
 
-    /// Record a counted failure of `unit` at time `t`.
-    fn note_failure(&mut self, unit: u32, t: f64) {
-        let old = std::mem::replace(&mut self.last_failure[unit as usize], t);
+    /// Record a counted failure of the unit in `slot` at time `t`: O(1).
+    /// Failures are consumed in time order, so `t` is (weakly) the latest
+    /// date in the list and the slot moves to its front.
+    fn note_failure(&mut self, slot: u32, t: f64) {
+        let s = slot as usize;
+        let old = std::mem::replace(&mut self.last_failure[s], t);
         if old.is_finite() {
-            // Remove the unit's previous entry (rare: repeat failures).
-            if let Some(pos) = self.recency.iter().position(|&x| x == old) {
-                self.recency.remove(pos);
+            if self.head == slot {
+                return;
             }
+            // Unlink (rare: repeat failures). Not the head, so it has a prev.
+            let (p, n) = (self.prev[s], self.next[s]);
+            self.next[p as usize] = n;
+            if n != NIL {
+                self.prev[n as usize] = p;
+            }
+        } else {
+            self.failed += 1;
         }
-        // Failures are consumed in time order, so t is (weakly) the
-        // largest time seen: it belongs at the front of the list.
-        let pos = self.recency.partition_point(|&x| x > t);
-        self.recency.insert(pos, t);
+        self.prev[s] = NIL;
+        self.next[s] = self.head;
+        if self.head != NIL {
+            self.prev[self.head as usize] = slot;
+        }
+        self.head = slot;
     }
 
-    /// Build the age snapshot without sorting (recency is descending, so
-    /// ages come out ascending as [`AgeView`] requires). `buf` is a recycled
-    /// backing vector — the decision loop reclaims it from the previous
-    /// snapshot via [`AgeView::into_failed`], so steady-state simulation
-    /// allocates no per-decision memory.
-    fn ages_into(&self, procs: u64, procs_per_unit: u32, now: f64, mut buf: Vec<(f64, u32)>) -> AgeView {
+    /// Build the age snapshot without sorting (the list is descending in
+    /// date, so ages come out ascending as [`AgeView`] requires). `buf` is
+    /// a recycled backing vector — the decision loop reclaims it from the
+    /// previous snapshot via [`AgeView::into_failed`], so steady-state
+    /// simulation allocates no per-decision memory.
+    fn ages_into(
+        &self,
+        procs: u64,
+        procs_per_unit: u32,
+        now: f64,
+        mut buf: Vec<(f64, u32)>,
+    ) -> AgeView {
         buf.clear();
-        buf.extend(self.recency.iter().map(|&t| (now - t, procs_per_unit)));
-        let failed_procs = buf.len() as u64 * u64::from(procs_per_unit);
-        let pristine = procs.saturating_sub(failed_procs);
+        let mut s = self.head;
+        while s != NIL {
+            buf.push((now - self.last_failure[s as usize], procs_per_unit));
+            s = self.next[s as usize];
+        }
+        let pristine = procs.saturating_sub(self.failed * u64::from(procs_per_unit));
         AgeView::from_sorted(buf, pristine, now)
     }
+}
+
+/// The event at `cursor`: its date, unit and slot.
+#[inline]
+fn event(events: &PlatformEvents, cursor: usize) -> (f64, u32, u32) {
+    (events.times()[cursor], events.units()[cursor], events.slots()[cursor])
+}
+
+/// Pop the next event at or after the cursor, skipping events shadowed
+/// by their own unit's downtime. The cursor is left on the popped event.
+fn pop_next(
+    events: &PlatformEvents,
+    cursor: &mut usize,
+    state: &UnitState,
+    downtime: f64,
+) -> Option<(f64, u32, u32)> {
+    while *cursor < events.len() {
+        let (t, u, slot) = event(events, *cursor);
+        if state.shadowed(t, slot, downtime) {
+            *cursor += 1;
+        } else {
+            return Some((t, u, slot));
+        }
+    }
+    None
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -142,33 +207,13 @@ fn simulate_impl(
     let mut stats = RunStats::new();
     let mut now = start_time;
     let mut remaining = spec.work;
-    let times = events.times();
-    let units = events.units();
     let mut cursor = events.first_at_or_after(now);
-    // Dense state needs one slot per unit the spec or the trace mentions.
-    let unit_floor = (spec.procs as usize).div_ceil(procs_per_unit.max(1) as usize);
-    let unit_count =
-        units.iter().map(|&u| u as usize + 1).max().unwrap_or(0).max(unit_floor);
-    let mut state = UnitState::preload(unit_count, times, units, cursor);
+    let mut state = UnitState::preload(events, cursor);
     let mut decisions = 0u64;
     // Smallest work slice the engine tracks; below this the job is done.
     let eps = spec.work * 1e-12;
     // Recycled backing storage for the per-decision age snapshot.
     let mut age_buf: Vec<(f64, u32)> = Vec::new();
-
-    // Pop the next event at or after `now`, skipping events shadowed by
-    // their own unit's downtime.
-    let pop_next = |cursor: &mut usize, state: &UnitState| -> Option<(f64, u32)> {
-        while *cursor < times.len() {
-            let (t, u) = (times[*cursor], units[*cursor]);
-            if state.shadowed(t, u, spec.downtime) {
-                *cursor += 1;
-            } else {
-                return Some((t, u));
-            }
-        }
-        None
-    };
 
     while remaining > eps {
         decisions += 1;
@@ -187,21 +232,19 @@ fn simulate_impl(
         stats.observe_chunk(chunk);
         let attempt = chunk + spec.checkpoint;
         log.push(now, EventKind::ChunkStart { work: chunk });
-        match pop_next(&mut cursor, &state) {
-            Some((tf, unit)) if tf < now + attempt => {
+        match pop_next(events, &mut cursor, &state, spec.downtime) {
+            Some((tf, unit, slot)) if tf < now + attempt => {
                 // Failure during compute or checkpoint.
                 stats.failures += 1;
                 stats.lost_time += tf - now;
                 cursor += 1;
-                state.note_failure(unit, tf);
+                state.note_failure(slot, tf);
                 session.on_failure();
                 log.push(tf, EventKind::Failure { unit });
                 now = tf;
-                now = settle_downtime(spec, &mut stats, &mut cursor, &mut state, times, units, now);
+                now = settle_downtime(spec, &mut stats, &mut cursor, &mut state, events, now);
                 log.push(now, EventKind::PlatformReady);
-                now = run_recovery(
-                    spec, &mut stats, &mut cursor, &mut state, times, units, now, &pop_next,
-                );
+                now = run_recovery(spec, &mut stats, &mut cursor, &mut state, events, now);
                 log.push(now, EventKind::RecoveryDone);
             }
             _ => {
@@ -266,49 +309,42 @@ fn settle_downtime(
     stats: &mut RunStats,
     cursor: &mut usize,
     state: &mut UnitState,
-    times: &[f64],
-    units: &[u32],
+    events: &PlatformEvents,
     now: f64,
 ) -> f64 {
     let mut ready = now + spec.downtime;
-    while *cursor < times.len() && times[*cursor] < ready {
-        let (t, u) = (times[*cursor], units[*cursor]);
+    while *cursor < events.len() && events.times()[*cursor] < ready {
+        let (t, _, slot) = event(events, *cursor);
         *cursor += 1;
-        if state.shadowed(t, u, spec.downtime) {
+        if state.shadowed(t, slot, spec.downtime) {
             continue; // own downtime
         }
         stats.failures += 1;
-        state.note_failure(u, t);
+        state.note_failure(slot, t);
         ready = ready.max(t + spec.downtime);
     }
     stats.downtime_time += ready - now;
     ready
 }
 
-/// Event-popping closure shared by the main loop and recovery.
-type PopNext<'a> = dyn Fn(&mut usize, &UnitState) -> Option<(f64, u32)> + 'a;
-
 /// Attempt recoveries (duration `R`, fault-prone) until one completes.
-#[allow(clippy::too_many_arguments)]
 fn run_recovery(
     spec: &JobSpec,
     stats: &mut RunStats,
     cursor: &mut usize,
     state: &mut UnitState,
-    times: &[f64],
-    units: &[u32],
+    events: &PlatformEvents,
     mut now: f64,
-    pop_next: &PopNext<'_>,
 ) -> f64 {
     loop {
-        match pop_next(cursor, state) {
-            Some((tf, unit)) if tf < now + spec.recovery => {
+        match pop_next(events, cursor, state, spec.downtime) {
+            Some((tf, _, slot)) if tf < now + spec.recovery => {
                 // Failure during recovery: abort, downtime, retry.
                 stats.failures += 1;
                 stats.recovery_time += tf - now;
                 *cursor += 1;
-                state.note_failure(unit, tf);
-                now = settle_downtime(spec, stats, cursor, state, times, units, tf);
+                state.note_failure(slot, tf);
+                now = settle_downtime(spec, stats, cursor, state, events, tf);
             }
             _ => {
                 stats.recovery_time += spec.recovery;
@@ -546,7 +582,8 @@ mod tests {
             units: vec![
                 FailureTrace { failures: vec![50.0] },
                 FailureTrace { failures: vec![] },
-            ],
+            ]
+            .into(),
             topology: Topology::nodes_of(4),
             horizon: 1e9,
             start_time: 0.0,

@@ -32,7 +32,7 @@ pub mod rejuvenate;
 pub mod replication;
 pub mod stats;
 
-pub use bounds::lower_bound_makespan;
+pub use bounds::{lower_bound_makespan, lower_bound_on_events};
 pub use energy::PowerModel;
 pub use engine::{simulate, simulate_logged, SimOptions};
 pub use events::{Event, EventKind};

@@ -7,6 +7,8 @@
 //! maintained recency list. This test re-implements the seed semantics
 //! (hash map, sort-per-decision) as an independent oracle and checks that
 //! both produce bit-identical [`RunStats`] on randomized small traces.
+//! The sparse cases scatter a few failing units among far more
+//! processors, the Exascale shape the slot-indexed state is built for.
 
 use ckpt_platform::{AgeView, FailureTrace, Topology, TraceSet};
 use ckpt_policies::{FixedPeriod, Policy, PolicySession};
@@ -14,7 +16,7 @@ use ckpt_sim::engine::simulate_traceset;
 use ckpt_sim::{RunStats, SimOptions};
 use ckpt_workload::JobSpec;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Seed-engine re-implementation: `HashMap` unit state, snapshot sorted
 /// from scratch at each decision. Mirrors the pre-refactor control flow
@@ -185,6 +187,48 @@ fn traces_from_gaps(gaps: Vec<Vec<f64>>, horizon: f64) -> TraceSet {
     TraceSet { units, topology: Topology::per_processor(), horizon, start_time: 0.0 }
 }
 
+/// A session whose chunk size depends on how many units have failed and
+/// on the youngest age, for platforms where the pristine count dwarfs
+/// both.
+struct FailedCountSensitive {
+    base: f64,
+}
+
+impl PolicySession for FailedCountSensitive {
+    fn next_chunk(&mut self, remaining: f64, ages: &AgeView, _now: f64) -> f64 {
+        let chunk = self.base + 0.01 * ages.min_age() + 9.0 * ages.failed_ages().len() as f64;
+        chunk.max(1.0).min(remaining)
+    }
+}
+
+/// `procs` per-processor units, of which only those picked by `picks`
+/// (a position in `[0, 1)` and inter-failure gaps each) ever fail.
+fn sparse_traces(procs: u64, picks: Vec<(f64, Vec<f64>)>, horizon: f64) -> TraceSet {
+    let mut failing: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
+    for (at, gs) in picks {
+        let unit = ((at * procs as f64) as u64).min(procs - 1);
+        failing.entry(unit).or_insert(gs);
+    }
+    let units = (0..procs)
+        .map(|u| {
+            let mut t = 0.0;
+            let failures = failing
+                .get(&u)
+                .map(|gs| {
+                    gs.iter()
+                        .map(|g| {
+                            t += g;
+                            t
+                        })
+                        .collect()
+                })
+                .unwrap_or_default();
+            FailureTrace { failures }
+        })
+        .collect();
+    TraceSet { units, topology: Topology::per_processor(), horizon, start_time: 0.0 }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -223,4 +267,58 @@ proptest! {
         let slow = reference_simulate(&spec, &mut s2, &traces);
         prop_assert_eq!(fast, slow);
     }
+
+    #[test]
+    fn sparse_failing_units_match_reference_fixed_period(
+        procs in 500u64..40_000u64,
+        picks in proptest::collection::vec(
+            (0.0..1.0f64, proptest::collection::vec(3.0..700.0f64, 1..6)), 1..5),
+        work in 500.0..4_000.0f64,
+        period in 60.0..900.0f64,
+    ) {
+        let spec = JobSpec { procs, ..JobSpec::sequential(work, 15.0, 25.0, 8.0) };
+        let traces = sparse_traces(procs, picks, 1e9);
+        let policy = FixedPeriod::new("p", period);
+        let mut s1 = policy.session();
+        let fast = simulate_traceset(&spec, &mut *s1, &traces, SimOptions::default());
+        let mut s2 = policy.session();
+        let slow = reference_simulate(&spec, &mut *s2, &traces);
+        prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn sparse_failing_units_match_reference_age_sensitive(
+        procs in 500u64..40_000u64,
+        picks in proptest::collection::vec(
+            (0.0..1.0f64, proptest::collection::vec(3.0..500.0f64, 1..6)), 1..5),
+        work in 400.0..3_000.0f64,
+        base in 40.0..400.0f64,
+    ) {
+        let spec = JobSpec { procs, ..JobSpec::sequential(work, 12.0, 30.0, 6.0) };
+        let traces = sparse_traces(procs, picks, 1e9);
+        let mut s1 = FailedCountSensitive { base };
+        let fast = simulate_traceset(&spec, &mut s1, &traces, SimOptions::default());
+        let mut s2 = FailedCountSensitive { base };
+        let slow = reference_simulate(&spec, &mut s2, &traces);
+        prop_assert_eq!(fast, slow);
+    }
+}
+
+/// The engine's state is per failing unit: a job on 2^40 processors with
+/// three failures simulates without touching a per-processor array.
+#[test]
+fn simulate_with_two_to_the_forty_procs_and_three_failures_completes() {
+    let spec = JobSpec { procs: 1 << 40, ..JobSpec::sequential(2_000.0, 10.0, 20.0, 5.0) };
+    let picks = vec![(0.0, vec![100.0]), (0.5, vec![700.0]), (0.9, vec![1_300.0])];
+    let traces = sparse_traces(3, picks, 1e9);
+    let events = traces.platform_events();
+    assert_eq!((events.len(), events.slot_count()), (3, 3));
+    let policy = FixedPeriod::new("p", 250.0);
+    let mut fixed = policy.session();
+    let st = ckpt_sim::simulate(&spec, &mut *fixed, &events, 1, 0.0, 1e9, SimOptions::default());
+    assert_eq!(st.failures, 3);
+    assert!((st.work_time - 2_000.0).abs() < 1e-9);
+    let mut aged = FailedCountSensitive { base: 200.0 };
+    let st = ckpt_sim::simulate(&spec, &mut aged, &events, 1, 0.0, 1e9, SimOptions::default());
+    assert_eq!(st.failures, 3);
 }

@@ -39,12 +39,16 @@
 #      flag it, exit 1) and against the real results/BENCH_history.jsonl
 #      (must validate the schema and pass, refreshing
 #      results/BENCH_regress.txt);
-#   9. the perfbench digest gate: one short seq-weibull run and one
-#      short exa-exp-study run at the reference seed must each report
-#      "correct": true — at 600 traces the seq-weibull digests are the
-#      only pin on DPMakespan's age-dependent table at the size Table 3
-#      uses, and the exa-exp-study digests pin the study path's
-#      aggregates (run_study with a store) at benchmark scale. The
+#   9. the perfbench digest gate: one short seq-weibull run, one short
+#      exa-exp-study run and one short traced exa-exp-study run
+#      (`--trace 1`: its pipeline, layers and run processes) at the
+#      reference seed must each report "correct": true — at 600 traces
+#      the seq-weibull digests are the only pin on DPMakespan's
+#      age-dependent table at the size Table 3 uses, the exa-exp-study
+#      digests pin the study path's aggregates (run_study with a store)
+#      at benchmark scale, and the traced run's layers process is the
+#      only consumer of the cached traces' per-unit store and of
+#      lower_bound_makespan on cached traces. The
 #      build may rewrite perfbench/Cargo.lock
 #      (perfbench is frozen, and its lock still lists packages the
 #      workspace dropped), so the lock is saved before the run and
@@ -153,16 +157,17 @@ echo "== perfbench digest gate (seq-weibull and exa-exp-study, seed 0) =="
 # perfbench is a cargo package of its own; building it under target/
 # keeps it out of the benchmark's default .bench_build directory.
 cp perfbench/Cargo.lock "$study_tmp/perfbench.Cargo.lock"
-for workload in seq-weibull exa-exp-study; do
+for run in "seq-weibull --trace 0" "exa-exp-study --trace 0" "exa-exp-study --trace 1"; do
+  read -r workload trace_flag trace <<<"$run"
   perf_result=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
-    --workload "$workload" --seed 0 --seconds 1 | tail -n 1) || true
+    --workload "$workload" --seed 0 --seconds 1 "$trace_flag" "$trace" | tail -n 1) || true
   cp "$study_tmp/perfbench.Cargo.lock" perfbench/Cargo.lock
   if ! printf '%s' "$perf_result" \
     | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'; then
-    echo "perfbench: $workload digests or invariants failed: $perf_result" >&2
+    echo "perfbench: $run digests or invariants failed: $perf_result" >&2
     exit 1
   fi
-  echo "perfbench $workload: correct"
+  echo "perfbench $run: correct"
 done
 
 echo "== check.sh: all green =="
