@@ -29,8 +29,7 @@ pub mod quick;
 pub mod prelude {
     pub use crate::quick::{degradation_table, expected_makespan, optimal_period, Study};
     pub use ckpt_dist::{
-        fit_exponential, fit_weibull_mle, Empirical, Exponential, FailureDistribution,
-        GammaDist, KernelTable, LogNormal, MinOf, Mixture, Weibull,
+        Empirical, Exponential, FailureDistribution, KernelTable, MinOf, Mixture, Weibull,
     };
     pub use ckpt_exp::{run_scenario, DistSpec, PolicyKind, RunnerOptions, Scenario};
     pub use ckpt_math::{SeedSequence, Summary};
@@ -41,13 +40,9 @@ pub mod prelude {
         PolicySession, StateCompression,
     };
     pub use ckpt_sim::{
-        lower_bound_makespan, simulate, simulate_rejuvenate_all,
-        simulate_replicated_independent, simulate_replicated_synchronized, PowerModel,
-        ReplicationStats, RunStats, SimOptions,
+        lower_bound_makespan, simulate, simulate_rejuvenate_all, RunStats, SimOptions,
     };
-    pub use ckpt_traces::{
-        parse_fta_events, synthetic_lanl_cluster, AvailabilityLog, LanlClusterModel,
-    };
+    pub use ckpt_traces::{synthetic_lanl_cluster, AvailabilityLog, LanlClusterModel};
     pub use ckpt_workload::{
         JobSpec, OverheadModel, ParallelismModel, DAY, EXASCALE_PROCS, HOUR, JAGUAR_PROCS,
         WEEK, YEAR,

@@ -54,4 +54,10 @@ mod tests {
         assert!(s.contains("#3") && s.contains("NaN"), "{s}");
         assert_eq!(DistError::EmptySample.to_string(), "empty sample set");
     }
+
+    #[test]
+    fn invalid_parameter_names_the_parameter() {
+        let e = DistError::InvalidParameter { what: "shape", value: -0.5 };
+        assert_eq!(e.to_string(), "parameter shape out of domain: -0.5");
+    }
 }

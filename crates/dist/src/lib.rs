@@ -23,10 +23,7 @@
 pub mod empirical;
 pub mod error;
 pub mod exponential;
-pub mod fitting;
-pub mod gamma_dist;
 pub mod kernel;
-pub mod lognormal;
 pub mod loss;
 pub mod min_of;
 pub mod mixture;
@@ -35,10 +32,7 @@ pub mod weibull;
 pub use empirical::Empirical;
 pub use error::DistError;
 pub use exponential::Exponential;
-pub use fitting::{fit_exponential, fit_weibull_mle};
-pub use gamma_dist::GammaDist;
 pub use kernel::KernelTable;
-pub use lognormal::LogNormal;
 pub use min_of::MinOf;
 pub use mixture::Mixture;
 pub use weibull::Weibull;

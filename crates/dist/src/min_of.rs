@@ -91,7 +91,7 @@ impl FailureDistribution for MinOf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Exponential, LogNormal, Weibull};
+    use crate::{Exponential, Mixture, Weibull};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -122,7 +122,11 @@ mod tests {
 
     #[test]
     fn sampling_matches_survival() {
-        let m = MinOf::new(Box::new(LogNormal::from_mtbf(1.0, 1_000.0)), 16);
+        let mix = Mixture::new(vec![
+            (0.3, Box::new(Exponential::from_mtbf(200.0)) as Box<dyn FailureDistribution>),
+            (0.7, Box::new(Weibull::from_mtbf(0.7, 1_500.0))),
+        ]);
+        let m = MinOf::new(Box::new(mix), 16);
         let mut rng = StdRng::seed_from_u64(9);
         let n = 50_000;
         let t0 = m.inverse_survival(0.5);
@@ -143,5 +147,43 @@ mod tests {
         let w = Weibull::from_mtbf(0.7, 500.0);
         let m = MinOf::new(Box::new(w), 1);
         assert!((m.mean() - 500.0).abs() < 0.5);
+    }
+
+    #[test]
+    fn non_fingerprintable_inner_has_no_fingerprint() {
+        let mix = Mixture::new(vec![
+            (0.5, Box::new(Exponential::from_mtbf(10.0)) as Box<dyn FailureDistribution>),
+            (0.5, Box::new(Exponential::from_mtbf(100.0))),
+        ]);
+        assert_eq!(MinOf::new(Box::new(mix), 8).fingerprint(), None);
+        assert!(MinOf::new(Box::new(Exponential::from_mtbf(10.0)), 8).fingerprint().is_some());
+    }
+
+    #[test]
+    fn batch_matches_scalar_log_survival() {
+        let m = MinOf::new(Box::new(Weibull::from_mtbf(0.7, 1_000.0)), 64);
+        let ts = [-1.0, 0.0, 0.1, 3.0, 50.0, 800.0, 1e5];
+        let mut out = [0.0; 7];
+        m.log_survival_batch(&ts, &mut out);
+        for (&t, &b) in ts.iter().zip(&out) {
+            let s = m.log_survival(t);
+            assert!((b - s).abs() <= 1e-12 * s.abs(), "t = {t}: batch {b} vs scalar {s}");
+        }
+    }
+
+    #[test]
+    fn inverse_survival_round_trips() {
+        let m = MinOf::new(Box::new(Weibull::from_mtbf(0.5, 2_000.0)), 10);
+        for &s in &[0.9, 0.5, 0.1, 1e-3] {
+            let got = m.survival(m.inverse_survival(s));
+            assert!((got - s).abs() < 1e-6 * s.max(1e-3), "s = {s}: got {got}");
+        }
+        assert_eq!(m.copies(), 10.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_zero_copies() {
+        MinOf::new(Box::new(Exponential::new(1.0)), 0);
     }
 }

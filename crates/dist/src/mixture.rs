@@ -151,4 +151,43 @@ mod tests {
     fn rejects_empty() {
         Mixture::new(vec![]);
     }
+
+    #[test]
+    fn single_component_is_that_component() {
+        // The weight normalises to 1, so ln w = 0 and log-sum-exp is the identity.
+        let w = Weibull::from_mtbf(0.7, 1_000.0);
+        let m = Mixture::new(vec![(3.0, Box::new(w) as Box<dyn FailureDistribution>)]);
+        assert_eq!(m.len(), 1);
+        for &t in &[0.5, 10.0, 1_000.0, 1e6] {
+            assert_eq!(m.log_survival(t), w.log_survival(t), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn bounded_components_reach_zero_survival_together() {
+        let short = crate::Empirical::from_durations(vec![1.0, 2.0]);
+        let long = crate::Empirical::from_durations(vec![10.0, 20.0]);
+        let m = Mixture::new(vec![
+            (0.5, Box::new(short) as Box<dyn FailureDistribution>),
+            (0.5, Box::new(long)),
+        ]);
+        // Past the short support only the long half survives; past both, nothing does.
+        assert!((m.survival(5.0) - 0.5).abs() < 1e-12);
+        assert_eq!(m.log_survival(25.0), f64::NEG_INFINITY);
+        assert_eq!(m.psuc(1.0, 25.0), 0.0);
+    }
+
+    #[test]
+    fn has_no_fingerprint() {
+        assert_eq!(two_component().fingerprint(), None);
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_nonpositive_weight() {
+        Mixture::new(vec![
+            (1.0, Box::new(Exponential::new(1.0)) as Box<dyn FailureDistribution>),
+            (0.0, Box::new(Exponential::new(2.0))),
+        ]);
+    }
 }

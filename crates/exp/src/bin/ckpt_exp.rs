@@ -16,8 +16,13 @@
 //!   matrix    one Appendix-B cell: --model ep|amdahl-1e-4|amdahl-1e-6|
 //!             kernel-0.1|kernel-1|kernel-10 --overhead const|prop
 //!             [--mtbf-years Y] [--weibull] [--exa] [--procs P]
+//!   report    quick reproduction report (markdown)
 //!   all       every table & figure at the given trace count
 //! ```
+//!
+//! No argument, `help`, `--help` or `-h` prints the usage and exits 0;
+//! an unknown experiment, a stray argument or a missing or unparsable
+//! flag value prints the error and the usage on stderr and exits 2.
 //!
 //! Durable studies (checkpointed, kill-safe, resumable):
 //!
@@ -63,7 +68,31 @@ struct Args {
     threads: Option<usize>,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: ckpt-exp \
+<fig1|table2|table3|table4|fig2..fig9|fig98|fig99|fig100|matrix|report|all> \
+[--traces N] [--out DIR] [--threads N] [--policy NAME] [matrix flags]
+       ckpt-exp run --help
+       ckpt-exp study <ls|gc> [--study-root DIR] [--max-checkpoints N] [--purge ID]";
+
+const STUDY_USAGE: &str =
+    "usage: ckpt-exp study <ls|gc> [--study-root DIR] [--max-checkpoints N] [--purge ID]";
+
+/// The value following `flag`.
+fn value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<String, String> {
+    it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The number following `flag`.
+fn number<'a, T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = value(it, flag)?;
+    v.parse().map_err(|_| format!("{flag} needs a number, got `{v}`"))
+}
+
+/// Parse an experiment's flags; `Ok(None)` when the usage is asked for.
+fn parse_args(raw: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args {
         experiment: String::new(),
         traces: 600,
@@ -77,31 +106,29 @@ fn parse_args() -> Args {
         policy: None,
         threads: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = raw.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--traces" => args.traces = it.next().expect("--traces N").parse().expect("number"),
-            "--out" => args.out = Some(PathBuf::from(it.next().expect("--out DIR"))),
-            "--model" => args.model = it.next().expect("--model M"),
-            "--overhead" => args.overhead = it.next().expect("--overhead O"),
-            "--mtbf-years" => {
-                args.mtbf_years = it.next().expect("--mtbf-years Y").parse().expect("number")
-            }
-            "--policy" => args.policy = Some(it.next().expect("--policy NAME")),
-            "--threads" => {
-                args.threads = Some(it.next().expect("--threads N").parse().expect("number"))
-            }
+            "--traces" => args.traces = number(&mut it, "--traces")?,
+            "--out" => args.out = Some(PathBuf::from(value(&mut it, "--out")?)),
+            "--model" => args.model = value(&mut it, "--model")?,
+            "--overhead" => args.overhead = value(&mut it, "--overhead")?,
+            "--mtbf-years" => args.mtbf_years = number(&mut it, "--mtbf-years")?,
+            "--policy" => args.policy = Some(value(&mut it, "--policy")?),
+            "--threads" => args.threads = Some(number(&mut it, "--threads")?),
             "--weibull" => args.weibull = true,
             "--exa" => args.exa = true,
-            "--procs" => args.procs = it.next().expect("--procs P").parse().expect("number"),
+            "--procs" => args.procs = number(&mut it, "--procs")?,
+            "help" | "--help" | "-h" => return Ok(None),
+            other if other.starts_with('-') => return Err(format!("unknown argument {other}")),
             other if args.experiment.is_empty() => args.experiment = other.to_string(),
-            other => panic!("unknown argument {other}"),
+            other => return Err(format!("unexpected argument {other}")),
         }
     }
     if args.experiment.is_empty() {
-        args.experiment = "help".into();
+        return Ok(None);
     }
-    args
+    Ok(Some(args))
 }
 
 fn emit(out: &Option<PathBuf>, name: &str, content: &str) {
@@ -123,16 +150,16 @@ fn series_output(rows: &[(u64, ckpt_exp::ScenarioResult)]) -> String {
     csv
 }
 
-fn parallelism_from(label: &str) -> ParallelismModel {
-    match label {
+fn parallelism_from(label: &str) -> Result<ParallelismModel, String> {
+    Ok(match label {
         "ep" => ParallelismModel::EmbarrassinglyParallel,
         "amdahl-1e-4" => ParallelismModel::Amdahl { gamma: 1e-4 },
         "amdahl-1e-6" => ParallelismModel::Amdahl { gamma: 1e-6 },
         "kernel-0.1" => ParallelismModel::NumericalKernel { gamma: 0.1 },
         "kernel-1" => ParallelismModel::NumericalKernel { gamma: 1.0 },
         "kernel-10" => ParallelismModel::NumericalKernel { gamma: 10.0 },
-        other => panic!("unknown parallelism model {other}"),
-    }
+        other => return Err(format!("unknown parallelism model {other}")),
+    })
 }
 
 /// Arguments of the `run` subcommand (durable studies).
@@ -195,29 +222,20 @@ fn parse_run_args(rest: &[String]) -> Result<Option<RunArgs>, String> {
     };
     let mut it = rest.iter();
     while let Some(a) = it.next() {
-        let mut next = |what: &str| it.next().unwrap_or_else(|| panic!("{what}")).clone();
         match a.as_str() {
-            "--study" => args.study = next("--study golden|bench"),
-            "--id" => args.id = Some(next("--id ID")),
-            "--resume" => args.resume = Some(next("--resume ID")),
-            "--traces" => args.traces = Some(next("--traces N").parse().expect("number")),
-            "--study-root" => args.root = PathBuf::from(next("--study-root DIR")),
-            "--checkpoint-items" => {
-                args.checkpoint_items = next("--checkpoint-items N").parse().expect("number")
-            }
-            "--checkpoint-secs" => {
-                args.checkpoint_secs = next("--checkpoint-secs S").parse().expect("number")
-            }
-            "--max-checkpoints" => {
-                args.max_checkpoints = next("--max-checkpoints N").parse().expect("number")
-            }
-            "--kill-at" => args.kill_at = Some(parse_kill_at(&next("--kill-at FRAC"))?),
+            "--study" => args.study = value(&mut it, "--study")?,
+            "--id" => args.id = Some(value(&mut it, "--id")?),
+            "--resume" => args.resume = Some(value(&mut it, "--resume")?),
+            "--traces" => args.traces = Some(number(&mut it, "--traces")?),
+            "--study-root" => args.root = PathBuf::from(value(&mut it, "--study-root")?),
+            "--checkpoint-items" => args.checkpoint_items = number(&mut it, "--checkpoint-items")?,
+            "--checkpoint-secs" => args.checkpoint_secs = number(&mut it, "--checkpoint-secs")?,
+            "--max-checkpoints" => args.max_checkpoints = number(&mut it, "--max-checkpoints")?,
+            "--kill-at" => args.kill_at = Some(parse_kill_at(&value(&mut it, "--kill-at")?)?),
             "--progress" => args.progress = true,
-            "--threads" => {
-                args.threads = Some(next("--threads N").parse().expect("number"))
-            }
+            "--threads" => args.threads = Some(number(&mut it, "--threads")?),
             "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown `run` argument {other}\n{RUN_USAGE}")),
+            other => return Err(format!("unknown `run` argument {other}")),
         }
     }
     Ok(Some(args))
@@ -260,7 +278,7 @@ fn cmd_run(rest: &[String]) -> i32 {
             return 0;
         }
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("{e}\n{RUN_USAGE}");
             return 2;
         }
     };
@@ -324,29 +342,45 @@ fn cmd_run(rest: &[String]) -> i32 {
     }
 }
 
-fn cmd_study(rest: &[String]) -> i32 {
-    let mut root = PathBuf::from("results/study");
-    let mut max_checkpoints: usize = 3;
-    let mut purge: Option<String> = None;
-    let action = match rest.first().map(String::as_str) {
-        Some(a @ ("ls" | "gc")) => a.to_string(),
-        _ => {
-            eprintln!("usage: ckpt-exp study <ls|gc> [--study-root DIR] [--max-checkpoints N] [--purge ID]");
-            return 2;
-        }
+/// Arguments of the `study` subcommand (store maintenance).
+struct StudyArgs {
+    action: String,
+    root: PathBuf,
+    max_checkpoints: usize,
+    purge: Option<String>,
+}
+
+fn parse_study_args(rest: &[String]) -> Result<StudyArgs, String> {
+    let mut args = StudyArgs {
+        action: match rest.first().map(String::as_str) {
+            Some(a @ ("ls" | "gc")) => a.to_string(),
+            Some(other) => return Err(format!("unknown `study` action {other}")),
+            None => return Err("`study` needs an action".into()),
+        },
+        root: PathBuf::from("results/study"),
+        max_checkpoints: 3,
+        purge: None,
     };
     let mut it = rest[1..].iter();
     while let Some(a) = it.next() {
-        let mut next = |what: &str| it.next().unwrap_or_else(|| panic!("{what}")).clone();
         match a.as_str() {
-            "--study-root" => root = PathBuf::from(next("--study-root DIR")),
-            "--max-checkpoints" => {
-                max_checkpoints = next("--max-checkpoints N").parse().expect("number")
-            }
-            "--purge" => purge = Some(next("--purge ID")),
-            other => panic!("unknown `study` argument {other}"),
+            "--study-root" => args.root = PathBuf::from(value(&mut it, "--study-root")?),
+            "--max-checkpoints" => args.max_checkpoints = number(&mut it, "--max-checkpoints")?,
+            "--purge" => args.purge = Some(value(&mut it, "--purge")?),
+            other => return Err(format!("unknown `study` argument {other}")),
         }
     }
+    Ok(args)
+}
+
+fn cmd_study(rest: &[String]) -> i32 {
+    let StudyArgs { action, root, max_checkpoints, purge } = match parse_study_args(rest) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}\n{STUDY_USAGE}");
+            return 2;
+        }
+    };
     match action.as_str() {
         "ls" => {
             let studies = ckpt_exp::checkpoint::list_studies(&root);
@@ -384,12 +418,32 @@ fn cmd_study(rest: &[String]) -> i32 {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match raw.first().map(String::as_str) {
-        Some("run") => std::process::exit(cmd_run(&raw[1..])),
-        Some("study") => std::process::exit(cmd_study(&raw[1..])),
-        _ => {}
-    }
-    let args = parse_args();
+    std::process::exit(match raw.first().map(String::as_str) {
+        Some("run") => cmd_run(&raw[1..]),
+        Some("study") => cmd_study(&raw[1..]),
+        _ => match parse_args(&raw) {
+            Ok(Some(args)) => match cmd_experiment(&args) {
+                Ok(()) => 0,
+                Err(e) => usage_error(&e),
+            },
+            Ok(None) => {
+                println!("{USAGE}");
+                0
+            }
+            Err(e) => usage_error(&e),
+        },
+    });
+}
+
+/// Report a bad invocation: the error and the usage on stderr, exit 2.
+fn usage_error(e: &str) -> i32 {
+    eprintln!("{e}\n{USAGE}");
+    2
+}
+
+/// Run one named experiment; `Err` names an unknown experiment or a bad
+/// flag value before any work starts.
+fn cmd_experiment(args: &Args) -> Result<(), String> {
     if let Some(n) = args.threads {
         ckpt_exp::steal::set_workers(n);
     }
@@ -481,13 +535,7 @@ fn main() {
             // `--policy NAME` picks any registry policy (case-insensitive);
             // the default matches the figure's subject.
             let kind = match &args.policy {
-                Some(name) => match ckpt_exp::parse_kind(name) {
-                    Ok(kind) => kind,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                },
+                Some(name) => ckpt_exp::parse_kind(name).map_err(|e| e.to_string())?,
                 None if args.experiment == "fig98" => PolicyKind::OptExp,
                 None => PolicyKind::DpNextFailure(Default::default()),
             };
@@ -504,86 +552,27 @@ fn main() {
             let r = ex::matrix_cell(
                 args.weibull,
                 args.exa,
-                parallelism_from(&args.model),
-                args.overhead == "prop",
+                parallelism_from(&args.model)?,
+                match args.overhead.as_str() {
+                    "const" => false,
+                    "prop" => true,
+                    other => return Err(format!("unknown overhead model {other}")),
+                },
                 args.mtbf_years,
                 args.procs,
                 t,
             );
             emit(&args.out, "matrix.md", &markdown_table(&r));
         }
-        "ext-procs" => {
-            // §8: optimal processor count under failures.
-            let procs: Vec<u64> = (9..=15).map(|e| 1u64 << e).collect();
-            let weibull = ckpt_exp::DistSpec::Weibull {
-                shape: 0.7,
-                mtbf: args.mtbf_years * 365.25 * 86_400.0,
-            };
-            let (series, best) = ckpt_exp::extensions::optimal_proc_count(
-                |p| ckpt_exp::Scenario::petascale(weibull.clone(), p, t),
-                &PolicyKind::Young,
-                &procs,
-                t,
-            );
-            let mut csv = String::from("p,mean_makespan_days,argmin\n");
-            for (p, mk) in series {
-                csv.push_str(&format!("{p},{:.3},{}\n", mk / DAY, p == best));
-            }
-            emit(&args.out, "ext-procs.csv", &csv);
-        }
-        "ext-replication" => {
-            let weibull = ckpt_exp::DistSpec::Weibull {
-                shape: 0.7,
-                mtbf: args.mtbf_years * 365.25 * 86_400.0,
-            };
-            let sc = ckpt_exp::Scenario::petascale(weibull, args.procs, t);
-            let row = ckpt_exp::extensions::replication_study(&sc, t);
-            let s = format!(
-                "mode,mean_makespan_days\nsingle,{:.3}\nindependent,{:.3}\nsynchronized,{:.3}\n",
-                row.single / DAY,
-                row.independent / DAY,
-                row.synchronized / DAY
-            );
-            emit(&args.out, "ext-replication.csv", &s);
-        }
-        "ext-energy" => {
-            let weibull = ckpt_exp::DistSpec::Weibull {
-                shape: 0.7,
-                mtbf: args.mtbf_years * 365.25 * 86_400.0,
-            };
-            let sc = ckpt_exp::Scenario::petascale(weibull, args.procs, t);
-            let rows = ckpt_exp::extensions::energy_period_tradeoff(
-                &sc,
-                &ckpt_sim::PowerModel::typical_hpc(),
-                &[0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
-                t,
-            );
-            let mut csv = String::from("period_factor,mean_makespan_days,mean_energy_mj\n");
-            for r in rows {
-                csv.push_str(&format!(
-                    "{},{:.3},{:.1}\n",
-                    r.factor,
-                    r.makespan / DAY,
-                    r.energy / 1e6
-                ));
-            }
-            emit(&args.out, "ext-energy.csv", &csv);
-        }
         "report" => {
             let cfg = ckpt_exp::report::ReportConfig::quick(t);
             let md = ckpt_exp::report::generate(&cfg);
             emit(&args.out, "report.md", &md);
         }
-        "all" => {
-            run_all(&args);
-        }
-        _ => {
-            eprintln!(
-                "usage: ckpt-exp <fig1|table2|table3|table4|fig2..fig9|fig98|fig99|fig100|matrix|all> \
-                 [--traces N] [--out DIR] [matrix flags]"
-            );
-        }
+        "all" => run_all(args),
+        other => return Err(format!("unknown experiment {other}")),
     }
+    Ok(())
 }
 
 fn run_all(args: &Args) {

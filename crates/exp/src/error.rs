@@ -183,7 +183,7 @@ mod tests {
         assert!(e.source().is_some());
         let e: Error = ckpt_platform::PlatformError::NoUnits.into();
         assert!(e.to_string().contains("trace generation"));
-        let e: Error = ckpt_traces::TraceError::NoEvents.into();
+        let e: Error = ckpt_traces::TraceError::UnknownCluster { id: 7 }.into();
         assert!(e.to_string().contains("availability log"));
     }
 }

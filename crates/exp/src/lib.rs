@@ -60,7 +60,6 @@ pub mod checkpoint;
 pub mod error;
 pub mod exec;
 pub mod experiments;
-pub mod extensions;
 pub mod golden;
 pub mod jsonio;
 pub mod output;

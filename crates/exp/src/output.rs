@@ -54,37 +54,6 @@ pub fn csv_series(x: f64, result: &ScenarioResult) -> String {
 /// CSV header matching [`csv_series`].
 pub const CSV_HEADER: &str = "x,policy,avg_degradation,std_degradation\n";
 
-/// Terminal rendering of a figure series: one line per `(x, policy)` with
-/// a proportional bar, mirroring the paper's degradation plots closely
-/// enough to eyeball who wins where.
-pub fn ascii_figure(title: &str, rows: &[(f64, &ScenarioResult)]) -> String {
-    let mut out = format!("{title}\n");
-    // Global scale across the figure.
-    let mut max_d = 1.0f64;
-    for (_, r) in rows {
-        for o in &r.outcomes {
-            if let Some(d) = o.avg_degradation {
-                max_d = max_d.max(d);
-            }
-        }
-    }
-    let width = 46usize;
-    for (x, r) in rows {
-        out.push_str(&format!("x = {x}\n"));
-        for o in &r.outcomes {
-            match o.avg_degradation {
-                Some(d) => {
-                    let frac = ((d - 1.0) / (max_d - 1.0).max(1e-9)).clamp(0.0, 1.0);
-                    let bar = "#".repeat((frac * width as f64).round() as usize);
-                    out.push_str(&format!("  {:<14} {d:8.4} |{bar}\n", o.name));
-                }
-                None => out.push_str(&format!("  {:<14}      n/a |\n", o.name)),
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,12 +108,33 @@ mod tests {
     }
 
     #[test]
-    fn ascii_figure_renders_bars_and_gaps() {
-        let r = result();
-        let fig = ascii_figure("demo figure", &[(1024.0, &r)]);
-        assert!(fig.contains("demo figure"));
-        assert!(fig.contains("Young"));
-        assert!(fig.contains("1.0123"));
-        assert!(fig.contains("n/a"), "missing policies render as gaps");
+    fn markdown_heading_names_the_scenario() {
+        let md = markdown_table(&result());
+        assert!(md.starts_with("### demo — p = 4, 10 traces\n\n"), "{md}");
+        // Heading, blank line, header, rule, one row per policy.
+        assert_eq!(md.lines().count(), 6);
+    }
+
+    #[test]
+    fn markdown_dashes_missing_makespan_and_failures() {
+        let mut r = result();
+        r.outcomes[0].mean_makespan = None;
+        r.outcomes[0].mean_failures = None;
+        assert!(markdown_table(&r).contains("| Young | 1.01230 | 0.01000 | — | — |"));
+    }
+
+    #[test]
+    fn csv_leaves_failed_policy_fields_empty() {
+        let csv = csv_series(2.5, &result());
+        assert_eq!(csv.lines().nth(1), Some("2.5,Liu,,"));
+    }
+
+    #[test]
+    fn csv_rows_have_the_header_columns() {
+        let columns = CSV_HEADER.trim_end().split(',').count();
+        assert_eq!(columns, 4);
+        for line in csv_series(1024.0, &result()).lines() {
+            assert_eq!(line.split(',').count(), columns, "{line}");
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::error::Error;
 use ckpt_math::SeedSequence;
-use ckpt_dist::{Exponential, FailureDistribution, GammaDist, LogNormal, Weibull};
+use ckpt_dist::{Exponential, FailureDistribution, Weibull};
 use ckpt_platform::{Topology, TraceSet};
 use ckpt_traces::try_synthetic_lanl_cluster;
 use ckpt_workload::{JobSpec, OverheadModel, ParallelismModel, DAY, YEAR};
@@ -20,20 +20,6 @@ pub enum DistSpec {
     /// Weibull with shape `k` and per-processor MTBF.
     Weibull {
         /// Shape parameter `k`.
-        shape: f64,
-        /// Per-processor MTBF, seconds.
-        mtbf: f64,
-    },
-    /// LogNormal with log-space σ and per-processor MTBF (extension).
-    LogNormal {
-        /// Log-space standard deviation.
-        sigma: f64,
-        /// Per-processor MTBF, seconds.
-        mtbf: f64,
-    },
-    /// Gamma with shape and per-processor MTBF (extension).
-    Gamma {
-        /// Shape parameter.
         shape: f64,
         /// Per-processor MTBF, seconds.
         mtbf: f64,
@@ -72,12 +58,6 @@ impl DistSpec {
             Self::Exponential { mtbf } => format!("exp-{}", mtbf_token(*mtbf)),
             Self::Weibull { shape, mtbf } => {
                 format!("weibull{}-{}", shape_token(*shape), mtbf_token(*mtbf))
-            }
-            Self::LogNormal { sigma, mtbf } => {
-                format!("lognormal{}-{}", shape_token(*sigma), mtbf_token(*mtbf))
-            }
-            Self::Gamma { shape, mtbf } => {
-                format!("gamma{}-{}", shape_token(*shape), mtbf_token(*mtbf))
             }
             Self::LanlLog { cluster } => format!("lanl{cluster:02}"),
         }
@@ -131,18 +111,6 @@ impl DistSpec {
                 topology: Topology::per_processor(),
                 proc_mtbf: mtbf,
                 weibull_shape: Some(shape),
-            },
-            Self::LogNormal { sigma, mtbf } => BuiltDist {
-                dist: Arc::new(LogNormal::from_mtbf(sigma, mtbf)),
-                topology: Topology::per_processor(),
-                proc_mtbf: mtbf,
-                weibull_shape: None,
-            },
-            Self::Gamma { shape, mtbf } => BuiltDist {
-                dist: Arc::new(GammaDist::from_mtbf(shape, mtbf)),
-                topology: Topology::per_processor(),
-                proc_mtbf: mtbf,
-                weibull_shape: None,
             },
             Self::LanlLog { cluster } => {
                 let log = try_synthetic_lanl_cluster(

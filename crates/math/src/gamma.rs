@@ -1,9 +1,8 @@
 //! Gamma function via the Lanczos approximation.
 //!
 //! The workspace needs `Γ(1 + 1/k)` to convert a target processor MTBF into
-//! the Weibull scale parameter (§4.3 of the paper: `λ = MTBF / Γ(1 + 1/k)`),
-//! and `ln Γ` for log-space density evaluations of the Gamma and LogNormal
-//! extension distributions.
+//! the Weibull scale parameter (§4.3 of the paper: `λ = MTBF / Γ(1 + 1/k)`);
+//! `Γ` is evaluated as `exp(ln Γ)` so large arguments do not overflow.
 
 /// Lanczos coefficients (g = 7, n = 9), giving ~15 significant digits.
 /// Kept at published precision even where it exceeds f64 (rounding is the
@@ -99,5 +98,29 @@ mod tests {
     #[should_panic]
     fn rejects_nonpositive() {
         ln_gamma(0.0);
+    }
+
+    #[test]
+    fn reflection_branch_below_one_half() {
+        // Γ(1/4) and Γ(1/10) go through Γ(x)Γ(1−x) = π / sin(πx).
+        for &(x, want) in &[(0.25, 3.625_609_908_221_908_3), (0.1, 9.513_507_698_668_732)] {
+            let g = gamma(x);
+            assert!((g - want).abs() <= 1e-10 * want, "Γ({x}) = {g}, expected {want}");
+        }
+    }
+
+    #[test]
+    fn log_space_survives_where_gamma_overflows() {
+        // Γ(200) = 199! overflows f64; ln Γ(200) = Σ ln k for k < 200 does not.
+        let want: f64 = (1..200).map(|k| f64::from(k).ln()).sum();
+        let got = ln_gamma(200.0);
+        assert!((got - want).abs() <= 1e-10 * want, "ln Γ(200) = {got}, expected {want}");
+        assert!(gamma(200.0).is_infinite());
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_nan() {
+        ln_gamma(f64::NAN);
     }
 }

@@ -99,4 +99,23 @@ mod tests {
     fn empty_interval_is_zero() {
         assert_eq!(adaptive_simpson(|x| x, 3.0, 3.0, 1e-9), 0.0);
     }
+
+    #[test]
+    fn kinked_integrand_converges() {
+        // ∫₀¹ |x − 1/3| dx = 1/18 + 4/18 = 5/18; the kink sits off every dyadic point.
+        let v = adaptive_simpson(|x: f64| (x - 1.0 / 3.0).abs(), 0.0, 1.0, 1e-12);
+        assert!((v - 5.0 / 18.0).abs() < 1e-9, "got {v}");
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_infinite_bound() {
+        adaptive_simpson(|x| x, 0.0, f64::INFINITY, 1e-9);
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_nonpositive_tolerance() {
+        adaptive_simpson(|x| x, 0.0, 1.0, 0.0);
+    }
 }

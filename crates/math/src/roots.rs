@@ -151,4 +151,25 @@ mod tests {
     fn bisect_rejects_unbracketed() {
         bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-9);
     }
+
+    #[test]
+    fn bisect_meets_its_tolerance() {
+        let r = bisect(|x| x * x * x - 2.0, 0.0, 2.0, 1e-12);
+        assert!((r - 2.0f64.cbrt()).abs() < 1e-11, "got {r}");
+    }
+
+    #[test]
+    fn brent_and_bisect_agree_on_a_decreasing_function() {
+        // A survival-style target: e^{−t/50} = 0.3 at t = −50 ln 0.3.
+        let f = |t: f64| (-t / 50.0).exp() - 0.3;
+        let want = -50.0 * 0.3f64.ln();
+        assert!((brent(f, 0.0, 1e3, 1e-12) - want).abs() < 1e-9);
+        assert!((bisect(f, 0.0, 1e3, 1e-12) - want).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic]
+    fn brent_rejects_unbracketed() {
+        brent(|x| x * x + 1.0, -1.0, 1.0, 1e-9);
+    }
 }

@@ -104,4 +104,29 @@ mod tests {
         assert_eq!(c5_then_c9.0, c9_then_c5.1);
         assert_eq!(c5_then_c9.1, c9_then_c5.0);
     }
+
+    #[test]
+    fn mix_seed_avalanches() {
+        // Flipping one input bit flips about half of the 64 output bits.
+        let mut flipped = 0u64;
+        let mut trials = 0u64;
+        for i in 0..256u64 {
+            let base = mix_seed(i.wrapping_mul(0x1234_5678_9abc_def1));
+            for bit in 0..64 {
+                let other = mix_seed(i.wrapping_mul(0x1234_5678_9abc_def1) ^ (1 << bit));
+                flipped += u64::from((base ^ other).count_ones());
+                trials += 1;
+            }
+        }
+        let mean = flipped as f64 / trials as f64;
+        assert!((30.0..34.0).contains(&mean), "mean flipped bits {mean}");
+    }
+
+    #[test]
+    fn child_seed_differs_from_parent_and_root_seed() {
+        let root = SeedSequence::new(7);
+        assert_ne!(root.seed(), 7, "the raw seed is mixed, not passed through");
+        assert_ne!(root.child(0).seed(), root.seed());
+        assert_ne!(root.child(0).child(0).seed(), root.child(0).seed());
+    }
 }

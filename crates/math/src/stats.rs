@@ -175,4 +175,39 @@ mod tests {
     fn rejects_nan() {
         Summary::from_samples(&[1.0, f64::NAN]);
     }
+
+    #[test]
+    fn collecting_into_kahan_matches_repeated_add() {
+        let vals = [0.1, 1e10, -3.7, 2.2e-8, 42.0];
+        let mut k = KahanSum::new();
+        for &v in &vals {
+            k.add(v);
+        }
+        let collected: KahanSum = vals.iter().copied().collect();
+        assert_eq!(collected.value(), k.value());
+    }
+
+    #[test]
+    fn std_dev_is_the_population_form() {
+        // Deviations² sum to 32 over 8 samples: population σ = 2 (sample σ would be √(32/7)).
+        let s = Summary::from_samples(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
+        assert!((s.std_dev() - 2.0).abs() < 1e-15);
+        assert!((s.mean() - 5.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn summary_ignores_input_order() {
+        let a = Summary::from_samples(&[9.0, -1.0, 3.5, 0.0, 2.0]);
+        let b = Summary::from_samples(&[0.0, 2.0, 9.0, 3.5, -1.0]);
+        assert_eq!(a, b);
+        assert_eq!(a.median(), 2.0);
+        assert_eq!(a.min(), -1.0);
+        assert_eq!(a.max(), 9.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn percentile_rejects_q_above_one() {
+        Summary::from_samples(&[1.0, 2.0]).percentile(1.5);
+    }
 }

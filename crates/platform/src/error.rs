@@ -56,4 +56,12 @@ mod tests {
         assert!(e.to_string().contains("outside horizon"));
         assert!(PlatformError::NoUnits.to_string().contains("at least one"));
     }
+
+    #[test]
+    fn prefix_and_horizon_messages_carry_their_values() {
+        let prefix = PlatformError::BadPrefix { want: 9, have: 4 }.to_string();
+        assert_eq!(prefix, "prefix of 9 units requested from a 4-unit trace set");
+        let horizon = PlatformError::BadHorizon { horizon: -3.0 }.to_string();
+        assert!(horizon.ends_with("got -3"), "{horizon}");
+    }
 }

@@ -22,17 +22,12 @@
 pub mod ages;
 pub mod error;
 pub mod mtbf;
-pub mod renewal;
 pub mod topology;
 pub mod trace;
 
 pub use ages::AgeView;
 pub use error::PlatformError;
 pub use mtbf::{platform_mtbf_failed_only, platform_mtbf_rejuvenate_all};
-pub use renewal::{
-    expected_failures, platform_failure_rate, poisson_quantile, spares_for_quantile,
-    spares_for_quantile_renewal,
-};
 pub use topology::Topology;
 pub use trace::{FailureTrace, PlatformEvents, TraceSet, UnitTrace, UnitTraces};
 

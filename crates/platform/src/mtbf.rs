@@ -129,4 +129,32 @@ mod tests {
             "failures/day = {per_day}"
         );
     }
+
+    #[test]
+    fn one_processor_makes_both_models_agree() {
+        // With p = 1 both models renew the one processor: MTBF = D + μ.
+        let w = paper_weibull();
+        let all = platform_mtbf_rejuvenate_all(&w, 60.0, 1);
+        let failed = platform_mtbf_failed_only(w.mean(), 60.0, 1);
+        assert!((all / (60.0 + w.mean()) - 1.0).abs() < 1e-12);
+        assert!((failed / (60.0 + w.mean()) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn figure1_rows_pair_both_models_at_powers_of_two() {
+        let w = paper_weibull();
+        let rows = figure1_series(&w, 60.0, 3, 6);
+        let ps: Vec<u64> = rows.iter().map(|r| r.0).collect();
+        assert_eq!(ps, [8, 16, 32, 64]);
+        for &(p, all, failed) in &rows {
+            assert_eq!(all, platform_mtbf_rejuvenate_all(&w, 60.0, p));
+            assert_eq!(failed, platform_mtbf_failed_only(w.mean(), 60.0, p));
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_zero_processors() {
+        platform_mtbf_failed_only(1000.0, 60.0, 0);
+    }
 }

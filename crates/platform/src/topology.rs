@@ -68,4 +68,16 @@ mod tests {
     fn rejects_zero_node() {
         Topology::nodes_of(0);
     }
+
+    #[test]
+    fn units_cover_requested_procs_tightly() {
+        for n in 1..=8u32 {
+            let t = Topology::nodes_of(n);
+            for p in 1..=100u64 {
+                let units = t.units_for_procs(p) as u64;
+                assert!(units * u64::from(n) >= p, "n = {n}, p = {p}: too few units");
+                assert!((units - 1) * u64::from(n) < p, "n = {n}, p = {p}: a spare unit");
+            }
+        }
+    }
 }

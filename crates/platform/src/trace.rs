@@ -594,4 +594,59 @@ mod tests {
         assert_eq!(set.unit_count(), 10);
         assert_eq!(set.proc_count(), 40);
     }
+
+    #[test]
+    fn empirical_platform_mtbf_counts_only_failures_after_start() {
+        let mut set = TraceSet {
+            units: vec![
+                FailureTrace { failures: vec![10.0, 60.0] },
+                FailureTrace { failures: vec![70.0] },
+            ]
+            .into(),
+            topology: Topology::per_processor(),
+            horizon: 100.0,
+            start_time: 50.0,
+        };
+        // Two failures in the 50 s after the start.
+        assert_eq!(set.empirical_platform_mtbf(), Some(25.0));
+        set.start_time = 80.0;
+        assert_eq!(set.empirical_platform_mtbf(), None);
+    }
+
+    #[test]
+    fn try_prefix_rejects_an_empty_prefix() {
+        let d = Exponential::from_mtbf(10.0);
+        let set = TraceSet::generate(&d, 2, Topology::per_processor(), 100.0, 0.0, seeds());
+        assert_eq!(set.try_prefix(0).err(), Some(PlatformError::BadPrefix { want: 0, have: 2 }));
+        assert_eq!(set.try_prefix(2).map(|s| s.units).ok(), Some(set.units.clone()));
+    }
+
+    #[test]
+    fn first_at_or_after_is_a_lower_bound() {
+        let set = TraceSet {
+            units: vec![FailureTrace { failures: vec![5.0, 10.0, 50.0] }].into(),
+            topology: Topology::per_processor(),
+            horizon: 100.0,
+            start_time: 0.0,
+        };
+        let ev = set.platform_events();
+        assert!(!ev.is_empty());
+        assert_eq!(ev.first_at_or_after(0.0), 0);
+        assert_eq!(ev.first_at_or_after(10.0), 1);
+        assert_eq!(ev.first_at_or_after(10.5), 2);
+        assert_eq!(ev.first_at_or_after(51.0), ev.len());
+        assert_eq!(ev.get(2), (50.0, 0));
+        assert!(PlatformEvents::default().is_empty());
+    }
+
+    #[test]
+    fn generation_depends_only_on_the_seeds() {
+        let d = Weibull::from_mtbf(0.7, 100.0);
+        let t = Topology::per_processor();
+        let a = TraceSet::generate(&d, 8, t, 1_000.0, 0.0, seeds());
+        let b = TraceSet::generate(&d, 8, t, 1_000.0, 0.0, seeds());
+        let c = TraceSet::generate(&d, 8, t, 1_000.0, 0.0, SeedSequence::from_label("other"));
+        assert_eq!(a.units, b.units);
+        assert_ne!(a.units, c.units);
+    }
 }

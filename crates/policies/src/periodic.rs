@@ -106,4 +106,19 @@ mod tests {
     fn rejects_nonpositive_period() {
         FixedPeriod::new("bad", 0.0);
     }
+
+    #[test]
+    fn scaled_copy_is_renamed_and_leaves_the_original() {
+        let p = FixedPeriod::new("Young", 100.0);
+        let q = p.scaled(1.5);
+        assert_eq!(q.name(), "Young*1.5000");
+        assert_eq!((p.name(), p.period()), ("Young", 100.0));
+        assert!(!q.session().wants_ages(), "a fixed period ignores processor ages");
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_infinite_period() {
+        FixedPeriod::new("bad", f64::INFINITY);
+    }
 }

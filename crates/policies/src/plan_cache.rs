@@ -451,12 +451,15 @@ mod tests {
 
     #[test]
     fn dist_ids_share_by_fingerprint_only() {
-        use ckpt_dist::{LogNormal, Weibull};
+        use ckpt_dist::{Exponential, Mixture, Weibull};
         let a = Weibull::from_mtbf(0.7, 1000.0);
         let b = Weibull::from_mtbf(0.7, 1000.0);
         assert_eq!(DistId::of(&a), DistId::of(&b));
-        // LogNormal has no fingerprint: every query mints a fresh id.
-        let l = LogNormal::from_mtbf(1.0, 1000.0);
+        // A Mixture has no fingerprint: every query mints a fresh id.
+        let l = Mixture::new(vec![
+            (0.5, Box::new(Exponential::from_mtbf(500.0)) as Box<dyn FailureDistribution>),
+            (0.5, Box::new(Weibull::from_mtbf(0.7, 1500.0))),
+        ]);
         assert_ne!(DistId::of(&l), DistId::of(&l));
         assert!(matches!(DistId::of(&l), DistId::Instance(_)));
     }

@@ -2,8 +2,8 @@
 //!
 //! When [`crate::SimOptions::record_events`] is set, the engine emits a
 //! time-ordered trace of everything that happened — useful for debugging
-//! policies, for visualising executions, and for auditing the phase
-//! accounting that the energy model (§8 extension) builds on.
+//! policies, for visualising executions, and for auditing the engine's
+//! phase accounting.
 
 use serde::{Deserialize, Serialize};
 
@@ -96,5 +96,14 @@ mod tests {
         assert_eq!(ev.len(), 3);
         assert_eq!(ev[0].kind, EventKind::ChunkStart { work: 5.0 });
         assert_eq!(ev[2].kind, EventKind::JobDone);
+    }
+
+    #[test]
+    fn default_log_is_disabled() {
+        let mut log = EventLog::default();
+        assert!(!log.enabled());
+        log.push(1.0, EventKind::JobDone);
+        assert!(log.into_events().is_empty());
+        assert!(EventLog::new(true).enabled());
     }
 }

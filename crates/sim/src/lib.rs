@@ -25,19 +25,13 @@
 //! checkpoints exactly `C(p)` before each failure it cannot avoid.
 
 pub mod bounds;
-pub mod energy;
 pub mod events;
 pub mod engine;
 pub mod rejuvenate;
-pub mod replication;
 pub mod stats;
 
 pub use bounds::{lower_bound_makespan, lower_bound_on_events};
-pub use energy::PowerModel;
 pub use engine::{simulate, simulate_logged, SimOptions};
 pub use events::{Event, EventKind};
 pub use rejuvenate::simulate_rejuvenate_all;
-pub use replication::{
-    simulate_replicated_independent, simulate_replicated_synchronized, ReplicationStats,
-};
 pub use stats::RunStats;

@@ -91,4 +91,17 @@ mod tests {
         assert_eq!(s.chunk_min, 2.0);
         assert_eq!(s.chunk_max, 9.0);
     }
+
+    #[test]
+    fn fresh_stats_account_nothing_and_have_an_empty_chunk_range() {
+        let s = RunStats::new();
+        assert_eq!(s.accounted(), 0.0);
+        assert_eq!((s.failures, s.decisions, s.chunks_completed), (0, 0, 0));
+        // The empty range is [∞, 0], so the first observed chunk sets both ends.
+        assert!(s.chunk_min > s.chunk_max);
+        let mut s = s;
+        s.observe_chunk(3.0);
+        assert_eq!((s.chunk_min, s.chunk_max), (3.0, 3.0));
+        assert!(!s.past_horizon);
+    }
 }

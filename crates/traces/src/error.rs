@@ -1,23 +1,11 @@
-//! Typed errors for availability-log loading and generation.
+//! Typed errors for availability-log generation and pooling.
 
 use ckpt_dist::DistError;
 
-/// Why an availability log could not be parsed, generated, or turned into
-/// an empirical distribution.
+/// Why an availability log could not be generated or turned into an
+/// empirical distribution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceError {
-    /// A line of an FTA-style event table was malformed.
-    Parse {
-        /// 1-based line number in the input.
-        line: usize,
-        /// What was wrong with it.
-        reason: String,
-    },
-    /// The input held no events at all.
-    NoEvents,
-    /// Events were present but no availability interval could be derived
-    /// (e.g. every node logged a single event).
-    NoIntervals,
     /// No synthetic model exists for the requested LANL cluster id.
     UnknownCluster {
         /// The requested cluster id (18 and 19 are modelled).
@@ -32,12 +20,6 @@ pub enum TraceError {
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Parse { line, reason } => write!(f, "line {line}: {reason}"),
-            Self::NoEvents => write!(f, "no events found"),
-            Self::NoIntervals => write!(
-                f,
-                "no availability intervals derivable (single-event nodes only)"
-            ),
             Self::UnknownCluster { id } => {
                 write!(f, "no synthetic model for LANL cluster {id}")
             }
@@ -68,16 +50,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_keeps_line_numbers() {
-        let e = TraceError::Parse { line: 2, reason: "expected `node start end`".into() };
-        assert!(e.to_string().contains("line 2"));
-    }
-
-    #[test]
     fn dist_errors_convert_and_chain() {
         let e: TraceError = DistError::EmptySample.into();
         assert!(e.to_string().contains("empirical distribution"));
         use std::error::Error;
         assert!(e.source().is_some());
+    }
+
+    #[test]
+    fn only_dist_errors_have_a_source() {
+        use std::error::Error;
+        let unknown = TraceError::UnknownCluster { id: 7 };
+        assert_eq!(unknown.to_string(), "no synthetic model for LANL cluster 7");
+        assert!(unknown.source().is_none());
+        assert_eq!(TraceError::EmptyLog.to_string(), "availability log is empty");
+        assert!(TraceError::EmptyLog.source().is_none());
     }
 }

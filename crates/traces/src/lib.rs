@@ -18,11 +18,9 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod error;
-pub mod fta;
 pub mod log;
 pub mod synthetic;
 
 pub use error::TraceError;
-pub use fta::parse_fta_events;
 pub use log::AvailabilityLog;
 pub use synthetic::{synthetic_lanl_cluster, try_synthetic_lanl_cluster, LanlClusterModel};

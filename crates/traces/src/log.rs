@@ -124,4 +124,26 @@ mod tests {
         ));
         assert!(toy_log().try_empirical_distribution().is_ok());
     }
+
+    #[test]
+    #[should_panic]
+    fn empirical_mtbf_panics_on_empty_log() {
+        AvailabilityLog { nodes: vec![vec![], vec![]], procs_per_node: 4, label: "e".into() }
+            .empirical_mtbf();
+    }
+
+    #[test]
+    fn node_grouping_does_not_change_the_pool() {
+        // The set S pools every node: regrouping the same durations gives the same distribution.
+        let regrouped = AvailabilityLog {
+            nodes: vec![vec![500.0], vec![300.0, 200.0, 100.0], vec![], vec![400.0]],
+            procs_per_node: 4,
+            label: "regrouped".into(),
+        };
+        let (a, b) = (toy_log().empirical_distribution(), regrouped.empirical_distribution());
+        for &t in &[0.0, 50.0, 150.0, 250.0, 350.0, 450.0, 550.0] {
+            assert_eq!(a.survival(t), b.survival(t), "t = {t}");
+        }
+        assert_eq!(toy_log().empirical_mtbf(), regrouped.empirical_mtbf());
+    }
 }

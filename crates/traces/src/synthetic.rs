@@ -229,4 +229,46 @@ mod tests {
         );
         assert!(try_synthetic_lanl_cluster(19, SeedSequence::from_label("x")).is_ok());
     }
+
+    #[test]
+    fn every_node_log_just_covers_the_span() {
+        let model = small19();
+        let log = model.generate(SeedSequence::from_label("span"));
+        for (i, node) in log.nodes.iter().enumerate() {
+            let total: f64 = node.iter().sum();
+            let last = node.last().copied().unwrap();
+            assert!(total >= model.span, "node {i} stops short: {total}");
+            assert!(total - last < model.span, "node {i} drew past the span");
+            assert!(node.iter().all(|&d| d >= 1.0), "node {i} has a sub-second interval");
+        }
+    }
+
+    #[test]
+    fn seeds_change_the_log() {
+        let a = small19().generate(SeedSequence::from_label("one"));
+        let b = small19().generate(SeedSequence::from_label("two"));
+        assert_ne!(a.nodes, b.nodes);
+    }
+
+    #[test]
+    fn duration_mixture_mean_weights_its_components() {
+        for model in [LanlClusterModel::cluster18(), LanlClusterModel::cluster19()] {
+            let want =
+                model.spike_weight * model.spike_mean + (1.0 - model.spike_weight) * model.bulk_mean;
+            let got = model.duration_distribution().mean();
+            assert!((got - want).abs() <= 1e-9 * want, "{}: {got} vs {want}", model.label);
+        }
+    }
+
+    #[test]
+    fn cluster_ids_select_their_models() {
+        let (m18, m19) = (LanlClusterModel::cluster18(), LanlClusterModel::cluster19());
+        // Cluster 18 is the flakier one: heavier spike, smaller bulk shape.
+        assert!(m18.spike_weight > m19.spike_weight);
+        assert!(m18.bulk_shape < m19.bulk_shape);
+        let log = synthetic_lanl_cluster(18, SeedSequence::from_label("id"));
+        assert_eq!(log.label, "lanl-18");
+        assert_eq!(log.node_count(), m18.nodes);
+        assert_eq!(log.procs_per_node, m18.procs_per_node);
+    }
 }

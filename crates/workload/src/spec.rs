@@ -155,4 +155,34 @@ mod tests {
     fn rejects_zero_work() {
         JobSpec::sequential(0.0, 1.0, 1.0, 1.0);
     }
+
+    #[test]
+    fn presets_split_their_work_evenly_across_processors() {
+        for (spec, total) in [
+            (JobSpec::table1_petascale(45_208), 1000.0 * crate::YEAR),
+            (JobSpec::table1_exascale(1 << 20), 10_000.0 * crate::YEAR),
+        ] {
+            let rel = spec.work * spec.procs as f64 / total - 1.0;
+            assert!(rel.abs() < 1e-12, "{spec:?}");
+            assert_eq!((spec.checkpoint, spec.recovery, spec.downtime), (600.0, 600.0, 60.0));
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_negative_downtime() {
+        JobSpec::from_models(
+            1e6,
+            4,
+            ParallelismModel::EmbarrassinglyParallel,
+            OverheadModel::Constant { seconds: 600.0 },
+            -1.0,
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn sequential_rejects_negative_checkpoint() {
+        JobSpec::sequential(1e6, -1.0, 600.0, 60.0);
+    }
 }

@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 MAIN=${1:-25}
 HEAVY=${2:-8}
 OUT=results
-BIN="cargo run --release -q -p ckpt-exp --"
+BIN="cargo run --release -q -p ckpt-exp --bin ckpt-exp --"
 
 mkdir -p "$OUT"
 echo "== fig1 (analytic) =="
@@ -42,11 +42,6 @@ done
 for e in fig98 fig99; do
   echo "== $e (traces=3) =="
   $BIN "$e" --traces 3 --out "$OUT" > /dev/null
-done
-
-for e in ext-procs ext-replication ext-energy; do
-  echo "== $e (traces=$HEAVY) =="
-  $BIN "$e" --traces "$HEAVY" --out "$OUT" > /dev/null
 done
 
 echo "All experiments written to $OUT/."

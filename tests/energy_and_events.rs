@@ -1,5 +1,5 @@
-//! Cross-crate checks of the event log and the energy extension against
-//! the engine's phase accounting.
+//! Cross-crate check of the event log against the engine's phase
+//! accounting.
 
 use checkpointing_strategies::prelude::*;
 use ckpt_core::sim::{simulate_logged, EventKind};
@@ -59,59 +59,77 @@ fn event_log_is_consistent_with_stats() {
 }
 
 #[test]
-fn energy_bounded_by_peak_and_idle_envelopes() {
-    let (spec, stats, _) = sample_run();
-    let m = PowerModel::typical_hpc();
-    let e = m.energy(&stats, spec.procs);
-    let hi = m.compute_w * stats.makespan * spec.procs as f64;
-    let lo = m.idle_w * stats.makespan * spec.procs as f64;
-    assert!(e <= hi * (1.0 + 1e-9), "energy {e} above full-power envelope {hi}");
-    assert!(e >= lo * (1.0 - 1e-9), "energy {e} below idle envelope {lo}");
+fn event_log_is_time_ordered_and_ends_at_the_makespan() {
+    let (_, stats, log) = sample_run();
+    for w in log.windows(2) {
+        assert!(w[0].time <= w[1].time, "{:?} logged after {:?}", w[1], w[0]);
+    }
+    let last = log.last().expect("a run logs at least JobDone");
+    assert_eq!(last.kind, EventKind::JobDone);
+    assert!((last.time - stats.makespan).abs() < 1e-6, "start time is 0");
+    assert_eq!(log.iter().filter(|e| e.kind == EventKind::JobDone).count(), 1);
 }
 
 #[test]
-fn energy_monotone_in_failure_density() {
-    // Same job, denser failures → more lost/re-computed work → more energy.
-    let spec = JobSpec::sequential(30_000.0, 50.0, 100.0, 10.0);
-    let m = PowerModel::typical_hpc();
-    let run = |mtbf: f64| {
-        let dist = Exponential::from_mtbf(mtbf);
-        let traces = TraceSet::generate(
-            &dist,
-            1,
-            Topology::per_processor(),
-            1e8,
-            0.0,
-            SeedSequence::from_label("energy-density"),
-        );
-        let (stats, _) = run_logged(&spec, &traces, 700.0);
-        m.energy(&stats, 1)
-    };
-    // Average over a few seeds via different labels would be cleaner; a
-    // 20× MTBF gap makes the single-trace comparison robust.
-    assert!(run(1_500.0) > run(30_000.0));
+fn each_attempt_ends_in_a_commit_or_a_recovery() {
+    let (_, stats, log) = sample_run();
+    let count = |f: fn(&EventKind) -> bool| log.iter().filter(|e| f(&e.kind)).count() as u64;
+    let starts = count(|k| matches!(k, EventKind::ChunkStart { .. }));
+    let commits = count(|k| matches!(k, EventKind::ChunkCommitted { .. }));
+    let struck = count(|k| matches!(k, EventKind::Failure { .. }));
+    assert_eq!(starts, stats.decisions);
+    assert_eq!(commits, stats.chunks_completed);
+    assert_eq!(starts, commits + struck);
+    assert_eq!(count(|k| matches!(k, EventKind::PlatformReady)), struck);
+    assert_eq!(count(|k| matches!(k, EventKind::RecoveryDone)), struck);
 }
 
 #[test]
-fn edp_ranks_policies_sanely() {
-    // A pathologically short period must lose on energy-delay product to
-    // a sensible one (it spends makespan *and* I/O energy).
+fn logging_leaves_the_run_unchanged() {
     let spec = JobSpec::sequential(30_000.0, 50.0, 100.0, 10.0);
-    let dist = Exponential::from_mtbf(5_000.0);
     let traces = TraceSet::generate(
-        &dist,
+        &Exponential::from_mtbf(2_500.0),
         1,
         Topology::per_processor(),
         1e8,
         0.0,
-        SeedSequence::from_label("edp"),
+        SeedSequence::from_label("energy-events"),
     );
-    let m = PowerModel::typical_hpc();
-    let edp = |period: f64| {
-        let (stats, _) = run_logged(&spec, &traces, period);
-        m.energy_delay_product(&stats, 1)
+    let (logged, _) = run_logged(&spec, &traces, 700.0);
+    let policy = FixedPeriod::new("p", 700.0);
+    let plain = simulate(
+        &spec,
+        &mut *policy.session(),
+        &traces.platform_events(),
+        1,
+        0.0,
+        traces.horizon,
+        SimOptions::default(),
+    );
+    assert_eq!(logged, plain);
+}
+
+#[test]
+fn failure_free_run_logs_start_commit_pairs() {
+    let spec = JobSpec::sequential(30_000.0, 50.0, 100.0, 10.0);
+    let traces = TraceSet {
+        units: vec![ckpt_core::platform::FailureTrace { failures: vec![] }].into(),
+        topology: Topology::per_processor(),
+        horizon: 1e8,
+        start_time: 0.0,
     };
-    let sensible = edp((2.0f64 * 50.0 * 5_000.0).sqrt());
-    let frantic = edp(60.0);
-    assert!(frantic > sensible, "frantic {frantic} vs sensible {sensible}");
+    let (stats, log) = run_logged(&spec, &traces, 700.0);
+    // 42 chunks of 700 s and a last one of 600 s, each with a 50 s checkpoint.
+    assert_eq!(stats.chunks_completed, 43);
+    assert!((stats.makespan - (30_000.0 + 43.0 * 50.0)).abs() < 1e-6);
+    assert_eq!(log.len(), 2 * 43 + 1);
+    for pair in log[..86].chunks(2) {
+        let (EventKind::ChunkStart { work: a }, EventKind::ChunkCommitted { work: b }) =
+            (&pair[0].kind, &pair[1].kind)
+        else {
+            panic!("unexpected pair {pair:?}");
+        };
+        assert_eq!(a, b);
+        assert!((pair[1].time - pair[0].time - (a + 50.0)).abs() < 1e-9);
+    }
 }

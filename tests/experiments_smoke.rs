@@ -2,8 +2,8 @@
 //! scale, plus the output emitters.
 
 use ckpt_core::exp::experiments as ex;
-use ckpt_core::exp::output::{ascii_figure, csv_series, markdown_table, CSV_HEADER};
-use ckpt_core::exp::{extensions, DistSpec, PolicyKind, Scenario};
+use ckpt_core::exp::output::{csv_series, markdown_table, CSV_HEADER};
+use ckpt_core::exp::{DistSpec, PolicyKind, Scenario};
 use ckpt_core::prelude::*;
 
 #[test]
@@ -38,10 +38,9 @@ fn synthetic_scaling_mini() {
         .filter(|(p, _)| *p <= 1 << 11)
         .collect();
     assert!(!rows.is_empty());
-    let refs: Vec<(f64, &ckpt_core::exp::ScenarioResult)> =
-        rows.iter().map(|(p, r)| (*p as f64, r)).collect();
-    let fig = ascii_figure("fig4-mini", &refs);
-    assert!(fig.contains("DPNextFailure"));
+    for (_, r) in &rows {
+        assert!(r.get("DPNextFailure").is_some());
+    }
 }
 
 #[test]
@@ -104,30 +103,4 @@ fn fig9899_mini_profiles() {
     // EP scales down with p; heavy-communication kernel eventually rises.
     let ep = &series.iter().find(|(m, _)| m == "ep").expect("ep").1;
     assert!(ep.first().expect("points").1 > ep.last().expect("points").1);
-}
-
-#[test]
-fn extension_entry_points() {
-    let sc = Scenario::petascale(
-        DistSpec::Weibull { shape: 0.7, mtbf: 125.0 * YEAR },
-        1 << 10,
-        2,
-    );
-    let row = extensions::replication_study(&sc, 2);
-    assert!(row.single.is_finite());
-    let rows = extensions::energy_period_tradeoff(
-        &sc,
-        &PowerModel::typical_hpc(),
-        &[0.5, 1.0],
-        2,
-    );
-    assert_eq!(rows.len(), 2);
-    let (series, best) = extensions::optimal_proc_count(
-        |p| Scenario::petascale(DistSpec::Weibull { shape: 0.7, mtbf: 125.0 * YEAR }, p, 2),
-        &PolicyKind::Young,
-        &[1 << 9, 1 << 10],
-        2,
-    );
-    assert_eq!(series.len(), 2);
-    assert!(series.iter().any(|&(p, _)| p == best));
 }

@@ -99,52 +99,3 @@ fn figure1_crossover_direction() {
     let big_failed = ckpt_core::platform::platform_mtbf_failed_only(w.mean(), DOWNTIME, 1 << 16);
     assert!(big_failed > 3.0 * big_all);
 }
-
-#[test]
-fn spare_pool_covers_simulated_maximum() {
-    // §5.2.2 sparing guidance: the Poisson 99.99 % quantile from the
-    // renewal module must cover the maximum failures any simulated run
-    // sees. The bound has to be renewal-aware: with Weibull k < 1 the
-    // pristine fleet front-loads failures far above the steady-state
-    // p/(μ+D) rate, so the exponential-rate quantile undercounts.
-    let p = 1u64 << 10;
-    let mtbf = 125.0 * YEAR;
-    let dist = Weibull::from_mtbf(0.7, mtbf);
-    let spec = JobSpec::table1_petascale(p);
-    let policy = young(&spec, mtbf);
-    let mut max_failures = 0u64;
-    let mut makespan_max: f64 = 0.0;
-    for i in 0..8 {
-        let ts = TraceSet::generate(
-            &dist,
-            p as usize,
-            Topology::per_processor(),
-            11.0 * YEAR,
-            YEAR,
-            SeedSequence::from_label("spare-check").child(i),
-        );
-        let mut s = policy.session();
-        let st = simulate(
-            &spec,
-            &mut *s,
-            &ts.platform_events(),
-            1,
-            ts.start_time,
-            ts.horizon,
-            SimOptions::default(),
-        );
-        max_failures = max_failures.max(st.failures);
-        makespan_max = makespan_max.max(st.makespan);
-    }
-    let spares = ckpt_core::platform::spares_for_quantile_renewal(
-        &dist,
-        p,
-        YEAR,
-        YEAR + makespan_max,
-        0.9999,
-    );
-    assert!(
-        spares >= max_failures,
-        "spare quantile {spares} below observed max {max_failures}"
-    );
-}

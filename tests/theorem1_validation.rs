@@ -103,3 +103,53 @@ fn proposition5_parallel_optimum() {
     assert!((opt.platform_rate() - p as f64 / (125.0 * year)).abs() < 1e-18);
     assert!(opt.period() > 0.0 && opt.period() <= spec.work);
 }
+
+#[test]
+fn k_chunk_closed_form_matches_simulation_over_lambda_and_k() {
+    // The proof of Theorem 1 gives E[T] for any K equal chunks; the
+    // simulated mean must sit within 4 standard errors of it for every
+    // (λ, K) cell, on K*'s neighbours and far from the optimum alike.
+    // Every run must finish inside the trace horizon: a truncated run
+    // would bias the mean low and let the oracle pass vacuously.
+    const RUNS: u64 = 300;
+    let spec = JobSpec::sequential(2.0 * DAY, 600.0, 600.0, 60.0);
+    for mtbf in [12.0 * HOUR, DAY, 2.0 * DAY] {
+        let lambda = 1.0 / mtbf;
+        let k_star =
+            ckpt_core::policies::optexp::optimal_chunk_count(spec.work, spec.checkpoint, lambda);
+        let ks = [1, k_star - 1, k_star, k_star + 1, 4 * k_star];
+        let dist = Exponential::from_mtbf(mtbf);
+        let mut samples = vec![Vec::with_capacity(RUNS as usize); ks.len()];
+        for i in 0..RUNS {
+            let traces = TraceSet::generate(
+                &dist,
+                1,
+                Topology::per_processor(),
+                20.0 * YEAR,
+                0.0,
+                SeedSequence::from_label("thm1-k-oracle").child(i),
+            );
+            let events = traces.platform_events();
+            for (&k, out) in ks.iter().zip(&mut samples) {
+                let policy = FixedPeriod::new("p", spec.work / k as f64);
+                let mut s = policy.session();
+                let st =
+                    simulate(&spec, &mut *s, &events, 1, 0.0, traces.horizon, SimOptions::default());
+                assert!(!st.past_horizon, "MTBF {mtbf}, K = {k}: run {i} hit the horizon");
+                out.push(st.makespan);
+            }
+        }
+        for (&k, sample) in ks.iter().zip(&samples) {
+            let sim = Summary::from_samples(sample);
+            let se = sim.std_dev() / (RUNS as f64).sqrt();
+            let analytic =
+                ckpt_core::policies::optexp::expected_makespan_k_chunks(&spec, lambda, k);
+            let z = (sim.mean() - analytic) / se;
+            assert!(
+                z.abs() < 4.0,
+                "MTBF {mtbf}, K = {k}: simulated {} vs closed form {analytic} (z = {z:.2})",
+                sim.mean()
+            );
+        }
+    }
+}
