@@ -57,10 +57,11 @@ impl FailureDistribution for Exponential {
     }
 
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        use rand::Rng;
-        // Inverse CDF on (0, 1]: −ln(U)/λ; `gen` yields [0,1), use 1−U.
-        let u: f64 = 1.0 - rng.gen::<f64>();
-        -u.ln() / self.lambda
+        self.inverse_survival(crate::survival_draw(rng))
+    }
+
+    fn first_draw_cutoff(&self, horizon: f64) -> Option<f64> {
+        Some(crate::inversion_cutoff(self.log_survival(horizon)))
     }
 
     fn hazard(&self, _t: f64) -> f64 {

@@ -74,6 +74,18 @@ pub trait FailureDistribution: Send + Sync + std::fmt::Debug {
     /// Draw one inter-arrival time.
     fn sample(&self, rng: &mut dyn RngCore) -> f64;
 
+    /// Screen for trace generation: `Some(c)` promises that a `sample`
+    /// whose first [`survival_draw`] is below `c` returns at least
+    /// `horizon`, so a unit drawing it never fails within the horizon.
+    ///
+    /// The default, `None`, promises nothing. Families that sample by
+    /// inverting their first draw, `sample(rng) ==
+    /// inverse_survival(survival_draw(rng))`, override it with
+    /// `S(horizon)` less a safety margin (`inversion_cutoff`).
+    fn first_draw_cutoff(&self, _horizon: f64) -> Option<f64> {
+        None
+    }
+
     /// Survival function `P(X ≥ t)`.
     fn survival(&self, t: f64) -> f64 {
         self.log_survival(t).exp()
@@ -163,6 +175,32 @@ pub trait FailureDistribution: Send + Sync + std::fmt::Debug {
     fn fingerprint(&self) -> Option<u64> {
         None
     }
+}
+
+/// The first draw of an inversion sampler: `u = 1 − U` with `U` uniform
+/// on `[0, 1)`, so `u ∈ [2⁻⁵³, 1]` and `ln u` is finite.
+pub fn survival_draw<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
+    use rand::Rng;
+    1.0 - rng.gen::<f64>()
+}
+
+/// Relative margin of [`inversion_cutoff`] below `S(horizon)`.
+const CUTOFF_MARGIN: f64 = 1e-9;
+
+/// The [`FailureDistribution::first_draw_cutoff`] of a family that samples
+/// `inverse_survival(u)`, strictly decreasing in `u`: `S(horizon)` less a
+/// relative margin of 1e-9.
+///
+/// Exact, not approximate: a draw `u` below the cutoff has, in exact
+/// arithmetic, `−ln u > −ln S(horizon) + 1e-9`. The cutoff only screens
+/// when it exceeds the smallest draw 2⁻⁵³, so `−ln S(horizon) < 37` and
+/// the sample clears the horizon by a relative `2.7e-11 / k` or more (`k`
+/// the Weibull shape, 1 for the Exponential): over 100 ulps for any
+/// shape below 1,000, far above the few-ulp rounding of `ln`, `powf` and
+/// `exp`. When `S(horizon)` underflows the cutoff is 0 and screens
+/// nothing.
+pub(crate) fn inversion_cutoff(log_survival_at_horizon: f64) -> f64 {
+    log_survival_at_horizon.exp() * (1.0 - CUTOFF_MARGIN)
 }
 
 /// Chain parameter bits into a family-tagged fingerprint (SplitMix64

@@ -75,9 +75,11 @@ impl FailureDistribution for Weibull {
     }
 
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        use rand::Rng;
-        let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
-        self.scale * (-u.ln()).powf(1.0 / self.shape)
+        self.inverse_survival(crate::survival_draw(rng))
+    }
+
+    fn first_draw_cutoff(&self, horizon: f64) -> Option<f64> {
+        Some(crate::inversion_cutoff(self.log_survival(horizon)))
     }
 
     fn hazard(&self, t: f64) -> f64 {

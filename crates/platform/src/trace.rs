@@ -9,6 +9,8 @@
 //! A trace set stores its failures compactly ([`UnitTraces`]): a CSR over
 //! the units that fail at least once, so a unit that never fails within
 //! the horizon — almost every one at Exascale — costs nothing but a count.
+//! Sampling screens each unit's first draw against the horizon, so such a
+//! unit also costs only one seeded draw, never a full sampler call.
 //! The merged [`PlatformEvents`] stream tags each event with its unit's
 //! *slot*, the unit's rank among the failing units, so per-unit state
 //! downstream can be dense in the failing units rather than in `p`.
@@ -25,7 +27,7 @@
 use crate::error::PlatformError;
 use crate::topology::Topology;
 use ckpt_math::SeedSequence;
-use ckpt_dist::FailureDistribution;
+use ckpt_dist::{survival_draw, FailureDistribution};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -148,6 +150,13 @@ impl UnitTraces {
 
     /// Sample units `self.len()..units`, each from its own child seed
     /// `seeds.child(unit)`, straight into the store.
+    ///
+    /// A unit whose first [`survival_draw`] lies below the distribution's
+    /// [`first_draw_cutoff`](FailureDistribution::first_draw_cutoff)
+    /// cannot fail within the horizon: it costs one seeded draw and a
+    /// count. Every other unit runs the full sampler from its seed, so
+    /// the traces are exactly those of sampling every unit. Without a
+    /// cutoff (0) every unit is sampled.
     fn sample_to(
         &mut self,
         dist: &dyn FailureDistribution,
@@ -155,8 +164,12 @@ impl UnitTraces {
         horizon: f64,
         seeds: &SeedSequence,
     ) {
+        let cutoff = dist.first_draw_cutoff(horizon).unwrap_or(0.0);
         for unit in self.count..units {
-            sample_dates(dist, horizon, seeds.child(unit as u64).seed(), &mut self.dates);
+            let seed = seeds.child(unit as u64).seed();
+            if survival_draw(&mut StdRng::seed_from_u64(seed)) >= cutoff {
+                sample_dates(dist, horizon, seed, &mut self.dates);
+            }
             self.close_unit();
         }
     }
@@ -637,6 +650,152 @@ mod tests {
         assert_eq!(ev.first_at_or_after(51.0), ev.len());
         assert_eq!(ev.get(2), (50.0, 0));
         assert!(PlatformEvents::default().is_empty());
+    }
+
+    /// Sampling before the screen: every unit runs the full sampler.
+    fn unscreened(
+        dist: &dyn FailureDistribution,
+        units: usize,
+        horizon: f64,
+        seeds: &SeedSequence,
+    ) -> UnitTraces {
+        let mut out = UnitTraces::default();
+        for unit in 0..units {
+            sample_dates(dist, horizon, seeds.child(unit as u64).seed(), &mut out.dates);
+            out.close_unit();
+        }
+        out
+    }
+
+    /// Byte equality of two stores and of their merged event streams.
+    fn assert_bit_identical(got: &UnitTraces, want: &UnitTraces, what: &str) {
+        let bits = |u: &UnitTraces| {
+            let dates: Vec<u64> = u.dates.iter().map(|d| d.to_bits()).collect();
+            (u.count, u.ids.clone(), u.ends.clone(), dates)
+        };
+        assert_eq!(bits(got), bits(want), "{what}: unit traces");
+        let events = |units: &UnitTraces| {
+            let set = TraceSet {
+                units: units.clone(),
+                topology: Topology::per_processor(),
+                horizon: f64::INFINITY,
+                start_time: 0.0,
+            };
+            let ev = set.platform_events();
+            let times: Vec<u64> = ev.times().iter().map(|t| t.to_bits()).collect();
+            (times, ev.units().to_vec(), ev.slots().to_vec(), ev.slot_count())
+        };
+        assert_eq!(events(got), events(want), "{what}: platform events");
+    }
+
+    /// Exponential and Weibull laws with `−ln S(horizon) = l`.
+    fn laws_at(l: f64, horizon: f64) -> Vec<Box<dyn FailureDistribution>> {
+        let mut laws: Vec<Box<dyn FailureDistribution>> =
+            vec![Box::new(Exponential::new(l / horizon))];
+        for k in [0.5, 0.7, 1.0, 1.5] {
+            laws.push(Box::new(Weibull::new(k, horizon / l.powf(1.0 / k))));
+        }
+        laws
+    }
+
+    #[test]
+    fn screened_sampling_equals_sampling_every_unit() {
+        let h = 1_000.0;
+        // From almost no unit failing to every unit failing (−ln S(h) past
+        // 37 puts the cutoff below every draw) and to S(h) underflowing to
+        // 0; the long horizons keep fewer units.
+        let grid: [(f64, &[usize]); 7] = [
+            (1e-6, &[1, 63, 64, 65, 1000]),
+            (1e-3, &[1, 63, 64, 65, 1000]),
+            (0.1, &[1, 63, 64, 65, 1000]),
+            (1.0, &[1, 63, 64, 65, 1000]),
+            (10.0, &[1, 65]),
+            (40.0, &[1, 65]),
+            (800.0, &[1, 2]),
+        ];
+        for (l, counts) in grid {
+            for dist in laws_at(l, h) {
+                let cutoff = dist.first_draw_cutoff(h).unwrap();
+                assert_eq!(cutoff == 0.0, l > 745.0, "{dist:?}: cutoff {cutoff}");
+                for &n in counts {
+                    let want = unscreened(dist.as_ref(), n, h, &seeds());
+                    let t = Topology::per_processor();
+                    let set = TraceSet::generate(dist.as_ref(), n, t, h, 0.0, seeds());
+                    assert_bit_identical(&set.units, &want, &format!("{dist:?} at {n} units"));
+                    // Widening from narrower sets gives the same traces.
+                    for from in [1, 30, 64, 100].into_iter().filter(|&w| w < n) {
+                        let wide = set.prefix(from).widen(dist.as_ref(), n, &seeds());
+                        let what = format!("{dist:?} widened {from} → {n}");
+                        assert_bit_identical(&wide.units, &want, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn distributions_without_a_cutoff_sample_every_unit() {
+        // A LANL-like node log: the empirical law has no cutoff.
+        let durations = (1..=200).map(|i| 3_600.0 * f64::from(i).powf(1.7)).collect();
+        let d = ckpt_dist::Empirical::from_durations(durations);
+        assert_eq!(d.first_draw_cutoff(1e9), None);
+        let h = 4.0 * 365.25 * 86_400.0;
+        for n in [1, 65, 1000] {
+            let set = TraceSet::generate(&d, n, Topology::nodes_of(4), h, 0.0, seeds());
+            let want = unscreened(&d, n, h, &seeds());
+            assert_bit_identical(&set.units, &want, &format!("{n} nodes"));
+            assert_eq!(set.units.failing_count(), n);
+        }
+    }
+
+    /// An RNG whose every `u64` is fixed, so `gen::<f64>()` is fixed.
+    struct Fixed(u64);
+
+    impl rand::RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            (self.0 >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(0);
+        }
+    }
+
+    #[test]
+    fn the_cutoff_is_exact_at_the_float_level() {
+        let h = 1_000.0;
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        for l in [1e-6, 1e-3, 0.1, 1.0, 10.0, 30.0] {
+            for dist in laws_at(l, h) {
+                let c = dist.first_draw_cutoff(h).unwrap();
+                assert!(c > 0.0 && c < 1.0, "{dist:?}: cutoff {c}");
+                // Every double around the cutoff: below it, the inverse
+                // survival clears the horizon.
+                let mut u = (0..256).fold(c, |u, _| u.next_up());
+                for _ in 0..512 {
+                    u = u.next_down();
+                    if u < c {
+                        assert!(dist.inverse_survival(u) >= h, "{dist:?}: u {u} below {c}");
+                    }
+                }
+                // Every draw `1 − U` the generator can make around the
+                // cutoff: `sample` is the inverse survival of that draw,
+                // bit for bit, and a draw below the cutoff never fails.
+                let m = (c / ulp) as u64;
+                for mu in m.saturating_sub(256).max(1)..=(m + 256).min(1 << 53) {
+                    let bits = ((1u64 << 53) - mu) << 11;
+                    let u = survival_draw(&mut Fixed(bits));
+                    assert_eq!(u, mu as f64 * ulp);
+                    let x = dist.sample(&mut Fixed(bits));
+                    assert_eq!(x.to_bits(), dist.inverse_survival(u).to_bits(), "{dist:?}: u {u}");
+                    if u < c {
+                        assert!(x >= h, "{dist:?}: u {u} below {c} samples {x} < {h}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1090,7 +1090,7 @@ mod tests {
     #[test]
     fn auto_quanta_scales_with_mtbf_over_checkpoint() {
         assert!(auto_quanta(600.0, 3_600.0) < auto_quanta(600.0, 7.0 * 86_400.0));
-        // Clamped to the [40, 700] band.
+        // Clamped to the [40, 256] band.
         assert_eq!(auto_quanta(600.0, 1.0), 40);
         assert_eq!(auto_quanta(1.0, 1e12), 256);
     }

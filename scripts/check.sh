@@ -40,15 +40,18 @@
 #      (must validate the schema and pass, refreshing
 #      results/BENCH_regress.txt);
 #   9. the perfbench digest gate: one short seq-weibull run, one short
-#      exa-exp-study run and one short traced exa-exp-study run
-#      (`--trace 1`: its pipeline, layers and run processes) at the
-#      reference seed must each report "correct": true — at 600 traces
-#      the seq-weibull digests are the only pin on DPMakespan's
-#      age-dependent table at the size Table 3 uses, the exa-exp-study
-#      digests pin the study path's aggregates (run_study with a store)
-#      at benchmark scale, and the traced run's layers process is the
-#      only consumer of the cached traces' per-unit store and of
-#      lower_bound_makespan on cached traces. The
+#      exa-exp-study run, one short traced exa-exp-study run
+#      (`--trace 1`: its pipeline, layers and run processes) and one
+#      short peta-weibull run at the reference seed must each report
+#      "correct": true — at 600 traces the seq-weibull digests are the
+#      only pin on DPMakespan's age-dependent table at the size Table 3
+#      uses, the exa-exp-study digests pin the study path's aggregates
+#      (run_study with a store) at benchmark scale, the traced run's
+#      layers process is the only consumer of the cached traces'
+#      per-unit store and of lower_bound_makespan on cached traces, and
+#      the peta-weibull digests are the only pin on multi-unit Weibull
+#      traces (and so on the Weibull first-draw screen of trace
+#      generation) at Petascale widths. The
 #      build may rewrite perfbench/Cargo.lock
 #      (perfbench is frozen, and its lock still lists packages the
 #      workspace dropped), so the lock is saved before the run and
@@ -153,11 +156,12 @@ target/release/ckpt-bench regress \
   --history results/BENCH_history.jsonl --out results/BENCH_regress.txt
 echo "regress sentinel: fixture flagged, real history passes"
 
-echo "== perfbench digest gate (seq-weibull and exa-exp-study, seed 0) =="
+echo "== perfbench digest gate (seq-weibull, exa-exp-study, peta-weibull, seed 0) =="
 # perfbench is a cargo package of its own; building it under target/
 # keeps it out of the benchmark's default .bench_build directory.
 cp perfbench/Cargo.lock "$study_tmp/perfbench.Cargo.lock"
-for run in "seq-weibull --trace 0" "exa-exp-study --trace 0" "exa-exp-study --trace 1"; do
+for run in "seq-weibull --trace 0" "exa-exp-study --trace 0" "exa-exp-study --trace 1" \
+  "peta-weibull --trace 0"; do
   read -r workload trace_flag trace <<<"$run"
   perf_result=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
     --workload "$workload" --seed 0 --seconds 1 "$trace_flag" "$trace" | tail -n 1) || true
