@@ -31,7 +31,7 @@ impl Exponential {
     /// Lemma 1 closed form: `E[Tlost(ω)] = 1/λ − ω/(e^{λω} − 1)`.
     pub fn expected_loss_closed_form(&self, x: f64) -> f64 {
         assert!(x >= 0.0);
-        if x == 0.0 { // lint: allow(float-eq) — exact zero fast path, not a tolerance check
+        if x == 0.0 { // exact zero fast path, not a tolerance check
             return 0.0;
         }
         let lx = self.lambda * x;

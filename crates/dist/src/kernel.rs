@@ -121,7 +121,7 @@ impl KernelTable {
     /// `S(t)` through the tabulated log-survival.
     #[inline]
     pub fn survival(&self, t: f64) -> f64 {
-        self.log_survival(t).exp() // lint: allow(naked-transcendental-in-hot-path) — exp of the tabulated log-survival is the table's sanctioned exit to linear domain
+        self.log_survival(t).exp() // exp of the tabulated log-survival is the table's sanctioned exit to linear domain
     }
 
     /// Conditional survival `Psuc(x|τ)` through the table (the trait's
@@ -132,10 +132,10 @@ impl KernelTable {
             return 1.0;
         }
         let ls_tau = self.log_survival(tau.max(0.0));
-        if ls_tau == f64::NEG_INFINITY { // lint: allow(float-eq) — -inf log-survival sentinel is an exact bit pattern
+        if ls_tau == f64::NEG_INFINITY { // -inf log-survival sentinel is an exact bit pattern
             return 0.0;
         }
-        (self.log_survival(tau.max(0.0) + x) - ls_tau).exp() // lint: allow(naked-transcendental-in-hot-path) — exp of a tabulated log-survival difference; the trait's canonical Psuc form
+        (self.log_survival(tau.max(0.0) + x) - ls_tau).exp() // exp of a tabulated log-survival difference; the trait's canonical Psuc form
     }
 
     /// Hazard `−d/dt ln S(t)` from the table's cell slope; exact fallback

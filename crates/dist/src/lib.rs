@@ -105,7 +105,7 @@ pub trait FailureDistribution: Send + Sync + std::fmt::Debug {
             return 1.0;
         }
         let ls_tau = self.log_survival(tau.max(0.0));
-        if ls_tau == f64::NEG_INFINITY { // lint: allow(float-eq) — -inf log-survival sentinel is an exact bit pattern
+        if ls_tau == f64::NEG_INFINITY { // -inf log-survival sentinel is an exact bit pattern
             // Conditioning on a zero-probability event: treat as immediate
             // failure, the conservative choice for a policy.
             return 0.0;

@@ -28,13 +28,13 @@ use crate::FailureDistribution;
 /// because it is always multiplied by that probability.
 pub fn expected_loss<D: FailureDistribution + ?Sized>(dist: &D, x: f64, tau: f64) -> f64 {
     assert!(x >= 0.0, "expected_loss: x must be non-negative");
-    if x == 0.0 { // lint: allow(float-eq) — exact zero fast path, not a tolerance check
+    if x == 0.0 { // exact zero fast path, not a tolerance check
         return 0.0;
     }
     let tau = tau.max(0.0);
     let ls_tau = dist.log_survival(tau);
     let ls_end = dist.log_survival(tau + x);
-    if ls_tau == f64::NEG_INFINITY { // lint: allow(float-eq) — -inf log-survival sentinel is an exact bit pattern
+    if ls_tau == f64::NEG_INFINITY { // -inf log-survival sentinel is an exact bit pattern
         // Already past the support: the "loss" is immaterial.
         return 0.0;
     }
@@ -43,7 +43,7 @@ pub fn expected_loss<D: FailureDistribution + ?Sized>(dist: &D, x: f64, tau: f64
     if fail_prob < 1e-300 {
         return 0.5 * x;
     }
-    if ls_end == f64::NEG_INFINITY || delta < -0.5 { // lint: allow(float-eq) — -inf log-survival sentinel is an exact bit pattern
+    if ls_end == f64::NEG_INFINITY || delta < -0.5 { // -inf log-survival sentinel is an exact bit pattern
         // Failure is (nearly) certain within x. Use the direct form
         //   E = ∫₀ˣ (S(τ+s) − S(τ+x)) / S(τ) ds / fail_prob:
         // the integrand lies in [0, 1], so the quadrature never chases the

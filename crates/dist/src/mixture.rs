@@ -56,7 +56,7 @@ impl FailureDistribution for Mixture {
             .map(|(w, d)| w.ln() + d.log_survival(t))
             .collect();
         let m = terms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        if m == f64::NEG_INFINITY { // lint: allow(float-eq) — -inf log-survival sentinel is an exact bit pattern
+        if m == f64::NEG_INFINITY { // -inf log-survival sentinel is an exact bit pattern
             return f64::NEG_INFINITY;
         }
         m + terms.iter().map(|&x| (x - m).exp()).sum::<f64>().ln()

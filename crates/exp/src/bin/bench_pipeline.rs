@@ -31,6 +31,11 @@
 //! through independent code paths). Without the feature those flags are
 //! accepted but skipped.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a timing tool: the clock measures the pipeline from outside and stamps history records"
+)]
+
 use ckpt_exp::perf::format_f64;
 use ckpt_exp::policies_spec::PolicyKind;
 use ckpt_exp::runner::{run_scenario, PeriodSearch, RunnerOptions};

@@ -1,5 +1,7 @@
 //! Quick per-policy wall-clock profile on the bench cell (dev tool).
 
+#![expect(clippy::disallowed_methods, reason = "a timing tool: the clock measures policies from outside")]
+
 use ckpt_exp::cache::TraceCache;
 use ckpt_exp::policies_spec::PolicyKind;
 use ckpt_exp::scenario::{DistSpec, Scenario};

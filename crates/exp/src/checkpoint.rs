@@ -366,8 +366,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Seconds since process origin, for the `interval_seconds` trigger.
 /// This is the module's *only* clock read, and it gates when snapshots
 /// are written — never what they contain.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the study checkpointer's single sanctioned clock site, routed through ckpt_obs::clock"
+)]
 fn clock_seconds() -> f64 {
-    // lint: allow(wall-clock-in-sim, transitive-nondeterminism) — the study checkpointer's single sanctioned clock site, routed through ckpt_obs::clock (see lint.toml)
     ckpt_obs::clock::now_micros() as f64 / 1e6
 }
 

@@ -20,6 +20,11 @@
 //! payload, then an [`Error`] in [`ExecOutput::policy_build`] — never a
 //! panic; a cell whose distribution cannot be built has no items.
 
+// Workers share nothing but the claim cursor and commit in task-ID
+// order; any other lock, atomic or cell here is a new coordination
+// channel (the banned types are listed in clippy.toml).
+#![deny(clippy::disallowed_types)]
+
 use crate::cache::{CachedTrace, TraceCache};
 use crate::checkpoint::{ItemPayload, RefineColumn, TraceStatsBits};
 use crate::error::Error;
@@ -114,7 +119,7 @@ impl<'a> CellCtx<'a> {
             return;
         }
         let (scenario, plan) = (self.scenario, self.plan);
-        // lint: allow(transitive-nondeterminism) — stage timer feeds PipelinePerf only, never result rows
+        #[expect(clippy::disallowed_methods, reason = "stage timer feeds PipelinePerf only, never result rows")]
         let t_stage = Instant::now();
         let stage_span = ckpt_obs::span("stage.trace_gen");
         let cache = TraceCache::global();
@@ -338,7 +343,7 @@ pub fn execute(
         ("policy_sims", "stage.policy_sims", &items[..split]),
         ("period_search", "stage.period_search", &items[split..]),
     ] {
-        // lint: allow(transitive-nondeterminism) — stage timer feeds PipelinePerf only, never result rows
+        #[expect(clippy::disallowed_methods, reason = "stage timer feeds PipelinePerf only, never result rows")]
         let t_stage = Instant::now();
         let stage_span = ckpt_obs::span(span);
         drain(std::slice::from_mut(&mut cell), wave, &mut completed, perf);

@@ -27,8 +27,8 @@ use ckpt_workload::YEAR;
 /// the exhaustive search, a cell whose `Liu` row fails to build
 /// (footnote-2 behaviour) so error rows are pinned too, a sequential
 /// Exponential `DPMakespan` cell so the Algorithm-1 value recursion has a
-/// pinned row (`registry-exhaustive` in ckpt-lint requires every
-/// `PolicyKind` label to appear in some golden file), and a sequential
+/// pinned row (`registry::tests::registry_and_kind_name_agree` requires
+/// every roster label to appear in some golden file), and a sequential
 /// Weibull `DPMakespan` cell that pins the age-dependent table (the
 /// memoryless cell never leaves the flat fast path).
 pub fn golden_cells() -> Vec<(String, Scenario, Vec<PolicyKind>, RunnerOptions)> {

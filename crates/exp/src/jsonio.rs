@@ -14,7 +14,7 @@
 //!   through `f64`, so 64-bit payload bits survive the round trip.
 //! * **Order preservation.** Objects are `Vec<(String, Json)>` in
 //!   document order — no hash maps, so iterating a parsed document is
-//!   deterministic (and `ckpt-lint`'s hash-order rule stays quiet).
+//!   deterministic.
 
 use std::fmt::Write as _;
 

@@ -32,8 +32,11 @@ const CONSOLE_PERIOD_SECONDS: f64 = 1.0;
 /// rate-limiting only. Telemetry: nothing derived from this clock
 /// reaches an aggregate, and every field it feeds in `progress.json`
 /// is quarantined under `wall_clock_nondeterministic`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the progress reporter's single sanctioned clock site, routed through ckpt_obs::clock"
+)]
 fn clock_seconds() -> f64 {
-    // lint: allow(wall-clock-in-sim, transitive-nondeterminism) — the progress reporter's single sanctioned clock site, routed through ckpt_obs::clock (see lint.toml)
     ckpt_obs::clock::now_micros() as f64 / 1e6
 }
 

@@ -67,7 +67,7 @@ pub fn reduce(
     out: &ExecOutput,
     perf: &mut PipelinePerf,
 ) -> ScenarioResult {
-    // lint: allow(transitive-nondeterminism) — stage timer feeds PipelinePerf only, never result rows
+    #[expect(clippy::disallowed_methods, reason = "stage timer feeds PipelinePerf only, never result rows")]
     let t_stage = Instant::now();
     let stage_span = ckpt_obs::span("stage.aggregate");
 

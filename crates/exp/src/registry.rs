@@ -158,6 +158,45 @@ mod tests {
 
     #[test]
     fn registry_and_kind_name_agree() {
+        // Exhaustive on purpose: a new variant does not compile here until
+        // it joins the paper roster (and so `parse_kind`, the CLI names
+        // and a golden row below) or is declared calibration-only.
+        let in_roster = |kind: &PolicyKind| match kind {
+            PolicyKind::Young
+            | PolicyKind::DalyLow
+            | PolicyKind::DalyHigh
+            | PolicyKind::OptExp
+            | PolicyKind::Bouguerra
+            | PolicyKind::Liu
+            | PolicyKind::DpNextFailure(_)
+            | PolicyKind::DpMakespan(_) => true,
+            PolicyKind::OptExpScaled(_) => false,
+        };
+        let roster = PolicyKind::paper_roster(true);
+        assert!(roster.iter().all(in_roster));
+        let mut roster_names: Vec<String> = roster.iter().map(PolicyKind::name).collect();
+        let mut known = known_policy_names();
+        roster_names.sort();
+        known.sort();
+        assert_eq!(known, roster_names);
+
+        let golden_dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden");
+        let mut golden_rows = std::collections::BTreeSet::new();
+        for entry in std::fs::read_dir(&golden_dir).expect("results/golden is readable") {
+            let path = entry.expect("golden entry").path();
+            let doc = crate::jsonio::parse(&std::fs::read_to_string(&path).expect("golden file"))
+                .expect("golden JSON parses");
+            for row in doc.get("outcomes").and_then(|o| o.as_arr()).expect("outcomes array") {
+                let name = row.get("name").and_then(|n| n.as_str()).expect("row name");
+                golden_rows.insert(name.to_string());
+            }
+        }
+        for name in &known {
+            assert_eq!(&parse_kind(name).expect("canonical names parse").name(), name);
+            assert!(golden_rows.contains(name), "{name} has no row in results/golden/");
+        }
+
         let dist = DistSpec::Weibull { shape: 0.7, mtbf: 125.0 * YEAR };
         let s = crate::scenario::Scenario::petascale(dist.clone(), 1 << 10, 1);
         let b = dist.build();

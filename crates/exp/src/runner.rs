@@ -194,6 +194,7 @@ pub fn run_scenario_checked(
     kinds: &[PolicyKind],
     options: &RunnerOptions,
 ) -> Result<ScenarioResult, Error> {
+    #[expect(clippy::disallowed_methods, reason = "scenario timer feeds PipelinePerf only, never result rows")]
     let t_total = Instant::now();
     let mut scenario_span = ckpt_obs::span("scenario.run");
     if ckpt_obs::active() {

@@ -22,16 +22,23 @@
 //! re-raises the panic of the **lowest** poisoned task ID — the same
 //! task a sequential drain would have panicked on first.
 
+// Workers share nothing but the claim cursor and commit in task-ID
+// order; any other lock, atomic or cell here is a new coordination
+// channel (the banned types are listed in clippy.toml).
+#![deny(clippy::disallowed_types)]
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Process-wide worker count, settable from the CLI (`--threads N`).
 /// 0 means "not configured": fall back to the machine's available
 /// parallelism.
-// lint: allow(shared-mutable-in-exec) — the worker-count knob: written
-// once at CLI parse time, read at wave start; never touches results.
-static WORKERS: AtomicUsize = AtomicUsize::new(0);
+#[expect(
+    clippy::disallowed_types,
+    reason = "the worker-count knob: written once at CLI parse time, read at wave start; never touches results"
+)]
+static WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Set the process-wide worker count (`0` resets to auto-detection).
 pub fn set_workers(n: usize) {
@@ -42,9 +49,10 @@ pub fn set_workers(n: usize) {
 /// The study runner points this at `<store>/flightrec.json` for the
 /// duration of a run so a panicking task leaves its last-N-events
 /// record next to the checkpoint store.
-// lint: allow(shared-mutable-in-exec) — the flight-dump destination:
-// set once by the study runner, read on the poison path; a diagnostic
-// side channel that never touches results.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the flight-dump destination: set once by the study runner, read on the poison path; a diagnostic side channel that never touches results"
+)]
 static FLIGHT_DUMP: std::sync::Mutex<Option<PathBuf>> = std::sync::Mutex::new(None);
 
 /// Lock the dump destination, surviving poisoning: the lock is touched
@@ -149,9 +157,11 @@ where
     let w = workers.max(1).min(n.max(1));
     let heavy: Vec<bool> = tasks.iter().map(is_heavy).collect();
     let order = claim_order(&heavy);
-    // lint: allow(shared-mutable-in-exec) — the sanctioned claim path:
-    // one cursor over the claim order; results never pass through it.
-    let cursor = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the sanctioned claim path: one cursor over the claim order; results never pass through it"
+    )]
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
 
     // One worker's loop: claim the next position, run the task unlocked
     // (a panic is a value here so siblings keep draining), buffer the
@@ -231,7 +241,8 @@ fn publish(stats: &WaveStats) {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
+// The tests observe the drain through their own shared counters.
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;

@@ -22,7 +22,7 @@ pub fn lambert_w0(z: f64) -> f64 {
         z >= -INV_E - 1e-12,
         "lambert_w0: argument {z} below branch point -1/e"
     );
-    if z == 0.0 { // lint: allow(float-eq) — exact zero fast path, not a tolerance check
+    if z == 0.0 { // exact zero fast path, not a tolerance check
         return 0.0;
     }
     // Clamp tiny numerical undershoot of the branch point.
@@ -76,7 +76,7 @@ fn halley(z: f64, mut w: f64) -> f64 {
     for _ in 0..64 {
         let ew = w.exp();
         let f = w * ew - z;
-        if f == 0.0 { // lint: allow(float-eq) — exact-root early exit
+        if f == 0.0 { // exact-root early exit
             break;
         }
         let wp1 = w + 1.0;

@@ -11,10 +11,10 @@
 pub fn bisect<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) -> f64 {
     let mut fa = f(a);
     let fb = f(b);
-    if fa == 0.0 { // lint: allow(float-eq) — exact-root early exit
+    if fa == 0.0 { // exact-root early exit
         return a;
     }
-    if fb == 0.0 { // lint: allow(float-eq) — exact-root early exit
+    if fb == 0.0 { // exact-root early exit
         return b;
     }
     assert!(
@@ -24,7 +24,7 @@ pub fn bisect<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) -> f64 
     for _ in 0..200 {
         let m = 0.5 * (a + b);
         let fm = f(m);
-        if fm == 0.0 || (b - a).abs() < tol { // lint: allow(float-eq) — exact-root early exit
+        if fm == 0.0 || (b - a).abs() < tol { // exact-root early exit
             return m;
         }
         if fm.signum() == fa.signum() {
@@ -44,10 +44,10 @@ pub fn bisect<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) -> f64 
 pub fn brent<F: Fn(f64) -> f64>(f: F, a0: f64, b0: f64, tol: f64) -> f64 {
     let (mut a, mut b) = (a0, b0);
     let (mut fa, mut fb) = (f(a), f(b));
-    if fa == 0.0 { // lint: allow(float-eq) — exact-root early exit
+    if fa == 0.0 { // exact-root early exit
         return a;
     }
-    if fb == 0.0 { // lint: allow(float-eq) — exact-root early exit
+    if fb == 0.0 { // exact-root early exit
         return b;
     }
     assert!(
@@ -62,9 +62,10 @@ pub fn brent<F: Fn(f64) -> f64>(f: F, a0: f64, b0: f64, tol: f64) -> f64 {
     let mut d = b - a;
     let mut mflag = true;
     for _ in 0..200 {
-        if fb == 0.0 || (b - a).abs() < tol { // lint: allow(float-eq) — exact-root early exit
+        if fb == 0.0 || (b - a).abs() < tol { // exact-root early exit
             return b;
         }
+        #[expect(clippy::float_cmp, reason = "inverse quadratic interpolation needs three distinct ordinates, an exact-bits test")]
         let s = if fa != fc && fb != fc {
             // Inverse quadratic interpolation.
             a * fb * fc / ((fa - fb) * (fa - fc))

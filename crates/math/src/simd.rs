@@ -235,9 +235,9 @@ fn ln_core(x: f64) -> f64 {
     // Specials: ln 0 = −∞, ln(negative) = NaN, ln ∞ = ∞. NaN must be
     // re-patched: the exponent bit-field of a NaN reads like ∞'s, so the
     // arithmetic above would hand back a finite garbage value.
-    y = if x == 0.0 { f64::NEG_INFINITY } else { y }; // lint: allow(float-eq) — IEEE special: ln(±0) is exactly −∞
+    y = if x == 0.0 { f64::NEG_INFINITY } else { y }; // IEEE special: ln(±0) is exactly −∞
     y = if x < 0.0 { f64::NAN } else { y };
-    y = if x == f64::INFINITY { f64::INFINITY } else { y }; // lint: allow(float-eq) — IEEE special: ln(∞) is exactly ∞, an exact bit pattern
+    y = if x == f64::INFINITY { f64::INFINITY } else { y }; // IEEE special: ln(∞) is exactly ∞, an exact bit pattern
 
     y = if x.is_nan() { x } else { y };
     y
@@ -292,7 +292,7 @@ pub fn weibull_log_survival(ts: &[f64], shape: f64, scale: f64, out: &mut [f64])
     // that scalar fallback). The pass stays "one ln, one fused shape
     // multiply" exactly as the row-build contract states.
     for (o, &t) in out.iter_mut().zip(ts) {
-        *o = shape * (t / scale).ln(); // lint: allow(naked-transcendental-in-hot-path) — the batch kernel's own ln pass
+        *o = shape * (t / scale).ln(); // the batch kernel's own ln pass
     }
     // exp pass, 4-wide with a scalar tail sharing `exp_core` — identical
     // per-element operations, so the lane boundary never shows in bits.

@@ -98,7 +98,7 @@ impl UniformTable {
             return None;
         }
         let frac = pos - k as f64;
-        if frac == 0.0 { // lint: allow(float-eq) — exact on-grid hit; the blend below would turn a −∞ right-neighbour into NaN via −∞·0
+        if frac == 0.0 { // exact on-grid hit; the blend below would turn a −∞ right-neighbour into NaN via −∞·0
             return Some(self.values[k]);
         }
         Some(self.values[k] * (1.0 - frac) + self.values[k + 1] * frac)
@@ -118,7 +118,7 @@ impl UniformTable {
             return *self.values.last().unwrap_or(&0.0);
         }
         let frac = pos - k as f64;
-        if frac == 0.0 { // lint: allow(float-eq) — exact on-grid hit; the blend below would turn a −∞ right-neighbour into NaN via −∞·0
+        if frac == 0.0 { // exact on-grid hit; the blend below would turn a −∞ right-neighbour into NaN via −∞·0
             return self.values[k];
         }
         self.values[k] * (1.0 - frac) + self.values[k + 1] * frac

@@ -1,9 +1,9 @@
 //! The observability layer's only wall-clock site.
 //!
-//! `ckpt-lint`'s `wall-clock-in-sim` rule denies `Instant`/`SystemTime`
-//! across the sim crates *and* the rest of `crates/obs`; this module is
-//! the single allow-listed exception (`lint.toml`), so every timestamp
-//! the recorder sees provably flows through here. Timestamps are
+//! The workspace `clippy.toml` bans `Instant::now`, `SystemTime::now`
+//! and this module's `now_micros` everywhere; `ckpt-obs` carries the one
+//! crate-level exception, so every timestamp the recorder sees flows
+//! through here. Timestamps are
 //! microseconds since a process-wide origin captured on first use,
 //! which keeps span math in small integers and chrome-trace `ts` fields
 //! compact.

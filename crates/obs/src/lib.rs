@@ -10,13 +10,13 @@
 //!   empty stub and [`active`] is `const false`, so instrumented crates
 //!   pay nothing and never link a clock. With the feature, recording
 //!   still only happens while an [`ObsSession`] is open.
-//! - **One clock site.** Wall-clock reads live in `clock.rs` alone;
-//!   `ckpt-lint`'s `wall-clock-in-sim` rule denies `Instant` everywhere
-//!   else in the sim crates *and* in this crate. The module is public
-//!   so the one other sanctioned consumer — the study checkpointer's
-//!   `interval_seconds` trigger in `crates/exp/src/checkpoint.rs` —
-//!   routes its reads through here instead of opening a second clock
-//!   site (its call site carries a lint pragma; see `lint.toml`).
+//! - **One clock site.** Wall-clock reads live in `clock.rs` alone; the
+//!   workspace `clippy.toml` bans `Instant::now` and `now_micros`
+//!   everywhere, and this crate's one `#![expect]` covers its own stamps.
+//!   The module is public so the other sanctioned consumers — the study
+//!   checkpointer's `interval_seconds` trigger and the progress
+//!   reporter — route their reads through here instead of opening a
+//!   second clock site (each call site carries an `#[expect]`).
 //! - **Deterministic merge.** Each thread records into its own shard;
 //!   [`ObsSession::finish`] folds shards with commutative per-key
 //!   operations (sum, max, bucket-count merge) and sorts spans by
@@ -46,6 +46,10 @@
 //! ```
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the recorder's clock: clock.rs is the one wall-clock read, and span and flight-event stamps are profile data that never feed results"
+)]
 
 pub mod export;
 pub mod metrics;

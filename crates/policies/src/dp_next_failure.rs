@@ -332,12 +332,12 @@ const AGE_BUCKETS_PER_OCTAVE: f64 = 16.0;
 /// kernel rows a study builds and sweeps relative to the previous
 /// 32-per-octave grid.
 fn quantise_age(age: f64, u: f64) -> u64 {
-    (AGE_BUCKETS_PER_OCTAVE * (1.0 + age / u).log2()).round() as u64 // lint: allow(naked-transcendental-in-hot-path) — per-plan age-bucket mapping, not a row build
+    (AGE_BUCKETS_PER_OCTAVE * (1.0 + age / u).log2()).round() as u64 // per-plan age-bucket mapping, not a row build
 }
 
 /// Centre age of a bucket — the representative the plan is computed from.
 fn representative_age(id: u64, u: f64) -> f64 {
-    u * ((id as f64 / AGE_BUCKETS_PER_OCTAVE).exp2() - 1.0) // lint: allow(naked-transcendental-in-hot-path) — per-plan age-bucket mapping, not a row build
+    u * ((id as f64 / AGE_BUCKETS_PER_OCTAVE).exp2() - 1.0) // per-plan age-bucket mapping, not a row build
 }
 
 impl Policy for DpNextFailure {
@@ -705,8 +705,8 @@ fn solve(
 /// packed-triangle log-survival row of `ages[i]` (see [`compute_row`]).
 /// Supplied rows must be exact — the cached-path and inline-path cell
 /// arithmetic is identical, so both produce the same bits.
-// lint: allow(panicking-index-in-kernel) — every `[]` below is affine in loop
-// bounds sized from `x_max` and `ages.len()`; bounds re-audited with this PR.
+// Every `[]` below is affine in loop bounds sized from `x_max` and
+// `ages.len()`; an out-of-bounds edit panics in the DP tests.
 fn solve_with_rows(
     dist: &dyn FailureDistribution,
     ages: &[(f64, f64)],
@@ -919,6 +919,7 @@ fn solve_with_rows(
             // earlier (smaller-j) line.
             let mut push = true;
             if let Some(&(tr, tq, _)) = hull.last() {
+                #[expect(clippy::float_cmp, reason = "equal slopes are exact bits: both are read from the same `erow` array")]
                 if r == tr {
                     if q > tq {
                         hull.pop();
@@ -979,7 +980,7 @@ fn solve_with_rows(
                     // ln Psuc of executing i quanta + checkpoint.
                     let lp = gg(a + i, n + 1) - base;
                     let succ = if x - i >= 1 { vrow[x - i] } else { 0.0 };
-                    let cur = lp.exp() * (i as f64 * u + succ); // lint: allow(naked-transcendental-in-hot-path) — audited log→linear conversion of an exact G row
+                    let cur = lp.exp() * (i as f64 * u + succ); // audited log→linear conversion of an exact G row
                     // `>=` so ties (all-zero survival) prefer big chunks.
                     if cur >= best {
                         best = cur;
@@ -1070,7 +1071,7 @@ pub fn expected_work_of_schedule(
     for &w in schedule {
         elapsed += w + checkpoint;
         let log_p = g(elapsed) - g0;
-        total += w * log_p.exp(); // lint: allow(naked-transcendental-in-hot-path) — audited log→linear conversion of an exact G row
+        total += w * log_p.exp(); // audited log→linear conversion of an exact G row
     }
     total
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Fast perf-regression smoke: one small fixed-seed bench cell plus the
-# golden byte-identity gate, in well under a minute. A ckpt-lint
-# preflight runs first: the golden gate only proves the bits *today*;
-# the lint proves nobody introduced a thread-count or process-seed
-# dependence that would drift them tomorrow.
+# golden byte-identity gate, in well under a minute. A clippy preflight
+# runs first: the golden gate only proves the bits *today*; the
+# workspace lint table (root Cargo.toml, clippy.toml) proves nobody
+# introduced a wall-clock read, hash-order iteration or executor lock
+# that would drift them tomorrow.
 #
 #   1. regenerate the golden cells into a temp dir and byte-compare them
 #      against the committed results/golden/ — any numeric drift in the
@@ -30,8 +31,8 @@ TRACES=${1:-4}
 echo "== build (release) =="
 cargo build --release -q -p ckpt-exp
 
-echo "== ckpt-lint preflight =="
-cargo run --release -q -p ckpt-lint
+echo "== clippy preflight (workspace lint table) =="
+cargo clippy -q --workspace -- -D warnings
 
 echo "== golden drift gate =="
 tmp=$(mktemp -d)

@@ -3,26 +3,29 @@
 #
 #   1. release build of the whole workspace;
 #   2. the full test suite (unit + integration, incl. the golden-result
-#      bit-identity pin at 1, 2 and 8 executor workers);
+#      bit-identity pin at 1, 2 and 8 executor workers and the source
+#      scans of tests/source_rules.rs);
 #   3. the observability gate: build + test the workspace with the
 #      `obs` feature on, so the live recorder paths (session collection,
 #      obs/no-obs bit-identity, repeat-run cache-hit proof) are exercised —
 #      without the feature those tests degrade to their recording-off
 #      halves;
-#   4. clippy with warnings as errors — the lib crates carry
+#   4. clippy with warnings as errors, with and without `obs` — this
+#      enforces the workspace lint table (root Cargo.toml
+#      `[workspace.lints]`, root clippy.toml): no `unsafe`, no wall-clock
+#      read or hash-order iteration outside an `#[expect]` with a reason,
+#      no float `==` between computed values, no lock or atomic in the
+#      executor beyond its audited sites; an unknown lint name or an
+#      unfulfilled `#[expect]` fails too. The traces, platform, dist, obs
+#      and exp crates also carry
 #      `#![warn(clippy::unwrap_used, clippy::expect_used)]`, so any
-#      unwrap/expect on a library path fails this step;
-#   5. ckpt-lint — the workspace determinism & safety lint (rules and
-#      scoping in lint.toml), including the cross-file taint pass: any
-#      deny-level finding exits non-zero, the archived JSON report is
-#      refreshed via scripts/lint_report.sh, and the whole analysis
-#      must finish inside its 5-second budget;
-#   6. the worker-count invariance gate: the golden study runs at
+#      unwrap/expect on their library paths fails this step;
+#   5. the worker-count invariance gate: the golden study runs at
 #      --threads 1, 2, and 8 through the shared-cursor executor, and
 #      every aggregate is byte-compared against results/golden/ — tasks
 #      land on different workers at every count, but the
 #      task-ID-ordered commit must make the results indistinguishable;
-#   7. the kill-and-resume gate: SIGKILL the golden study at ~50%
+#   6. the kill-and-resume gate: SIGKILL the golden study at ~50%
 #      completion (`--kill-at` stops the run before the snapshot that
 #      would cover those items and the CLI kills its own process, so
 #      the exit code is 137), resume it from the surviving snapshot, and
@@ -34,12 +37,12 @@
 #      must also contain a readable flight-recorder dump
 #      (flightrec.json) — the observability half of the durability
 #      story;
-#   8. the bench-regression gate: ckpt-bench's own tests, then the
+#   7. the bench-regression gate: ckpt-bench's own tests, then the
 #      regress sentinel against a committed 20% slowdown fixture (must
 #      flag it, exit 1) and against the real results/BENCH_history.jsonl
 #      (must validate the schema and pass, refreshing
 #      results/BENCH_regress.txt);
-#   9. the perfbench digest gate: one short seq-weibull run, one short
+#   8. the perfbench digest gate: one short seq-weibull run, one short
 #      exa-exp-study run, one short traced exa-exp-study run
 #      (`--trace 1`: its pipeline, layers and run processes) and one
 #      short peta-weibull run at the reference seed must each report
@@ -75,14 +78,6 @@ cargo test -q -p ckpt-obs -p ckpt-dist -p ckpt-policies -p ckpt-sim -p ckpt-exp 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace -- -D warnings
 cargo clippy --workspace --features obs -- -D warnings
-
-echo "== ckpt-lint (determinism & safety) =="
-# The lint crate sits outside default-members, so tier-1 build/test
-# above never touch it: run its own suite here, then the workspace pass
-# via lint_report.sh, which also refreshes results/LINT_report.json and
-# enforces the 5-second analysis budget.
-cargo test -q -p ckpt-lint
-scripts/lint_report.sh
 
 study_tmp=$(mktemp -d)
 trap 'rm -rf "$study_tmp"' EXIT
@@ -135,11 +130,11 @@ done
 echo "resumed aggregates byte-identical ($(ls results/golden/*.json | wc -l) files)"
 
 echo "== bench-regression gate (ckpt-bench regress) =="
-# The sentinel crate sits outside default-members like ckpt-lint: build
-# and test it here, then prove both verdict directions. The slowdown
-# fixture's latest record is ~20% over its rolling median and MUST exit
-# 1; the real history MUST parse (schema validation is part of the run)
-# and pass, refreshing results/BENCH_regress.txt.
+# The sentinel crate sits outside default-members: build and test it
+# here, then prove both verdict directions. The slowdown fixture's
+# latest record is ~20% over its rolling median and MUST exit 1; the
+# real history MUST parse (schema validation is part of the run) and
+# pass, refreshing results/BENCH_regress.txt.
 cargo build -q --release -p ckpt-bench
 cargo test -q -p ckpt-bench --lib
 set +e

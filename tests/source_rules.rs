@@ -1,0 +1,106 @@
+//! The two source rules rustc and clippy cannot express, as plain-text
+//! scans over the workspace. Every other determinism rule lives in the
+//! root `Cargo.toml` lint table and `clippy.toml`, enforced by
+//! `cargo clippy --workspace -- -D warnings`; DESIGN.md "Determinism
+//! rules" maps each rule to the probe that proves it fires.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every `.rs` file under `dir`, skipping build output, the vendored
+/// stand-ins and hidden directories.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let mut entries: Vec<PathBuf> = fs::read_dir(dir)
+        .expect("readable directory")
+        .map(|e| e.expect("directory entry").path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if path.is_dir() {
+            if !(name.starts_with('.') || name == "target" || name == "vendor") {
+                rust_files(&path, out);
+            }
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn read(path: &Path) -> String {
+    fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The text of a line before its first `//`.
+fn code(line: &str) -> &str {
+    line.find("//").map_or(line, |i| &line[..i])
+}
+
+/// The text of a line after its first `//`, if it has a comment.
+fn comment(line: &str) -> Option<&str> {
+    line.find("//").map(|i| &line[i + 2..])
+}
+
+/// Work markers never land on main: in a determinism-critical path one
+/// is an unfinished audit.
+const MARKERS: [&str; 4] = ["TODO", "FIXME", "XXX", "HACK"];
+
+#[test]
+fn no_work_markers_in_comments() {
+    let mut files = Vec::new();
+    rust_files(root(), &mut files);
+    let this_file = root().join(file!());
+    assert!(files.contains(&this_file), "the walk must reach this file: {files:?}");
+    let mut found = Vec::new();
+    for path in &files {
+        for (i, line) in read(path).lines().enumerate() {
+            let Some(text) = comment(line) else { continue };
+            if text.split(|c: char| !c.is_ascii_alphanumeric()).any(|w| MARKERS.contains(&w)) {
+                found.push(format!("{}:{}: {}", path.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(found.is_empty(), "work markers in committed comments:\n{}", found.join("\n"));
+}
+
+/// The DP decision loops, the SIMD batch kernels and the `KernelTable`
+/// builder: per-grid-point libm calls there bypass the tabulated
+/// kernels, which makes row builds slow and their bits fragile under
+/// re-association. Each file keeps this many audited calls outside its
+/// test module, each with its justification in a comment at the call.
+const HOT_PATH: [(&str, usize); 4] = [
+    ("crates/policies/src/dp_next_failure.rs", 4),
+    ("crates/policies/src/dp_makespan.rs", 0),
+    ("crates/math/src/simd.rs", 1),
+    ("crates/dist/src/kernel.rs", 2),
+];
+
+const TRANSCENDENTALS: [&str; 9] =
+    ["powf", "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2", "log10"];
+
+#[test]
+fn hot_path_transcendentals_are_the_audited_ones() {
+    for (file, audited) in HOT_PATH {
+        let src = read(&root().join(file));
+        let body = src.split("#[cfg(test)]").next().unwrap_or_default();
+        let mut sites = Vec::new();
+        for (i, line) in body.lines().enumerate() {
+            for f in TRANSCENDENTALS {
+                for _ in code(line).matches(&format!(".{f}(")) {
+                    sites.push(format!("{file}:{}: .{f}()", i + 1));
+                }
+            }
+        }
+        assert_eq!(
+            sites.len(),
+            audited,
+            "libm calls in a hot-path file changed; route new ones through the tabulated \
+             kernels, or audit the site, justify it in a comment and update HOT_PATH:\n{}",
+            sites.join("\n")
+        );
+    }
+}
