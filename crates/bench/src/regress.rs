@@ -1,12 +1,14 @@
 //! Bench-history parsing and the regression sentinel behind
 //! `ckpt-bench regress`.
 //!
-//! `results/BENCH_history.jsonl` holds one record per
-//! `bench_pipeline`/`bench_exec_scaling` run, oldest first. Records
-//! group into **series** by everything that legitimately changes the
-//! cost of a run — record kind, cell (scenario, processors, traces,
-//! roster size, period grid) and worker threads — so a 1-thread smoke
-//! run is never judged against an 8-thread sweep.
+//! `results/BENCH_history.jsonl` is a frozen ledger: one record per run
+//! of the since-removed pipeline and scaling benches, oldest first, and
+//! nothing appends to it any more (perfbench is the live benchmark).
+//! The sentinel still validates and judges it. Records group into
+//! **series** by everything that legitimately changes the cost of a
+//! run — record kind, cell (scenario, processors, traces, roster size,
+//! period grid) and worker threads — so a 1-thread smoke run is never
+//! judged against an 8-thread sweep.
 //!
 //! The sentinel judges only the **latest** record of the latest
 //! record's series: its `total_seconds` against the rolling median of

@@ -30,10 +30,6 @@ pub struct KernelTable {
     dist: Box<dyn FailureDistribution>,
     log_surv: UniformTable,
     integral: UniformTable,
-    /// Obs counter label: the wrapped distribution's fingerprint
-    /// (`fp:…`) or `unfingerprinted`. Precomputed so the hot query path
-    /// never formats.
-    obs_label: String,
 }
 
 impl KernelTable {
@@ -45,10 +41,6 @@ impl KernelTable {
         assert!(horizon > 0.0, "horizon must be positive");
         assert!(resolution > 0.0, "resolution must be positive");
         let step = (resolution / 8.0).max(horizon / 200_000.0);
-        let obs_label = match dist.fingerprint() {
-            Some(fp) => format!("fp:{fp:016x}"),
-            None => "unfingerprinted".to_string(),
-        };
         // Cold build path: one batched log-survival pass over the whole
         // grid (the family's vectorised override where one exists — a
         // single ln/exp sweep for Weibull, indexed counting for
@@ -59,13 +51,6 @@ impl KernelTable {
         let ts: Vec<f64> = (0..n).map(|k| k as f64 * step).collect();
         let mut logs = vec![0.0f64; n];
         dist.log_survival_batch(&ts, &mut logs);
-        if ckpt_obs::active() {
-            ckpt_obs::counter_add_labeled(
-                "kernel_table.cold_build_points",
-                &obs_label,
-                n as u64,
-            );
-        }
         let log_surv = UniformTable::from_parts(step, logs);
         // exp of the sampled log-survival is `dist.survival` at the same
         // points, evaluated through the shared vectorised exp kernel
@@ -74,7 +59,7 @@ impl KernelTable {
         ckpt_math::simd::exp_shifted(log_surv.values(), 0.0, &mut surv_vals);
         let surv = UniformTable::from_parts(step, surv_vals);
         let integral = UniformTable::cumulative_trapezoid(&surv);
-        Self { dist, log_surv, integral, obs_label }
+        Self { dist, log_surv, integral }
     }
 
     /// The wrapped distribution (exact fallback target).
@@ -99,22 +84,8 @@ impl KernelTable {
             return 0.0;
         }
         match self.log_surv.interp_checked(t) {
-            Some(v) => {
-                if ckpt_obs::active() {
-                    ckpt_obs::counter_add_labeled("kernel_table.interp_hits", &self.obs_label, 1);
-                }
-                v
-            }
-            None => {
-                if ckpt_obs::active() {
-                    ckpt_obs::counter_add_labeled(
-                        "kernel_table.exact_fallbacks",
-                        &self.obs_label,
-                        1,
-                    );
-                }
-                self.dist.log_survival(t)
-            }
+            Some(v) => v,
+            None => self.dist.log_survival(t),
         }
     }
 
@@ -143,22 +114,8 @@ impl KernelTable {
     #[inline]
     pub fn hazard(&self, t: f64) -> f64 {
         match self.log_surv.slope_checked(t) {
-            Some(slope) => {
-                if ckpt_obs::active() {
-                    ckpt_obs::counter_add_labeled("kernel_table.interp_hits", &self.obs_label, 1);
-                }
-                -slope
-            }
-            None => {
-                if ckpt_obs::active() {
-                    ckpt_obs::counter_add_labeled(
-                        "kernel_table.exact_fallbacks",
-                        &self.obs_label,
-                        1,
-                    );
-                }
-                self.dist.hazard(t)
-            }
+            Some(slope) => -slope,
+            None => self.dist.hazard(t),
         }
     }
 

@@ -91,6 +91,15 @@ fn number<'a, T: std::str::FromStr>(
     v.parse().map_err(|_| format!("{flag} needs a number, got `{v}`"))
 }
 
+/// The trace count following `--traces`: at least one trace, since a
+/// cell with none has no degradation to average.
+fn trace_count<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<usize, String> {
+    match number(it, "--traces")? {
+        0 => Err("--traces N needs N ≥ 1, got `0`".into()),
+        n => Ok(n),
+    }
+}
+
 /// Parse an experiment's flags; `Ok(None)` when the usage is asked for.
 fn parse_args(raw: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args {
@@ -109,7 +118,7 @@ fn parse_args(raw: &[String]) -> Result<Option<Args>, String> {
     let mut it = raw.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--traces" => args.traces = number(&mut it, "--traces")?,
+            "--traces" => args.traces = trace_count(&mut it)?,
             "--out" => args.out = Some(PathBuf::from(value(&mut it, "--out")?)),
             "--model" => args.model = value(&mut it, "--model")?,
             "--overhead" => args.overhead = value(&mut it, "--overhead")?,
@@ -185,6 +194,16 @@ fn parse_kill_at(value: &str) -> Result<f64, String> {
     }
 }
 
+/// Parse `--checkpoint-secs S`: a finite, non-negative interval (NaN
+/// would silently disable the time trigger, a negative one would fire
+/// it after every chunk).
+fn parse_checkpoint_secs(value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(secs) if secs.is_finite() && secs >= 0.0 => Ok(secs),
+        _ => Err(format!("--checkpoint-secs S needs a finite S ≥ 0, got `{value}`")),
+    }
+}
+
 /// Items this process executes before `--kill-at FRAC` fires.
 fn kill_after_items(frac: f64, total: usize) -> u64 {
     (frac * total as f64).ceil() as u64
@@ -226,10 +245,12 @@ fn parse_run_args(rest: &[String]) -> Result<Option<RunArgs>, String> {
             "--study" => args.study = value(&mut it, "--study")?,
             "--id" => args.id = Some(value(&mut it, "--id")?),
             "--resume" => args.resume = Some(value(&mut it, "--resume")?),
-            "--traces" => args.traces = Some(number(&mut it, "--traces")?),
+            "--traces" => args.traces = Some(trace_count(&mut it)?),
             "--study-root" => args.root = PathBuf::from(value(&mut it, "--study-root")?),
             "--checkpoint-items" => args.checkpoint_items = number(&mut it, "--checkpoint-items")?,
-            "--checkpoint-secs" => args.checkpoint_secs = number(&mut it, "--checkpoint-secs")?,
+            "--checkpoint-secs" => {
+                args.checkpoint_secs = parse_checkpoint_secs(&value(&mut it, "--checkpoint-secs")?)?;
+            }
             "--max-checkpoints" => args.max_checkpoints = number(&mut it, "--max-checkpoints")?,
             "--kill-at" => args.kill_at = Some(parse_kill_at(&value(&mut it, "--kill-at")?)?),
             "--progress" => args.progress = true,
@@ -285,10 +306,6 @@ fn cmd_run(rest: &[String]) -> i32 {
     if let Some(n) = args.threads {
         ckpt_exp::steal::set_workers(n);
     }
-    // Under the `obs` build, record the whole run so the flight
-    // recorder has events to dump next to the checkpoint store (a
-    // no-op `None` otherwise; results are byte-identical either way).
-    let _obs = ckpt_obs::ObsSession::start();
     let id = args
         .resume
         .clone()
@@ -608,6 +625,68 @@ mod tests {
         }
         let args: Vec<String> = ["--kill-at", "1.5"].map(String::from).to_vec();
         assert!(parse_run_args(&args).is_err());
+    }
+
+    #[test]
+    fn checkpoint_secs_accepts_only_finite_non_negative_intervals() {
+        assert_eq!(parse_checkpoint_secs("0"), Ok(0.0));
+        assert_eq!(parse_checkpoint_secs("2.5"), Ok(2.5));
+        for bad in ["-5", "nan", "inf", "-inf", "soon"] {
+            assert!(parse_checkpoint_secs(bad).is_err(), "--checkpoint-secs {bad} must be refused");
+        }
+    }
+
+    fn strings(raw: &[&str]) -> Vec<String> {
+        raw.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn trace_counts_must_be_positive_in_every_command() {
+        let exp = |raw: &[&str]| parse_args(&strings(raw)).map(|a| a.map(|a| a.traces));
+        assert_eq!(exp(&["table2", "--traces", "3"]), Ok(Some(3)));
+        assert_eq!(exp(&["table2"]), Ok(Some(600)), "the paper's 600 traces by default");
+        assert!(exp(&["table2", "--traces", "0"]).is_err());
+        let run = |raw: &[&str]| parse_run_args(&strings(raw)).map(|a| a.map(|a| a.traces));
+        assert_eq!(run(&["--traces", "1"]), Ok(Some(Some(1))));
+        assert_eq!(run(&[]), Ok(Some(None)), "each study keeps its own default");
+        assert!(run(&["--study", "bench", "--traces", "0"]).is_err());
+    }
+
+    #[test]
+    fn run_defaults_match_the_documented_store_settings() {
+        let a = parse_run_args(&[]).expect("no flags parse").expect("not a help request");
+        assert_eq!(a.study, "golden");
+        assert_eq!((a.id, a.resume), (None, None));
+        assert_eq!(a.root, PathBuf::from("results/study"));
+        assert_eq!((a.checkpoint_items, a.max_checkpoints), (64, 3));
+        assert_eq!(a.checkpoint_secs, 30.0);
+        assert_eq!((a.kill_at, a.threads, a.progress), (None, None, false));
+    }
+
+    #[test]
+    fn run_flags_land_in_their_fields() {
+        let raw = strings(&[
+            "--study", "bench", "--resume", "r1", "--traces", "6", "--study-root", "/tmp/st",
+            "--checkpoint-items", "4", "--checkpoint-secs", "0", "--max-checkpoints", "2",
+            "--kill-at", "0.25", "--threads", "8", "--progress",
+        ]);
+        let a = parse_run_args(&raw).expect("valid flags").expect("not a help request");
+        assert_eq!((a.study.as_str(), a.resume.as_deref(), a.traces), ("bench", Some("r1"), Some(6)));
+        assert_eq!(a.root, PathBuf::from("/tmp/st"));
+        assert_eq!((a.checkpoint_items, a.max_checkpoints), (4, 2));
+        assert_eq!(a.checkpoint_secs, 0.0);
+        assert_eq!((a.kill_at, a.threads, a.progress), (Some(0.25), Some(8), true));
+    }
+
+    #[test]
+    fn experiment_args_without_a_name_ask_for_usage() {
+        assert!(matches!(parse_args(&[]), Ok(None)));
+        assert!(matches!(parse_args(&strings(&["--traces", "5"])), Ok(None)));
+        assert!(matches!(parse_args(&strings(&["table3", "--help"])), Ok(None)));
+        let a = parse_args(&strings(&["matrix", "--weibull", "--exa", "--procs", "1024"]))
+            .expect("valid flags")
+            .expect("an experiment was named");
+        assert_eq!((a.experiment.as_str(), a.weibull, a.exa, a.procs), ("matrix", true, true, 1024));
     }
 
     #[test]

@@ -86,20 +86,14 @@ impl TraceCache {
         };
         let widest = self.map.lock().get(&key).cloned();
         if let Some(hit) = widest.as_ref().filter(|w| w.traces.unit_count() >= units) {
-            ckpt_obs::counter_add("trace_cache.hits", 1);
             return if hit.traces.unit_count() == units {
                 Arc::clone(hit)
             } else {
                 Arc::new(hit.prefix(units))
             };
         }
-        ckpt_obs::counter_add("trace_cache.misses", 1);
         // Generate outside the lock: generation is deterministic, so a
         // racing thread computing the same key produces the same value.
-        let mut span = ckpt_obs::task_span("trace.generate", index as u64);
-        if ckpt_obs::active() {
-            span.label("cell", scenario.label.clone());
-        }
         let traces = match widest {
             Some(narrow) => scenario.widen_traces(built, index, &narrow.traces),
             None => scenario.generate_traces(built, index),
@@ -108,7 +102,6 @@ impl TraceCache {
             events: Arc::new(traces.platform_events()),
             traces: Arc::new(traces),
         });
-        drop(span);
         let mut map = self.map.lock();
         let widest = map.entry(key).or_insert_with(|| Arc::clone(&entry));
         if widest.traces.unit_count() < units {

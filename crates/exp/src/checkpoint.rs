@@ -18,8 +18,8 @@
 //!   `<root>/<id>/ckpt-NNNNNN.json`, each holding every completed
 //!   item's payload (floats as exact `u64` bit patterns). Written every
 //!   `interval_items` completed items *or* `interval_seconds` seconds —
-//!   the latter read through the one sanctioned clock in
-//!   [`ckpt_obs::clock`] — keeping the newest `max_checkpoints`; the
+//!   the latter read through the crate's one telemetry clock,
+//!   [`crate::perf::clock_seconds`] — keeping the newest `max_checkpoints`; the
 //!   final snapshot always outlives completion. Snapshots are
 //!   full-state, so "move in-progress items back to pending" is
 //!   implicit: pending = manifest − snapshot. A snapshot whose payloads
@@ -44,7 +44,7 @@
 
 use crate::error::Error;
 use crate::exec::CellCtx;
-use crate::perf::PipelinePerf;
+use crate::perf::{clock_seconds, PipelinePerf};
 use crate::plan::{plan_scenario, SimPlan, TRACE_BLOCK};
 use crate::policies_spec::PolicyKind;
 use crate::runner::{RunnerOptions, ScenarioResult};
@@ -73,7 +73,7 @@ pub struct CheckpointConfig {
     /// Write a checkpoint after this many newly completed items.
     pub interval_items: u64,
     /// … or after this many seconds since the last write, whichever
-    /// comes first (read through the sanctioned `ckpt_obs` clock).
+    /// comes first (read through the crate's one telemetry clock).
     pub interval_seconds: f64,
     /// Keep at most this many checkpoint files (newest win).
     pub max_checkpoints: usize,
@@ -361,17 +361,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Seconds since process origin, for the `interval_seconds` trigger.
-/// This is the module's *only* clock read, and it gates when snapshots
-/// are written — never what they contain.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the study checkpointer's single sanctioned clock site, routed through ckpt_obs::clock"
-)]
-fn clock_seconds() -> f64 {
-    ckpt_obs::clock::now_micros() as f64 / 1e6
 }
 
 /// FNV-1a over the golden directory (file names + contents, sorted by
@@ -843,25 +832,6 @@ fn write_status(dir: &Path, status: &str) -> Result<(), Error> {
     write_atomic(&dir.join("status"), &format!("{status}\n"))
 }
 
-/// Best-effort flight-recorder dump into the store. Diagnostic only: a
-/// failed write must never fail the study. Without the `obs` feature
-/// (or outside a session) this still writes a valid `recording: false`
-/// document, so store tooling never has to special-case its absence.
-fn write_flightrec(dir: &Path) {
-    let _ = write_atomic(&dir.join("flightrec.json"), &ckpt_obs::flight_dump_json());
-}
-
-/// Resets the poisoned-wave flight-dump destination when the run loop
-/// exits — normally or by unwind — so a later wave outside any study
-/// cannot write into a stale store.
-struct FlightDumpGuard;
-
-impl Drop for FlightDumpGuard {
-    fn drop(&mut self) {
-        crate::steal::set_flight_dump(None);
-    }
-}
-
 // ---------------------------------------------------------------------
 // The run loop
 // ---------------------------------------------------------------------
@@ -908,11 +878,9 @@ fn load_latest(dir: &Path, manifest: &StudyManifest) -> Result<Option<Checkpoint
             .and_then(|src| parse_checkpoint(&src).ok())
             .filter(|c| c.version == STORE_VERSION && &c.study == study)
         else {
-            ckpt_obs::counter_add("study.checkpoint_rejected", 1);
             continue;
         };
         if &ckpt.fingerprint != expect {
-            ckpt_obs::counter_add("study.checkpoint_rejected", 1);
             return Err(bad(format!(
                 "stale checkpoint store for study `{study}`: snapshot fingerprint {} \
                  does not match the rebuilt manifest fingerprint {expect} \
@@ -922,7 +890,6 @@ fn load_latest(dir: &Path, manifest: &StudyManifest) -> Result<Option<Checkpoint
             )));
         }
         if payloads_fit(&ckpt.completed, manifest).is_err() {
-            ckpt_obs::counter_add("study.checkpoint_rejected", 1);
             continue;
         }
         return Ok(Some(ckpt));
@@ -970,15 +937,13 @@ pub fn run_study(
     let mut next_seq: u64 = 0;
 
     if resume {
-        let _span = ckpt_obs::span("study.resume");
         if !dir.is_dir() {
             return Err(bad(format!("no study `{}` under {}", def.id, config.root.display())));
         }
         if let Ok(src) = std::fs::read_to_string(dir.join("manifest.json")) {
             let on_disk = parse_manifest(&src)?;
             if on_disk.fingerprint != manifest.fingerprint {
-                ckpt_obs::counter_add("study.checkpoint_rejected", 1);
-                return Err(bad(format!(
+                    return Err(bad(format!(
                     "stale manifest for study `{}`: on-disk fingerprint {} does not \
                      match the rebuilt fingerprint {} — the store describes a \
                      different study; refusing to resume",
@@ -1009,15 +974,8 @@ pub fn run_study(
         write_atomic(&dir.join("manifest.json"), &manifest_json(&manifest))?;
     }
 
-    // The store directory exists either way now: point the poisoned-wave
-    // flight dump at it for the duration of the run (the guard resets it
-    // on every exit path, unwinds included).
-    crate::steal::set_flight_dump(Some(dir.join("flightrec.json")));
-    let _flight_guard = FlightDumpGuard;
-
     let items_total = manifest.items.len() as u64;
     let items_resumed = completed.len() as u64;
-    ckpt_obs::counter_add("study.items_resumed", items_resumed);
 
     let mut cell_items: Vec<Vec<WorkItem>> = vec![Vec::new(); def.cells.len()];
     for item in &manifest.items {
@@ -1051,7 +1009,6 @@ pub fn run_study(
         config.progress,
     );
     progress.write(&dir)?;
-    write_flightrec(&dir);
 
     // Scheduling counters only: each cell's result carries the perf its
     // commit folds.
@@ -1063,7 +1020,6 @@ pub fn run_study(
         crate::exec::drain(&mut cells, &chunk, &mut completed, &mut drain_perf);
         executed += chunk.len() as u64;
         since_ckpt += chunk.len() as u64;
-        ckpt_obs::counter_add("study.items_executed", chunk.len() as u64);
         progress.finish_chunk(&chunk);
 
         if let Some(stop) = config.stop_after_items {
@@ -1079,21 +1035,18 @@ pub fn run_study(
         let due_items = since_ckpt >= config.interval_items.max(1);
         let due_time = clock_seconds() - last_ckpt >= config.interval_seconds;
         if due_items || due_time {
-            let _span = ckpt_obs::span("study.checkpoint_write");
             write_atomic(
                 &dir.join(ckpt_name(next_seq)),
                 &checkpoint_json(&def.id, &manifest.fingerprint, next_seq, &completed),
             )?;
-            ckpt_obs::counter_add("study.checkpoint_writes", 1);
             next_seq += 1;
             checkpoints_written += 1;
             since_ckpt = 0;
             last_ckpt = clock_seconds();
             prune_checkpoints(&dir, config.max_checkpoints);
             write_status(&dir, &format!("running {}/{items_total}", completed.len()))?;
-            // The checkpoint writer committed: dump the flight ring and
-            // refresh the progress snapshot next to it.
-            write_flightrec(&dir);
+            // The checkpoint writer committed: refresh the progress
+            // snapshot next to it.
             progress.write(&dir)?;
         }
     }
@@ -1102,15 +1055,12 @@ pub fn run_study(
     // aggregates resumes into an all-complete study and just re-commits),
     // then the deterministic commit of every cell in definition order.
     {
-        let _span = ckpt_obs::span("study.checkpoint_write");
         write_atomic(
             &dir.join(ckpt_name(next_seq)),
             &checkpoint_json(&def.id, &manifest.fingerprint, next_seq, &completed),
         )?;
-        ckpt_obs::counter_add("study.checkpoint_writes", 1);
         checkpoints_written += 1;
         prune_checkpoints(&dir, config.max_checkpoints);
-        write_flightrec(&dir);
         progress.write(&dir)?;
         progress.console_tick(true);
     }

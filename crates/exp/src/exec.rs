@@ -28,7 +28,7 @@
 use crate::cache::{CachedTrace, TraceCache};
 use crate::checkpoint::{ItemPayload, RefineColumn, TraceStatsBits};
 use crate::error::Error;
-use crate::perf::PipelinePerf;
+use crate::perf::{clock_seconds, PipelinePerf};
 use crate::plan::{ItemKind, SimPlan, WorkItem};
 use crate::policies_spec::PolicyKind;
 use crate::scenario::{BuiltDist, Scenario};
@@ -38,7 +38,6 @@ use ckpt_sim::lower_bound_on_events;
 use ckpt_workload::JobSpec;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One roster-policy simulation result on one trace.
 #[derive(Debug, Clone, Copy)]
@@ -119,16 +118,12 @@ impl<'a> CellCtx<'a> {
             return;
         }
         let (scenario, plan) = (self.scenario, self.plan);
-        #[expect(clippy::disallowed_methods, reason = "stage timer feeds PipelinePerf only, never result rows")]
-        let t_stage = Instant::now();
-        let stage_span = ckpt_obs::span("stage.trace_gen");
+        let t_stage = clock_seconds();
         let cache = TraceCache::global();
         let indices: Vec<usize> = (0..plan.traces).collect();
-        let (traces, stats) = steal::run_wave(&indices, steal::workers(), |_| false, |_, &i| {
+        let (traces, _) = steal::run_wave(&indices, steal::workers(), |_| false, |_, &i| {
             cache.get_or_generate(scenario, built, i)
         });
-        perf.exec.get_or_insert_with(Default::default).absorb(&stats);
-        drop(stage_span);
         perf.push_stage("trace_gen", t_stage, plan.traces as u64);
 
         let spec = scenario.job_spec();
@@ -165,7 +160,7 @@ impl<'a> CellCtx<'a> {
                 Ok(p) => ItemPayload::Policy {
                     built: true,
                     reason: String::new(),
-                    stats: traces.map(|t| self.policy_sim(r, policy, p.as_ref(), t)).collect(),
+                    stats: traces.map(|t| self.policy_sim(r, p.as_ref(), t)).collect(),
                 },
                 Err(e) => {
                     ItemPayload::Policy { built: false, reason: e.to_string(), stats: Vec::new() }
@@ -174,10 +169,6 @@ impl<'a> CellCtx<'a> {
             ItemKind::LowerBound => ItemPayload::LowerBound {
                 makespans: traces
                     .map(|t| {
-                        let _span = ckpt_obs::task_span(
-                            "task.lower_bound",
-                            (self.plan.kinds.len() * self.plan.traces + t) as u64,
-                        );
                         let ct = &r.traces[t];
                         let (start, horizon) = (ct.traces.start_time, ct.traces.horizon);
                         let stats = lower_bound_on_events(&r.spec, &ct.events, start, horizon);
@@ -185,16 +176,9 @@ impl<'a> CellCtx<'a> {
                     })
                     .collect(),
             },
-            ItemKind::Coarse { candidate } => {
-                ckpt_obs::counter_add_labeled(
-                    "period_search.candidate_sims",
-                    "coarse",
-                    traces.len() as u64,
-                );
-                ItemPayload::Coarse {
-                    stats: traces.map(|t| self.candidate_sim(r, "coarse", candidate, t)).collect(),
-                }
-            }
+            ItemKind::Coarse { candidate } => ItemPayload::Coarse {
+                stats: traces.map(|t| self.candidate_sim(r, candidate, t)).collect(),
+            },
             ItemKind::Refine => self.run_refine(r, done),
         }
     }
@@ -220,9 +204,8 @@ impl<'a> CellCtx<'a> {
         let traces = self.plan.traces;
         let pairs: Vec<(usize, usize)> =
             fresh.iter().flat_map(|&c| (0..traces).map(move |t| (c, t))).collect();
-        ckpt_obs::counter_add_labeled("period_search.candidate_sims", "refine", pairs.len() as u64);
         let (flat, _) = steal::run_wave(&pairs, steal::workers(), |_| false, |_, &(c, t)| {
-            self.candidate_sim(r, "refine", c, t)
+            self.candidate_sim(r, c, t)
         });
         let columns = fresh
             .iter()
@@ -235,39 +218,14 @@ impl<'a> CellCtx<'a> {
         ItemPayload::Refine { columns }
     }
 
-    /// One roster policy on one trace. The task id is the sim's plan
-    /// position, so the merged span order is identical at any worker
-    /// count.
-    fn policy_sim(&self, r: &Ready, policy: usize, p: &dyn Policy, trace: usize) -> TraceStatsBits {
-        let mut span =
-            ckpt_obs::task_span("task.policy_sim", (policy * self.plan.traces + trace) as u64);
-        if ckpt_obs::active() {
-            span.label("policy", p.name().to_string());
-            span.label("dist", self.scenario.label.clone());
-            span.label("p", self.scenario.procs.to_string());
-        }
+    /// One roster policy on one trace.
+    fn policy_sim(&self, r: &Ready, p: &dyn Policy, trace: usize) -> TraceStatsBits {
         TraceStatsBits::of(&simulate_on(&r.spec, p, &r.traces[trace], self.plan.sim))
     }
 
-    /// One `PeriodLB` candidate on one trace (ids above the roster's and
-    /// lower bound's id ranges).
-    fn candidate_sim(
-        &self,
-        r: &Ready,
-        wave: &'static str,
-        candidate: usize,
-        trace: usize,
-    ) -> TraceStatsBits {
-        let factor = self.plan.grid[candidate];
-        let mut span = ckpt_obs::task_span(
-            "task.candidate_sim",
-            ((self.plan.kinds.len() + 1 + candidate) * self.plan.traces + trace) as u64,
-        );
-        if ckpt_obs::active() {
-            span.label("wave", wave);
-            span.label("factor", format!("{factor}"));
-        }
-        let policy = r.base.as_fixed_period().scaled(factor);
+    /// One `PeriodLB` candidate on one trace.
+    fn candidate_sim(&self, r: &Ready, candidate: usize, trace: usize) -> TraceStatsBits {
+        let policy = r.base.as_fixed_period().scaled(self.plan.grid[candidate]);
         TraceStatsBits::of(&simulate_on(&r.spec, &policy, &r.traces[trace], self.plan.sim))
     }
 }
@@ -309,13 +267,12 @@ pub(crate) fn drain(
         cells[item.cell].prepare(perf);
     }
     let (cells, done) = (&*cells, &*completed);
-    let (payloads, stats) = steal::run_wave(
+    let (payloads, _) = steal::run_wave(
         wave,
         steal::workers(),
         |item| cells[item.cell].is_heavy_item(item),
         |_, item| cells[item.cell].run_item(item, done),
     );
-    perf.exec.get_or_insert_with(Default::default).absorb(&stats);
     completed.extend(wave.iter().map(|i| i.id).zip(payloads));
 }
 
@@ -339,15 +296,9 @@ pub fn execute(
     let caches_before = ckpt_policies::DpCaches::global().stats();
     let split = items.iter().position(|i| i.kind == ItemKind::Refine).unwrap_or(items.len());
     let mut completed = BTreeMap::new();
-    for (stage, span, wave) in [
-        ("policy_sims", "stage.policy_sims", &items[..split]),
-        ("period_search", "stage.period_search", &items[split..]),
-    ] {
-        #[expect(clippy::disallowed_methods, reason = "stage timer feeds PipelinePerf only, never result rows")]
-        let t_stage = Instant::now();
-        let stage_span = ckpt_obs::span(span);
+    for (stage, wave) in [("policy_sims", &items[..split]), ("period_search", &items[split..])] {
+        let t_stage = clock_seconds();
         drain(std::slice::from_mut(&mut cell), wave, &mut completed, perf);
-        drop(stage_span);
         perf.push_stage(stage, t_stage, wave.len() as u64);
     }
     perf.plan_cache =
@@ -493,7 +444,7 @@ mod tests {
             sa.column.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
             sb.column.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
         );
-        // Work counters are schedule-independent; only perf.exec varies.
+        // Work counters are schedule-independent.
         assert_eq!(perf_seq.policy_sims, perf_par.policy_sims);
         assert_eq!(perf_seq.candidate_sims, perf_par.candidate_sims);
         assert_eq!(perf_seq.decisions, perf_par.decisions);

@@ -1,13 +1,31 @@
 //! Lightweight pipeline instrumentation: per-stage wall-clock and
-//! decision/event counters for the scenario runner, plus the JSON
-//! emitter behind `scripts/bench_pipeline.sh` / `BENCH_pipeline.json`.
+//! decision/event counters for the scenario runner, and the crate's one
+//! telemetry clock.
 //!
 //! The counters are plain `u64`s accumulated single-threadedly per trace
 //! row and summed at aggregation time, so instrumentation adds no
 //! synchronisation to the hot path.
 
 use serde::Serialize;
+use std::sync::OnceLock;
 use std::time::Instant;
+
+/// Seconds since a process-wide origin (first call wins): the crate's
+/// one wall-clock read, behind the [`PipelinePerf`] stage timers, the
+/// checkpoint store's `interval_seconds` trigger and the progress
+/// reporter's rates, ETA and console rate limit. Telemetry only: it
+/// decides *when* a snapshot or a progress line is written and how long
+/// a stage took, never what an aggregate contains, and every
+/// `progress.json` field it feeds sits under
+/// `wall_clock_nondeterministic`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the crate's one telemetry clock; no aggregate reads it"
+)]
+pub fn clock_seconds() -> f64 {
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    ORIGIN.get_or_init(Instant::now).elapsed().as_secs_f64()
+}
 
 /// Wall-clock and volume of one pipeline stage.
 #[derive(Debug, Clone, Serialize)]
@@ -55,88 +73,6 @@ impl From<ckpt_policies::DpCacheStats> for PlanCachePerf {
     }
 }
 
-/// Deterministic counters harvested from the `ckpt-obs` registry over
-/// one `run_scenario` call — the richer breakdown `BENCH_pipeline.json`
-/// gains when a recording session is open. Every field is a counter
-/// delta, so the values are reproducible run to run (unlike the
-/// wall-clock stage seconds).
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct ObsPerf {
-    /// Cold `DPNextFailure` solves (plan-cache misses that ran the DP).
-    pub dp_solves: u64,
-    /// Near-age kernel rows accumulated across solves.
-    pub dp_near_row_sweeps: u64,
-    /// Solves that folded far ages into a Chebyshev interpolant.
-    pub dp_far_fits: u64,
-    /// Hull lines pushed across all DP inner loops.
-    pub dp_hull_lines: u64,
-    /// Monotone hull pointer advances (the amortised-O(1) query walk).
-    pub dp_hull_advances: u64,
-    /// States that fell back to the exact log-domain loop (underflow).
-    pub dp_log_domain_states: u64,
-    /// Solves that reused a warm per-thread scratch allocation.
-    pub dp_scratch_reuses: u64,
-    /// `KernelTable` queries answered by grid interpolation.
-    pub kernel_interp_hits: u64,
-    /// `KernelTable` queries past the horizon (exact fallback).
-    pub kernel_exact_fallbacks: u64,
-    /// Trace sets served from the process-wide cache.
-    pub trace_cache_hits: u64,
-    /// Trace sets generated on a cache miss.
-    pub trace_cache_misses: u64,
-    /// Engine runs completed.
-    pub sim_runs: u64,
-    /// Decision points across all engine runs.
-    pub sim_decisions: u64,
-}
-
-impl ObsPerf {
-    /// Harvest from a counter delta (see `ckpt_obs::counters_snapshot`).
-    pub fn from_counters(c: &ckpt_obs::CounterSnapshot) -> Self {
-        Self {
-            dp_solves: c.total("dp.solves"),
-            dp_near_row_sweeps: c.total("dp.near_row_sweeps"),
-            dp_far_fits: c.total("dp.far_fits"),
-            dp_hull_lines: c.total("dp.hull_lines"),
-            dp_hull_advances: c.total("dp.hull_advances"),
-            dp_log_domain_states: c.total("dp.log_domain_states"),
-            dp_scratch_reuses: c.total("dp.scratch_reuses"),
-            kernel_interp_hits: c.total("kernel_table.interp_hits"),
-            kernel_exact_fallbacks: c.total("kernel_table.exact_fallbacks"),
-            trace_cache_hits: c.total("trace_cache.hits"),
-            trace_cache_misses: c.total("trace_cache.misses"),
-            sim_runs: c.total("sim.runs"),
-            sim_decisions: c.total("sim.decisions"),
-        }
-    }
-}
-
-/// Wave-executor scheduling counters accumulated over one run: how the
-/// shared-cursor drain ([`crate::steal`]) distributed the task waves.
-/// These describe scheduling only — results are bit-identical at any
-/// worker count — so they are reported, never golden-pinned.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct ExecPerf {
-    /// Effective worker count (the largest any wave ran with).
-    pub workers: u64,
-    /// Waves drained.
-    pub waves: u64,
-    /// Claims of heavy tasks (claimed first in every wave).
-    pub local_claims: u64,
-    /// Claims of every other task.
-    pub injector_claims: u64,
-}
-
-impl ExecPerf {
-    /// Fold one wave's scheduling counters into the run totals.
-    pub fn absorb(&mut self, s: &crate::steal::WaveStats) {
-        self.workers = self.workers.max(s.workers as u64);
-        self.waves += 1;
-        self.local_claims += s.local_claims;
-        self.injector_claims += s.injector_claims;
-    }
-}
-
 /// Instrumentation for one `run_scenario` call.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct PipelinePerf {
@@ -158,24 +94,15 @@ pub struct PipelinePerf {
     /// Shared DP cache counters accumulated over the item drain (the
     /// executor snapshots the global caches around it).
     pub plan_cache: PlanCachePerf,
-    /// Wave-executor scheduling counters (worker count, heavy/other
-    /// claim mix). `Some` once any wave has drained; `None` is omitted from
-    /// the JSON so pre-executor documents keep their exact bytes.
-    pub exec: Option<ExecPerf>,
-    /// Obs-registry counter deltas for this run. Present only while a
-    /// `ckpt-obs` session records; `None` is omitted from the JSON, so
-    /// the emitted bytes without a session are identical to the
-    /// pre-observability format (the byte-compat test relies on this
-    /// being the last field).
-    pub obs: Option<ObsPerf>,
 }
 
 impl PipelinePerf {
-    /// Record a stage's duration and volume.
-    pub fn push_stage(&mut self, name: &str, started: Instant, items: u64) {
+    /// Record a stage that began at `started` ([`clock_seconds`]) and
+    /// processed `items`.
+    pub fn push_stage(&mut self, name: &str, started: f64, items: u64) {
         self.stages.push(StagePerf {
             name: name.to_string(),
-            seconds: started.elapsed().as_secs_f64(),
+            seconds: clock_seconds() - started,
             items,
         });
     }
@@ -184,21 +111,10 @@ impl PipelinePerf {
     pub fn stage_seconds(&self, name: &str) -> f64 {
         self.stages.iter().filter(|s| s.name == name).map(|s| s.seconds).sum()
     }
-
-    /// The JSON object body (no surrounding document) for this run.
-    ///
-    /// This is serde-derived field order; the vendored `serde_json`
-    /// writer reproduces the original hand-rolled emitter byte for byte
-    /// (`", "`/`": "` separators, `format_f64` floats, `None` fields
-    /// omitted), which the `json_byte_compat_with_legacy_emitter` test
-    /// pins.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self)
-    }
 }
 
-// JSON-safe float formatting lives with the writer now; re-exported so
-// the goldens and the bench binary keep one shared float format.
+// JSON-safe float formatting lives with the writer; re-exported so the
+// goldens, `progress.json` and perfbench keep one shared float format.
 pub use serde_json::format_f64;
 
 #[cfg(test)]
@@ -206,105 +122,67 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_shape_is_valid_enough() {
-        let mut p = PipelinePerf::default();
-        let t = Instant::now();
-        p.push_stage("trace_gen", t, 6);
-        p.total_seconds = 1.5;
-        p.policy_sims = 42;
-        p.plan_cache.plans.hits = 7;
-        let j = p.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"total_seconds\": 1.5"));
-        assert!(j.contains("\"name\": \"trace_gen\""));
-        assert!(j.contains("\"policy_sims\": 42"));
-        assert!(j.contains("\"plan_cache\": {\"plans\": {\"hits\": 7"));
-        assert!(j.contains("\"kernel_rows\": {\"hits\": 0"));
-        // Balanced braces/brackets (cheap structural check).
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
     fn floats_are_json_safe() {
         assert_eq!(format_f64(2.0), "2.0");
         assert_eq!(format_f64(f64::INFINITY), "null");
         assert_eq!(format_f64(0.25), "0.25");
-    }
-
-    /// The serde path must reproduce the retired hand-rolled emitter
-    /// byte for byte, so historical `BENCH_pipeline.json` diffs stay
-    /// clean. The expected string below is the old emitter's exact
-    /// output for this struct.
-    #[test]
-    fn json_byte_compat_with_legacy_emitter() {
-        let mut p = PipelinePerf {
-            total_seconds: 1.5,
-            policy_sims: 42,
-            candidate_sims: 7,
-            candidate_grid_size: 220,
-            decisions: 9001,
-            failures: 13,
-            ..Default::default()
-        };
-        p.stages.push(StagePerf { name: "trace_gen".into(), seconds: 0.25, items: 6 });
-        p.stages.push(StagePerf { name: "policy_sims".into(), seconds: 1.0, items: 42 });
-        p.plan_cache.plans = CachePerf { hits: 7, misses: 2, evictions: 1, entries: 4 };
-        p.plan_cache.kernel_rows = CachePerf { hits: 100, misses: 3, evictions: 0, entries: 3 };
-        assert_eq!(
-            p.to_json(),
-            "{\"total_seconds\": 1.5, \"stages\": [\
-             {\"name\": \"trace_gen\", \"seconds\": 0.25, \"items\": 6}, \
-             {\"name\": \"policy_sims\", \"seconds\": 1.0, \"items\": 42}\
-             ], \"policy_sims\": 42, \"candidate_sims\": 7, \
-             \"candidate_grid_size\": 220, \"decisions\": 9001, \"failures\": 13, \
-             \"plan_cache\": {\
-             \"plans\": {\"hits\": 7, \"misses\": 2, \"evictions\": 1, \"entries\": 4}, \
-             \"kernel_rows\": {\"hits\": 100, \"misses\": 3, \"evictions\": 0, \"entries\": 3}\
-             }}"
-        );
-    }
-
-    /// Non-finite floats must round-trip through the serde path exactly
-    /// as the legacy `format_f64` wrote them: `null`.
-    #[test]
-    fn non_finite_floats_serialize_as_null() {
-        let p = PipelinePerf { total_seconds: f64::NAN, ..Default::default() };
-        assert!(p.to_json().starts_with("{\"total_seconds\": null, "));
-        let p = PipelinePerf { total_seconds: f64::INFINITY, ..Default::default() };
-        assert!(p.to_json().starts_with("{\"total_seconds\": null, "));
-        let p = PipelinePerf { total_seconds: f64::NEG_INFINITY, ..Default::default() };
-        assert!(p.to_json().starts_with("{\"total_seconds\": null, "));
         assert_eq!(format_f64(f64::NAN), "null");
-    }
-
-    /// The wave-executor block appears only once a wave ran (`Some`),
-    /// keyed `exec`, between `plan_cache` and `obs`; `None` is omitted
-    /// (the byte-compat test above pins the omitted form).
-    #[test]
-    fn exec_block_is_optional_and_ordered() {
-        let mut p = PipelinePerf::default();
-        assert!(!p.to_json().contains("\"exec\""));
-        p.exec = Some(ExecPerf { workers: 8, waves: 3, local_claims: 5, injector_claims: 90 });
-        let j = p.to_json();
-        assert!(j.contains(
-            "\"exec\": {\"workers\": 8, \"waves\": 3, \"local_claims\": 5, \
-             \"injector_claims\": 90}"
-        ), "{j}");
-        let plan_cache = j.find("\"plan_cache\"").expect("plan_cache present");
-        let exec = j.find("\"exec\"").expect("exec present");
-        assert!(plan_cache < exec);
     }
 
     #[test]
     fn stage_seconds_sums_by_name() {
         let mut p = PipelinePerf::default();
-        let t = Instant::now();
+        let t = clock_seconds();
         p.push_stage("a", t, 1);
         p.push_stage("a", t, 1);
         p.push_stage("b", t, 1);
         assert!(p.stage_seconds("a") >= 0.0);
         assert_eq!(p.stage_seconds("missing"), 0.0);
         assert_eq!(p.stages.len(), 3);
+    }
+
+    #[test]
+    fn clock_is_monotone_and_non_negative() {
+        let mut last = clock_seconds();
+        assert!(last >= 0.0, "{last}");
+        for _ in 0..1_000 {
+            let now = clock_seconds();
+            assert!(now >= last, "clock went back: {now} < {last}");
+            last = now;
+        }
+    }
+
+    #[test]
+    fn push_stage_measures_from_the_given_start_and_keeps_order() {
+        let mut p = PipelinePerf::default();
+        p.push_stage("trace_gen", clock_seconds() - 0.5, 7);
+        p.push_stage("aggregate", clock_seconds(), 3);
+        let names: Vec<&str> = p.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["trace_gen", "aggregate"]);
+        assert!(p.stages[0].seconds >= 0.5, "{}", p.stages[0].seconds);
+        assert_eq!((p.stages[0].items, p.stages[1].items), (7, 3));
+    }
+
+    #[test]
+    fn stage_seconds_adds_every_stage_of_the_name() {
+        let stage = |name: &str, seconds: f64| StagePerf { name: name.into(), seconds, items: 1 };
+        let p = PipelinePerf {
+            stages: vec![stage("policy_sims", 0.25), stage("aggregate", 4.0), stage("policy_sims", 0.5)],
+            ..PipelinePerf::default()
+        };
+        assert_eq!(p.stage_seconds("policy_sims"), 0.75);
+        assert_eq!(p.stage_seconds("aggregate"), 4.0);
+        assert_eq!(p.stage_seconds("Policy_sims"), 0.0, "names match exactly");
+    }
+
+    #[test]
+    fn cache_perf_carries_each_layer_and_counter_over() {
+        use ckpt_policies::{CacheStats, DpCacheStats};
+        let plans = CacheStats { hits: 1, misses: 2, evictions: 3, entries: 4 };
+        let kernel_rows = CacheStats { hits: 5, misses: 6, evictions: 7, entries: 8 };
+        let p = PlanCachePerf::from(DpCacheStats { plans, kernel_rows });
+        let flat = |c: CachePerf| (c.hits, c.misses, c.evictions, c.entries);
+        assert_eq!(flat(p.plans), (1, 2, 3, 4));
+        assert_eq!(flat(p.kernel_rows), (5, 6, 7, 8));
     }
 }

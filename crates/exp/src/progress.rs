@@ -1,7 +1,7 @@
 //! Live study progress: total/completed/in-flight item counts per
 //! [`WorkItem`](crate::checkpoint::WorkItem) kind, derived from the
 //! manifest plus the commit layer, with rates and ETA read through the
-//! single sanctioned `ckpt-obs` clock.
+//! crate's one telemetry clock ([`crate::perf::clock_seconds`]).
 //!
 //! Two outputs, one determinism rule:
 //!
@@ -18,7 +18,7 @@
 
 use crate::checkpoint::WorkItem;
 use crate::error::Error;
-use crate::perf::format_f64;
+use crate::perf::{clock_seconds, format_f64};
 use serde_json::escape_str;
 use std::path::Path;
 
@@ -27,18 +27,6 @@ const KIND_NAMES: [&str; 4] = ["policy", "lower_bound", "coarse", "refine"];
 
 /// Minimum seconds between unforced console lines.
 const CONSOLE_PERIOD_SECONDS: f64 = 1.0;
-
-/// Seconds since process origin, for rates/ETA and console
-/// rate-limiting only. Telemetry: nothing derived from this clock
-/// reaches an aggregate, and every field it feeds in `progress.json`
-/// is quarantined under `wall_clock_nondeterministic`.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the progress reporter's single sanctioned clock site, routed through ckpt_obs::clock"
-)]
-fn clock_seconds() -> f64 {
-    ckpt_obs::clock::now_micros() as f64 / 1e6
-}
 
 /// Map an item kind onto its [`KIND_NAMES`] slot.
 fn kind_slot(item: &WorkItem) -> usize {
@@ -324,5 +312,77 @@ mod tests {
         crate::jsonio::parse(&src).expect("written progress.json must parse");
         assert!(!dir.join("progress.json.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn kinds_array_lists_every_kind_once_in_fixed_order() {
+        let all = items();
+        let mut p = StudyProgress::new("s", &all, |_| false, false);
+        p.begin_chunk(&all[5..]);
+        let doc = p.snapshot_json();
+        let rows = [
+            "{\"kind\": \"policy\", \"total\": 2, \"completed\": 0, \"in_flight\": 0},",
+            "{\"kind\": \"lower_bound\", \"total\": 1, \"completed\": 0, \"in_flight\": 0},",
+            "{\"kind\": \"coarse\", \"total\": 2, \"completed\": 0, \"in_flight\": 0},",
+            "{\"kind\": \"refine\", \"total\": 1, \"completed\": 0, \"in_flight\": 1}\n",
+        ];
+        let at: Vec<usize> =
+            rows.iter().map(|r| doc.find(r).unwrap_or_else(|| panic!("{r} in {doc}"))).collect();
+        assert!(at.windows(2).all(|w| w[0] < w[1]), "kinds out of order: {doc}");
+    }
+
+    #[test]
+    fn finishing_a_chunk_never_begun_saturates_in_flight_at_zero() {
+        let all = items();
+        let mut p = StudyProgress::new("s", &all, |_| false, false);
+        p.finish_chunk(&all[0..2]);
+        assert_eq!(p.in_flight, 0);
+        assert_eq!(p.kind_in_flight, [0; 4]);
+        assert_eq!(p.completed(), 2);
+        assert_eq!(p.kind_completed, [2, 0, 0, 0]);
+    }
+
+    #[test]
+    fn rate_counts_only_the_items_this_process_executed() {
+        let all = items();
+        let mut p = StudyProgress::new("s", &all, |id| id < 2, false);
+        assert!(p.rate_eta(p.start_seconds + 5.0).is_none(), "resumed items are no basis for a rate");
+        p.begin_chunk(&all[2..4]);
+        p.finish_chunk(&all[2..4]);
+        assert!(p.rate_eta(p.start_seconds).is_none(), "no elapsed time, no rate");
+        let (rate, eta) = p.rate_eta(p.start_seconds + 4.0).expect("two items executed");
+        assert!((rate - 0.5).abs() < 1e-12, "{rate}");
+        assert!((eta - 4.0).abs() < 1e-12, "{eta}");
+    }
+
+    #[test]
+    fn console_lines_are_rate_limited_unless_forced() {
+        let mut quiet = StudyProgress::new("s", &items(), |_| false, false);
+        let before = quiet.last_console;
+        quiet.console_tick(true);
+        assert_eq!(quiet.last_console, before, "no console requested, no line");
+
+        let mut p = StudyProgress::new("s", &items(), |_| false, true);
+        p.console_tick(false);
+        let first = p.last_console;
+        assert!(first >= p.start_seconds, "the first tick prints at once");
+        p.last_console = clock_seconds() + 60.0;
+        let held = p.last_console;
+        p.console_tick(false);
+        assert_eq!(p.last_console, held, "a tick inside the period stays quiet");
+        p.console_tick(true);
+        assert!(p.last_console < held, "a forced tick prints regardless");
+    }
+
+    #[test]
+    fn study_names_are_escaped_in_progress_json() {
+        let p = StudyProgress::new("a \"quoted\"\\name", &items(), |_| false, false);
+        let doc = p.snapshot_json();
+        assert!(doc.contains(r#""study": "a \"quoted\"\\name","#), "{doc}");
+        let parsed = crate::jsonio::parse(&doc).expect("escaped progress.json must parse");
+        assert_eq!(
+            parsed.get("study").and_then(crate::jsonio::Json::as_str),
+            Some("a \"quoted\"\\name")
+        );
     }
 }

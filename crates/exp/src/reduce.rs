@@ -25,13 +25,12 @@
 use crate::checkpoint::{ItemKind, ItemPayload, TraceStatsBits, WorkItem};
 use crate::error::Error;
 use crate::exec::{ExecOutput, PolicyCell, SearchOutput};
-use crate::perf::PipelinePerf;
+use crate::perf::{clock_seconds, PipelinePerf};
 use crate::plan::{self, SimPlan};
 use crate::runner::{PolicyOutcome, ScenarioResult};
 use crate::scenario::Scenario;
 use ckpt_math::Summary;
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 fn no_baseline() -> String {
     "no policy produced a makespan on any trace (degradation undefined)".to_string()
@@ -67,9 +66,7 @@ pub fn reduce(
     out: &ExecOutput,
     perf: &mut PipelinePerf,
 ) -> ScenarioResult {
-    #[expect(clippy::disallowed_methods, reason = "stage timer feeds PipelinePerf only, never result rows")]
-    let t_stage = Instant::now();
-    let stage_span = ckpt_obs::span("stage.aggregate");
+    let t_stage = clock_seconds();
 
     // Per-trace best heuristic (incl. PeriodLB, excl. LowerBound).
     let trace_best: Vec<Option<f64>> = (0..sim_plan.traces)
@@ -143,7 +140,6 @@ pub fn reduce(
             Err(e) => outcomes.push(PolicyOutcome::absent(name, e.to_string())),
         }
     }
-    drop(stage_span);
     perf.push_stage("aggregate", t_stage, outcomes.len() as u64);
 
     ScenarioResult {

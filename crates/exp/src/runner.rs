@@ -15,12 +15,11 @@
 //! period factor grids (re-exported from [`crate::plan`]).
 
 use crate::error::Error;
-use crate::perf::PipelinePerf;
+use crate::perf::{clock_seconds, PipelinePerf};
 use crate::policies_spec::PolicyKind;
 use crate::scenario::Scenario;
 use ckpt_sim::SimOptions;
 use serde::Serialize;
-use std::time::Instant;
 
 pub use crate::plan::{default_period_grid, paper_period_grid};
 
@@ -194,24 +193,13 @@ pub fn run_scenario_checked(
     kinds: &[PolicyKind],
     options: &RunnerOptions,
 ) -> Result<ScenarioResult, Error> {
-    #[expect(clippy::disallowed_methods, reason = "scenario timer feeds PipelinePerf only, never result rows")]
-    let t_total = Instant::now();
-    let mut scenario_span = ckpt_obs::span("scenario.run");
-    if ckpt_obs::active() {
-        scenario_span.label("cell", scenario.label.clone());
-    }
-    let obs_before = ckpt_obs::counters_snapshot();
+    let t_total = clock_seconds();
     let mut perf = PipelinePerf::default();
     let built = scenario.dist.try_build()?;
     let sim_plan = crate::plan::plan_scenario(scenario, kinds, options);
     let out = crate::exec::execute(scenario, &built, &sim_plan, &mut perf);
     let mut result = crate::reduce::reduce(scenario, &sim_plan, &out, &mut perf);
-    if ckpt_obs::active() {
-        let delta = ckpt_obs::counters_snapshot().delta_since(&obs_before);
-        perf.obs = Some(crate::perf::ObsPerf::from_counters(&delta));
-    }
-    drop(scenario_span);
-    perf.total_seconds = t_total.elapsed().as_secs_f64();
+    perf.total_seconds = clock_seconds() - t_total;
     result.perf = perf;
     Ok(result)
 }

@@ -28,7 +28,6 @@
 #![deny(clippy::disallowed_types)]
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 
 /// Process-wide worker count, settable from the CLI (`--threads N`).
@@ -43,47 +42,6 @@ static WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize:
 /// Set the process-wide worker count (`0` resets to auto-detection).
 pub fn set_workers(n: usize) {
     WORKERS.store(n, Ordering::Relaxed);
-}
-
-/// Where a poisoned wave dumps the flight recorder, if anywhere.
-/// The study runner points this at `<store>/flightrec.json` for the
-/// duration of a run so a panicking task leaves its last-N-events
-/// record next to the checkpoint store.
-#[expect(
-    clippy::disallowed_types,
-    reason = "the flight-dump destination: set once by the study runner, read on the poison path; a diagnostic side channel that never touches results"
-)]
-static FLIGHT_DUMP: std::sync::Mutex<Option<PathBuf>> = std::sync::Mutex::new(None);
-
-/// Lock the dump destination, surviving poisoning: the lock is touched
-/// on panic paths by design, and the value inside is always coherent.
-fn flight_dump_lock() -> std::sync::MutexGuard<'static, Option<PathBuf>> {
-    FLIGHT_DUMP.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Point the poisoned-wave flight dump at `path` (`None` disables it).
-pub fn set_flight_dump(path: Option<PathBuf>) {
-    *flight_dump_lock() = path;
-}
-
-/// Best-effort flight-recorder dump to the configured path. Called on
-/// the poison path only, right before the panic is re-raised; without
-/// the `obs` feature (or outside a session) it still writes a valid
-/// `recording: false` document so tooling never reads a torn file.
-fn dump_flight() {
-    let path = flight_dump_lock().clone();
-    if let Some(path) = path {
-        let _ = std::fs::write(&path, ckpt_obs::flight_dump_json());
-    }
-}
-
-/// Record a poisoned task on the flight ring (no-op unless a session
-/// records). The label names the failing task, so the dump's tail
-/// identifies it even after the ring has evicted the task's own spans.
-fn mark_poisoned(id: usize) {
-    if ckpt_obs::active() {
-        ckpt_obs::counter_add_labeled("exec.task_poisoned", &format!("task{id:06}"), 1);
-    }
 }
 
 /// The effective worker count for the next wave: the explicitly
@@ -171,11 +129,7 @@ where
     let drain = || {
         let mut local: Vec<(usize, Result<R, TaskPanic>)> = Vec::new();
         while let Some(&id) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-            let out = catch_unwind(AssertUnwindSafe(|| run(id, &tasks[id])));
-            if out.is_err() {
-                mark_poisoned(id);
-            }
-            local.push((id, out));
+            local.push((id, catch_unwind(AssertUnwindSafe(|| run(id, &tasks[id])))));
         }
         local
     };
@@ -197,7 +151,6 @@ where
         per_worker: buckets.iter().map(|b| b.len() as u64).collect(),
         ..WaveStats::default()
     };
-    publish(&stats);
 
     // Deterministic commit: scatter the buckets into task-ID order,
     // then surface the lowest poisoned task (if any) before unwrapping.
@@ -209,7 +162,6 @@ where
     for slot in slots.iter_mut() {
         if matches!(slot, Some(Err(_))) {
             if let Some(Err(payload)) = slot.take() {
-                dump_flight();
                 resume_unwind(payload);
             }
         }
@@ -223,21 +175,6 @@ where
         })
         .collect();
     (out, stats)
-}
-
-/// Publish a wave's scheduling counters to `ckpt-obs` (no-op unless a
-/// session records). Per-worker occupancy lands on the labeled
-/// `exec.worker_tasks`.
-fn publish(stats: &WaveStats) {
-    if !ckpt_obs::active() {
-        return;
-    }
-    ckpt_obs::gauge_max("exec.workers", stats.workers as u64);
-    ckpt_obs::counter_add("exec.claims_local", stats.local_claims);
-    ckpt_obs::counter_add("exec.claims_injector", stats.injector_claims);
-    for (w, &count) in stats.per_worker.iter().enumerate() {
-        ckpt_obs::counter_add_labeled("exec.worker_tasks", &format!("w{w:02}"), count);
-    }
 }
 
 #[cfg(test)]
@@ -332,6 +269,27 @@ mod tests {
             // ... and no sibling was dropped on the floor.
             assert_eq!(executed.load(Ordering::Relaxed), 20);
         }
+    }
+
+    #[test]
+    fn claim_order_puts_heavy_ids_first_each_in_task_order() {
+        assert!(claim_order(&[]).is_empty());
+        assert_eq!(claim_order(&[false, false, false]), [0, 1, 2]);
+        assert_eq!(claim_order(&[true, true, true]), [0, 1, 2]);
+        assert_eq!(claim_order(&[false, true, false, true, true]), [1, 3, 4, 0, 2]);
+    }
+
+    #[test]
+    fn every_task_runs_exactly_once_with_its_own_id() {
+        let tasks: Vec<u64> = (0..64).map(|t| t * 3 + 1).collect();
+        let runs: Vec<AtomicU64> = (0..tasks.len()).map(|_| AtomicU64::new(0)).collect();
+        let (out, _) = run_wave(&tasks, 4, |&t| t % 5 == 0, |i, &t| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            assert_eq!(t, tasks[i], "task {i} handed the wrong payload");
+            t
+        });
+        assert_eq!(out, tasks);
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

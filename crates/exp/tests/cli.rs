@@ -50,6 +50,11 @@ fn bad_invocations_exit_two_with_usage_on_stderr() {
         (&["study", "ls", "--bogus"], "unknown `study` argument --bogus"),
         (&["study"], "`study` needs an action"),
         (&["run", "--traces"], "--traces needs a value"),
+        (&["run", "--study", "bench", "--traces", "0"], "--traces N needs N ≥ 1, got `0`"),
+        (&["table2", "--traces", "0"], "--traces N needs N ≥ 1, got `0`"),
+        (&["run", "--checkpoint-secs", "nan"], "--checkpoint-secs S needs a finite S ≥ 0, got `nan`"),
+        (&["run", "--checkpoint-secs", "-5"], "--checkpoint-secs S needs a finite S ≥ 0, got `-5`"),
+        (&["run", "--checkpoint-secs", "inf"], "--checkpoint-secs S needs a finite S ≥ 0, got `inf`"),
     ] {
         let out = ckpt_exp(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -57,5 +62,41 @@ fn bad_invocations_exit_two_with_usage_on_stderr() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(error), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: ckpt-exp"), "{args:?}: {stderr}");
+    }
+}
+
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("ckpt-cli-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn zero_traces_run_creates_no_study_store() {
+    let root = scratch_dir("zero-traces-store");
+    let root_arg = root.to_str().expect("utf-8 temp dir");
+    let out = ckpt_exp(&["run", "--study", "bench", "--id", "z", "--traces", "0", "--study-root", root_arg]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(!root.exists(), "a refused run must not create {}", root.display());
+}
+
+#[test]
+fn zero_traces_experiment_writes_no_output() {
+    let out_dir = scratch_dir("zero-traces-out");
+    let out_arg = out_dir.to_str().expect("utf-8 temp dir");
+    let out = ckpt_exp(&["table2", "--traces", "0", "--out", out_arg]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(!out_dir.join("table2.md").exists(), "a refused experiment must not write a table");
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+#[test]
+fn zero_and_positive_checkpoint_secs_are_accepted() {
+    for secs in ["0", "2.5", "1e3"] {
+        // `--help` after the flag stops before any store is touched, so
+        // exit 0 shows the value itself was accepted.
+        let out = ckpt_exp(&["run", "--checkpoint-secs", secs, "--help"]);
+        assert_eq!(out.status.code(), Some(0), "--checkpoint-secs {secs}");
+        assert!(out.stderr.is_empty(), "--checkpoint-secs {secs}: {}", String::from_utf8_lossy(&out.stderr));
     }
 }

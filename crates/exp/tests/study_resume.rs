@@ -379,3 +379,63 @@ fn unbuildable_cell_commits_its_build_error_and_spares_its_neighbour() {
     });
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A completed study leaves a valid `progress.json` in its store, fully
+/// accounted, and no `flightrec.json`.
+#[test]
+fn run_study_leaves_progress_in_the_store() {
+    let root = store_root("progress");
+    let (mut cell, _) = two_cells();
+    cell.1 = vec![PolicyKind::Young];
+    let def = StudyDef::new("progress", [cell]);
+    let report = match run_study(&def, &config(&root), false).expect("study runs") {
+        StudyOutcome::Complete(r) => r,
+        StudyOutcome::Stopped { .. } => panic!("no stop hook configured"),
+    };
+    assert!(report.checkpoints_written > 0);
+
+    let dir = root.join("progress");
+    let progress = std::fs::read_to_string(dir.join("progress.json"))
+        .expect("study store must contain progress.json");
+    let doc = ckpt_exp::jsonio::parse(&progress).expect("progress.json must parse");
+    let field = |name: &str| doc.get(name).and_then(ckpt_exp::jsonio::Json::as_u64);
+    assert_eq!(field("total"), Some(report.items_total));
+    assert_eq!(
+        field("completed"),
+        Some(report.items_total),
+        "final snapshot must show every item completed"
+    );
+    assert_eq!(field("in_flight"), Some(0));
+    assert!(progress.contains("wall_clock_nondeterministic"));
+    assert!(!dir.join("flightrec.json").exists(), "a study store holds no flight dump");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn completed_store_holds_only_manifest_snapshots_status_progress_and_aggregates() {
+    let root = store_root("layout");
+    let (mut cell, _) = two_cells();
+    cell.1 = vec![PolicyKind::Young];
+    let def = StudyDef::new("layout", [cell]);
+    let cfg = config(&root);
+    assert!(matches!(run_study(&def, &cfg, false), Ok(StudyOutcome::Complete(_))));
+
+    let dir = root.join("layout");
+    let mut snapshots = 0;
+    for entry in std::fs::read_dir(&dir).expect("study store exists") {
+        let name = entry.expect("readable entry").file_name().into_string().expect("utf-8 name");
+        match name.as_str() {
+            "manifest.json" | "status" | "progress.json" | "aggregate" => {}
+            n if n.starts_with("ckpt-") && n.ends_with(".json") => snapshots += 1,
+            other => panic!("unexpected file `{other}` in a completed study store"),
+        }
+    }
+    assert!((1..=cfg.max_checkpoints).contains(&snapshots), "{snapshots} snapshots kept");
+    for entry in std::fs::read_dir(dir.join("aggregate")).expect("aggregate dir exists") {
+        let path = entry.expect("readable entry").path();
+        assert_eq!(path.extension().and_then(|e| e.to_str()), Some("json"), "{}", path.display());
+    }
+    let status = std::fs::read_to_string(dir.join("status")).expect("status");
+    assert!(status.starts_with("done "), "{status}");
+    let _ = std::fs::remove_dir_all(&root);
+}

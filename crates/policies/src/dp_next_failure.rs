@@ -614,12 +614,11 @@ impl FarFit {
 /// `m = value_chunk_cap`. The quantum is sized so optimal chunks span
 /// ~[`QUANTA_PER_CHUNK`] quanta, and measured plan depths stay below
 /// `0.4·x_max` across the repo's cells (Weibull petascale: ≤ 78 chunks
-/// at `x_max = 256`; LANL log-based: ≤ 21 at `x_max = 55` — see the
-/// `dp.plan_chunks` histogram), so `max(x_max/2, 32)` keeps ≥ 1.5×
+/// at `x_max = 256`; LANL log-based: ≤ 21 at `x_max = 55`), so `max(x_max/2, 32)` keeps ≥ 1.5×
 /// headroom while cutting the triangle, the kernel rows, the `E` grid,
 /// and the DP table by ~25% on large windows. A plan that would walk
-/// past the cap flushes its remaining quanta as one final chunk
-/// (`dp.plan_cap_flushes`, zero on every cell we run).
+/// past the cap flushes its remaining quanta as one final chunk (no
+/// cell we run gets there).
 fn value_chunk_cap(x_max: usize) -> usize {
     (x_max / 2).max(32)
 }
@@ -666,9 +665,6 @@ fn compute_row(
     fill_triangle_times(&mut ts, tau, x_max, u, checkpoint);
     let mut row = vec![0.0f64; len];
     dist.log_survival_batch(&ts, &mut row);
-    if ckpt_obs::active() {
-        ckpt_obs::counter_add("dp.cold_row_batch_cells", len as u64);
-    }
     row.into()
 }
 
@@ -739,14 +735,6 @@ fn solve_with_rows(
     SOLVE_SCRATCH.with(|cell| {
     let mut scratch = cell.borrow_mut();
     let SolveScratch { tri, etri, ts, row, egrid, value, choice, hull } = &mut *scratch;
-    // Solver-internals telemetry: plain locals on the solve path (flushed
-    // once per solve, only while an obs session records), so the float
-    // work and its ordering are untouched.
-    let scratch_reused = tri.capacity() >= triangle_len(x_max);
-    let mut hull_lines: u64 = 0;
-    let mut hull_advances: u64 = 0;
-    let mut log_domain_states: u64 = 0;
-    let mut sweep_groups: u64 = 0;
     tri.clear();
     tri.resize(triangle_len(x_max), 0.0);
     if let Some(fit) = &far {
@@ -801,7 +789,6 @@ fn solve_with_rows(
                     *entry = (row, near[k + slot].2);
                 }
                 ckpt_math::simd::accumulate_scaled_rows(tri, &group[..g]);
-                sweep_groups += 1;
                 k += g;
             }
         }
@@ -816,7 +803,6 @@ fn solve_with_rows(
                 row.resize(ts.len(), 0.0);
                 dist.log_survival_batch(ts, row);
                 ckpt_math::simd::accumulate_scaled_rows(tri, &[(row, c)]);
-                sweep_groups += 1;
             }
         }
     }
@@ -929,7 +915,6 @@ fn solve_with_rows(
                 }
             }
             if push {
-                hull_lines += 1;
                 // Pop lines that never win once the new one exists: with
                 // A below B on the stack and C new, B is useless when C
                 // overtakes B no later than B overtakes A.
@@ -960,7 +945,6 @@ fn solve_with_rows(
                     let (r1, q1, _) = hull[best + 1];
                     if q1 + r1 * z > q0 + r0 * z {
                         best += 1;
-                        hull_advances += 1;
                     } else {
                         break;
                     }
@@ -972,7 +956,6 @@ fn solve_with_rows(
                 // exp(G(a, n) − G(0,0)) underflowed (state survival more
                 // than ~745 nats below the window's start): fall back to
                 // the exact log-domain ratio form on the unoffset G.
-                log_domain_states += 1;
                 let base = gg(a, n);
                 let mut best = f64::NEG_INFINITY;
                 let mut best_i = x as u32;
@@ -997,13 +980,11 @@ fn solve_with_rows(
     let mut chunks = Vec::new();
     let mut x = x_max;
     let mut n = 0usize;
-    let mut cap_flushes: u64 = 0;
     while x > 0 {
         if n >= n_cap {
             // Past the truncated value recursion (no plan on our cells
             // gets here — the cap keeps ≥1.5× headroom over measured
             // depths): flush the remainder as one final chunk.
-            cap_flushes += 1;
             chunks.push(x as f64 * u);
             break;
         }
@@ -1011,19 +992,6 @@ fn solve_with_rows(
         chunks.push(i as f64 * u);
         x -= i;
         n += 1;
-    }
-    if ckpt_obs::active() {
-        ckpt_obs::counter_add("dp.solves", 1);
-        ckpt_obs::counter_add("dp.near_row_sweeps", near.len() as u64);
-        ckpt_obs::counter_add("dp.sweep_groups", sweep_groups);
-        ckpt_obs::counter_add("dp.far_fits", u64::from(far.is_some()));
-        ckpt_obs::counter_add("dp.hull_lines", hull_lines);
-        ckpt_obs::counter_add("dp.hull_advances", hull_advances);
-        ckpt_obs::counter_add("dp.log_domain_states", log_domain_states);
-        ckpt_obs::counter_add("dp.plan_cap_flushes", cap_flushes);
-        ckpt_obs::counter_add("dp.scratch_reuses", u64::from(scratch_reused));
-        ckpt_obs::histogram_record("dp.x_max", x_max as f64);
-        ckpt_obs::histogram_record("dp.plan_chunks", chunks.len() as f64);
     }
     chunks
     })

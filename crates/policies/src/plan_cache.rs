@@ -61,15 +61,6 @@ impl DistId {
             None => DistId::Instance(NEXT_INSTANCE.fetch_add(1, Relaxed)),
         }
     }
-
-    /// Stable observability label: the fingerprint in hex for shared
-    /// identities (`fp:…`), the instance id for private ones (`inst:…`).
-    pub fn obs_label(&self) -> String {
-        match self {
-            DistId::Shared(fp) => format!("fp:{fp:016x}"),
-            DistId::Instance(id) => format!("inst:{id}"),
-        }
-    }
 }
 
 /// Cache key of one memoised DP plan (see
@@ -154,17 +145,6 @@ struct Shard<K, V> {
     order: VecDeque<K>,
 }
 
-/// Observability hookup of one [`ShardedCache`]: counter names plus a
-/// key → label projection (the DP caches label by distribution
-/// fingerprint). Only consulted while an obs session is recording, so
-/// unwired caches and disabled builds pay nothing.
-struct CacheObs<K> {
-    hit: &'static str,
-    miss: &'static str,
-    evict: &'static str,
-    label: fn(&K) -> String,
-}
-
 /// A concurrent map split into lock-sharded FIFO segments.
 ///
 /// Lookups take one shard read lock; inserts take one shard write lock
@@ -178,7 +158,6 @@ pub struct ShardedCache<K, V> {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    obs: Option<CacheObs<K>>,
 }
 
 impl<K, V> std::fmt::Debug for ShardedCache<K, V> {
@@ -208,24 +187,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            obs: None,
         }
-    }
-
-    /// Wire the cache into the obs registry: `hit`/`miss`/`evict` are the
-    /// counter names, `label` projects each key onto its counter cell
-    /// (the DP caches use the distribution fingerprint). Counters are
-    /// only emitted while a `ckpt-obs` session records, and never affect
-    /// cache contents.
-    fn with_obs(
-        mut self,
-        hit: &'static str,
-        miss: &'static str,
-        evict: &'static str,
-        label: fn(&K) -> String,
-    ) -> Self {
-        self.obs = Some(CacheObs { hit, miss, evict, label });
-        self
     }
 
     fn shard_of(&self, key: &K) -> &RwLock<Shard<K, V>> {
@@ -240,12 +202,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
             Some(_) => self.hits.fetch_add(1, Relaxed),
             None => self.misses.fetch_add(1, Relaxed),
         };
-        if ckpt_obs::active() {
-            if let Some(obs) = &self.obs {
-                let name = if found.is_some() { obs.hit } else { obs.miss };
-                ckpt_obs::counter_add_labeled(name, &(obs.label)(key), 1);
-            }
-        }
         found
     }
 
@@ -260,15 +216,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                     Some(oldest) => {
                         shard.map.remove(&oldest);
                         self.evictions.fetch_add(1, Relaxed);
-                        if ckpt_obs::active() {
-                            if let Some(obs) = &self.obs {
-                                ckpt_obs::counter_add_labeled(
-                                    obs.evict,
-                                    &(obs.label)(&oldest),
-                                    1,
-                                );
-                            }
-                        }
                     }
                     None => break,
                 }
@@ -340,18 +287,8 @@ impl DpCaches {
     /// A fresh, unshared cache pair (tests and isolation studies).
     pub fn private() -> DpCaches {
         DpCaches {
-            plans: Arc::new(ShardedCache::new(CACHE_SHARDS, PLAN_SHARD_CAP).with_obs(
-                "plan_cache.plans.hits",
-                "plan_cache.plans.misses",
-                "plan_cache.plans.evictions",
-                |k: &PlanKey| k.dist.obs_label(),
-            )),
-            kernel_rows: Arc::new(ShardedCache::new(CACHE_SHARDS, ROW_SHARD_CAP).with_obs(
-                "plan_cache.kernel_rows.hits",
-                "plan_cache.kernel_rows.misses",
-                "plan_cache.kernel_rows.evictions",
-                |k: &KernelRowKey| k.dist.obs_label(),
-            )),
+            plans: Arc::new(ShardedCache::new(CACHE_SHARDS, PLAN_SHARD_CAP)),
+            kernel_rows: Arc::new(ShardedCache::new(CACHE_SHARDS, ROW_SHARD_CAP)),
         }
     }
 
@@ -462,6 +399,55 @@ mod tests {
         ]);
         assert_ne!(DistId::of(&l), DistId::of(&l));
         assert!(matches!(DistId::of(&l), DistId::Instance(_)));
+    }
+
+    #[test]
+    fn dp_stats_delta_applies_to_each_layer() {
+        let caches = DpCaches::private();
+        caches.plans.insert(plan_key(1), Arc::from(vec![1.0]));
+        let before = caches.stats();
+        let _ = caches.plans.get(&plan_key(1));
+        let _ = caches.plans.get(&plan_key(2));
+        let _ = caches.kernel_rows.get(&row_key(3));
+        caches.kernel_rows.insert(row_key(3), Arc::from(vec![0.0, -1.0]));
+        let d = caches.stats().delta_since(&before);
+        assert_eq!((d.plans.hits, d.plans.misses, d.plans.entries), (1, 1, 1));
+        assert_eq!((d.kernel_rows.hits, d.kernel_rows.misses, d.kernel_rows.entries), (0, 1, 1));
+    }
+
+    #[test]
+    fn private_caches_share_nothing() {
+        let a = DpCaches::private();
+        let b = DpCaches::private();
+        a.plans.insert(plan_key(1), Arc::from(vec![1.0]));
+        assert_eq!(b.plans.get(&plan_key(1)), None);
+        assert_eq!(a.stats().plans, CacheStats { hits: 0, misses: 0, evictions: 0, entries: 1 });
+        assert_eq!(b.stats().plans, CacheStats { hits: 0, misses: 1, evictions: 0, entries: 0 });
+        assert!(b.kernel_rows.is_empty());
+    }
+
+    fn plan_key(bucket: u64) -> PlanKey {
+        PlanKey {
+            dist: DistId::Shared(7),
+            u_bits: 1.0f64.to_bits(),
+            checkpoint_bits: 2.0f64.to_bits(),
+            x_max: 8,
+            truncated: false,
+            half_schedule: false,
+            lanes: 4,
+            buckets: vec![(bucket, 1)],
+        }
+    }
+
+    fn row_key(bucket: u64) -> KernelRowKey {
+        KernelRowKey {
+            dist: DistId::Shared(7),
+            u_bits: 1.0f64.to_bits(),
+            checkpoint_bits: 2.0f64.to_bits(),
+            x_max: 8,
+            lanes: 4,
+            bucket,
+        }
     }
 
     #[test]

@@ -262,15 +262,6 @@ fn simulate_impl(
     stats.decisions = decisions;
     stats.makespan = now - start_time;
     stats.past_horizon = now > horizon;
-    // Telemetry only — flushed once per run, after the result is final,
-    // so recording can never perturb the simulation itself.
-    if ckpt_obs::active() {
-        ckpt_obs::counter_add("sim.runs", 1);
-        ckpt_obs::counter_add("sim.decisions", decisions);
-        ckpt_obs::counter_add("sim.failures", stats.failures);
-        ckpt_obs::histogram_record("sim.decisions_per_run", decisions as f64);
-        ckpt_obs::histogram_record("sim.failures_per_run", stats.failures as f64);
-    }
     stats
 }
 

@@ -5,27 +5,22 @@
 #   2. the full test suite (unit + integration, incl. the golden-result
 #      bit-identity pin at 1, 2 and 8 executor workers and the source
 #      scans of tests/source_rules.rs);
-#   3. the observability gate: build + test the workspace with the
-#      `obs` feature on, so the live recorder paths (session collection,
-#      obs/no-obs bit-identity, repeat-run cache-hit proof) are exercised —
-#      without the feature those tests degrade to their recording-off
-#      halves;
-#   4. clippy with warnings as errors, with and without `obs` — this
-#      enforces the workspace lint table (root Cargo.toml
-#      `[workspace.lints]`, root clippy.toml): no `unsafe`, no wall-clock
+#   3. clippy with warnings as errors — this enforces the workspace lint
+#      table (root Cargo.toml `[workspace.lints]`, root clippy.toml): no
+#      `unsafe`, no wall-clock
 #      read or hash-order iteration outside an `#[expect]` with a reason,
 #      no float `==` between computed values, no lock or atomic in the
 #      executor beyond its audited sites; an unknown lint name or an
-#      unfulfilled `#[expect]` fails too. The traces, platform, dist, obs
-#      and exp crates also carry
+#      unfulfilled `#[expect]` fails too. The traces, platform, dist and
+#      exp crates also carry
 #      `#![warn(clippy::unwrap_used, clippy::expect_used)]`, so any
 #      unwrap/expect on their library paths fails this step;
-#   5. the worker-count invariance gate: the golden study runs at
+#   4. the worker-count invariance gate: the golden study runs at
 #      --threads 1, 2, and 8 through the shared-cursor executor, and
 #      every aggregate is byte-compared against results/golden/ — tasks
 #      land on different workers at every count, but the
 #      task-ID-ordered commit must make the results indistinguishable;
-#   6. the kill-and-resume gate: SIGKILL the golden study at ~50%
+#   5. the kill-and-resume gate: SIGKILL the golden study at ~50%
 #      completion (`--kill-at` stops the run before the snapshot that
 #      would cover those items and the CLI kills its own process, so
 #      the exit code is 137), resume it from the surviving snapshot, and
@@ -33,16 +28,13 @@
 #      the durability contract, proven end-to-end through real process
 #      death rather than an in-process stop hook. The kill leg runs at
 #      --threads 2 and the resume leg at --threads 8, so the snapshot
-#      format is also proven worker-count-portable. The killed store
-#      must also contain a readable flight-recorder dump
-#      (flightrec.json) — the observability half of the durability
-#      story;
-#   7. the bench-regression gate: ckpt-bench's own tests, then the
+#      format is also proven worker-count-portable;
+#   6. the bench-regression gate: ckpt-bench's own tests, then the
 #      regress sentinel against a committed 20% slowdown fixture (must
 #      flag it, exit 1) and against the real results/BENCH_history.jsonl
 #      (must validate the schema and pass, refreshing
 #      results/BENCH_regress.txt);
-#   8. the perfbench digest gate: one short seq-weibull run, one short
+#   7. the perfbench digest gate: one short seq-weibull run, one short
 #      exa-exp-study run, one short traced exa-exp-study run
 #      (`--trace 1`: its pipeline, layers and run processes) and one
 #      short peta-weibull run at the reference seed must each report
@@ -70,14 +62,8 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
-echo "== build + tests (--features obs) =="
-cargo build --release --features obs
-cargo test -q -p ckpt-obs -p ckpt-dist -p ckpt-policies -p ckpt-sim -p ckpt-exp \
-  --features ckpt-obs/obs
-
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace -- -D warnings
-cargo clippy --workspace --features obs -- -D warnings
 
 study_tmp=$(mktemp -d)
 trap 'rm -rf "$study_tmp"' EXIT
@@ -107,18 +93,6 @@ if [ "$status" -ne 137 ]; then
   echo "kill-and-resume: expected SIGKILL exit 137, got $status" >&2
   exit 1
 fi
-# The SIGKILL'd store must hold a readable last-N-events flight dump
-# next to its snapshots (written whenever the checkpoint writer
-# commits; `recording: true` because the obs build of step 3 owns
-# target/release/ckpt-exp at this point).
-if [ ! -s "$study_tmp/killres/flightrec.json" ]; then
-  echo "kill-and-resume: killed store is missing flightrec.json" >&2
-  exit 1
-fi
-grep -q '"recording": true' "$study_tmp/killres/flightrec.json" || {
-  echo "kill-and-resume: flightrec.json is not a live recording" >&2
-  exit 1
-}
 target/release/ckpt-exp run --study golden --resume killres \
   --study-root "$study_tmp" --checkpoint-items 4 --threads 8
 for f in results/golden/*.json; do
