@@ -1,58 +1,69 @@
 //! Benches regenerating the synthetic-failure figures (2–6, 8/9, 98/99)
 //! at reduced scale: one representative platform size per figure, a few
 //! traces — enough to reproduce each figure's *shape* (who wins, roughly
-//! by how much) while keeping `cargo bench` tractable.
+//! by how much) while keeping `cargo bench` tractable. The cells are the
+//! registry's (`ckpt_exp::catalog`), cut down to a few platform sizes.
 
-use ckpt_core::exp::experiments as ex;
+use ckpt_core::exp::catalog::{self, Params};
 use ckpt_core::exp::output::{csv_series, markdown_table, CSV_HEADER};
-use ckpt_core::exp::{run_scenario, DistSpec, PolicyKind, RunnerOptions, Scenario};
-use ckpt_core::prelude::{DAY, YEAR};
+use ckpt_core::exp::study::run_cells;
+use ckpt_core::exp::{run_scenario, DistSpec, PolicyKind, RunnerOptions, Scenario, ScenarioResult};
+use ckpt_core::prelude::YEAR;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use std::sync::Once;
 
 const TRACES: usize = 3;
 
-fn cell(weibull: bool, procs: u64, traces: usize) -> ckpt_core::exp::ScenarioResult {
-    let mtbf = 125.0 * YEAR;
-    let dist = if weibull {
-        DistSpec::Weibull { shape: 0.7, mtbf }
-    } else {
-        DistSpec::Exponential { mtbf }
-    };
-    let sc = Scenario::petascale(dist, procs, traces);
-    run_scenario(
-        &sc,
-        &PolicyKind::paper_roster(!weibull),
-        &RunnerOptions::default(),
-    )
+fn params(traces: usize) -> Params {
+    Params { traces: Some(traces), ..Params::default() }
+}
+
+/// Run a registered study in memory and return its rendered files.
+fn run(name: &str, traces: usize) -> Vec<(String, String)> {
+    catalog::lookup(name).expect("registered")[0].run(&params(traces)).expect("cells run")
+}
+
+/// The cells of a registered study that `keep` selects, run in memory,
+/// each with its scenario.
+fn run_some(name: &str, traces: usize, keep: impl Fn(&Scenario) -> bool) -> Vec<(Scenario, ScenarioResult)> {
+    let cells: Vec<_> = catalog::lookup(name).expect("registered")[0]
+        .cells(&params(traces))
+        .into_iter()
+        .filter(|c| keep(&c.scenario))
+        .collect();
+    let results = run_cells(&cells).into_iter().map(|r| r.expect("cell runs"));
+    cells.into_iter().map(|c| c.scenario).zip(results).collect()
+}
+
+/// A degradation CSV of the selected cells, `x = p`.
+fn series(rows: &[(Scenario, ScenarioResult)]) -> String {
+    let mut csv = String::from(CSV_HEADER);
+    for (sc, r) in rows {
+        csv.push_str(&csv_series(sc.procs as f64, r));
+    }
+    csv
 }
 
 fn fig2_peta_exp(c: &mut Criterion) {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        let mut csv = String::from(CSV_HEADER);
-        for p in [1u64 << 10, 1 << 12] {
-            csv.push_str(&csv_series(p as f64, &cell(false, p, TRACES)));
-        }
-        println!("Figure 2 series (Exponential, Petascale):\n{csv}");
+        let rows = run_some("fig2", TRACES, |sc| [1 << 10, 1 << 12].contains(&sc.procs));
+        println!("Figure 2 series (Exponential, Petascale):\n{}", series(&rows));
     });
     c.bench_function("fig2_peta_exp_cell", |b| {
-        b.iter(|| std::hint::black_box(cell(false, 1 << 11, 1).outcomes.len()))
+        b.iter(|| std::hint::black_box(run_some("fig2", 1, |sc| sc.procs == 1 << 11).len()))
     });
 }
 
 fn fig4_peta_weibull(c: &mut Criterion) {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        let mut csv = String::from(CSV_HEADER);
-        for p in [1u64 << 10, 1 << 12] {
-            csv.push_str(&csv_series(p as f64, &cell(true, p, TRACES)));
-        }
-        println!("Figure 4 series (Weibull, Petascale):\n{csv}");
+        let rows = run_some("fig4", TRACES, |sc| [1 << 10, 1 << 12].contains(&sc.procs));
+        println!("Figure 4 series (Weibull, Petascale):\n{}", series(&rows));
     });
     c.bench_function("fig4_peta_weibull_cell", |b| {
-        b.iter(|| std::hint::black_box(cell(true, 1 << 11, 1).outcomes.len()))
+        b.iter(|| std::hint::black_box(run_some("fig4", 1, |sc| sc.procs == 1 << 11).len()))
     });
 }
 
@@ -61,23 +72,10 @@ fn fig3_fig6_exascale(c: &mut Criterion) {
     ONCE.call_once(|| {
         // One Exascale cell each for the Exponential (fig 3) and Weibull
         // (fig 6) variants.
-        for weibull in [false, true] {
-            let dist = if weibull {
-                DistSpec::Weibull { shape: 0.7, mtbf: 1_250.0 * YEAR }
-            } else {
-                DistSpec::Exponential { mtbf: 1_250.0 * YEAR }
-            };
-            let sc = Scenario::exascale(dist, 1 << 15, 1);
-            let r = run_scenario(
-                &sc,
-                &PolicyKind::paper_roster(!weibull),
-                &RunnerOptions::default(),
-            );
-            println!(
-                "Figure {} cell (p = 2^15):\n{}",
-                if weibull { 6 } else { 3 },
-                markdown_table(&r)
-            );
+        for name in ["fig3", "fig6"] {
+            for (_, r) in run_some(name, 1, |sc| sc.procs == 1 << 15) {
+                println!("{name} cell (p = 2^15):\n{}", markdown_table(&r));
+            }
         }
     });
     c.bench_function("fig6_exa_weibull_cell", |b| {
@@ -97,49 +95,49 @@ fn fig3_fig6_exascale(c: &mut Criterion) {
     });
 }
 
+/// Whether `sc` is a Weibull cell of one of `shapes`.
+fn shape_in(sc: &Scenario, shapes: &[f64]) -> bool {
+    matches!(sc.dist, DistSpec::Weibull { shape, .. } if shapes.contains(&shape))
+}
+
 fn fig5_shape_sweep(c: &mut Criterion) {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        let rows = ex::fig5(&[0.3, 0.7], 1);
         let mut csv = String::from(CSV_HEADER);
-        for (k, r) in &rows {
-            csv.push_str(&csv_series(*k, r));
+        for (sc, r) in run_some("fig5", 1, |sc| shape_in(sc, &[0.3, 0.7])) {
+            let DistSpec::Weibull { shape, .. } = sc.dist else { unreachable!("Weibull cells") };
+            csv.push_str(&csv_series(shape, &r));
         }
         println!("Figure 5 series (shape sweep, p = 45,208):\n{csv}");
     });
     c.bench_function("fig5_shape_cell", |b| {
-        b.iter(|| std::hint::black_box(ex::fig5(&[0.7], 1).len()))
+        b.iter(|| std::hint::black_box(run_some("fig5", 1, |sc| shape_in(sc, &[0.7])).len()))
     });
 }
 
 fn fig8_period_sweep_seq(c: &mut Criterion) {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        let r = ex::fig89(false, DAY, TRACES);
-        println!("Figure 8 (1-proc Exponential period sweep):\n{}", markdown_table(&r));
-        let r = ex::fig89(true, DAY, TRACES);
-        println!("Figure 9 (1-proc Weibull period sweep):\n{}", markdown_table(&r));
+        for name in ["fig8", "fig9"] {
+            for (file, content) in run(name, TRACES) {
+                println!("{file} (1-proc period sweep):\n{content}");
+            }
+        }
     });
     c.bench_function("fig8_period_sweep_seq", |b| {
-        b.iter(|| std::hint::black_box(ex::fig89(false, DAY, 1).outcomes.len()))
+        b.iter(|| std::hint::black_box(run("fig8", 1).len()))
     });
 }
 
 fn fig98_makespan_profiles(c: &mut Criterion) {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        let series = ex::fig9899(&PolicyKind::OptExp, false, 2);
-        println!("Figure 98 (mean makespan by application profile, OptExp):");
-        for (model, pts) in &series {
-            let line: Vec<String> = pts
-                .iter()
-                .map(|(p, m)| format!("p={p}:{:.1}d", m / DAY))
-                .collect();
-            println!("  {model}: {}", line.join(" "));
+        for (file, content) in run("fig98", 2) {
+            println!("{file} (mean makespan by application profile, OptExp):\n{content}");
         }
     });
     c.bench_function("fig98_makespan_profiles", |b| {
-        b.iter(|| std::hint::black_box(ex::fig9899(&PolicyKind::OptExp, false, 1).len()))
+        b.iter(|| std::hint::black_box(run("fig98", 1).len()))
     });
 }
 

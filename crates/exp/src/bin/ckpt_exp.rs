@@ -1,78 +1,74 @@
 //! `ckpt-exp` — regenerate any table or figure of the paper.
 //!
 //! ```text
-//! ckpt-exp <experiment> [--traces N] [--out results/] [--threads N]
-//!
-//! experiments:
-//!   fig1      platform MTBF vs p, both rejuvenation options
-//!   table2    1 proc, Exponential          table3  1 proc, Weibull k=0.7
-//!   fig2      Petascale Exponential        fig3    Exascale Exponential
-//!   fig4      Petascale Weibull            fig6    Exascale Weibull
-//!   fig5      shape sweep at p=45208       table4  Jaguar Weibull cell
-//!   fig7      LANL cluster 19 log          fig100  both LANL clusters
-//!   fig8      1-proc period sweep (Exp)    fig9    1-proc period sweep (Weibull)
-//!   fig98     makespan profiles, OptExp    fig99   makespan profiles, DPNextFailure
-//!             (both accept --policy NAME to profile any policy, case-insensitive)
-//!   matrix    one Appendix-B cell: --model ep|amdahl-1e-4|amdahl-1e-6|
-//!             kernel-0.1|kernel-1|kernel-10 --overhead const|prop
-//!             [--mtbf-years Y] [--weibull] [--exa] [--procs P]
-//!   report    quick reproduction report (markdown)
-//!   all       every table & figure at the given trace count
-//! ```
-//!
-//! No argument, `help`, `--help` or `-h` prints the usage and exits 0;
-//! an unknown experiment, a stray argument or a missing or unparsable
-//! flag value prints the error and the usage on stderr and exits 2.
-//!
-//! Durable studies (checkpointed, kill-safe, resumable):
-//!
-//! ```text
-//! ckpt-exp run --study golden|bench [--id ID] [--resume ID]
+//! ckpt-exp <study> [--traces N] [--out DIR] [--threads N] [--policy NAME]
+//!          [--mtbf-years Y] [--model M] [--overhead const|prop]
+//!          [--weibull] [--exa] [--procs P]
+//! ckpt-exp run [--study <study>] [--id ID] [--resume ID]
 //!              [--traces N] [--study-root DIR] [--checkpoint-items N]
 //!              [--checkpoint-secs S] [--max-checkpoints N] [--kill-at FRAC]
 //!              [--threads N] [--progress]
-//! ckpt-exp study ls [--study-root DIR]
-//! ckpt-exp study gc [--study-root DIR] [--max-checkpoints N] [--purge ID]
+//! ckpt-exp study ls|gc [--study-root DIR] [--max-checkpoints N] [--purge ID]
 //! ```
 //!
-//! `run` executes a study through the checkpoint store under
-//! `<study-root>/<id>/`, writing a durable manifest plus periodic
-//! snapshots; `--resume ID` continues a killed run from its newest
-//! snapshot (stale stores are rejected by fingerprint). `--kill-at FRAC`
-//! (`0 < FRAC < 1`) stops the run once this process has executed
-//! `ceil(FRAC × manifest items)` items, before the snapshot that would
-//! cover them, and SIGKILLs the process (for testing the resume path).
-//! `--progress` prints live per-kind completion lines on stderr (the
-//! store's `progress.json` is written either way). Exit codes: 0 on
-//! success, 1 when any cell failed, 2 on bad arguments or store errors
-//! (stale fingerprint, bad id), 137 after `--kill-at`.
+//! The studies are [`ckpt_exp::catalog::STUDIES`] plus `paper`, their
+//! union; `--help` lists them. `ckpt-exp <study>` runs the cells in
+//! memory, one artefact at a time, and prints each rendered file, also
+//! writing it into `--out DIR` (created and proven writable before any
+//! cell runs). `--policy` picks the `fig98`/`fig99` policy,
+//! `--mtbf-years` the per-processor MTBF of `fig2`, `fig4` and `matrix`,
+//! and the other flags the `matrix` cell.
+//!
+//! `run` executes the same cells through the checkpoint store under
+//! `<study-root>/<id>/` (default study `golden`): a durable manifest,
+//! periodic snapshots, and at the end the aggregates under `aggregate/`
+//! with the rendered files next to them. `--resume ID` continues a
+//! killed run from its newest snapshot (stale stores are rejected by
+//! fingerprint). `--kill-at FRAC` (`0 < FRAC < 1`) stops the run once
+//! this process has executed `ceil(FRAC × manifest items)` items, before
+//! the snapshot that would cover them, and SIGKILLs the process (for
+//! testing the resume path). `--progress` prints live per-kind
+//! completion lines on stderr (`progress.json` is written either way).
+//!
+//! Exit codes: 0 on success (no argument, `help`, `--help` or `-h`
+//! prints the usage); 1 when a cell failed; 2 on bad arguments (an
+//! unknown study, a stray argument, a missing or unparsable flag value,
+//! an unusable `--out`: the error and the usage go to stderr) or store
+//! errors (stale fingerprint, bad id); 137 after `--kill-at`.
 
-use ckpt_exp::experiments as ex;
-use ckpt_exp::output::{csv_series, markdown_table, CSV_HEADER};
-use ckpt_exp::PolicyKind;
-use ckpt_workload::{ParallelismModel, DAY, JAGUAR_PROCS};
-use std::io::Write as _;
-use std::path::PathBuf;
+use ckpt_exp::catalog::{self, Artefact, File, Params};
+use ckpt_workload::ParallelismModel;
+use std::path::{Path, PathBuf};
 
+/// Arguments of an in-memory study run.
 struct Args {
-    experiment: String,
-    traces: usize,
+    parts: Vec<&'static Artefact>,
+    params: Params,
     out: Option<PathBuf>,
-    model: String,
-    overhead: String,
-    mtbf_years: f64,
-    weibull: bool,
-    exa: bool,
-    procs: u64,
-    policy: Option<String>,
     threads: Option<usize>,
 }
 
-const USAGE: &str = "usage: ckpt-exp \
-<fig1|table2|table3|table4|fig2..fig9|fig98|fig99|fig100|matrix|report|all> \
-[--traces N] [--out DIR] [--threads N] [--policy NAME] [matrix flags]
+/// The top-level usage, with every registered study.
+fn usage() -> String {
+    let models: Vec<String> = ParallelismModel::paper_suite().iter().map(ParallelismModel::label).collect();
+    let mut s = String::from(
+        "usage: ckpt-exp <study> [--traces N] [--out DIR] [--threads N] [--policy NAME] \
+[--mtbf-years Y] [matrix flags]
        ckpt-exp run --help
-       ckpt-exp study <ls|gc> [--study-root DIR] [--max-checkpoints N] [--purge ID]";
+       ckpt-exp study <ls|gc> [--study-root DIR] [--max-checkpoints N] [--purge ID]
+
+studies:
+",
+    );
+    for (name, about) in catalog::entries() {
+        s.push_str(&format!("  {name:<8}{about}\n"));
+    }
+    s.push_str(&format!(
+        "\nmatrix flags: --model {} --overhead const|prop [--weibull] [--exa] [--procs P]",
+        models.join("|")
+    ));
+    s
+}
 
 const STUDY_USAGE: &str =
     "usage: ckpt-exp study <ls|gc> [--study-root DIR] [--max-checkpoints N] [--purge ID]";
@@ -100,75 +96,68 @@ fn trace_count<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<usize, S
     }
 }
 
-/// Parse an experiment's flags; `Ok(None)` when the usage is asked for.
+/// The application profile a `--model` label names.
+fn parallelism_from(label: &str) -> Result<ParallelismModel, String> {
+    ParallelismModel::paper_suite()
+        .into_iter()
+        .find(|m| m.label() == label)
+        .ok_or_else(|| format!("unknown parallelism model {label}"))
+}
+
+/// Parse a study run's flags; `Ok(None)` when the usage is asked for.
 fn parse_args(raw: &[String]) -> Result<Option<Args>, String> {
-    let mut args = Args {
-        experiment: String::new(),
-        traces: 600,
-        out: None,
-        model: "ep".into(),
-        overhead: "const".into(),
-        mtbf_years: 125.0,
-        weibull: false,
-        exa: false,
-        procs: JAGUAR_PROCS,
-        policy: None,
-        threads: None,
-    };
+    let mut name = None;
+    let mut params = Params::default();
+    let (mut out, mut threads) = (None, None);
     let mut it = raw.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--traces" => args.traces = trace_count(&mut it)?,
-            "--out" => args.out = Some(PathBuf::from(value(&mut it, "--out")?)),
-            "--model" => args.model = value(&mut it, "--model")?,
-            "--overhead" => args.overhead = value(&mut it, "--overhead")?,
-            "--mtbf-years" => args.mtbf_years = number(&mut it, "--mtbf-years")?,
-            "--policy" => args.policy = Some(value(&mut it, "--policy")?),
-            "--threads" => args.threads = Some(number(&mut it, "--threads")?),
-            "--weibull" => args.weibull = true,
-            "--exa" => args.exa = true,
-            "--procs" => args.procs = number(&mut it, "--procs")?,
+            "--traces" => params.traces = Some(trace_count(&mut it)?),
+            "--out" => out = Some(PathBuf::from(value(&mut it, "--out")?)),
+            "--model" => params.parallelism = parallelism_from(&value(&mut it, "--model")?)?,
+            "--overhead" => {
+                params.proportional_overhead = match value(&mut it, "--overhead")?.as_str() {
+                    "const" => false,
+                    "prop" => true,
+                    other => return Err(format!("unknown overhead model {other}")),
+                }
+            }
+            "--mtbf-years" => params.mtbf_years = number(&mut it, "--mtbf-years")?,
+            "--policy" => {
+                let policy = ckpt_exp::parse_kind(&value(&mut it, "--policy")?);
+                params.policy = Some(policy.map_err(|e| e.to_string())?);
+            }
+            "--threads" => threads = Some(number(&mut it, "--threads")?),
+            "--weibull" => params.weibull = true,
+            "--exa" => params.exa = true,
+            "--procs" => params.procs = number(&mut it, "--procs")?,
             "help" | "--help" | "-h" => return Ok(None),
             other if other.starts_with('-') => return Err(format!("unknown argument {other}")),
-            other if args.experiment.is_empty() => args.experiment = other.to_string(),
+            other if name.is_none() => name = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other}")),
         }
     }
-    if args.experiment.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some(args))
+    let Some(name) = name else { return Ok(None) };
+    Ok(Some(Args { parts: catalog::lookup(&name)?, params, out, threads }))
 }
 
-fn emit(out: &Option<PathBuf>, name: &str, content: &str) {
-    println!("{content}");
-    if let Some(dir) = out {
-        std::fs::create_dir_all(dir).expect("create output dir");
+/// Create `dir` and prove it takes a file, before any cell runs.
+fn prepare_out(dir: &Path) -> Result<(), String> {
+    let probe = dir.join(".ckpt-exp-probe");
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&probe, ""))
+        .and_then(|()| std::fs::remove_file(&probe))
+        .map_err(|e| format!("--out {}: {e}", dir.display()))
+}
+
+/// Write rendered files into `dir`.
+fn write_files(dir: &Path, files: &[File]) -> Result<(), String> {
+    for (name, content) in files {
         let path = dir.join(name);
-        let mut f = std::fs::File::create(&path).expect("create output file");
-        f.write_all(content.as_bytes()).expect("write output");
+        std::fs::write(&path, content).map_err(|e| format!("write {}: {e}", path.display()))?;
         eprintln!("wrote {}", path.display());
     }
-}
-
-fn series_output(rows: &[(u64, ckpt_exp::ScenarioResult)]) -> String {
-    let mut csv = String::from(CSV_HEADER);
-    for (p, r) in rows {
-        csv.push_str(&csv_series(*p as f64, r));
-    }
-    csv
-}
-
-fn parallelism_from(label: &str) -> Result<ParallelismModel, String> {
-    Ok(match label {
-        "ep" => ParallelismModel::EmbarrassinglyParallel,
-        "amdahl-1e-4" => ParallelismModel::Amdahl { gamma: 1e-4 },
-        "amdahl-1e-6" => ParallelismModel::Amdahl { gamma: 1e-6 },
-        "kernel-0.1" => ParallelismModel::NumericalKernel { gamma: 0.1 },
-        "kernel-1" => ParallelismModel::NumericalKernel { gamma: 1.0 },
-        "kernel-10" => ParallelismModel::NumericalKernel { gamma: 10.0 },
-        other => return Err(format!("unknown parallelism model {other}")),
-    })
+    Ok(())
 }
 
 /// Arguments of the `run` subcommand (durable studies).
@@ -220,9 +209,15 @@ fn kill_self() -> ! {
     std::process::abort();
 }
 
-const RUN_USAGE: &str = "usage: ckpt-exp run [--study golden|bench] [--id ID | --resume ID] \
+/// The usage of `run`, with every registered study.
+fn run_usage() -> String {
+    format!(
+        "usage: ckpt-exp run [--study {}] [--id ID | --resume ID] \
 [--traces N] [--study-root DIR] [--checkpoint-items N] [--checkpoint-secs S] \
-[--max-checkpoints N] [--kill-at FRAC] [--threads N] [--progress]";
+[--max-checkpoints N] [--kill-at FRAC] [--threads N] [--progress]",
+        catalog::names().collect::<Vec<_>>().join("|")
+    )
+}
 
 /// Parse `run`'s flags; `Ok(None)` when `--help` asks for the usage.
 fn parse_run_args(rest: &[String]) -> Result<Option<RunArgs>, String> {
@@ -262,46 +257,14 @@ fn parse_run_args(rest: &[String]) -> Result<Option<RunArgs>, String> {
     Ok(Some(args))
 }
 
-/// The named studies `run` knows how to build. `golden` is the pinned
-/// golden-cell set (fixed trace counts, byte-comparable against
-/// `results/golden/`); `bench` is the Petascale bench cell at a chosen
-/// trace count.
-fn study_def(name: &str, id: &str, traces: Option<usize>) -> ckpt_exp::StudyDef {
-    match name {
-        "golden" => ckpt_exp::StudyDef::new(
-            id,
-            ckpt_exp::golden::golden_cells()
-                .into_iter()
-                .map(|(_, sc, kinds, options)| (sc, kinds, options)),
-        ),
-        "bench" => {
-            let year = 365.25 * 86_400.0;
-            let sc = ckpt_exp::Scenario::petascale(
-                ckpt_exp::DistSpec::Weibull { shape: 0.7, mtbf: 125.0 * year },
-                1 << 8,
-                traces.unwrap_or(12),
-            );
-            let kinds = PolicyKind::paper_roster(false);
-            ckpt_exp::StudyDef::new(id, [(sc, kinds, ckpt_exp::RunnerOptions::default())])
-        }
-        other => {
-            eprintln!("unknown study `{other}`; known: golden, bench");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn cmd_run(rest: &[String]) -> i32 {
     let args = match parse_run_args(rest) {
         Ok(Some(args)) => args,
         Ok(None) => {
-            println!("{RUN_USAGE}");
+            println!("{}", run_usage());
             return 0;
         }
-        Err(e) => {
-            eprintln!("{e}\n{RUN_USAGE}");
-            return 2;
-        }
+        Err(e) => return usage_error(&e, &run_usage()),
     };
     if let Some(n) = args.threads {
         ckpt_exp::steal::set_workers(n);
@@ -311,7 +274,12 @@ fn cmd_run(rest: &[String]) -> i32 {
         .clone()
         .or_else(|| args.id.clone())
         .unwrap_or_else(|| args.study.clone());
-    let def = study_def(&args.study, &id, args.traces);
+    let parts = match catalog::lookup(&args.study) {
+        Ok(parts) => parts,
+        Err(e) => return usage_error(&e, &run_usage()),
+    };
+    let params = Params { traces: args.traces, ..Params::default() };
+    let def = catalog::def(&id, &parts, &params);
 
     let mut config = ckpt_exp::CheckpointConfig {
         root: args.root.clone(),
@@ -336,17 +304,27 @@ fn cmd_run(rest: &[String]) -> i32 {
                 report.items_executed,
                 report.checkpoints_written
             );
-            let mut exit = 0;
-            for (stem, result) in &report.results {
+            let mut results = Vec::with_capacity(report.results.len());
+            for (stem, result) in report.results {
                 match result {
-                    Ok(r) => println!("{stem}: ok ({} rows)", r.outcomes.len()),
-                    Err(e) => {
-                        eprintln!("{stem}: {e}");
-                        exit = 1;
+                    Ok(r) => {
+                        println!("{stem}: ok ({} rows)", r.outcomes.len());
+                        results.push(r);
                     }
+                    Err(e) => eprintln!("{stem}: {e}"),
                 }
             }
-            exit
+            if results.len() < def.cells.len() {
+                return 1;
+            }
+            let files = catalog::render(&parts, &params, &results);
+            match write_files(&args.root.join(&id), &files) {
+                Ok(()) => 0,
+                Err(e) => {
+                    eprintln!("{e}");
+                    2
+                }
+            }
         }
         Ok(ckpt_exp::StudyOutcome::Stopped { completed, total }) => {
             eprintln!("study stopped at {completed}/{total} items; killing the process");
@@ -393,10 +371,7 @@ fn parse_study_args(rest: &[String]) -> Result<StudyArgs, String> {
 fn cmd_study(rest: &[String]) -> i32 {
     let StudyArgs { action, root, max_checkpoints, purge } = match parse_study_args(rest) {
         Ok(args) => args,
-        Err(e) => {
-            eprintln!("{e}\n{STUDY_USAGE}");
-            return 2;
-        }
+        Err(e) => return usage_error(&e, STUDY_USAGE),
     };
     match action.as_str() {
         "ls" => {
@@ -439,178 +414,57 @@ fn main() {
         Some("run") => cmd_run(&raw[1..]),
         Some("study") => cmd_study(&raw[1..]),
         _ => match parse_args(&raw) {
-            Ok(Some(args)) => match cmd_experiment(&args) {
-                Ok(()) => 0,
-                Err(e) => usage_error(&e),
-            },
+            Ok(Some(args)) => cmd_experiment(&args),
             Ok(None) => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 0
             }
-            Err(e) => usage_error(&e),
+            Err(e) => usage_error(&e, &usage()),
         },
     });
 }
 
 /// Report a bad invocation: the error and the usage on stderr, exit 2.
-fn usage_error(e: &str) -> i32 {
-    eprintln!("{e}\n{USAGE}");
+fn usage_error(e: &str, usage: &str) -> i32 {
+    eprintln!("{e}\n{usage}");
     2
 }
 
-/// Run one named experiment; `Err` names an unknown experiment or a bad
-/// flag value before any work starts.
-fn cmd_experiment(args: &Args) -> Result<(), String> {
+/// Run a study in memory, one artefact at a time: print each rendered
+/// file, and write it into `--out` when given.
+fn cmd_experiment(args: &Args) -> i32 {
     if let Some(n) = args.threads {
         ckpt_exp::steal::set_workers(n);
     }
-    let t = args.traces;
-    match args.experiment.as_str() {
-        "fig1" => {
-            let mut s = String::from("p,mtbf_rejuvenate_all_s,mtbf_failed_only_s\n");
-            for (p, all, failed) in ex::fig1() {
-                s.push_str(&format!("{p},{all:.3},{failed:.3}\n"));
-            }
-            emit(&args.out, "fig1.csv", &s);
-            emit(
-                &args.out,
-                "fig1.gp",
-                &ckpt_exp::plot::fig1_script("fig1.csv", "fig1.png"),
-            );
+    if let Some(dir) = &args.out {
+        if let Err(e) = prepare_out(dir) {
+            return usage_error(&e, &usage());
         }
-        "table2" | "table3" => {
-            let weibull = args.experiment == "table3";
-            let mut md = String::new();
-            for (label, r) in ex::table23(weibull, t) {
-                md.push_str(&format!("## MTBF = {label}\n\n{}\n", markdown_table(&r)));
-            }
-            emit(&args.out, &format!("{}.md", args.experiment), &md);
-        }
-        "fig2" | "fig3" | "fig4" | "fig6" => {
-            let weibull = matches!(args.experiment.as_str(), "fig4" | "fig6");
-            let exa = matches!(args.experiment.as_str(), "fig3" | "fig6");
-            let years = if exa { 1_250.0 } else { args.mtbf_years };
-            let rows = ex::fig_synthetic_scaling(weibull, exa, years, t);
-            let name = &args.experiment;
-            emit(&args.out, &format!("{name}.csv"), &series_output(&rows));
-            emit(
-                &args.out,
-                &format!("{name}.gp"),
-                &ckpt_exp::plot::degradation_figure_script(
-                    &format!("Figure {} — degradation vs processors", &name[3..]),
-                    "number of processors",
-                    &format!("{name}.csv"),
-                    &format!("{name}.png"),
-                    true,
-                ),
-            );
-        }
-        "fig5" => {
-            let shapes: Vec<f64> = (1..=10).map(|i| f64::from(i) / 10.0).collect();
-            let rows = ex::fig5(&shapes, t);
-            let mut csv = String::from(CSV_HEADER);
-            for (k, r) in &rows {
-                csv.push_str(&csv_series(*k, r));
-            }
-            emit(&args.out, "fig5.csv", &csv);
-        }
-        "table4" => {
-            let r = ex::table4(t);
-            emit(&args.out, "table4.md", &markdown_table(&r));
-        }
-        "fig7" => {
-            let rows = ex::fig_logbased(19, t);
-            emit(&args.out, "fig7.csv", &series_output(&rows));
-            emit(
-                &args.out,
-                "fig7.gp",
-                &ckpt_exp::plot::degradation_figure_script(
-                    "Figure 7 — log-based failures (LANL 19)",
-                    "number of processors",
-                    "fig7.csv",
-                    "fig7.png",
-                    true,
-                ),
-            );
-        }
-        "fig100" => {
-            for cluster in [18u32, 19] {
-                let rows = ex::fig_logbased(cluster, t);
-                emit(
-                    &args.out,
-                    &format!("fig100-cluster{cluster}.csv"),
-                    &series_output(&rows),
-                );
-            }
-        }
-        "fig8" | "fig9" => {
-            let weibull = args.experiment == "fig9";
-            let r = ex::fig89(weibull, DAY, t);
-            emit(&args.out, &format!("{}.md", args.experiment), &markdown_table(&r));
-        }
-        "fig98" | "fig99" => {
-            // `--policy NAME` picks any registry policy (case-insensitive);
-            // the default matches the figure's subject.
-            let kind = match &args.policy {
-                Some(name) => ckpt_exp::parse_kind(name).map_err(|e| e.to_string())?,
-                None if args.experiment == "fig98" => PolicyKind::OptExp,
-                None => PolicyKind::DpNextFailure(Default::default()),
-            };
-            let weibull = args.experiment == "fig99";
-            let mut csv = String::from("model,p,mean_makespan_days\n");
-            for (model, series) in ex::fig9899(&kind, weibull, t) {
-                for (p, mk) in series {
-                    csv.push_str(&format!("{model},{p},{:.3}\n", mk / DAY));
-                }
-            }
-            emit(&args.out, &format!("{}.csv", args.experiment), &csv);
-        }
-        "matrix" => {
-            let r = ex::matrix_cell(
-                args.weibull,
-                args.exa,
-                parallelism_from(&args.model)?,
-                match args.overhead.as_str() {
-                    "const" => false,
-                    "prop" => true,
-                    other => return Err(format!("unknown overhead model {other}")),
-                },
-                args.mtbf_years,
-                args.procs,
-                t,
-            );
-            emit(&args.out, "matrix.md", &markdown_table(&r));
-        }
-        "report" => {
-            let cfg = ckpt_exp::report::ReportConfig::quick(t);
-            let md = ckpt_exp::report::generate(&cfg);
-            emit(&args.out, "report.md", &md);
-        }
-        "all" => run_all(args),
-        other => return Err(format!("unknown experiment {other}")),
     }
-    Ok(())
-}
-
-fn run_all(args: &Args) {
-    for exp in [
-        "fig1", "table2", "table3", "fig2", "fig3", "fig4", "fig5", "fig6", "table4", "fig7",
-        "fig100", "fig8", "fig9", "fig98", "fig99",
-    ] {
-        eprintln!("=== {exp} (traces = {}) ===", args.traces);
-        let status = std::process::Command::new(std::env::current_exe().expect("self"))
-            .arg(exp)
-            .args(["--traces", &args.traces.to_string()])
-            .args(
-                args.out
-                    .as_ref()
-                    .map(|o| vec!["--out".to_string(), o.display().to_string()])
-                    .unwrap_or_default(),
-            )
-            .status()
-            .expect("spawn self");
-        assert!(status.success(), "{exp} failed");
+    for part in &args.parts {
+        let files = match part.run(&args.params) {
+            Ok(files) => files,
+            Err(e) => {
+                eprintln!("{}: {e}", part.name);
+                return 1;
+            }
+        };
+        for (_, content) in &files {
+            println!("{content}");
+        }
+        if let Some(dir) = &args.out {
+            if let Err(e) = write_files(dir, &files) {
+                eprintln!("{e}");
+                return 2;
+            }
+        }
+        // Free this artefact's traces and DP memos (a later one
+        // recomputes what it shares), so the peak memory of `paper`
+        // stays near its largest artefact's, not the sum of them all.
+        ckpt_exp::TraceCache::global().clear();
+        ckpt_policies::DpCaches::global().clear();
     }
+    0
 }
 
 #[cfg(test)]
@@ -642,7 +496,9 @@ mod tests {
 
     #[test]
     fn trace_counts_must_be_positive_in_every_command() {
-        let exp = |raw: &[&str]| parse_args(&strings(raw)).map(|a| a.map(|a| a.traces));
+        let exp = |raw: &[&str]| {
+            parse_args(&strings(raw)).map(|a| a.map(|a| a.parts[0].cells(&a.params)[0].scenario.traces))
+        };
         assert_eq!(exp(&["table2", "--traces", "3"]), Ok(Some(3)));
         assert_eq!(exp(&["table2"]), Ok(Some(600)), "the paper's 600 traces by default");
         assert!(exp(&["table2", "--traces", "0"]).is_err());
@@ -686,7 +542,8 @@ mod tests {
         let a = parse_args(&strings(&["matrix", "--weibull", "--exa", "--procs", "1024"]))
             .expect("valid flags")
             .expect("an experiment was named");
-        assert_eq!((a.experiment.as_str(), a.weibull, a.exa, a.procs), ("matrix", true, true, 1024));
+        let p = &a.params;
+        assert_eq!((a.parts[0].name, p.weibull, p.exa, p.procs), ("matrix", true, true, 1024));
     }
 
     #[test]

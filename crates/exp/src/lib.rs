@@ -29,7 +29,7 @@
 //! * [`policies_spec`] — declarative policy lists instantiated per
 //!   scenario (so e.g. `OptExp` picks up each cell's `p` and `C(p)`);
 //! * [`study`] — the batch API: one roster + options, many scenarios,
-//!   per-cell `Result`s;
+//!   per-cell `Result`s, over the crate's one in-memory cell loop;
 //! * [`checkpoint`] — the store a study run attaches: persisted
 //!   work-item manifests with content fingerprints, kill-safe
 //!   checkpoint/resume under `results/study/<id>/`, and aggregates
@@ -38,28 +38,30 @@
 //!   (the vendored `serde_json` is write-only);
 //! * [`error`] — the experiment-level [`Error`] type (`From`-chained
 //!   over the dist/platform/trace errors);
-//! * [`experiments`] — one entry point per paper artefact (`table2`,
-//!   `fig4`, …) returning typed rows;
-//! * [`output`] — markdown and CSV emitters matching the paper's
-//!   presentation;
+//! * [`catalog`] — the registry of named studies: every table and
+//!   figure of the paper (`table2`, `fig4`, …, and `paper`, their
+//!   union) as cells plus a renderer, run in memory or through the store;
+//! * [`output`] and [`plot`] — the markdown, CSV and gnuplot writers the
+//!   renderers use;
 //! * [`golden`] — canonical serialisation and the cells pinned by the
 //!   byte-identical golden-result tests under `results/golden/`.
 //!
-//! The `ckpt-exp` binary exposes all of it from the command line:
+//! The `ckpt-exp` binary runs any named study, in memory or resumably
+//! through the store:
 //!
 //! ```text
-//! ckpt-exp table2 --traces 600
-//! ckpt-exp fig4 --traces 100
-//! ckpt-exp matrix --dist weibull --overhead prop --model amdahl-1e-4
+//! ckpt-exp table2 --traces 600 --out results
+//! ckpt-exp matrix --weibull --overhead prop --model amdahl-1e-4
+//! ckpt-exp run --study paper --traces 600
 //! ```
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;
+pub mod catalog;
 pub mod checkpoint;
 pub mod error;
 pub mod exec;
-pub mod experiments;
 pub mod golden;
 pub mod jsonio;
 pub mod output;
@@ -70,7 +72,6 @@ pub mod policies_spec;
 pub mod progress;
 pub mod reduce;
 pub mod registry;
-pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod steal;

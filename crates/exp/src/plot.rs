@@ -2,11 +2,9 @@
 //! scripts, so `ckpt-exp <fig> --out results && gnuplot results/<fig>.gp`
 //! reproduces the paper's figures visually, not just numerically.
 
-use crate::runner::ScenarioResult;
 use std::fmt::Write as _;
 
-/// Policies plotted, in the paper's legend order; series not present in a
-/// result are skipped.
+/// Policies plotted, in the paper's legend order.
 const LEGEND_ORDER: &[&str] = &[
     "DalyHigh",
     "DalyLow",
@@ -77,75 +75,9 @@ pub fn fig1_script(csv_name: &str, png_name: &str) -> String {
     )
 }
 
-/// Inline data-block variant: embeds the series so the script is fully
-/// self-contained (no CSV file needed). Used by the report generator.
-pub fn self_contained_script(
-    title: &str,
-    xlabel: &str,
-    png_name: &str,
-    rows: &[(f64, &ScenarioResult)],
-    log2_x: bool,
-) -> String {
-    let mut gp = String::new();
-    let _ = writeln!(gp, "set terminal pngcairo size 960,640 enhanced");
-    let _ = writeln!(gp, "set output '{png_name}'");
-    let _ = writeln!(gp, "set title '{title}'");
-    let _ = writeln!(gp, "set xlabel '{xlabel}'");
-    let _ = writeln!(gp, "set ylabel 'average makespan degradation'");
-    let _ = writeln!(gp, "set key outside right");
-    let _ = writeln!(gp, "set grid");
-    if log2_x {
-        let _ = writeln!(gp, "set logscale x 2");
-    }
-    // One $DATA block per policy with any data.
-    let mut plotted = Vec::new();
-    for name in LEGEND_ORDER {
-        let mut block = String::new();
-        for (x, r) in rows {
-            if let Some(o) = r.get(name) {
-                if let Some(d) = o.avg_degradation {
-                    let _ = writeln!(block, "{x} {d}");
-                }
-            }
-        }
-        if !block.is_empty() {
-            let var = name.replace(['*', '.'], "_");
-            let _ = writeln!(gp, "${var} << EOD\n{block}EOD");
-            plotted.push(format!("${var} using 1:2 with linespoints title '{name}'"));
-        }
-    }
-    let _ = writeln!(gp, "plot \\\n  {}", plotted.join(", \\\n  "));
-    gp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::PolicyOutcome;
-
-    fn result(names: &[(&str, f64)]) -> ScenarioResult {
-        ScenarioResult {
-            label: "t".into(),
-            procs: 4,
-            traces: 1,
-            outcomes: names
-                .iter()
-                .map(|&(n, d)| PolicyOutcome {
-                    name: n.into(),
-                    avg_degradation: Some(d),
-                    std_degradation: Some(0.0),
-                    mean_makespan: Some(1.0),
-                    mean_failures: None,
-                    max_failures: None,
-                    chunk_range: None,
-                    period_factor: None,
-                    error: None,
-                })
-                .collect(),
-            period_lb_factor: None,
-            perf: crate::perf::PipelinePerf::default(),
-        }
-    }
 
     #[test]
     fn csv_script_references_files_and_series() {
@@ -163,18 +95,5 @@ mod tests {
         assert!(gp.contains("rejuvenate all"));
         assert!(gp.contains("failed only"));
         assert!(gp.contains("logscale y 2"));
-    }
-
-    #[test]
-    fn self_contained_embeds_data() {
-        let r1 = result(&[("Young", 1.01), ("DPNextFailure", 1.002)]);
-        let r2 = result(&[("Young", 1.05), ("DPNextFailure", 1.01)]);
-        let gp = self_contained_script("demo", "p", "demo.png", &[(1024.0, &r1), (4096.0, &r2)], true);
-        assert!(gp.contains("$Young << EOD"));
-        assert!(gp.contains("1024 1.01"));
-        assert!(gp.contains("4096 1.01"));
-        assert!(gp.contains("$DPNextFailure"));
-        // Policies with no data are not plotted.
-        assert!(!gp.contains("$Bouguerra"));
     }
 }

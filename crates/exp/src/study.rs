@@ -15,11 +15,11 @@
 //! the shared-cursor executor ([`crate::steal`]). That split is
 //! deliberate: cross-cell parallelism would interleave the shared DP
 //! plan / trace cache traffic of different cells, making the per-cell
-//! delta counters that `perf.plan_cache` and the obs layer report
-//! unattributable — while buying nothing, since each cell's waves
-//! already saturate the worker pool. Results are worker-count-invariant
-//! either way (the executor commits in task-ID order), so only the
-//! scheduling counters, never the aggregates, depend on `--threads`.
+//! delta counters that `perf.plan_cache` reports unattributable — while
+//! buying nothing, since each cell's waves already saturate the worker
+//! pool. Results are worker-count-invariant either way (the executor
+//! commits in task-ID order), so only the scheduling counters, never
+//! the aggregates, depend on `--threads`.
 //!
 //! ```no_run
 //! use ckpt_exp::{DistSpec, Scenario, Study};
@@ -39,6 +39,7 @@
 //! }
 //! ```
 
+use crate::checkpoint::{StudyCell, StudyDef};
 use crate::error::Error;
 use crate::policies_spec::PolicyKind;
 use crate::runner::{run_scenario_checked, RunnerOptions, ScenarioResult};
@@ -97,30 +98,42 @@ impl Study {
         run_scenario_checked(scenario, &self.roster_for(scenario), &self.options)
     }
 
-    /// Run every scenario, one result per cell in input order. Failures
-    /// are per-cell values: a malformed cell yields its `Err` — wrapped
-    /// as [`Error::Cell`] with the scenario's label, so a failure in a
-    /// 100-cell sweep is attributable from the error value alone —
-    /// without aborting the rest of the batch.
+    /// Run every scenario through [`run_cells`], one result per cell in
+    /// input order. Failures are per-cell values: a malformed cell
+    /// yields its `Err` — wrapped as [`Error::Cell`] with the scenario's
+    /// label, so a failure in a 100-cell sweep is attributable from the
+    /// error value alone — without aborting the rest of the batch.
     pub fn run_all(&self, scenarios: &[Scenario]) -> Vec<Result<ScenarioResult, Error>> {
-        scenarios
-            .iter()
-            .map(|sc| self.run(sc).map_err(|e| Error::for_cell(&sc.label, e)))
-            .collect()
+        run_cells(&self.to_def("", scenarios).cells)
     }
 
-    /// Lower this study over `scenarios` into a durable
-    /// [`StudyDef`](crate::checkpoint::StudyDef) for the checkpointed
-    /// runner ([`crate::checkpoint::run_study`]): same per-scenario
-    /// roster, same options, one cell per scenario in input order.
-    pub fn to_def(&self, id: impl Into<String>, scenarios: &[Scenario]) -> crate::checkpoint::StudyDef {
-        crate::checkpoint::StudyDef::new(
+    /// Lower this study over `scenarios` into a durable [`StudyDef`] for
+    /// the checkpointed runner ([`crate::checkpoint::run_study`]): same
+    /// per-scenario roster, same options, one cell per scenario in input
+    /// order.
+    pub fn to_def(&self, id: impl Into<String>, scenarios: &[Scenario]) -> StudyDef {
+        StudyDef::new(
             id,
             scenarios
                 .iter()
                 .map(|sc| (sc.clone(), self.roster_for(sc), self.options.clone())),
         )
     }
+}
+
+/// The in-memory cell loop: every cell in order, through the same plan,
+/// drain and fold as [`run_study`](crate::checkpoint::run_study) but
+/// with no store attached. A cell that cannot run at all yields its
+/// `Err`, wrapped as [`Error::Cell`] with the scenario's label, and the
+/// rest still run.
+pub fn run_cells(cells: &[StudyCell]) -> Vec<Result<ScenarioResult, Error>> {
+    cells
+        .iter()
+        .map(|c| {
+            run_scenario_checked(&c.scenario, &c.kinds, &c.options)
+                .map_err(|e| Error::for_cell(&c.scenario.label, e))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -236,6 +236,15 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         v
     }
 
+    /// Drop every resident entry; the counters keep counting.
+    pub fn clear(&self) {
+        for shard in &self.shards {
+            let mut shard = shard.write();
+            shard.map.clear();
+            shard.order.clear();
+        }
+    }
+
     /// Total resident entries across shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().map.len()).sum()
@@ -290,6 +299,13 @@ impl DpCaches {
             plans: Arc::new(ShardedCache::new(CACHE_SHARDS, PLAN_SHARD_CAP)),
             kernel_rows: Arc::new(ShardedCache::new(CACHE_SHARDS, ROW_SHARD_CAP)),
         }
+    }
+
+    /// Drop every memoised plan and kernel row (frees memory between
+    /// unrelated sweeps; a later solve recomputes the same values).
+    pub fn clear(&self) {
+        self.plans.clear();
+        self.kernel_rows.clear();
     }
 
     /// Snapshot of both layers' counters.

@@ -28,7 +28,11 @@
 #      the durability contract, proven end-to-end through real process
 #      death rather than an in-process stop hook. The kill leg runs at
 #      --threads 2 and the resume leg at --threads 8, so the snapshot
-#      format is also proven worker-count-portable;
+#      format is also proven worker-count-portable. The same kill and
+#      resume then runs a paper artefact (`run --study fig8`), and the
+#      fig8.md it renders next to its aggregates must equal, byte for
+#      byte, what the in-memory `ckpt-exp fig8` writes at the same trace
+#      count: the resumable path renders the quick command's artefact;
 #   6. the bench-regression gate: ckpt-bench's own tests, then the
 #      regress sentinel against a committed 20% slowdown fixture (must
 #      flag it, exit 1) and against the real results/BENCH_history.jsonl
@@ -102,6 +106,23 @@ for f in results/golden/*.json; do
   fi
 done
 echo "resumed aggregates byte-identical ($(ls results/golden/*.json | wc -l) files)"
+set +e
+target/release/ckpt-exp run --study fig8 --traces 3 --id fig8res \
+  --study-root "$study_tmp" --checkpoint-items 1 --kill-at 0.5 --threads 2
+status=$?
+set -e
+if [ "$status" -ne 137 ]; then
+  echo "kill-and-resume (fig8): expected SIGKILL exit 137, got $status" >&2
+  exit 1
+fi
+target/release/ckpt-exp run --study fig8 --traces 3 --resume fig8res \
+  --study-root "$study_tmp" --checkpoint-items 1 --threads 8
+target/release/ckpt-exp fig8 --traces 3 --out "$study_tmp/fig8mem" >/dev/null
+if ! cmp -s "$study_tmp/fig8mem/fig8.md" "$study_tmp/fig8res/fig8.md"; then
+  echo "RESUME DRIFT: resumed run --study fig8 renders a different fig8.md" >&2
+  exit 1
+fi
+echo "resumed fig8 study renders fig8.md byte-identical to ckpt-exp fig8"
 
 echo "== bench-regression gate (ckpt-bench regress) =="
 # The sentinel crate sits outside default-members: build and test it
