@@ -58,12 +58,15 @@ fn main() {
     }
     println!("{:<14} {:>8.3}s", "LowerBound", t0.elapsed().as_secs_f64());
 
-    // Direct DP run with plan-cache statistics.
-    let dp = ckpt_policies::DpNextFailure::new(
+    // Direct DP run on a private cache pair, so its statistics are this
+    // run's own.
+    let caches = ckpt_policies::DpCaches::private();
+    let dp = ckpt_policies::DpNextFailure::with_caches(
         &spec,
         built.dist.clone_box(),
         built.proc_mtbf,
         ckpt_policies::DpNextFailureConfig::default(),
+        caches.clone(),
     );
     let t0 = Instant::now();
     for ct in &cached {
@@ -79,11 +82,8 @@ fn main() {
         );
         std::hint::black_box(st);
     }
-    let (total_plans, cold_plans) = dp.plan_stats();
-    println!(
-        "dp direct: {:.3}s, {total_plans} plans ({cold_plans} cold)",
-        t0.elapsed().as_secs_f64()
-    );
+    let stats = caches.stats();
+    println!("dp direct: {:.3}s, {stats:?}", t0.elapsed().as_secs_f64());
     println!("dp quanta = {}", dp.quanta());
     let t0 = Instant::now();
     let n_plans = 40;

@@ -20,9 +20,8 @@
 
 use crate::scenario::{BuiltDist, Scenario};
 use ckpt_platform::{PlatformEvents, TraceSet};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// One generated trace set with its pre-merged platform event stream.
 #[derive(Debug)]
@@ -84,7 +83,7 @@ impl TraceCache {
             start_bits: scenario.start_time.to_bits(),
             index: index as u64,
         };
-        let widest = self.map.lock().get(&key).cloned();
+        let widest = self.map.lock().unwrap_or_else(PoisonError::into_inner).get(&key).cloned();
         if let Some(hit) = widest.as_ref().filter(|w| w.traces.unit_count() >= units) {
             return if hit.traces.unit_count() == units {
                 Arc::clone(hit)
@@ -102,7 +101,7 @@ impl TraceCache {
             events: Arc::new(traces.platform_events()),
             traces: Arc::new(traces),
         });
-        let mut map = self.map.lock();
+        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
         let widest = map.entry(key).or_insert_with(|| Arc::clone(&entry));
         if widest.traces.unit_count() < units {
             *widest = Arc::clone(&entry);
@@ -117,7 +116,7 @@ impl TraceCache {
 
     /// Number of cached streams (one per label, horizon, start and index).
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.map.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Whether the cache is empty.
@@ -127,7 +126,7 @@ impl TraceCache {
 
     /// Drop every cached trace (frees memory between unrelated sweeps).
     pub fn clear(&self) {
-        self.map.lock().clear();
+        self.map.lock().unwrap_or_else(PoisonError::into_inner).clear();
     }
 }
 

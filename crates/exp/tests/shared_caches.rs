@@ -2,7 +2,8 @@
 //! `perf.plan_cache` deltas: the first run of a cell misses its DP plans
 //! and generates its traces; a repeat run of the same cell replays the
 //! same lookups, so it misses nothing, generates nothing, and commits
-//! the same bytes.
+//! the same bytes. A sequential cell's one-age solves never build a
+//! kernel row.
 //!
 //! Both caches (`DpCaches::global`, `TraceCache::global`) are
 //! process-global, so a run's delta also counts any concurrent run's
@@ -62,6 +63,19 @@ fn repeat_run_of_a_cell_is_served_by_the_shared_caches() {
     assert_eq!(TraceCache::global().len(), traces_before, "the repeat run generates no trace");
     // Caches serve a pure function of their key: same bytes.
     assert_eq!(golden_json(&cold), golden_json(&warm));
+}
+
+/// A sequential cell plans over one processor age, so every DP solve is
+/// a one-age state: it memoises its plan and never touches the
+/// kernel-row layer, whose rows it could never read back.
+#[test]
+fn cold_sequential_cell_builds_no_kernel_row() {
+    let _serial = lock();
+    let sc = dp_cell("one-age-cell", 41_113.0, 3);
+    let cold = run_scenario(&sc, &kinds(), &fast_options()).perf.plan_cache;
+    assert!(cold.plans.misses > 0, "a cold cell must solve its DP plans");
+    assert_eq!(cold.kernel_rows.misses, 0, "a one-age solve builds no cached row");
+    assert_eq!(cold.kernel_rows.hits, 0, "a one-age solve reads no cached row");
 }
 
 /// `perf.plan_cache` is the run's own traffic, not the process total:

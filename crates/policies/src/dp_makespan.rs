@@ -32,8 +32,8 @@
 use crate::{clamp_chunk, AgeView, Policy, PolicySession};
 use ckpt_dist::{FailureDistribution, KernelTable};
 use ckpt_workload::JobSpec;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Tunables of the Makespan DP.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -304,7 +304,7 @@ impl DpMakespan {
                 self.flat.push((bv, bi));
             }
         }
-        *self.table.get_mut() = table;
+        *self.table.get_mut().unwrap_or_else(PoisonError::into_inner) = table;
     }
 
     /// `Psuc(x|τ)`: exact (typically closed-form) for memoryless
@@ -368,7 +368,7 @@ impl DpMakespan {
         if self.at_recovery(tau) {
             return self.backbone[x];
         }
-        let mut table = self.table.lock();
+        let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
         let row = table.row_of(self.tau_key(tau));
         self.fill(&mut table, row, x)
     }
@@ -741,12 +741,12 @@ mod tests {
             Box::new(Weibull::from_mtbf(0.7, DAY)),
             DpMakespanConfig { quanta: Some(40), assume_memoryless: false },
         );
-        let before = dp.table.lock().rows.len();
+        let before = dp.table.lock().unwrap_or_else(PoisonError::into_inner).rows.len();
         let mut reference = Reference::new(&dp);
         assert_matches_reference(&dp, &mut reference, 1e12);
         // Rows reachable from one age span ~x·(1 + C/u) keys, plus the
         // unevaluated successor keys their ladders name — never ~τ/u.
-        let added = dp.table.lock().rows.len() - before;
+        let added = dp.table.lock().unwrap_or_else(PoisonError::into_inner).rows.len() - before;
         assert!(added < 4 * 40, "{added} rows for one far-age query");
     }
 

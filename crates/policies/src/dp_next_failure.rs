@@ -133,14 +133,13 @@ pub struct DpNextFailure {
     /// Shared plan/kernel-row memo layers (see [`crate::plan_cache`]).
     /// Plans are keyed by the full quantised planning state — distribution
     /// identity, exact quantum bits, truncation, age buckets — so every
-    /// instance with the same state reuses the same solve; post-failure
-    /// states recur with identical keys (the age is `D + R` plus small
-    /// cascades), so the hit rate is high even for age-dependent
-    /// distributions, and a Study batch shares solves across all its
-    /// traces and cells.
+    /// instance with the same state reuses the same solve. One-age states
+    /// recur with identical keys (after a failure the age is `D + R` plus
+    /// small cascades), so their plans hit often even for age-dependent
+    /// distributions; multi-age states practically never recur whole, so
+    /// only their per-bucket kernel rows are memoised (see
+    /// [`plan`](Self::plan)).
     caches: DpCaches,
-    plans_total: std::sync::atomic::AtomicU64,
-    plans_cold: std::sync::atomic::AtomicU64,
 }
 
 impl std::fmt::Debug for DpNextFailure {
@@ -195,8 +194,6 @@ impl DpNextFailure {
             config,
             x_max,
             caches,
-            plans_total: std::sync::atomic::AtomicU64::new(0),
-            plans_cold: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -205,25 +202,43 @@ impl DpNextFailure {
         self.x_max
     }
 
-    /// `(total plan calls, cache misses)` since construction — cheap
-    /// relaxed counters for perf diagnostics.
-    pub fn plan_stats(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        (self.plans_total.load(Relaxed), self.plans_cold.load(Relaxed))
-    }
-
     /// Plan a chunk schedule for `remaining` work given the age snapshot.
     /// Public so the solver can be unit-tested and benchmarked directly.
     ///
     /// The plan is computed from the *quantised* state (ages mapped onto a
-    /// geometric bucket grid, [`quantise_age`]) and memoised under that
-    /// key in the shared [`DpCaches`] plan layer, so any execution order —
-    /// and any other policy instance with the same distribution identity —
-    /// reproduces the identical plan for the same key; replans after a
-    /// failure or at schedule exhaustion mostly hit the cache instead of
-    /// re-running the `O(x_max²)` solve. The returned `Arc` slice is
-    /// shared with the cache: consuming a plan allocates nothing.
+    /// geometric bucket grid, [`quantise_age`]), a pure function of its
+    /// [`PlanKey`], so any execution order — and any other policy instance
+    /// with the same distribution identity — reproduces the identical
+    /// plan for the same key. Every state is looked up in the shared
+    /// [`DpCaches`] plan layer (so its miss count is the solve count), and
+    /// the state's shape picks the one memo layer that can pay off:
+    ///
+    /// * a **one-age** state (at most one bucket) memoises its plan and
+    ///   solves inline. Its plan key fixes its only kernel-row key, so the
+    ///   plan layer always answers before a cached row could be read.
+    /// * a **multi-age** state reads and fills the shared kernel rows but
+    ///   memoises no plan. Whole multi-age states practically never recur,
+    ///   while their per-bucket rows do, across states and traces.
+    ///
+    /// Both paths build each row through [`fill_triangle_times`] and
+    /// `log_survival_batch`, so the choice never changes a plan's bits.
+    /// The returned `Arc` slice is shared with the cache: consuming a
+    /// plan allocates nothing.
     pub fn plan(&self, remaining: f64, ages: &AgeView) -> Arc<[f64]> {
+        let key = self.plan_key(remaining, ages);
+        if let Some(hit) = self.caches.plans.get(&key) {
+            return hit;
+        }
+        let one_age = key.buckets.len() <= 1;
+        let chunks = self.solve_key(&key, !one_age);
+        if one_age {
+            self.caches.plans.insert(key, chunks.clone());
+        }
+        chunks
+    }
+
+    /// The quantised planning state of [`plan`](Self::plan).
+    fn plan_key(&self, remaining: f64, ages: &AgeView) -> PlanKey {
         let window = planning_window(
             self.spec.checkpoint,
             self.platform_mtbf,
@@ -231,8 +246,7 @@ impl DpNextFailure {
         );
         let w_full = remaining.min(window);
         let truncated = w_full < remaining - 1e-9;
-        let x_max = self.x_max;
-        let u = w_full / x_max as f64;
+        let u = w_full / self.x_max as f64;
         let compressed = compress_ages(ages, self.dist.as_ref(), self.config.compression);
         // Quantised state: bucket ids on the geometric age grid, counts
         // merged per bucket. The exact quantum bits key the truncated work
@@ -251,34 +265,33 @@ impl DpNextFailure {
                 _ => buckets.push((id, count)),
             }
         }
-        let key = PlanKey {
+        PlanKey {
             dist: self.dist_id,
             u_bits: u.to_bits(),
             checkpoint_bits: self.spec.checkpoint.to_bits(),
-            x_max: x_max as u32,
+            x_max: self.x_max as u32,
             truncated,
             half_schedule: self.config.use_half_schedule,
             lanes: ckpt_math::simd::LANES as u32,
             buckets,
-        };
-        self.plans_total.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        if let Some(hit) = self.caches.plans.get(&key) {
-            return hit;
         }
-        self.plans_cold.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // Solve on the representative state reconstructed from the key —
-        // a pure function of the key, so concurrent sessions agree on the
-        // cached plan no matter which one computes it first. The kernel
-        // rows (exact per-bucket log-survival over the DP triangle) come
-        // from the shared row layer: a bucket seen by any earlier solve on
-        // the same grid costs one memoised lookup instead of a triangle of
-        // `powf` calls.
+    }
+
+    /// Solve the state `key` on its representative ages — a pure function
+    /// of the key, so concurrent sessions agree on a plan no matter which
+    /// one computes it first. With `cached_rows` the kernel rows (exact
+    /// per-bucket log-survival over the DP triangle) come from the shared
+    /// row layer: a bucket seen by any earlier solve on the same grid
+    /// costs one memoised lookup instead of a triangle of `powf` calls.
+    fn solve_key(&self, key: &PlanKey, cached_rows: bool) -> Arc<[f64]> {
+        let x_max = self.x_max;
+        let u = f64::from_bits(key.u_bits);
+        let checkpoint = self.spec.checkpoint;
         let representative: Vec<(f64, f64)> = key
             .buckets
             .iter()
             .map(|&(id, count)| (representative_age(id, u), count as f64))
             .collect();
-        let checkpoint = self.spec.checkpoint;
         let row_for = |age_index: usize| -> Arc<[f64]> {
             let (bucket, _) = key.buckets[age_index];
             let row_key = KernelRowKey {
@@ -286,7 +299,7 @@ impl DpNextFailure {
                 u_bits: key.u_bits,
                 checkpoint_bits: key.checkpoint_bits,
                 x_max: key.x_max,
-                lanes: ckpt_math::simd::LANES as u32,
+                lanes: key.lanes,
                 bucket,
             };
             self.caches.kernel_rows.get_or_insert_with(row_key, || {
@@ -299,25 +312,18 @@ impl DpNextFailure {
                 )
             })
         };
-        let chunks = solve_with_rows(
-            self.dist.as_ref(),
-            &representative,
-            x_max,
-            u,
-            checkpoint,
-            Some(&row_for),
-        );
+        let rows: Option<&dyn Fn(usize) -> Arc<[f64]>> =
+            if cached_rows { Some(&row_for) } else { None };
+        let chunks =
+            solve_with_rows(self.dist.as_ref(), &representative, x_max, u, checkpoint, rows);
         // §3.3: when the work was truncated, keep only the first half of
         // the chunks to avoid end-of-horizon artefacts.
-        let chunks: Arc<[f64]> = if self.config.use_half_schedule && truncated && chunks.len() > 1
-        {
+        if self.config.use_half_schedule && key.truncated && chunks.len() > 1 {
             let keep = chunks.len().div_ceil(2);
             chunks[..keep].into()
         } else {
             chunks.into()
-        };
-        self.caches.plans.insert(key, chunks.clone());
-        chunks
+        }
     }
 }
 
@@ -1048,6 +1054,7 @@ pub fn expected_work_of_schedule(
 mod tests {
     use super::*;
     use ckpt_dist::{Exponential, Weibull};
+    use proptest::prelude::*;
 
     const DAY: f64 = 86_400.0;
     const YEAR: f64 = 365.25 * DAY;
@@ -1077,6 +1084,94 @@ mod tests {
         let a = dp.plan(spec.work, &ages);
         let b = dp.plan(spec.work, &ages);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn one_age_state_memoises_its_plan_and_builds_no_row() {
+        let spec = JobSpec::table1_single_processor();
+        let caches = DpCaches::private();
+        let dp = DpNextFailure::with_caches(
+            &spec,
+            Box::new(Weibull::from_mtbf(0.7, DAY)),
+            DAY,
+            small_config(50),
+            caches.clone(),
+        );
+        let ages = AgeView::single(660.0);
+        let first = dp.plan(spec.work, &ages);
+        let s = caches.stats();
+        assert_eq!((s.plans.misses, s.plans.entries), (1, 1));
+        let rows = s.kernel_rows;
+        assert_eq!((rows.hits + rows.misses, rows.entries), (0, 0), "no row lookup");
+        let again = dp.plan(spec.work, &ages);
+        assert!(Arc::ptr_eq(&first, &again), "the repeat is served from the plan layer");
+        assert_eq!(caches.stats().plans.hits, 1);
+    }
+
+    #[test]
+    fn multi_age_state_fills_rows_but_memoises_no_plan() {
+        let spec = JobSpec::table1_petascale(45_208);
+        let caches = DpCaches::private();
+        let dp = DpNextFailure::with_caches(
+            &spec,
+            Box::new(Weibull::from_mtbf(0.7, 125.0 * YEAR)),
+            125.0 * YEAR,
+            small_config(40),
+            caches.clone(),
+        );
+        let ages = AgeView::new(vec![(600.0, 1), (50_000.0, 2)], 45_205, YEAR);
+        let first = dp.plan(spec.work, &ages);
+        let s = caches.stats();
+        assert_eq!((s.plans.misses, s.plans.entries), (1, 0), "no plan is memoised");
+        assert!(s.kernel_rows.entries > 0, "the near buckets' rows are cached");
+        assert_eq!(s.kernel_rows.misses, s.kernel_rows.entries);
+        // The repeat solves again, now from the cached rows.
+        let again = dp.plan(spec.work, &ages);
+        assert_eq!(first, again);
+        let s2 = caches.stats();
+        assert_eq!(s2.plans.misses, 2);
+        assert_eq!(s2.kernel_rows.hits, s.kernel_rows.entries);
+        assert_eq!(s2.kernel_rows.misses, s.kernel_rows.misses);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A one-age plan solved inline is bit-identical to the same state
+        /// solved from cached `compute_row` rows, in the truncated window
+        /// and in the endgame alike.
+        fn one_age_inline_plan_matches_cached_row_solve_bit_for_bit(
+            shape in 0.5..1.5f64,
+            mtbf in 3_600.0..30.0 * DAY,
+            age_frac in 0.0..3.0f64,
+            endgame in 0u8..2,
+            work_frac in 0.02..0.98f64,
+        ) {
+            let endgame = endgame == 1;
+            let spec = JobSpec::table1_single_processor();
+            let caches = DpCaches::private();
+            let dp = DpNextFailure::with_caches(
+                &spec,
+                Box::new(Weibull::from_mtbf(shape, mtbf)),
+                mtbf,
+                DpNextFailureConfig::default(),
+                caches.clone(),
+            );
+            let window = planning_window(spec.checkpoint, mtbf, 2.0);
+            let remaining = if endgame { work_frac * window } else { (1.0 + work_frac) * window };
+            let ages = AgeView::single(age_frac * window);
+            let key = dp.plan_key(remaining, &ages);
+            prop_assert_eq!(key.buckets.len(), 1);
+            prop_assert_eq!(key.truncated, !endgame);
+
+            let inline = dp.plan(remaining, &ages);
+            prop_assert_eq!(caches.stats().kernel_rows.misses, 0);
+            let from_rows = dp.solve_key(&key, true);
+            // One row, or none when the age is old enough for the far fit.
+            prop_assert!(caches.stats().kernel_rows.misses <= 1);
+            let bits = |p: &[f64]| p.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&inline), bits(&from_rows));
+        }
     }
 
     #[test]

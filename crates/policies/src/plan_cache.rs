@@ -24,17 +24,27 @@
 //! while unfingerprintable families fall back to a per-instance id —
 //! still cached, never shared, never wrong.
 //!
+//! Each planning state fills exactly one layer, chosen by its shape (see
+//! [`DpNextFailure::plan`](crate::DpNextFailure::plan)). A **one-age**
+//! state (at most one age bucket, as on every sequential cell) memoises
+//! its plan and builds its row inline; its plan key fixes its only row
+//! key, so a cached row could never be read. A **multi-age** state (every
+//! state of the parallel cells, whose platforms start with failed units)
+//! reads and fills kernel rows but memoises no plan: whole multi-age
+//! states practically never recur, while their buckets do. Every state
+//! still looks its plan up, so the plan layer's miss count is the DP
+//! solve count.
+//!
 //! Both caches use FIFO eviction with per-shard caps (replacing the old
 //! silent `len() < 100_000` insert drop) and export hit/miss/eviction
 //! counters that the experiment pipeline surfaces in its perf summary.
 
 use ckpt_dist::FailureDistribution;
-use parking_lot::RwLock;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Identity of a distribution for cache keying.
 ///
@@ -197,7 +207,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 
     /// Clone of the cached value, counting the hit or miss.
     pub fn get(&self, key: &K) -> Option<V> {
-        let found = self.shard_of(key).read().map.get(key).cloned();
+        let found = {
+            let shard = self.shard_of(key).read().unwrap_or_else(PoisonError::into_inner);
+            shard.map.get(key).cloned()
+        };
         match found {
             Some(_) => self.hits.fetch_add(1, Relaxed),
             None => self.misses.fetch_add(1, Relaxed),
@@ -208,7 +221,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// Insert, evicting the shard's oldest entries beyond its cap.
     pub fn insert(&self, key: K, value: V) {
         let shard_lock = self.shard_of(&key);
-        let mut shard = shard_lock.write();
+        let mut shard = shard_lock.write().unwrap_or_else(PoisonError::into_inner);
         if shard.map.insert(key.clone(), value).is_none() {
             shard.order.push_back(key);
             while shard.map.len() > self.cap_per_shard {
@@ -239,7 +252,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// Drop every resident entry; the counters keep counting.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = shard.write();
+            let mut shard = shard.write().unwrap_or_else(PoisonError::into_inner);
             shard.map.clear();
             shard.order.clear();
         }
@@ -247,7 +260,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 
     /// Total resident entries across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().map.len()).sum()
+        self.shards.iter().map(|s| s.read().unwrap_or_else(PoisonError::into_inner).map.len()).sum()
     }
 
     /// Whether no entries are resident.
@@ -271,8 +284,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 const CACHE_SHARDS: usize = 16;
 /// Plans are short `Arc<[f64]>` schedules (tens of bytes): keep many.
 const PLAN_SHARD_CAP: usize = 4096;
-/// Kernel rows span the whole DP triangle (~260 kB at `x_max = 256`):
-/// cap the resident set at ~1k rows.
+/// Kernel rows span the whole DP triangle (25,025 cells, ~200 kB at
+/// `x_max = 256`): cap the resident set at ~1k rows.
 const ROW_SHARD_CAP: usize = 64;
 
 /// The two shared memo layers of the DP planners. Cheap to clone (both

@@ -66,8 +66,9 @@ proptest! {
 
         let via_shared = run(&shared, &spec, &traces);
         let via_private = run(&private, &spec, &traces);
-        // Second pass over the shared instance: every plan it needs is now
-        // warm, so this run is served almost entirely from the cache.
+        // Second pass over the shared instance: one-age states now hit
+        // their memoised plans, and multi-age states (`units > 1`) solve
+        // again from the kernel rows the first pass cached.
         let via_warm = run(&shared, &spec, &traces);
 
         prop_assert_eq!(&via_shared, &via_private);

@@ -53,8 +53,8 @@
 #      generation) at Petascale widths. The
 #      build may rewrite perfbench/Cargo.lock
 #      (perfbench is frozen, and its lock still lists packages the
-#      workspace dropped), so the lock is saved before the run and
-#      restored after it.
+#      workspace dropped: rayon, ckpt-obs and parking_lot), so the lock
+#      is saved before the run and restored after it.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
