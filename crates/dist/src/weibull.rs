@@ -63,12 +63,10 @@ impl FailureDistribution for Weibull {
 
     // `log_survival_batch` deliberately stays on the trait default (one
     // scalar `powf` per element, bit-identical to `log_survival`): glibc's
-    // table-driven `pow` measures ~14 ns/element here, while the batched
-    // ln→exp composition (`ckpt_math::simd::weibull_log_survival`) lands
-    // at ~20 ns/element on the SSE2 baseline — the benched alternative is
-    // kept (and micro-benched in `ckpt-bench`) so the comparison is
-    // re-runnable on wider targets, but the hot cold-row path keeps the
-    // faster, divergence-free form.
+    // table-driven `pow` measured ~14 ns/element here, while a batched
+    // ln→exp composition on the `ckpt_math::simd` lanes landed at
+    // ~20 ns/element on the SSE2 baseline, so the hot cold-row path keeps
+    // the faster, divergence-free form.
 
     fn mean(&self) -> f64 {
         self.scale * ckpt_math::gamma(1.0 + 1.0 / self.shape)
@@ -189,10 +187,36 @@ mod tests {
     }
 
     #[test]
+    fn batch_log_survival_is_bit_identical_to_scalar() {
+        // The shipped batch is the trait default: one scalar `powf` per
+        // element, so no lane split or `t ≤ 0` patch may move a bit.
+        let ts = [
+            -1.0e-3,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+            1.0,
+            15_000.0,
+            87_000.0,
+            1.5 * 365.25 * 86_400.0,
+            1.0e12,
+        ];
+        for &(shape, scale) in &[(0.3, 1.0), (0.7, 1.0e8), (1.0, 3.0e4), (1.5, 42.0)] {
+            let w = Weibull::new(shape, scale);
+            for len in 0..=ts.len() {
+                let mut out = vec![f64::NAN; len];
+                w.log_survival_batch(&ts[..len], &mut out);
+                for (o, &t) in out.iter().zip(&ts) {
+                    assert_eq!(o.to_bits(), w.log_survival(t).to_bits(), "k {shape} t {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn batch_log_survival_tracks_scalar_within_1e12() {
-        // The batched log-domain path is the sanctioned FP divergence
-        // from scalar `powf`; pin how far apart they may drift, across
-        // remainder-lane lengths and the t ≤ 0 early return.
+        // The bound a batched override would have to meet against
+        // scalar `powf`, across remainder-lane lengths and the t ≤ 0
+        // early return.
         for &(shape, mtbf) in &[(0.5, 1_000.0), (0.7, 125.0 * 365.25 * 86_400.0), (1.3, 50.0)] {
             let w = Weibull::from_mtbf(shape, mtbf);
             for len in [1usize, 3, 4, 7, 256] {

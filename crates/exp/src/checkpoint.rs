@@ -462,7 +462,7 @@ pub fn build_manifest(def: &StudyDef, config: &CheckpointConfig) -> StudyManifes
 // ---------------------------------------------------------------------
 
 fn json_str(s: &str) -> String {
-    format!("\"{}\"", serde_json::escape_str(s))
+    format!("\"{}\"", jsonio::escape_str(s))
 }
 
 fn stats_json(st: &TraceStatsBits) -> String {

@@ -3,14 +3,14 @@
 //! Serialises the *deterministic* portion of a [`ScenarioResult`] — every
 //! `PolicyOutcome` field plus the deterministic pipeline counters, but no
 //! wall-clock timings — with shortest-roundtrip float formatting
-//! ([`crate::perf::format_f64`]), which is injective on finite `f64`s.
+//! ([`crate::jsonio::format_f64`]), which is injective on finite `f64`s.
 //! Two results serialise to the same bytes **iff** every number is
 //! bit-identical, so the integration test under `tests/` can byte-compare
 //! a fresh run against the committed files in `results/golden/` to prove
 //! the plan → execute → reduce pipeline reproduces the pre-refactor
 //! monolith exactly, at any executor worker count.
 
-use crate::perf::format_f64;
+use crate::jsonio::{escape_str, format_f64};
 use crate::policies_spec::PolicyKind;
 use crate::runner::{PeriodSearch, PolicyOutcome, RunnerOptions, ScenarioResult};
 use crate::scenario::{DistSpec, Scenario};
@@ -18,9 +18,16 @@ use ckpt_policies::DpMakespanConfig;
 use ckpt_workload::YEAR;
 
 /// The cells pinned by the golden test, as `(file stem, scenario, roster,
-/// options)`. Shared by the `gen_golden` binary (which writes
-/// `results/golden/<stem>.json`) and the `golden_pipeline` integration
-/// test (which re-runs them and byte-compares).
+/// options)`. Shared by the `golden` study (whose `aggregate/` holds
+/// `<stem>.json` for each cell) and the `golden_pipeline` integration
+/// test (which re-runs them and byte-compares). To regenerate
+/// `results/golden/` after a change that is *supposed* to move the
+/// numbers, run the study into a fresh store and copy its aggregates:
+///
+/// ```text
+/// ckpt-exp run --study golden --id regen --study-root DIR
+/// cp DIR/regen/aggregate/*.json results/golden/
+/// ```
 ///
 /// Coverage: a small Petascale-Weibull cell through the default
 /// coarse-to-fine `PeriodLB` search, a sequential Exponential cell through
@@ -106,7 +113,7 @@ fn opt_u64(x: Option<u64>) -> String {
 }
 
 fn opt_str(x: Option<&str>) -> String {
-    x.map_or_else(|| "null".into(), |s| format!("\"{}\"", serde_json::escape_str(s)))
+    x.map_or_else(|| "null".into(), |s| format!("\"{}\"", escape_str(s)))
 }
 
 fn outcome_json(o: &PolicyOutcome) -> String {
@@ -120,7 +127,7 @@ fn outcome_json(o: &PolicyOutcome) -> String {
             "\"mean_makespan\": {}, \"mean_failures\": {}, \"max_failures\": {}, ",
             "\"chunk_range\": {}, \"period_factor\": {}, \"error\": {}}}"
         ),
-        serde_json::escape_str(&o.name),
+        escape_str(&o.name),
         opt_f64(o.avg_degradation),
         opt_f64(o.std_degradation),
         opt_f64(o.mean_makespan),
@@ -137,7 +144,7 @@ fn outcome_json(o: &PolicyOutcome) -> String {
 pub fn golden_json(r: &ScenarioResult) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str(&format!("  \"label\": \"{}\",\n", serde_json::escape_str(&r.label)));
+    s.push_str(&format!("  \"label\": \"{}\",\n", escape_str(&r.label)));
     s.push_str(&format!("  \"procs\": {},\n", r.procs));
     s.push_str(&format!("  \"traces\": {},\n", r.traces));
     s.push_str(&format!("  \"period_lb_factor\": {},\n", opt_f64(r.period_lb_factor)));

@@ -1,11 +1,12 @@
-//! A minimal JSON **reader** for the study checkpoint store.
+//! The JSON of the study checkpoint store, both ways.
 //!
-//! The vendored `serde_json` is deliberately write-only (a push-based
-//! serializer is all the result emitters need), so the checkpoint
-//! resume path brings its own parser. It reads exactly the dialect the
-//! vendored writer emits — objects, arrays, strings escaped by
-//! [`serde_json::escape_str`], integers, floats, booleans, `null` —
-//! plus standard JSON it might receive from a hand-edited manifest.
+//! Writing needs only the two helpers every emitter shares —
+//! [`escape_str`] for string contents and [`format_f64`] for floats —
+//! because the goldens, snapshots and `progress.json` are formatted by
+//! hand. Reading brings its own parser for the resume path. It reads
+//! exactly the dialect those emitters write — objects, arrays, strings
+//! escaped by [`escape_str`], integers, floats, booleans, `null` — plus
+//! standard JSON it might receive from a hand-edited manifest.
 //!
 //! Two properties matter for resume correctness:
 //!
@@ -82,6 +83,38 @@ impl Json {
             Self::Arr(items) => Some(items),
             _ => None,
         }
+    }
+}
+
+/// Escape `s` as the *contents* of a JSON string literal (no quotes).
+pub fn escape_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// JSON-safe float formatting: finite values use Rust's shortest
+/// round-trip form with a trailing `.0` forced onto integral values;
+/// NaN/±Infinity map to `null`.
+pub fn format_f64(x: f64) -> String {
+    if x.is_finite() {
+        let mut s = format!("{x}");
+        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+            s.push_str(".0");
+        }
+        s
+    } else {
+        "null".to_string()
     }
 }
 
@@ -277,6 +310,27 @@ mod tests {
     use super::*;
 
     #[test]
+    fn escapes_controls_and_quotes() {
+        assert_eq!(escape_str("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_str("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn format_f64_round_trips_through_parse() {
+        for x in [0.0, -0.0, 1.0, -3.0, 0.1, 2.5e-3, 1e300, 5e-324, f64::MAX, 87_000.0 / 3.0] {
+            let s = format_f64(x);
+            assert!(s.contains(['.', 'e']), "{x}: {s} must read back as a float");
+            let back = parse(&s).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{x}: wrote {s}");
+        }
+        assert_eq!(format_f64(3.0), "3.0");
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(format_f64(x), "null");
+            assert_eq!(parse(&format_f64(x)).unwrap(), Json::Null);
+        }
+    }
+
+    #[test]
     fn parses_writer_output_shapes() {
         let doc = parse(
             "{\"version\": 1, \"ok\": true, \"none\": null, \
@@ -296,7 +350,7 @@ mod tests {
     #[test]
     fn round_trips_escaped_strings() {
         for s in ["plain", "q\"uote", "back\\slash", "tab\there", "new\nline", "ctl\u{1}"] {
-            let doc = format!("{{\"k\": \"{}\"}}", serde_json::escape_str(s));
+            let doc = format!("{{\"k\": \"{}\"}}", escape_str(s));
             let v = parse(&doc).unwrap();
             assert_eq!(v.get("k").unwrap().as_str(), Some(s), "{doc}");
         }

@@ -34,8 +34,9 @@
 //!   work-item manifests with content fingerprints, kill-safe
 //!   checkpoint/resume under `results/study/<id>/`, and aggregates
 //!   byte-identical to an in-memory run via the same [`reduce`] fold;
-//! * [`jsonio`] — the minimal JSON reader behind the checkpoint store
-//!   (the vendored `serde_json` is write-only);
+//! * [`jsonio`] — the checkpoint store's JSON: the string and float
+//!   formatting every emitter shares, and the minimal reader behind
+//!   resume;
 //! * [`error`] — the experiment-level [`Error`] type (`From`-chained
 //!   over the dist/platform/trace errors);
 //! * [`catalog`] — the registry of named studies: every table and

@@ -6,7 +6,6 @@
 //! row and summed at aggregation time, so instrumentation adds no
 //! synchronisation to the hot path.
 
-use serde::Serialize;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -28,7 +27,7 @@ pub fn clock_seconds() -> f64 {
 }
 
 /// Wall-clock and volume of one pipeline stage.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StagePerf {
     /// Stage name (`trace_gen`, `policy_sims`, `period_search`, `aggregate`).
     pub name: String,
@@ -40,7 +39,7 @@ pub struct StagePerf {
 }
 
 /// Flow counters of one shared DP cache layer attributed to a run.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CachePerf {
     /// Lookups served from the cache during the run.
     pub hits: u64,
@@ -59,7 +58,7 @@ impl From<ckpt_policies::CacheStats> for CachePerf {
 }
 
 /// Shared DP plan/kernel-row cache activity attributed to one run.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PlanCachePerf {
     /// Whole-plan layer (`PlanKey` → chunk schedule).
     pub plans: CachePerf,
@@ -74,7 +73,7 @@ impl From<ckpt_policies::DpCacheStats> for PlanCachePerf {
 }
 
 /// Instrumentation for one `run_scenario` call.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PipelinePerf {
     /// End-to-end seconds for the scenario.
     pub total_seconds: f64,
@@ -113,9 +112,9 @@ impl PipelinePerf {
     }
 }
 
-// JSON-safe float formatting lives with the writer; re-exported so the
-// goldens, `progress.json` and perfbench keep one shared float format.
-pub use serde_json::format_f64;
+// JSON-safe float formatting lives with the store's JSON; perfbench
+// reaches it here, so its reports share the goldens' float format.
+pub use crate::jsonio::format_f64;
 
 #[cfg(test)]
 mod tests {

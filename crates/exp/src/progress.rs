@@ -18,8 +18,8 @@
 
 use crate::checkpoint::WorkItem;
 use crate::error::Error;
-use crate::perf::{clock_seconds, format_f64};
-use serde_json::escape_str;
+use crate::jsonio::{escape_str, format_f64};
+use crate::perf::clock_seconds;
 use std::path::Path;
 
 /// Fixed kind order of the `kinds` array (and the console breakdown).

@@ -19,7 +19,6 @@ use crate::perf::{clock_seconds, PipelinePerf};
 use crate::policies_spec::PolicyKind;
 use crate::scenario::Scenario;
 use ckpt_sim::SimOptions;
-use serde::Serialize;
 
 pub use crate::plan::{default_period_grid, paper_period_grid};
 
@@ -82,7 +81,7 @@ impl RunnerOptions {
 }
 
 /// Result row for one policy in one scenario.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyOutcome {
     /// Display name.
     pub name: String,
@@ -122,7 +121,7 @@ impl PolicyOutcome {
 }
 
 /// All rows of one scenario plus metadata.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// The scenario's label.
     pub label: String,

@@ -6,11 +6,10 @@ use ckpt_dist::{Exponential, FailureDistribution, Weibull};
 use ckpt_platform::{Topology, TraceSet};
 use ckpt_traces::try_synthetic_lanl_cluster;
 use ckpt_workload::{JobSpec, OverheadModel, ParallelismModel, DAY, YEAR};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The failure model of a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DistSpec {
     /// Exponential with per-processor MTBF (seconds).
     Exponential {
@@ -135,7 +134,7 @@ impl DistSpec {
 }
 
 /// One experimental cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Label — also the seed root, so it must NOT encode the processor
     /// count (trace prefixes must match across `p`, §4.3).

@@ -45,8 +45,8 @@ use crate::policies_spec::PolicyKind;
 use crate::runner::{run_scenario_checked, RunnerOptions, ScenarioResult};
 use crate::scenario::{DistSpec, Scenario};
 
-/// A configured batch of scenario runs. The default study mirrors
-/// `ckpt-core`'s `degradation_table`: the paper's §4.1 roster, with
+/// A configured batch of scenario runs. The default study mirrors the
+/// root crate's `quick::degradation_table`: the paper's §4.1 roster, with
 /// `DPMakespan` included only where its makespan table is exact
 /// (sequential jobs or Exponential failures).
 #[derive(Debug, Clone, Default)]

@@ -2,13 +2,18 @@
 //! reproduce the committed `results/golden/*.json` files **byte for
 //! byte**, at any executor worker count.
 //!
-//! The files were generated from the pre-refactor monolithic runner
-//! (via the `gen_golden` bin), so this test is the refactor's
-//! bit-identity contract: same seeds, same simulations, same reduction
-//! order, same shortest-roundtrip float serialisation. If a change is
-//! *supposed* to move the numbers, regenerate with
-//! `cargo run --release -p ckpt-exp --bin gen_golden` and commit the
-//! diff; anything else that trips this test is a regression.
+//! The files were generated from the pre-refactor monolithic runner, so
+//! this test is the refactor's bit-identity contract: same seeds, same
+//! simulations, same reduction order, same shortest-roundtrip float
+//! serialisation. If a change is *supposed* to move the numbers,
+//! regenerate them from the `golden` study and commit the diff:
+//!
+//! ```text
+//! ckpt-exp run --study golden --id regen --study-root DIR
+//! cp DIR/regen/aggregate/*.json results/golden/
+//! ```
+//!
+//! Anything else that trips this test is a regression.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 

@@ -9,11 +9,11 @@
 //!
 //! Three guarantees every caller leans on:
 //!
-//! * **Lane/scalar bit-identity** — [`exp4`]/[`ln4`] apply the *same*
-//!   core polynomial per lane as the scalar [`exp1`]/[`ln1`], so a
-//!   vectorised pass over `len/4` lanes plus a scalar tail produces the
-//!   same bits as an all-scalar loop. The slice helpers below are
-//!   structured exactly that way, and a proptest pins it.
+//! * **Lane/scalar bit-identity** — [`exp4`] applies the *same* core
+//!   polynomial per lane as the scalar [`exp1`], so a vectorised pass
+//!   over `len/4` lanes plus a scalar tail produces the same bits as an
+//!   all-scalar loop. The slice helpers below are structured exactly
+//!   that way, and a proptest pins it.
 //! * **No FMA contraction** — all arithmetic is plain `*`/`+`; Rust
 //!   never fuses those into `mul_add`, so results do not depend on the
 //!   host's FMA units. (Do not "optimise" these kernels with
@@ -22,14 +22,12 @@
 //!   propagate, and ±0/subnormal inputs take the same value paths in
 //!   vector and scalar form.
 //!
-//! Accuracy: both [`exp1`] and [`ln1`] are within ~2 ulp of the
-//! correctly-rounded result (Cody–Waite reduction + a Horner
-//! polynomial); the composed Weibull log-survival built on them lands
-//! within ~1e−14 relative of the `powf` form it replaces, far inside
-//! every tolerance the kernels are consumed under. They are *not*
-//! bit-identical to libm's `exp`/`ln` — switching a call site onto this
-//! module is an FP-order change and rides the sanctioned re-golden
-//! path (ROADMAP "determinism & goldens").
+//! Accuracy: [`exp1`] is within ~2 ulp of the correctly-rounded result
+//! (Cody–Waite reduction + a Horner polynomial), far inside every
+//! tolerance the kernels are consumed under. It is *not* bit-identical
+//! to libm's `exp` — switching a call site onto this module is an
+//! FP-order change and rides the sanctioned re-golden path (ROADMAP
+//! "determinism & goldens").
 
 /// Lane width every batched kernel in this workspace commits to. Cache
 /// keys that memoise batched results include this constant so a future
@@ -64,7 +62,7 @@ impl F64x4 {
         s[3] = self.0[3];
     }
 
-    /// Lane-wise map — the building block of [`exp4`]/[`ln4`]; kept
+    /// Lane-wise map — the building block of [`exp4`]; kept
     /// `inline(always)` so the closure fuses into one vector body.
     #[inline(always)]
     fn map(self, f: impl Fn(f64) -> f64) -> Self {
@@ -108,14 +106,6 @@ impl std::ops::Mul for F64x4 {
             self.0[2] * rhs.0[2],
             self.0[3] * rhs.0[3],
         ])
-    }
-}
-
-impl std::ops::Neg for F64x4 {
-    type Output = Self;
-    #[inline(always)]
-    fn neg(self) -> Self {
-        Self([-self.0[0], -self.0[1], -self.0[2], -self.0[3]])
     }
 }
 
@@ -188,75 +178,6 @@ pub fn exp4(x: F64x4) -> F64x4 {
 }
 
 // ---------------------------------------------------------------------
-// ln
-// ---------------------------------------------------------------------
-
-const SQRT_2: f64 = std::f64::consts::SQRT_2;
-/// Smallest positive normal f64.
-const MIN_NORMAL: f64 = 2.225_073_858_507_201_4e-308;
-/// 2^54 — subnormal pre-scale so the exponent bit-field read is valid.
-const TWO_54: f64 = 18_014_398_509_481_984.0;
-const LN_TWO_54: f64 = 54.0;
-
-/// Shared per-lane body of [`ln1`]/[`ln4`]: bit-field frexp to
-/// `x = m·2^e` with `m ∈ [√0.5, √2)`, then `ln m = 2·atanh(s)` for
-/// `s = (m−1)/(m+1)` via its odd Taylor series (|s| ≤ 0.1716, truncation
-/// below 2^-53 at the s²¹ term), recombined as
-/// `e·LN2_HI + (2s·P(s²) + e·LN2_LO)`. Subnormals are pre-scaled by
-/// 2^54; zero and negative inputs are patched to −∞/NaN at the end —
-/// all lane-local selects, so the 4-wide caller stays vectorisable.
-#[inline(always)]
-fn ln_core(x: f64) -> f64 {
-    let tiny = x < MIN_NORMAL;
-    let xs = if tiny { x * TWO_54 } else { x };
-    let bits = xs.to_bits();
-    let mut e = ((bits >> 52) & 0x7ff) as i64 - 1023;
-    let mut m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
-    if m >= SQRT_2 {
-        m *= 0.5;
-        e += 1;
-    }
-    let s = (m - 1.0) / (m + 1.0);
-    let z = s * s;
-    // P(z) = 1 + z/3 + z²/5 + … + z¹⁰/21.
-    let mut p = 1.0 / 21.0;
-    p = p * z + 1.0 / 19.0;
-    p = p * z + 1.0 / 17.0;
-    p = p * z + 1.0 / 15.0;
-    p = p * z + 1.0 / 13.0;
-    p = p * z + 1.0 / 11.0;
-    p = p * z + 1.0 / 9.0;
-    p = p * z + 1.0 / 7.0;
-    p = p * z + 1.0 / 5.0;
-    p = p * z + 1.0 / 3.0;
-    p = p * z + 1.0;
-    let e = e as f64 - if tiny { LN_TWO_54 } else { 0.0 };
-    let mut y = e * LN2_HI + (2.0 * s * p + e * LN2_LO);
-    // Specials: ln 0 = −∞, ln(negative) = NaN, ln ∞ = ∞. NaN must be
-    // re-patched: the exponent bit-field of a NaN reads like ∞'s, so the
-    // arithmetic above would hand back a finite garbage value.
-    y = if x == 0.0 { f64::NEG_INFINITY } else { y }; // IEEE special: ln(±0) is exactly −∞
-    y = if x < 0.0 { f64::NAN } else { y };
-    y = if x == f64::INFINITY { f64::INFINITY } else { y }; // IEEE special: ln(∞) is exactly ∞, an exact bit pattern
-
-    y = if x.is_nan() { x } else { y };
-    y
-}
-
-/// Scalar `ln x` with this module's evaluation order — the tail-loop
-/// twin of [`ln4`]; bit-identical per element by construction.
-#[inline(always)]
-pub fn ln1(x: f64) -> f64 {
-    ln_core(x)
-}
-
-/// Lane-wise `ln x`.
-#[inline(always)]
-pub fn ln4(x: F64x4) -> F64x4 {
-    x.map(ln_core)
-}
-
-// ---------------------------------------------------------------------
 // Slice kernels
 // ---------------------------------------------------------------------
 
@@ -276,45 +197,6 @@ pub fn exp_shifted(src: &[f64], shift: f64, dst: &mut [f64]) {
     }
     for j in lanes..src.len() {
         dst[j] = exp_core(src[j] - shift);
-    }
-}
-
-/// `out[i] = −exp(shape · ln(ts[i] / scale))` for `ts[i] > 0`, else 0 —
-/// the batched log-domain Weibull log-survival `−(t/λ)ᵏ`. One `ln`
-/// pass, one fused shape multiply, one `exp` pass, all 4-wide with a
-/// bit-identical scalar tail.
-pub fn weibull_log_survival(ts: &[f64], shape: f64, scale: f64, out: &mut [f64]) {
-    assert_eq!(ts.len(), out.len(), "weibull_log_survival: length mismatch");
-    // ln pass: `out[i] = k·ln(tᵢ/λ)` through libm's table-driven `ln` —
-    // measurably faster here than a polynomial lane `ln` (the exponent
-    // extraction and the long atanh Horner don't auto-vectorise on the
-    // SSE2 baseline, while glibc's `ln` is ~3× quicker per element than
-    // that scalar fallback). The pass stays "one ln, one fused shape
-    // multiply" exactly as the row-build contract states.
-    for (o, &t) in out.iter_mut().zip(ts) {
-        *o = shape * (t / scale).ln(); // the batch kernel's own ln pass
-    }
-    // exp pass, 4-wide with a scalar tail sharing `exp_core` — identical
-    // per-element operations, so the lane boundary never shows in bits.
-    let lanes = ts.len() / LANES * LANES;
-    let mut i = 0;
-    while i < lanes {
-        let x = F64x4::from_slice(&out[i..]);
-        let y = -x.map(exp_core);
-        // t ≤ 0 ⇒ ln S = 0 (the scalar definition's early return; the ln
-        // pass left −∞/NaN there).
-        let patched = F64x4([
-            if ts[i] <= 0.0 { 0.0 } else { y.0[0] },
-            if ts[i + 1] <= 0.0 { 0.0 } else { y.0[1] },
-            if ts[i + 2] <= 0.0 { 0.0 } else { y.0[2] },
-            if ts[i + 3] <= 0.0 { 0.0 } else { y.0[3] },
-        ]);
-        patched.write_to(&mut out[i..]);
-        i += LANES;
-    }
-    for j in lanes..ts.len() {
-        let y = -exp_core(out[j]);
-        out[j] = if ts[j] <= 0.0 { 0.0 } else { y };
     }
 }
 
@@ -401,32 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn ln_matches_libm_to_a_few_ulp() {
-        let mut worst = 0u64;
-        for i in 1..60_000 {
-            let x = i as f64 * 0.037 + 1e-9;
-            let got = ln1(x);
-            let want = x.ln();
-            worst = worst.max(ulp_diff(got, want));
-        }
-        // Tiny/huge magnitudes through the exponent recombination.
-        for &x in &[1e-300, 3.7e-120, 2.2e-308 / 4.0, 8.9e250, f64::MAX] {
-            let rel = (ln1(x) - x.ln()).abs() / x.ln().abs();
-            assert!(rel < 1e-14, "x = {x:e}: {} vs {}", ln1(x), x.ln());
-        }
-        assert!(worst <= 4, "worst ln ulp error {worst}");
-    }
-
-    #[test]
-    fn ln_specials() {
-        assert_eq!(ln1(0.0), f64::NEG_INFINITY);
-        assert!(ln1(-1.0).is_nan());
-        assert!(ln1(f64::NAN).is_nan());
-        assert_eq!(ln1(f64::INFINITY), f64::INFINITY);
-        assert_eq!(ln1(1.0), 0.0);
-    }
-
-    #[test]
     fn exp_shifted_matches_scalar_tail_at_any_length() {
         for len in 0..23usize {
             let src: Vec<f64> = (0..len).map(|i| -3.0 + i as f64 * 0.61).collect();
@@ -436,24 +292,6 @@ mod tests {
                 assert_eq!(dst[i], exp_core(s - 0.75), "len {len} idx {i}");
             }
         }
-    }
-
-    #[test]
-    fn weibull_batch_matches_powf_closely() {
-        let (shape, scale) = (0.7, 123_456.0);
-        let ts: Vec<f64> = (0..1000).map(|i| i as f64 * 731.0).collect();
-        let mut out = vec![0.0; ts.len()];
-        weibull_log_survival(&ts, shape, scale, &mut out);
-        for (i, &t) in ts.iter().enumerate() {
-            let want = if t <= 0.0 { 0.0 } else { -(t / scale).powf(shape) };
-            let err = (out[i] - want).abs() / want.abs().max(1e-300);
-            assert!(
-                err < 1e-13 || want == 0.0,
-                "t = {t}: batch {} vs powf {want} (rel {err})",
-                out[i]
-            );
-        }
-        assert_eq!(out[0], 0.0, "t = 0 keeps the scalar early-return value");
     }
 
     #[test]

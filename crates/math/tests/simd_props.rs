@@ -25,18 +25,6 @@ fn grid_value() -> impl Strategy<Value = f64> {
     })
 }
 
-/// Quantum timestamps for the Weibull batch: positive grid times, the
-/// occasional negative/zero input (the early-return patch), and a
-/// subnormal.
-fn weibull_t() -> impl Strategy<Value = f64> {
-    (0u32..9, 0.0..1.0e9f64).prop_map(|(sel, v)| match sel {
-        0..=5 => v,
-        6 => -v * 1.0e-8,
-        7 => 0.0,
-        _ => f64::MIN_POSITIVE / 4.0,
-    })
-}
-
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -91,37 +79,37 @@ proptest! {
         prop_assert_eq!(bits(&dst), bits(&scalar));
     }
 
-    /// The batched Weibull log-survival: lane boundary invisible, and
-    /// the `t ≤ 0` early-return patch matches the scalar definition.
-    #[test]
-    fn weibull_batch_is_bit_identical_to_its_scalar_tail(
-        ts in proptest::collection::vec(weibull_t(), 0..67),
-        shape in 0.3..1.5f64,
-        scale in 1.0..1e8f64,
-    ) {
-        let mut out = vec![f64::NAN; ts.len()];
-        simd::weibull_log_survival(&ts, shape, scale, &mut out);
-        let scalar: Vec<f64> = ts
-            .iter()
-            .map(|&t| {
-                let x = shape * (t / scale).ln();
-                let y = -simd::exp1(x);
-                if t <= 0.0 { 0.0 } else { y }
-            })
-            .collect();
-        prop_assert_eq!(bits(&out), bits(&scalar));
-    }
-
-    /// The lane primitives themselves: `exp4`/`ln4` are per-lane twins
-    /// of `exp1`/`ln1` by construction — pin it against reordering.
+    /// The lane primitive itself: `exp4` is the per-lane twin of `exp1`
+    /// by construction — pin it against reordering.
     #[test]
     fn lane_ops_match_scalar_twins(vals in proptest::collection::vec(grid_value(), 4)) {
         let v = F64x4::from_slice(&vals);
         let e4 = simd::exp4(v);
-        let l4 = simd::ln4(v);
         for (i, &x) in vals.iter().enumerate().take(LANES) {
             prop_assert_eq!(e4.0[i].to_bits(), simd::exp1(x).to_bits());
-            prop_assert_eq!(l4.0[i].to_bits(), simd::ln1(x).to_bits());
         }
+    }
+
+    /// The lane arithmetic the fused sweep is built from: `+`, `−`, `·`
+    /// and the `from_slice`/`write_to` round trip act lane by lane,
+    /// exactly as the scalar operators do, sentinels included.
+    #[test]
+    fn lane_arithmetic_matches_scalar_ops(
+        a in proptest::collection::vec(grid_value(), 4),
+        b in proptest::collection::vec(grid_value(), 4),
+    ) {
+        let (va, vb) = (F64x4::from_slice(&a), F64x4::from_slice(&b));
+        let mut out = [0.0; LANES];
+        (va + vb).write_to(&mut out);
+        let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
+        prop_assert_eq!(bits(&out), bits(&sum));
+        (va - vb).write_to(&mut out);
+        let diff: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
+        prop_assert_eq!(bits(&out), bits(&diff));
+        (va * vb).write_to(&mut out);
+        let prod: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x * y).collect();
+        prop_assert_eq!(bits(&out), bits(&prod));
+        F64x4::splat(a[0]).write_to(&mut out);
+        prop_assert_eq!(bits(&out), bits(&[a[0]; LANES]));
     }
 }

@@ -33,7 +33,7 @@ pub use trace::{FailureTrace, PlatformEvents, TraceSet, UnitTrace, UnitTraces};
 
 /// Which processors get rejuvenated (rebooted / replaced) after a failure
 /// (§3.1's "important remark on rejuvenation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejuvenationModel {
     /// Only the processor that failed restarts its lifetime — the model the
     /// paper argues is the realistic one for hardware failures and the one

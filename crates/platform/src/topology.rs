@@ -5,10 +5,8 @@
 //! 45,208-processor platform we generate 11,302 failure traces, one for
 //! each four-processor node").
 
-use serde::{Deserialize, Serialize};
-
 /// How many processors share each failure unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     procs_per_unit: u32,
 }

@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Failure dates of one unit, strictly increasing, within `[0, horizon)`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureTrace {
     /// Absolute failure dates in seconds from the trace origin.
     pub failures: Vec<f64>,

@@ -31,7 +31,9 @@
 //!   ([`StateCompression::Approximate`]); our [`AgeView`] already collapses
 //!   never-failed processors, so [`StateCompression::Exact`] is itself
 //!   cheap and serves as the precision baseline of the paper's ≤0.2 %
-//!   error study (reproduced in the `ablation_state_compression` bench).
+//!   error study (pinned by the
+//!   `compression_error_stays_within_paper_bound_as_failures_accumulate`
+//!   test below).
 
 use crate::plan_cache::{DistId, DpCaches, KernelRowKey, PlanKey};
 use crate::{clamp_chunk, AgeView, Policy, PolicySession};
@@ -1360,6 +1362,28 @@ mod tests {
         assert!(c.len() <= 10 + 20);
     }
 
+    /// Worst relative error of the §3.3-compressed platform success
+    /// probability against the exact age multiset, over chunks
+    /// `longest / 2^i`, i = 0..6. Fails if compression merges nothing.
+    fn worst_compression_error(dist: &Weibull, view: &AgeView, longest: f64) -> f64 {
+        let exact = compress_ages(view, dist, StateCompression::Exact);
+        let approx = compress_ages(view, dist, StateCompression::paper());
+        assert!(approx.len() < exact.len(), "compression must merge some ages");
+        let psuc = |ages: &[(f64, f64)], x: f64| -> f64 {
+            ages.iter()
+                .map(|&(tau, c)| c * (dist.log_survival(tau + x) - dist.log_survival(tau)))
+                .sum::<f64>()
+                .exp()
+        };
+        (0..=6u32)
+            .map(|i| {
+                let x = longest / f64::from(1u32 << i);
+                let pe = psuc(&exact, x);
+                (psuc(&approx, x) - pe).abs() / pe
+            })
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn compression_error_is_small_paper_claim() {
         // §3.3: worst relative error of the approximated success
@@ -1371,22 +1395,24 @@ mod tests {
         let failed: Vec<(f64, u32)> =
             (0..40).map(|i| ((i as f64 + 1.0) * 20_000.0, 1)).collect();
         let view = AgeView::new(failed, p - 40, 2.0 * YEAR);
-        let exact = compress_ages(&view, &dist, StateCompression::Exact);
-        let approx = compress_ages(&view, &dist, StateCompression::paper());
-        let platform_mtbf = proc_mtbf / p as f64;
-        for i in 0..=6u32 {
-            let x = platform_mtbf / f64::from(1u32 << i);
-            let lp = |ages: &[(f64, f64)]| -> f64 {
-                ages.iter()
-                    .map(|&(tau, c)| {
-                        c * (dist.log_survival(tau + x) - dist.log_survival(tau))
-                    })
-                    .sum()
-            };
-            let pe = lp(&exact).exp();
-            let pa = lp(&approx).exp();
-            let rel = (pa - pe).abs() / pe;
-            assert!(rel < 2e-3, "chunk MTBF/2^{i}: rel error {rel}");
+        let rel = worst_compression_error(&dist, &view, proc_mtbf / p as f64);
+        assert!(rel < 2e-3, "rel error {rel}");
+    }
+
+    #[test]
+    fn compression_error_stays_within_paper_bound_as_failures_accumulate() {
+        // The same ≤ 0.2 % claim on a p = 4,096 platform whose failed
+        // population grows from 48 to 1,000 units, each at age
+        // (i+1)·15,000 s, with the never-failed units 1.5 y old; chunks
+        // from 87,000 s down by halves.
+        let dist = Weibull::from_mtbf(0.7, 125.0 * YEAR);
+        let p = 4_096u64;
+        for n_failed in [48u64, 200, 1_000] {
+            let failed: Vec<(f64, u32)> =
+                (0..n_failed).map(|i| ((i as f64 + 1.0) * 15_000.0, 1)).collect();
+            let view = AgeView::new(failed, p - n_failed, 1.5 * YEAR);
+            let rel = worst_compression_error(&dist, &view, 87_000.0);
+            assert!(rel <= 2e-3, "{n_failed} failed: rel error {rel}");
         }
     }
 

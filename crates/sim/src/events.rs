@@ -5,10 +5,8 @@
 //! policies, for visualising executions, and for auditing the engine's
 //! phase accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// One logged event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Absolute simulation time, seconds.
     pub time: f64,
@@ -17,7 +15,7 @@ pub struct Event {
 }
 
 /// Event kinds emitted by the engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A chunk attempt began (`work` seconds + checkpoint).
     ChunkStart {

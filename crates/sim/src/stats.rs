@@ -1,9 +1,7 @@
 //! Per-run accounting.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of one simulated job execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Wall-clock from job start to completion, seconds.
     pub makespan: f64,

@@ -1,9 +1,7 @@
 //! The `W(p)` parallelism laws and `C(p)` overhead laws of §3.1.
 
-use serde::{Deserialize, Serialize};
-
 /// How failure-free execution time scales with processor count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ParallelismModel {
     /// `W(p) = W/p` — perfectly divisible work.
     EmbarrassinglyParallel,
@@ -58,7 +56,7 @@ impl ParallelismModel {
 }
 
 /// How the synchronized checkpoint/recovery cost scales with `p`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OverheadModel {
     /// `C(p) = c` — the resilient storage system's incoming bandwidth is
     /// the bottleneck (the paper's "constant overhead": 600 s).
@@ -79,7 +77,7 @@ pub enum OverheadModel {
 
 /// Which side of the I/O path saturates during a checkpoint (§3.1's two
 /// scenarios for an application of memory footprint `V`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoBottleneck {
     /// Each processor's outgoing link: `C(p) = αV/p` (proportional).
     ProcessorLinks,

@@ -1,10 +1,9 @@
 //! Job specifications and Table 1 presets.
 
 use crate::models::{OverheadModel, ParallelismModel};
-use serde::{Deserialize, Serialize};
 
 /// The paper's three platform rows (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlatformClass {
     /// Single processor, small MTBF, W = 20 days.
     SingleProcessor,
@@ -17,7 +16,7 @@ pub enum PlatformClass {
 /// Everything a policy and the simulator need to know about one job run:
 /// the per-processor parallel workload `W(p)`, checkpoint cost `C(p)`,
 /// recovery cost `R(p)`, downtime `D`, and processor count `p`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSpec {
     /// Number of processors enrolled.
     pub procs: u64,

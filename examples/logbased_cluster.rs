@@ -42,7 +42,7 @@ fn main() {
     );
     let kinds = PolicyKind::log_based_roster();
     let result = run_scenario(&scenario, &kinds, &RunnerOptions::default());
-    println!("{}", ckpt_core::exp::output::markdown_table(&result));
+    println!("{}", checkpointing_strategies::exp::output::markdown_table(&result));
 
     let dp = result.get("DPNextFailure").expect("row");
     let plb = result.get("PeriodLB").expect("row");

@@ -29,8 +29,8 @@ fn main() {
     );
     println!("(shape k = 0.7, processor MTBF = 125 years — §5.2.2)\n");
 
-    let result = ckpt_core::quick::degradation_table(&scenario);
-    println!("{}", ckpt_core::exp::output::markdown_table(&result));
+    let result = checkpointing_strategies::quick::degradation_table(&scenario);
+    println!("{}", checkpointing_strategies::exp::output::markdown_table(&result));
 
     let dp = result.get("DPNextFailure").expect("DPNextFailure row");
     if let (Some(d), Some((lo, hi))) = (dp.avg_degradation, dp.chunk_range) {

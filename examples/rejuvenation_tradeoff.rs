@@ -22,8 +22,8 @@ fn main() {
     println!("{:>10}  {:>18}  {:>18}", "p", "rejuvenate all", "failed only");
     for e in [4u32, 8, 12, 16, 20, 22] {
         let p = 1u64 << e;
-        let all = ckpt_core::platform::platform_mtbf_rejuvenate_all(&proc, downtime, p);
-        let failed = ckpt_core::platform::platform_mtbf_failed_only(proc.mean(), downtime, p);
+        let all = checkpointing_strategies::platform::platform_mtbf_rejuvenate_all(&proc, downtime, p);
+        let failed = checkpointing_strategies::platform::platform_mtbf_failed_only(proc.mean(), downtime, p);
         println!(
             "{:>10}  {:>18.2}  {:>18.2}",
             p,

@@ -33,12 +33,7 @@
 #      fig8.md it renders next to its aggregates must equal, byte for
 #      byte, what the in-memory `ckpt-exp fig8` writes at the same trace
 #      count: the resumable path renders the quick command's artefact;
-#   6. the bench-regression gate: ckpt-bench's own tests, then the
-#      regress sentinel against a committed 20% slowdown fixture (must
-#      flag it, exit 1) and against the real results/BENCH_history.jsonl
-#      (must validate the schema and pass, refreshing
-#      results/BENCH_regress.txt);
-#   7. the perfbench digest gate: one short seq-weibull run, one short
+#   6. the perfbench digest gate: one short seq-weibull run, one short
 #      exa-exp-study run, one short traced exa-exp-study run
 #      (`--trace 1`: its pipeline, layers and run processes) and one
 #      short peta-weibull run at the reference seed must each report
@@ -123,28 +118,6 @@ if ! cmp -s "$study_tmp/fig8mem/fig8.md" "$study_tmp/fig8res/fig8.md"; then
   exit 1
 fi
 echo "resumed fig8 study renders fig8.md byte-identical to ckpt-exp fig8"
-
-echo "== bench-regression gate (ckpt-bench regress) =="
-# The sentinel crate sits outside default-members: build and test it
-# here, then prove both verdict directions. The slowdown fixture's
-# latest record is ~20% over its rolling median and MUST exit 1; the
-# real history MUST parse (schema validation is part of the run) and
-# pass, refreshing results/BENCH_regress.txt.
-cargo build -q --release -p ckpt-bench
-cargo test -q -p ckpt-bench --lib
-set +e
-target/release/ckpt-bench regress \
-  --history crates/bench/tests/fixtures/history_slowdown.jsonl \
-  --out "$study_tmp/BENCH_regress_fixture.txt" >/dev/null
-fixture_status=$?
-set -e
-if [ "$fixture_status" -ne 1 ]; then
-  echo "bench-regress: slowdown fixture must exit 1, got $fixture_status" >&2
-  exit 1
-fi
-target/release/ckpt-bench regress \
-  --history results/BENCH_history.jsonl --out results/BENCH_regress.txt
-echo "regress sentinel: fixture flagged, real history passes"
 
 echo "== perfbench digest gate (seq-weibull, exa-exp-study, peta-weibull, seed 0) =="
 # perfbench is a cargo package of its own; building it under target/

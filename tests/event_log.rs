@@ -2,13 +2,13 @@
 //! accounting.
 
 use checkpointing_strategies::prelude::*;
-use ckpt_core::sim::{simulate_logged, EventKind};
+use checkpointing_strategies::sim::{simulate_logged, EventKind};
 
 fn run_logged(
     spec: &JobSpec,
     traces: &TraceSet,
     period: f64,
-) -> (RunStats, Vec<ckpt_core::sim::Event>) {
+) -> (RunStats, Vec<checkpointing_strategies::sim::Event>) {
     let policy = FixedPeriod::new("p", period);
     let mut s = policy.session();
     simulate_logged(
@@ -22,7 +22,7 @@ fn run_logged(
     )
 }
 
-fn sample_run() -> (JobSpec, RunStats, Vec<ckpt_core::sim::Event>) {
+fn sample_run() -> (JobSpec, RunStats, Vec<checkpointing_strategies::sim::Event>) {
     let spec = JobSpec::sequential(30_000.0, 50.0, 100.0, 10.0);
     let dist = Exponential::from_mtbf(2_500.0);
     let traces = TraceSet::generate(
@@ -113,7 +113,7 @@ fn logging_leaves_the_run_unchanged() {
 fn failure_free_run_logs_start_commit_pairs() {
     let spec = JobSpec::sequential(30_000.0, 50.0, 100.0, 10.0);
     let traces = TraceSet {
-        units: vec![ckpt_core::platform::FailureTrace { failures: vec![] }].into(),
+        units: vec![checkpointing_strategies::platform::FailureTrace { failures: vec![] }].into(),
         topology: Topology::per_processor(),
         horizon: 1e8,
         start_time: 0.0,

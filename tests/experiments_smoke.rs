@@ -1,11 +1,11 @@
 //! End-to-end smoke tests: the registry's studies at miniature scale,
 //! plus the output emitters.
 
-use ckpt_core::exp::catalog::{self, Artefact, File, Params};
-use ckpt_core::exp::output::{csv_series, markdown_table, CSV_HEADER};
-use ckpt_core::exp::study::run_cells;
-use ckpt_core::exp::{DistSpec, Scenario, ScenarioResult};
-use ckpt_core::prelude::*;
+use checkpointing_strategies::exp::catalog::{self, Artefact, File, Params};
+use checkpointing_strategies::exp::output::{csv_series, markdown_table, CSV_HEADER};
+use checkpointing_strategies::exp::study::run_cells;
+use checkpointing_strategies::exp::{DistSpec, Scenario, ScenarioResult};
+use checkpointing_strategies::prelude::*;
 
 fn study(name: &str) -> &'static Artefact {
     catalog::lookup(name).expect("registered")[0]
@@ -89,12 +89,12 @@ fn logbased_mini() {
     let mut sc = Scenario::petascale(DistSpec::LanlLog { cluster: 19 }, 1 << 12, 2);
     sc.total_work /= 20.0;
     sc.label = format!("mini-{}", sc.label);
-    let kinds = ckpt_core::exp::PolicyKind::log_based_roster();
-    let opts = ckpt_core::exp::RunnerOptions {
+    let kinds = checkpointing_strategies::exp::PolicyKind::log_based_roster();
+    let opts = checkpointing_strategies::exp::RunnerOptions {
         period_lb: Some(vec![0.5, 1.0, 2.0]),
         ..Default::default()
     };
-    let r = ckpt_core::exp::run_scenario(&sc, &kinds, &opts);
+    let r = checkpointing_strategies::exp::run_scenario(&sc, &kinds, &opts);
     assert!(r.get("DPNextFailure").expect("row").avg_degradation.is_some());
     assert!(r.get("Young").expect("row").avg_degradation.is_some());
     assert!(r.get("LowerBound").expect("row").avg_degradation.is_some());

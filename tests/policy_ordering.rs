@@ -5,7 +5,7 @@
 //! single core; the full-scale sweeps live in the `ckpt-exp` binary.
 
 use checkpointing_strategies::prelude::*;
-use ckpt_core::exp::{run_scenario, DistSpec, PolicyKind, RunnerOptions, Scenario};
+use checkpointing_strategies::exp::{run_scenario, DistSpec, PolicyKind, RunnerOptions, Scenario};
 
 /// A small but failure-heavy Weibull platform cell.
 fn weibull_cell(procs: u64, traces: usize) -> Scenario {

@@ -91,11 +91,11 @@ fn figure1_crossover_direction() {
     // At tiny p rejuvenate-all can win (k = 1 always, k < 1 at p = 1);
     // at scale failed-only always wins for k < 1.
     let w = Weibull::from_mtbf(0.7, 125.0 * YEAR);
-    let small_all = ckpt_core::platform::platform_mtbf_rejuvenate_all(&w, DOWNTIME, 1);
-    let small_failed = ckpt_core::platform::platform_mtbf_failed_only(w.mean(), DOWNTIME, 1);
+    let small_all = checkpointing_strategies::platform::platform_mtbf_rejuvenate_all(&w, DOWNTIME, 1);
+    let small_failed = checkpointing_strategies::platform::platform_mtbf_failed_only(w.mean(), DOWNTIME, 1);
     // p = 1: the two models coincide up to the downtime bookkeeping.
     assert!((small_all - small_failed).abs() < DOWNTIME + 1.0);
-    let big_all = ckpt_core::platform::platform_mtbf_rejuvenate_all(&w, DOWNTIME, 1 << 16);
-    let big_failed = ckpt_core::platform::platform_mtbf_failed_only(w.mean(), DOWNTIME, 1 << 16);
+    let big_all = checkpointing_strategies::platform::platform_mtbf_rejuvenate_all(&w, DOWNTIME, 1 << 16);
+    let big_failed = checkpointing_strategies::platform::platform_mtbf_failed_only(w.mean(), DOWNTIME, 1 << 16);
     assert!(big_failed > 3.0 * big_all);
 }

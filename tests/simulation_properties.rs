@@ -103,9 +103,9 @@ proptest! {
         mtbf in 1_000.0..1e6f64,
     ) {
         let lambda = 1.0 / mtbf;
-        let k = ckpt_core::policies::optexp::optimal_chunk_count(work, checkpoint, lambda);
+        let k = checkpointing_strategies::policies::optexp::optimal_chunk_count(work, checkpoint, lambda);
         let spec = JobSpec::sequential(work, checkpoint, checkpoint, 10.0);
-        let at = |kk: u64| ckpt_core::policies::optexp::expected_makespan_k_chunks(
+        let at = |kk: u64| checkpointing_strategies::policies::optexp::expected_makespan_k_chunks(
             &spec, lambda, kk);
         prop_assert!(at(k) <= at(k + 1) + 1e-9 * at(k).abs());
         if k > 1 {

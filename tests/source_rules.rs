@@ -1,8 +1,9 @@
-//! The two source rules rustc and clippy cannot express, as plain-text
-//! scans over the workspace. Every other determinism rule lives in the
-//! root `Cargo.toml` lint table and `clippy.toml`, enforced by
-//! `cargo clippy --workspace -- -D warnings`; DESIGN.md "Determinism
-//! rules" maps each rule to the probe that proves it fires.
+//! The source rules rustc and clippy cannot express, as plain-text scans
+//! over the workspace: no work markers, audited hot-path libm calls, and
+//! no declared dependency that nothing uses. Every other determinism
+//! rule lives in the root `Cargo.toml` lint table and `clippy.toml`,
+//! enforced by `cargo clippy --workspace -- -D warnings`; DESIGN.md
+//! "Determinism rules" maps each rule to the probe that proves it fires.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -75,7 +76,7 @@ fn no_work_markers_in_comments() {
 const HOT_PATH: [(&str, usize); 4] = [
     ("crates/policies/src/dp_next_failure.rs", 4),
     ("crates/policies/src/dp_makespan.rs", 0),
-    ("crates/math/src/simd.rs", 1),
+    ("crates/math/src/simd.rs", 0),
     ("crates/dist/src/kernel.rs", 2),
 ];
 
@@ -103,4 +104,72 @@ fn hot_path_transcendentals_are_the_audited_ones() {
             sites.join("\n")
         );
     }
+}
+
+/// The dependency names a manifest declares under `section`
+/// (`[dependencies]` or `[dev-dependencies]`), as Rust identifiers.
+fn declared(manifest: &str, section: &str) -> Vec<String> {
+    let mut inside = false;
+    let mut names = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            inside = line == section;
+        } else if let Some((name, _)) = line.split_once('=').filter(|_| inside) {
+            names.push(name.trim().replace('-', "_"));
+        }
+    }
+    names
+}
+
+/// Whether `ident` occurs as a whole word in the code (not the comments)
+/// of `files`.
+fn names_crate(files: &[PathBuf], ident: &str) -> bool {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    files.iter().any(|f| {
+        read(f).lines().map(code).any(|line| {
+            line.match_indices(ident).any(|(i, _)| {
+                !line[..i].ends_with(is_ident) && !line[i + ident.len()..].starts_with(is_ident)
+            })
+        })
+    })
+}
+
+/// A dependency stays only if something uses it: every library
+/// dependency is named by its package's `src/`, every dev-dependency by
+/// its `src/`, `tests/` or `examples/`.
+#[test]
+fn every_declared_dependency_is_used() {
+    let mut packages = vec![root().to_path_buf()];
+    let mut crates: Vec<PathBuf> = fs::read_dir(root().join("crates"))
+        .expect("readable crates directory")
+        .map(|e| e.expect("directory entry").path())
+        .collect();
+    crates.sort();
+    packages.extend(crates);
+    let mut unused = Vec::new();
+    for package in &packages {
+        let manifest = read(&package.join("Cargo.toml"));
+        let files_under = |dirs: &[&str]| {
+            let mut files = Vec::new();
+            for dir in dirs.iter().map(|d| package.join(d)).filter(|d| d.is_dir()) {
+                rust_files(&dir, &mut files);
+            }
+            files
+        };
+        let lib = files_under(&["src"]);
+        let all = files_under(&["src", "tests", "examples"]);
+        for (section, files) in [("[dependencies]", &lib), ("[dev-dependencies]", &all)] {
+            for name in declared(&manifest, section) {
+                if !names_crate(files, &name) {
+                    let package = package.strip_prefix(root()).unwrap_or(package);
+                    unused.push(format!("{}/Cargo.toml: {section} {name}", package.display()));
+                }
+            }
+        }
+    }
+    assert!(
+        packages.len() > 2 && unused.is_empty(),
+        "declared but unused dependencies (drop them from the manifest):\n{}",
+        unused.join("\n")
+    );
 }

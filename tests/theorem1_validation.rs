@@ -41,7 +41,7 @@ fn simulated_makespan_matches_theorem1_expectation() {
     let spec = JobSpec::table1_single_processor();
     let mtbf = DAY;
     let opt = OptExp::from_mtbf(&spec, mtbf);
-    let analytic = ckpt_core::quick::expected_makespan(&spec, mtbf);
+    let analytic = checkpointing_strategies::quick::expected_makespan(&spec, mtbf);
     let simulated = mean_makespan(&spec, mtbf, opt.period(), "thm1-match");
     let rel = (simulated - analytic).abs() / analytic;
     assert!(
@@ -74,7 +74,7 @@ fn analytic_k_star_attains_the_simulated_minimum() {
     let mtbf = 6.0 * HOUR;
     let lambda = 1.0 / mtbf;
     let k_star =
-        ckpt_core::policies::optexp::optimal_chunk_count(spec.work, spec.checkpoint, lambda);
+        checkpointing_strategies::policies::optexp::optimal_chunk_count(spec.work, spec.checkpoint, lambda);
     let mut best_v = f64::INFINITY;
     for k in (1..=(2 * k_star + 4)).step_by(3) {
         let v = mean_makespan(&spec, mtbf, spec.work / k as f64, "thm1-ksweep");
@@ -116,7 +116,7 @@ fn k_chunk_closed_form_matches_simulation_over_lambda_and_k() {
     for mtbf in [12.0 * HOUR, DAY, 2.0 * DAY] {
         let lambda = 1.0 / mtbf;
         let k_star =
-            ckpt_core::policies::optexp::optimal_chunk_count(spec.work, spec.checkpoint, lambda);
+            checkpointing_strategies::policies::optexp::optimal_chunk_count(spec.work, spec.checkpoint, lambda);
         let ks = [1, k_star - 1, k_star, k_star + 1, 4 * k_star];
         let dist = Exponential::from_mtbf(mtbf);
         let mut samples = vec![Vec::with_capacity(RUNS as usize); ks.len()];
@@ -143,7 +143,7 @@ fn k_chunk_closed_form_matches_simulation_over_lambda_and_k() {
             let sim = Summary::from_samples(sample);
             let se = sim.std_dev() / (RUNS as f64).sqrt();
             let analytic =
-                ckpt_core::policies::optexp::expected_makespan_k_chunks(&spec, lambda, k);
+                checkpointing_strategies::policies::optexp::expected_makespan_k_chunks(&spec, lambda, k);
             let z = (sim.mean() - analytic) / se;
             assert!(
                 z.abs() < 4.0,
