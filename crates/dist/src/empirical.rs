@@ -156,7 +156,9 @@ impl Empirical {
         self.durations.len() - self.rank(t)
     }
 
-    /// Largest logged duration — the support's upper edge.
+    /// Largest logged duration — the support's upper edge. Test-only: the
+    /// kernel-table tests probe past it.
+    #[cfg(test)]
     pub fn max_duration(&self) -> f64 {
         // Construction guarantees at least one duration.
         self.durations[self.durations.len() - 1]

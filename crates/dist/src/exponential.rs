@@ -86,6 +86,10 @@ impl FailureDistribution for Exponential {
         // log_survival is a pure function of the rate bits.
         Some(crate::combine_fingerprint(2, &[self.lambda.to_bits()]))
     }
+
+    fn is_memoryless(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

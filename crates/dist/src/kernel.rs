@@ -136,16 +136,6 @@ impl KernelTable {
             tau,
         )
     }
-
-    /// Batch-evaluate `ln S(τ + tᵢ)` for a slice of offsets — the DP
-    /// grid-fill shape — through the table.
-    pub fn fill_log_survival(&self, tau: f64, offsets: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(offsets.len());
-        for &t in offsets {
-            out.push(self.log_survival(tau + t));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -153,6 +143,18 @@ impl KernelTable {
 mod tests {
     use super::*;
     use crate::{Exponential, Weibull};
+
+    impl KernelTable {
+        /// Batch-evaluate `ln S(τ + tᵢ)` for a slice of offsets — the DP
+        /// grid-fill shape — through the table.
+        fn fill_log_survival(&self, tau: f64, offsets: &[f64], out: &mut Vec<f64>) {
+            out.clear();
+            out.reserve(offsets.len());
+            for &t in offsets {
+                out.push(self.log_survival(tau + t));
+            }
+        }
+    }
 
     fn weibull_kernel() -> (Weibull, KernelTable) {
         let d = Weibull::from_mtbf(0.7, 100_000.0);

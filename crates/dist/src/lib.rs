@@ -175,6 +175,15 @@ pub trait FailureDistribution: Send + Sync + std::fmt::Debug {
     fn fingerprint(&self) -> Option<u64> {
         None
     }
+
+    /// Whether the law is memoryless: `ln S(t)` is `−λ·t`, one multiply
+    /// per evaluation, so a row of log-survival values costs about as
+    /// much to rebuild as to read back from a cache. The DP planner
+    /// memoises no kernel row for such a law. Only
+    /// [`Exponential`] says `true`; the default is `false`.
+    fn is_memoryless(&self) -> bool {
+        false
+    }
 }
 
 /// The first draw of an inversion sampler: `u = 1 − U` with `U` uniform

@@ -146,3 +146,25 @@ proptest! {
         );
     }
 }
+
+/// Only the Exponential declares itself memoryless: a Weibull of shape 1
+/// has the same survival values but keeps the default, and so do the
+/// composite and empirical families.
+#[test]
+fn only_the_exponential_is_memoryless() {
+    assert!(Exponential::from_mtbf(1_000.0).is_memoryless());
+    for shape in [0.7, 1.0, 1.5] {
+        assert!(!Weibull::from_mtbf(shape, 1_000.0).is_memoryless(), "Weibull k = {shape}");
+    }
+    let others: Vec<Box<dyn FailureDistribution>> = vec![
+        Box::new(Empirical::from_durations(vec![100.0, 500.0, 1_000.0])),
+        Box::new(Mixture::new(vec![
+            (0.5, Box::new(Exponential::from_mtbf(500.0)) as Box<dyn FailureDistribution>),
+            (0.5, Box::new(Exponential::from_mtbf(1_500.0))),
+        ])),
+        Box::new(MinOf::new(Box::new(Weibull::from_mtbf(0.7, 64_000.0)), 64)),
+    ];
+    for d in others {
+        assert!(!d.is_memoryless(), "{d:?}");
+    }
+}

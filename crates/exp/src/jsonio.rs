@@ -54,6 +54,8 @@ impl Json {
     }
 
     /// The value as a float (integers widen; precision per `str::parse`).
+    /// Test-only: the round-trip tests read floats back with it.
+    #[cfg(test)]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Self::Num(raw) => raw.parse().ok(),

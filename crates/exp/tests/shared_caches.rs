@@ -3,7 +3,8 @@
 //! and generates its traces; a repeat run of the same cell replays the
 //! same lookups, so it misses nothing, generates nothing, and commits
 //! the same bytes. A sequential cell's one-age solves never build a
-//! kernel row.
+//! kernel row, nor does a parallel Exponential cell's multi-age solves;
+//! a parallel Weibull cell's do, and reads them back.
 //!
 //! Both caches (`DpCaches::global`, `TraceCache::global`) are
 //! process-global, so a run's delta also counts any concurrent run's
@@ -15,6 +16,7 @@ use ckpt_exp::golden::golden_json;
 use ckpt_exp::runner::{run_scenario, PeriodSearch, RunnerOptions};
 use ckpt_exp::{DistSpec, PolicyKind, Scenario, TraceCache};
 use ckpt_sim::SimOptions;
+use ckpt_workload::YEAR;
 use std::sync::Mutex;
 
 static CACHE_TESTS: Mutex<()> = Mutex::new(());
@@ -116,4 +118,30 @@ fn warm_run_simulates_exactly_what_the_cold_run_did() {
     };
     assert!(cold.decisions > 0 && cold.policy_sims > 0, "the cell simulates something");
     assert_eq!(counters(&cold), counters(&warm));
+}
+
+/// Which parallel cells use the kernel-row layer is a property of the
+/// failure law: an Exascale Exponential cell's multi-age solves rebuild
+/// their memoryless rows inline and never touch the layer, while a
+/// Petascale Weibull cell's multi-age solves fill rows and read them
+/// back across states.
+#[test]
+fn only_age_dependent_parallel_cells_use_kernel_rows() {
+    let _serial = lock();
+    let dp_only = [PolicyKind::DpNextFailure(Default::default())];
+    let options = RunnerOptions { lower_bound: false, period_lb: None, ..fast_options() };
+
+    let mut exp = Scenario::exascale(DistSpec::Exponential { mtbf: 1_171.0 * YEAR }, 1 << 16, 2);
+    exp.label = "rows-exa-exp-cell".into();
+    let exp = run_scenario(&exp, &dp_only, &options).perf.plan_cache;
+    assert!(exp.plans.misses > 0, "the Exponential cell solves its DP plans");
+    let rows = exp.kernel_rows;
+    assert_eq!((rows.hits, rows.misses), (0, 0), "a memoryless solve uses no kernel row");
+
+    let weibull = DistSpec::Weibull { shape: 0.7, mtbf: 119.0 * YEAR };
+    let mut peta = Scenario::petascale(weibull, 1 << 12, 2);
+    peta.label = "rows-peta-weibull-cell".into();
+    let rows = run_scenario(&peta, &dp_only, &options).perf.plan_cache.kernel_rows;
+    assert!(rows.misses > 0, "a Weibull multi-age solve builds kernel rows");
+    assert!(rows.hits > 0, "later Weibull solves read the rows back");
 }

@@ -87,7 +87,12 @@ impl AgeView {
             None => self.pristine_age,
         }
     }
+}
 
+/// Direct platform-survival forms over the view. The planners fold ages
+/// into their own grids; the tests check the view against these.
+#[cfg(test)]
+impl AgeView {
     /// Platform-wide log-survival of the next `x` seconds:
     /// `Σᵢ nᵢ · (lnS(τᵢ + x) − lnS(τᵢ))` — the log of §3.3's
     /// `Psuc(x | τ₁…τ_p) = Π P(X ≥ x + τᵢ | X ≥ τᵢ)`.
@@ -128,6 +133,7 @@ impl AgeView {
 mod tests {
     use super::*;
     use ckpt_dist::{Exponential, FailureDistribution, Weibull};
+    use proptest::prelude::*;
 
     #[test]
     fn proc_count_sums_multiplicities() {
@@ -187,6 +193,33 @@ mod tests {
         let d = Weibull::from_mtbf(0.5, 10.0);
         let v = AgeView::all_pristine(1000, 0.0);
         assert_eq!(v.psuc(&d, 0.0), 1.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn age_view_psuc_equals_bruteforce(
+            ages in proptest::collection::vec((0.0..1e6f64, 1u32..5), 1..6),
+            pristine in 0u64..50,
+            pristine_age in 0.0..1e6f64,
+            x in 1.0..50_000.0f64,
+        ) {
+            let d = Weibull::from_mtbf(0.7, 500_000.0);
+            let view = AgeView::new(ages.clone(), pristine, pristine_age);
+            let mut brute = 1.0f64;
+            for (a, n) in &ages {
+                for _ in 0..*n {
+                    brute *= d.psuc(x, *a);
+                }
+            }
+            for _ in 0..pristine {
+                brute *= d.psuc(x, pristine_age);
+            }
+            let fast = view.psuc(&d, x);
+            prop_assert!((fast - brute).abs() < 1e-9 * brute.max(1e-12),
+                "fast {fast} vs brute {brute}");
+        }
     }
 
     #[test]

@@ -139,9 +139,12 @@ pub struct DpNextFailure {
     /// recur with identical keys (after a failure the age is `D + R` plus
     /// small cascades), so their plans hit often even for age-dependent
     /// distributions; multi-age states practically never recur whole, so
-    /// only their per-bucket kernel rows are memoised (see
-    /// [`plan`](Self::plan)).
+    /// only their per-bucket kernel rows are memoised, and only for laws
+    /// whose rows are costly to rebuild (see [`plan`](Self::plan)).
     caches: DpCaches,
+    /// [`FailureDistribution::is_memoryless`] of `dist`: its rows cost
+    /// one multiply per cell, so no state reads or fills a kernel row.
+    memoryless: bool,
 }
 
 impl std::fmt::Debug for DpNextFailure {
@@ -188,6 +191,7 @@ impl DpNextFailure {
             None => auto_quanta(spec.checkpoint, platform_mtbf),
         };
         let dist_id = DistId::of(dist.as_ref());
+        let memoryless = dist.is_memoryless();
         Self {
             dist,
             dist_id,
@@ -196,6 +200,7 @@ impl DpNextFailure {
             config,
             x_max,
             caches,
+            memoryless,
         }
     }
 
@@ -213,14 +218,19 @@ impl DpNextFailure {
     /// with the same distribution identity — reproduces the identical
     /// plan for the same key. Every state is looked up in the shared
     /// [`DpCaches`] plan layer (so its miss count is the solve count), and
-    /// the state's shape picks the one memo layer that can pay off:
+    /// the state's shape and failure law pick the memo layer that can pay
+    /// off:
     ///
     /// * a **one-age** state (at most one bucket) memoises its plan and
     ///   solves inline. Its plan key fixes its only kernel-row key, so the
     ///   plan layer always answers before a cached row could be read.
-    /// * a **multi-age** state reads and fills the shared kernel rows but
-    ///   memoises no plan. Whole multi-age states practically never recur,
-    ///   while their per-bucket rows do, across states and traces.
+    /// * a **multi-age** state memoises no plan: whole multi-age states
+    ///   practically never recur, while their per-bucket rows do, across
+    ///   states and traces. It reads and fills the shared kernel rows
+    ///   unless the law [is memoryless](FailureDistribution::is_memoryless):
+    ///   an Exponential row (`ln S = −λ·t`) is rebuilt inline about as
+    ///   fast as a cached one is read back, and holding it would cost up
+    ///   to ~200 kB per bucket.
     ///
     /// Both paths build each row through [`fill_triangle_times`] and
     /// `log_survival_batch`, so the choice never changes a plan's bits.
@@ -232,7 +242,7 @@ impl DpNextFailure {
             return hit;
         }
         let one_age = key.buckets.len() <= 1;
-        let chunks = self.solve_key(&key, !one_age);
+        let chunks = self.solve_key(&key, !one_age && !self.memoryless);
         if one_age {
             self.caches.plans.insert(key, chunks.clone());
         }
@@ -398,17 +408,25 @@ pub fn compress_ages(
     dist: &dyn FailureDistribution,
     mode: StateCompression,
 ) -> Vec<(f64, f64)> {
-    let mut exact: Vec<(f64, f64)> = ages
-        .failed_ages()
-        .iter()
-        .map(|&(a, n)| (a, f64::from(n)))
-        .collect();
+    let failed = ages.failed_ages();
+    let mut exact: Vec<(f64, f64)> = Vec::with_capacity(failed.len() + 1);
+    exact.extend(failed.iter().map(|&(a, n)| (a, f64::from(n))));
     let (pristine_n, pristine_age) = ages.pristine();
     if pristine_n > 0 {
-        exact.push((pristine_age, pristine_n as f64));
+        // The failed ages are ascending: merge the pristine entry in after
+        // any equal failed age, where a stable sort would place it.
+        let at = exact.partition_point(|e| e.0 <= pristine_age);
+        exact.insert(at, (pristine_age, pristine_n as f64));
     }
-    exact.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN"));
+    compress_sorted(exact, dist, mode)
+}
 
+/// [`compress_ages`] on an ascending `(age, count)` list.
+fn compress_sorted(
+    exact: Vec<(f64, f64)>,
+    dist: &dyn FailureDistribution,
+    mode: StateCompression,
+) -> Vec<(f64, f64)> {
     let (n_exact, n_approx) = match mode {
         StateCompression::Exact => return exact,
         StateCompression::Auto => {
@@ -678,17 +696,23 @@ fn compute_row(
 
 /// Fill `ts` with the triangle's absolute query times `τ + a·u + m·C` in
 /// packed order — the one shared construction both the cached row build
-/// and the inline sweep use, so their inputs are the same bits.
+/// and the inline sweep use, so their inputs are the same bits. Each
+/// triangle row is written in place with `m` counted as an `i32` (the
+/// same `m as f64` value, `m ≤ cap + 1`): free of capacity checks and of
+/// the unsigned conversion, the inner loop vectorises.
 fn fill_triangle_times(ts: &mut Vec<f64>, tau: f64, x_max: usize, u: f64, checkpoint: f64) {
     let cap = value_chunk_cap(x_max);
-    ts.clear();
-    ts.reserve(triangle_len(x_max));
+    // Every cell is overwritten below, so a reused buffer keeps its stale
+    // values rather than paying a zeroing pass.
+    ts.resize(triangle_len(x_max), 0.0);
+    let mut start = 0;
     for a in 0..=x_max {
         let au = a as f64 * u;
-        for m in 0..=(a + 1).min(cap) {
-            let t = au + m as f64 * checkpoint;
-            ts.push(tau + t);
+        let cells = &mut ts[start..start + (a + 1).min(cap) + 1];
+        for (m, t) in (0i32..).zip(cells.iter_mut()) {
+            *t = tau + (au + f64::from(m) * checkpoint);
         }
+        start += cells.len();
     }
 }
 
@@ -1173,6 +1197,90 @@ mod tests {
             prop_assert!(caches.stats().kernel_rows.misses <= 1);
             let bits = |p: &[f64]| p.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&inline), bits(&from_rows));
+        }
+
+        /// An Exponential multi-age state builds its rows inline: `plan()`
+        /// neither reads nor fills the kernel-row layer, and its plan is
+        /// bit-identical to the same state solved from cached rows.
+        fn memoryless_multi_age_plan_builds_no_row_and_matches_cached_rows(
+            mtbf_years in 100.0..2_000.0f64,
+            groups in 2usize..=6,
+            base in 0.01..0.05f64,
+            pristine_frac in 20.0..40.0f64,
+            endgame in 0u8..2,
+            work_frac in 0.02..0.98f64,
+        ) {
+            let endgame = endgame == 1;
+            let procs = 1u64 << 16;
+            let spec = JobSpec::table1_exascale(procs);
+            let proc_mtbf = mtbf_years * YEAR;
+            let caches = DpCaches::private();
+            let dp = DpNextFailure::with_caches(
+                &spec,
+                Box::new(Exponential::from_mtbf(proc_mtbf)),
+                proc_mtbf,
+                DpNextFailureConfig::default(),
+                caches.clone(),
+            );
+            let window = planning_window(spec.checkpoint, proc_mtbf / procs as f64, 2.0);
+            let remaining = if endgame { work_frac * window } else { (1.0 + work_frac) * window };
+            let w_full = remaining.min(window);
+            // Failed ages a factor 3 apart land in distinct buckets; the
+            // youngest is near enough to need an exact row.
+            let failed: Vec<(f64, u32)> = (0..groups - 1)
+                .map(|i| (base * 3f64.powi(i as i32) * w_full, 1 + i as u32 % 3))
+                .collect();
+            let failed_procs: u64 = failed.iter().map(|&(_, n)| u64::from(n)).sum();
+            let ages = AgeView::new(failed, procs - failed_procs, pristine_frac * w_full);
+            let key = dp.plan_key(remaining, &ages);
+            prop_assert_eq!(key.buckets.len(), groups);
+            prop_assert_eq!(key.truncated, !endgame);
+
+            let inline = dp.plan(remaining, &ages);
+            let s = caches.stats();
+            prop_assert_eq!((s.plans.misses, s.plans.entries), (1, 0));
+            let rows = s.kernel_rows;
+            prop_assert_eq!((rows.hits, rows.misses, rows.entries), (0, 0, 0));
+            let from_rows = dp.solve_key(&key, true);
+            prop_assert!(caches.stats().kernel_rows.misses >= 1, "the near age builds a row");
+            let bits = |p: &[f64]| p.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&inline), bits(&from_rows));
+        }
+
+        /// Merging the pristine entry into the ascending failed ages gives
+        /// the same compressed state, bit for bit, as the copy-and-sort it
+        /// replaced, in every compression mode — including ties between
+        /// the pristine and failed ages, views with no pristine processor
+        /// and views past `Auto`'s 128-entry threshold.
+        fn compress_ages_merge_matches_copy_and_sort(
+            failed in proptest::collection::vec((0u32..40, 1u32..4), 0..200),
+            pristine_n in 0u64..3,
+            pristine_slot in 0u32..40,
+            n_exact in 0usize..15,
+            n_approx in 2usize..30,
+        ) {
+            let dist = Weibull::from_mtbf(0.7, 50_000.0);
+            let failed: Vec<(f64, u32)> =
+                failed.into_iter().map(|(slot, n)| (f64::from(slot) * 250.0, n)).collect();
+            let view = AgeView::new(failed, pristine_n, f64::from(pristine_slot) * 250.0);
+            let mut sorted: Vec<(f64, f64)> =
+                view.failed_ages().iter().map(|&(a, n)| (a, f64::from(n))).collect();
+            if pristine_n > 0 {
+                sorted.push((view.pristine().1, pristine_n as f64));
+            }
+            sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN"));
+            let bits = |v: &[(f64, f64)]| {
+                v.iter().map(|&(a, c)| (a.to_bits(), c.to_bits())).collect::<Vec<_>>()
+            };
+            for mode in [
+                StateCompression::Exact,
+                StateCompression::Auto,
+                StateCompression::Approximate { n_exact, n_approx },
+            ] {
+                let merged = compress_ages(&view, &dist, mode);
+                let reference = compress_sorted(sorted.clone(), &dist, mode);
+                prop_assert_eq!(bits(&merged), bits(&reference), "{:?}", mode);
+            }
         }
     }
 

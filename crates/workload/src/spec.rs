@@ -89,6 +89,8 @@ impl JobSpec {
     }
 
     /// Total wall-clock of one successful chunk attempt of size `ω`.
+    /// Test-only: the engine adds the checkpoint itself.
+    #[cfg(test)]
     pub fn attempt_duration(&self, chunk: f64) -> f64 {
         chunk + self.checkpoint
     }

@@ -45,7 +45,11 @@
 #      per-unit store and of lower_bound_makespan on cached traces, and
 #      the peta-weibull digests are the only pin on multi-unit Weibull
 #      traces (and so on the Weibull first-draw screen of trace
-#      generation) at Petascale widths. The
+#      generation) at Petascale widths. The untraced exa-exp-study run
+#      must also peak at no more than 40 MB of RSS (metrics.peak_rss_mb):
+#      its Exponential multi-age DP solves build their log-survival rows
+#      inline instead of holding them in the shared kernel-row layer,
+#      which peaks near 19 MB against ~92 MB when the rows are held. The
 #      build may rewrite perfbench/Cargo.lock
 #      (perfbench is frozen, and its lock still lists packages the
 #      workspace dropped: rayon, ckpt-obs and parking_lot), so the lock
@@ -119,7 +123,7 @@ if ! cmp -s "$study_tmp/fig8mem/fig8.md" "$study_tmp/fig8res/fig8.md"; then
 fi
 echo "resumed fig8 study renders fig8.md byte-identical to ckpt-exp fig8"
 
-echo "== perfbench digest gate (seq-weibull, exa-exp-study, peta-weibull, seed 0) =="
+echo "== perfbench digest and memory gate (seq-weibull, exa-exp-study, peta-weibull, seed 0) =="
 # perfbench is a cargo package of its own; building it under target/
 # keeps it out of the benchmark's default .bench_build directory.
 cp perfbench/Cargo.lock "$study_tmp/perfbench.Cargo.lock"
@@ -132,6 +136,12 @@ for run in "seq-weibull --trace 0" "exa-exp-study --trace 0" "exa-exp-study --tr
   if ! printf '%s' "$perf_result" \
     | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'; then
     echo "perfbench: $run digests or invariants failed: $perf_result" >&2
+    exit 1
+  fi
+  if [ "$run" = "exa-exp-study --trace 0" ] && ! printf '%s' "$perf_result" \
+    | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["metrics"]["peak_rss_mb"]["value"] <= 40 else 1)'; then
+    echo "perfbench: exa-exp-study peak RSS above 40 MB; are memoryless DP states" \
+      "filling the kernel-row layer again? $perf_result" >&2
     exit 1
   fi
   echo "perfbench $run: correct"

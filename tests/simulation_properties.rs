@@ -137,27 +137,4 @@ proptest! {
             "plan covers {total}, expected {expect}");
         prop_assert!(plan.iter().all(|&c| c > 0.0));
     }
-
-    #[test]
-    fn age_view_psuc_equals_bruteforce(
-        ages in proptest::collection::vec((0.0..1e6f64, 1u32..5), 1..6),
-        pristine in 0u64..50,
-        pristine_age in 0.0..1e6f64,
-        x in 1.0..50_000.0f64,
-    ) {
-        let d = Weibull::from_mtbf(0.7, 500_000.0);
-        let view = AgeView::new(ages.clone(), pristine, pristine_age);
-        let mut brute = 1.0f64;
-        for (a, n) in &ages {
-            for _ in 0..*n {
-                brute *= d.psuc(x, *a);
-            }
-        }
-        for _ in 0..pristine {
-            brute *= d.psuc(x, pristine_age);
-        }
-        let fast = view.psuc(&d, x);
-        prop_assert!((fast - brute).abs() < 1e-9 * brute.max(1e-12),
-            "fast {fast} vs brute {brute}");
-    }
 }
