@@ -144,18 +144,6 @@ mod tests {
     use super::*;
     use crate::{Exponential, Weibull};
 
-    impl KernelTable {
-        /// Batch-evaluate `ln S(τ + tᵢ)` for a slice of offsets — the DP
-        /// grid-fill shape — through the table.
-        fn fill_log_survival(&self, tau: f64, offsets: &[f64], out: &mut Vec<f64>) {
-            out.clear();
-            out.reserve(offsets.len());
-            for &t in offsets {
-                out.push(self.log_survival(tau + t));
-            }
-        }
-    }
-
     fn weibull_kernel() -> (Weibull, KernelTable) {
         let d = Weibull::from_mtbf(0.7, 100_000.0);
         let k = KernelTable::build(Box::new(d), 500_000.0, 800.0);
@@ -242,18 +230,6 @@ mod tests {
                 (got - expect).abs() < 1e-6,
                 "x={x} τ={tau}: table {got} vs exact {expect}"
             );
-        }
-    }
-
-    #[test]
-    fn batch_fill_matches_scalar_queries() {
-        let (_, k) = weibull_kernel();
-        let offsets: Vec<f64> = (0..64).map(|i| i as f64 * 37.5).collect();
-        let mut out = Vec::new();
-        k.fill_log_survival(1_234.0, &offsets, &mut out);
-        assert_eq!(out.len(), offsets.len());
-        for (i, &t) in offsets.iter().enumerate() {
-            assert_eq!(out[i], k.log_survival(1_234.0 + t));
         }
     }
 

@@ -3,8 +3,9 @@
 //! and generates its traces; a repeat run of the same cell replays the
 //! same lookups, so it misses nothing, generates nothing, and commits
 //! the same bytes. A sequential cell's one-age solves never build a
-//! kernel row, nor does a parallel Exponential cell's multi-age solves;
-//! a parallel Weibull cell's do, and reads them back.
+//! kernel row, nor does a parallel Exponential cell, whose memoryless
+//! states are one-age too; a parallel Weibull cell's multi-age solves
+//! do, and read them back.
 //!
 //! Both caches (`DpCaches::global`, `TraceCache::global`) are
 //! process-global, so a run's delta also counts any concurrent run's
@@ -121,10 +122,10 @@ fn warm_run_simulates_exactly_what_the_cold_run_did() {
 }
 
 /// Which parallel cells use the kernel-row layer is a property of the
-/// failure law: an Exascale Exponential cell's multi-age solves rebuild
-/// their memoryless rows inline and never touch the layer, while a
-/// Petascale Weibull cell's multi-age solves fill rows and read them
-/// back across states.
+/// failure law: an Exascale Exponential cell plans on the platform size
+/// alone, so its states are one-age, recur as plan hits and never touch
+/// the row layer, while a Petascale Weibull cell's multi-age solves fill
+/// rows and read them back across states.
 #[test]
 fn only_age_dependent_parallel_cells_use_kernel_rows() {
     let _serial = lock();
@@ -135,6 +136,7 @@ fn only_age_dependent_parallel_cells_use_kernel_rows() {
     exp.label = "rows-exa-exp-cell".into();
     let exp = run_scenario(&exp, &dp_only, &options).perf.plan_cache;
     assert!(exp.plans.misses > 0, "the Exponential cell solves its DP plans");
+    assert!(exp.plans.hits > 0, "a memoryless state's plan recurs");
     let rows = exp.kernel_rows;
     assert_eq!((rows.hits, rows.misses), (0, 0), "a memoryless solve uses no kernel row");
 

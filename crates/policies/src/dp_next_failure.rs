@@ -139,11 +139,11 @@ pub struct DpNextFailure {
     /// recur with identical keys (after a failure the age is `D + R` plus
     /// small cascades), so their plans hit often even for age-dependent
     /// distributions; multi-age states practically never recur whole, so
-    /// only their per-bucket kernel rows are memoised, and only for laws
-    /// whose rows are costly to rebuild (see [`plan`](Self::plan)).
+    /// only their per-bucket kernel rows are memoised (see
+    /// [`plan`](Self::plan)).
     caches: DpCaches,
-    /// [`FailureDistribution::is_memoryless`] of `dist`: its rows cost
-    /// one multiply per cell, so no state reads or fills a kernel row.
+    /// [`FailureDistribution::is_memoryless`] of `dist`: the planning
+    /// state is the platform size alone, so the ages are never read.
     memoryless: bool,
 }
 
@@ -224,13 +224,12 @@ impl DpNextFailure {
     /// * a **one-age** state (at most one bucket) memoises its plan and
     ///   solves inline. Its plan key fixes its only kernel-row key, so the
     ///   plan layer always answers before a cached row could be read.
+    ///   Every state of a [memoryless](FailureDistribution::is_memoryless)
+    ///   law is one-age by construction (see [`plan_key`](Self::plan_key)),
+    ///   so its plans recur across decisions and traces.
     /// * a **multi-age** state memoises no plan: whole multi-age states
     ///   practically never recur, while their per-bucket rows do, across
-    ///   states and traces. It reads and fills the shared kernel rows
-    ///   unless the law [is memoryless](FailureDistribution::is_memoryless):
-    ///   an Exponential row (`ln S = −λ·t`) is rebuilt inline about as
-    ///   fast as a cached one is read back, and holding it would cost up
-    ///   to ~200 kB per bucket.
+    ///   states and traces. It reads and fills the shared kernel rows.
     ///
     /// Both paths build each row through [`fill_triangle_times`] and
     /// `log_survival_batch`, so the choice never changes a plan's bits.
@@ -242,14 +241,28 @@ impl DpNextFailure {
             return hit;
         }
         let one_age = key.buckets.len() <= 1;
-        let chunks = self.solve_key(&key, !one_age && !self.memoryless);
+        let chunks = self.solve_key(&key, !one_age);
         if one_age {
             self.caches.plans.insert(key, chunks.clone());
         }
         chunks
     }
 
-    /// The quantised planning state of [`plan`](Self::plan).
+    /// The quantised planning state of [`plan`](Self::plan). The exact
+    /// quantum bits key the truncated work (`window/x_max` when the full
+    /// window applies, proportionally smaller in the endgame) so
+    /// unequal-work states can never collide.
+    ///
+    /// A law that [is memoryless](FailureDistribution::is_memoryless) is
+    /// keyed on the platform size alone: `ln S(τ + t) − ln S(τ) = −λ·t`
+    /// for every age `τ`, so in exact arithmetic every age state has the
+    /// same `G(a, m) − G(0, 0) = −p·λ·(a·u + m·C)`, and the state is `p`
+    /// processors in bucket 0 (representative age 0). That skips the
+    /// O(failures) compression and quantisation per decision. The two
+    /// `G` triangles differ by rounding, so the plans' equality is
+    /// checked (`memoryless_plan_ignores_ages_bit_for_bit`, the goldens),
+    /// not proven. Every other law is keyed on its
+    /// [age buckets](Self::age_buckets).
     fn plan_key(&self, remaining: f64, ages: &AgeView) -> PlanKey {
         let window = planning_window(
             self.spec.checkpoint,
@@ -259,12 +272,28 @@ impl DpNextFailure {
         let w_full = remaining.min(window);
         let truncated = w_full < remaining - 1e-9;
         let u = w_full / self.x_max as f64;
+        let buckets = if self.memoryless {
+            vec![(0, ages.proc_count())]
+        } else {
+            self.age_buckets(ages, u)
+        };
+        PlanKey {
+            dist: self.dist_id,
+            u_bits: u.to_bits(),
+            checkpoint_bits: self.spec.checkpoint.to_bits(),
+            x_max: self.x_max as u32,
+            truncated,
+            half_schedule: self.config.use_half_schedule,
+            lanes: ckpt_math::simd::LANES as u32,
+            buckets,
+        }
+    }
+
+    /// The age state on quantum `u`: ages compressed ([`compress_ages`]),
+    /// mapped onto the geometric age grid ([`quantise_age`]) and counts
+    /// merged per bucket.
+    fn age_buckets(&self, ages: &AgeView, u: f64) -> Vec<(u64, u64)> {
         let compressed = compress_ages(ages, self.dist.as_ref(), self.config.compression);
-        // Quantised state: bucket ids on the geometric age grid, counts
-        // merged per bucket. The exact quantum bits key the truncated work
-        // (`window/x_max` when the full window applies, proportionally
-        // smaller in the endgame) so unequal-work states can never
-        // collide.
         let mut buckets: Vec<(u64, u64)> = Vec::with_capacity(compressed.len());
         for &(age, count) in &compressed {
             let id = quantise_age(age, u);
@@ -277,16 +306,7 @@ impl DpNextFailure {
                 _ => buckets.push((id, count)),
             }
         }
-        PlanKey {
-            dist: self.dist_id,
-            u_bits: u.to_bits(),
-            checkpoint_bits: self.spec.checkpoint.to_bits(),
-            x_max: self.x_max as u32,
-            truncated,
-            half_schedule: self.config.use_half_schedule,
-            lanes: ckpt_math::simd::LANES as u32,
-            buckets,
-        }
+        buckets
     }
 
     /// Solve the state `key` on its representative ages — a pure function
@@ -378,6 +398,13 @@ struct DpNfSession<'a> {
 }
 
 impl PolicySession for DpNfSession<'_> {
+    /// A memoryless law plans on the processor count alone, which the
+    /// simulator's all-pristine view carries without an O(failures)
+    /// snapshot.
+    fn wants_ages(&self) -> bool {
+        !self.policy.memoryless
+    }
+
     fn next_chunk(&mut self, remaining: f64, ages: &AgeView, _now: f64) -> f64 {
         if self.pos >= self.plan.len() {
             self.plan = self.policy.plan(remaining, ages);
@@ -1160,6 +1187,94 @@ mod tests {
         assert_eq!(s2.kernel_rows.misses, s.kernel_rows.misses);
     }
 
+    #[test]
+    fn only_a_memoryless_session_skips_the_age_snapshot() {
+        let spec = JobSpec::table1_petascale(45_208);
+        let mtbf = 125.0 * YEAR;
+        let wants = |dist: Box<dyn FailureDistribution>| {
+            DpNextFailure::new(&spec, dist, mtbf, small_config(40)).session().wants_ages()
+        };
+        assert!(!wants(Box::new(Exponential::from_mtbf(mtbf))));
+        for shape in [0.5, 0.7, 1.0] {
+            assert!(wants(Box::new(Weibull::from_mtbf(shape, mtbf))), "Weibull k = {shape}");
+        }
+    }
+
+    proptest! {
+        // Each case is a few ms; the failure-dense draw makes every
+        // sixth case an `Approximate` state.
+        #![proptest_config(ProptestConfig::with_cases(240))]
+
+        /// An Exponential state is planned on its processor count alone:
+        /// `plan()` solves the one-bucket key without touching the
+        /// kernel-row layer, its plan is bit-identical to the age-aware
+        /// solve of the same ages (rows inline and rows cached), and a
+        /// state with other ages and the same remaining work is a plan
+        /// hit. Ages come in 2–6 groups or, past `Auto`'s 128-entry
+        /// threshold, in 200 (`Approximate` compression), in truncated
+        /// and endgame windows.
+        fn memoryless_plan_ignores_ages_bit_for_bit(
+            log2_procs in 10u32..=20,
+            mtbf_years in 1.0..1_250.0f64,
+            groups_draw in 2usize..=7,
+            base in 0.01..0.05f64,
+            pristine_frac in 20.0..40.0f64,
+            endgame in 0u8..2,
+            work_frac in 0.0005..0.98f64,
+        ) {
+            let endgame = endgame == 1;
+            // Draw 7 stands for a failure-dense state.
+            let groups = if groups_draw == 7 { 200 } else { groups_draw };
+            let procs = 1u64 << log2_procs;
+            let spec = JobSpec::table1_exascale(procs);
+            let proc_mtbf = mtbf_years * YEAR;
+            let caches = DpCaches::private();
+            let dp = DpNextFailure::with_caches(
+                &spec,
+                Box::new(Exponential::from_mtbf(proc_mtbf)),
+                proc_mtbf,
+                DpNextFailureConfig::default(),
+                caches.clone(),
+            );
+            let window = planning_window(spec.checkpoint, proc_mtbf / procs as f64, 2.0);
+            let remaining = if endgame { work_frac * window } else { (1.0 + work_frac) * window };
+            let w_full = remaining.min(window);
+            // Failed ages spread from `base` windows (young enough to need
+            // an exact row) up to the pristine age.
+            let view = |shift: f64| {
+                let step = (pristine_frac - base) / groups as f64;
+                let failed: Vec<(f64, u32)> = (0..groups - 1)
+                    .map(|i| ((base + shift + i as f64 * step) * w_full, 1 + i as u32 % 3))
+                    .collect();
+                let failed_procs: u64 = failed.iter().map(|&(_, n)| u64::from(n)).sum();
+                AgeView::new(failed, procs - failed_procs, pristine_frac * w_full)
+            };
+            let ages = view(0.0);
+            let key = dp.plan_key(remaining, &ages);
+            prop_assert_eq!(&key.buckets, &vec![(0, procs)]);
+            prop_assert_eq!(key.truncated, !endgame);
+            let u = f64::from_bits(key.u_bits);
+            let aware = PlanKey { buckets: dp.age_buckets(&ages, u), ..key.clone() };
+            prop_assert!(aware.buckets.len() >= 2, "the ages span several buckets");
+
+            let planned = dp.plan(remaining, &ages);
+            let s = caches.stats();
+            prop_assert_eq!((s.plans.misses, s.plans.entries), (1, 1));
+            let other = dp.plan(remaining, &view(0.5 * base));
+            prop_assert!(Arc::ptr_eq(&planned, &other), "other ages, same plan");
+            prop_assert_eq!(caches.stats().plans.hits, 1);
+            let rows = caches.stats().kernel_rows;
+            prop_assert_eq!((rows.hits, rows.misses, rows.entries), (0, 0, 0));
+
+            let bits = |p: &[f64]| p.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            let inline = dp.solve_key(&aware, false);
+            prop_assert_eq!(bits(&planned), bits(&inline));
+            let from_rows = dp.solve_key(&aware, true);
+            prop_assert!(caches.stats().kernel_rows.misses >= 1, "the near age builds a row");
+            prop_assert_eq!(bits(&planned), bits(&from_rows));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1195,54 +1310,6 @@ mod tests {
             let from_rows = dp.solve_key(&key, true);
             // One row, or none when the age is old enough for the far fit.
             prop_assert!(caches.stats().kernel_rows.misses <= 1);
-            let bits = |p: &[f64]| p.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&inline), bits(&from_rows));
-        }
-
-        /// An Exponential multi-age state builds its rows inline: `plan()`
-        /// neither reads nor fills the kernel-row layer, and its plan is
-        /// bit-identical to the same state solved from cached rows.
-        fn memoryless_multi_age_plan_builds_no_row_and_matches_cached_rows(
-            mtbf_years in 100.0..2_000.0f64,
-            groups in 2usize..=6,
-            base in 0.01..0.05f64,
-            pristine_frac in 20.0..40.0f64,
-            endgame in 0u8..2,
-            work_frac in 0.02..0.98f64,
-        ) {
-            let endgame = endgame == 1;
-            let procs = 1u64 << 16;
-            let spec = JobSpec::table1_exascale(procs);
-            let proc_mtbf = mtbf_years * YEAR;
-            let caches = DpCaches::private();
-            let dp = DpNextFailure::with_caches(
-                &spec,
-                Box::new(Exponential::from_mtbf(proc_mtbf)),
-                proc_mtbf,
-                DpNextFailureConfig::default(),
-                caches.clone(),
-            );
-            let window = planning_window(spec.checkpoint, proc_mtbf / procs as f64, 2.0);
-            let remaining = if endgame { work_frac * window } else { (1.0 + work_frac) * window };
-            let w_full = remaining.min(window);
-            // Failed ages a factor 3 apart land in distinct buckets; the
-            // youngest is near enough to need an exact row.
-            let failed: Vec<(f64, u32)> = (0..groups - 1)
-                .map(|i| (base * 3f64.powi(i as i32) * w_full, 1 + i as u32 % 3))
-                .collect();
-            let failed_procs: u64 = failed.iter().map(|&(_, n)| u64::from(n)).sum();
-            let ages = AgeView::new(failed, procs - failed_procs, pristine_frac * w_full);
-            let key = dp.plan_key(remaining, &ages);
-            prop_assert_eq!(key.buckets.len(), groups);
-            prop_assert_eq!(key.truncated, !endgame);
-
-            let inline = dp.plan(remaining, &ages);
-            let s = caches.stats();
-            prop_assert_eq!((s.plans.misses, s.plans.entries), (1, 0));
-            let rows = s.kernel_rows;
-            prop_assert_eq!((rows.hits, rows.misses, rows.entries), (0, 0, 0));
-            let from_rows = dp.solve_key(&key, true);
-            prop_assert!(caches.stats().kernel_rows.misses >= 1, "the near age builds a row");
             let bits = |p: &[f64]| p.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&inline), bits(&from_rows));
         }

@@ -24,20 +24,20 @@
 //! while unfingerprintable families fall back to a per-instance id —
 //! still cached, never shared, never wrong.
 //!
-//! Each planning state fills at most one layer, chosen by its shape and
-//! its failure law (see
+//! Each planning state fills at most one layer, chosen by its shape (see
 //! [`DpNextFailure::plan`](crate::DpNextFailure::plan)). A **one-age**
-//! state (at most one age bucket, as on every sequential cell) memoises
-//! its plan and builds its row inline; its plan key fixes its only row
-//! key, so a cached row could never be read. A **multi-age** state (every
-//! state of the parallel cells, whose platforms start with failed units)
+//! state (at most one age bucket) memoises its plan and builds its row
+//! inline; its plan key fixes its only row key, so a cached row could
+//! never be read. Every sequential cell's states are one-age, and so is
+//! every state of a law that
+//! [is memoryless](ckpt_dist::FailureDistribution::is_memoryless), by
+//! construction: its key is the platform size alone, `p` processors in
+//! bucket 0, whatever the ages. A **multi-age** state (every state of the
+//! other parallel cells, whose platforms start with failed units)
 //! memoises no plan: whole multi-age states practically never recur,
-//! while their buckets do. It reads and fills kernel rows unless its law
-//! [is memoryless](ckpt_dist::FailureDistribution::is_memoryless): an
-//! Exponential row costs one multiply per cell to rebuild, about what
-//! reading it back costs, so such a state builds its rows inline and
-//! fills neither layer. Every state still looks its plan up, so the plan
-//! layer's miss count is the DP solve count.
+//! while their buckets do, so it reads and fills kernel rows. Every state
+//! still looks its plan up, so the plan layer's miss count is the DP
+//! solve count.
 //!
 //! Both caches use FIFO eviction with per-shard caps (replacing the old
 //! silent `len() < 100_000` insert drop) and export hit/miss/eviction
@@ -104,6 +104,8 @@ pub struct PlanKey {
     /// cache entries.
     pub lanes: u32,
     /// Quantised age state: `(geometric bucket id, processor count)`.
+    /// A memoryless law's state is one-age by construction: the whole
+    /// platform in bucket 0, whose representative age is 0.
     pub buckets: Vec<(u64, u64)>,
 }
 
@@ -290,9 +292,10 @@ const CACHE_SHARDS: usize = 16;
 const PLAN_SHARD_CAP: usize = 4096;
 /// Kernel rows span the whole DP triangle (25,025 cells, ~200 kB at
 /// `x_max = 256`): cap the resident set at ~1k rows. Only multi-age
-/// states of laws that are not memoryless (the Weibull and log-based
-/// parallel cells) fill the layer; the Exponential cells, whose 881 rows
-/// held 73.8 MB of `exa-exp-study`'s 91.9 MB peak, build theirs inline.
+/// states fill the layer (the Weibull and log-based parallel cells);
+/// memoryless states are one-age and build their one row inline, so the
+/// Exponential cells, whose 881 rows once held 73.8 MB of
+/// `exa-exp-study`'s 91.9 MB peak, fill none.
 const ROW_SHARD_CAP: usize = 64;
 
 /// The two shared memo layers of the DP planners. Cheap to clone (both

@@ -47,9 +47,13 @@
 #      traces (and so on the Weibull first-draw screen of trace
 #      generation) at Petascale widths. The untraced exa-exp-study run
 #      must also peak at no more than 40 MB of RSS (metrics.peak_rss_mb):
-#      its Exponential multi-age DP solves build their log-survival rows
-#      inline instead of holding them in the shared kernel-row layer,
-#      which peaks near 19 MB against ~92 MB when the rows are held. The
+#      memoryless states are one-age, so their DP solves build their one
+#      log-survival row inline instead of holding rows in the shared
+#      kernel-row layer, which peaks near 19 MB against ~92 MB when the
+#      rows are held. The traced exa-exp-study run must report at most
+#      400 DPNextFailure solves (policies.plan_cache.misses): a memoryless
+#      law's plan key is the platform size alone, so its plans recur
+#      (~166 solves against 926 when the key carries the ages). The
 #      build may rewrite perfbench/Cargo.lock
 #      (perfbench is frozen, and its lock still lists packages the
 #      workspace dropped: rayon, ckpt-obs and parking_lot), so the lock
@@ -140,8 +144,14 @@ for run in "seq-weibull --trace 0" "exa-exp-study --trace 0" "exa-exp-study --tr
   fi
   if [ "$run" = "exa-exp-study --trace 0" ] && ! printf '%s' "$perf_result" \
     | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["metrics"]["peak_rss_mb"]["value"] <= 40 else 1)'; then
-    echo "perfbench: exa-exp-study peak RSS above 40 MB; are memoryless DP states" \
-      "filling the kernel-row layer again? $perf_result" >&2
+    echo "perfbench: exa-exp-study peak RSS above 40 MB; memoryless states are one-age," \
+      "so are DP solves filling the kernel-row layer again? $perf_result" >&2
+    exit 1
+  fi
+  if [ "$run" = "exa-exp-study --trace 1" ] && ! printf '%s' "$perf_result" \
+    | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["metrics"]["policies.plan_cache.misses"]["value"] <= 400 else 1)'; then
+    echo "perfbench: exa-exp-study ran more than 400 DP solves; is the memoryless plan key" \
+      "(the platform size alone, no ages) carrying the ages again? $perf_result" >&2
     exit 1
   fi
   echo "perfbench $run: correct"

@@ -83,19 +83,49 @@ const HOT_PATH: [(&str, usize); 4] = [
 const TRANSCENDENTALS: [&str; 9] =
     ["powf", "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2", "log10"];
 
+/// The text of `src` before its test module: the first `#[cfg(test)]`
+/// whose next non-attribute line starts with `mod `. A `#[cfg(test)]`
+/// item above the module (a helper `fn`, an `impl`) does not end the
+/// audited body.
+fn before_test_module(src: &str) -> &str {
+    let mut offset = 0;
+    let mut pending = None;
+    for line in src.split_inclusive('\n') {
+        let text = line.trim();
+        if text == "#[cfg(test)]" {
+            pending = pending.or(Some(offset));
+        } else if !text.starts_with("#[") {
+            if let Some(at) = pending.filter(|_| text.starts_with("mod ")) {
+                return &src[..at];
+            }
+            pending = None;
+        }
+        offset += line.len();
+    }
+    src
+}
+
+/// `(line number, function)` of every libm call in the code of `body`.
+fn libm_sites(body: &str) -> Vec<(usize, &'static str)> {
+    let mut sites = Vec::new();
+    for (i, line) in body.lines().enumerate() {
+        for f in TRANSCENDENTALS {
+            for _ in code(line).matches(&format!(".{f}(")) {
+                sites.push((i + 1, f));
+            }
+        }
+    }
+    sites
+}
+
 #[test]
 fn hot_path_transcendentals_are_the_audited_ones() {
     for (file, audited) in HOT_PATH {
         let src = read(&root().join(file));
-        let body = src.split("#[cfg(test)]").next().unwrap_or_default();
-        let mut sites = Vec::new();
-        for (i, line) in body.lines().enumerate() {
-            for f in TRANSCENDENTALS {
-                for _ in code(line).matches(&format!(".{f}(")) {
-                    sites.push(format!("{file}:{}: .{f}()", i + 1));
-                }
-            }
-        }
+        let sites: Vec<String> = libm_sites(before_test_module(&src))
+            .into_iter()
+            .map(|(line, f)| format!("{file}:{line}: .{f}()"))
+            .collect();
         assert_eq!(
             sites.len(),
             audited,
@@ -104,6 +134,24 @@ fn hot_path_transcendentals_are_the_audited_ones() {
             sites.join("\n")
         );
     }
+}
+
+#[test]
+fn a_test_item_above_the_test_module_stays_audited() {
+    let src = "fn kept() {}\n\
+               #[cfg(test)]\n\
+               fn helper() {}\n\
+               fn hot(x: f64) -> f64 { x.powf(2.0) }\n\
+               #[cfg(test)]\n\
+               #[allow(dead_code)]\n\
+               mod tests {\n\
+               fn t() -> f64 { 2f64.ln() }\n\
+               }\n";
+    let body = before_test_module(src);
+    assert!(body.ends_with("x.powf(2.0) }\n"), "cut at the module's attributes: {body:?}");
+    assert_eq!(libm_sites(body), [(4, "powf")]);
+    let untested = "fn f(x: f64) -> f64 { x.exp() }\n";
+    assert_eq!(before_test_module(untested), untested, "no test module: the whole file");
 }
 
 /// The dependency names a manifest declares under `section`
