@@ -246,6 +246,7 @@ impl FailureDistribution for Empirical {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "a step distribution returns its recorded values and sums of them exactly")]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;

@@ -93,6 +93,7 @@ impl FailureDistribution for Exponential {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "boundary values are exact: S(t < 0) = 1, F^-1(1) = 0, the hazard is the rate")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

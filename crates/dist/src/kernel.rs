@@ -139,6 +139,7 @@ impl KernelTable {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact fallbacks and sentinels must return the closed form bit for bit")]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;

@@ -229,6 +229,7 @@ impl Clone for Box<dyn FailureDistribution> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "boundary values of a distribution are exact")]
 mod trait_tests {
     use super::*;
 

@@ -104,6 +104,7 @@ pub fn expected_loss_from_integral(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the loss over an empty interval is exactly 0")]
 mod tests {
     use super::*;
     use crate::{Exponential, Weibull};

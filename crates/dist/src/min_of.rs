@@ -89,6 +89,7 @@ impl FailureDistribution for MinOf {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the copy count is an integer held in an f64")]
 mod tests {
     use super::*;
     use crate::{Exponential, Mixture, Weibull};

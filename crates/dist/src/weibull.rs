@@ -105,6 +105,7 @@ impl FailureDistribution for Weibull {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "a batch value matches its scalar one within 1e-12 or, at the sentinels, exactly")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

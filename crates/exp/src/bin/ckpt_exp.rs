@@ -12,8 +12,8 @@
 //! ```
 //!
 //! The studies are [`ckpt_exp::catalog::STUDIES`] plus `paper`, their
-//! union; `--help` lists them. `ckpt-exp <study>` runs the cells in
-//! memory, one artefact at a time, and prints each rendered file, also
+//! union; `--help` lists them. `ckpt-exp <study>` runs all the study's
+//! cells in memory as one study, then prints each rendered file, also
 //! writing it into `--out DIR` (created and proven writable before any
 //! cell runs). `--policy` picks the `fig98`/`fig99` policy,
 //! `--mtbf-years` the per-processor MTBF of `fig2`, `fig4` and `matrix`,
@@ -37,6 +37,7 @@
 //! errors (stale fingerprint, bad id); 137 after `--kill-at`.
 
 use ckpt_exp::catalog::{self, Artefact, File, Params};
+use ckpt_exp::{Error, ScenarioResult, StudyDef};
 use ckpt_workload::ParallelismModel;
 use std::path::{Path, PathBuf};
 
@@ -304,27 +305,17 @@ fn cmd_run(rest: &[String]) -> i32 {
                 report.items_executed,
                 report.checkpoints_written
             );
-            let mut results = Vec::with_capacity(report.results.len());
-            for (stem, result) in report.results {
-                match result {
-                    Ok(r) => {
+            let results = report
+                .results
+                .into_iter()
+                .map(|(stem, result)| {
+                    if let Ok(r) = &result {
                         println!("{stem}: ok ({} rows)", r.outcomes.len());
-                        results.push(r);
                     }
-                    Err(e) => eprintln!("{stem}: {e}"),
-                }
-            }
-            if results.len() < def.cells.len() {
-                return 1;
-            }
-            let files = catalog::render(&parts, &params, &results);
-            match write_files(&args.root.join(&id), &files) {
-                Ok(()) => 0,
-                Err(e) => {
-                    eprintln!("{e}");
-                    2
-                }
-            }
+                    result
+                })
+                .collect();
+            render_and_write(&parts, &params, &def, results, false, Some(&args.root.join(&id)))
         }
         Ok(ckpt_exp::StudyOutcome::Stopped { completed, total }) => {
             eprintln!("study stopped at {completed}/{total} items; killing the process");
@@ -430,8 +421,8 @@ fn usage_error(e: &str, usage: &str) -> i32 {
     2
 }
 
-/// Run a study in memory, one artefact at a time: print each rendered
-/// file, and write it into `--out` when given.
+/// Run a study in memory: one study over all its parts, then the
+/// rendered files printed, and written into `--out` when given.
 fn cmd_experiment(args: &Args) -> i32 {
     if let Some(n) = args.threads {
         ckpt_exp::steal::set_workers(n);
@@ -441,33 +432,50 @@ fn cmd_experiment(args: &Args) -> i32 {
             return usage_error(&e, &usage());
         }
     }
-    for part in &args.parts {
-        let files = match part.run(&args.params) {
-            Ok(files) => files,
-            Err(e) => {
-                eprintln!("{}: {e}", part.name);
-                return 1;
-            }
-        };
+    let def = catalog::def("", &args.parts, &args.params);
+    let results = ckpt_exp::run_in_memory(&def);
+    render_and_write(&args.parts, &args.params, &def, results, true, args.out.as_deref())
+}
+
+/// The tail both study commands share: report each failed cell, render
+/// the results, print the files when `print`, and write them into `dir`
+/// when given. Exits 0, 1 when a cell failed (nothing is rendered) or 2
+/// when a file cannot be written.
+fn render_and_write(
+    parts: &[&Artefact],
+    params: &Params,
+    def: &StudyDef,
+    results: Vec<Result<ScenarioResult, Error>>,
+    print: bool,
+    dir: Option<&Path>,
+) -> i32 {
+    let mut ok = Vec::with_capacity(results.len());
+    for (cell, result) in def.cells.iter().zip(results) {
+        match result {
+            Ok(r) => ok.push(r),
+            Err(e) => eprintln!("{}: {e}", cell.stem),
+        }
+    }
+    if ok.len() < def.cells.len() {
+        return 1;
+    }
+    let files = catalog::render(parts, params, &ok);
+    if print {
         for (_, content) in &files {
             println!("{content}");
         }
-        if let Some(dir) = &args.out {
-            if let Err(e) = write_files(dir, &files) {
-                eprintln!("{e}");
-                return 2;
-            }
-        }
-        // Free this artefact's traces and DP memos (a later one
-        // recomputes what it shares), so the peak memory of `paper`
-        // stays near its largest artefact's, not the sum of them all.
-        ckpt_exp::TraceCache::global().clear();
-        ckpt_policies::DpCaches::global().clear();
     }
-    0
+    match dir.map_or(Ok(()), |dir| write_files(dir, &files)) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("{e}");
+            2
+        }
+    }
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "parsed flag values must equal their literals exactly")]
 mod tests {
     use super::*;
 

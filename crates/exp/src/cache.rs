@@ -15,13 +15,14 @@
 //!   events of the widened set, and replaces the entry.
 //!
 //! So the Exascale cells at 2^16, 2^18 and 2^20 processors sample each
-//! unit once, and a period sweep that revisits a cell (one `run_scenario`
-//! per factor on the same traces) generates nothing.
+//! unit once, and a repeat `run_scenario` on the same traces generates
+//! nothing. A study releases a `(label, horizon, start)` stream once no
+//! cell of it that reads the stream has a pending item.
 
 use crate::scenario::{BuiltDist, Scenario};
 use ckpt_platform::{PlatformEvents, TraceSet};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One generated trace set with its pre-merged platform event stream.
 #[derive(Debug)]
@@ -46,19 +47,32 @@ impl CachedTrace {
 }
 
 /// Everything trace generation depends on, bit-exact, except the unit
-/// count (prefix-stable).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
+/// count (prefix-stable) and the trace index.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct StreamKey {
     label: String,
     horizon_bits: u64,
     start_bits: u64,
-    index: u64,
 }
+
+impl StreamKey {
+    /// The stream `scenario` reads its traces from.
+    pub(crate) fn of(scenario: &Scenario) -> Self {
+        Self {
+            label: scenario.label.clone(),
+            horizon_bits: scenario.horizon.to_bits(),
+            start_bits: scenario.start_time.to_bits(),
+        }
+    }
+}
+
+/// Per stream, the widest trace set of each index.
+type Streams = BTreeMap<StreamKey, BTreeMap<usize, Arc<CachedTrace>>>;
 
 /// Process-wide memo of generated traces.
 #[derive(Default)]
 pub struct TraceCache {
-    map: Mutex<HashMap<CacheKey, Arc<CachedTrace>>>,
+    map: Mutex<Streams>,
 }
 
 impl TraceCache {
@@ -68,8 +82,12 @@ impl TraceCache {
         CACHE.get_or_init(TraceCache::default)
     }
 
+    fn lock(&self) -> MutexGuard<'_, Streams> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The `index`-th trace set of `scenario`, each unit sampled at most
-    /// once per process.
+    /// once per process (while its stream is cached).
     pub fn get_or_generate(
         &self,
         scenario: &Scenario,
@@ -77,13 +95,8 @@ impl TraceCache {
         index: usize,
     ) -> Arc<CachedTrace> {
         let units = built.topology.units_for_procs(scenario.procs);
-        let key = CacheKey {
-            label: scenario.label.clone(),
-            horizon_bits: scenario.horizon.to_bits(),
-            start_bits: scenario.start_time.to_bits(),
-            index: index as u64,
-        };
-        let widest = self.map.lock().unwrap_or_else(PoisonError::into_inner).get(&key).cloned();
+        let key = StreamKey::of(scenario);
+        let widest = self.lock().get(&key).and_then(|s| s.get(&index)).cloned();
         if let Some(hit) = widest.as_ref().filter(|w| w.traces.unit_count() >= units) {
             return if hit.traces.unit_count() == units {
                 Arc::clone(hit)
@@ -101,8 +114,8 @@ impl TraceCache {
             events: Arc::new(traces.platform_events()),
             traces: Arc::new(traces),
         });
-        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        let widest = map.entry(key).or_insert_with(|| Arc::clone(&entry));
+        let mut map = self.lock();
+        let widest = map.entry(key).or_default().entry(index).or_insert_with(|| Arc::clone(&entry));
         if widest.traces.unit_count() < units {
             *widest = Arc::clone(&entry);
         }
@@ -114,19 +127,16 @@ impl TraceCache {
         }
     }
 
-    /// Number of cached streams (one per label, horizon, start and index).
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner).len()
+    /// Drop every cached trace set of `stream` (a later request
+    /// regenerates the same bytes).
+    pub(crate) fn release(&self, stream: &StreamKey) {
+        self.lock().remove(stream);
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every cached trace (frees memory between unrelated sweeps).
-    pub fn clear(&self) {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner).clear();
+    /// Number of cached trace sets of `label`, over every horizon, start
+    /// and index.
+    pub fn streams_of(&self, label: &str) -> usize {
+        self.lock().iter().filter(|(k, _)| k.label == label).map(|(_, s)| s.len()).sum()
     }
 }
 
@@ -151,7 +161,7 @@ mod tests {
         let a = cache.get_or_generate(&s, &b, 0);
         let c = cache.get_or_generate(&s, &b, 0);
         assert!(Arc::ptr_eq(&a, &c), "second lookup must be a cache hit");
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.streams_of("cache-test-cell"), 1);
     }
 
     #[test]
@@ -165,9 +175,11 @@ mod tests {
         s2.horizon *= 2.0;
         let d = cache.get_or_generate(&s2, &b, 0);
         assert!(!Arc::ptr_eq(&a, &d));
-        assert_eq!(cache.len(), 3);
-        cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.streams_of("cache-test-cell"), 3);
+        cache.release(&StreamKey::of(&s));
+        assert_eq!(cache.streams_of("cache-test-cell"), 1, "the other horizon stays");
+        cache.release(&StreamKey::of(&s2));
+        assert_eq!(cache.streams_of("cache-test-cell"), 0);
     }
 
     #[test]
@@ -208,7 +220,7 @@ mod tests {
                     assert_eq!(got.events.slot_count(), want.slot_count());
                 }
             }
-            assert_eq!(cache.len(), 2, "one stream per index, whatever the widths");
+            assert_eq!(cache.streams_of("cache-widen-cell"), 2, "one stream per index, whatever the widths");
         }
         let sparse = at(256).generate_traces(&built, 0);
         assert!(

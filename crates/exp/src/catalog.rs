@@ -4,22 +4,20 @@
 //! Each [`Artefact`] holds the cells it simulates, as [`StudyCell`]s
 //! with stems unique within the study, and a renderer that turns their
 //! results, in cell order, into the files the paper presents: markdown
-//! tables, CSV series and gnuplot scripts. The cells run either in
-//! memory ([`Artefact::run`], through [`run_cells`], the loop
-//! [`Study::run_all`](crate::study::Study::run_all) also uses) or
-//! through the checkpoint store ([`def`] then
-//! [`run_study`](crate::checkpoint::run_study)). Both fold the same
-//! work items the same way, so both render the same bytes. `paper` is
-//! the union of the paper's artefacts.
+//! tables, CSV series and gnuplot scripts. [`def`] joins the cells of
+//! one or more artefacts into one [`StudyDef`], which either study entry
+//! runs — [`run_in_memory`](crate::checkpoint::run_in_memory), or
+//! [`run_study`](crate::checkpoint::run_study) with the checkpoint store
+//! attached — through the same loop and fold; [`render`] turns the
+//! results back into each artefact's files, the same bytes either way.
+//! `paper` is the union of the paper's artefacts.
 
 use crate::checkpoint::{StudyCell, StudyDef};
-use crate::error::Error;
 use crate::output::{csv_series, markdown_table, CSV_HEADER};
 use crate::plot::{degradation_figure_script, fig1_script};
 use crate::policies_spec::PolicyKind;
 use crate::runner::{RunnerOptions, ScenarioResult};
 use crate::scenario::{DistSpec, Scenario};
-use crate::study::run_cells;
 use ckpt_dist::Weibull;
 use ckpt_workload::{OverheadModel, ParallelismModel, DAY, HOUR, JAGUAR_PROCS, WEEK, YEAR};
 
@@ -95,15 +93,6 @@ impl Artefact {
     /// Render this study's results, one per cell in cell order.
     pub fn render(&self, results: &[ScenarioResult]) -> Vec<File> {
         (self.render)(self.name, results)
-    }
-
-    /// Run the cells in memory and render them.
-    ///
-    /// # Errors
-    /// The first cell that could not run at all.
-    pub fn run(&self, params: &Params) -> Result<Vec<File>, Error> {
-        let results = run_cells(&self.cells(params)).into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(self.render(&results))
     }
 }
 

@@ -1,10 +1,11 @@
-//! Durable, resumable study execution: the whole-study form of the one
-//! engine, with a checkpoint store attached.
+//! Durable, resumable study execution, and the study loop's in-memory
+//! entry.
 //!
-//! [`run_study`] drains the same [`WorkItem`]s, through the same item
-//! body and drain ([`crate::exec`]), and folds them with the same fold
-//! ([`crate::reduce::commit`]) as an in-memory
-//! [`execute`](crate::exec::execute). What the store adds:
+//! A study drains its manifest — every cell's [`WorkItem`]s, in id
+//! order — through the crate's one wave loop
+//! ([`crate::exec::run_waves`]), then commits each cell with the one
+//! fold ([`crate::reduce::commit`]). [`run_in_memory`] does only that;
+//! [`run_study`] attaches the checkpoint store, which adds:
 //!
 //! * a **manifest** — the full study decomposed into typed
 //!   [`WorkItem`]s (cell × policy × trace-block, plus lower-bound,
@@ -24,20 +25,19 @@
 //!   full-state, so "move in-progress items back to pending" is
 //!   implicit: pending = manifest − snapshot. A snapshot whose payloads
 //!   do not fit their manifest items is skipped like a corrupt one;
-//! * **waves cut for the store**: besides the cut at each refine item,
-//!   a wave ends every [`CHUNK_ITEMS`] items, so a checkpoint, a kill
-//!   or a progress line can land between any two chunks.
+//! * **shorter waves**: the loop also ends a wave every
+//!   [`CHUNK_ITEMS`](crate::exec::CHUNK_ITEMS) items, so a checkpoint, a
+//!   kill or a progress line can land between any two of them.
 //!
 //! A cell whose distribution cannot be built gets no work items: it
-//! commits to the typed build error ([`Error::Cell`]), exactly as
-//! [`Study::run_all`](crate::study::Study::run_all) reports it.
+//! commits to the typed build error ([`Error::Cell`]) on either entry.
 //!
 //! The fold restores every per-trace float from its exact bit pattern
 //! in item-ID order — regardless of the order items completed in,
 //! before or after any number of kills — so a SIGKILL'd-and-resumed
-//! study writes aggregates byte-identical to an uninterrupted run and
-//! to `run_scenario`, at any worker count (`tests/study_resume.rs` and
-//! `tests/entry_points.rs` pin this).
+//! study writes aggregates byte-identical to an uninterrupted run, to
+//! [`run_in_memory`] and to `run_scenario`, at any worker count
+//! (`tests/study_resume.rs` and `tests/entry_points.rs` pin this).
 //!
 //! Nothing in this module ever stores a wall-clock timestamp: the clock
 //! gates *when* a snapshot is written, never *what* is written.
@@ -45,6 +45,7 @@
 use crate::error::Error;
 use crate::exec::CellCtx;
 use crate::perf::{clock_seconds, PipelinePerf};
+use crate::progress::StudyProgress;
 use crate::plan::{plan_scenario, SimPlan, TRACE_BLOCK};
 use crate::policies_spec::PolicyKind;
 use crate::runner::{RunnerOptions, ScenarioResult};
@@ -60,10 +61,6 @@ pub use crate::plan::{ItemKind, WorkItem};
 /// On-disk format version of manifests and checkpoints. A snapshot from
 /// any other version is rejected on resume.
 pub const STORE_VERSION: u64 = 1;
-
-/// Items per executor chunk of the run loop. Chunks execute strictly in
-/// item-id order; a checkpoint can be cut after any chunk.
-const CHUNK_ITEMS: usize = 8;
 
 /// Knobs of the checkpoint store and run loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -406,38 +403,51 @@ fn dist_identity(scenario: &Scenario, built: &Result<BuiltDist, Error>) -> Strin
     }
 }
 
-/// One cell as the manifest decomposed it: its plan and its
-/// distribution, built once.
-type CellPlan = (SimPlan, Result<BuiltDist, Error>);
+/// One cell as a study decomposes it: its plan, its distribution (built
+/// once) and its work items (none when the distribution cannot be
+/// built).
+struct CellPlan {
+    plan: SimPlan,
+    built: Result<BuiltDist, Error>,
+    items: Vec<WorkItem>,
+}
 
-/// Decompose a study into its manifest and each cell's plan and built
-/// distribution. A cell whose distribution cannot be built keeps its
-/// identity row but gets no work items.
-fn decompose(def: &StudyDef, config: &CheckpointConfig) -> (StudyManifest, Vec<CellPlan>) {
-    let mut cells = Vec::with_capacity(def.cells.len());
+/// Decompose a study into its cells' plans and items, numbered densely
+/// in cell order.
+fn plan_cells(def: &StudyDef) -> Vec<CellPlan> {
+    let mut next_id = 0u64;
     let mut plans = Vec::with_capacity(def.cells.len());
-    let mut items: Vec<WorkItem> = Vec::new();
     for (c, cell) in def.cells.iter().enumerate() {
-        let sim_plan = plan_scenario(&cell.scenario, &cell.kinds, &cell.options);
+        let plan = plan_scenario(&cell.scenario, &cell.kinds, &cell.options);
         let built = cell.scenario.dist.try_build();
-        if built.is_ok() {
-            items.extend(sim_plan.items(c, items.len() as u64));
-        }
-        cells.push(ManifestCell {
+        let items = if built.is_ok() { plan.items(c, next_id) } else { Vec::new() };
+        next_id += items.len() as u64;
+        plans.push(CellPlan { plan, built, items });
+    }
+    plans
+}
+
+/// The manifest of a decomposed study: one identity row per cell (kept
+/// for a cell that cannot be built), every item, and the fingerprint.
+fn manifest_of(def: &StudyDef, config: &CheckpointConfig, plans: &[CellPlan]) -> StudyManifest {
+    let cells = def
+        .cells
+        .iter()
+        .zip(plans)
+        .map(|(cell, p)| ManifestCell {
             label: cell.scenario.label.clone(),
             stem: cell.stem.clone(),
             procs: cell.scenario.procs,
-            traces: sim_plan.traces,
-            dist_id: dist_identity(&cell.scenario, &built),
+            traces: p.plan.traces,
+            dist_id: dist_identity(&cell.scenario, &p.built),
             roster: cell.kinds.iter().map(|k| format!("{k:?}")).collect(),
             options: format!("{:?}", cell.options),
-            grid_len: sim_plan.grid.len(),
-            coarse: sim_plan.coarse.clone(),
-            refine_step: sim_plan.refine_step.unwrap_or(0),
-            lower_bound: sim_plan.lower_bound,
-        });
-        plans.push((sim_plan, built));
-    }
+            grid_len: p.plan.grid.len(),
+            coarse: p.plan.coarse.clone(),
+            refine_step: p.plan.refine_step.unwrap_or(0),
+            lower_bound: p.plan.lower_bound,
+        })
+        .collect();
     let mut manifest = StudyManifest {
         version: STORE_VERSION,
         study: def.id.clone(),
@@ -446,15 +456,15 @@ fn decompose(def: &StudyDef, config: &CheckpointConfig) -> (StudyManifest, Vec<C
         trace_block: TRACE_BLOCK,
         golden_hash: format!("{:016x}", golden_hash(config.golden_dir.as_deref())),
         cells,
-        items,
+        items: plans.iter().flat_map(|p| p.items.iter().copied()).collect(),
     };
     manifest.fingerprint = format!("{:016x}", fnv1a(manifest_json(&manifest).as_bytes()));
-    (manifest, plans)
+    manifest
 }
 
 /// Decompose a study into its manifest (typed items + fingerprint).
 pub fn build_manifest(def: &StudyDef, config: &CheckpointConfig) -> StudyManifest {
-    decompose(def, config).0
+    manifest_of(def, config, &plan_cells(def))
 }
 
 // ---------------------------------------------------------------------
@@ -836,32 +846,6 @@ fn write_status(dir: &Path, status: &str) -> Result<(), Error> {
 // The run loop
 // ---------------------------------------------------------------------
 
-/// Group pending items into execution chunks: consecutive runs of up to
-/// [`CHUNK_ITEMS`] independent items, with every `Refine` item alone in
-/// its chunk (the chunk boundary is the barrier that guarantees its
-/// cell's coarse items are merged before it runs).
-fn chunk_pending(pending: &[WorkItem]) -> Vec<Vec<WorkItem>> {
-    let mut chunks: Vec<Vec<WorkItem>> = Vec::new();
-    let mut current: Vec<WorkItem> = Vec::new();
-    for &item in pending {
-        if matches!(item.kind, ItemKind::Refine) {
-            if !current.is_empty() {
-                chunks.push(std::mem::take(&mut current));
-            }
-            chunks.push(vec![item]);
-            continue;
-        }
-        current.push(item);
-        if current.len() >= CHUNK_ITEMS {
-            chunks.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        chunks.push(current);
-    }
-    chunks
-}
-
 /// Load the newest usable snapshot of `dir`. Corrupt, version-skewed
 /// or shape-damaged files (a payload that does not fit its manifest
 /// item) are skipped and counted as rejected, falling back to the
@@ -913,6 +897,126 @@ fn payloads_fit(
     Ok(())
 }
 
+/// The checkpoint store attached to a study run: between waves it keeps
+/// the progress snapshot, fires the stop hook and writes the periodic
+/// snapshots.
+pub(crate) struct Store<'a> {
+    config: &'a CheckpointConfig,
+    manifest: &'a StudyManifest,
+    dir: PathBuf,
+    next_seq: u64,
+    executed: u64,
+    since_snapshot: u64,
+    last_snapshot: f64,
+    snapshots_written: u64,
+    progress: StudyProgress,
+}
+
+impl Store<'_> {
+    /// A wave enters the executor: its items are in flight.
+    pub(crate) fn begin_wave(&mut self, wave: &[WorkItem]) {
+        self.progress.begin_chunk(wave);
+        self.progress.console_tick(false);
+        let _ = self.progress.write(&self.dir);
+    }
+
+    /// A wave's payloads are in `completed`: stop here when the stop
+    /// hook is due (`Ok(false)`, writing nothing — a kill between
+    /// snapshots), else write a snapshot when one is due.
+    ///
+    /// # Errors
+    /// A snapshot, status or progress write failed.
+    pub(crate) fn end_wave(
+        &mut self,
+        wave: &[WorkItem],
+        completed: &BTreeMap<u64, ItemPayload>,
+    ) -> Result<bool, Error> {
+        self.executed += wave.len() as u64;
+        self.since_snapshot += wave.len() as u64;
+        self.progress.finish_chunk(wave);
+        if self.config.stop_after_items.is_some_and(|stop| self.executed >= stop) {
+            return Ok(false);
+        }
+        let due_items = self.since_snapshot >= self.config.interval_items.max(1);
+        let due_time = clock_seconds() - self.last_snapshot >= self.config.interval_seconds;
+        if due_items || due_time {
+            self.snapshot(completed)?;
+            write_status(&self.dir, &format!("running {}/{}", completed.len(), self.manifest.items.len()))?;
+            // The checkpoint writer committed: refresh the progress
+            // snapshot next to it.
+            self.progress.write(&self.dir)?;
+        }
+        Ok(true)
+    }
+
+    /// Write the full completed state as the next snapshot, keeping the
+    /// newest `max_checkpoints`.
+    fn snapshot(&mut self, completed: &BTreeMap<u64, ItemPayload>) -> Result<(), Error> {
+        write_atomic(
+            &self.dir.join(ckpt_name(self.next_seq)),
+            &checkpoint_json(&self.manifest.study, &self.manifest.fingerprint, self.next_seq, completed),
+        )?;
+        self.next_seq += 1;
+        self.snapshots_written += 1;
+        self.since_snapshot = 0;
+        self.last_snapshot = clock_seconds();
+        prune_checkpoints(&self.dir, self.config.max_checkpoints);
+        Ok(())
+    }
+}
+
+/// Drain every item of `plans` not yet in `completed` through the one
+/// wave loop, with `store` attached when given, then commit every cell
+/// in definition order: its fold, or its build error wrapped as
+/// [`Error::Cell`] with the scenario's label. `Ok(None)` when the stop
+/// hook fired.
+fn drain_and_commit(
+    def: &StudyDef,
+    plans: &[CellPlan],
+    completed: &mut BTreeMap<u64, ItemPayload>,
+    store: Option<&mut Store<'_>>,
+) -> Result<Option<Vec<Result<ScenarioResult, Error>>>, Error> {
+    let pending: Vec<WorkItem> = plans
+        .iter()
+        .flat_map(|p| &p.items)
+        .filter(|i| !completed.contains_key(&i.id))
+        .copied()
+        .collect();
+    let mut cells: Vec<CellCtx> = def
+        .cells
+        .iter()
+        .zip(plans)
+        .map(|(cell, p)| CellCtx::new(&cell.scenario, &p.plan, p.built.as_ref().ok(), &p.items))
+        .collect();
+    // Scheduling counters only: each cell's result carries the perf its
+    // commit folds.
+    if !crate::exec::run_waves(&mut cells, &pending, completed, store, true, &mut PipelinePerf::default())? {
+        return Ok(None);
+    }
+    Ok(Some(
+        def.cells
+            .iter()
+            .zip(plans)
+            .map(|(cell, p)| match &p.built {
+                Ok(_) => crate::reduce::commit(&cell.scenario, &p.plan, &p.items, completed),
+                Err(e) => Err(Error::for_cell(&cell.scenario.label, e.clone())),
+            })
+            .collect(),
+    ))
+}
+
+/// Run a study in memory: the loop and commit of [`run_study`] with no
+/// store attached (no manifest, fingerprint or snapshot), one result
+/// per cell in definition order. A cell that cannot run at all yields
+/// its `Err`, wrapped as [`Error::Cell`] with the scenario's label, and
+/// the rest still run.
+pub fn run_in_memory(def: &StudyDef) -> Vec<Result<ScenarioResult, Error>> {
+    match drain_and_commit(def, &plan_cells(def), &mut BTreeMap::new(), None) {
+        Ok(Some(results)) => results,
+        _ => unreachable!("a run without a store neither fails nor stops"),
+    }
+}
+
 /// Run (or resume) a study through the checkpoint store.
 ///
 /// Fresh runs (`resume == false`) refuse to overwrite an existing study
@@ -925,13 +1029,14 @@ fn payloads_fit(
 /// # Errors
 /// [`Error::Checkpoint`] for store-level failures (I/O, corrupt or
 /// stale snapshots, id collisions). Cell-level failures are values in
-/// the returned report, mirroring [`Study::run_all`](crate::study::Study::run_all).
+/// the returned report, as in [`run_in_memory`].
 pub fn run_study(
     def: &StudyDef,
     config: &CheckpointConfig,
     resume: bool,
 ) -> Result<StudyOutcome, Error> {
-    let (manifest, plans) = decompose(def, config);
+    let plans = plan_cells(def);
+    let manifest = manifest_of(def, config, &plans);
     let dir = study_dir(config, &def.id);
     let mut completed: BTreeMap<u64, ItemPayload> = BTreeMap::new();
     let mut next_seq: u64 = 0;
@@ -943,7 +1048,7 @@ pub fn run_study(
         if let Ok(src) = std::fs::read_to_string(dir.join("manifest.json")) {
             let on_disk = parse_manifest(&src)?;
             if on_disk.fingerprint != manifest.fingerprint {
-                    return Err(bad(format!(
+                return Err(bad(format!(
                     "stale manifest for study `{}`: on-disk fingerprint {} does not \
                      match the rebuilt fingerprint {} — the store describes a \
                      different study; refusing to resume",
@@ -976,119 +1081,44 @@ pub fn run_study(
 
     let items_total = manifest.items.len() as u64;
     let items_resumed = completed.len() as u64;
-
-    let mut cell_items: Vec<Vec<WorkItem>> = vec![Vec::new(); def.cells.len()];
-    for item in &manifest.items {
-        cell_items[item.cell].push(*item);
-    }
-    let mut cells: Vec<CellCtx> = def
-        .cells
-        .iter()
-        .zip(&plans)
-        .zip(&cell_items)
-        .map(|((cell, (plan, built)), items)| {
-            CellCtx::new(&cell.scenario, plan, built.as_ref().ok(), items)
-        })
-        .collect();
-    let pending: Vec<WorkItem> = manifest
-        .items
-        .iter()
-        .filter(|i| !completed.contains_key(&i.id))
-        .copied()
-        .collect();
-
-    let mut executed: u64 = 0;
-    let mut checkpoints_written: u64 = 0;
-    let mut since_ckpt: u64 = 0;
-    let mut last_ckpt = clock_seconds();
-    write_status(&dir, &format!("running {}/{items_total}", completed.len()))?;
-    let mut progress = crate::progress::StudyProgress::new(
-        &def.id,
-        &manifest.items,
-        |id| completed.contains_key(&id),
-        config.progress,
-    );
+    write_status(&dir, &format!("running {items_resumed}/{items_total}"))?;
+    let progress =
+        StudyProgress::new(&def.id, &manifest.items, |id| completed.contains_key(&id), config.progress);
     progress.write(&dir)?;
-
-    // Scheduling counters only: each cell's result carries the perf its
-    // commit folds.
-    let mut drain_perf = PipelinePerf::default();
-    for chunk in chunk_pending(&pending) {
-        progress.begin_chunk(&chunk);
-        progress.console_tick(false);
-        let _ = progress.write(&dir);
-        crate::exec::drain(&mut cells, &chunk, &mut completed, &mut drain_perf);
-        executed += chunk.len() as u64;
-        since_ckpt += chunk.len() as u64;
-        progress.finish_chunk(&chunk);
-
-        if let Some(stop) = config.stop_after_items {
-            if executed >= stop {
-                // Emulated kill between snapshots: leave the store
-                // exactly as the last checkpoint wrote it.
-                return Ok(StudyOutcome::Stopped {
-                    completed: completed.len() as u64,
-                    total: items_total,
-                });
-            }
-        }
-        let due_items = since_ckpt >= config.interval_items.max(1);
-        let due_time = clock_seconds() - last_ckpt >= config.interval_seconds;
-        if due_items || due_time {
-            write_atomic(
-                &dir.join(ckpt_name(next_seq)),
-                &checkpoint_json(&def.id, &manifest.fingerprint, next_seq, &completed),
-            )?;
-            next_seq += 1;
-            checkpoints_written += 1;
-            since_ckpt = 0;
-            last_ckpt = clock_seconds();
-            prune_checkpoints(&dir, config.max_checkpoints);
-            write_status(&dir, &format!("running {}/{items_total}", completed.len()))?;
-            // The checkpoint writer committed: refresh the progress
-            // snapshot next to it.
-            progress.write(&dir)?;
-        }
-    }
+    let last_snapshot = clock_seconds();
+    let mut store = Store { config, manifest: &manifest, dir, next_seq, executed: 0, since_snapshot: 0, last_snapshot, snapshots_written: 0, progress };
+    let Some(results) = drain_and_commit(def, &plans, &mut completed, Some(&mut store))? else {
+        // Emulated kill between snapshots: the store stays exactly as
+        // the last snapshot wrote it.
+        return Ok(StudyOutcome::Stopped { completed: completed.len() as u64, total: items_total });
+    };
 
     // Completion: final snapshot first (a crash between here and the
     // aggregates resumes into an all-complete study and just re-commits),
-    // then the deterministic commit of every cell in definition order.
-    {
-        write_atomic(
-            &dir.join(ckpt_name(next_seq)),
-            &checkpoint_json(&def.id, &manifest.fingerprint, next_seq, &completed),
-        )?;
-        checkpoints_written += 1;
-        prune_checkpoints(&dir, config.max_checkpoints);
-        progress.write(&dir)?;
-        progress.console_tick(true);
-    }
+    // then every committed cell's aggregate, in definition order.
+    store.snapshot(&completed)?;
+    store.progress.write(&store.dir)?;
+    store.progress.console_tick(true);
 
-    let agg_dir = dir.join("aggregate");
+    let agg_dir = store.dir.join("aggregate");
     std::fs::create_dir_all(&agg_dir)
         .map_err(|e| bad(format!("create {}: {e}", agg_dir.display())))?;
-    let mut results = Vec::with_capacity(def.cells.len());
-    for ((cell, (plan, built)), items) in def.cells.iter().zip(&plans).zip(&cell_items) {
-        let result = match built {
-            Ok(_) => crate::reduce::commit(&cell.scenario, plan, items, &completed),
-            Err(e) => Err(Error::for_cell(&cell.scenario.label, e.clone())),
-        };
-        if let Ok(r) = &result {
+    for (cell, result) in def.cells.iter().zip(&results) {
+        if let Ok(r) = result {
             write_atomic(&agg_dir.join(format!("{}.json", cell.stem)), &crate::golden::golden_json(r))?;
         }
-        results.push((cell.stem.clone(), result));
     }
+    let results = def.cells.iter().map(|c| c.stem.clone()).zip(results).collect();
 
-    write_status(&dir, &format!("done {items_total}/{items_total}"))?;
+    write_status(&store.dir, &format!("done {items_total}/{items_total}"))?;
 
     Ok(StudyOutcome::Complete(StudyReport {
         id: def.id.clone(),
         results,
         items_total,
         items_resumed,
-        items_executed: executed,
-        checkpoints_written,
+        items_executed: store.executed,
+        checkpoints_written: store.snapshots_written,
     }))
 }
 
@@ -1348,33 +1378,6 @@ mod tests {
         let bad_src = checkpoint_json("s", "00ff", 8, &completed);
         let err = parse_checkpoint(&bad_src).expect_err("NaN must be rejected");
         assert!(err.to_string().contains("non-finite"), "{err}");
-    }
-
-    #[test]
-    fn chunks_isolate_refine_items() {
-        let mk = |id, kind| WorkItem { id, cell: 0, kind, trace_lo: 0, trace_hi: 1 };
-        let items: Vec<WorkItem> = (0..20)
-            .map(|i| {
-                if i == 9 || i == 19 {
-                    mk(i, ItemKind::Refine)
-                } else {
-                    mk(i, ItemKind::Coarse { candidate: i as usize })
-                }
-            })
-            .collect();
-        let chunks = chunk_pending(&items);
-        let mut seen = 0u64;
-        for chunk in &chunks {
-            assert!(chunk.len() <= CHUNK_ITEMS);
-            if chunk.iter().any(|i| matches!(i.kind, ItemKind::Refine)) {
-                assert_eq!(chunk.len(), 1, "refine items run alone");
-            }
-            for item in chunk {
-                assert_eq!(item.id, seen, "chunks preserve id order");
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, 20);
     }
 
     #[test]

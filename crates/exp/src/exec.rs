@@ -1,5 +1,6 @@
-//! Execution layer: the one engine. Both entry points run their
-//! [`WorkItem`]s through one cell context, one item body and one drain.
+//! Execution layer: the one engine. Every run drains its
+//! [`WorkItem`]s through one cell context, one item body and one wave
+//! loop.
 //!
 //! * [`CellCtx`] holds what a cell's items need — plan, built
 //!   distribution, [`JobSpec`], the `OptExp` base of the `PeriodLB`
@@ -8,14 +9,15 @@
 //!   before its first pending item runs.
 //! * [`CellCtx::run_item`] runs one item and returns its
 //!   [`ItemPayload`]; it is the only code in the crate that simulates.
-//! * [`drain`] runs one wave of items through [`steal::run_wave`] (DP
-//!   policy items claimed first) and records the payloads under their
-//!   item ids, so the output is bit-identical at any worker count.
+//! * [`run_waves`] cuts the pending items into waves ([`waves`]) and
+//!   drains each through [`steal::run_wave`] (DP policy items claimed
+//!   first), recording the payloads under their item ids, so the output
+//!   is bit-identical at any worker count. A study's traces and DP memos
+//!   are freed after their last pending reader.
 //!
-//! [`execute`] drains one cell's items in memory, with no store
-//! attached, and folds them ([`crate::reduce::fold`]);
-//! [`crate::checkpoint::run_study`] drains a whole manifest through the
-//! same [`drain`] with the store attached. A policy that cannot be
+//! Both study entries ([`crate::checkpoint`]) drain their manifest
+//! through [`run_waves`]; [`execute`] is the same loop over one cell,
+//! then the fold ([`crate::reduce::fold`]). A policy that cannot be
 //! built for the cell (Liu's footnote-2 cases) is a value — an unbuilt
 //! payload, then an [`Error`] in [`ExecOutput::policy_build`] — never a
 //! panic; a cell whose distribution cannot be built has no items.
@@ -25,15 +27,15 @@
 // channel (the banned types are listed in clippy.toml).
 #![deny(clippy::disallowed_types)]
 
-use crate::cache::{CachedTrace, TraceCache};
-use crate::checkpoint::{ItemPayload, RefineColumn, TraceStatsBits};
+use crate::cache::{CachedTrace, StreamKey, TraceCache};
+use crate::checkpoint::{ItemPayload, RefineColumn, Store, TraceStatsBits};
 use crate::error::Error;
 use crate::perf::{clock_seconds, PipelinePerf};
 use crate::plan::{ItemKind, SimPlan, WorkItem};
 use crate::policies_spec::PolicyKind;
 use crate::scenario::{BuiltDist, Scenario};
 use crate::steal;
-use ckpt_policies::{OptExp, Policy};
+use ckpt_policies::{DistId, DpCaches, OptExp, Policy};
 use ckpt_sim::lower_bound_on_events;
 use ckpt_workload::JobSpec;
 use std::collections::BTreeMap;
@@ -249,23 +251,36 @@ fn simulate_on(
     )
 }
 
+/// Items per wave of a run with a checkpoint store attached: a
+/// snapshot, a kill or a progress line can land between any two waves.
+pub(crate) const CHUNK_ITEMS: usize = 8;
+
+/// Cut `pending` (in id order) into waves, one rule for every run: a
+/// wave ends at each cell boundary, each refine item is a wave of its
+/// own (so its cell's coarse payloads are in before it runs), and with
+/// a store attached a wave also ends every [`CHUNK_ITEMS`] items.
+pub(crate) fn waves(pending: &[WorkItem], store: bool) -> impl Iterator<Item = &[WorkItem]> {
+    let chunk = if store { CHUNK_ITEMS } else { usize::MAX };
+    let refine = |i: &WorkItem| i.kind == ItemKind::Refine;
+    pending
+        .chunk_by(move |a, b| a.cell == b.cell && !refine(a) && !refine(b))
+        .flat_map(move |run| run.chunks(chunk))
+}
+
 /// Drain one wave of items: prepare every cell the wave touches, run the
 /// items through the shared-cursor executor (DP policy items claimed
-/// first), and record each payload under its item id. The items of one
-/// wave must be independent: a refine item needs its cell's coarse items
-/// drained in an earlier wave.
-pub(crate) fn drain(
+/// first), and record each payload under its item id. Pushes the wave's
+/// stage (`period_search` for a refine item, else `policy_sims`).
+fn drain(
     cells: &mut [CellCtx<'_>],
     wave: &[WorkItem],
     completed: &mut BTreeMap<u64, ItemPayload>,
     perf: &mut PipelinePerf,
 ) {
-    if wave.is_empty() {
-        return;
-    }
     for item in wave {
         cells[item.cell].prepare(perf);
     }
+    let t_stage = clock_seconds();
     let (cells, done) = (&*cells, &*completed);
     let (payloads, _) = steal::run_wave(
         wave,
@@ -274,14 +289,77 @@ pub(crate) fn drain(
         |_, item| cells[item.cell].run_item(item, done),
     );
     completed.extend(wave.iter().map(|i| i.id).zip(payloads));
+    let refine = wave.iter().any(|i| i.kind == ItemKind::Refine);
+    perf.push_stage(if refine { "period_search" } else { "policy_sims" }, t_stage, wave.len() as u64);
 }
 
-/// Execute one cell in memory: its plan's items, drained with no store
-/// attached, then folded. The roster, lower-bound and coarse items form
-/// one wave (the `policy_sims` stage); the refine item, which depends on
-/// the coarse columns, is the second (the `period_search` stage).
-/// Pushes the `trace_gen`, `policy_sims` and `period_search` stages
-/// onto `perf`, plus the fold's work counters.
+/// The crate's one wave loop: drain `pending` (the items of `cells` not
+/// yet in `completed`, in id order) wave by wave, with `store` writing
+/// between waves when attached. A cell drops its traces and roster once
+/// it has no pending item; with `release`, so do the shared caches
+/// ([`release_unread`]). `Ok(false)`: the stop hook fired.
+///
+/// # Errors
+/// The store's write failures; a run without a store never fails.
+pub(crate) fn run_waves(
+    cells: &mut [CellCtx<'_>],
+    pending: &[WorkItem],
+    completed: &mut BTreeMap<u64, ItemPayload>,
+    mut store: Option<&mut Store<'_>>,
+    release: bool,
+    perf: &mut PipelinePerf,
+) -> Result<bool, Error> {
+    let mut left = vec![0usize; cells.len()];
+    for item in pending {
+        left[item.cell] += 1;
+    }
+    let dists: Vec<Option<DistId>> =
+        cells.iter().map(|c| c.built.map(|b| DistId::of(b.dist.as_ref()))).collect();
+    for wave in waves(pending, store.is_some()) {
+        if let Some(store) = store.as_deref_mut() {
+            store.begin_wave(wave);
+        }
+        drain(cells, wave, completed, perf);
+        for item in wave {
+            left[item.cell] -= 1;
+            if left[item.cell] == 0 {
+                cells[item.cell].ready = None;
+                if release {
+                    release_unread(cells, &left, &dists, item.cell);
+                }
+            }
+        }
+        if let Some(store) = store.as_deref_mut() {
+            if !store.end_wave(wave, completed)? {
+                return Ok(false);
+            }
+        }
+    }
+    Ok(true)
+}
+
+/// Cell `done` has no pending item: drop its trace stream from the
+/// [`TraceCache`], and its distribution's plans and kernel rows from the
+/// [`DpCaches`], unless a cell with a pending item reads them. Pending
+/// readers are counted, not cell positions, so a resume whose other
+/// readers committed before the kill releases too.
+fn release_unread(cells: &[CellCtx<'_>], left: &[usize], dists: &[Option<DistId>], done: usize) {
+    let pending = || (0..cells.len()).filter(|&c| left[c] > 0);
+    let stream = StreamKey::of(cells[done].scenario);
+    if !pending().any(|c| StreamKey::of(cells[c].scenario) == stream) {
+        TraceCache::global().release(&stream);
+    }
+    if let Some(dist) = dists[done].filter(|&d| !pending().any(|c| dists[c] == Some(d))) {
+        DpCaches::global().release(dist);
+    }
+}
+
+/// Execute one cell in memory: [`run_waves`] over its plan's items with
+/// no store attached, then the fold. The roster, lower-bound and coarse
+/// items form one wave (the `policy_sims` stage); the refine item, which
+/// depends on the coarse columns, is the second (the `period_search`
+/// stage). Pushes those stages and `trace_gen` onto `perf`, plus the
+/// fold's work counters. The cell's traces stay cached for a later call.
 pub fn execute(
     scenario: &Scenario,
     built: &BuiltDist,
@@ -289,20 +367,15 @@ pub fn execute(
     perf: &mut PipelinePerf,
 ) -> ExecOutput {
     let items = sim_plan.items(0, 0);
-    let mut cell = CellCtx::new(scenario, sim_plan, Some(built), &items);
-    cell.prepare(perf);
-    // The shared plan/kernel-row caches are snapshotted around the drain
+    let mut cells = [CellCtx::new(scenario, sim_plan, Some(built), &items)];
+    // The shared plan/kernel-row caches are snapshotted around the loop
     // so the perf report attributes exactly this run's hits/misses.
-    let caches_before = ckpt_policies::DpCaches::global().stats();
-    let split = items.iter().position(|i| i.kind == ItemKind::Refine).unwrap_or(items.len());
+    let caches_before = DpCaches::global().stats();
     let mut completed = BTreeMap::new();
-    for (stage, wave) in [("policy_sims", &items[..split]), ("period_search", &items[split..])] {
-        let t_stage = clock_seconds();
-        drain(std::slice::from_mut(&mut cell), wave, &mut completed, perf);
-        perf.push_stage(stage, t_stage, wave.len() as u64);
+    if let Err(e) = run_waves(&mut cells, &items, &mut completed, None, false, perf) {
+        unreachable!("a run without a store has nothing to fail: {e}");
     }
-    perf.plan_cache =
-        ckpt_policies::DpCaches::global().stats().delta_since(&caches_before).into();
+    perf.plan_cache = DpCaches::global().stats().delta_since(&caches_before).into();
     match crate::reduce::fold(sim_plan, &items, &completed, perf) {
         Ok(out) => out,
         Err(e) => unreachable!("every item ran in this process, so its payload fits: {e}"),
@@ -317,6 +390,7 @@ mod tests {
     use crate::policies_spec::PolicyKind;
     use crate::runner::{PeriodSearch, RunnerOptions};
     use crate::scenario::DistSpec;
+    use crate::steal::tests::at_workers;
     use ckpt_sim::SimOptions;
 
     fn tiny() -> Scenario {
@@ -384,10 +458,8 @@ mod tests {
         let opts = RunnerOptions { period_lb: None, lower_bound: false, ..Default::default() };
         let sim_plan = plan_scenario(&sc, &[PolicyKind::Liu, PolicyKind::Young], &opts);
         let built = sc.dist.build();
-        crate::steal::set_workers(8);
         let mut perf = PipelinePerf::default();
-        let out = execute(&sc, &built, &sim_plan, &mut perf);
-        crate::steal::set_workers(0);
+        let out = at_workers(8, || execute(&sc, &built, &sim_plan, &mut perf));
         assert!(out.policy_build[0].is_err());
         assert!(out.cells[0].iter().all(Option::is_none));
         assert!(out.policy_build[1].is_ok());
@@ -413,11 +485,11 @@ mod tests {
         let built = sc.dist.build();
 
         let run_at = |workers: usize| {
-            crate::steal::set_workers(workers);
-            let mut perf = PipelinePerf::default();
-            let out = execute(&sc, &built, &sim_plan, &mut perf);
-            crate::steal::set_workers(0);
-            (out, perf)
+            at_workers(workers, || {
+                let mut perf = PipelinePerf::default();
+                let out = execute(&sc, &built, &sim_plan, &mut perf);
+                (out, perf)
+            })
         };
         let (seq, perf_seq) = run_at(1);
         let (par, perf_par) = run_at(8);
@@ -449,5 +521,28 @@ mod tests {
         assert_eq!(perf_seq.candidate_sims, perf_par.candidate_sims);
         assert_eq!(perf_seq.decisions, perf_par.decisions);
         assert_eq!(perf_seq.failures, perf_par.failures);
+    }
+
+    #[test]
+    fn waves_end_at_cells_and_refine_items_and_at_chunks_only_with_a_store() {
+        let mk = |id: u64, cell, kind| WorkItem { id, cell, kind, trace_lo: 0, trace_hi: 1 };
+        // Cell 0: nine coarse items then its refine item; cell 1: three
+        // coarse items then its refine item.
+        let items: Vec<WorkItem> = (0..14u64)
+            .map(|i| match i {
+                9 | 13 => mk(i, usize::from(i == 13), ItemKind::Refine),
+                _ => mk(i, usize::from(i > 9), ItemKind::Coarse { candidate: i as usize }),
+            })
+            .collect();
+        let ids = |store| -> Vec<Vec<u64>> {
+            waves(&items, store).map(|w| w.iter().map(|i| i.id).collect()).collect()
+        };
+        assert_eq!(ids(false), [(0..9).collect(), vec![9], vec![10, 11, 12], vec![13]]);
+        assert_eq!(ids(true), [(0..8).collect(), vec![8], vec![9], vec![10, 11, 12], vec![13]]);
+        // A resume's pending items skip ids; a wave still stays in one cell.
+        let pending = [items[3], items[11], items[13]];
+        let cut: Vec<usize> = waves(&pending, true).map(<[WorkItem]>::len).collect();
+        assert_eq!(cut, [1, 1, 1]);
+        assert_eq!(waves(&[], false).count(), 0);
     }
 }

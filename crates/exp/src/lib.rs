@@ -1,11 +1,12 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
-//! The scenario pipeline is one engine with two entry points —
+//! The scenario pipeline is one engine with one study loop —
 //! `Scenario → SimPlan → WorkItems → payloads → ExecOutput →
-//! ScenarioResult`. An in-memory run ([`run_scenario`]) and a
-//! checkpointed study ([`run_study`]) drain the same work items through
-//! the same item body and fold them the same way; the study only
-//! attaches a store:
+//! ScenarioResult`. A study drains every cell's work items through the
+//! one wave loop and folds them the same way whether it runs in memory
+//! ([`run_in_memory`]) or with the checkpoint store attached
+//! ([`run_study`]); a single cell ([`run_scenario`]) is the same loop
+//! over one cell:
 //!
 //! * [`scenario`] — a fully-specified experimental cell (failure model,
 //!   platform size, job/overhead models, trace count) and its trace
@@ -15,7 +16,8 @@
 //!   seed-stable [`WorkItem`](plan::WorkItem)s, the only unit of work;
 //! * [`exec`] — the one engine: a per-cell context (plan, distribution,
 //!   roster, traces from the shared [`cache`]), the item body that is
-//!   the crate's only simulating code, and the wave drain, with
+//!   the crate's only simulating code, and the one wave loop, which
+//!   frees each cell's traces after their last reader, with
 //!   policy-build failures as values;
 //! * [`steal`] — the wave executor itself: workers claim tasks (heavy
 //!   ones first) from one shared cursor, and results are committed in
@@ -29,8 +31,9 @@
 //! * [`policies_spec`] — declarative policy lists instantiated per
 //!   scenario (so e.g. `OptExp` picks up each cell's `p` and `C(p)`);
 //! * [`study`] — the batch API: one roster + options, many scenarios,
-//!   per-cell `Result`s, over the crate's one in-memory cell loop;
-//! * [`checkpoint`] — the store a study run attaches: persisted
+//!   per-cell `Result`s, through [`run_in_memory`];
+//! * [`checkpoint`] — the two study entries, [`run_in_memory`] and
+//!   [`run_study`], and the store the latter attaches: persisted
 //!   work-item manifests with content fingerprints, kill-safe
 //!   checkpoint/resume under `results/study/<id>/`, and aggregates
 //!   byte-identical to an in-memory run via the same [`reduce`] fold;
@@ -41,7 +44,8 @@
 //!   over the dist/platform/trace errors);
 //! * [`catalog`] — the registry of named studies: every table and
 //!   figure of the paper (`table2`, `fig4`, …, and `paper`, their
-//!   union) as cells plus a renderer, run in memory or through the store;
+//!   union) as cells plus a renderer, one study definition for either
+//!   entry;
 //! * [`output`] and [`plot`] — the markdown, CSV and gnuplot writers the
 //!   renderers use;
 //! * [`golden`] — canonical serialisation and the cells pinned by the
@@ -80,7 +84,7 @@ pub mod study;
 
 pub use cache::TraceCache;
 pub use checkpoint::{
-    run_study, CheckpointConfig, StudyDef, StudyOutcome, StudyReport,
+    run_in_memory, run_study, CheckpointConfig, StudyDef, StudyOutcome, StudyReport,
 };
 pub use error::Error;
 pub use perf::PipelinePerf;

@@ -117,6 +117,7 @@ impl PipelinePerf {
 pub use crate::jsonio::format_f64;
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "stage seconds here are sums of exact binary fractions")]
 mod tests {
     use super::*;
 

@@ -6,7 +6,7 @@
 //! whether the omniscient lower bound is evaluated, and how the
 //! `PeriodLB` candidate grid is explored. [`SimPlan::items`] cuts it
 //! into policy × trace-block items, lower-bound and coarse-candidate
-//! blocks, and one refine item; both entry points drain them
+//! blocks, and one refine item; the one wave loop drains them
 //! ([`crate::exec`]). Nothing in this module generates traces, builds
 //! policies, or simulates. Because every item is identified by stable
 //! indices and trace seeds derive from the scenario label and trace

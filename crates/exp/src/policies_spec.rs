@@ -89,6 +89,7 @@ impl PolicyKind {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::scenario::DistSpec;

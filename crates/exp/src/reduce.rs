@@ -7,8 +7,8 @@
 //! counters on [`PipelinePerf`]. [`CellFold::search_winner`] picks the search
 //! winner — column means summed in trace order, then [`plan::winner`] —
 //! for the refine item's incumbent and for the final result alike.
-//! [`crate::exec::execute`] is items → drain → fold; [`commit`] (the
-//! study runner's per-cell step) is fold → [`reduce`].
+//! [`crate::exec::execute`] is items → wave loop → fold; [`commit`] (a
+//! study's per-cell step, with or without a store) is fold → [`reduce`].
 //!
 //! Implements the paper's §4.1 *average makespan degradation*: for each
 //! trace `i`, `v(i,j) = res(i,j) / min_{j'} res(i,j')` where the minimum

@@ -5,9 +5,9 @@
 //!
 //! 1. [`crate::plan::plan_scenario`] — pure `Scenario → SimPlan`
 //!    (which sims run, on which traces);
-//! 2. [`crate::exec::execute`] — the plan's work items drained against
-//!    cached traces with no store attached, then folded, with
-//!    policy-build failures as values;
+//! 2. [`crate::exec::execute`] — the plan's work items drained through
+//!    the crate's one wave loop against cached traces, with no store
+//!    attached, then folded, with policy-build failures as values;
 //! 3. [`crate::reduce::reduce`] — fold into the §4.1 degradation rows.
 //!
 //! This module keeps the user-facing types: [`RunnerOptions`],
@@ -360,10 +360,7 @@ mod tests {
         let sc = tiny_scenario();
         let kinds = [PolicyKind::Young, PolicyKind::OptExp];
         let run_with = |threads: usize| {
-            crate::steal::set_workers(threads);
-            let out = run_scenario(&sc, &kinds, &fast_options());
-            crate::steal::set_workers(0);
-            out
+            crate::steal::tests::at_workers(threads, || run_scenario(&sc, &kinds, &fast_options()))
         };
         let one = run_with(1);
         let many = run_with(4);
@@ -412,7 +409,8 @@ mod tests {
         let r = run_scenario(&sc, &[PolicyKind::Young], &fast_options());
         assert!(r.perf.total_seconds > 0.0);
         let names: Vec<&str> = r.perf.stages.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["trace_gen", "policy_sims", "period_search", "aggregate"]);
+        // An exhaustive search has no refine item, so no `period_search` wave.
+        assert_eq!(names, ["trace_gen", "policy_sims", "aggregate"]);
         assert_eq!(r.perf.policy_sims, sc.traces as u64);
         assert_eq!(r.perf.candidate_sims, (3 * sc.traces) as u64);
         assert_eq!(r.perf.candidate_grid_size, 3);

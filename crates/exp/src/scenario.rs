@@ -266,6 +266,7 @@ impl Scenario {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "configured constants pass through unchanged")]
 mod tests {
     use super::*;
 

@@ -1,8 +1,8 @@
 //! Shared-cursor wave executor with a deterministic commit.
 //!
-//! This is the execution substrate under [`crate::exec`]'s item drain,
-//! which both the in-memory run and the checkpointed study runner
-//! ([`crate::checkpoint`]) go through. Its whole job is
+//! This is the execution substrate under [`crate::exec`]'s wave loop,
+//! which every run goes through, with or without the checkpoint store
+//! ([`crate::checkpoint`]). Its whole job is
 //! to hand out independent tasks and commit their results in task
 //! order:
 //!
@@ -180,9 +180,25 @@ where
 #[cfg(test)]
 // The tests observe the drain through their own shared counters.
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::{Mutex, PoisonError};
+
+    /// The worker count is process-wide and the unit tests of this crate
+    /// share one process: every test that pins a count holds this lock.
+    static WORKER_TESTS: Mutex<()> = Mutex::new(());
+
+    /// Run `f` with the executor pinned to `n` workers, then reset the
+    /// knob.
+    pub(crate) fn at_workers<R>(n: usize, f: impl FnOnce() -> R) -> R {
+        let _serial = WORKER_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
+        set_workers(n);
+        assert_eq!(workers(), n, "the pinned worker count holds");
+        let out = f();
+        set_workers(0);
+        out
+    }
 
     #[test]
     fn one_worker_runs_the_claim_order_on_the_calling_thread() {
@@ -294,10 +310,10 @@ mod tests {
 
     #[test]
     fn set_workers_overrides_and_resets() {
-        // Not asserting the ambient default (other tests may set it):
-        // only that an explicit value round-trips and 0 resets.
-        set_workers(5);
-        assert_eq!(workers(), 5);
+        // An explicit value round-trips and 0 resets to the machine's
+        // parallelism.
+        at_workers(5, || assert_eq!(workers(), 5));
+        let _serial = WORKER_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
         set_workers(0);
         assert!(workers() >= 1);
     }

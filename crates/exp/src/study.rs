@@ -9,17 +9,16 @@
 //! [`ScenarioResult`] as error rows, exactly as in
 //! [`run_scenario`](crate::runner::run_scenario).
 //!
-//! **Where the parallelism lives.** A study runs its cells
-//! *sequentially*, in input order; within each cell the runner's waves
-//! (trace generation, policy simulations, candidate sims) fan out over
-//! the shared-cursor executor ([`crate::steal`]). That split is
-//! deliberate: cross-cell parallelism would interleave the shared DP
-//! plan / trace cache traffic of different cells, making the per-cell
-//! delta counters that `perf.plan_cache` reports unattributable — while
-//! buying nothing, since each cell's waves already saturate the worker
-//! pool. Results are worker-count-invariant either way (the executor
-//! commits in task-ID order), so only the scheduling counters, never
-//! the aggregates, depend on `--threads`.
+//! **Where the parallelism lives.** [`Study::run_all`] is
+//! [`run_in_memory`]: every cell's work items, in cell order, through
+//! the crate's one wave loop ([`crate::exec::run_waves`]). A wave ends
+//! at each cell boundary and at each refine item, and fans its items out
+//! over the shared-cursor executor ([`crate::steal`]); a cell's waves
+//! already saturate the worker pool, so waves never span cells. Results
+//! are worker-count-invariant (the executor commits in task-ID order),
+//! so only the scheduling counters, never the aggregates, depend on
+//! `--threads`. A cell's traces and roster are dropped when its last
+//! item ran, and a trace stream when its last reading cell did.
 //!
 //! ```no_run
 //! use ckpt_exp::{DistSpec, Scenario, Study};
@@ -39,7 +38,7 @@
 //! }
 //! ```
 
-use crate::checkpoint::{StudyCell, StudyDef};
+use crate::checkpoint::{run_in_memory, StudyDef};
 use crate::error::Error;
 use crate::policies_spec::PolicyKind;
 use crate::runner::{run_scenario_checked, RunnerOptions, ScenarioResult};
@@ -98,17 +97,18 @@ impl Study {
         run_scenario_checked(scenario, &self.roster_for(scenario), &self.options)
     }
 
-    /// Run every scenario through [`run_cells`], one result per cell in
-    /// input order. Failures are per-cell values: a malformed cell
+    /// Run every scenario through [`run_in_memory`], one result per cell
+    /// in input order. Failures are per-cell values: a malformed cell
     /// yields its `Err` — wrapped as [`Error::Cell`] with the scenario's
     /// label, so a failure in a 100-cell sweep is attributable from the
     /// error value alone — without aborting the rest of the batch.
     pub fn run_all(&self, scenarios: &[Scenario]) -> Vec<Result<ScenarioResult, Error>> {
-        run_cells(&self.to_def("", scenarios).cells)
+        run_in_memory(&self.to_def("", scenarios))
     }
 
-    /// Lower this study over `scenarios` into a durable [`StudyDef`] for
-    /// the checkpointed runner ([`crate::checkpoint::run_study`]): same
+    /// Lower this study over `scenarios` into a [`StudyDef`] for either
+    /// study entry ([`run_in_memory`], or
+    /// [`run_study`](crate::checkpoint::run_study) with a store): same
     /// per-scenario roster, same options, one cell per scenario in input
     /// order.
     pub fn to_def(&self, id: impl Into<String>, scenarios: &[Scenario]) -> StudyDef {
@@ -119,21 +119,6 @@ impl Study {
                 .map(|sc| (sc.clone(), self.roster_for(sc), self.options.clone())),
         )
     }
-}
-
-/// The in-memory cell loop: every cell in order, through the same plan,
-/// drain and fold as [`run_study`](crate::checkpoint::run_study) but
-/// with no store attached. A cell that cannot run at all yields its
-/// `Err`, wrapped as [`Error::Cell`] with the scenario's label, and the
-/// rest still run.
-pub fn run_cells(cells: &[StudyCell]) -> Vec<Result<ScenarioResult, Error>> {
-    cells
-        .iter()
-        .map(|c| {
-            run_scenario_checked(&c.scenario, &c.kinds, &c.options)
-                .map_err(|e| Error::for_cell(&c.scenario.label, e))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -201,12 +186,7 @@ mod tests {
             .with_kinds([PolicyKind::Young, PolicyKind::OptExp])
             .with_options(fast_options());
         let cells = [tiny(6.0 * 3_600.0), tiny(12.0 * 3_600.0)];
-        let run_at = |workers: usize| {
-            crate::steal::set_workers(workers);
-            let out = study.run_all(&cells);
-            crate::steal::set_workers(0);
-            out
-        };
+        let run_at = |workers: usize| crate::steal::tests::at_workers(workers, || study.run_all(&cells));
         let seq = run_at(1);
         let par = run_at(8);
         for (a, b) in seq.iter().zip(&par) {

@@ -1,8 +1,9 @@
-//! One engine, two entry points: a cell run in memory through
-//! `run_scenario` and the same cell run through `run_study` with a
-//! checkpoint store must serialise to byte-identical golden JSON — and
-//! the store's aggregate file must hold those same bytes — at 1 and 2
-//! executor workers.
+//! One engine, one study loop, three entry points: a cell run alone
+//! through `run_scenario`, the same cells run as a study through
+//! `run_in_memory`, and through `run_study` with a checkpoint store,
+//! must serialise to byte-identical golden JSON — and the store's
+//! aggregate file must hold those same bytes — at 1 and 2 executor
+//! workers.
 //!
 //! The cells cover the paths a divergence would hide in: the
 //! age-dependent DPMakespan golden cell, and a coarse-to-fine
@@ -13,7 +14,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ckpt_exp::checkpoint::{
-    build_manifest, run_study, CheckpointConfig, ItemKind, StudyDef, StudyOutcome,
+    build_manifest, run_in_memory, run_study, CheckpointConfig, ItemKind, StudyDef, StudyOutcome,
 };
 use ckpt_exp::golden::{golden_cells, golden_json};
 use ckpt_exp::runner::run_scenario;
@@ -57,18 +58,25 @@ fn check_entry_points_agree(workers: usize) {
         build_manifest(&def, &config).items.iter().any(|i| i.kind == ItemKind::Refine),
         "the coarse-to-fine cell has a refine item"
     );
+    let store_less = run_in_memory(&def);
     let report = match run_study(&def, &config, false).expect("study runs") {
         StudyOutcome::Complete(report) => report,
         StudyOutcome::Stopped { .. } => panic!("no stop hook configured"),
     };
     set_workers(0);
 
-    for (((stem, result), cell), expected) in report.results.iter().zip(&def.cells).zip(&in_memory)
+    for ((((stem, result), store_less), cell), expected) in
+        report.results.iter().zip(&store_less).zip(&def.cells).zip(&in_memory)
     {
         let via_study = golden_json(result.as_ref().expect("cell commits"));
         assert_eq!(
             &via_study, expected,
             "run_study diverged from run_scenario on {stem} at {workers} workers"
+        );
+        let via_memory = golden_json(store_less.as_ref().expect("cell commits"));
+        assert_eq!(
+            &via_memory, expected,
+            "run_in_memory diverged from run_scenario on {stem} at {workers} workers"
         );
         let on_disk = std::fs::read_to_string(
             root.join("entry/aggregate").join(format!("{}.json", cell.stem)),

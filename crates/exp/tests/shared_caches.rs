@@ -7,6 +7,10 @@
 //! states are one-age too; a parallel Weibull cell's multi-age solves
 //! do, and read them back.
 //!
+//! A study is different: it cannot be repeated mid-run, so once no
+//! cell of it that reads a trace stream has a pending item, the stream
+//! is released.
+//!
 //! Both caches (`DpCaches::global`, `TraceCache::global`) are
 //! process-global, so a run's delta also counts any concurrent run's
 //! traffic: every test in this binary takes the one lock below.
@@ -15,7 +19,8 @@
 
 use ckpt_exp::golden::golden_json;
 use ckpt_exp::runner::{run_scenario, PeriodSearch, RunnerOptions};
-use ckpt_exp::{DistSpec, PolicyKind, Scenario, TraceCache};
+use ckpt_exp::{run_in_memory, DistSpec, PolicyKind, Scenario, StudyDef, TraceCache};
+use ckpt_policies::DpCaches;
 use ckpt_sim::SimOptions;
 use ckpt_workload::YEAR;
 use std::sync::Mutex;
@@ -57,13 +62,14 @@ fn repeat_run_of_a_cell_is_served_by_the_shared_caches() {
     let cold = run_scenario(&sc, &kinds(), &fast_options());
     assert!(cold.perf.plan_cache.plans.misses > 0, "a cold cell must solve its DP plans");
 
-    let traces_before = TraceCache::global().len();
+    let traces_before = TraceCache::global().streams_of("repeat-cell");
     let warm = run_scenario(&sc, &kinds(), &fast_options());
     let plans = warm.perf.plan_cache.plans;
     assert!(plans.hits > 0, "the repeat run looks its plans up");
     assert_eq!(plans.misses, 0, "the repeat run must find every plan in the shared cache");
     assert_eq!(warm.perf.plan_cache.kernel_rows.misses, 0, "no DP solve, so no row build");
-    assert_eq!(TraceCache::global().len(), traces_before, "the repeat run generates no trace");
+    assert_eq!(traces_before, 4, "run_scenario keeps its streams cached");
+    assert_eq!(TraceCache::global().streams_of("repeat-cell"), 4, "the repeat run generates no trace");
     // Caches serve a pure function of their key: same bytes.
     assert_eq!(golden_json(&cold), golden_json(&warm));
 }
@@ -146,4 +152,35 @@ fn only_age_dependent_parallel_cells_use_kernel_rows() {
     let rows = run_scenario(&peta, &dp_only, &options).perf.plan_cache.kernel_rows;
     assert!(rows.misses > 0, "a Weibull multi-age solve builds kernel rows");
     assert!(rows.hits > 0, "later Weibull solves read the rows back");
+}
+
+/// A store-less study releases every trace stream once its last reader
+/// ran: two cells of one label at different platform sizes (which share
+/// one stream, widened) and a cell of another label leave nothing of
+/// either label in the shared cache, while their results are whole. The
+/// DP plans of the third cell's distribution go with it.
+#[test]
+fn store_less_study_releases_each_stream_after_its_last_reader() {
+    let _serial = lock();
+    let options = RunnerOptions { lower_bound: false, period_lb: None, ..fast_options() };
+    let dist = DistSpec::Exponential { mtbf: 97.0 * YEAR };
+    let shared = |procs| {
+        let mut sc = Scenario::petascale(dist.clone(), procs, 2);
+        sc.label = "release-shared-cell".into();
+        (sc, vec![PolicyKind::Young], options.clone())
+    };
+    let other = (dp_cell("release-other-cell", 43_691.0, 2), kinds().to_vec(), options.clone());
+    let def = StudyDef::new("release", [shared(1 << 10), shared(1 << 11), other]);
+
+    let plans_before = DpCaches::global().stats().plans;
+    for result in run_in_memory(&def) {
+        let result = result.expect("every cell runs");
+        assert!(result.outcomes.iter().all(|o| o.avg_degradation.is_some()), "{}", result.label);
+    }
+    for label in ["release-shared-cell", "release-other-cell"] {
+        assert_eq!(TraceCache::global().streams_of(label), 0, "{label} is still cached");
+    }
+    let plans = DpCaches::global().stats().plans;
+    assert!(plans.misses > plans_before.misses, "the third cell solves DP plans");
+    assert_eq!(plans.entries, plans_before.entries, "its plans outlived the study");
 }

@@ -14,7 +14,9 @@
 //! skipped for the previous one, never folded into an aggregate; and the
 //! failed-cell contract: a cell whose distribution cannot be built gets
 //! no items and commits to its typed, labelled build error, while its
-//! neighbours commit as if it were absent.
+//! neighbours commit as if it were absent; and the release contract: a
+//! resume releases a trace stream once its pending readers ran, even
+//! when another reader of it committed before the kill.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -24,7 +26,7 @@ use ckpt_exp::checkpoint::{
 };
 use ckpt_exp::golden::golden_json;
 use ckpt_exp::runner::run_scenario;
-use ckpt_exp::{DistSpec, Error, PeriodSearch, PolicyKind, RunnerOptions, Scenario};
+use ckpt_exp::{DistSpec, Error, PeriodSearch, PolicyKind, RunnerOptions, Scenario, TraceCache};
 use ckpt_sim::SimOptions;
 use ckpt_exp::steal::set_workers;
 use std::path::{Path, PathBuf};
@@ -51,10 +53,10 @@ fn two_cell_def(id: &str) -> StudyDef {
     StudyDef::new(id, [a, b])
 }
 
-fn two_cells() -> (
-    (Scenario, Vec<PolicyKind>, RunnerOptions),
-    (Scenario, Vec<PolicyKind>, RunnerOptions),
-) {
+/// One cell of a study: its scenario, roster and runner options.
+type Cell = (Scenario, Vec<PolicyKind>, RunnerOptions);
+
+fn two_cells() -> (Cell, Cell) {
     let mut a = Scenario::single_processor(DistSpec::Exponential { mtbf: 6.0 * 3_600.0 }, 8);
     a.total_work = 12.0 * 3_600.0;
     let full = RunnerOptions {
@@ -437,5 +439,49 @@ fn completed_store_holds_only_manifest_snapshots_status_progress_and_aggregates(
     }
     let status = std::fs::read_to_string(dir.join("status")).expect("status");
     assert!(status.starts_with("done "), "{status}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Cells A and C read one trace stream, B another. Kill the study
+/// after B, the last reader of its stream, committed and A committed,
+/// with C pending: the killed run has released B's stream but holds the
+/// shared one. The resume counts C as the shared stream's only pending
+/// reader and releases it once C ran.
+#[test]
+fn resume_releases_a_stream_whose_other_reader_committed_before_the_kill() {
+    let root = store_root("release");
+    let options = RunnerOptions { period_lb: None, ..RunnerOptions::default() };
+    let cell = |label: &str, procs: u64, traces: usize| {
+        let dist = DistSpec::Exponential { mtbf: 89.0 * 365.25 * 86_400.0 };
+        let mut sc = Scenario::petascale(dist, procs, traces);
+        sc.label = label.into();
+        (sc, vec![PolicyKind::Young], options.clone())
+    };
+    let (shared, other) = ("resume-release-shared-cell", "resume-release-other-cell");
+    let def = StudyDef::new(
+        "release",
+        [cell(shared, 1 << 10, 2), cell(other, 1 << 10, 2), cell(shared, 1 << 11, 20)],
+    );
+    let manifest = build_manifest(&def, &config(&root));
+    let before_c = manifest.items.iter().filter(|i| i.cell < 2).count() as u64;
+    // A snapshot after every wave, and a stop in C's first wave: A and
+    // B are on disk, C is not.
+    let snap_every_wave = CheckpointConfig { interval_items: 1, ..config(&root) };
+    let stop_cfg = CheckpointConfig { stop_after_items: Some(before_c + 1), ..snap_every_wave.clone() };
+    match run_study(&def, &stop_cfg, false).expect("interrupted run starts") {
+        StudyOutcome::Stopped { completed, total } => assert!(completed < total),
+        StudyOutcome::Complete(_) => panic!("stop hook must fire before completion"),
+    }
+    assert_eq!(TraceCache::global().streams_of(other), 0, "B's stream outlived its reader");
+    assert!(TraceCache::global().streams_of(shared) > 0, "C is pending on the shared stream");
+
+    match run_study(&def, &snap_every_wave, true).expect("resume runs") {
+        StudyOutcome::Complete(report) => {
+            assert_eq!(report.items_resumed, before_c, "A and B come back from the snapshot");
+            assert!(report.results.iter().all(|(_, r)| r.is_ok()), "{:?}", report.results);
+        }
+        StudyOutcome::Stopped { .. } => panic!("no stop hook on the resume"),
+    }
+    assert_eq!(TraceCache::global().streams_of(shared), 0, "the resume kept the shared stream");
     let _ = std::fs::remove_dir_all(&root);
 }

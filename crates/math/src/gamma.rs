@@ -103,7 +103,7 @@ mod tests {
     #[test]
     fn reflection_branch_below_one_half() {
         // Γ(1/4) and Γ(1/10) go through Γ(x)Γ(1−x) = π / sin(πx).
-        for &(x, want) in &[(0.25, 3.625_609_908_221_908_3), (0.1, 9.513_507_698_668_732)] {
+        for &(x, want) in &[(0.25, 3.625_609_908_221_908), (0.1, 9.513_507_698_668_732)] {
             let g = gamma(x);
             assert!((g - want).abs() <= 1e-10 * want, "Γ({x}) = {g}, expected {want}");
         }

@@ -107,6 +107,7 @@ pub fn brent<F: Fn(f64) -> f64>(f: F, a0: f64, b0: f64, tol: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "a root at a bracket end is returned exactly")]
 mod tests {
     use super::*;
 

@@ -245,6 +245,7 @@ pub fn accumulate_scaled_rows(acc: &mut [f64], rows: &[(&[f64], f64)]) {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the vector kernels must match the scalar ones bit for bit, and IEEE special values are exact")]
 mod tests {
     use super::*;
 

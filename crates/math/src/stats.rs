@@ -123,6 +123,7 @@ impl Summary {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "sums and order statistics of small integers are exact")]
 mod tests {
     use super::*;
 

@@ -138,6 +138,7 @@ impl UniformTable {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "knots and clamped ends return the stored values exactly")]
 mod tests {
     use super::*;
 

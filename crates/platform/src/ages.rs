@@ -130,6 +130,7 @@ impl AgeView {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "ages are copied, not computed, and psuc over no time is exactly 1")]
 mod tests {
     use super::*;
     use ckpt_dist::{Exponential, FailureDistribution, Weibull};

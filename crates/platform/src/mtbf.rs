@@ -53,6 +53,7 @@ pub fn figure1_series(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the series must equal the closed forms it is built from, bit for bit")]
 mod tests {
     use super::*;
 

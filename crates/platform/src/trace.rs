@@ -429,6 +429,7 @@ impl PlatformEvents {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "an integer multiple of an ulp is exact")]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;

@@ -476,6 +476,7 @@ impl PolicySession for DpMsSession<'_> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the memoryless table ignores the age: the same entry, bit for bit")]
 mod tests {
     use super::*;
     use ckpt_dist::{Exponential, Weibull};

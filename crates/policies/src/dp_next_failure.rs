@@ -1104,6 +1104,7 @@ pub fn expected_work_of_schedule(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact compression copies ages and sums integer counts")]
 mod tests {
     use super::*;
     use ckpt_dist::{Exponential, Weibull};

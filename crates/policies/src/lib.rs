@@ -84,6 +84,7 @@ pub(crate) fn clamp_chunk(chunk: f64, remaining: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "clamping returns one of its inputs unchanged")]
 mod tests {
     use super::*;
 

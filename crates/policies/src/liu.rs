@@ -129,6 +129,7 @@ impl PolicySession for LiuSession<'_> {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "a replayed session must reproduce its first run bit for bit")]
 mod tests {
     use super::*;
 

@@ -139,6 +139,7 @@ pub fn expected_makespan_k_chunks(spec: &JobSpec, lambda: f64, k: u64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the period clamps to the work itself")]
 mod tests {
     use super::*;
     use crate::Policy;

@@ -70,6 +70,7 @@ impl PolicySession for FixedPeriodSession {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "a chunk is the configured period or the remaining work, unchanged")]
 mod tests {
     use super::*;
 

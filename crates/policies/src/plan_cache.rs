@@ -42,6 +42,8 @@
 //! Both caches use FIFO eviction with per-shard caps (replacing the old
 //! silent `len() < 100_000` insert drop) and export hit/miss/eviction
 //! counters that the experiment pipeline surfaces in its perf summary.
+//! A study drops a distribution's entries ([`DpCaches::release`]) once
+//! none of its cells with a pending item plans on that distribution.
 
 use ckpt_dist::FailureDistribution;
 use std::collections::hash_map::RandomState;
@@ -255,12 +257,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         v
     }
 
-    /// Drop every resident entry; the counters keep counting.
-    pub fn clear(&self) {
+    /// Drop every resident entry whose key is `stale`; the counters
+    /// keep counting.
+    pub fn remove_where(&self, stale: impl Fn(&K) -> bool) {
         for shard in &self.shards {
-            let mut shard = shard.write().unwrap_or_else(PoisonError::into_inner);
-            shard.map.clear();
-            shard.order.clear();
+            let mut guard = shard.write().unwrap_or_else(PoisonError::into_inner);
+            let Shard { map, order } = &mut *guard;
+            order.retain(|k| {
+                let keep = !stale(k);
+                if !keep {
+                    map.remove(k);
+                }
+                keep
+            });
         }
     }
 
@@ -324,11 +333,12 @@ impl DpCaches {
         }
     }
 
-    /// Drop every memoised plan and kernel row (frees memory between
-    /// unrelated sweeps; a later solve recomputes the same values).
-    pub fn clear(&self) {
-        self.plans.clear();
-        self.kernel_rows.clear();
+    /// Drop every memoised plan and kernel row of `dist` (frees a
+    /// finished distribution's memos; a later solve recomputes the same
+    /// values).
+    pub fn release(&self, dist: DistId) {
+        self.plans.remove_where(|k| k.dist == dist);
+        self.kernel_rows.remove_where(|k| k.dist == dist);
     }
 
     /// Snapshot of both layers' counters.
@@ -395,6 +405,22 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(&1), Some(11));
         assert_eq!(c.stats().evictions, 0);
+    }
+
+    #[test]
+    fn remove_where_drops_matching_entries_and_keeps_fifo_order() {
+        let c: ShardedCache<u64, u64> = ShardedCache::new(1, 4);
+        for k in 0..4 {
+            c.insert(k, k);
+        }
+        c.remove_where(|k| k % 2 == 0);
+        assert_eq!((c.len(), c.get(&0), c.get(&1)), (2, None, Some(1)));
+        // The survivors keep their FIFO places: the third insert past
+        // them evicts key 1, the oldest.
+        for k in 4..7 {
+            c.insert(k, k);
+        }
+        assert_eq!((c.get(&1), c.get(&3), c.stats().evictions), (None, Some(3), 1));
     }
 
     #[test]

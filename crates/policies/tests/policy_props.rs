@@ -177,7 +177,7 @@ proptest! {
             let mut merged: Vec<(f64, f64)> = Vec::new();
             for &(a, c) in pairs {
                 match merged.last_mut() {
-                    Some(last) if last.0 == a => last.1 += c,
+                    Some(last) if last.0.to_bits() == a.to_bits() => last.1 += c,
                     _ => merged.push((a, c)),
                 }
             }

@@ -66,6 +66,7 @@ impl RunStats {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "sums, minima and maxima of small integers are exact")]
 mod tests {
     use super::*;
 

@@ -63,6 +63,10 @@ fn reference_simulate(
         Some(&prev) => t - prev < spec.downtime,
         None => false,
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the seed engine's hash-map snapshot; AgeView::new sorts it, so hash order never reaches a result"
+    )]
     let ages_of = |lf: &HashMap<u32, f64>, now: f64| -> AgeView {
         let failed: Vec<(f64, u32)> = lf.values().map(|&t| (now - t, ppu)).collect();
         let pristine = spec.procs.saturating_sub(failed.len() as u64 * u64::from(ppu));

@@ -130,6 +130,7 @@ impl OverheadModel {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "costs and divisions by powers of ten used here are exact")]
 mod tests {
     use super::*;
 

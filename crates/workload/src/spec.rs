@@ -97,6 +97,7 @@ impl JobSpec {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "configured constants and integer sums pass through exactly")]
 mod tests {
     use super::*;
     use crate::{DAY, JAGUAR_PROCS, YEAR};

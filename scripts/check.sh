@@ -5,8 +5,9 @@
 #   2. the full test suite (unit + integration, incl. the golden-result
 #      bit-identity pin at 1, 2 and 8 executor workers and the source
 #      scans of tests/source_rules.rs);
-#   3. clippy with warnings as errors — this enforces the workspace lint
-#      table (root Cargo.toml `[workspace.lints]`, root clippy.toml): no
+#   3. clippy with warnings as errors over every target, tests included
+#      — this enforces the workspace lint table (root Cargo.toml
+#      `[workspace.lints]`, root clippy.toml) on test code too: no
 #      `unsafe`, no wall-clock
 #      read or hash-order iteration outside an `#[expect]` with a reason,
 #      no float `==` between computed values, no lock or atomic in the
@@ -69,8 +70,8 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
-echo "== clippy (-D warnings) =="
-cargo clippy --workspace -- -D warnings
+echo "== clippy (-D warnings, all targets) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 study_tmp=$(mktemp -d)
 trap 'rm -rf "$study_tmp"' EXIT

@@ -129,7 +129,7 @@ fn failure_free_run_logs_start_commit_pairs() {
         else {
             panic!("unexpected pair {pair:?}");
         };
-        assert_eq!(a, b);
+        assert_eq!(a.to_bits(), b.to_bits());
         assert!((pair[1].time - pair[0].time - (a + 50.0)).abs() < 1e-9);
     }
 }

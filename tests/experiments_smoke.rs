@@ -3,8 +3,7 @@
 
 use checkpointing_strategies::exp::catalog::{self, Artefact, File, Params};
 use checkpointing_strategies::exp::output::{csv_series, markdown_table, CSV_HEADER};
-use checkpointing_strategies::exp::study::run_cells;
-use checkpointing_strategies::exp::{DistSpec, Scenario, ScenarioResult};
+use checkpointing_strategies::exp::{run_in_memory, DistSpec, Scenario, ScenarioResult, StudyDef};
 use checkpointing_strategies::prelude::*;
 
 fn study(name: &str) -> &'static Artefact {
@@ -17,8 +16,14 @@ fn traces(n: usize) -> Params {
 
 /// Run the cells of `name` that `keep` selects, in memory.
 fn run_some(name: &str, params: &Params, keep: impl Fn(&Scenario) -> bool) -> Vec<ScenarioResult> {
-    let cells: Vec<_> = study(name).cells(params).into_iter().filter(|c| keep(&c.scenario)).collect();
-    run_cells(&cells).into_iter().map(|r| r.expect("cell runs")).collect()
+    let cells = study(name).cells(params).into_iter().filter(|c| keep(&c.scenario)).collect();
+    let def = StudyDef { id: name.into(), cells };
+    run_in_memory(&def).into_iter().map(|r| r.expect("cell runs")).collect()
+}
+
+/// Run every cell of `name` in memory and render its files.
+fn run_files(name: &str, params: &Params) -> Vec<File> {
+    study(name).render(&run_some(name, params, |_| true))
 }
 
 fn file<'a>(files: &'a [File], name: &str) -> &'a str {
@@ -27,7 +32,7 @@ fn file<'a>(files: &'a [File], name: &str) -> &'a str {
 
 #[test]
 fn fig1_rows_render() {
-    let files = study("fig1").run(&Params::default()).expect("analytic");
+    let files = run_files("fig1", &Params::default());
     let rows: Vec<(f64, f64)> = file(&files, "fig1.csv")
         .lines()
         .skip(1)
@@ -128,7 +133,7 @@ fn matrix_cell_mini() {
 #[test]
 fn fig9899_mini_profiles() {
     // Figure 98 profiles OptExp by default.
-    let files = study("fig98").run(&traces(1)).expect("cells run");
+    let files = run_files("fig98", &traces(1));
     let points: Vec<(String, f64)> = file(&files, "fig98.csv")
         .lines()
         .skip(1)
