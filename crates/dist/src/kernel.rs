@@ -47,7 +47,7 @@ impl KernelTable {
         // Empirical) instead of a scalar transcendental per grid point.
         // The grid times are exactly the `k·step` points
         // `UniformTable::sample` would have used.
-        let n = (horizon / step).ceil() as usize + 2;
+        let n = (horizon / step).ceil() as usize + 2; // once per table build
         let ts: Vec<f64> = (0..n).map(|k| k as f64 * step).collect();
         let mut logs = vec![0.0f64; n];
         dist.log_survival_batch(&ts, &mut logs);

@@ -3,9 +3,14 @@
 //! The workspace is dependency-lean, so instead of `wide`/`std::simd`
 //! this module carries its own [`F64x4`] — a `#[repr(align(32))]`
 //! wrapper over `[f64; 4]` whose lane-wise arithmetic is written as
-//! branch-free straight-line code that LLVM reliably lowers to vector
-//! instructions on every tier-1 target (and to plain scalar code
-//! elsewhere, with identical results).
+//! branch-free straight-line code for LLVM to lower to vector
+//! instructions (and to plain scalar code where it does not, with
+//! identical results). Lowering is not automatic: one libm call in a
+//! lane body (`f64::round`, `floor`, `ceil` and `trunc` are calls on
+//! the x86-64 baseline, which lacks SSE4.1's `roundpd`) splits the body
+//! into per-lane scalar code around the call. So the kernels call no
+//! libm, which `tests/source_rules.rs` enforces; on x86-64 `exp_shifted`
+//! compiles to packed `mulpd`/`addpd` with no call in its loop.
 //!
 //! Three guarantees every caller leans on:
 //!
@@ -121,20 +126,37 @@ const EXP_UNDERFLOW: f64 = -745.2;
 /// Above this `exp` overflows to +∞.
 const EXP_OVERFLOW: f64 = 709.8;
 
+/// `1.5·2⁵²`: adding it to a double of magnitude below 2⁵¹ rounds the
+/// sum to an integer (ties to even, the FPU's default mode), which then
+/// sits in the low mantissa bits — a `round` without the libm call that
+/// `f64::round` is on the x86-64 baseline.
+const SHIFTER: f64 = 6_755_399_441_055_744.0;
+
 /// Shared per-lane body of [`exp1`]/[`exp4`]: Cody–Waite reduction
 /// `x = n·ln2 + r`, |r| ≤ ln2/2, a degree-13 Taylor/Horner evaluation of
 /// `e^r`, and two-step `2^n` bit scaling (so the subnormal range is
 /// reached without the single-shift trick overflowing its exponent
 /// field). Straight-line and branch-poor on purpose: every `if` below
-/// is a lane-local select LLVM if-converts, keeping the 4-wide caller
-/// vectorisable.
+/// is a lane-local select LLVM if-converts, and nothing calls libm, so
+/// the 4-wide caller compiles to packed arithmetic.
 #[inline(always)]
 fn exp_core(x: f64) -> f64 {
     // Clamp only feeds the reduction; the true argument decides the
     // overflow/underflow patches below, and NaN propagates through
     // `clamp` and the polynomial untouched.
     let xx = x.clamp(EXP_UNDERFLOW - 1.0, EXP_OVERFLOW + 1.0);
-    let n = (xx * std::f64::consts::LOG2_E).round();
+    let y = xx * std::f64::consts::LOG2_E;
+    // `n = round(y)`, ties away from zero: the shifter rounds ties to
+    // even, so a tie it sent toward zero (`y − n` is ±½ with the sign
+    // of `y`; the difference is exact) moves one step out. Adjusting
+    // the shifted sum keeps `n` readable from its bits.
+    let mut shifted = y + SHIFTER;
+    let d = y - (shifted - SHIFTER);
+    #[expect(clippy::float_cmp, reason = "a tie is `y − n = ±½` exactly, and the difference is exact")]
+    let (up, down) = ((d == 0.5) & (y > 0.0), (d == -0.5) & (y < 0.0));
+    shifted += if up { 1.0 } else { 0.0 };
+    shifted -= if down { 1.0 } else { 0.0 };
+    let n = shifted - SHIFTER;
     let r = (xx - n * LN2_HI) - n * LN2_LO;
     // e^r = Σ rᵏ/k!, k ≤ 13: truncation < 2^-53 for |r| ≤ ln2/2.
     let mut p = 1.0 / 6_227_020_800.0; // 1/13!
@@ -152,12 +174,13 @@ fn exp_core(x: f64) -> f64 {
     p = p * r + 1.0;
     p = p * r + 1.0;
     // 2^n in two factors so n down to −1074 stays in normal exponents.
-    // NaN reaches here with n = 0 (saturating cast) — scale is 1.
-    let n = n as i64;
+    // The integer `n` is the shifted sum's bits less the shifter's (no
+    // float→int conversion); NaN leaves `p` NaN, whatever the factors.
+    let n = (shifted.to_bits() as i64).wrapping_sub(SHIFTER.to_bits() as i64);
     let n1 = n / 2;
-    let n2 = n - n1;
-    let s1 = f64::from_bits(((n1 + 1023) << 52) as u64);
-    let s2 = f64::from_bits(((n2 + 1023) << 52) as u64);
+    let n2 = n.wrapping_sub(n1);
+    let s1 = f64::from_bits((n1.wrapping_add(1023) << 52) as u64);
+    let s2 = f64::from_bits((n2.wrapping_add(1023) << 52) as u64);
     let mut y = p * s1 * s2;
     y = if x < EXP_UNDERFLOW { 0.0 } else { y };
     y = if x > EXP_OVERFLOW { f64::INFINITY } else { y };
@@ -281,6 +304,119 @@ mod tests {
         // Subnormal results keep a meaningful value.
         let sub = exp1(-720.0);
         assert!(sub > 0.0 && sub.is_subnormal(), "exp(-720) = {sub:e}");
+    }
+
+    /// The `f64::round` formulation `exp_core` replaced, kept as its
+    /// bit-for-bit oracle: the same reduction, polynomial and scaling,
+    /// with `n` from `round` (ties away from zero) and a saturating cast.
+    fn exp_round_oracle(x: f64) -> f64 {
+        let xx = x.clamp(EXP_UNDERFLOW - 1.0, EXP_OVERFLOW + 1.0);
+        let n = (xx * std::f64::consts::LOG2_E).round();
+        let r = (xx - n * LN2_HI) - n * LN2_LO;
+        let mut p = 1.0 / 6_227_020_800.0;
+        for c in [
+            1.0 / 479_001_600.0,
+            1.0 / 39_916_800.0,
+            1.0 / 3_628_800.0,
+            1.0 / 362_880.0,
+            1.0 / 40_320.0,
+            1.0 / 5_040.0,
+            1.0 / 720.0,
+            1.0 / 120.0,
+            1.0 / 24.0,
+            1.0 / 6.0,
+            0.5,
+            1.0,
+            1.0,
+        ] {
+            p = p * r + c;
+        }
+        let n = n as i64;
+        let n1 = n / 2;
+        let n2 = n - n1;
+        let s1 = f64::from_bits(((n1 + 1023) << 52) as u64);
+        let s2 = f64::from_bits(((n2 + 1023) << 52) as u64);
+        let mut y = p * s1 * s2;
+        y = if x < EXP_UNDERFLOW { 0.0 } else { y };
+        y = if x > EXP_OVERFLOW { f64::INFINITY } else { y };
+        y
+    }
+
+    fn assert_matches_oracle(x: f64) {
+        let (got, want) = (exp1(x), exp_round_oracle(x));
+        assert_eq!(got.to_bits(), want.to_bits(), "exp({x:e}) = {got:e}, oracle {want:e}");
+    }
+
+    /// `x`, stepped `k` representable doubles up (`k < 0`: down).
+    fn ulps_from(x: f64, k: i64) -> f64 {
+        let b = x.to_bits() as i64;
+        f64::from_bits(if x >= 0.0 { b + k } else { b - k } as u64)
+    }
+
+    #[test]
+    fn shifter_rounding_matches_the_round_oracle_on_random_arguments() {
+        // SplitMix64 over [−800, 720]: past both clamp bounds.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..1_000_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
+            assert_matches_oracle(-800.0 + 1_520.0 * unit);
+        }
+    }
+
+    #[test]
+    fn shifter_rounding_breaks_half_integer_ties_away_from_zero() {
+        // Every double `x` whose product `x·log₂e` is exactly `h + ½`,
+        // over the clamp range of both signs: the product is monotone in
+        // `x`, so all preimages of a half-integer lie within a few ulps
+        // of `(h + ½)/log₂e`.
+        let mut ties = [0usize; 2];
+        for h in -1_078i32..=1_026 {
+            let half = f64::from(h) + 0.5;
+            let guess = half / std::f64::consts::LOG2_E;
+            for k in -8..=8 {
+                let x = ulps_from(guess, k);
+                if x * std::f64::consts::LOG2_E == half {
+                    ties[usize::from(half > 0.0)] += 1;
+                    assert_matches_oracle(x);
+                }
+            }
+        }
+        assert!(ties[0] > 100 && ties[1] > 100, "half-integer products found: {ties:?}");
+    }
+
+    #[test]
+    fn shifter_rounding_keeps_specials_and_range_edges() {
+        for x in [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_matches_oracle(x);
+        }
+        assert!(exp1(f64::NAN).is_nan() && exp_round_oracle(f64::NAN).is_nan());
+        assert!(exp1(-f64::NAN).is_nan());
+        // The smallest normal result (2⁻¹⁰²², x ≈ −708.40), the smallest
+        // subnormal (x ≈ −744.44 … −745.13), the underflow and overflow
+        // cut-offs and the largest finite result (x ≈ 709.78), each
+        // swept ±2000 ulps and on a coarse grid around it.
+        let edges = [
+            f64::MIN_POSITIVE.ln(),
+            (f64::MIN_POSITIVE * f64::EPSILON).ln(),
+            EXP_UNDERFLOW,
+            EXP_UNDERFLOW - 1.0,
+            EXP_OVERFLOW,
+            EXP_OVERFLOW + 1.0,
+            f64::MAX.ln(),
+        ];
+        for edge in edges {
+            for k in -2_000..=2_000 {
+                assert_matches_oracle(ulps_from(edge, k));
+                assert_matches_oracle(edge + k as f64 * 1e-4);
+            }
+        }
+        assert!(exp1(f64::MIN_POSITIVE.ln() - 1.0).is_subnormal());
+        assert!(exp1(f64::MAX.ln()).is_finite() && exp1(f64::MAX.ln() + 1e-3).is_infinite());
     }
 
     #[test]

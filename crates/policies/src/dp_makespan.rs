@@ -32,7 +32,6 @@
 use crate::{clamp_chunk, AgeView, Policy, PolicySession};
 use ckpt_dist::{FailureDistribution, KernelTable};
 use ckpt_workload::JobSpec;
-use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
 /// Tunables of the Makespan DP.
@@ -57,7 +56,7 @@ pub struct DpMakespanConfig {
 /// several times the MTBF.
 pub fn auto_makespan_quanta(work: f64, checkpoint: f64, mean: f64, memoryless: bool) -> usize {
     let chunk_est = (2.0 * checkpoint.max(1.0) * mean).sqrt();
-    let q = (6.0 * work / chunk_est).ceil() as usize;
+    let q = (6.0 * work / chunk_est).ceil() as usize; // once per policy build
     if memoryless {
         q.clamp(100, 4000)
     } else {
@@ -92,43 +91,51 @@ pub struct DpMakespan {
 const BACKBONE: u32 = u32::MAX;
 
 /// The general table's states at one age key `k`, all evaluated at the
-/// key's representative age `k·u`.
+/// key's representative age `k·u`. Every vector is indexed by `x` (the
+/// ladders by the chunk `i ≤ x`) and holds exactly `1 +` the largest
+/// `x` asked of the row so far: row `k` of the backbone's reach is read
+/// only up to `x ≈ n − k`, so full-length ladders would mostly go unread.
 #[derive(Debug, Default)]
 struct AgeRow {
     key: u64,
-    /// `Psuc(i·u + C | k·u)` for a chunk of `i` quanta (slot 0 unused;
-    /// empty until the row is first evaluated).
+    /// `Psuc(i·u + C | k·u)` for a chunk of `i` quanta (slot 0 unused).
     psuc: Vec<f64>,
     /// `E[Tlost(i·u + C | k·u)]`.
     lost: Vec<f64>,
     /// Row of the age `k·u + i·u + C` a successful chunk reaches, or
     /// [`BACKBONE`].
     next: Vec<u32>,
-    /// `V(x, k·u)` and its chunk; chunk 0 marks a state not yet evaluated.
-    vals: Vec<(f64, u32)>,
+    /// `V(x, k·u)`.
+    vals: Vec<f64>,
+    /// Optimal chunk at `x`; 0 marks a state not yet evaluated.
+    chunk: Vec<u32>,
 }
 
 impl AgeRow {
     fn has(&self, x: usize) -> bool {
-        self.vals.get(x).is_some_and(|s| s.1 != 0)
+        self.chunk.get(x).is_some_and(|&c| c != 0)
     }
 }
 
-/// Age rows, found by key through `index`; rows exist only for keys
-/// some query or ladder has reached.
+/// Age rows, found by key through `index` (`(key, row)` pairs sorted by
+/// key); rows exist only for keys some query or ladder has reached.
 #[derive(Debug, Default)]
 struct AgeTable {
-    index: HashMap<u64, u32>,
+    index: Vec<(u64, u32)>,
     rows: Vec<AgeRow>,
 }
 
 impl AgeTable {
     fn row_of(&mut self, key: u64) -> u32 {
-        let rows = &mut self.rows;
-        *self.index.entry(key).or_insert_with(|| {
-            rows.push(AgeRow { key, ..AgeRow::default() });
-            (rows.len() - 1) as u32
-        })
+        match self.index.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(at) => self.index[at].1,
+            Err(at) => {
+                let row = self.rows.len() as u32;
+                self.rows.push(AgeRow { key, ..AgeRow::default() });
+                self.index.insert(at, (key, row));
+                row
+            }
+        }
     }
 }
 
@@ -339,7 +346,7 @@ impl DpMakespan {
     }
 
     fn tau_key(&self, tau: f64) -> u64 {
-        (tau / self.u).round() as u64
+        (tau / self.u).round() as u64 // one per decision or ladder entry, beside the entry's kernel `exp`s
     }
 
     /// Post-failure states hit the backbone exactly.
@@ -373,30 +380,46 @@ impl DpMakespan {
         self.fill(&mut table, row, x)
     }
 
-    /// Build a row's ladders, once: every Bellman step of the row reads
-    /// the same `Psuc`, `E[Tlost]` and successor age for a chunk of `i`
-    /// quanta, whatever its `x`.
-    fn build_ladders(&self, table: &mut AgeTable, row: u32) {
-        let n = self.quanta();
+    /// Grow a row to cover the states `≤ x`, exactly: its ladders
+    /// (every Bellman step of the row reads the same `Psuc`, `E[Tlost]`
+    /// and successor age for a chunk of `i` quanta, whatever its `x`) and
+    /// its unevaluated value slots. Each ladder entry is a pure function
+    /// of the key and `i`, so growing in steps builds the same bits as
+    /// one full-length build.
+    fn grow(&self, table: &mut AgeTable, row: u32, x: usize) {
+        let ri = row as usize;
+        let len = table.rows[ri].psuc.len();
+        if len > x {
+            return;
+        }
         let c = self.spec.checkpoint;
         // The key's *representative* age, not any incoming exact one:
         // every value in the row is then a pure function of `(x, key)`,
         // so concurrent sessions agree on it no matter which thread
         // fills it first.
-        let tau_rep = table.rows[row as usize].key as f64 * self.u;
-        let mut psuc = vec![0.0f64; n + 1];
-        let mut lost = vec![0.0f64; n + 1];
-        let mut next = vec![BACKBONE; n + 1];
-        for i in 1..=n {
-            let attempt = i as f64 * self.u + c;
-            psuc[i] = self.psuc(attempt, tau_rep);
-            lost[i] = self.tlost(attempt, tau_rep);
-            next[i] = self.next_row(table, tau_rep + attempt);
+        let tau_rep = table.rows[ri].key as f64 * self.u;
+        let extra = x + 1 - len;
+        let r = &mut table.rows[ri];
+        r.psuc.reserve_exact(extra);
+        r.lost.reserve_exact(extra);
+        r.next.reserve_exact(extra);
+        r.vals.reserve_exact(extra);
+        r.chunk.reserve_exact(extra);
+        r.vals.resize(x + 1, 0.0);
+        r.chunk.resize(x + 1, 0);
+        if len == 0 {
+            r.psuc.push(0.0);
+            r.lost.push(0.0);
+            r.next.push(BACKBONE);
         }
-        let r = &mut table.rows[row as usize];
-        r.psuc = psuc;
-        r.lost = lost;
-        r.next = next;
+        for i in len.max(1)..=x {
+            let attempt = i as f64 * self.u + c;
+            let next = self.next_row(table, tau_rep + attempt);
+            let r = &mut table.rows[ri];
+            r.psuc.push(self.psuc(attempt, tau_rep));
+            r.lost.push(self.tlost(attempt, tau_rep));
+            r.next.push(next);
+        }
     }
 
     /// `V(x, k·u)` of `row`, evaluating it (and, first, every successor
@@ -404,11 +427,9 @@ impl DpMakespan {
     fn fill(&self, table: &mut AgeTable, row: u32, x: usize) -> (f64, u32) {
         let ri = row as usize;
         if table.rows[ri].has(x) {
-            return table.rows[ri].vals[x];
+            return (table.rows[ri].vals[x], table.rows[ri].chunk[x]);
         }
-        if table.rows[ri].psuc.is_empty() {
-            self.build_ladders(table, row);
-        }
+        self.grow(table, row, x);
         for i in 1..x {
             let next = table.rows[ri].next[i];
             if next != BACKBONE && !table.rows[next as usize].has(x - i) {
@@ -426,7 +447,7 @@ impl DpMakespan {
             let succ = match r.next[i] {
                 _ if x - i == 0 => 0.0,
                 BACKBONE => self.backbone[x - i].0,
-                next => table.rows[next as usize].vals[x - i].0,
+                next => table.rows[next as usize].vals[x - i],
             };
             let lost = r.lost[i];
             let cur = psuc * (attempt + succ) + (1.0 - psuc) * (lost + self.e_rec + fail_v);
@@ -435,17 +456,15 @@ impl DpMakespan {
                 best_i = i as u32;
             }
         }
-        let vals = &mut table.rows[ri].vals;
-        if vals.len() <= x {
-            vals.resize(x + 1, (0.0, 0));
-        }
-        vals[x] = (best, best_i);
+        let r = &mut table.rows[ri];
+        r.vals[x] = best;
+        r.chunk[x] = best_i;
         (best, best_i)
     }
 
     /// The policy function `f(ω|τ)`: chunk size in seconds.
     pub fn chunk_for(&self, remaining: f64, tau: f64) -> f64 {
-        let x = ((remaining / self.u).round() as usize).clamp(1, self.quanta());
+        let x = ((remaining / self.u).round() as usize).clamp(1, self.quanta()); // once per decision
         let i = self.chunk_quanta(x, tau);
         (f64::from(i) * self.u).min(remaining)
     }
@@ -480,6 +499,7 @@ impl PolicySession for DpMsSession<'_> {
 mod tests {
     use super::*;
     use ckpt_dist::{Exponential, Weibull};
+    use std::collections::HashMap;
 
     const DAY: f64 = 86_400.0;
     const HOUR: f64 = 3_600.0;
@@ -732,6 +752,42 @@ mod tests {
                 assert_matches_reference(&dp, &mut reference, tau);
             }
         }
+    }
+
+    /// Ladder length of the row at age `tau`, if the table has one.
+    fn ladder_len(dp: &DpMakespan, tau: f64) -> Option<usize> {
+        let table = dp.table.lock().unwrap_or_else(PoisonError::into_inner);
+        let at = table.index.binary_search_by_key(&dp.tau_key(tau), |&(k, _)| k).ok()?;
+        Some(table.rows[table.index[at].1 as usize].psuc.len())
+    }
+
+    /// Table 3's 1-week cell (n = 385 quanta): after construction the
+    /// backbone's successor rows hold only the states it read (`x ≤ n −
+    /// i` for the row `i` quanta past recovery); queries at larger `x`
+    /// grow those rows' ladders and value slots, and every state must
+    /// still match the hash-memo reference bit for bit.
+    #[test]
+    fn rows_grown_past_the_backbone_triangle_match_the_reference() {
+        let spec = JobSpec::table1_single_processor();
+        let dp = DpMakespan::new(
+            &spec,
+            Box::new(Weibull::from_mtbf(0.7, 7.0 * DAY)),
+            DpMakespanConfig::default(),
+        );
+        let n = dp.quanta();
+        assert_eq!(n, 385, "the Table 3 1-week cell's quantum count");
+        let mut reference = Reference::new(&dp);
+        for (x, (got, want)) in dp.backbone.iter().zip(&reference.backbone).enumerate() {
+            assert_eq!(got.0.to_bits(), want.0.to_bits(), "V({x}, R)");
+            assert_eq!(got.1, want.1, "chunk at ({x}, R)");
+        }
+        let i = n / 2;
+        let tau = spec.recovery + i as f64 * dp.u + spec.checkpoint;
+        let built = ladder_len(&dp, tau).expect("the backbone reaches this row");
+        assert!(built <= n + 1 - i, "row {i} past recovery holds {built} ladder entries");
+        assert_matches_reference(&dp, &mut reference, tau);
+        assert_eq!(ladder_len(&dp, tau), Some(n + 1), "grown to the largest x asked");
+        assert_matches_reference(&dp, &mut reference, 0.0);
     }
 
     #[test]

@@ -297,7 +297,7 @@ impl DpNextFailure {
         let mut buckets: Vec<(u64, u64)> = Vec::with_capacity(compressed.len());
         for &(age, count) in &compressed {
             let id = quantise_age(age, u);
-            let count = count.round() as u64;
+            let count = count.round() as u64; // per-plan count merge, one per age group
             if count == 0 {
                 continue;
             }
@@ -676,36 +676,94 @@ fn value_chunk_cap(x_max: usize) -> usize {
     (x_max / 2).max(32)
 }
 
-/// Length of the packed `(a, m)` triangle for a given `x_max`: row `a`
-/// holds `m = 0..=min(a+1, cap)`, rows concatenated in ascending `a`,
-/// with `cap = value_chunk_cap(x_max)`.
-fn triangle_len(x_max: usize) -> usize {
-    let cap = value_chunk_cap(x_max);
-    if x_max < cap {
-        (x_max + 1) * (x_max + 4) / 2
-    } else {
-        // Rows `a < cap` are full (`a + 2` cells); rows `a ≥ cap` hold
-        // `cap + 1` cells each.
-        cap * (cap + 3) / 2 + (x_max + 1 - cap) * (cap + 1)
+/// The `(a, m)` cells the DP reads — `m ≤ min(a + 1, cap)` for
+/// `a = 0..=x_max`, with `cap = value_chunk_cap(x_max)` — packed column
+/// by column: column `m` holds `a = max(m, 1) − 1 ..= x_max`, ascending.
+/// The value recursion scans `a` at fixed `m`, so `G`, its exponential
+/// grid and every kernel row share this one layout and the DP reads
+/// them contiguously.
+#[derive(Debug, Clone, Copy)]
+struct Triangle {
+    x_max: usize,
+    /// Last column: `min(x_max + 1, cap)`.
+    m_top: usize,
+}
+
+impl Triangle {
+    fn new(x_max: usize) -> Self {
+        Self { x_max, m_top: (x_max + 1).min(value_chunk_cap(x_max)) }
+    }
+
+    /// Cell count.
+    fn len(self) -> usize {
+        self.col_start(self.m_top + 1)
+    }
+
+    /// Smallest `a` of column `m`.
+    fn a_lo(m: usize) -> usize {
+        m.saturating_sub(1)
+    }
+
+    /// Offset of column `m`: column 0 holds `x_max + 1` cells, column
+    /// `m ≥ 1` holds `x_max + 2 − m`.
+    fn col_start(self, m: usize) -> usize {
+        match m {
+            0 => 0,
+            m => (self.x_max + 1) + (m - 1) * (self.x_max + 2) - (m - 1) * m / 2,
+        }
+    }
+
+    /// Offset of cell `(a, m)`.
+    #[inline]
+    fn at(self, a: usize, m: usize) -> usize {
+        debug_assert!(m <= (a + 1).min(self.m_top), "({a}, {m}) outside the triangle");
+        self.col_start(m) + a - Self::a_lo(m)
     }
 }
 
-/// Start offset of packed-triangle row `a` (see [`triangle_len`]).
-#[inline]
-fn tri_row_start(a: usize, cap: usize) -> usize {
-    if a <= cap {
-        a * (a + 3) / 2
-    } else {
-        cap * (cap + 3) / 2 + (a - cap) * (cap + 1)
+/// Cells per batched log-survival evaluation of [`log_survival_chunks`].
+const ROW_CHUNK: usize = 64;
+
+/// Evaluate one age's log-survival over the triangle in fixed-size
+/// chunks: `ln S(τ + (a·u + m·C))` for each cell, through
+/// [`FailureDistribution::log_survival_batch`] on at most [`ROW_CHUNK`]
+/// cells of one column at a time, handing `f` each chunk's packed
+/// offset and values. The cached row build and the inline solve both
+/// evaluate through here, so they see the same query times and the same
+/// batch kernel — the same bits — without materialising the times or a
+/// whole row. `a` is counted as an `i32` (the same `a as f64` value):
+/// free of the unsigned conversion, the time fill vectorises.
+fn log_survival_chunks(
+    dist: &dyn FailureDistribution,
+    tau: f64,
+    shape: Triangle,
+    u: f64,
+    checkpoint: f64,
+    mut f: impl FnMut(usize, &[f64]),
+) {
+    let mut ts = [0.0f64; ROW_CHUNK];
+    let mut vals = [0.0f64; ROW_CHUNK];
+    for m in 0..=shape.m_top {
+        let mc = m as f64 * checkpoint;
+        let mut at = shape.col_start(m);
+        let mut a = Triangle::a_lo(m);
+        while a <= shape.x_max {
+            let k = (shape.x_max + 1 - a).min(ROW_CHUNK);
+            for (t, ai) in ts[..k].iter_mut().zip(a as i32..) {
+                *t = tau + (f64::from(ai) * u + mc);
+            }
+            dist.log_survival_batch(&ts[..k], &mut vals[..k]);
+            f(at, &vals[..k]);
+            at += k;
+            a += k;
+        }
     }
 }
 
-/// One age bucket's exact log-survival over the DP triangle, in packed
-/// triangle order: `row[·] = ln S(τ + a·u + m·C)` for `a = 0..=x_max`,
-/// `m = 0..=min(a+1, cap)`. The arithmetic (`t = a·u + m·C` first, then
-/// `τ + t`) matches the inline grid fill exactly, and both paths evaluate
-/// through [`FailureDistribution::log_survival_batch`], so accumulating
-/// cached rows is bit-identical to evaluating in place.
+/// One age bucket's exact log-survival over the DP triangle, in
+/// [`Triangle`] order: `row[·] = ln S(τ + a·u + m·C)`. Built through
+/// [`log_survival_chunks`] like the inline solve, so accumulating cached
+/// rows is bit-identical to evaluating in place.
 fn compute_row(
     dist: &dyn FailureDistribution,
     tau: f64,
@@ -713,34 +771,12 @@ fn compute_row(
     u: f64,
     checkpoint: f64,
 ) -> Arc<[f64]> {
-    let len = triangle_len(x_max);
-    let mut ts = Vec::with_capacity(len);
-    fill_triangle_times(&mut ts, tau, x_max, u, checkpoint);
-    let mut row = vec![0.0f64; len];
-    dist.log_survival_batch(&ts, &mut row);
+    let shape = Triangle::new(x_max);
+    let mut row = vec![0.0f64; shape.len()];
+    log_survival_chunks(dist, tau, shape, u, checkpoint, |at, vals| {
+        row[at..at + vals.len()].copy_from_slice(vals);
+    });
     row.into()
-}
-
-/// Fill `ts` with the triangle's absolute query times `τ + a·u + m·C` in
-/// packed order — the one shared construction both the cached row build
-/// and the inline sweep use, so their inputs are the same bits. Each
-/// triangle row is written in place with `m` counted as an `i32` (the
-/// same `m as f64` value, `m ≤ cap + 1`): free of capacity checks and of
-/// the unsigned conversion, the inner loop vectorises.
-fn fill_triangle_times(ts: &mut Vec<f64>, tau: f64, x_max: usize, u: f64, checkpoint: f64) {
-    let cap = value_chunk_cap(x_max);
-    // Every cell is overwritten below, so a reused buffer keeps its stale
-    // values rather than paying a zeroing pass.
-    ts.resize(triangle_len(x_max), 0.0);
-    let mut start = 0;
-    for a in 0..=x_max {
-        let au = a as f64 * u;
-        let cells = &mut ts[start..start + (a + 1).min(cap) + 1];
-        for (m, t) in (0i32..).zip(cells.iter_mut()) {
-            *t = tau + (au + f64::from(m) * checkpoint);
-        }
-        start += cells.len();
-    }
 }
 
 /// Bottom-up DP solve. Returns the chunk sizes (work seconds) in execution
@@ -757,9 +793,10 @@ fn solve(
 }
 
 /// [`solve`] with an optional kernel-row source: `rows(i)` returns the
-/// packed-triangle log-survival row of `ages[i]` (see [`compute_row`]).
-/// Supplied rows must be exact — the cached-path and inline-path cell
-/// arithmetic is identical, so both produce the same bits.
+/// [`Triangle`]-packed log-survival row of `ages[i]` (see
+/// [`compute_row`]). Supplied rows must be exact — the cached-path and
+/// inline-path cell arithmetic is identical, so both produce the same
+/// bits.
 // Every `[]` below is affine in loop bounds sized from `x_max` and
 // `ages.len()`; an out-of-bounds edit panics in the DP tests.
 fn solve_with_rows(
@@ -777,50 +814,46 @@ fn solve_with_rows(
     // with i ≥ 1, so only the triangular region m ≤ a + 1 is ever
     // consulted — the upper half of the grid is never filled — and the
     // value recursion is truncated at `m_cap` chunks (see
-    // [`value_chunk_cap`]), bounding `m` at `m_cap` too.
-    // Both grids are stored m-major (`[m][a]`) so the DP inner loop below,
-    // which scans `i` at fixed `n`, touches consecutive memory instead of
-    // striding a cache line per iteration.
+    // [`value_chunk_cap`]), bounding `m` at `m_cap` too. `G` and its
+    // exponentials are stored column by column ([`Triangle`]) so the DP
+    // inner loop below, which scans `i` at fixed `n`, touches consecutive
+    // memory.
     let m_cap = value_chunk_cap(x_max);
-    let m_top = (x_max + 1).min(m_cap);
-    let t_span = x_max as f64 * u + (m_top + 1) as f64 * checkpoint;
+    let shape = Triangle::new(x_max);
+    let t_span = x_max as f64 * u + (shape.m_top + 1) as f64 * checkpoint;
     let mut near: Vec<(usize, f64, f64)> = Vec::with_capacity(ages.len());
     let far = FarFit::build(dist, ages, t_span, &mut near);
-    // The triangle is accumulated in a packed scratch first — far-fit
-    // values, then one contiguous multiply-add pass per near age (cached
-    // row when available, in-place evaluation otherwise) — and scattered
-    // into the m-major grids at the end. Per cell this performs the same
+    // The triangle is accumulated in place — far-fit values, then one
+    // multiply-add pass per near age (cached row when available, chunked
+    // in-place evaluation otherwise). Per cell this performs the same
     // float operations in the same order as a cell-at-a-time fill.
     SOLVE_SCRATCH.with(|cell| {
     let mut scratch = cell.borrow_mut();
-    let SolveScratch { tri, etri, ts, row, egrid, value, choice, hull } = &mut *scratch;
+    let SolveScratch { tri, egrid, value, choice, hull } = &mut *scratch;
     tri.clear();
-    tri.resize(triangle_len(x_max), 0.0);
+    tri.resize(shape.len(), 0.0);
     if let Some(fit) = &far {
         // 4 cells per Clenshaw call ([`FarFit::eval4`]); the tail of each
-        // triangle row falls back to the scalar `eval`, whose per-element
+        // column falls back to the scalar `eval`, whose per-element
         // operations the lane version reproduces exactly.
         const LANES: usize = ckpt_math::simd::LANES;
-        let mut i = 0usize;
-        for a in 0..=x_max {
-            let au = a as f64 * u;
-            let len = (a + 2).min(m_cap + 1);
-            let mut m = 0usize;
-            while m + LANES <= len {
+        for m in 0..=shape.m_top {
+            let mc = m as f64 * checkpoint;
+            let mut a = Triangle::a_lo(m);
+            let mut cells = tri[shape.col_start(m)..shape.col_start(m + 1)].chunks_exact_mut(LANES);
+            for lanes in &mut cells {
                 let t = ckpt_math::simd::F64x4([
-                    au + m as f64 * checkpoint,
-                    au + (m + 1) as f64 * checkpoint,
-                    au + (m + 2) as f64 * checkpoint,
-                    au + (m + 3) as f64 * checkpoint,
+                    a as f64 * u + mc,
+                    (a + 1) as f64 * u + mc,
+                    (a + 2) as f64 * u + mc,
+                    (a + 3) as f64 * u + mc,
                 ]);
-                fit.eval4(t).write_to(&mut tri[i..]);
-                m += LANES;
-                i += LANES;
+                fit.eval4(t).write_to(lanes);
+                a += LANES;
             }
-            while m < len {
-                tri[i] = fit.eval(au + m as f64 * checkpoint);
-                m += 1;
-                i += 1;
+            for g in cells.into_remainder() {
+                *g = fit.eval(a as f64 * u + mc);
+                a += 1;
             }
         }
     }
@@ -852,57 +885,36 @@ fn solve_with_rows(
             }
         }
         None => {
-            // Inline build: materialise each near row with the same
-            // batched evaluation the cached path uses (same query times,
-            // same family batch kernel), then accumulate through the same
-            // sweep kernel — so supplying cached rows or none produces
-            // identical bits.
+            // Inline build (in production a one-age state: one near age
+            // at most): evaluate each near age chunk by chunk, exactly as
+            // the cached rows are built, and accumulate each chunk
+            // through the same sweep kernel — so supplying cached rows or
+            // none produces identical bits.
             for &(_, tau, c) in &near {
-                fill_triangle_times(ts, tau, x_max, u, checkpoint);
-                row.resize(ts.len(), 0.0);
-                dist.log_survival_batch(ts, row);
-                ckpt_math::simd::accumulate_scaled_rows(tri, &[(row, c)]);
+                log_survival_chunks(dist, tau, shape, u, checkpoint, |at, vals| {
+                    let acc = &mut tri[at..at + vals.len()];
+                    ckpt_math::simd::accumulate_scaled_rows(acc, &[(vals, c)]);
+                });
             }
         }
     }
-    // `G` stays in the packed triangle (`gg` below indexes it directly);
-    // only the exponentials get the m-major layout the DP scans. Cells
-    // outside the triangle are never read, so stale scratch is harmless.
-    //
     // The exponentials are taken relative to `G(0, 0) = tri[0]`, the
     // triangle's maximum (`ln S` is non-increasing and counts are
-    // positive): `E = exp(G − G(0,0))`. The DP only ever consumes ratios
-    // `E(a', m')/E(a, m)` — one transposed-row read over one division —
-    // so the common factor cancels, while the offset keeps `E` in
-    // (0, 1] even when `exp(G)` itself underflows. Massively-parallel
-    // platforms (p ≈ 4096 LANL cells: G ≈ −8000 nats) previously
-    // underflowed *every* state into the scalar log-domain fallback;
-    // with the offset they ride the hull path. The fallback remains for
-    // windows whose G drops more than ~745 nats below G(0,0).
+    // positive): `E = exp(G − G(0,0))`, in the triangle's own layout.
+    // The DP only ever consumes ratios `E(a', m')/E(a, m)` — one column
+    // read over one division — so the common factor cancels, while the
+    // offset keeps `E` in (0, 1] even when `exp(G)` itself underflows.
+    // Massively-parallel platforms (p ≈ 4096 LANL cells: G ≈ −8000 nats)
+    // previously underflowed *every* state into the scalar log-domain
+    // fallback; with the offset they ride the hull path. The fallback
+    // remains for windows whose G drops more than ~745 nats below
+    // G(0,0).
     let g_off = if tri[0].is_finite() { tri[0] } else { 0.0 };
-    egrid.resize((m_top + 1) * (x_max + 1), 0.0);
-    etri.resize(tri.len(), 0.0);
-    ckpt_math::simd::exp_shifted(tri, g_off, etri);
-    {
-        let mut i = 0usize;
-        for a in 0..=x_max {
-            for m in 0..=(a + 1).min(m_cap) {
-                egrid[m * (x_max + 1) + a] = etri[i];
-                i += 1;
-            }
-        }
-    }
-    // Packed-triangle row `a` starts at [`tri_row_start`].
-    let gg = |a: usize, m: usize| {
-        debug_assert!(m <= (a + 1).min(m_cap), "G({a}, {m}) outside the filled triangle");
-        tri[tri_row_start(a, m_cap) + m]
-    };
-    let ee = |a: usize, m: usize| {
-        debug_assert!(m <= (a + 1).min(m_cap), "E({a}, {m}) outside the filled triangle");
-        egrid[m * (x_max + 1) + a]
-    };
+    egrid.resize(tri.len(), 0.0);
+    ckpt_math::simd::exp_shifted(tri, g_off, egrid);
+    let gg = |a: usize, m: usize| tri[shape.at(a, m)];
 
-    // value[x][n] for n ≤ x_max − x (each chunk consumes ≥ 1 quantum).
+    // value[n][x] for x ≤ x_max − n (each chunk consumes ≥ 1 quantum).
     //
     // The transition value is `exp(G(a+i, n+1) − G(a, n)) · (i·u + succ)`.
     // The denominator `exp(G(a, n))` is constant across the inner loop, so
@@ -913,8 +925,9 @@ fn solve_with_rows(
     // below G(0,0)) the ratio form stays meaningful, so a log-domain
     // fallback loop handles those states exactly from the unoffset
     // triangle.
-    // `value`/`choice` are n-major (`[n][x]`) for the same contiguity
-    // reason: the hull below reads `value[n+1][j]` with ascending `j`.
+    // `value`/`choice` are n-major and packed: column `n` holds
+    // `x = 0..=x_max − n` from `v_start(n)`, the states the recursion
+    // touches, and the hull below reads column n+1 with ascending `j`.
     //
     // Inner maximisation via the monotone convex-hull trick: substituting
     // `j = x − i` (quanta left after the chunk) the transition value is
@@ -928,26 +941,29 @@ fn solve_with_rows(
     // from O(x_max³) to ~O(x_max²). Ties prefer the earlier hull line
     // (smaller `j` = bigger chunk), matching the direct loop's
     // tie-to-larger-`i` rule.
-    let stride = x_max + 1;
+    let v_start = |n: usize| n * (x_max + 1) - n * n.saturating_sub(1) / 2;
     // Chunk depths `n ≥ n_cap` are truncated: the deepest computed
     // column reads `V(·, n_cap) = 0`, which the zeroed resize provides.
     let n_cap = x_max.min(m_cap);
-    // Column 0 of every row is the V(0, ·) = 0 base case and the row at
+    // Every column's x = 0 entry is the V(0, ·) = 0 base case and column
     // `n_cap` is read before any write reaches it, so the whole buffer
     // is re-zeroed on reuse. `choice` is only ever read at states the
     // backward pass wrote this solve, so its stale contents don't
     // matter.
     value.clear();
-    value.resize((n_cap + 1) * stride, 0.0);
-    choice.resize((n_cap + 1) * stride, 0);
+    value.resize(v_start(n_cap + 1), 0.0);
+    choice.resize(v_start(n_cap + 1), 0);
     // (slope, intercept, j) lines of the current column's hull.
     hull.clear();
     for n in (0..n_cap).rev() {
         let x_hi = x_max - n;
-        let erow = &egrid[(n + 1) * stride..(n + 2) * stride];
-        // Rows n (written) and n+1 (read) are disjoint.
-        let (vcur, vnext) = value.split_at_mut((n + 1) * stride);
-        let vrow = &vnext[..stride];
+        // Column n+1 of E starts at a = n.
+        let ecol = &egrid[shape.col_start(n + 1)..shape.col_start(n + 2)];
+        // Columns n (written) and n+1 (read) are disjoint.
+        let (vcur, vnext) = value.split_at_mut(v_start(n + 1));
+        let vcol = &mut vcur[v_start(n)..];
+        let vnext = &vnext[..x_hi];
+        let ccol = &mut choice[v_start(n)..v_start(n + 1)];
         hull.clear();
         // Within a column the query point `z = x·u` increases with `x`
         // and hull slopes increase with insertion order, so the winning
@@ -958,13 +974,13 @@ fn solve_with_rows(
         for x in 1..=x_hi {
             // Line j = x − 1 becomes a valid transition target at this x.
             let j = x - 1;
-            let r = erow[x_max - j];
-            let q = r * (vrow[j] - j as f64 * u);
+            let r = ecol[x_hi - j];
+            let q = r * (vnext[j] - j as f64 * u);
             // Equal slopes: keep the better intercept; ties keep the
             // earlier (smaller-j) line.
             let mut push = true;
             if let Some(&(tr, tq, _)) = hull.last() {
-                #[expect(clippy::float_cmp, reason = "equal slopes are exact bits: both are read from the same `erow` array")]
+                #[expect(clippy::float_cmp, reason = "equal slopes are exact bits: both are read from the same `ecol` array")]
                 if r == tr {
                     if q > tq {
                         hull.pop();
@@ -991,7 +1007,7 @@ fn solve_with_rows(
             }
             let z = x as f64 * u;
             let a = x_max - x;
-            let e_base = ee(a, n);
+            let e_base = egrid[shape.at(a, n)];
             if e_base > 0.0 {
                 // Hull values at fixed `z` rise to a single peak and then
                 // fall (consecutive differences change sign once); strict
@@ -1009,8 +1025,8 @@ fn solve_with_rows(
                     }
                 }
                 let (r0, q0, j0) = hull[best];
-                vcur[n * stride + x] = (q0 + r0 * z) / e_base;
-                choice[n * stride + x] = x as u32 - j0;
+                vcol[x] = (q0 + r0 * z) / e_base;
+                ccol[x] = x as u32 - j0;
             } else {
                 // exp(G(a, n) − G(0,0)) underflowed (state survival more
                 // than ~745 nats below the window's start): fall back to
@@ -1021,7 +1037,7 @@ fn solve_with_rows(
                 for i in 1..=x {
                     // ln Psuc of executing i quanta + checkpoint.
                     let lp = gg(a + i, n + 1) - base;
-                    let succ = if x - i >= 1 { vrow[x - i] } else { 0.0 };
+                    let succ = if x - i >= 1 { vnext[x - i] } else { 0.0 };
                     let cur = lp.exp() * (i as f64 * u + succ); // audited log→linear conversion of an exact G row
                     // `>=` so ties (all-zero survival) prefer big chunks.
                     if cur >= best {
@@ -1029,8 +1045,8 @@ fn solve_with_rows(
                         best_i = i as u32;
                     }
                 }
-                vcur[n * stride + x] = best;
-                choice[n * stride + x] = best_i;
+                vcol[x] = best;
+                ccol[x] = best_i;
             }
         }
     }
@@ -1047,7 +1063,7 @@ fn solve_with_rows(
             chunks.push(x as f64 * u);
             break;
         }
-        let i = choice[n * stride + x] as usize;
+        let i = choice[v_start(n) + x] as usize;
         chunks.push(i as f64 * u);
         x -= i;
         n += 1;
@@ -1056,20 +1072,14 @@ fn solve_with_rows(
     })
 }
 
-/// Reusable backing storage for [`solve_with_rows`]. One solve touches a
-/// few MB of triangle/grid/DP-table scratch; allocating (and kernel-
-/// zeroing) that per solve dominated the solve's own arithmetic, so each
-/// thread keeps one set of buffers warm across solves.
+/// Reusable backing storage for [`solve_with_rows`]: the `G` triangle,
+/// its exponentials in the same layout, and the packed value/choice
+/// tables. Allocating (and kernel-zeroing) them per solve dominated the
+/// solve's own arithmetic, so each thread keeps one set of buffers warm
+/// across solves — ~0.7 MB at `x_max = 256`.
 #[derive(Default)]
 struct SolveScratch {
     tri: Vec<f64>,
-    /// `exp(tri − G(0,0))` in packed triangle order, before the m-major
-    /// scatter.
-    etri: Vec<f64>,
-    /// Triangle query times of the inline (row-less) build.
-    ts: Vec<f64>,
-    /// One materialised log-survival row of the inline build.
-    row: Vec<f64>,
     egrid: Vec<f64>,
     value: Vec<f64>,
     choice: Vec<u32>,

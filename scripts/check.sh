@@ -46,7 +46,14 @@
 #      per-unit store and of lower_bound_makespan on cached traces, and
 #      the peta-weibull digests are the only pin on multi-unit Weibull
 #      traces (and so on the Weibull first-draw screen of trace
-#      generation) at Petascale widths. The untraced exa-exp-study run
+#      generation) at Petascale widths. The untraced seq-weibull run
+#      must peak at no more than 14 MB of RSS (metrics.peak_rss_mb):
+#      above the trace floor its memory is the DP working-set layer,
+#      sized to the cells the solvers read (one column-packed
+#      DPNextFailure triangle per worker, DPMakespan ladders grown to the
+#      largest state asked of a row), which peaks near 12.3 MB against
+#      ~15.6 MB when the scratch and ladders are allocated in full. The
+#      untraced exa-exp-study run
 #      must also peak at no more than 40 MB of RSS (metrics.peak_rss_mb):
 #      memoryless states are one-age, so their DP solves build their one
 #      log-survival row inline instead of holding rows in the shared
@@ -141,6 +148,13 @@ for run in "seq-weibull --trace 0" "exa-exp-study --trace 0" "exa-exp-study --tr
   if ! printf '%s' "$perf_result" \
     | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'; then
     echo "perfbench: $run digests or invariants failed: $perf_result" >&2
+    exit 1
+  fi
+  if [ "$run" = "seq-weibull --trace 0" ] && ! printf '%s' "$perf_result" \
+    | python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["metrics"]["peak_rss_mb"]["value"] <= 14 else 1)'; then
+    echo "perfbench: seq-weibull peak RSS above 14 MB; is the DP working-set layer" \
+      "(DPNextFailure solve scratch, DPMakespan age rows) allocating cells its solvers" \
+      "never read? $perf_result" >&2
     exit 1
   fi
   if [ "$run" = "exa-exp-study --trace 0" ] && ! printf '%s' "$perf_result" \
