@@ -1236,7 +1236,6 @@ pub fn gc_studies(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::runner::PeriodSearch;
     use crate::scenario::DistSpec;
     use ckpt_sim::SimOptions;
 
@@ -1247,7 +1246,6 @@ mod tests {
         let options = RunnerOptions {
             lower_bound: true,
             period_lb: Some(vec![0.5, 1.0, 2.0]),
-            period_search: PeriodSearch::Full,
             sim: SimOptions::default(),
         };
         StudyDef::new(id, [(s, vec![PolicyKind::Young, PolicyKind::OptExp], options)])

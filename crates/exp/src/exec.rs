@@ -388,7 +388,7 @@ mod tests {
     use super::*;
     use crate::plan::plan_scenario;
     use crate::policies_spec::PolicyKind;
-    use crate::runner::{PeriodSearch, RunnerOptions};
+    use crate::runner::RunnerOptions;
     use crate::scenario::DistSpec;
     use crate::steal::tests::at_workers;
     use ckpt_sim::SimOptions;
@@ -407,7 +407,6 @@ mod tests {
         let sc = tiny();
         let opts = RunnerOptions {
             period_lb: Some(vec![0.5, 1.0, 2.0]),
-            period_search: PeriodSearch::Full,
             lower_bound: true,
             sim: SimOptions::default(),
         };
@@ -476,7 +475,6 @@ mod tests {
         sc.traces = 8;
         let opts = RunnerOptions {
             period_lb: Some(vec![0.5, 1.0, 2.0]),
-            period_search: PeriodSearch::Full,
             lower_bound: true,
             sim: SimOptions::default(),
         };

@@ -12,7 +12,7 @@
 
 use crate::jsonio::{escape_str, format_f64};
 use crate::policies_spec::PolicyKind;
-use crate::runner::{PeriodSearch, PolicyOutcome, RunnerOptions, ScenarioResult};
+use crate::runner::{PolicyOutcome, RunnerOptions, ScenarioResult};
 use crate::scenario::{DistSpec, Scenario};
 use ckpt_policies::DpMakespanConfig;
 use ckpt_workload::YEAR;
@@ -29,9 +29,9 @@ use ckpt_workload::YEAR;
 /// cp DIR/regen/aggregate/*.json results/golden/
 /// ```
 ///
-/// Coverage: a small Petascale-Weibull cell through the default
-/// coarse-to-fine `PeriodLB` search, a sequential Exponential cell through
-/// the exhaustive search, a cell whose `Liu` row fails to build
+/// Coverage: a small Petascale-Weibull cell through the default grid's
+/// coarse and refine waves, a sequential Exponential cell through a
+/// 3-factor grid (searched whole in the coarse wave), a cell whose `Liu` row fails to build
 /// (footnote-2 behaviour) so error rows are pinned too, a sequential
 /// Exponential `DPMakespan` cell so the Algorithm-1 value recursion has a
 /// pinned row (`registry::tests::registry_and_kind_name_agree` requires
@@ -59,13 +59,13 @@ pub fn golden_cells() -> Vec<(String, Scenario, Vec<PolicyKind>, RunnerOptions)>
         8,
     );
     dp_mk.total_work = 8.0 * 3_600.0;
-    let dp_mk_cfg = DpMakespanConfig { quanta: Some(24), assume_memoryless: true };
+    let dp_mk_cfg = DpMakespanConfig { quanta: Some(24) };
     let mut dp_mk_aged = Scenario::single_processor(
         DistSpec::Weibull { shape: 0.7, mtbf: 86_400.0 },
         8,
     );
     dp_mk_aged.total_work = 2.0 * 86_400.0;
-    let dp_mk_aged_cfg = DpMakespanConfig { quanta: Some(40), assume_memoryless: false };
+    let dp_mk_aged_cfg = DpMakespanConfig { quanta: Some(40) };
     vec![
         (
             peta.label.clone(),
@@ -79,7 +79,6 @@ pub fn golden_cells() -> Vec<(String, Scenario, Vec<PolicyKind>, RunnerOptions)>
             vec![PolicyKind::Young, PolicyKind::OptExp, PolicyKind::Liu],
             RunnerOptions {
                 period_lb: Some(vec![0.5, 1.0, 2.0]),
-                period_search: PeriodSearch::Full,
                 ..RunnerOptions::default()
             },
         ),

@@ -92,7 +92,7 @@ pub use plan::{plan_scenario, SimPlan, SimTask};
 pub use policies_spec::PolicyKind;
 pub use registry::{build_policy, parse_kind};
 pub use runner::{
-    run_scenario, run_scenario_checked, PeriodSearch, PolicyOutcome, RunnerOptions,
+    run_scenario, run_scenario_checked, PolicyOutcome, RunnerOptions,
     ScenarioResult,
 };
 pub use scenario::{DistSpec, Scenario};

@@ -3,8 +3,8 @@
 //!
 //! A [`SimPlan`] is the complete, typed description of the simulation
 //! work one scenario requires — which policies run on which traces,
-//! whether the omniscient lower bound is evaluated, and how the
-//! `PeriodLB` candidate grid is explored. [`SimPlan::items`] cuts it
+//! whether the omniscient lower bound is evaluated, and which `PeriodLB`
+//! candidates the coarse and refine waves cover. [`SimPlan::items`] cuts it
 //! into policy × trace-block items, lower-bound and coarse-candidate
 //! blocks, and one refine item; the one wave loop drains them
 //! ([`crate::exec`]). Nothing in this module generates traces, builds
@@ -20,7 +20,7 @@
 //! callers.
 
 use crate::policies_spec::PolicyKind;
-use crate::runner::{PeriodSearch, RunnerOptions};
+use crate::runner::RunnerOptions;
 use crate::scenario::Scenario;
 use ckpt_sim::SimOptions;
 
@@ -53,6 +53,12 @@ pub enum SimTask {
 /// Traces per policy, lower-bound and coarse work item, in memory and
 /// in every study manifest alike.
 pub const TRACE_BLOCK: usize = 4;
+
+/// Stride of `PeriodLB`'s coarse wave over the sorted factor grid.
+const COARSE_STEP: usize = 8;
+
+/// Grids up to this size are searched exhaustively in the coarse wave.
+const MIN_FULL: usize = 24;
 
 /// One deterministic unit of work, identified entirely by indices (so a
 /// persisted payload rebinds to its item across processes).
@@ -105,14 +111,17 @@ pub struct SimPlan {
     /// The `PeriodLB` candidate factor grid, sorted ascending and
     /// deduplicated. Empty ⇒ no period search.
     pub grid: Vec<f64>,
-    /// Grid indices of the first candidate wave.
+    /// Grid indices of the first candidate wave: the whole grid up to 24
+    /// factors; beyond, every 8th factor plus the last one and the one
+    /// nearest 1.0. Coarse-to-fine cuts
+    /// candidate simulations ~5–8× on the paper's 479-factor grid and is
+    /// exact whenever the mean-makespan profile is unimodal at the
+    /// coarse resolution.
     pub coarse: Vec<usize>,
     /// `Some(step)` ⇒ a refine wave follows the coarse wave, covering
     /// [`Self::refine_window`] around the coarse incumbent. `None` ⇒ the
     /// coarse wave already covers the whole grid.
     pub refine_step: Option<usize>,
-    /// The exploration strategy the waves were derived from.
-    pub search: PeriodSearch,
     /// Engine safety options applied to every simulation.
     pub sim: SimOptions,
 }
@@ -129,7 +138,7 @@ pub fn plan_scenario(
         .as_ref()
         .map(|g| dedupe_sorted(g.clone()))
         .unwrap_or_default();
-    let (coarse, refine_step) = candidate_waves(&grid, options.period_search);
+    let (coarse, refine_step) = candidate_waves(&grid);
     SimPlan {
         kinds: kinds.to_vec(),
         policy_names: kinds.iter().map(PolicyKind::name).collect(),
@@ -138,7 +147,6 @@ pub fn plan_scenario(
         grid,
         coarse,
         refine_step,
-        search: options.period_search,
         sim: options.sim,
     }
 }
@@ -214,32 +222,22 @@ impl SimPlan {
     }
 }
 
-/// Coarse-wave indices and refine step for a (sorted, deduped) grid
-/// under `search`. Pure.
-fn candidate_waves(grid: &[f64], search: PeriodSearch) -> (Vec<usize>, Option<usize>) {
+/// Coarse-wave indices and refine step for a (sorted, deduped) grid.
+/// Pure.
+fn candidate_waves(grid: &[f64]) -> (Vec<usize>, Option<usize>) {
     let len = grid.len();
-    if len == 0 {
-        return (Vec::new(), None);
+    if len <= MIN_FULL {
+        return ((0..len).collect(), None);
     }
-    match search {
-        PeriodSearch::Full => ((0..len).collect(), None),
-        PeriodSearch::CoarseToFine { coarse_step, min_full } => {
-            if len <= min_full.max(1) {
-                ((0..len).collect(), None)
-            } else {
-                let step = coarse_step.max(2);
-                let mut idx: Vec<usize> = (0..len).step_by(step).collect();
-                idx.push(len - 1);
-                // Always anchor at the factor nearest 1.0 (OptExp itself).
-                if let Some(anchor) = anchor_index(grid) {
-                    idx.push(anchor);
-                }
-                idx.sort_unstable();
-                idx.dedup();
-                (idx, Some(step))
-            }
-        }
+    let mut idx: Vec<usize> = (0..len).step_by(COARSE_STEP).collect();
+    idx.push(len - 1);
+    // Always anchor at the factor nearest 1.0 (OptExp itself).
+    if let Some(anchor) = anchor_index(grid) {
+        idx.push(anchor);
     }
+    idx.sort_unstable();
+    idx.dedup();
+    (idx, Some(COARSE_STEP))
 }
 
 /// Index of the factor nearest 1.0 (OptExp itself) — the coarse wave is
@@ -331,20 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn full_search_has_no_refine_wave() {
-        let sc = tiny();
-        let opts = RunnerOptions {
-            period_lb: Some(vec![0.5, 1.0, 2.0]),
-            period_search: PeriodSearch::Full,
-            ..RunnerOptions::default()
-        };
-        let plan = plan_scenario(&sc, &[], &opts);
-        assert_eq!(plan.coarse, [0, 1, 2]);
-        assert_eq!(plan.refine_step, None);
-        assert_eq!(plan.refine_window(1), 0..0);
-    }
-
-    #[test]
     fn small_grids_are_searched_exhaustively_under_coarse_to_fine() {
         let sc = tiny();
         let opts = RunnerOptions {
@@ -354,6 +338,22 @@ mod tests {
         let plan = plan_scenario(&sc, &[], &opts);
         assert_eq!(plan.coarse, [0, 1, 2]);
         assert_eq!(plan.refine_step, None);
+        assert_eq!(plan.refine_window(1), 0..0);
+    }
+
+    #[test]
+    fn grids_past_24_factors_get_a_refine_wave() {
+        let sc = tiny();
+        let with_grid = |n: u32| {
+            let period_lb = Some((1..=n).map(f64::from).collect());
+            plan_scenario(&sc, &[], &RunnerOptions { period_lb, ..RunnerOptions::default() })
+        };
+        let whole = with_grid(24);
+        assert_eq!((whole.coarse.len(), whole.refine_step), (24, None));
+        let split = with_grid(25);
+        assert_eq!(split.refine_step, Some(8));
+        // Every 8th factor, the last one, and 1.0 (index 0) among them.
+        assert_eq!(split.coarse, [0, 8, 16, 24]);
     }
 
     #[test]

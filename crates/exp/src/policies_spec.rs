@@ -164,7 +164,7 @@ mod tests {
         let (s, b) = weibull_cell(1_024);
         assert!(PolicyKind::DpNextFailure(Default::default()).build(&s, &b).is_ok());
         // Parallel Weibull DPMakespan builds on the min-of distribution.
-        let cfg = ckpt_policies::DpMakespanConfig { quanta: Some(20), ..Default::default() };
+        let cfg = ckpt_policies::DpMakespanConfig { quanta: Some(20) };
         assert!(PolicyKind::DpMakespan(cfg).build(&s, &b).is_ok());
     }
 }

@@ -12,7 +12,7 @@
 use crate::error::Error;
 use crate::policies_spec::PolicyKind;
 use crate::scenario::{BuiltDist, Scenario};
-use ckpt_dist::{Exponential, MinOf, Weibull};
+use ckpt_dist::{Exponential, FailureDistribution, MinOf, Weibull};
 use ckpt_policies::{
     daly_high, daly_low, young, Bouguerra, DpMakespan, DpNextFailure, Liu, OptExp, Policy,
 };
@@ -72,24 +72,24 @@ pub fn build_policy(
             *cfg,
         ))),
         PolicyKind::DpMakespan(cfg) => {
-            // p = 1: the true distribution. p > 1: the paper's "false
-            // assumption" — the rejuvenated platform distribution
-            // (macro-processor pλ for Exponential, min-of-p otherwise).
-            let units = built.topology.units_for_procs(scenario.procs) as u64;
-            let mut cfg = *cfg;
-            let dist: Box<dyn ckpt_dist::FailureDistribution> = if units <= 1 {
-                built.dist.clone_box()
-            } else if built.weibull_shape == Some(1.0) {
-                cfg.assume_memoryless = true;
-                Box::new(Exponential::from_mtbf(proc_mtbf / scenario.procs as f64))
-            } else {
-                Box::new(MinOf::new(built.dist.clone_box(), units))
-            };
-            if built.weibull_shape == Some(1.0) {
-                cfg.assume_memoryless = true;
-            }
-            Ok(Box::new(DpMakespan::new(&spec, dist, cfg)))
+            Ok(Box::new(DpMakespan::new(&spec, dp_makespan_law(scenario, built), *cfg)))
         }
+    }
+}
+
+/// The failure law `DPMakespan` plans on. p = 1: the true distribution.
+/// p > 1: the paper's "false assumption" — the rejuvenated platform
+/// distribution (macro-processor pλ for Exponential, min-of-p
+/// otherwise). `DPMakespan` collapses its age dimension exactly when
+/// this law [is memoryless](FailureDistribution::is_memoryless).
+pub fn dp_makespan_law(scenario: &Scenario, built: &BuiltDist) -> Box<dyn FailureDistribution> {
+    let units = built.topology.units_for_procs(scenario.procs) as u64;
+    if units <= 1 {
+        built.dist.clone_box()
+    } else if built.weibull_shape == Some(1.0) {
+        Box::new(Exponential::from_mtbf(built.proc_mtbf / scenario.procs as f64))
+    } else {
+        Box::new(MinOf::new(built.dist.clone_box(), units))
     }
 }
 
@@ -212,6 +212,35 @@ mod tests {
             let policy = build_policy(&kind, &s, &b).expect("builds at this cell");
             assert_eq!(policy.name(), kind.name(), "{name}");
         }
+    }
+
+    /// Every `DPMakespan` row of the `paper` and `golden` studies plans on
+    /// a memoryless law exactly where the cell's failures are Exponential
+    /// or Weibull k = 1 (`weibull_shape == Some(1.0)`): on the cells the
+    /// studies run, reading memorylessness from the law and the shape
+    /// rule pick the same table.
+    #[test]
+    fn dp_makespan_law_is_memoryless_exactly_at_shape_one() {
+        let params = crate::catalog::Params { traces: Some(1), ..Default::default() };
+        let mut parts = crate::catalog::lookup(crate::catalog::PAPER).expect("paper study");
+        parts.extend(crate::catalog::lookup("golden").expect("golden study"));
+        let mut checked = 0;
+        for cell in crate::catalog::def("law-check", &parts, &params).cells {
+            if !cell.kinds.iter().any(|k| matches!(k, PolicyKind::DpMakespan(_))) {
+                continue;
+            }
+            let built = cell.scenario.dist.build();
+            let law = dp_makespan_law(&cell.scenario, &built);
+            assert_eq!(
+                law.is_memoryless(),
+                built.weibull_shape == Some(1.0),
+                "{} (p = {})",
+                cell.stem,
+                cell.scenario.procs
+            );
+            checked += 1;
+        }
+        assert!(checked >= 10, "only {checked} DPMakespan cells");
     }
 
     #[test]

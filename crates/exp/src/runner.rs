@@ -11,8 +11,8 @@
 //! 3. [`crate::reduce::reduce`] — fold into the §4.1 degradation rows.
 //!
 //! This module keeps the user-facing types: [`RunnerOptions`],
-//! [`PeriodSearch`], [`PolicyOutcome`], [`ScenarioResult`], and the
-//! period factor grids (re-exported from [`crate::plan`]).
+//! [`PolicyOutcome`], [`ScenarioResult`], and the period factor grids
+//! (re-exported from [`crate::plan`]).
 
 use crate::error::Error;
 use crate::perf::{clock_seconds, PipelinePerf};
@@ -22,42 +22,15 @@ use ckpt_sim::SimOptions;
 
 pub use crate::plan::{default_period_grid, paper_period_grid};
 
-/// How `PeriodLB` explores its candidate factor grid.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PeriodSearch {
-    /// Simulate every candidate on every trace (the paper's exhaustive
-    /// sweep).
-    Full,
-    /// Coarse-to-fine: simulate every `coarse_step`-th candidate of the
-    /// sorted grid (plus the factor nearest 1.0 and both endpoints),
-    /// then refine exhaustively between the coarse neighbours of the
-    /// incumbent. Cuts candidate simulations ~5–8× on the paper's
-    /// 481-factor grid; exact whenever the mean-makespan profile is
-    /// unimodal at the coarse resolution.
-    CoarseToFine {
-        /// Stride of the coarse pass over the sorted grid (≥ 2).
-        coarse_step: usize,
-        /// Grids up to this size are searched exhaustively.
-        min_full: usize,
-    },
-}
-
-impl Default for PeriodSearch {
-    fn default() -> Self {
-        Self::CoarseToFine { coarse_step: 8, min_full: 24 }
-    }
-}
-
 /// Runner knobs.
 #[derive(Debug, Clone)]
 pub struct RunnerOptions {
     /// Include the omniscient `LowerBound` row.
     pub lower_bound: bool,
     /// Include the `PeriodLB` numeric search; the value is the period
-    /// factor grid applied to the OptExp period.
+    /// factor grid applied to the OptExp period, searched coarse to fine
+    /// ([`crate::plan::SimPlan::coarse`]).
     pub period_lb: Option<Vec<f64>>,
-    /// Grid exploration strategy for `PeriodLB`.
-    pub period_search: PeriodSearch,
     /// Engine safety options.
     pub sim: SimOptions,
 }
@@ -67,7 +40,6 @@ impl Default for RunnerOptions {
         Self {
             lower_bound: true,
             period_lb: Some(default_period_grid()),
-            period_search: PeriodSearch::default(),
             sim: SimOptions::default(),
         }
     }
@@ -223,7 +195,6 @@ mod tests {
         RunnerOptions {
             lower_bound: true,
             period_lb: Some(vec![0.5, 1.0, 2.0]),
-            period_search: PeriodSearch::Full,
             sim: SimOptions::default(),
         }
     }
@@ -376,26 +347,31 @@ mod tests {
     fn coarse_to_fine_matches_full_search_and_cuts_sims() {
         let sc = tiny_scenario();
         let grid = paper_period_grid();
-        let full = run_scenario(&sc, &[], &RunnerOptions {
+        // The exhaustive oracle: every factor of the grid as a roster row
+        // (the same scaled OptExp a candidate simulates), best mean wins.
+        let rows: Vec<PolicyKind> = grid.iter().map(|&f| PolicyKind::OptExpScaled(f)).collect();
+        let full = run_scenario(&sc, &rows, &RunnerOptions {
             lower_bound: false,
-            period_lb: Some(grid.clone()),
-            period_search: PeriodSearch::Full,
+            period_lb: None,
             sim: SimOptions::default(),
         });
+        let full_sims = full.perf.policy_sims;
+        assert_eq!(full_sims, (grid.len() * sc.traces) as u64);
+        let full_mean = full
+            .outcomes
+            .iter()
+            .map(|o| o.mean_makespan.expect("ran"))
+            .fold(f64::INFINITY, f64::min);
         let coarse = run_scenario(&sc, &[], &RunnerOptions {
             lower_bound: false,
             period_lb: Some(grid.clone()),
-            period_search: PeriodSearch::default(),
             sim: SimOptions::default(),
         });
-        let full_sims = full.perf.candidate_sims;
         let coarse_sims = coarse.perf.candidate_sims;
-        assert_eq!(full_sims, (grid.len() * sc.traces) as u64);
         assert!(
             coarse_sims * 5 <= full_sims,
             "coarse-to-fine used {coarse_sims} of {full_sims} sims (> 1/5)"
         );
-        let full_mean = full.get("PeriodLB").expect("row").mean_makespan.expect("ran");
         let coarse_mean = coarse.get("PeriodLB").expect("row").mean_makespan.expect("ran");
         assert!(
             (coarse_mean - full_mean).abs() <= 1e-3 * full_mean,
@@ -409,7 +385,8 @@ mod tests {
         let r = run_scenario(&sc, &[PolicyKind::Young], &fast_options());
         assert!(r.perf.total_seconds > 0.0);
         let names: Vec<&str> = r.perf.stages.iter().map(|s| s.name.as_str()).collect();
-        // An exhaustive search has no refine item, so no `period_search` wave.
+        // A 3-factor grid is searched exhaustively: no refine item, so no
+        // `period_search` wave.
         assert_eq!(names, ["trace_gen", "policy_sims", "aggregate"]);
         assert_eq!(r.perf.policy_sims, sc.traces as u64);
         assert_eq!(r.perf.candidate_sims, (3 * sc.traces) as u64);

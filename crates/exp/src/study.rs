@@ -67,8 +67,8 @@ impl Study {
         self
     }
 
-    /// Replace the runner options (period grid, search strategy,
-    /// lower-bound row, engine options).
+    /// Replace the runner options (period grid, lower-bound row, engine
+    /// options).
     #[must_use]
     pub fn with_options(mut self, options: RunnerOptions) -> Self {
         self.options = options;
@@ -125,14 +125,12 @@ impl Study {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::runner::PeriodSearch;
     use ckpt_sim::SimOptions;
 
     fn fast_options() -> RunnerOptions {
         RunnerOptions {
             lower_bound: true,
             period_lb: Some(vec![0.5, 1.0, 2.0]),
-            period_search: PeriodSearch::Full,
             sim: SimOptions::default(),
         }
     }

@@ -18,7 +18,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ckpt_exp::golden::golden_json;
-use ckpt_exp::runner::{run_scenario, PeriodSearch, RunnerOptions};
+use ckpt_exp::runner::{run_scenario, RunnerOptions};
 use ckpt_exp::{run_in_memory, DistSpec, PolicyKind, Scenario, StudyDef, TraceCache};
 use ckpt_policies::DpCaches;
 use ckpt_sim::SimOptions;
@@ -35,7 +35,6 @@ fn fast_options() -> RunnerOptions {
     RunnerOptions {
         lower_bound: true,
         period_lb: Some(vec![0.5, 1.0, 2.0]),
-        period_search: PeriodSearch::Full,
         sim: SimOptions::default(),
     }
 }

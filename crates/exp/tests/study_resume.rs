@@ -26,7 +26,7 @@ use ckpt_exp::checkpoint::{
 };
 use ckpt_exp::golden::golden_json;
 use ckpt_exp::runner::run_scenario;
-use ckpt_exp::{DistSpec, Error, PeriodSearch, PolicyKind, RunnerOptions, Scenario, TraceCache};
+use ckpt_exp::{DistSpec, Error, PolicyKind, RunnerOptions, Scenario, TraceCache};
 use ckpt_sim::SimOptions;
 use ckpt_exp::steal::set_workers;
 use std::path::{Path, PathBuf};
@@ -62,7 +62,6 @@ fn two_cells() -> (Cell, Cell) {
     let full = RunnerOptions {
         lower_bound: true,
         period_lb: Some(vec![0.5, 1.0, 2.0]),
-        period_search: PeriodSearch::Full,
         sim: SimOptions::default(),
     };
 
@@ -70,10 +69,9 @@ fn two_cells() -> (Cell, Cell) {
     b.total_work = 12.0 * 3_600.0;
     let coarse_fine = RunnerOptions {
         lower_bound: true,
-        // 25 factors in [0.4, 2.8]: big enough that CoarseToFine keeps a
-        // refine wave (grid_len > min_full) instead of degrading to Full.
+        // 25 factors in [0.4, 2.8]: one past the largest grid searched
+        // whole, so the cell keeps a refine wave.
         period_lb: Some((1..=25).map(|i| 0.3 + 0.1 * f64::from(i)).collect()),
-        period_search: PeriodSearch::CoarseToFine { coarse_step: 4, min_full: 8 },
         sim: SimOptions::default(),
     };
 
@@ -363,7 +361,10 @@ fn unbuildable_cell_commits_its_build_error_and_spares_its_neighbour() {
             StudyOutcome::Stopped { .. } => panic!("no stop hook configured"),
         }
 
-        let stop = total / 2;
+        // Past the first 8-item wave, so a snapshot precedes the stop
+        // and the resume has committed items to read.
+        let stop = total / 2 + 1;
+        assert!(stop > 8 && stop < total);
         let stop_cfg = CheckpointConfig { stop_after_items: Some(stop), ..config(&root) };
         match run_study(&def("resumed"), &stop_cfg, false).expect("interrupted run starts") {
             StudyOutcome::Stopped { completed, total: t } => {

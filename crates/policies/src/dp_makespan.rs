@@ -42,9 +42,6 @@ pub struct DpMakespanConfig {
     /// expected optimal chunk `√(2CM)` spans several quanta — see
     /// [`auto_makespan_quanta`].
     pub quanta: Option<usize>,
-    /// Collapse the age dimension (valid — and fast — for memoryless
-    /// distributions, where `Psuc` and `E[Tlost]` ignore `τ`).
-    pub assume_memoryless: bool,
 }
 
 /// Auto-sized quantum count for the Makespan DP: `≈ 6·W/√(2CM)` (six
@@ -69,6 +66,9 @@ pub struct DpMakespan {
     dist: Box<dyn FailureDistribution>,
     spec: JobSpec,
     config: DpMakespanConfig,
+    /// [`FailureDistribution::is_memoryless`] of `dist`: the age
+    /// dimension collapses (`Psuc` and `E[Tlost]` ignore `τ`).
+    memoryless: bool,
     u: f64,
     e_rec: f64,
     /// Tabulated log-survival / survival-integral kernels (`ckpt-dist`):
@@ -158,19 +158,15 @@ impl DpMakespan {
         dist: Box<dyn FailureDistribution>,
         config: DpMakespanConfig,
     ) -> Self {
+        let memoryless = dist.is_memoryless();
         let quanta = match config.quanta {
             Some(q) => {
                 assert!(q >= 2);
                 q
             }
-            None => auto_makespan_quanta(
-                spec.work,
-                spec.checkpoint,
-                dist.mean(),
-                config.assume_memoryless,
-            ),
+            None => auto_makespan_quanta(spec.work, spec.checkpoint, dist.mean(), memoryless),
         };
-        let config = DpMakespanConfig { quanta: Some(quanta), ..config };
+        let config = DpMakespanConfig { quanta: Some(quanta) };
         let u = spec.work / quanta as f64;
         // Horizon the loss table must cover: full job + all checkpoints +
         // recovery, with margin. The grid must resolve the *smallest*
@@ -189,7 +185,7 @@ impl DpMakespan {
         // trait's closed-form expected loss (Lemma 1) is exact; otherwise
         // the kernel's interpolation is accurate at `resolution` scale.
         let psuc_r = dist.psuc(spec.recovery, 0.0);
-        let lost_r = if config.assume_memoryless {
+        let lost_r = if memoryless {
             dist.expected_loss(spec.recovery, 0.0)
         } else {
             kernel.expected_loss(spec.recovery, 0.0)
@@ -205,6 +201,7 @@ impl DpMakespan {
             dist,
             spec: *spec,
             config,
+            memoryless,
             u,
             e_rec,
             kernel,
@@ -240,7 +237,7 @@ impl DpMakespan {
         let n = self.quanta();
         let r = self.spec.recovery;
         let c = self.spec.checkpoint;
-        let memoryless = self.config.assume_memoryless;
+        let memoryless = self.memoryless;
         // `Psuc` and `E[Tlost]` of an attempt depend on its length and the
         // fixed post-recovery age alone, never on `x` — hoist them into
         // O(n) ladders instead of querying the distribution O(n²) times
@@ -317,7 +314,7 @@ impl DpMakespan {
     /// `Psuc(x|τ)`: exact (typically closed-form) for memoryless
     /// distributions, tabulated log-survival otherwise.
     fn psuc(&self, x: f64, tau: f64) -> f64 {
-        if self.config.assume_memoryless {
+        if self.memoryless {
             self.dist.psuc(x, 0.0)
         } else {
             self.kernel.psuc(x, tau)
@@ -327,7 +324,7 @@ impl DpMakespan {
     /// `E[Tlost(x|τ)]`: closed form for memoryless distributions, kernel
     /// interpolation otherwise.
     fn tlost(&self, x: f64, tau: f64) -> f64 {
-        if self.config.assume_memoryless {
+        if self.memoryless {
             self.dist.expected_loss(x, 0.0)
         } else {
             self.kernel.expected_loss(x, tau)
@@ -509,7 +506,7 @@ mod tests {
         let dp = DpMakespan::new(
             &spec,
             Box::new(Exponential::from_mtbf(mtbf)),
-            DpMakespanConfig { quanta: Some(quanta), assume_memoryless: true },
+            DpMakespanConfig { quanta: Some(quanta) },
         );
         (spec, dp)
     }
@@ -587,6 +584,23 @@ mod tests {
     }
 
     #[test]
+    fn memorylessness_comes_from_the_law() {
+        let spec = JobSpec::table1_single_processor();
+        let build = |dist: Box<dyn FailureDistribution>| {
+            DpMakespan::new(&spec, dist, DpMakespanConfig { quanta: Some(30) })
+        };
+        // Exponential: the dense table, filled at construction.
+        assert_eq!(build(Box::new(Exponential::from_mtbf(DAY))).flat.len(), 31);
+        // Weibull, k = 1 included (it does not report itself memoryless):
+        // the age-dependent table.
+        for shape in [0.7, 1.0] {
+            let dp = build(Box::new(Weibull::from_mtbf(shape, DAY)));
+            assert!(dp.flat.is_empty(), "Weibull k = {shape}");
+            assert!(dp.value(30, 0.0).is_finite());
+        }
+    }
+
+    #[test]
     fn value_exceeds_failure_free_time() {
         let (_, dp) = exp_dp(HOUR, 40);
         // Expected makespan ≥ work + minimum checkpointing time.
@@ -603,7 +617,7 @@ mod tests {
         let dp = DpMakespan::new(
             &spec,
             Box::new(Weibull::from_mtbf(0.7, DAY)),
-            DpMakespanConfig { quanta: Some(80), assume_memoryless: false },
+            DpMakespanConfig { quanta: Some(80) },
         );
         let young_chunk = dp.chunk_for(spec.work, spec.recovery);
         let old_chunk = dp.chunk_for(spec.work, 10.0 * DAY);
@@ -619,7 +633,7 @@ mod tests {
         let dp = DpMakespan::new(
             &spec,
             Box::new(Weibull::from_mtbf(0.7, HOUR)),
-            DpMakespanConfig { quanta: Some(50), assume_memoryless: false },
+            DpMakespanConfig { quanta: Some(50) },
         );
         let v = dp.value(50, 0.0);
         assert!(v.is_finite() && v > spec.work);
@@ -740,7 +754,7 @@ mod tests {
             let dp = DpMakespan::new(
                 &spec,
                 dist,
-                DpMakespanConfig { quanta: Some(quanta), assume_memoryless: false },
+                DpMakespanConfig { quanta: Some(quanta) },
             );
             let mut reference = Reference::new(&dp);
             for (x, (got, want)) in dp.backbone.iter().zip(&reference.backbone).enumerate() {
@@ -796,7 +810,7 @@ mod tests {
         let dp = DpMakespan::new(
             &spec,
             Box::new(Weibull::from_mtbf(0.7, DAY)),
-            DpMakespanConfig { quanta: Some(40), assume_memoryless: false },
+            DpMakespanConfig { quanta: Some(40) },
         );
         let before = dp.table.lock().unwrap_or_else(PoisonError::into_inner).rows.len();
         let mut reference = Reference::new(&dp);

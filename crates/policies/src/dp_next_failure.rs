@@ -26,12 +26,12 @@
 //! * **work truncation** — the DP is invoked on
 //!   `min(ω, 2 × MTBF/p)` work and only the first **half** of the produced
 //!   chunk schedule is used before replanning;
-//! * **state compression** — optionally approximate all but the `n_exact`
-//!   smallest processor ages by `n_approx` reference quantiles
-//!   ([`StateCompression::Approximate`]); our [`AgeView`] already collapses
-//!   never-failed processors, so [`StateCompression::Exact`] is itself
-//!   cheap and serves as the precision baseline of the paper's ≤0.2 %
-//!   error study (pinned by the
+//! * **state compression** — once the distinct-age set passes 128
+//!   entries, all but the `n_exact = 10` smallest processor ages are
+//!   approximated by `n_approx = 100` reference quantiles
+//!   ([`compress_ages`]). Our [`AgeView`] already collapses never-failed
+//!   processors, so the exact set is usually small and is itself the
+//!   precision baseline of the paper's ≤0.2 % error study (pinned by the
 //!   `compression_error_stays_within_paper_bound_as_failures_accumulate`
 //!   test below).
 
@@ -41,35 +41,8 @@ use ckpt_dist::FailureDistribution;
 use ckpt_workload::JobSpec;
 use std::sync::Arc;
 
-/// How the processor-age multiset is summarised before planning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StateCompression {
-    /// Exact ages while the distinct-age set stays small (≤ 128 entries),
-    /// the paper's (10, 100) scheme beyond — failure-dense platforms
-    /// (the log-based runs of §6) would otherwise pay O(#failures) per
-    /// grid point.
-    Auto,
-    /// Use every distinct age with its exact multiplicity.
-    Exact,
-    /// §3.3's scheme: keep the `n_exact` smallest ages exact, map the rest
-    /// onto `n_approx` survival-quantile reference values.
-    Approximate {
-        /// Number of smallest ages kept exactly (paper: 10).
-        n_exact: usize,
-        /// Number of reference values (paper: 100).
-        n_approx: usize,
-    },
-}
-
-impl StateCompression {
-    /// The paper's configuration: `n_exact = 10`, `n_approx = 100`.
-    pub fn paper() -> Self {
-        Self::Approximate { n_exact: 10, n_approx: 100 }
-    }
-}
-
 /// Tunables of the DP.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DpNextFailureConfig {
     /// Number of quanta the (truncated) work is divided into; the quantum
     /// is `u = W_trunc / quanta`. More quanta = finer chunks, higher cost.
@@ -77,24 +50,23 @@ pub struct DpNextFailureConfig {
     /// optimal chunk (Young's order of magnitude, `√(2CM)`) spans
     /// [`QUANTA_PER_CHUNK`] quanta — see [`auto_quanta`].
     pub quanta: Option<usize>,
-    /// Work truncation in platform-MTBF multiples (paper: 2).
-    pub truncation_mtbf_multiple: f64,
-    /// Use only the first half of each planned schedule (paper: yes).
-    pub use_half_schedule: bool,
-    /// Age-state compression mode.
-    pub compression: StateCompression,
 }
 
-impl Default for DpNextFailureConfig {
-    fn default() -> Self {
-        Self {
-            quanta: None,
-            truncation_mtbf_multiple: 2.0,
-            use_half_schedule: true,
-            compression: StateCompression::Auto,
-        }
-    }
-}
+/// §3.3's work truncation, in platform-MTBF multiples: each plan covers
+/// at most `2·MTBF/p` of work, and only the first half of a truncated
+/// plan is executed before replanning.
+pub const TRUNCATION_MTBF_MULTIPLE: f64 = 2.0;
+
+/// Distinct `(age, count)` entries kept exact before §3.3's compression
+/// engages — failure-dense platforms (the log-based runs of §6) would
+/// otherwise pay O(#failures) per grid point.
+const EXACT_AGES_MAX: usize = 128;
+
+/// §3.3: the number of smallest processor ages kept exact.
+const N_EXACT: usize = 10;
+
+/// §3.3: the number of survival-quantile reference ages the rest map onto.
+const N_APPROX: usize = 100;
 
 /// Maximum chunks a single plan looks ahead. Beyond ~32 chunks the tail
 /// of a schedule is almost never reached before a failure or a replan, so
@@ -106,11 +78,11 @@ pub const MAX_PLAN_CHUNKS: f64 = 32.0;
 /// Quanta per estimated chunk in the auto configuration.
 pub const QUANTA_PER_CHUNK: f64 = 8.0;
 
-/// Planning window for one DP invocation: `min(k·M, 32·√(2CM))`.
-pub fn planning_window(checkpoint: f64, platform_mtbf: f64, mtbf_multiple: f64) -> f64 {
+/// Planning window for one DP invocation: `min(2·M, 32·√(2CM))`.
+pub fn planning_window(checkpoint: f64, platform_mtbf: f64) -> f64 {
     let c = checkpoint.max(1.0);
     let chunk_est = (2.0 * c * platform_mtbf).sqrt();
-    (mtbf_multiple * platform_mtbf).min(MAX_PLAN_CHUNKS * chunk_est)
+    (TRUNCATION_MTBF_MULTIPLE * platform_mtbf).min(MAX_PLAN_CHUNKS * chunk_est)
 }
 
 /// Auto-sized quantum count: ~8 quanta per estimated chunk `√(2CM)`
@@ -119,7 +91,7 @@ pub fn planning_window(checkpoint: f64, platform_mtbf: f64, mtbf_multiple: f64) 
 pub fn auto_quanta(checkpoint: f64, platform_mtbf: f64) -> usize {
     let c = checkpoint.max(1.0);
     let chunk_est = (2.0 * c * platform_mtbf).sqrt();
-    let window = planning_window(checkpoint, platform_mtbf, 2.0);
+    let window = planning_window(checkpoint, platform_mtbf);
     let q = QUANTA_PER_CHUNK * window / chunk_est;
     (q as usize).clamp(40, 256)
 }
@@ -130,7 +102,6 @@ pub struct DpNextFailure {
     dist_id: DistId,
     spec: JobSpec,
     platform_mtbf: f64,
-    config: DpNextFailureConfig,
     x_max: usize,
     /// Shared plan/kernel-row memo layers (see [`crate::plan_cache`]).
     /// Plans are keyed by the full quantised planning state — distribution
@@ -151,7 +122,6 @@ impl std::fmt::Debug for DpNextFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DpNextFailure")
             .field("spec", &self.spec)
-            .field("config", &self.config)
             .field("x_max", &self.x_max)
             .finish_non_exhaustive()
     }
@@ -181,7 +151,6 @@ impl DpNextFailure {
         caches: DpCaches,
     ) -> Self {
         assert!(proc_mtbf > 0.0);
-        assert!(config.truncation_mtbf_multiple > 0.0);
         let platform_mtbf = proc_mtbf / spec.procs as f64;
         let x_max = match config.quanta {
             Some(q) => {
@@ -197,7 +166,6 @@ impl DpNextFailure {
             dist_id,
             spec: *spec,
             platform_mtbf,
-            config,
             x_max,
             caches,
             memoryless,
@@ -264,11 +232,7 @@ impl DpNextFailure {
     /// not proven. Every other law is keyed on its
     /// [age buckets](Self::age_buckets).
     fn plan_key(&self, remaining: f64, ages: &AgeView) -> PlanKey {
-        let window = planning_window(
-            self.spec.checkpoint,
-            self.platform_mtbf,
-            self.config.truncation_mtbf_multiple,
-        );
+        let window = planning_window(self.spec.checkpoint, self.platform_mtbf);
         let w_full = remaining.min(window);
         let truncated = w_full < remaining - 1e-9;
         let u = w_full / self.x_max as f64;
@@ -283,8 +247,6 @@ impl DpNextFailure {
             checkpoint_bits: self.spec.checkpoint.to_bits(),
             x_max: self.x_max as u32,
             truncated,
-            half_schedule: self.config.use_half_schedule,
-            lanes: ckpt_math::simd::LANES as u32,
             buckets,
         }
     }
@@ -293,7 +255,7 @@ impl DpNextFailure {
     /// mapped onto the geometric age grid ([`quantise_age`]) and counts
     /// merged per bucket.
     fn age_buckets(&self, ages: &AgeView, u: f64) -> Vec<(u64, u64)> {
-        let compressed = compress_ages(ages, self.dist.as_ref(), self.config.compression);
+        let compressed = compress_ages(ages, self.dist.as_ref());
         let mut buckets: Vec<(u64, u64)> = Vec::with_capacity(compressed.len());
         for &(age, count) in &compressed {
             let id = quantise_age(age, u);
@@ -331,7 +293,6 @@ impl DpNextFailure {
                 u_bits: key.u_bits,
                 checkpoint_bits: key.checkpoint_bits,
                 x_max: key.x_max,
-                lanes: key.lanes,
                 bucket,
             };
             self.caches.kernel_rows.get_or_insert_with(row_key, || {
@@ -350,7 +311,7 @@ impl DpNextFailure {
             solve_with_rows(self.dist.as_ref(), &representative, x_max, u, checkpoint, rows);
         // §3.3: when the work was truncated, keep only the first half of
         // the chunks to avoid end-of-horizon artefacts.
-        if self.config.use_half_schedule && key.truncated && chunks.len() > 1 {
+        if key.truncated && chunks.len() > 1 {
             let keep = chunks.len().div_ceil(2);
             chunks[..keep].into()
         } else {
@@ -427,14 +388,21 @@ impl PolicySession for DpNfSession<'_> {
     }
 }
 
-/// Collapse an [`AgeView`] into `(age, processor-count)` pairs according to
-/// the compression mode. Counts are `f64` so reference buckets can hold
-/// large populations.
-pub fn compress_ages(
-    ages: &AgeView,
-    dist: &dyn FailureDistribution,
-    mode: StateCompression,
-) -> Vec<(f64, f64)> {
+/// Collapse an [`AgeView`] into ascending `(age, processor-count)` pairs:
+/// every distinct age with its exact multiplicity while there are at most
+/// 128 of them, §3.3's (10, 100) scheme beyond.
+/// Counts are `f64` so reference buckets can hold large populations.
+pub fn compress_ages(ages: &AgeView, dist: &dyn FailureDistribution) -> Vec<(f64, f64)> {
+    let exact = exact_ages(ages);
+    if exact.len() <= EXACT_AGES_MAX {
+        exact
+    } else {
+        approximate_ages(exact, dist)
+    }
+}
+
+/// Every distinct age of `ages` with its multiplicity, ascending.
+fn exact_ages(ages: &AgeView) -> Vec<(f64, f64)> {
     let failed = ages.failed_ages();
     let mut exact: Vec<(f64, f64)> = Vec::with_capacity(failed.len() + 1);
     exact.extend(failed.iter().map(|&(a, n)| (a, f64::from(n))));
@@ -445,34 +413,17 @@ pub fn compress_ages(
         let at = exact.partition_point(|e| e.0 <= pristine_age);
         exact.insert(at, (pristine_age, pristine_n as f64));
     }
-    compress_sorted(exact, dist, mode)
+    exact
 }
 
-/// [`compress_ages`] on an ascending `(age, count)` list.
-fn compress_sorted(
-    exact: Vec<(f64, f64)>,
-    dist: &dyn FailureDistribution,
-    mode: StateCompression,
-) -> Vec<(f64, f64)> {
-    let (n_exact, n_approx) = match mode {
-        StateCompression::Exact => return exact,
-        StateCompression::Auto => {
-            if exact.len() <= 128 {
-                return exact;
-            }
-            let StateCompression::Approximate { n_exact, n_approx } = StateCompression::paper()
-            else {
-                unreachable!("paper() is Approximate")
-            };
-            (n_exact, n_approx)
-        }
-        StateCompression::Approximate { n_exact, n_approx } => (n_exact, n_approx),
-    };
-
-    // Split off the n_exact smallest individual processor ages.
+/// §3.3's scheme on an ascending `(age, count)` list: keep the
+/// [`N_EXACT`] smallest processor ages exact and map the rest onto
+/// [`N_APPROX`] survival-quantile reference values.
+fn approximate_ages(exact: Vec<(f64, f64)>, dist: &dyn FailureDistribution) -> Vec<(f64, f64)> {
+    // Split off the N_EXACT smallest individual processor ages.
     let mut kept: Vec<(f64, f64)> = Vec::new();
     let mut rest: Vec<(f64, f64)> = Vec::new();
-    let mut budget = n_exact as f64;
+    let mut budget = N_EXACT as f64;
     for (age, count) in exact {
         if budget > 0.0 {
             let take = count.min(budget);
@@ -490,8 +441,7 @@ fn compress_sorted(
     }
     let lo = rest.first().expect("non-empty").0;
     let hi = rest.last().expect("non-empty").0;
-    let n_approx = n_approx.max(2);
-    if hi - lo < 1e-9 || n_approx <= 2 {
+    if hi - lo < 1e-9 {
         // Degenerate spread: everything lands on the endpoints.
         kept.extend(bucket_onto(&rest, &[lo, hi]));
         return kept;
@@ -500,10 +450,10 @@ fn compress_sorted(
     // values are survival-interpolated quantiles (§3.3).
     let s_lo = dist.survival(lo);
     let s_hi = dist.survival(hi);
-    let mut refs = Vec::with_capacity(n_approx);
+    let mut refs = Vec::with_capacity(N_APPROX);
     refs.push(lo);
-    for i in 2..n_approx {
-        let w_hi = (i - 1) as f64 / (n_approx - 1) as f64;
+    for i in 2..N_APPROX {
+        let w_hi = (i - 1) as f64 / (N_APPROX - 1) as f64;
         let s = (1.0 - w_hi) * s_lo + w_hi * s_hi;
         let s = s.clamp(f64::MIN_POSITIVE, 1.0);
         refs.push(dist.inverse_survival(s));
@@ -1124,7 +1074,7 @@ mod tests {
     const YEAR: f64 = 365.25 * DAY;
 
     fn small_config(quanta: usize) -> DpNextFailureConfig {
-        DpNextFailureConfig { quanta: Some(quanta), ..Default::default() }
+        DpNextFailureConfig { quanta: Some(quanta) }
     }
 
     #[test]
@@ -1133,6 +1083,16 @@ mod tests {
         // Clamped to the [40, 256] band.
         assert_eq!(auto_quanta(600.0, 1.0), 40);
         assert_eq!(auto_quanta(1.0, 1e12), 256);
+    }
+
+    #[test]
+    fn planning_window_truncates_at_two_platform_mtbfs() {
+        // C = 600 s: 2·M is the smaller bound up to M = 32²·C/2.
+        assert_eq!(planning_window(600.0, DAY), 2.0 * DAY);
+        let m = 1_000.0 * DAY;
+        let capped = MAX_PLAN_CHUNKS * (2.0 * 600.0 * m).sqrt();
+        assert_eq!(planning_window(600.0, m), capped);
+        assert!(capped < TRUNCATION_MTBF_MULTIPLE * m);
     }
 
     #[test]
@@ -1213,7 +1173,7 @@ mod tests {
 
     proptest! {
         // Each case is a few ms; the failure-dense draw makes every
-        // sixth case an `Approximate` state.
+        // sixth case a state past the 128-entry compression threshold.
         #![proptest_config(ProptestConfig::with_cases(240))]
 
         /// An Exponential state is planned on its processor count alone:
@@ -1221,9 +1181,9 @@ mod tests {
         /// kernel-row layer, its plan is bit-identical to the age-aware
         /// solve of the same ages (rows inline and rows cached), and a
         /// state with other ages and the same remaining work is a plan
-        /// hit. Ages come in 2–6 groups or, past `Auto`'s 128-entry
-        /// threshold, in 200 (`Approximate` compression), in truncated
-        /// and endgame windows.
+        /// hit. Ages come in 2–6 groups or, past the 128-entry
+        /// threshold, in 200 (§3.3's compression), in truncated and
+        /// endgame windows.
         fn memoryless_plan_ignores_ages_bit_for_bit(
             log2_procs in 10u32..=20,
             mtbf_years in 1.0..1_250.0f64,
@@ -1247,7 +1207,7 @@ mod tests {
                 DpNextFailureConfig::default(),
                 caches.clone(),
             );
-            let window = planning_window(spec.checkpoint, proc_mtbf / procs as f64, 2.0);
+            let window = planning_window(spec.checkpoint, proc_mtbf / procs as f64);
             let remaining = if endgame { work_frac * window } else { (1.0 + work_frac) * window };
             let w_full = remaining.min(window);
             // Failed ages spread from `base` windows (young enough to need
@@ -1309,7 +1269,7 @@ mod tests {
                 DpNextFailureConfig::default(),
                 caches.clone(),
             );
-            let window = planning_window(spec.checkpoint, mtbf, 2.0);
+            let window = planning_window(spec.checkpoint, mtbf);
             let remaining = if endgame { work_frac * window } else { (1.0 + work_frac) * window };
             let ages = AgeView::single(age_frac * window);
             let key = dp.plan_key(remaining, &ages);
@@ -1326,16 +1286,15 @@ mod tests {
         }
 
         /// Merging the pristine entry into the ascending failed ages gives
-        /// the same compressed state, bit for bit, as the copy-and-sort it
-        /// replaced, in every compression mode — including ties between
-        /// the pristine and failed ages, views with no pristine processor
-        /// and views past `Auto`'s 128-entry threshold.
+        /// the same exact list, bit for bit, as the copy-and-sort it
+        /// replaced — including ties between the pristine and failed ages
+        /// and views with no pristine processor — and so the same
+        /// compressed state, on both sides of the 128-entry threshold and
+        /// under §3.3's scheme alike.
         fn compress_ages_merge_matches_copy_and_sort(
             failed in proptest::collection::vec((0u32..40, 1u32..4), 0..200),
             pristine_n in 0u64..3,
             pristine_slot in 0u32..40,
-            n_exact in 0usize..15,
-            n_approx in 2usize..30,
         ) {
             let dist = Weibull::from_mtbf(0.7, 50_000.0);
             let failed: Vec<(f64, u32)> =
@@ -1350,16 +1309,116 @@ mod tests {
             let bits = |v: &[(f64, f64)]| {
                 v.iter().map(|&(a, c)| (a.to_bits(), c.to_bits())).collect::<Vec<_>>()
             };
-            for mode in [
-                StateCompression::Exact,
-                StateCompression::Auto,
-                StateCompression::Approximate { n_exact, n_approx },
-            ] {
-                let merged = compress_ages(&view, &dist, mode);
-                let reference = compress_sorted(sorted.clone(), &dist, mode);
-                prop_assert_eq!(bits(&merged), bits(&reference), "{:?}", mode);
+            prop_assert_eq!(bits(&exact_ages(&view)), bits(&sorted));
+            let approximate = approximate_ages(sorted.clone(), &dist);
+            prop_assert_eq!(
+                bits(&approximate_ages(exact_ages(&view), &dist)),
+                bits(&approximate)
+            );
+            let compressed = if sorted.len() <= EXACT_AGES_MAX { sorted } else { approximate };
+            prop_assert_eq!(bits(&compress_ages(&view, &dist)), bits(&compressed));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// More work to schedule can only increase the expected work
+        /// completed before the next failure.
+        fn dp_next_failure_monotone_value(mtbf in 5_000.0..500_000.0f64) {
+            let spec = JobSpec::sequential(1_000_000.0, 300.0, 300.0, 30.0);
+            let dist = Exponential::from_mtbf(mtbf);
+            let dp = DpNextFailure::new(&spec, Box::new(dist), mtbf, small_config(30));
+            let ages = AgeView::single(0.0);
+            let small = full_schedule(&dp, mtbf * 0.5, &ages);
+            let large = full_schedule(&dp, mtbf * 2.0, &ages);
+            let val = |plan: &[f64]| {
+                expected_work_of_schedule(&dist, &[(0.0, 1.0)], plan, spec.checkpoint)
+            };
+            prop_assert!(val(&large) >= val(&small) - 1e-9);
+        }
+
+        /// The un-halved schedule of a one-age state covers the requested
+        /// work up to the `2·MTBF` truncation, in positive chunks.
+        fn dp_next_failure_plans_cover_requested_work(
+            mtbf in 2_000.0..200_000.0f64,
+            shape in 0.4..1.0f64,
+            age in 0.0..100_000.0f64,
+        ) {
+            let spec = JobSpec::sequential(50_000.0, 120.0, 120.0, 10.0);
+            let dp = DpNextFailure::new(
+                &spec,
+                Box::new(Weibull::from_mtbf(shape, mtbf)),
+                mtbf,
+                small_config(40),
+            );
+            let plan = full_schedule(&dp, spec.work, &AgeView::single(age));
+            let total: f64 = plan.iter().sum();
+            let expect = spec.work.min(2.0 * mtbf);
+            prop_assert!((total - expect).abs() < 1e-6 * expect,
+                "plan covers {total}, expected {expect}");
+            prop_assert!(plan.iter().all(|&c| c > 0.0));
+        }
+
+        /// §3.3's compression depends only on the age *multiset*, not on
+        /// how the input pairs are ordered or grouped.
+        fn compress_ages_invariant_under_permutation(
+            raw in proptest::collection::vec((1.0..5e6f64, 1u32..60), 1..40),
+            pristine in 0u64..5_000,
+            rotate in 0usize..40,
+            shape in 0.5..1.2f64,
+        ) {
+            let dist = Weibull::from_mtbf(shape, 100_000.0);
+            let now = 1e7;
+            let compress = |view: &AgeView| approximate_ages(exact_ages(view), &dist);
+            let base = compress(&AgeView::new(raw.clone(), pristine, now));
+
+            // Same multiset, re-expressed: rotate the pair list and split
+            // every multi-processor entry into two pieces.
+            let mut alt: Vec<(f64, u32)> = Vec::new();
+            let k = rotate % raw.len();
+            for &(a, n) in raw[k..].iter().chain(raw[..k].iter()).rev() {
+                if n >= 2 {
+                    alt.push((a, n - 1));
+                    alt.push((a, 1));
+                } else {
+                    alt.push((a, n));
+                }
+            }
+            let other = compress(&AgeView::new(alt, pristine, now));
+
+            // Compare as canonical (age → total count) maps: grouping may
+            // legitimately differ, the weighted multiset may not.
+            let canon = |pairs: &[(f64, f64)]| -> Vec<(f64, f64)> {
+                let mut merged: Vec<(f64, f64)> = Vec::new();
+                for &(a, c) in pairs {
+                    match merged.last_mut() {
+                        Some(last) if last.0.to_bits() == a.to_bits() => last.1 += c,
+                        _ => merged.push((a, c)),
+                    }
+                }
+                merged
+            };
+            let (ca, cb) = (canon(&base), canon(&other));
+            prop_assert_eq!(ca.len(), cb.len());
+            for (&(a1, c1), &(a2, c2)) in ca.iter().zip(cb.iter()) {
+                prop_assert!((a1 - a2).abs() <= 1e-9 * a1.abs().max(1.0), "ages {a1} vs {a2}");
+                prop_assert!((c1 - c2).abs() <= 1e-9 * c1.max(1.0), "counts {c1} vs {c2}");
             }
         }
+    }
+
+    /// The schedule [`DpNextFailure::plan`] halves on a truncated window:
+    /// the whole solve of its planning state.
+    fn full_schedule(dp: &DpNextFailure, remaining: f64, ages: &AgeView) -> Vec<f64> {
+        let key = dp.plan_key(remaining, ages);
+        let u = f64::from_bits(key.u_bits);
+        let representative: Vec<(f64, f64)> = key
+            .buckets
+            .iter()
+            .map(|&(id, count)| (representative_age(id, u), count as f64))
+            .collect();
+        solve(dp.dist.as_ref(), &representative, dp.x_max, u, dp.spec.checkpoint)
     }
 
     #[test]
@@ -1369,10 +1428,9 @@ mod tests {
             &spec,
             Box::new(Exponential::from_mtbf(DAY)),
             DAY,
-            DpNextFailureConfig { use_half_schedule: false, ..small_config(60) },
+            small_config(60),
         );
-        let ages = AgeView::single(0.0);
-        let plan = dp.plan(spec.work, &ages);
+        let plan = full_schedule(&dp, spec.work, &AgeView::single(0.0));
         let total: f64 = plan.iter().sum();
         let expect = (2.0 * DAY).min(spec.work);
         assert!((total - expect).abs() < 1e-6, "planned {total}, expected {expect}");
@@ -1381,21 +1439,15 @@ mod tests {
     #[test]
     fn half_schedule_keeps_half_when_truncated() {
         let spec = JobSpec::table1_single_processor();
-        let full = DpNextFailure::new(
-            &spec,
-            Box::new(Exponential::from_mtbf(DAY)),
-            DAY,
-            DpNextFailureConfig { use_half_schedule: false, ..small_config(60) },
-        );
-        let half = DpNextFailure::new(
+        let dp = DpNextFailure::new(
             &spec,
             Box::new(Exponential::from_mtbf(DAY)),
             DAY,
             small_config(60),
         );
         let ages = AgeView::single(0.0);
-        let f = full.plan(spec.work, &ages);
-        let h = half.plan(spec.work, &ages);
+        let f = full_schedule(&dp, spec.work, &ages);
+        let h = dp.plan(spec.work, &ages);
         assert_eq!(h.len(), f.len().div_ceil(2));
         assert_eq!(&f[..h.len()], &h[..]);
     }
@@ -1430,17 +1482,15 @@ mod tests {
     fn full_schedule_tapers_half_schedule_does_not() {
         let spec = JobSpec::table1_single_processor();
         let mtbf = DAY;
-        let mk = |half: bool| {
-            let dp = DpNextFailure::new(
-                &spec,
-                Box::new(Exponential::from_mtbf(mtbf)),
-                mtbf,
-                DpNextFailureConfig { use_half_schedule: half, ..small_config(120) },
-            );
-            dp.plan(spec.work, &AgeView::single(0.0))
-        };
-        let full = mk(false);
-        let half = mk(true);
+        let dp = DpNextFailure::new(
+            &spec,
+            Box::new(Exponential::from_mtbf(mtbf)),
+            mtbf,
+            small_config(120),
+        );
+        let ages = AgeView::single(0.0);
+        let full = full_schedule(&dp, spec.work, &ages);
+        let half = dp.plan(spec.work, &ages);
         // The discarded tail contains the smallest chunks.
         let min_full = full.iter().copied().fold(f64::INFINITY, f64::min);
         let min_half = half.iter().copied().fold(f64::INFINITY, f64::min);
@@ -1457,10 +1507,9 @@ mod tests {
             &spec,
             Box::new(proc),
             125.0 * YEAR,
-            DpNextFailureConfig { use_half_schedule: false, ..small_config(120) },
+            small_config(120),
         );
-        let ages = AgeView::all_pristine(45_208, 60.0);
-        let plan = dp.plan(spec.work, &ages);
+        let plan = full_schedule(&dp, spec.work, &AgeView::all_pristine(45_208, 60.0));
         assert!(plan.len() >= 3, "plan too short: {plan:?}");
         let first = plan[0];
         let last = plan[plan.len() - 2];
@@ -1478,12 +1527,12 @@ mod tests {
             &spec,
             Box::new(dist),
             mtbf,
-            DpNextFailureConfig { use_half_schedule: false, ..small_config(100) },
+            small_config(100),
         );
         let ages = AgeView::single(0.0);
-        let plan = dp.plan(spec.work, &ages);
+        let plan = full_schedule(&dp, spec.work, &ages);
         let total: f64 = plan.iter().sum();
-        let aged = compress_ages(&ages, &dist, StateCompression::Exact);
+        let aged = exact_ages(&ages);
         let dp_value = expected_work_of_schedule(&dist, &aged, &plan, spec.checkpoint);
         for k in [2usize, 5, 10, 20, 50] {
             let uniform: Vec<f64> = vec![total / k as f64; k];
@@ -1520,7 +1569,7 @@ mod tests {
     fn compression_exact_round_trips_ageview() {
         let dist = Weibull::from_mtbf(0.7, 1000.0);
         let view = AgeView::new(vec![(5.0, 2), (80.0, 1)], 7, 500.0);
-        let c = compress_ages(&view, &dist, StateCompression::Exact);
+        let c = compress_ages(&view, &dist);
         let total: f64 = c.iter().map(|&(_, n)| n).sum();
         assert_eq!(total, 10.0);
         assert_eq!(c[0], (5.0, 2.0));
@@ -1532,11 +1581,7 @@ mod tests {
         let dist = Weibull::from_mtbf(0.7, 1000.0);
         let failed: Vec<(f64, u32)> = (0..50).map(|i| (10.0 + i as f64 * 7.0, 1)).collect();
         let view = AgeView::new(failed, 1000, 5_000.0);
-        let c = compress_ages(
-            &view,
-            &dist,
-            StateCompression::Approximate { n_exact: 10, n_approx: 20 },
-        );
+        let c = approximate_ages(exact_ages(&view), &dist);
         // The ten smallest ages survive exactly.
         for i in 0..10 {
             assert!(c.iter().any(|&(a, _)| (a - (10.0 + i as f64 * 7.0)).abs() < 1e-9));
@@ -1545,15 +1590,15 @@ mod tests {
         let total: f64 = c.iter().map(|&(_, n)| n).sum();
         assert!((total - 1050.0).abs() < 1e-9);
         // And the state is genuinely compressed.
-        assert!(c.len() <= 10 + 20);
+        assert!(c.len() < 51, "{} entries", c.len());
     }
 
     /// Worst relative error of the §3.3-compressed platform success
     /// probability against the exact age multiset, over chunks
     /// `longest / 2^i`, i = 0..6. Fails if compression merges nothing.
     fn worst_compression_error(dist: &Weibull, view: &AgeView, longest: f64) -> f64 {
-        let exact = compress_ages(view, dist, StateCompression::Exact);
-        let approx = compress_ages(view, dist, StateCompression::paper());
+        let exact = exact_ages(view);
+        let approx = approximate_ages(exact.clone(), dist);
         assert!(approx.len() < exact.len(), "compression must merge some ages");
         let psuc = |ages: &[(f64, f64)], x: f64| -> f64 {
             ages.iter()

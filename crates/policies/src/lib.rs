@@ -31,7 +31,7 @@ pub mod plan_cache;
 pub use bouguerra::Bouguerra;
 pub use daly::{daly_high, daly_low, young};
 pub use dp_makespan::{DpMakespan, DpMakespanConfig};
-pub use dp_next_failure::{DpNextFailure, DpNextFailureConfig, StateCompression};
+pub use dp_next_failure::{DpNextFailure, DpNextFailureConfig};
 pub use plan_cache::{CacheStats, DistId, DpCacheStats, DpCaches, ShardedCache};
 pub use liu::Liu;
 pub use optexp::OptExp;

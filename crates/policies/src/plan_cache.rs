@@ -95,16 +95,10 @@ pub struct PlanKey {
     pub checkpoint_bits: u64,
     /// Quantum count of the DP.
     pub x_max: u32,
-    /// Whether the planning window truncated the remaining work (controls
-    /// half-schedule retention, so it must split the key).
+    /// Whether the planning window truncated the remaining work (a
+    /// truncated plan keeps only its first half, so it must split the
+    /// key).
     pub truncated: bool,
-    /// Whether the policy keeps only the first half of truncated plans.
-    pub half_schedule: bool,
-    /// SIMD lane width of the solver build (`ckpt_math::simd::LANES`).
-    /// The vectorised row/exp kernels are pinned per lane width; keying
-    /// it keeps any future width change from mixing FP paths in shared
-    /// cache entries.
-    pub lanes: u32,
     /// Quantised age state: `(geometric bucket id, processor count)`.
     /// A memoryless law's state is one-age by construction: the whole
     /// platform in bucket 0, whose representative age is 0.
@@ -125,8 +119,6 @@ pub struct KernelRowKey {
     pub checkpoint_bits: u64,
     /// Quantum count (fixes the triangle extent).
     pub x_max: u32,
-    /// SIMD lane width of the batched row build (see [`PlanKey::lanes`]).
-    pub lanes: u32,
     /// Geometric age bucket id.
     pub bucket: u64,
 }
@@ -498,8 +490,6 @@ mod tests {
             checkpoint_bits: 2.0f64.to_bits(),
             x_max: 8,
             truncated: false,
-            half_schedule: false,
-            lanes: 4,
             buckets: vec![(bucket, 1)],
         }
     }
@@ -510,7 +500,6 @@ mod tests {
             u_bits: 1.0f64.to_bits(),
             checkpoint_bits: 2.0f64.to_bits(),
             x_max: 8,
-            lanes: 4,
             bucket,
         }
     }

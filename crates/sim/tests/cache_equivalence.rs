@@ -52,7 +52,7 @@ proptest! {
             procs: units as u64,
             ..JobSpec::sequential(work, checkpoint, checkpoint, 60.0)
         };
-        let cfg = DpNextFailureConfig { quanta: Some(30), ..Default::default() };
+        let cfg = DpNextFailureConfig { quanta: Some(30) };
 
         let shared =
             DpNextFailure::new(&spec, Box::new(dist), mtbf, cfg);
@@ -106,7 +106,6 @@ fn contended_sharded_cache_counters_stay_consistent() {
         u_bits: (3600.0f64 + (k / 4) as f64).to_bits(),
         checkpoint_bits: 600.0f64.to_bits(),
         x_max: 256,
-        lanes: ckpt_math::simd::LANES as u32,
         bucket: k % 37,
     };
 
@@ -174,7 +173,7 @@ fn contended_shared_caches_match_cold_private_baseline() {
             SeedSequence::new(seed),
         );
         let spec = JobSpec { procs: 2, ..JobSpec::sequential(20_000.0, 300.0, 300.0, 60.0) };
-        let cfg = DpNextFailureConfig { quanta: Some(30), ..Default::default() };
+        let cfg = DpNextFailureConfig { quanta: Some(30) };
         let policy = DpNextFailure::with_caches(&spec, Box::new(dist), mtbf, cfg, caches);
         run(&policy, &spec, &traces)
     };

@@ -39,7 +39,7 @@ pub mod prelude {
     pub use ckpt_policies::{
         daly_high, daly_low, young, Bouguerra, DpCaches, DpMakespan, DpMakespanConfig,
         DpNextFailure, DpNextFailureConfig, FixedPeriod, Liu, OptExp, Policy,
-        PolicySession, StateCompression,
+        PolicySession,
     };
     pub use ckpt_sim::{
         lower_bound_makespan, simulate, simulate_rejuvenate_all, RunStats, SimOptions,

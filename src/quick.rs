@@ -1,6 +1,6 @@
 //! High-level one-call helpers.
 
-use ckpt_exp::{run_scenario, PolicyKind, RunnerOptions, Scenario, ScenarioResult};
+use ckpt_exp::{Scenario, ScenarioResult};
 use ckpt_policies::OptExp;
 use ckpt_workload::JobSpec;
 
@@ -23,15 +23,17 @@ pub fn expected_makespan(spec: &JobSpec, mtbf: f64) -> f64 {
 }
 
 /// Run a full degradation-from-best comparison (the paper's table format)
-/// on one scenario with the standard §4.1 roster.
+/// on one scenario with the standard §4.1 roster ([`Study::new`]).
 ///
-/// For batches of cells — or to handle malformed scenarios as values
-/// instead of panics — use [`Study`] and its `run_all`.
+/// # Panics
+/// When the scenario itself is malformed (its distribution cannot be
+/// built). For batches of cells — or to handle malformed scenarios as
+/// values instead of panics — use [`Study`] and its `run_all`.
 pub fn degradation_table(scenario: &Scenario) -> ScenarioResult {
-    let include_dp_makespan = scenario.procs == 1
-        || matches!(scenario.dist, ckpt_exp::DistSpec::Exponential { .. });
-    let kinds = PolicyKind::paper_roster(include_dp_makespan);
-    run_scenario(scenario, &kinds, &RunnerOptions::default())
+    match Study::new().run(scenario) {
+        Ok(r) => r,
+        Err(e) => panic!("scenario {}: {e}", scenario.label),
+    }
 }
 
 #[cfg(test)]

@@ -29,10 +29,7 @@ fn test_options() -> RunnerOptions {
 }
 
 fn dp(quanta: usize) -> PolicyKind {
-    PolicyKind::DpNextFailure(DpNextFailureConfig {
-        quanta: Some(quanta),
-        ..Default::default()
-    })
+    PolicyKind::DpNextFailure(DpNextFailureConfig { quanta: Some(quanta) })
 }
 
 #[test]

@@ -112,29 +112,4 @@ proptest! {
             prop_assert!(at(k) <= at(k - 1) + 1e-9 * at(k).abs());
         }
     }
-
-    #[test]
-    fn dp_next_failure_plans_cover_requested_work(
-        mtbf in 2_000.0..200_000.0f64,
-        shape in 0.4..1.0f64,
-        age in 0.0..100_000.0f64,
-    ) {
-        let spec = JobSpec::sequential(50_000.0, 120.0, 120.0, 10.0);
-        let dp = DpNextFailure::new(
-            &spec,
-            Box::new(Weibull::from_mtbf(shape, mtbf)),
-            mtbf,
-            DpNextFailureConfig {
-                quanta: Some(40),
-                use_half_schedule: false,
-                ..Default::default()
-            },
-        );
-        let plan = dp.plan(spec.work, &AgeView::single(age));
-        let total: f64 = plan.iter().sum();
-        let expect = spec.work.min(2.0 * mtbf);
-        prop_assert!((total - expect).abs() < 1e-6 * expect,
-            "plan covers {total}, expected {expect}");
-        prop_assert!(plan.iter().all(|&c| c > 0.0));
-    }
 }
