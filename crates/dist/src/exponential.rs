@@ -64,10 +64,6 @@ impl FailureDistribution for Exponential {
         Some(crate::inversion_cutoff(self.log_survival(horizon)))
     }
 
-    fn hazard(&self, _t: f64) -> f64 {
-        self.lambda
-    }
-
     fn inverse_survival(&self, s: f64) -> f64 {
         assert!(s > 0.0 && s <= 1.0);
         -s.ln() / self.lambda
@@ -93,17 +89,16 @@ impl FailureDistribution for Exponential {
 }
 
 #[cfg(test)]
-#[expect(clippy::float_cmp, reason = "boundary values are exact: S(t < 0) = 1, F^-1(1) = 0, the hazard is the rate")]
+#[expect(clippy::float_cmp, reason = "boundary values are exact: S(t < 0) = 1, F^-1(1) = 0")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
-    fn survival_and_cdf() {
+    fn survival_closed_form() {
         let d = Exponential::new(0.5);
         assert!((d.survival(2.0) - (-1.0f64).exp()).abs() < 1e-15);
-        assert!((d.cdf(0.0)).abs() < 1e-15);
         assert_eq!(d.survival(-1.0), 1.0);
     }
 
@@ -121,13 +116,6 @@ mod tests {
         let d = Exponential::new(2.0);
         assert!((d.inverse_survival(0.5) - 0.5f64.ln().abs() / 2.0).abs() < 1e-12);
         assert_eq!(d.inverse_survival(1.0), 0.0);
-    }
-
-    #[test]
-    fn constant_hazard() {
-        let d = Exponential::new(3.5);
-        assert_eq!(d.hazard(0.0), 3.5);
-        assert_eq!(d.hazard(1e9), 3.5);
     }
 
     #[test]
@@ -163,5 +151,25 @@ mod tests {
             let x = d.sample(&mut rng);
             assert!(x > 0.0 && x.is_finite());
         }
+    }
+
+    #[test]
+    fn log_survival_is_linear_in_time() {
+        // A constant hazard λ: ln S(t) = −λ·t, with equal steps for equal
+        // increments of t.
+        let d = Exponential::new(0.25);
+        for &t in &[0.5, 1.0, 8.0, 1e3] {
+            assert!((d.log_survival(t) + 0.25 * t).abs() <= 1e-15 * t, "t = {t}");
+            let step = d.log_survival(t + 1.0) - d.log_survival(t);
+            assert!((step + 0.25).abs() < 1e-12, "t = {t}: step {step}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_tracks_the_rate() {
+        let a = Exponential::from_mtbf(3_600.0).fingerprint();
+        assert!(a.is_some());
+        assert_eq!(a, Exponential::from_mtbf(3_600.0).fingerprint());
+        assert_ne!(a, Exponential::from_mtbf(3_601.0).fingerprint());
     }
 }

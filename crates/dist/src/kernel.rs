@@ -109,16 +109,6 @@ impl KernelTable {
         (self.log_survival(tau.max(0.0) + x) - ls_tau).exp() // exp of a tabulated log-survival difference; the trait's canonical Psuc form
     }
 
-    /// Hazard `−d/dt ln S(t)` from the table's cell slope; exact fallback
-    /// off the grid.
-    #[inline]
-    pub fn hazard(&self, t: f64) -> f64 {
-        match self.log_surv.slope_checked(t) {
-            Some(slope) => -slope,
-            None => self.dist.hazard(t),
-        }
-    }
-
     /// Cumulative survival integral `I(t)`, saturating past the horizon
     /// (the correct limit of the converging integral).
     #[inline]
@@ -192,7 +182,6 @@ mod tests {
         let (d, k) = weibull_kernel();
         let t = k.horizon() * 3.0;
         assert_eq!(k.log_survival(t), d.log_survival(t));
-        assert_eq!(k.hazard(t), d.hazard(t));
     }
 
     #[test]

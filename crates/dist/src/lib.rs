@@ -91,11 +91,6 @@ pub trait FailureDistribution: Send + Sync + std::fmt::Debug {
         self.log_survival(t).exp()
     }
 
-    /// Cumulative distribution `P(X < t)`.
-    fn cdf(&self, t: f64) -> f64 {
-        -self.log_survival(t).exp_m1()
-    }
-
     /// Conditional survival `Psuc(x|τ) = P(X ≥ τ+x | X ≥ τ)` (§2.2).
     ///
     /// Computed as `exp(ln S(τ+x) − ln S(τ))`, exact even when both
@@ -111,18 +106,6 @@ pub trait FailureDistribution: Send + Sync + std::fmt::Debug {
             return 0.0;
         }
         (self.log_survival(tau.max(0.0) + x) - ls_tau).exp()
-    }
-
-    /// Hazard rate `h(t) = f(t)/S(t) = −d/dt ln S(t)`.
-    ///
-    /// Default is a symmetric finite difference of log-survival; override
-    /// with the closed form where one exists (the Liu policy integrates the
-    /// square root of this).
-    fn hazard(&self, t: f64) -> f64 {
-        let h = (t.abs() * 1e-6).max(1e-9);
-        let lo = (t - h).max(0.0);
-        let hi = t + h;
-        -(self.log_survival(hi) - self.log_survival(lo)) / (hi - lo)
     }
 
     /// Inverse survival: smallest `t` with `P(X ≥ t) ≤ s`, for `s ∈ (0, 1]`.
@@ -261,14 +244,6 @@ mod trait_tests {
     }
 
     #[test]
-    fn default_cdf_complements_survival() {
-        let d = Uniform2;
-        for &t in &[0.0, 0.5, 1.0, 1.5, 1.99] {
-            assert!((d.cdf(t) + d.survival(t) - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn default_psuc_uniform() {
         let d = Uniform2;
         // P(X ≥ 1.5 | X ≥ 1) = S(1.5)/S(1) = 0.25/0.5 = 0.5.
@@ -276,13 +251,6 @@ mod trait_tests {
         assert_eq!(d.psuc(0.0, 1.0), 1.0);
         // Beyond the support survival is 0.
         assert_eq!(d.psuc(3.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn default_hazard_uniform() {
-        let d = Uniform2;
-        // h(t) = f/S = (1/2)/(1 − t/2) → h(1) = 1.
-        assert!((d.hazard(1.0) - 1.0).abs() < 1e-4);
     }
 
     #[test]
@@ -307,5 +275,33 @@ mod trait_tests {
         let d: Box<dyn FailureDistribution> = Box::new(Uniform2);
         let d2 = d.clone();
         assert_eq!(d2.mean(), 1.0);
+    }
+
+    #[test]
+    fn default_survival_is_exp_of_log_survival() {
+        let d = Uniform2;
+        assert_eq!(d.survival(-1.0), 1.0);
+        assert!((d.survival(0.5) - 0.75).abs() < 1e-15);
+        assert_eq!(d.survival(2.0), 0.0);
+        assert_eq!(d.survival(5.0), 0.0);
+    }
+
+    #[test]
+    fn default_batch_is_the_scalar_loop() {
+        let d = Uniform2;
+        let ts = [-1.0, 0.0, 0.3, 1.0, 1.999, 2.0, 7.0];
+        let mut out = [0.0; 7];
+        d.log_survival_batch(&ts, &mut out);
+        for (&t, &o) in ts.iter().zip(&out) {
+            assert_eq!(o.to_bits(), d.log_survival(t).to_bits(), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn defaults_promise_nothing_beyond_the_values() {
+        let d = Uniform2;
+        assert_eq!(d.fingerprint(), None);
+        assert_eq!(d.first_draw_cutoff(1.0), None);
+        assert!(!d.is_memoryless());
     }
 }

@@ -81,12 +81,6 @@ impl FailureDistribution for Weibull {
         Some(crate::inversion_cutoff(self.log_survival(horizon)))
     }
 
-    fn hazard(&self, t: f64) -> f64 {
-        // h(t) = (k/λ)(t/λ)^{k−1}; diverges at 0 for k < 1.
-        let t = t.max(f64::MIN_POSITIVE);
-        (self.shape / self.scale) * (t / self.scale).powf(self.shape - 1.0)
-    }
-
     fn inverse_survival(&self, s: f64) -> f64 {
         assert!(s > 0.0 && s <= 1.0);
         self.scale * (-s.ln()).powf(1.0 / self.shape)
@@ -133,19 +127,6 @@ mod tests {
                 w.mean()
             );
         }
-    }
-
-    #[test]
-    fn decreasing_hazard_below_one() {
-        let w = Weibull::from_mtbf(0.7, 1000.0);
-        assert!(w.hazard(10.0) > w.hazard(100.0));
-        assert!(w.hazard(100.0) > w.hazard(1000.0));
-    }
-
-    #[test]
-    fn increasing_hazard_above_one() {
-        let w = Weibull::new(2.0, 1000.0);
-        assert!(w.hazard(10.0) < w.hazard(100.0));
     }
 
     #[test]
@@ -265,5 +246,39 @@ mod tests {
         let t0 = 50.0;
         let frac = (0..n).filter(|_| w.sample(&mut rng) >= t0).count() as f64 / n as f64;
         assert!((frac - w.survival(t0)).abs() < 5e-3);
+    }
+
+    #[test]
+    fn conditional_survival_worsens_with_age_when_k_above_one() {
+        // An increasing hazard: P(X > t+x | X > t) strictly falls with t.
+        let w = Weibull::from_mtbf(1.5, 1000.0);
+        let p0 = w.psuc(100.0, 0.0);
+        let p1 = w.psuc(100.0, 1000.0);
+        let p2 = w.psuc(100.0, 3000.0);
+        assert!(p0 > p1 && p1 > p2, "{p0} {p1} {p2}");
+    }
+
+    #[test]
+    fn log_survival_is_a_power_of_time() {
+        // ln S(t) = −(t/λ)^k, so doubling t multiplies it by 2^k.
+        for &k in &[0.5, 0.7, 1.5] {
+            let w = Weibull::new(k, 250.0);
+            assert!((w.log_survival(250.0) + 1.0).abs() < 1e-12, "k = {k}");
+            for &t in &[1.0, 40.0, 900.0] {
+                let ratio = w.log_survival(2.0 * t) / w.log_survival(t);
+                assert!((ratio - 2f64.powf(k)).abs() < 1e-12, "k = {k}, t = {t}: {ratio}");
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_tracks_shape_and_scale() {
+        let a = Weibull::new(0.7, 100.0).fingerprint();
+        assert!(a.is_some());
+        assert_eq!(a, Weibull::new(0.7, 100.0).fingerprint());
+        assert_ne!(a, Weibull::new(0.71, 100.0).fingerprint());
+        assert_ne!(a, Weibull::new(0.7, 101.0).fingerprint());
+        // Shape 1 has the Exponential's values but not its identity.
+        assert_ne!(Weibull::new(1.0, 100.0).fingerprint(), crate::Exponential::new(0.01).fingerprint());
     }
 }

@@ -195,7 +195,7 @@ fn parse_checkpoint_secs(value: &str) -> Result<f64, String> {
 }
 
 /// Items this process executes before `--kill-at FRAC` fires.
-fn kill_after_items(frac: f64, total: usize) -> u64 {
+fn kill_after_items(frac: f64, total: u64) -> u64 {
     (frac * total as f64).ceil() as u64
 }
 
@@ -292,7 +292,7 @@ fn cmd_run(rest: &[String]) -> i32 {
         progress: args.progress,
     };
     if let Some(frac) = args.kill_at {
-        let total = ckpt_exp::checkpoint::build_manifest(&def, &config).items.len();
+        let total = ckpt_exp::checkpoint::build_manifest(&def, &config).items;
         config.stop_after_items = Some(kill_after_items(frac, total));
     }
     match ckpt_exp::run_study(&def, &config, args.resume.is_some()) {

@@ -1,20 +1,26 @@
 //! Durable, resumable study execution, and the study loop's in-memory
 //! entry.
 //!
-//! A study drains its manifest — every cell's [`WorkItem`]s, in id
-//! order — through the crate's one wave loop
-//! ([`crate::exec::run_waves`]), then commits each cell with the one
-//! fold ([`crate::reduce::commit`]). [`run_in_memory`] does only that;
-//! [`run_study`] attaches the checkpoint store, which adds:
+//! A study decomposes into typed [`WorkItem`]s (cell × policy ×
+//! trace-block, plus lower-bound, candidate and refine items), numbered
+//! densely in cell order, drains them in id order through the crate's
+//! one wave loop ([`crate::exec::run_waves`]), then commits each cell
+//! with the one fold ([`crate::reduce::commit`]). [`run_in_memory`]
+//! does only that; [`run_study`] attaches the checkpoint store, which
+//! adds:
 //!
-//! * a **manifest** — the full study decomposed into typed
-//!   [`WorkItem`]s (cell × policy × trace-block, plus lower-bound,
-//!   candidate and refine items), persisted once per study with a
-//!   content **fingerprint** over everything the numbers depend on
-//!   (scenario labels, [`DistId`](ckpt_policies::DistId)s, rosters,
-//!   runner options, the SIMD lane width, the committed golden hash).
-//!   A resume whose rebuilt fingerprint differs is *rejected*, never
-//!   silently reused;
+//! * a **manifest** — the study's identity, written once per study:
+//!   a header (version, study id, lane width, trace block, golden
+//!   hash), one identity row per cell (scenario label, stem,
+//!   [`DistId`](ckpt_policies::DistId), roster, runner options, grid
+//!   and search shape) and the item *count*. The items themselves are
+//!   rebuilt from the [`StudyDef`] and never written; the content
+//!   **fingerprint** hashes the identity document and then every
+//!   item, so a resume whose rebuilt fingerprint differs — a changed
+//!   cell, or a decomposition reordered or re-cut by a code change —
+//!   is *rejected*, never silently reused. The store reads back only
+//!   the `fingerprint` (resume; a damaged file is an
+//!   [`Error::Checkpoint`]) and the count (`study ls`);
 //! * a **checkpoint store** — versioned JSON snapshots under
 //!   `<root>/<id>/ckpt-NNNNNN.json`, each holding every completed
 //!   item's payload (floats as exact `u64` bit patterns). Written every
@@ -23,8 +29,8 @@
 //!   [`crate::perf::clock_seconds`] — keeping the newest `max_checkpoints`; the
 //!   final snapshot always outlives completion. Snapshots are
 //!   full-state, so "move in-progress items back to pending" is
-//!   implicit: pending = manifest − snapshot. A snapshot whose payloads
-//!   do not fit their manifest items is skipped like a corrupt one;
+//!   implicit: pending = items − snapshot. A snapshot whose payloads
+//!   do not fit their items is skipped like a corrupt one;
 //! * **shorter waves**: the loop also ends a wave every
 //!   [`CHUNK_ITEMS`](crate::exec::CHUNK_ITEMS) items, so a checkpoint, a
 //!   kill or a progress line can land between any two of them.
@@ -228,7 +234,7 @@ pub enum ItemPayload {
 }
 
 impl ItemPayload {
-    /// Check that this payload has the shape its manifest item promises:
+    /// Check that this payload has the shape its item promises:
     /// the matching kind, one stats entry (or makespan) per trace of the
     /// block (none for an unbuilt policy), and refine columns in strictly
     /// increasing grid order, each inside the grid and covering all
@@ -261,37 +267,9 @@ impl ItemPayload {
     }
 }
 
-/// One cell's identity row in the manifest — everything its numbers
-/// depend on, rendered to stable strings for fingerprinting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestCell {
-    /// Scenario label (the seed root).
-    pub label: String,
-    /// Aggregate file stem.
-    pub stem: String,
-    /// Processor count.
-    pub procs: u64,
-    /// Trace count.
-    pub traces: usize,
-    /// Distribution identity: `fp:…` fingerprint when the distribution
-    /// is fingerprintable, else the spec label (process-local instance
-    /// ids must never be persisted).
-    pub dist_id: String,
-    /// Roster, as `Debug` strings (config fields included).
-    pub roster: Vec<String>,
-    /// Runner options, as a `Debug` string (grid floats included).
-    pub options: String,
-    /// Candidate grid length after dedup.
-    pub grid_len: usize,
-    /// Coarse-wave grid indices.
-    pub coarse: Vec<usize>,
-    /// Refine stride; `0` ⇒ no refine wave.
-    pub refine_step: usize,
-    /// Whether lower-bound items exist.
-    pub lower_bound: bool,
-}
-
-/// The persisted decomposition of a study, with its content fingerprint.
+/// A study's identity as `manifest.json` records it: the header, one
+/// identity row per cell and the item count. The items themselves are
+/// never written; the fingerprint hashes them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StudyManifest {
     /// Format version ([`STORE_VERSION`]).
@@ -299,7 +277,7 @@ pub struct StudyManifest {
     /// Study id.
     pub study: String,
     /// FNV-1a 64 over the manifest serialised with this field empty,
-    /// as 16 hex digits.
+    /// then over every work item, as 16 hex digits.
     pub fingerprint: String,
     /// SIMD lane width the kernels were compiled for.
     pub lanes: usize,
@@ -308,10 +286,14 @@ pub struct StudyManifest {
     /// FNV-1a 64 over the committed golden files (16 hex digits;
     /// all-zero when no golden directory was configured).
     pub golden_hash: String,
-    /// Per-cell identity rows.
-    pub cells: Vec<ManifestCell>,
-    /// Every work item, in execution (id) order.
-    pub items: Vec<WorkItem>,
+    /// Per-cell identity rows, rendered as JSON objects: everything a
+    /// cell's numbers depend on (label, stem, processors, traces,
+    /// distribution identity, roster, runner options, grid length,
+    /// coarse indices, refine stride, lower bound), kept for a cell
+    /// that cannot be built.
+    pub cells: Vec<String>,
+    /// Work items of the study; their ids are `0..items`.
+    pub items: u64,
 }
 
 /// What a completed (sub)study reports back.
@@ -350,14 +332,20 @@ pub enum StudyOutcome {
 // Fingerprints and the sanctioned clock
 // ---------------------------------------------------------------------
 
-/// FNV-1a 64 (no dependencies, stable across platforms).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a 64 (no dependencies, stable across platforms), fed in pieces.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
 }
 
 /// FNV-1a over the golden directory (file names + contents, sorted by
@@ -372,18 +360,40 @@ fn golden_hash(dir: Option<&Path>) -> u64 {
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     names.sort();
-    let mut bytes = Vec::new();
+    let mut h = Fnv1a::new();
     for p in names {
         if let Some(name) = p.file_name() {
-            bytes.extend_from_slice(name.to_string_lossy().as_bytes());
+            h.write(name.to_string_lossy().as_bytes());
         }
-        bytes.push(0);
+        h.write(&[0]);
         if let Ok(content) = std::fs::read(&p) {
-            bytes.extend_from_slice(&content);
+            h.write(&content);
         }
-        bytes.push(0);
+        h.write(&[0]);
     }
-    fnv1a(&bytes)
+    h.0
+}
+
+/// The manifest fingerprint: FNV-1a 64 over `identity` (the manifest
+/// serialised with an empty fingerprint), then over every item's
+/// `(id, cell, kind, index, trace_lo, trace_hi)` as little-endian
+/// words, streamed rather than rendered. A decomposition that is
+/// reordered or re-cut under unchanged cell rows still changes it.
+fn fingerprint<'a>(identity: &str, items: impl IntoIterator<Item = &'a WorkItem>) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(identity.as_bytes());
+    for it in items {
+        let (kind, index) = match it.kind {
+            ItemKind::Policy { policy } => (0, policy as u64),
+            ItemKind::LowerBound => (1, u64::MAX),
+            ItemKind::Coarse { candidate } => (2, candidate as u64),
+            ItemKind::Refine => (3, u64::MAX),
+        };
+        for word in [it.id, it.cell as u64, kind, index, it.trace_lo as u64, it.trace_hi as u64] {
+            h.write(&word.to_le_bytes());
+        }
+    }
+    h.0
 }
 
 // ---------------------------------------------------------------------
@@ -427,27 +437,33 @@ fn plan_cells(def: &StudyDef) -> Vec<CellPlan> {
     plans
 }
 
+/// One cell's identity row: everything its numbers depend on, rendered
+/// to stable strings for the fingerprint.
+fn cell_row(cell: &StudyCell, p: &CellPlan) -> String {
+    let roster: Vec<String> = cell.kinds.iter().map(|k| json_str(&format!("{k:?}"))).collect();
+    let coarse: Vec<String> = p.plan.coarse.iter().map(usize::to_string).collect();
+    format!(
+        "{{\"label\": {}, \"stem\": {}, \"procs\": {}, \"traces\": {}, \
+         \"dist_id\": {}, \"roster\": [{}], \"options\": {}, \"grid_len\": {}, \
+         \"coarse\": [{}], \"refine_step\": {}, \"lower_bound\": {}}}",
+        json_str(&cell.scenario.label),
+        json_str(&cell.stem),
+        cell.scenario.procs,
+        p.plan.traces,
+        json_str(&dist_identity(&cell.scenario, &p.built)),
+        roster.join(", "),
+        json_str(&format!("{:?}", cell.options)),
+        p.plan.grid.len(),
+        coarse.join(", "),
+        p.plan.refine_step.unwrap_or(0),
+        p.plan.lower_bound,
+    )
+}
+
 /// The manifest of a decomposed study: one identity row per cell (kept
-/// for a cell that cannot be built), every item, and the fingerprint.
+/// for a cell that cannot be built), the item count and the
+/// fingerprint over both and every item.
 fn manifest_of(def: &StudyDef, config: &CheckpointConfig, plans: &[CellPlan]) -> StudyManifest {
-    let cells = def
-        .cells
-        .iter()
-        .zip(plans)
-        .map(|(cell, p)| ManifestCell {
-            label: cell.scenario.label.clone(),
-            stem: cell.stem.clone(),
-            procs: cell.scenario.procs,
-            traces: p.plan.traces,
-            dist_id: dist_identity(&cell.scenario, &p.built),
-            roster: cell.kinds.iter().map(|k| format!("{k:?}")).collect(),
-            options: format!("{:?}", cell.options),
-            grid_len: p.plan.grid.len(),
-            coarse: p.plan.coarse.clone(),
-            refine_step: p.plan.refine_step.unwrap_or(0),
-            lower_bound: p.plan.lower_bound,
-        })
-        .collect();
     let mut manifest = StudyManifest {
         version: STORE_VERSION,
         study: def.id.clone(),
@@ -455,14 +471,16 @@ fn manifest_of(def: &StudyDef, config: &CheckpointConfig, plans: &[CellPlan]) ->
         lanes: ckpt_math::simd::LANES,
         trace_block: TRACE_BLOCK,
         golden_hash: format!("{:016x}", golden_hash(config.golden_dir.as_deref())),
-        cells,
-        items: plans.iter().flat_map(|p| p.items.iter().copied()).collect(),
+        cells: def.cells.iter().zip(plans).map(|(cell, p)| cell_row(cell, p)).collect(),
+        items: plans.iter().map(|p| p.items.len() as u64).sum(),
     };
-    manifest.fingerprint = format!("{:016x}", fnv1a(manifest_json(&manifest).as_bytes()));
+    let items = plans.iter().flat_map(|p| &p.items);
+    manifest.fingerprint = format!("{:016x}", fingerprint(&manifest_json(&manifest), items));
     manifest
 }
 
-/// Decompose a study into its manifest (typed items + fingerprint).
+/// Decompose a study into its manifest (identity, item count and
+/// fingerprint).
 pub fn build_manifest(def: &StudyDef, config: &CheckpointConfig) -> StudyManifest {
     manifest_of(def, config, &plan_cells(def))
 }
@@ -518,22 +536,8 @@ fn payload_json(p: &ItemPayload) -> String {
     }
 }
 
-fn item_json(it: &WorkItem) -> String {
-    let (kind, index) = match it.kind {
-        ItemKind::Policy { policy } => ("policy", policy as i64),
-        ItemKind::LowerBound => ("lower_bound", -1),
-        ItemKind::Coarse { candidate } => ("coarse", candidate as i64),
-        ItemKind::Refine => ("refine", -1),
-    };
-    format!(
-        "{{\"id\": {}, \"cell\": {}, \"kind\": \"{kind}\", \"index\": {index}, \
-         \"trace_lo\": {}, \"trace_hi\": {}}}",
-        it.id, it.cell, it.trace_lo, it.trace_hi
-    )
-}
-
-/// Serialise a manifest. With `fingerprint` emptied this is also the
-/// fingerprint's hash input, so the serialisation *is* the identity.
+/// Serialise a manifest. With `fingerprint` emptied this is the head of
+/// the fingerprint's hash input; the items follow it there, never here.
 pub fn manifest_json(m: &StudyManifest) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -544,34 +548,12 @@ pub fn manifest_json(m: &StudyManifest) -> String {
     s.push_str(&format!("  \"trace_block\": {},\n", m.trace_block));
     s.push_str(&format!("  \"golden_hash\": {},\n", json_str(&m.golden_hash)));
     s.push_str("  \"cells\": [\n");
-    for (i, c) in m.cells.iter().enumerate() {
-        let roster: Vec<String> = c.roster.iter().map(|r| json_str(r)).collect();
-        let coarse: Vec<String> = c.coarse.iter().map(usize::to_string).collect();
-        s.push_str(&format!(
-            "    {{\"label\": {}, \"stem\": {}, \"procs\": {}, \"traces\": {}, \
-             \"dist_id\": {}, \"roster\": [{}], \"options\": {}, \"grid_len\": {}, \
-             \"coarse\": [{}], \"refine_step\": {}, \"lower_bound\": {}}}",
-            json_str(&c.label),
-            json_str(&c.stem),
-            c.procs,
-            c.traces,
-            json_str(&c.dist_id),
-            roster.join(", "),
-            json_str(&c.options),
-            c.grid_len,
-            coarse.join(", "),
-            c.refine_step,
-            c.lower_bound,
-        ));
+    for (i, row) in m.cells.iter().enumerate() {
+        s.push_str("    ");
+        s.push_str(row);
         s.push_str(if i + 1 < m.cells.len() { ",\n" } else { "\n" });
     }
-    s.push_str("  ],\n  \"items\": [\n");
-    for (i, it) in m.items.iter().enumerate() {
-        s.push_str("    ");
-        s.push_str(&item_json(it));
-        s.push_str(if i + 1 < m.items.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
+    s.push_str(&format!("  ],\n  \"items\": {}\n}}\n", m.items));
     s
 }
 
@@ -688,70 +670,6 @@ fn parse_payload(v: &Json) -> Result<ItemPayload, Error> {
     }
 }
 
-fn parse_item(v: &Json) -> Result<WorkItem, Error> {
-    let kind = match get_str(v, "kind")?.as_str() {
-        "policy" => ItemKind::Policy { policy: get_usize(v, "index")? },
-        "lower_bound" => ItemKind::LowerBound,
-        "coarse" => ItemKind::Coarse { candidate: get_usize(v, "index")? },
-        "refine" => ItemKind::Refine,
-        other => return Err(bad(format!("unknown item kind `{other}`"))),
-    };
-    Ok(WorkItem {
-        id: get_u64(v, "id")?,
-        cell: get_usize(v, "cell")?,
-        kind,
-        trace_lo: get_usize(v, "trace_lo")?,
-        trace_hi: get_usize(v, "trace_hi")?,
-    })
-}
-
-/// Parse a manifest document back to its typed form.
-///
-/// # Errors
-/// [`Error::Checkpoint`] on malformed JSON or missing fields.
-pub fn parse_manifest(src: &str) -> Result<StudyManifest, Error> {
-    let v = jsonio::parse(src).map_err(|e| bad(format!("manifest: {e}")))?;
-    Ok(StudyManifest {
-        version: get_u64(&v, "version")?,
-        study: get_str(&v, "study")?,
-        fingerprint: get_str(&v, "fingerprint")?,
-        lanes: get_usize(&v, "lanes")?,
-        trace_block: get_usize(&v, "trace_block")?,
-        golden_hash: get_str(&v, "golden_hash")?,
-        cells: get_arr(&v, "cells")?
-            .iter()
-            .map(|c| {
-                Ok(ManifestCell {
-                    label: get_str(c, "label")?,
-                    stem: get_str(c, "stem")?,
-                    procs: get_u64(c, "procs")?,
-                    traces: get_usize(c, "traces")?,
-                    dist_id: get_str(c, "dist_id")?,
-                    roster: get_arr(c, "roster")?
-                        .iter()
-                        .map(|r| {
-                            r.as_str().map(str::to_string).ok_or_else(|| bad("bad roster"))
-                        })
-                        .collect::<Result<_, _>>()?,
-                    options: get_str(c, "options")?,
-                    grid_len: get_usize(c, "grid_len")?,
-                    coarse: get_arr(c, "coarse")?
-                        .iter()
-                        .map(|x| {
-                            x.as_u64()
-                                .and_then(|u| usize::try_from(u).ok())
-                                .ok_or_else(|| bad("bad coarse index"))
-                        })
-                        .collect::<Result<_, _>>()?,
-                    refine_step: get_usize(c, "refine_step")?,
-                    lower_bound: get_bool(c, "lower_bound")?,
-                })
-            })
-            .collect::<Result<_, Error>>()?,
-        items: get_arr(&v, "items")?.iter().map(parse_item).collect::<Result<_, _>>()?,
-    })
-}
-
 /// A parsed checkpoint snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointFile {
@@ -846,13 +764,36 @@ fn write_status(dir: &Path, status: &str) -> Result<(), Error> {
 // The run loop
 // ---------------------------------------------------------------------
 
+/// The `fingerprint` of the manifest at `path`, the one field resume
+/// reads back; `None` when no manifest was written (a kill between the
+/// study directory and its manifest).
+///
+/// # Errors
+/// [`Error::Checkpoint`] when the file is unreadable, truncated, not
+/// JSON or has no string `fingerprint`.
+fn stored_fingerprint(path: &Path) -> Result<Option<String>, Error> {
+    let src = match std::fs::read_to_string(path) {
+        Ok(src) => src,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(bad(format!("read {}: {e}", path.display()))),
+    };
+    let doc = jsonio::parse(&src).map_err(|e| bad(format!("{}: {e}", path.display())))?;
+    let fingerprint = doc.get("fingerprint").and_then(Json::as_str);
+    let fingerprint =
+        fingerprint.ok_or_else(|| bad(format!("{}: no string `fingerprint`", path.display())))?;
+    Ok(Some(fingerprint.to_string()))
+}
+
 /// Load the newest usable snapshot of `dir`. Corrupt, version-skewed
-/// or shape-damaged files (a payload that does not fit its manifest
-/// item) are skipped and counted as rejected, falling back to the
-/// previous snapshot; a *fingerprint* mismatch is a hard error — the
-/// store describes different numbers than `manifest` and must not be
-/// silently reused.
-fn load_latest(dir: &Path, manifest: &StudyManifest) -> Result<Option<CheckpointFile>, Error> {
+/// or shape-damaged files (a payload that does not fit its item in
+/// `plans`) are skipped, falling back to the previous snapshot; a
+/// *fingerprint* mismatch is a hard error — the store describes
+/// different numbers than `manifest` and must not be silently reused.
+fn load_latest(
+    dir: &Path,
+    manifest: &StudyManifest,
+    plans: &[CellPlan],
+) -> Result<Option<CheckpointFile>, Error> {
     let (study, expect) = (&manifest.study, &manifest.fingerprint);
     let mut files = list_checkpoints(dir);
     files.reverse();
@@ -873,7 +814,7 @@ fn load_latest(dir: &Path, manifest: &StudyManifest) -> Result<Option<Checkpoint
                 path.display()
             )));
         }
-        if payloads_fit(&ckpt.completed, manifest).is_err() {
+        if payloads_fit(&ckpt.completed, plans).is_err() {
             continue;
         }
         return Ok(Some(ckpt));
@@ -881,18 +822,15 @@ fn load_latest(dir: &Path, manifest: &StudyManifest) -> Result<Option<Checkpoint
     Ok(None)
 }
 
-/// Every payload of a snapshot against its manifest item (ids the
-/// manifest does not know are dropped by the caller, never folded).
-fn payloads_fit(
-    completed: &BTreeMap<u64, ItemPayload>,
-    manifest: &StudyManifest,
-) -> Result<(), Error> {
-    for (&id, payload) in completed {
-        // Manifest ids are dense: item `id` sits at index `id`.
-        let item = usize::try_from(id).ok().and_then(|i| manifest.items.get(i));
-        let Some(item) = item.filter(|i| i.id == id) else { continue };
-        let cell = manifest.cells.get(item.cell).ok_or_else(|| bad("item cell out of range"))?;
-        payload.check_fits(item, cell.traces, cell.grid_len)?;
+/// Every payload of a snapshot against its item (ids the study does
+/// not know are dropped by the caller, never folded).
+fn payloads_fit(completed: &BTreeMap<u64, ItemPayload>, plans: &[CellPlan]) -> Result<(), Error> {
+    for p in plans {
+        for item in &p.items {
+            if let Some(payload) = completed.get(&item.id) {
+                payload.check_fits(item, p.plan.traces, p.plan.grid.len())?;
+            }
+        }
     }
     Ok(())
 }
@@ -941,7 +879,7 @@ impl Store<'_> {
         let due_time = clock_seconds() - self.last_snapshot >= self.config.interval_seconds;
         if due_items || due_time {
             self.snapshot(completed)?;
-            write_status(&self.dir, &format!("running {}/{}", completed.len(), self.manifest.items.len()))?;
+            write_status(&self.dir, &format!("running {}/{}", completed.len(), self.manifest.items))?;
             // The checkpoint writer committed: refresh the progress
             // snapshot next to it.
             self.progress.write(&self.dir)?;
@@ -1045,27 +983,24 @@ pub fn run_study(
         if !dir.is_dir() {
             return Err(bad(format!("no study `{}` under {}", def.id, config.root.display())));
         }
-        if let Ok(src) = std::fs::read_to_string(dir.join("manifest.json")) {
-            let on_disk = parse_manifest(&src)?;
-            if on_disk.fingerprint != manifest.fingerprint {
+        if let Some(on_disk) = stored_fingerprint(&dir.join("manifest.json"))? {
+            if on_disk != manifest.fingerprint {
                 return Err(bad(format!(
-                    "stale manifest for study `{}`: on-disk fingerprint {} does not \
+                    "stale manifest for study `{}`: on-disk fingerprint {on_disk} does not \
                      match the rebuilt fingerprint {} — the store describes a \
                      different study; refusing to resume",
-                    def.id, on_disk.fingerprint, manifest.fingerprint
+                    def.id, manifest.fingerprint
                 )));
             }
         }
-        if let Some(ckpt) = load_latest(&dir, &manifest)? {
+        if let Some(ckpt) = load_latest(&dir, &manifest, &plans)? {
             next_seq = ckpt.seq + 1;
             completed = ckpt.completed;
         }
-        // Payloads for items the manifest does not know are dropped
-        // rather than trusted (defensive; fingerprint equality already
-        // implies the same item set).
-        let known: std::collections::BTreeSet<u64> =
-            manifest.items.iter().map(|i| i.id).collect();
-        completed.retain(|id, _| known.contains(id));
+        // Payloads for ids the study does not have are dropped rather
+        // than trusted (defensive; fingerprint equality already implies
+        // the same item set). Ids are dense: `0..items`.
+        completed.retain(|&id, _| id < manifest.items);
     } else {
         if dir.join("manifest.json").exists() {
             return Err(bad(format!(
@@ -1079,11 +1014,12 @@ pub fn run_study(
         write_atomic(&dir.join("manifest.json"), &manifest_json(&manifest))?;
     }
 
-    let items_total = manifest.items.len() as u64;
+    let items_total = manifest.items;
     let items_resumed = completed.len() as u64;
     write_status(&dir, &format!("running {items_resumed}/{items_total}"))?;
+    let all_items = plans.iter().flat_map(|p| &p.items);
     let progress =
-        StudyProgress::new(&def.id, &manifest.items, |id| completed.contains_key(&id), config.progress);
+        StudyProgress::new(&def.id, all_items, |id| completed.contains_key(&id), config.progress);
     progress.write(&dir)?;
     let last_snapshot = clock_seconds();
     let mut store = Store { config, manifest: &manifest, dir, next_seq, executed: 0, since_snapshot: 0, last_snapshot, snapshots_written: 0, progress };
@@ -1139,8 +1075,8 @@ pub struct StudySummary {
     /// Aggregate files on disk (`aggregate/*.json`; a `*.json.tmp` left
     /// by a kill inside [`write_atomic`] is not an aggregate).
     pub aggregates: usize,
-    /// Items in the manifest (0 when unreadable).
-    pub items: usize,
+    /// The manifest's item count (0 when unreadable).
+    pub items: u64,
 }
 
 /// Enumerate the studies under `root`, sorted by id.
@@ -1162,8 +1098,9 @@ pub fn list_studies(root: &Path) -> Vec<StudySummary> {
                 .unwrap_or_else(|_| "unknown".to_string());
             let items = std::fs::read_to_string(path.join("manifest.json"))
                 .ok()
-                .and_then(|s| parse_manifest(&s).ok())
-                .map_or(0, |m| m.items.len());
+                .and_then(|s| jsonio::parse(&s).ok())
+                .and_then(|v| v.get("items").and_then(Json::as_u64))
+                .unwrap_or(0);
             let aggregates = files_with_extension(&path.join("aggregate"), "json").len();
             Some(StudySummary {
                 id,
@@ -1251,11 +1188,22 @@ mod tests {
         StudyDef::new(id, [(s, vec![PolicyKind::Young, PolicyKind::OptExp], options)])
     }
 
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::new();
+        h.write(bytes);
+        h.0
+    }
+
     #[test]
     fn fnv1a_known_vectors() {
         // Reference values of FNV-1a 64.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // Fed in pieces, it hashes their concatenation.
+        let mut h = Fnv1a::new();
+        h.write(b"ab");
+        h.write(b"c");
+        assert_eq!(h.0, fnv1a(b"abc"));
     }
 
     #[test]
@@ -1268,14 +1216,46 @@ mod tests {
         assert_eq!(a, b, "manifest build must be deterministic");
         // 2 policies × 2 blocks + 2 LB blocks + 3 candidates × 2 blocks,
         // full search ⇒ no refine item.
-        assert_eq!(a.items.len(), 2 * 2 + 2 + 3 * 2);
-        assert!(a.items.iter().all(|i| !matches!(i.kind, ItemKind::Refine)));
+        assert_eq!(a.items, 2 * 2 + 2 + 3 * 2);
+        let plans = plan_cells(&def);
+        assert!(plans[0].items.iter().all(|i| !matches!(i.kind, ItemKind::Refine)));
         assert_eq!(a.trace_block, TRACE_BLOCK);
         assert_eq!(a.lanes, ckpt_math::simd::LANES);
         // Ids are dense and ordered.
-        for (k, item) in a.items.iter().enumerate() {
+        for (k, item) in plans[0].items.iter().enumerate() {
             assert_eq!(item.id, k as u64);
         }
+    }
+
+    /// The manifest holds the header, the cell rows and an item count;
+    /// the fingerprint still covers every item: swapping two items or
+    /// re-cutting a block boundary changes it under the same rows.
+    #[test]
+    fn fingerprint_covers_the_item_decomposition() {
+        let mut def = tiny_def("t");
+        def.cells[0].scenario.traces = 2 * TRACE_BLOCK;
+        let config = CheckpointConfig::default();
+        let m = build_manifest(&def, &config);
+        let json = manifest_json(&m);
+        assert!(json.contains(&format!("\"items\": {}\n}}", m.items)), "{json}");
+        assert!(!json.contains("trace_lo"), "the manifest lists no items: {json}");
+
+        let identity = manifest_json(&StudyManifest { fingerprint: String::new(), ..m.clone() });
+        let items = plan_cells(&def).swap_remove(0).items;
+        let fp = |items: &[WorkItem]| format!("{:016x}", fingerprint(&identity, items));
+        assert_eq!(fp(&items), m.fingerprint, "the fingerprint is identity then items");
+
+        let mut swapped = items.clone();
+        swapped.swap(0, 1);
+        assert_ne!(fp(&swapped), m.fingerprint, "two items swapped");
+        (swapped[0].id, swapped[1].id) = (0, 1);
+        assert_ne!(fp(&swapped), m.fingerprint, "two items swapped, ids kept dense");
+        let mut recut = items.clone();
+        let (a, b) = (recut[0], recut[1]);
+        assert_eq!((a.kind, a.trace_hi), (b.kind, b.trace_lo), "two blocks of one policy");
+        recut[0].trace_hi -= 1;
+        recut[1].trace_lo -= 1;
+        assert_ne!(fp(&recut), m.fingerprint, "a re-cut block boundary");
     }
 
     #[test]
@@ -1292,6 +1272,94 @@ mod tests {
         def.cells[0].scenario.traces += 1;
         let c = build_manifest(&def, &config);
         assert_ne!(a.fingerprint, c.fingerprint);
+    }
+
+    /// Resume reads one field of the manifest. A truncated, garbage or
+    /// fingerprint-less file is a typed store error raised before
+    /// anything runs or is written, and a manifest in the pre-count
+    /// format (every item listed, its fingerprint over that rendering)
+    /// is refused as stale.
+    #[test]
+    fn damaged_or_pre_count_manifest_refuses_to_resume() {
+        let root = std::env::temp_dir()
+            .join(format!("ckpt-store-bad-manifest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let def = tiny_def("bad");
+        let config = CheckpointConfig {
+            root: root.clone(),
+            interval_seconds: 1e9,
+            ..CheckpointConfig::default()
+        };
+        let stop = CheckpointConfig { stop_after_items: Some(1), ..config.clone() };
+        assert!(matches!(run_study(&def, &stop, false), Ok(StudyOutcome::Stopped { .. })));
+        let dir = root.join("bad");
+        let path = dir.join("manifest.json");
+        let good = std::fs::read_to_string(&path).expect("manifest written");
+        let store = |dir: &Path| -> Vec<(std::ffi::OsString, Vec<u8>)> {
+            let mut files: Vec<_> = std::fs::read_dir(dir)
+                .expect("store")
+                .map(|e| e.expect("entry").path())
+                .filter(|p| p.file_name().is_some_and(|n| n != "manifest.json"))
+                .map(|p| (p.file_name().expect("name").to_owned(), std::fs::read(&p).expect("read")))
+                .collect();
+            files.sort();
+            files
+        };
+        let before = store(&dir);
+
+        let damaged: [&[u8]; 5] = [
+            &good.as_bytes()[..good.len() / 2],
+            b"\x00 not json",
+            &[0xff, 0xfe, 0x7b],
+            b"{\"version\": 1, \"items\": 3}",
+            b"{\"fingerprint\": 7}",
+        ];
+        for bytes in damaged {
+            std::fs::write(&path, bytes).expect("damage the manifest");
+            let err = run_study(&def, &config, true).expect_err("a damaged manifest must refuse");
+            assert!(matches!(err, Error::Checkpoint { .. }), "{err:?}");
+            assert!(err.to_string().contains("manifest.json"), "{err}");
+            assert_eq!(store(&dir), before, "a refused resume wrote into the store");
+        }
+
+        // The pre-count format: every item rendered into the document,
+        // which its fingerprint hashed with the fingerprint field empty.
+        let items: Vec<String> = plan_cells(&def)
+            .iter()
+            .flat_map(|p| &p.items)
+            .map(|it| {
+                let (kind, index) = match it.kind {
+                    ItemKind::Policy { policy } => ("policy", policy as i64),
+                    ItemKind::LowerBound => ("lower_bound", -1),
+                    ItemKind::Coarse { candidate } => ("coarse", candidate as i64),
+                    ItemKind::Refine => ("refine", -1),
+                };
+                format!(
+                    "    {{\"id\": {}, \"cell\": {}, \"kind\": \"{kind}\", \"index\": {index}, \
+                     \"trace_lo\": {}, \"trace_hi\": {}}}",
+                    it.id, it.cell, it.trace_lo, it.trace_hi
+                )
+            })
+            .collect();
+        let m = build_manifest(&def, &config);
+        let count = format!("\"items\": {}\n}}\n", m.items);
+        let listed = format!("\"items\": [\n{}\n  ]\n}}\n", items.join(",\n"));
+        let unsigned =
+            manifest_json(&StudyManifest { fingerprint: String::new(), ..m.clone() }).replace(&count, &listed);
+        let old_fp = format!("{:016x}", fnv1a(unsigned.as_bytes()));
+        let old = unsigned.replace("\"fingerprint\": \"\"", &format!("\"fingerprint\": \"{old_fp}\""));
+        assert!(old.contains("\"trace_lo\"") && old.contains(&old_fp), "{old}");
+        std::fs::write(&path, old).expect("write a pre-count manifest");
+        let err = run_study(&def, &config, true).expect_err("a pre-count store is stale");
+        assert!(matches!(err, Error::Checkpoint { .. }), "{err:?}");
+        assert!(err.to_string().contains("stale manifest"), "{err}");
+        assert_eq!(store(&dir), before, "a refused resume wrote into the store");
+        assert_eq!(list_studies(&root)[0].items, 0, "`study ls` reads no count from a list");
+
+        // The intact manifest resumes.
+        std::fs::write(&path, good).expect("restore the manifest");
+        assert!(matches!(run_study(&def, &config, true), Ok(StudyOutcome::Complete(_))));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -1319,14 +1387,6 @@ mod tests {
                 assert_ne!(a, b, "stems must be unique");
             }
         }
-    }
-
-    #[test]
-    fn manifest_round_trips_through_json() {
-        let def = tiny_def("rt");
-        let m = build_manifest(&def, &CheckpointConfig::default());
-        let parsed = parse_manifest(&manifest_json(&m)).expect("parses");
-        assert_eq!(parsed, m);
     }
 
     #[test]
@@ -1500,6 +1560,298 @@ mod tests {
         assert_eq!((ls[0].aggregates, ls[0].checkpoints), (1, 1));
         assert!(dir.join("manifest.json").is_file());
         assert!(gc_studies(&root, 3, None).expect("gc").is_empty(), "gc is idempotent");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The manifest reads back through the store's JSON reader: every
+    /// header field, the item count and one row per cell.
+    #[test]
+    fn manifest_round_trips_through_json() {
+        let def = tiny_def("round \"trip\"");
+        let m = build_manifest(&def, &CheckpointConfig::default());
+        let doc = jsonio::parse(&manifest_json(&m)).expect("the manifest is JSON");
+        assert_eq!(get_u64(&doc, "version").unwrap(), m.version);
+        assert_eq!(get_str(&doc, "study").unwrap(), m.study);
+        assert_eq!(get_str(&doc, "fingerprint").unwrap(), m.fingerprint);
+        assert_eq!(get_usize(&doc, "lanes").unwrap(), m.lanes);
+        assert_eq!(get_usize(&doc, "trace_block").unwrap(), m.trace_block);
+        assert_eq!(get_str(&doc, "golden_hash").unwrap(), m.golden_hash);
+        assert_eq!(get_u64(&doc, "items").unwrap(), m.items);
+        let rows = get_arr(&doc, "cells").unwrap();
+        assert_eq!(rows.len(), def.cells.len());
+        assert_eq!(get_str(&rows[0], "label").unwrap(), def.cells[0].scenario.label);
+        assert_eq!(get_str(&rows[0], "stem").unwrap(), def.cells[0].stem);
+        assert_eq!(get_usize(&rows[0], "traces").unwrap(), def.cells[0].scenario.traces);
+    }
+
+    /// The manifest's size does not grow with the item count: 64 times
+    /// the traces add only the digits of the new counts.
+    #[test]
+    fn manifest_stays_small_as_the_traces_grow() {
+        let config = CheckpointConfig::default();
+        let mut def = tiny_def("t");
+        def.cells[0].scenario.traces = TRACE_BLOCK;
+        let small = build_manifest(&def, &config);
+        def.cells[0].scenario.traces = 64 * TRACE_BLOCK;
+        let large = build_manifest(&def, &config);
+        assert!(large.items >= 32 * small.items, "{} vs {}", large.items, small.items);
+        let (a, b) = (manifest_json(&small).len(), manifest_json(&large).len());
+        assert!(b <= a + 8, "manifest grew from {a} to {b} bytes");
+    }
+
+    /// The committed goldens are part of the identity: their names and
+    /// contents move the fingerprint, other files in their directory do
+    /// not.
+    #[test]
+    fn fingerprint_depends_on_the_golden_files() {
+        let dir = std::env::temp_dir().join(format!("ckpt-golden-hash-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let def = tiny_def("g");
+        let none = build_manifest(&def, &CheckpointConfig::default());
+        assert_eq!(none.golden_hash, "0000000000000000");
+        let config = CheckpointConfig { golden_dir: Some(dir.clone()), ..CheckpointConfig::default() };
+        let mut seen = vec![none];
+        std::fs::write(dir.join("a.json"), "{}").unwrap();
+        seen.push(build_manifest(&def, &config));
+        std::fs::write(dir.join("a.json"), "{ }").unwrap();
+        seen.push(build_manifest(&def, &config));
+        std::fs::rename(dir.join("a.json"), dir.join("b.json")).unwrap();
+        seen.push(build_manifest(&def, &config));
+        for (i, a) in seen.iter().enumerate() {
+            for b in &seen[i + 1..] {
+                assert_ne!((&a.golden_hash, &a.fingerprint), (&b.golden_hash, &b.fingerprint));
+            }
+        }
+        std::fs::write(dir.join("notes.txt"), "not a golden").unwrap();
+        assert_eq!(build_manifest(&def, &config), seen[3], "only *.json files are hashed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Where the store lives, how often it snapshots and whether it
+    /// prints progress change no number, so they stay out of the
+    /// manifest: a study may be resumed under other store settings.
+    #[test]
+    fn fingerprint_ignores_the_store_settings() {
+        let def = tiny_def("knobs");
+        let base = build_manifest(&def, &CheckpointConfig::default());
+        let other = CheckpointConfig {
+            root: PathBuf::from("elsewhere"),
+            interval_items: 1,
+            interval_seconds: 0.0,
+            max_checkpoints: 9,
+            golden_dir: None,
+            stop_after_items: Some(3),
+            progress: true,
+        };
+        assert_eq!(build_manifest(&def, &other), base);
+    }
+
+    #[test]
+    fn stored_fingerprint_reads_the_written_manifest() {
+        let root = std::env::temp_dir().join(format!("ckpt-store-fp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let path = root.join("fp").join("manifest.json");
+        assert_eq!(stored_fingerprint(&path).unwrap(), None, "no manifest yet");
+        let def = tiny_def("fp");
+        let config = CheckpointConfig { root: root.clone(), ..CheckpointConfig::default() };
+        run_study(&def, &config, false).expect("runs");
+        let expect = build_manifest(&def, &config).fingerprint;
+        assert_eq!(stored_fingerprint(&path).unwrap(), Some(expect));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Ids are dense, so a snapshot payload at an id past the item
+    /// count belongs to no item: resume drops it instead of counting or
+    /// folding it.
+    #[test]
+    fn resume_drops_snapshot_ids_past_the_item_count() {
+        let root = std::env::temp_dir().join(format!("ckpt-store-extra-id-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let def = tiny_def("extra");
+        let config = CheckpointConfig {
+            root: root.clone(),
+            interval_seconds: 1e9,
+            ..CheckpointConfig::default()
+        };
+        let total = match run_study(&def, &config, false).expect("runs") {
+            StudyOutcome::Complete(report) => report.items_total,
+            StudyOutcome::Stopped { .. } => panic!("no stop hook configured"),
+        };
+        let dir = root.join("extra");
+        let agg = dir.join("aggregate").join(format!("{}.json", def.cells[0].stem));
+        let before = std::fs::read_to_string(&agg).unwrap();
+        let (seq, newest) = list_checkpoints(&dir).pop().expect("final snapshot");
+        let mut ckpt = parse_checkpoint(&std::fs::read_to_string(newest).unwrap()).unwrap();
+        assert_eq!(ckpt.completed.len() as u64, total);
+        ckpt.completed.insert(total, ItemPayload::LowerBound { makespans: vec![1.0f64.to_bits()] });
+        let src = checkpoint_json(&ckpt.study, &ckpt.fingerprint, seq + 1, &ckpt.completed);
+        std::fs::write(dir.join(ckpt_name(seq + 1)), src).unwrap();
+        match run_study(&def, &config, true).expect("resumes") {
+            StudyOutcome::Complete(report) => {
+                assert_eq!(report.items_resumed, total, "the foreign id was counted");
+                assert_eq!(report.items_executed, 0);
+            }
+            StudyOutcome::Stopped { .. } => panic!("no stop hook configured"),
+        }
+        assert_eq!(std::fs::read_to_string(&agg).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A cell whose distribution cannot be built keeps its identity row,
+    /// so a change to it still moves the fingerprint, but adds no item.
+    #[test]
+    fn unbuildable_cell_keeps_its_row_and_adds_no_item() {
+        let mut def = tiny_def("u");
+        def.cells[0].scenario.dist = DistSpec::LanlLog { cluster: 99 };
+        let m = build_manifest(&def, &CheckpointConfig::default());
+        assert_eq!(m.items, 0);
+        assert_eq!(m.cells.len(), 1);
+        assert!(m.cells[0].contains("unbuildable:"), "{}", m.cells[0]);
+        def.cells[0].scenario.traces += 1;
+        assert_ne!(build_manifest(&def, &CheckpointConfig::default()).fingerprint, m.fingerprint);
+    }
+
+    /// A study stopped before its first snapshot lists as running, with
+    /// its count from the manifest and no checkpoint or aggregate.
+    #[test]
+    fn a_stopped_study_lists_as_running_with_its_count() {
+        let root = std::env::temp_dir().join(format!("ckpt-store-running-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let def = tiny_def("half");
+        let config = CheckpointConfig {
+            root: root.clone(),
+            interval_seconds: 1e9,
+            stop_after_items: Some(1),
+            ..CheckpointConfig::default()
+        };
+        assert!(matches!(run_study(&def, &config, false), Ok(StudyOutcome::Stopped { .. })));
+        let total = build_manifest(&def, &config).items;
+        let ls = list_studies(&root);
+        assert_eq!(ls.len(), 1);
+        assert_eq!(ls[0].status, format!("running 0/{total}"));
+        assert_eq!((ls[0].items, ls[0].checkpoints, ls[0].aggregates), (total, 0, 0));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn ls_sorts_study_directories_and_skips_plain_files() {
+        let root = std::env::temp_dir().join(format!("ckpt-store-ls-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        assert!(list_studies(&root).is_empty(), "a missing root lists nothing");
+        for id in ["b", "a"] {
+            std::fs::create_dir_all(root.join(id)).unwrap();
+        }
+        std::fs::write(root.join("c"), "a file, not a study").unwrap();
+        let ls = list_studies(&root);
+        let ids: Vec<&str> = ls.iter().map(|s| s.id.as_str()).collect();
+        assert_eq!(ids, ["a", "b"]);
+        for s in &ls {
+            assert_eq!((s.status.as_str(), s.items, s.checkpoints, s.aggregates), ("unknown", 0, 0, 0));
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn gc_reports_a_missing_purge_target() {
+        let root = std::env::temp_dir().join(format!("ckpt-store-purge-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(root.join("kept")).unwrap();
+        let actions = gc_studies(&root, 3, Some("gone")).expect("gc");
+        assert_eq!(actions, ["no study `gone` to purge"]);
+        assert!(root.join("kept").is_dir(), "gc removed a study it was not asked to");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// While a study runs, only the newest `max_checkpoints` snapshots
+    /// stay on disk, and the final one is among them.
+    #[test]
+    fn a_run_keeps_only_its_newest_snapshots() {
+        let root = std::env::temp_dir().join(format!("ckpt-store-keep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut def = tiny_def("keep");
+        def.cells[0].scenario.traces = 4 * TRACE_BLOCK;
+        let config = CheckpointConfig {
+            root: root.clone(),
+            interval_items: 1,
+            interval_seconds: 1e9,
+            max_checkpoints: 2,
+            ..CheckpointConfig::default()
+        };
+        let written = match run_study(&def, &config, false).expect("runs") {
+            StudyOutcome::Complete(report) => report.checkpoints_written,
+            StudyOutcome::Stopped { .. } => panic!("no stop hook configured"),
+        };
+        assert!(written > 2, "{written} snapshots");
+        let seqs: Vec<u64> = list_checkpoints(&root.join("keep")).into_iter().map(|(s, _)| s).collect();
+        assert_eq!(seqs, [written - 2, written - 1]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The goldens are part of the study's identity: a store begun
+    /// before they changed is stale.
+    #[test]
+    fn a_changed_golden_set_makes_the_store_stale() {
+        let root = std::env::temp_dir().join(format!("ckpt-store-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let golden = root.join("golden");
+        std::fs::create_dir_all(&golden).unwrap();
+        std::fs::write(golden.join("cell.json"), "{}").unwrap();
+        let def = tiny_def("gold");
+        let config = CheckpointConfig {
+            root: root.join("store"),
+            interval_seconds: 1e9,
+            golden_dir: Some(golden.clone()),
+            ..CheckpointConfig::default()
+        };
+        let stop = CheckpointConfig { stop_after_items: Some(1), ..config.clone() };
+        assert!(matches!(run_study(&def, &stop, false), Ok(StudyOutcome::Stopped { .. })));
+        std::fs::write(golden.join("cell.json"), "{\"moved\": 1}").unwrap();
+        let err = run_study(&def, &config, true).expect_err("the goldens moved");
+        assert!(err.to_string().contains("stale manifest"), "{err}");
+        std::fs::write(golden.join("cell.json"), "{}").unwrap();
+        assert!(matches!(run_study(&def, &config, true), Ok(StudyOutcome::Complete(_))));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The file a fresh run writes is the manifest the resume rebuilds,
+    /// byte for byte.
+    #[test]
+    fn fresh_run_writes_the_manifest_it_fingerprints() {
+        let root = std::env::temp_dir().join(format!("ckpt-store-written-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let def = tiny_def("written");
+        let config = CheckpointConfig { root: root.clone(), ..CheckpointConfig::default() };
+        run_study(&def, &config, false).expect("runs");
+        let on_disk = std::fs::read_to_string(root.join("written").join("manifest.json")).unwrap();
+        assert_eq!(on_disk, manifest_json(&build_manifest(&def, &config)));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A store killed before its first snapshot holds no payload: the
+    /// resume runs every item and commits what a clean run commits.
+    #[test]
+    fn resume_without_a_snapshot_runs_every_item() {
+        let root = std::env::temp_dir().join(format!("ckpt-store-nosnap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let def = tiny_def("nosnap");
+        let config = CheckpointConfig {
+            root: root.clone(),
+            interval_seconds: 1e9,
+            ..CheckpointConfig::default()
+        };
+        let stop = CheckpointConfig { stop_after_items: Some(1), ..config.clone() };
+        assert!(matches!(run_study(&def, &stop, false), Ok(StudyOutcome::Stopped { .. })));
+        assert!(list_checkpoints(&root.join("nosnap")).is_empty(), "stopped before any snapshot");
+        let report = match run_study(&def, &config, true).expect("resumes") {
+            StudyOutcome::Complete(report) => report,
+            StudyOutcome::Stopped { .. } => panic!("no stop hook configured"),
+        };
+        assert_eq!((report.items_resumed, report.items_executed), (0, report.items_total));
+        let clean = run_in_memory(&def);
+        let agg = root.join("nosnap/aggregate").join(format!("{}.json", def.cells[0].stem));
+        let expect = crate::golden::golden_json(clean[0].as_ref().expect("the cell runs"));
+        assert_eq!(std::fs::read_to_string(agg).unwrap(), expect);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

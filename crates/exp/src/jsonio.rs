@@ -381,4 +381,40 @@ mod tests {
         assert_eq!(v.as_arr().unwrap().len(), 3);
         assert_eq!(v.as_arr().unwrap()[1].as_str(), Some("A/"));
     }
+
+    #[test]
+    fn as_u64_takes_only_exact_unsigned_integers() {
+        assert_eq!(parse("7").unwrap().as_u64(), Some(7));
+        for raw in ["-1", "1.5", "1e3", "18446744073709551616"] {
+            assert_eq!(parse(raw).unwrap().as_u64(), None, "{raw}");
+        }
+    }
+
+    #[test]
+    fn accessors_refuse_the_wrong_type() {
+        let v = parse("[\"7\", 7, true, null, {\"k\": 1}]").unwrap();
+        let a = v.as_arr().unwrap();
+        assert_eq!(a[0].as_u64(), None);
+        assert_eq!(a[1].as_str(), None);
+        assert_eq!(a[2].as_u64(), None);
+        assert_eq!(a[3].as_bool(), None);
+        assert_eq!(a[4].as_arr(), None);
+        assert_eq!(v.get("k"), None, "an array has no members");
+        assert_eq!(a[4].get("missing"), None);
+    }
+
+    #[test]
+    fn get_returns_the_first_of_duplicate_keys() {
+        let v = parse("{\"fingerprint\": \"a\", \"fingerprint\": \"b\"}").unwrap();
+        assert_eq!(v.get("fingerprint").unwrap().as_str(), Some("a"));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_are_rejected() {
+        let v = parse("\"\\ud83e\\udd80\"").unwrap();
+        assert_eq!(v.as_str(), Some("\u{1f980}"));
+        for bad in ["\"\\ud83e\"", "\"\\ud83e x\"", "\"\\u12\"", "\"\\q\""] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
 }

@@ -397,4 +397,31 @@ mod tests {
         assert_eq!(paper_period_grid().len(), 479);
         assert!(paper_period_grid().contains(&1.0));
     }
+
+    /// The decomposition the store fingerprints: ids dense from
+    /// `first_id`, every kind's blocks tiling `0..traces` in order with
+    /// a short last block, and the refine item last over all traces.
+    #[test]
+    fn items_tile_each_kind_over_the_traces_with_dense_ids() {
+        let mut sc = tiny();
+        sc.traces = 2 * TRACE_BLOCK + 3;
+        let opts = RunnerOptions { lower_bound: true, ..RunnerOptions::default() };
+        let plan = plan_scenario(&sc, &[PolicyKind::Young, PolicyKind::OptExp], &opts);
+        let items = plan.items(5, 100);
+        assert!(items.iter().all(|i| i.cell == 5));
+        for (k, item) in items.iter().enumerate() {
+            assert_eq!(item.id, 100 + k as u64);
+        }
+        let last = items.last().expect("items");
+        assert_eq!((last.kind, last.trace_lo, last.trace_hi), (ItemKind::Refine, 0, sc.traces));
+        let blocked = &items[..items.len() - 1];
+        assert_eq!(blocked.len(), (2 + 1 + plan.coarse.len()) * 3, "three blocks per kind");
+        for kind in blocked.chunks(3) {
+            assert!(kind.iter().all(|i| i.kind == kind[0].kind), "{kind:?}");
+            assert_eq!(kind[0].trace_lo, 0);
+            assert!(kind.windows(2).all(|w| w[0].trace_hi == w[1].trace_lo), "{kind:?}");
+            assert_eq!(kind[2].trace_hi - kind[2].trace_lo, 3);
+            assert_eq!(kind[2].trace_hi, sc.traces);
+        }
+    }
 }

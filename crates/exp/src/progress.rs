@@ -1,6 +1,6 @@
 //! Live study progress: total/completed/in-flight item counts per
 //! [`WorkItem`](crate::checkpoint::WorkItem) kind, derived from the
-//! manifest plus the commit layer, with rates and ETA read through the
+//! study's items plus the commit layer, with rates and ETA read through the
 //! crate's one telemetry clock ([`crate::perf::clock_seconds`]).
 //!
 //! Two outputs, one determinism rule:
@@ -56,12 +56,12 @@ pub struct StudyProgress {
 }
 
 impl StudyProgress {
-    /// Seed the tracker from a manifest's item list; `is_done` marks
-    /// the items restored from a resumed snapshot. `console` enables
-    /// the stderr lines (`--progress`).
-    pub fn new(
+    /// Seed the tracker from a study's items; `is_done` marks the
+    /// items restored from a resumed snapshot. `console` enables the
+    /// stderr lines (`--progress`).
+    pub fn new<'a>(
         study: &str,
-        items: &[WorkItem],
+        items: impl IntoIterator<Item = &'a WorkItem>,
         is_done: impl Fn(u64) -> bool,
         console: bool,
     ) -> Self {
@@ -385,5 +385,17 @@ mod tests {
             parsed.get("study").and_then(crate::jsonio::Json::as_str),
             Some("a \"quoted\"\\name")
         );
+    }
+
+    /// A study's items arrive cell by cell, as one chained iterator.
+    #[test]
+    fn seeds_from_the_items_of_several_cells() {
+        let first = items();
+        let second = [item(6, ItemKind::Policy { policy: 0 }), item(7, ItemKind::LowerBound)];
+        let p = StudyProgress::new("s", first.iter().chain(&second), |id| id >= 6, false);
+        assert_eq!(p.total, 8);
+        assert_eq!(p.resumed, 2);
+        assert_eq!(p.kind_total, [3, 2, 2, 1]);
+        assert_eq!(p.kind_completed, [1, 1, 0, 0]);
     }
 }

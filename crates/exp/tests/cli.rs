@@ -148,3 +148,103 @@ fn store_runs_render_what_the_in_memory_runs_write() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// A resume whose `manifest.json` is truncated or garbage exits 2 with
+/// the store error on stderr, before any cell runs or any store file
+/// changes.
+#[test]
+fn damaged_manifest_resume_exits_two_and_runs_nothing() {
+    let root = scratch_dir("damaged-manifest");
+    let root_arg = root.to_str().expect("utf-8 temp dir");
+    let run = |extra: &[&str]| {
+        let mut args = vec!["run", "--study", "bench", "--traces", "1", "--study-root", root_arg];
+        args.extend_from_slice(extra);
+        ckpt_exp(&args)
+    };
+    let out = run(&["--id", "d"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let dir = root.join("d");
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest");
+    let status = std::fs::read_to_string(dir.join("status")).expect("status");
+    let snapshot = std::fs::read(dir.join("ckpt-000000.json")).expect("final snapshot");
+    for damaged in [&manifest[..manifest.len() / 2], "garbage"] {
+        std::fs::write(dir.join("manifest.json"), damaged).expect("damage the manifest");
+        let out = run(&["--resume", "d"]);
+        assert_eq!(out.status.code(), Some(2), "{damaged:?}");
+        assert!(out.stdout.is_empty(), "no cell may commit: {}", String::from_utf8_lossy(&out.stdout));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("checkpoint store: ") && stderr.contains("manifest.json"), "{stderr}");
+        assert_eq!(std::fs::read_to_string(dir.join("status")).expect("status"), status);
+        assert_eq!(std::fs::read(dir.join("ckpt-000000.json")).expect("snapshot"), snapshot);
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn study_with_an_unknown_action_exits_two_with_usage() {
+    let out = ckpt_exp(&["study", "frob"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown `study` action frob"), "{stderr}");
+    assert!(stderr.contains("usage: ckpt-exp"), "{stderr}");
+}
+
+#[test]
+fn study_ls_of_an_empty_root_says_so() {
+    let root = scratch_dir("ls-empty");
+    let root_arg = root.to_str().expect("utf-8 temp dir");
+    let out = ckpt_exp(&["study", "ls", "--study-root", root_arg]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), format!("no studies under {root_arg}\n"));
+}
+
+/// `study ls` prints the manifest's item count next to the final
+/// status, and the status counts the same items.
+#[test]
+fn study_ls_lists_a_finished_run_with_its_item_count() {
+    let root = scratch_dir("ls-done");
+    let root_arg = root.to_str().expect("utf-8 temp dir");
+    let out = ckpt_exp(&["run", "--study", "bench", "--traces", "1", "--id", "d", "--study-root", root_arg]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = ckpt_exp(&["study", "ls", "--study-root", root_arg]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let row: Vec<&str> = stdout.lines().nth(1).expect("one study row").split_whitespace().collect();
+    assert_eq!(row[0], "d", "{stdout}");
+    let items: u64 = row[1].parse().expect("an item count");
+    assert!(items > 0, "{stdout}");
+    assert_eq!(row[4..], ["done", &format!("{items}/{items}")], "{stdout}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn study_gc_prunes_then_purges() {
+    let root = scratch_dir("gc");
+    let root_arg = root.to_str().expect("utf-8 temp dir");
+    let out = ckpt_exp(&[
+        "run", "--study", "bench", "--traces", "1", "--id", "g", "--checkpoint-items", "1",
+        "--study-root", root_arg,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let snapshots = || {
+        std::fs::read_dir(root.join("g"))
+            .expect("study dir")
+            .filter(|e| e.as_ref().expect("entry").file_name().to_string_lossy().starts_with("ckpt-"))
+            .count()
+    };
+    assert!(snapshots() > 1, "one snapshot per item should leave several");
+    let gc = |extra: &[&str]| {
+        let mut args = vec!["study", "gc", "--study-root", root_arg];
+        args.extend_from_slice(extra);
+        let out = ckpt_exp(&args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    assert!(gc(&["--max-checkpoints", "1"]).starts_with("g: pruned "));
+    assert_eq!(snapshots(), 1);
+    assert_eq!(gc(&["--max-checkpoints", "1"]), "nothing to do\n");
+    assert_eq!(gc(&["--purge", "g"]), "purged g\n");
+    assert!(!root.join("g").exists());
+    let _ = std::fs::remove_dir_all(&root);
+}

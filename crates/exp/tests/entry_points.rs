@@ -14,12 +14,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ckpt_exp::checkpoint::{
-    build_manifest, run_in_memory, run_study, CheckpointConfig, ItemKind, StudyDef, StudyOutcome,
+    run_in_memory, run_study, CheckpointConfig, ItemKind, StudyCell, StudyDef, StudyOutcome,
 };
 use ckpt_exp::golden::{golden_cells, golden_json};
 use ckpt_exp::runner::run_scenario;
 use ckpt_exp::steal::set_workers;
-use ckpt_exp::{DistSpec, PolicyKind, RunnerOptions, Scenario};
+use ckpt_exp::{plan_scenario, DistSpec, PolicyKind, RunnerOptions, Scenario};
 use ckpt_workload::YEAR;
 use std::sync::Mutex;
 
@@ -54,10 +54,11 @@ fn check_entry_points_agree(workers: usize) {
     let _ = std::fs::remove_dir_all(&root);
     let def = StudyDef::new("entry", cells);
     let config = CheckpointConfig { root: root.clone(), ..CheckpointConfig::default() };
-    assert!(
-        build_manifest(&def, &config).items.iter().any(|i| i.kind == ItemKind::Refine),
-        "the coarse-to-fine cell has a refine item"
-    );
+    let refines = |c: &StudyCell| {
+        let items = plan_scenario(&c.scenario, &c.kinds, &c.options).items(0, 0);
+        items.iter().any(|i| i.kind == ItemKind::Refine)
+    };
+    assert!(def.cells.iter().any(refines), "the coarse-to-fine cell has a refine item");
     let store_less = run_in_memory(&def);
     let report = match run_study(&def, &config, false).expect("study runs") {
         StudyOutcome::Complete(report) => report,

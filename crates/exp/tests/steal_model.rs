@@ -32,6 +32,7 @@ proptest! {
 
     /// The claim order is a permutation of the task IDs whose head is
     /// exactly the heavy IDs, and each class keeps task order.
+    #[test]
     fn claim_order_is_a_heavy_first_stable_permutation(heavy_sel in vec(0usize..2, 0..64)) {
         let heavy: Vec<bool> = heavy_sel.iter().map(|&h| h == 1).collect();
         let order = claim_order(&heavy);
@@ -47,6 +48,7 @@ proptest! {
     /// Real threads: the committed output is bit-identical to the
     /// one-worker drain for any worker count and heavy marking, and
     /// every task is claimed exactly once.
+    #[test]
     fn threaded_wave_matches_sequential(
         n in 0usize..48,
         workers in 1usize..9,

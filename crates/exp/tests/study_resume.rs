@@ -118,7 +118,7 @@ fn check_kill_and_resume(root: &Path, stop: u64) {
     let interrupted = two_cell_def("interrupted");
     let stop_cfg =
         CheckpointConfig { stop_after_items: Some(stop), ..config(root) };
-    let total = build_manifest(&interrupted, &stop_cfg).items.len() as u64;
+    let total = build_manifest(&interrupted, &stop_cfg).items;
     assert!(stop < total, "stop hook must land mid-study ({stop} < {total})");
 
     match run_study(&interrupted, &stop_cfg, false).expect("interrupted run starts") {
@@ -200,7 +200,7 @@ fn kill_just_before_refine_resumes_coarse_payloads_from_disk() {
     // columns from payloads that crossed a process boundary.
     let root = store_root("late");
     let total =
-        build_manifest(&two_cell_def("interrupted"), &config(&root)).items.len() as u64;
+        build_manifest(&two_cell_def("interrupted"), &config(&root)).items;
     at_workers(8, || check_kill_and_resume(&root, total - 1));
 }
 
@@ -336,10 +336,10 @@ fn unbuildable_cell_commits_its_build_error_and_spares_its_neighbour() {
     };
     let expected = golden_json(&run_scenario(&good.0, &good.1, &good.2));
 
-    let manifest = build_manifest(&def("clean"), &config(&root));
-    assert!(!manifest.items.is_empty());
-    assert!(manifest.items.iter().all(|i| i.cell == 1), "the unbuildable cell has no items");
-    let total = manifest.items.len() as u64;
+    let total = build_manifest(&def("clean"), &config(&root)).items;
+    let alone = build_manifest(&StudyDef::new("alone", [good.clone()]), &config(&root)).items;
+    assert!(total > 0);
+    assert_eq!(total, alone, "the unbuildable cell has no items");
 
     let check = |id: &str, report: &ckpt_exp::checkpoint::StudyReport| {
         let (stem, result) = &report.results[0];
@@ -459,12 +459,9 @@ fn resume_releases_a_stream_whose_other_reader_committed_before_the_kill() {
         (sc, vec![PolicyKind::Young], options.clone())
     };
     let (shared, other) = ("resume-release-shared-cell", "resume-release-other-cell");
-    let def = StudyDef::new(
-        "release",
-        [cell(shared, 1 << 10, 2), cell(other, 1 << 10, 2), cell(shared, 1 << 11, 20)],
-    );
-    let manifest = build_manifest(&def, &config(&root));
-    let before_c = manifest.items.iter().filter(|i| i.cell < 2).count() as u64;
+    let (a, b) = (cell(shared, 1 << 10, 2), cell(other, 1 << 10, 2));
+    let before_c = build_manifest(&StudyDef::new("ab", [a.clone(), b.clone()]), &config(&root)).items;
+    let def = StudyDef::new("release", [a, b, cell(shared, 1 << 11, 20)]);
     // A snapshot after every wave, and a stop in C's first wave: A and
     // B are on disk, C is not.
     let snap_every_wave = CheckpointConfig { interval_items: 1, ..config(&root) };

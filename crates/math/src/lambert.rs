@@ -1,10 +1,8 @@
-//! Real branches of the Lambert W function, `W(z) e^{W(z)} = z`.
+//! The principal real branch of the Lambert W function, `W(z) e^{W(z)} = z`.
 //!
 //! Theorem 1 of the paper needs `W0(−e^{−λC−1})`. The argument always lies
 //! in `(−1/e, 0)`, where both real branches exist; the theorem's derivation
 //! (`y = λW/K0 − 1` with `y ∈ (−1, 0)`) selects the principal branch `W0`.
-//! We also provide `W−1` because the same equation shows up in other
-//! checkpointing derivations (e.g. Daly-style period analyses).
 
 /// `1/e`, the branch point abscissa of the Lambert W function is at `−1/e`.
 const INV_E: f64 = 1.0 / std::f64::consts::E;
@@ -28,33 +26,6 @@ pub fn lambert_w0(z: f64) -> f64 {
     // Clamp tiny numerical undershoot of the branch point.
     let z = z.max(-INV_E);
     let w0 = initial_guess_w0(z);
-    halley(z, w0)
-}
-
-/// Secondary real branch `W−1(z)` for `z ∈ [−1/e, 0)`; returns values ≤ −1.
-///
-/// # Panics
-/// Panics if `z` is outside `[−1/e, 0)` or NaN.
-pub fn lambert_wm1(z: f64) -> f64 {
-    assert!(!z.is_nan(), "lambert_wm1: NaN argument");
-    assert!(
-        (-INV_E - 1e-12..0.0).contains(&z),
-        "lambert_wm1: argument {z} outside [-1/e, 0)"
-    );
-    let z = z.max(-INV_E);
-    if (z + INV_E).abs() < 1e-300 {
-        return -1.0;
-    }
-    // Series about the branch point for z near −1/e; asymptotic
-    // ln(−z) − ln(−ln(−z)) expansion otherwise.
-    let w0 = if z > -0.27 {
-        let l1 = (-z).ln();
-        let l2 = (-l1).ln();
-        l1 - l2 + l2 / l1
-    } else {
-        let p = -(2.0 * (1.0 + std::f64::consts::E * z)).sqrt();
-        -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p * p * p
-    };
     halley(z, w0)
 }
 
@@ -125,27 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn wm1_round_trips() {
-        for &z in &[-0.3678, -0.36, -0.3, -0.2, -0.1, -0.01, -1e-4, -1e-8] {
-            let w = lambert_wm1(z);
-            assert!(w <= -1.0, "W-1({z}) = {w} must be <= -1");
-            check_inverse(w, z);
-        }
-    }
-
-    #[test]
-    fn wm1_known_value() {
-        // W−1(−1/4) ≈ −2.153292364110349.
-        assert!((lambert_wm1(-0.25) + 2.153_292_364_110_349).abs() < 1e-10);
-    }
-
-    #[test]
-    fn branches_agree_only_at_branch_point() {
-        let z = -0.2;
-        assert!(lambert_w0(z) > lambert_wm1(z));
-    }
-
-    #[test]
     fn theorem1_argument_range() {
         // For any λ, C > 0 the Theorem-1 argument −e^{−λC−1} ∈ (−1/e, 0):
         // W0 of it must lie in (−1, 0).
@@ -163,8 +113,52 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn wm1_rejects_positive() {
-        lambert_wm1(0.1);
+    fn w0_is_increasing_over_its_domain() {
+        let zs = [-INV_E, -0.36, -0.3, -0.2, -0.1, -1e-3, 0.0, 1e-3, 0.1, 1.0, 2.0, 10.0, 1e3, 1e6];
+        let ws: Vec<f64> = zs.iter().map(|&z| lambert_w0(z)).collect();
+        for (pair, z) in ws.windows(2).zip(zs.windows(2)) {
+            assert!(pair[0] < pair[1], "W0({}) = {} ≥ W0({}) = {}", z[0], pair[0], z[1], pair[1]);
+        }
+    }
+
+    #[test]
+    fn w0_matches_its_series_near_zero() {
+        // W0(z) = z − z² + 3z³/2 − 8z⁴/3 + …
+        for &z in &[-1e-3, -1e-4, 1e-4, 1e-3] {
+            let series = z - z * z + 1.5 * z * z * z;
+            let w = lambert_w0(z);
+            assert!((w - series).abs() <= 3.0 * z.powi(4), "W0({z}) = {w}, series {series}");
+        }
+    }
+
+    #[test]
+    fn w0_round_trips_at_extreme_magnitudes() {
+        for &z in &[1e-300, 1e-12, 1e12, 1e100, 1e300] {
+            let w = lambert_w0(z);
+            let back = w * w.exp();
+            assert!((back - z).abs() <= 1e-12 * z, "W0({z}) = {w}: w e^w = {back}");
+        }
+    }
+
+    #[test]
+    fn w0_lies_between_its_logarithmic_bounds() {
+        // For z ≥ e: ln z − ln ln z ≤ W0(z) ≤ ln z − ½ ln ln z.
+        for &z in &[std::f64::consts::E, 10.0, 1e3, 1e9, 1e200] {
+            let (l1, l2) = (z.ln(), z.ln().ln());
+            let w = lambert_w0(z);
+            assert!(w >= l1 - l2 - 1e-12 && w <= l1 - 0.5 * l2 + 1e-12, "W0({z}) = {w}");
+        }
+    }
+
+    #[test]
+    fn w0_clamps_a_rounding_undershoot_of_the_branch_point() {
+        let w = lambert_w0(-INV_E - 1e-13);
+        assert!((w + 1.0).abs() < 1e-6, "W0(-1/e - 1e-13) = {w}");
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn w0_rejects_nan() {
+        lambert_w0(f64::NAN);
     }
 }

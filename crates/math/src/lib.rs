@@ -3,7 +3,7 @@
 //! Everything the paper's formulas need and nothing more, implemented in-repo
 //! so results are auditable without external numerical crates:
 //!
-//! * [`lambert`] — the Lambert W function (both real branches), used by
+//! * [`lambert`] — the Lambert W function (principal branch), used by
 //!   Theorem 1 / Proposition 5 to compute the optimal chunk count
 //!   `K0 = λW / (1 + W0(−e^{−λC−1}))`.
 //! * [`gamma`] — `ln Γ` and `Γ` (Lanczos approximation), used to convert a
@@ -36,8 +36,8 @@ pub mod table;
 
 pub use gamma::{gamma, ln_gamma};
 pub use integrate::adaptive_simpson;
-pub use lambert::{lambert_w0, lambert_wm1};
-pub use roots::{bisect, brent};
+pub use lambert::lambert_w0;
+pub use roots::brent;
 pub use seeds::{mix_seed, SeedSequence};
 pub use stats::{KahanSum, Summary};
 pub use table::UniformTable;

@@ -1,46 +1,13 @@
-//! Scalar root finding: bisection and Brent's method.
+//! Scalar root finding: Brent's method.
 //!
 //! Used for numeric quantiles (`P(X ≥ q) = s` for distributions without
 //! closed-form inverses) and for locating period-sweep optima.
 
-/// Find a root of `f` in `[a, b]` by plain bisection.
+/// Brent's method: bisection safety with inverse-quadratic acceleration.
 ///
 /// Requires `f(a)` and `f(b)` to have opposite signs (a zero endpoint is
 /// returned immediately). Runs until the bracket is narrower than `tol` or
-/// 200 iterations elapse.
-pub fn bisect<F: Fn(f64) -> f64>(f: F, mut a: f64, mut b: f64, tol: f64) -> f64 {
-    let mut fa = f(a);
-    let fb = f(b);
-    if fa == 0.0 { // exact-root early exit
-        return a;
-    }
-    if fb == 0.0 { // exact-root early exit
-        return b;
-    }
-    assert!(
-        fa.signum() != fb.signum(),
-        "bisect: f(a) and f(b) must bracket a root (f({a}) = {fa}, f({b}) = {fb})"
-    );
-    for _ in 0..200 {
-        let m = 0.5 * (a + b);
-        let fm = f(m);
-        if fm == 0.0 || (b - a).abs() < tol { // exact-root early exit
-            return m;
-        }
-        if fm.signum() == fa.signum() {
-            a = m;
-            fa = fm;
-        } else {
-            b = m;
-        }
-    }
-    0.5 * (a + b)
-}
-
-/// Brent's method: bisection safety with inverse-quadratic acceleration.
-///
-/// Same bracketing contract as [`bisect`]; converges superlinearly on
-/// smooth functions.
+/// 200 iterations elapse; converges superlinearly on smooth functions.
 pub fn brent<F: Fn(f64) -> f64>(f: F, a0: f64, b0: f64, tol: f64) -> f64 {
     let (mut a, mut b) = (a0, b0);
     let (mut fa, mut fb) = (f(a), f(b));
@@ -112,12 +79,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bisect_sqrt2() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12);
-        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-10);
-    }
-
-    #[test]
     fn brent_sqrt2() {
         let r = brent(|x| x * x - 2.0, 0.0, 2.0, 1e-14);
         assert!((r - std::f64::consts::SQRT_2).abs() < 1e-12);
@@ -132,7 +93,7 @@ mod tests {
 
     #[test]
     fn endpoint_root_short_circuits() {
-        assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-12), 0.0);
+        assert_eq!(brent(|x| x, 0.0, 1.0, 1e-12), 0.0);
         assert_eq!(brent(|x| x - 1.0, 0.0, 1.0, 1e-12), 1.0);
     }
 
@@ -149,29 +110,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn bisect_rejects_unbracketed() {
-        bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-9);
-    }
-
-    #[test]
-    fn bisect_meets_its_tolerance() {
-        let r = bisect(|x| x * x * x - 2.0, 0.0, 2.0, 1e-12);
-        assert!((r - 2.0f64.cbrt()).abs() < 1e-11, "got {r}");
-    }
-
-    #[test]
-    fn brent_and_bisect_agree_on_a_decreasing_function() {
+    fn brent_solves_a_decreasing_function() {
         // A survival-style target: e^{−t/50} = 0.3 at t = −50 ln 0.3.
         let f = |t: f64| (-t / 50.0).exp() - 0.3;
         let want = -50.0 * 0.3f64.ln();
         assert!((brent(f, 0.0, 1e3, 1e-12) - want).abs() < 1e-9);
-        assert!((bisect(f, 0.0, 1e3, 1e-12) - want).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic]
     fn brent_rejects_unbracketed() {
         brent(|x| x * x + 1.0, -1.0, 1.0, 1e-9);
+    }
+
+    #[test]
+    fn brent_meets_its_tolerance() {
+        // The bracket closes below `tol` around the true root √2.
+        for tol in [1e-3, 1e-6, 1e-9, 1e-12] {
+            let r = brent(|x| x * x - 2.0, 0.0, 2.0, tol);
+            assert!((r - std::f64::consts::SQRT_2).abs() <= tol, "tol = {tol}: {r}");
+        }
+    }
+
+    #[test]
+    fn brent_accepts_a_reversed_bracket() {
+        let r = brent(|x| x * x - 2.0, 2.0, 0.0, 1e-14);
+        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-12, "{r}");
+    }
+
+    #[test]
+    fn brent_converges_on_a_flat_triple_root() {
+        // (x − 0.3)³ has zero slope at its root, where the interpolation
+        // steps stall and the bisection safeguard must carry the search.
+        let r = brent(|x| (x - 0.3f64).powi(3), -1.0, 2.0, 1e-12);
+        assert!((r - 0.3).abs() < 1e-9, "{r}");
+    }
+
+    #[test]
+    fn brent_keeps_to_its_bracket() {
+        // sin has roots at 0, π and 2π; only π lies in [3, 4].
+        let r = brent(f64::sin, 3.0, 4.0, 1e-14);
+        assert!((r - std::f64::consts::PI).abs() < 1e-12, "{r}");
     }
 }

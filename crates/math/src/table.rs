@@ -123,18 +123,6 @@ impl UniformTable {
         }
         self.values[k] * (1.0 - frac) + self.values[k + 1] * frac
     }
-
-    /// Slope of the interpolant at `t` (the cell's finite difference);
-    /// `None` past the last sample.
-    #[inline]
-    pub fn slope_checked(&self, t: f64) -> Option<f64> {
-        let pos = (t.max(0.0)) / self.step;
-        let k = pos.floor() as usize;
-        if k + 1 >= self.values.len() {
-            return None;
-        }
-        Some((self.values[k + 1] - self.values[k]) / self.step)
-    }
 }
 
 #[cfg(test)]
@@ -206,9 +194,27 @@ mod tests {
     }
 
     #[test]
-    fn slope_matches_cell_difference() {
-        let t = UniformTable::sample(|x| 5.0 * x, 2.0, 0.5);
-        assert!((t.slope_checked(0.6).expect("in range") - 5.0).abs() < 1e-12);
-        assert!(t.slope_checked(1e9).is_none());
+    fn sample_covers_the_horizon_with_two_points_of_headroom() {
+        let t = UniformTable::sample(|x| x, 10.0, 0.5);
+        assert_eq!(t.len(), 22, "ceil(10 / 0.5) + 2 samples");
+        assert_eq!(t.step(), 0.5);
+        assert_eq!(t.horizon(), 10.5);
+        assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn checked_and_clamped_agree_inside_the_horizon() {
+        let t = UniformTable::sample(f64::sin, 3.0, 0.125);
+        let mut x = -0.5;
+        while x < t.horizon() {
+            assert_eq!(t.interp_checked(x), Some(t.interp_clamped(x)), "x = {x}");
+            x += 0.0371;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "step must be positive")]
+    fn zero_step_is_rejected() {
+        let _ = UniformTable::from_parts(0.0, vec![1.0]);
     }
 }

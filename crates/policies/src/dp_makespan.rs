@@ -731,6 +731,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
+        #[test]
         fn age_rows_match_the_hash_memo_reference(
             shape in 0.5..1.5f64,
             mtbf in 3_600.0..30.0 * DAY,

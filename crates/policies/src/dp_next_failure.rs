@@ -1041,28 +1041,6 @@ thread_local! {
         std::cell::RefCell::new(SolveScratch::default());
 }
 
-/// The expected work completed by a given schedule (Proposition 3's
-/// objective) — exposed for tests and the ablation benches.
-pub fn expected_work_of_schedule(
-    dist: &dyn FailureDistribution,
-    ages: &[(f64, f64)],
-    schedule: &[f64],
-    checkpoint: f64,
-) -> f64 {
-    let mut elapsed = 0.0;
-    let mut total = 0.0;
-    let g = |t: f64| -> f64 {
-        ages.iter().map(|&(tau, c)| c * dist.log_survival(tau + t)).sum::<f64>()
-    };
-    let g0 = g(0.0);
-    for &w in schedule {
-        elapsed += w + checkpoint;
-        let log_p = g(elapsed) - g0;
-        total += w * log_p.exp(); // audited log→linear conversion of an exact G row
-    }
-    total
-}
-
 #[cfg(test)]
 #[expect(clippy::float_cmp, reason = "exact compression copies ages and sums integer counts")]
 mod tests {
@@ -1072,6 +1050,28 @@ mod tests {
 
     const DAY: f64 = 86_400.0;
     const YEAR: f64 = 365.25 * DAY;
+
+    /// The expected work completed by a given schedule (Proposition 3's
+    /// objective), the reference the DP's value is checked against.
+    fn expected_work_of_schedule(
+        dist: &dyn FailureDistribution,
+        ages: &[(f64, f64)],
+        schedule: &[f64],
+        checkpoint: f64,
+    ) -> f64 {
+        let mut elapsed = 0.0;
+        let mut total = 0.0;
+        let g = |t: f64| -> f64 {
+            ages.iter().map(|&(tau, c)| c * dist.log_survival(tau + t)).sum::<f64>()
+        };
+        let g0 = g(0.0);
+        for &w in schedule {
+            elapsed += w + checkpoint;
+            let log_p = g(elapsed) - g0;
+            total += w * log_p.exp(); // audited log→linear conversion of an exact G row
+        }
+        total
+    }
 
     fn small_config(quanta: usize) -> DpNextFailureConfig {
         DpNextFailureConfig { quanta: Some(quanta) }
@@ -1184,6 +1184,7 @@ mod tests {
         /// hit. Ages come in 2–6 groups or, past the 128-entry
         /// threshold, in 200 (§3.3's compression), in truncated and
         /// endgame windows.
+        #[test]
         fn memoryless_plan_ignores_ages_bit_for_bit(
             log2_procs in 10u32..=20,
             mtbf_years in 1.0..1_250.0f64,
@@ -1252,6 +1253,7 @@ mod tests {
         /// A one-age plan solved inline is bit-identical to the same state
         /// solved from cached `compute_row` rows, in the truncated window
         /// and in the endgame alike.
+        #[test]
         fn one_age_inline_plan_matches_cached_row_solve_bit_for_bit(
             shape in 0.5..1.5f64,
             mtbf in 3_600.0..30.0 * DAY,
@@ -1291,6 +1293,7 @@ mod tests {
         /// and views with no pristine processor — and so the same
         /// compressed state, on both sides of the 128-entry threshold and
         /// under §3.3's scheme alike.
+        #[test]
         fn compress_ages_merge_matches_copy_and_sort(
             failed in proptest::collection::vec((0u32..40, 1u32..4), 0..200),
             pristine_n in 0u64..3,
@@ -1325,6 +1328,7 @@ mod tests {
 
         /// More work to schedule can only increase the expected work
         /// completed before the next failure.
+        #[test]
         fn dp_next_failure_monotone_value(mtbf in 5_000.0..500_000.0f64) {
             let spec = JobSpec::sequential(1_000_000.0, 300.0, 300.0, 30.0);
             let dist = Exponential::from_mtbf(mtbf);
@@ -1340,6 +1344,7 @@ mod tests {
 
         /// The un-halved schedule of a one-age state covers the requested
         /// work up to the `2·MTBF` truncation, in positive chunks.
+        #[test]
         fn dp_next_failure_plans_cover_requested_work(
             mtbf in 2_000.0..200_000.0f64,
             shape in 0.4..1.0f64,
@@ -1362,6 +1367,7 @@ mod tests {
 
         /// §3.3's compression depends only on the age *multiset*, not on
         /// how the input pairs are ordered or grouped.
+        #[test]
         fn compress_ages_invariant_under_permutation(
             raw in proptest::collection::vec((1.0..5e6f64, 1u32..60), 1..40),
             pristine in 0u64..5_000,

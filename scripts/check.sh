@@ -29,7 +29,9 @@
 #      the durability contract, proven end-to-end through real process
 #      death rather than an in-process stop hook. The kill leg runs at
 #      --threads 2 and the resume leg at --threads 8, so the snapshot
-#      format is also proven worker-count-portable. The same kill and
+#      format is also proven worker-count-portable. `study ls` must then
+#      list the resumed study with a nonzero item count (the one field
+#      it reads from the manifest) and a `done N/N` status. The same kill and
 #      resume then runs a paper artefact (`run --study fig8`), and the
 #      fig8.md it renders next to its aggregates must equal, byte for
 #      byte, what the in-memory `ckpt-exp fig8` writes at the same trace
@@ -117,6 +119,13 @@ for f in results/golden/*.json; do
   fi
 done
 echo "resumed aggregates byte-identical ($(ls results/golden/*.json | wc -l) files)"
+ls_row=$(target/release/ckpt-exp study ls --study-root "$study_tmp" | awk '$1 == "killres"')
+read -r _ ls_items _ _ ls_state ls_done <<<"$ls_row"
+if ! [[ "${ls_items:-}" =~ ^[1-9][0-9]*$ ]] || [ "$ls_state $ls_done" != "done $ls_items/$ls_items" ]; then
+  echo "study ls: expected killres with a nonzero item count and done N/N, got: $ls_row" >&2
+  exit 1
+fi
+echo "study ls lists killres: $ls_items items, done $ls_done"
 set +e
 target/release/ckpt-exp run --study fig8 --traces 3 --id fig8res \
   --study-root "$study_tmp" --checkpoint-items 1 --kill-at 0.5 --threads 2
