@@ -983,8 +983,9 @@ pub fn run_study(
         if !dir.is_dir() {
             return Err(bad(format!("no study `{}` under {}", def.id, config.root.display())));
         }
-        if let Some(on_disk) = stored_fingerprint(&dir.join("manifest.json"))? {
-            if on_disk != manifest.fingerprint {
+        let stored = stored_fingerprint(&dir.join("manifest.json"))?;
+        if let Some(on_disk) = &stored {
+            if *on_disk != manifest.fingerprint {
                 return Err(bad(format!(
                     "stale manifest for study `{}`: on-disk fingerprint {on_disk} does not \
                      match the rebuilt fingerprint {} — the store describes a \
@@ -996,6 +997,12 @@ pub fn run_study(
         if let Some(ckpt) = load_latest(&dir, &manifest, &plans)? {
             next_seq = ckpt.seq + 1;
             completed = ckpt.completed;
+        }
+        if stored.is_none() {
+            // A kill between `create_dir_all` and the manifest write
+            // leaves none; the snapshots' fingerprints were checked
+            // above, so the rebuilt manifest describes this store.
+            write_atomic(&dir.join("manifest.json"), &manifest_json(&manifest))?;
         }
         // Payloads for ids the study does not have are dropped rather
         // than trusted (defensive; fingerprint equality already implies
@@ -1825,6 +1832,44 @@ mod tests {
         run_study(&def, &config, false).expect("runs");
         let on_disk = std::fs::read_to_string(root.join("written").join("manifest.json")).unwrap();
         assert_eq!(on_disk, manifest_json(&build_manifest(&def, &config)));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A store whose `manifest.json` is gone (a kill before the fresh
+    /// run wrote it) gets the rebuilt manifest on resume: the same bytes
+    /// a fresh run writes, so `study ls` counts its items again.
+    #[test]
+    fn resume_writes_a_missing_manifest() {
+        let root = std::env::temp_dir().join(format!("ckpt-store-nomanifest-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut def = tiny_def("nomanifest");
+        // Three trace blocks: more than one wave, so a snapshot lands
+        // before the stop.
+        def.cells[0].scenario.traces = 3 * crate::plan::TRACE_BLOCK;
+        let config = CheckpointConfig {
+            root: root.clone(),
+            interval_items: 1,
+            ..CheckpointConfig::default()
+        };
+        let stop = CheckpointConfig {
+            stop_after_items: Some(crate::exec::CHUNK_ITEMS as u64 + 1),
+            ..config.clone()
+        };
+        assert!(matches!(run_study(&def, &stop, false), Ok(StudyOutcome::Stopped { .. })));
+        let path = root.join("nomanifest").join("manifest.json");
+        std::fs::remove_file(&path).unwrap();
+        assert!(!list_checkpoints(&root.join("nomanifest")).is_empty(), "a snapshot to check");
+        assert_eq!(list_studies(&root)[0].items, 0, "no manifest, no count");
+        let report = match run_study(&def, &config, true).expect("resumes") {
+            StudyOutcome::Complete(report) => report,
+            StudyOutcome::Stopped { .. } => panic!("no stop hook configured"),
+        };
+        assert!(report.items_resumed > 0, "the resume replays the snapshot");
+        let manifest = build_manifest(&def, &config);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), manifest_json(&manifest));
+        let ls = list_studies(&root);
+        assert_eq!((ls[0].items, report.items_total), (manifest.items, manifest.items));
+        assert_eq!(ls[0].status, format!("done {0}/{0}", manifest.items));
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -39,7 +39,8 @@ pub enum Error {
         known: Vec<String>,
     },
     /// No policy produced a makespan on any trace, so the §4.1
-    /// degradation-from-best metric is undefined.
+    /// degradation-from-best metric is undefined. [`crate::reduce`]
+    /// writes this text into each row it leaves without a value.
     NoBaseline,
     /// A scenario-level failure annotated with the scenario's label, so
     /// a failed cell in a 100-cell sweep is attributable from the error

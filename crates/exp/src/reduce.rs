@@ -32,10 +32,6 @@ use crate::scenario::Scenario;
 use ckpt_math::Summary;
 use std::collections::BTreeMap;
 
-fn no_baseline() -> String {
-    "no policy produced a makespan on any trace (degradation undefined)".to_string()
-}
-
 /// Degradation + makespan summary over `(makespan, best)` sample pairs.
 fn degradation_row(
     name: &str,
@@ -92,7 +88,7 @@ pub fn reduce(
             .filter_map(|(&lb, b)| b.map(|b| (lb, lb / b)))
             .collect();
         if samples.is_empty() {
-            outcomes.push(PolicyOutcome::absent("LowerBound", no_baseline()));
+            outcomes.push(PolicyOutcome::absent("LowerBound", Error::NoBaseline.to_string()));
         } else {
             outcomes.push(degradation_row("LowerBound", &samples, None));
         }
@@ -106,7 +102,7 @@ pub fn reduce(
             .filter_map(|(&m, b)| b.map(|b| (m, m / b)))
             .collect();
         if samples.is_empty() {
-            outcomes.push(PolicyOutcome::absent("PeriodLB", no_baseline()));
+            outcomes.push(PolicyOutcome::absent("PeriodLB", Error::NoBaseline.to_string()));
         } else {
             outcomes.push(degradation_row("PeriodLB", &samples, Some(sr.factor)));
         }
@@ -125,7 +121,7 @@ pub fn reduce(
                     })
                     .collect();
                 if samples.is_empty() {
-                    outcomes.push(PolicyOutcome::absent(name, no_baseline()));
+                    outcomes.push(PolicyOutcome::absent(name, Error::NoBaseline.to_string()));
                     continue;
                 }
                 let fails: Vec<f64> = per_trace.iter().map(|c| c.failures as f64).collect();

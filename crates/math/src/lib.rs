@@ -6,7 +6,7 @@
 //! * [`lambert`] — the Lambert W function (principal branch), used by
 //!   Theorem 1 / Proposition 5 to compute the optimal chunk count
 //!   `K0 = λW / (1 + W0(−e^{−λC−1}))`.
-//! * [`gamma`] — `ln Γ` and `Γ` (Lanczos approximation), used to convert a
+//! * [`gamma`](mod@gamma) — `ln Γ` and `Γ` (Lanczos approximation), used to convert a
 //!   target MTBF into a Weibull scale parameter (`λ = MTBF / Γ(1 + 1/k)`).
 //! * [`integrate`] — adaptive Simpson quadrature, used for the generic
 //!   conditional expected-loss `E[Tlost(x|τ)]` of non-memoryless

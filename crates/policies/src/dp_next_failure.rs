@@ -199,8 +199,9 @@ impl DpNextFailure {
     ///   practically never recur, while their per-bucket rows do, across
     ///   states and traces. It reads and fills the shared kernel rows.
     ///
-    /// Both paths build each row through [`fill_triangle_times`] and
-    /// `log_survival_batch`, so the choice never changes a plan's bits.
+    /// Both paths build each row through [`log_survival_chunks`] (the
+    /// law's `log_survival_batch`), so the choice never changes a plan's
+    /// bits.
     /// The returned `Arc` slice is shared with the cache: consuming a
     /// plan allocates nothing.
     pub fn plan(&self, remaining: f64, ages: &AgeView) -> Arc<[f64]> {
@@ -257,12 +258,8 @@ impl DpNextFailure {
     fn age_buckets(&self, ages: &AgeView, u: f64) -> Vec<(u64, u64)> {
         let compressed = compress_ages(ages, self.dist.as_ref());
         let mut buckets: Vec<(u64, u64)> = Vec::with_capacity(compressed.len());
-        for &(age, count) in &compressed {
+        for (age, count) in compressed {
             let id = quantise_age(age, u);
-            let count = count.round() as u64; // per-plan count merge, one per age group
-            if count == 0 {
-                continue;
-            }
             match buckets.last_mut() {
                 Some(last) if last.0 == id => last.1 += count,
                 _ => buckets.push((id, count)),
@@ -359,11 +356,11 @@ struct DpNfSession<'a> {
 }
 
 impl PolicySession for DpNfSession<'_> {
-    /// A memoryless law plans on the processor count alone, which the
-    /// simulator's all-pristine view carries without an O(failures)
-    /// snapshot.
+    /// Only a replan reads the ages, and a memoryless law plans on the
+    /// processor count alone, which the simulator's all-pristine view
+    /// carries without an O(failures) snapshot.
     fn wants_ages(&self) -> bool {
-        !self.policy.memoryless
+        !self.policy.memoryless && self.pos >= self.plan.len()
     }
 
     fn next_chunk(&mut self, remaining: f64, ages: &AgeView, _now: f64) -> f64 {
@@ -390,64 +387,77 @@ impl PolicySession for DpNfSession<'_> {
 
 /// Collapse an [`AgeView`] into ascending `(age, processor-count)` pairs:
 /// every distinct age with its exact multiplicity while there are at most
-/// 128 of them, §3.3's (10, 100) scheme beyond.
-/// Counts are `f64` so reference buckets can hold large populations.
-pub fn compress_ages(ages: &AgeView, dist: &dyn FailureDistribution) -> Vec<(f64, f64)> {
-    let exact = exact_ages(ages);
-    if exact.len() <= EXACT_AGES_MAX {
-        exact
+/// 128 of them, §3.3's (10, 100) scheme beyond. Both read the view in
+/// place, in one pass.
+pub fn compress_ages(ages: &AgeView, dist: &dyn FailureDistribution) -> Vec<(f64, u64)> {
+    let entries = age_entries(ages);
+    if ages.failed_ages().len() + usize::from(ages.pristine().0 > 0) <= EXACT_AGES_MAX {
+        entries.collect()
     } else {
-        approximate_ages(exact, dist)
+        approximate(entries, dist)
     }
 }
 
-/// Every distinct age of `ages` with its multiplicity, ascending.
-fn exact_ages(ages: &AgeView) -> Vec<(f64, f64)> {
+/// Every `(age, processor-count)` entry of `ages`, ascending, read in
+/// place: the failed ages with the pristine entry merged in after any
+/// equal failed age, where a stable sort would place it.
+fn age_entries(ages: &AgeView) -> impl DoubleEndedIterator<Item = (f64, u64)> + Clone + '_ {
     let failed = ages.failed_ages();
-    let mut exact: Vec<(f64, f64)> = Vec::with_capacity(failed.len() + 1);
-    exact.extend(failed.iter().map(|&(a, n)| (a, f64::from(n))));
     let (pristine_n, pristine_age) = ages.pristine();
-    if pristine_n > 0 {
-        // The failed ages are ascending: merge the pristine entry in after
-        // any equal failed age, where a stable sort would place it.
-        let at = exact.partition_point(|e| e.0 <= pristine_age);
-        exact.insert(at, (pristine_age, pristine_n as f64));
-    }
-    exact
+    let at = failed.partition_point(|e| e.0 <= pristine_age);
+    let widen = |&(age, n): &(f64, u32)| (age, u64::from(n));
+    let pristine = (pristine_n > 0).then_some((pristine_age, pristine_n));
+    failed[..at].iter().map(widen).chain(pristine).chain(failed[at..].iter().map(widen))
 }
 
-/// §3.3's scheme on an ascending `(age, count)` list: keep the
-/// [`N_EXACT`] smallest processor ages exact and map the rest onto
-/// [`N_APPROX`] survival-quantile reference values.
-fn approximate_ages(exact: Vec<(f64, f64)>, dist: &dyn FailureDistribution) -> Vec<(f64, f64)> {
-    // Split off the N_EXACT smallest individual processor ages.
-    let mut kept: Vec<(f64, f64)> = Vec::new();
-    let mut rest: Vec<(f64, f64)> = Vec::new();
-    let mut budget = N_EXACT as f64;
-    for (age, count) in exact {
-        if budget > 0.0 {
-            let take = count.min(budget);
-            kept.push((age, take));
-            budget -= take;
-            if count > take {
-                rest.push((age, count - take));
-            }
-        } else {
-            rest.push((age, count));
+/// §3.3's scheme on ascending `entries`: emit the [`N_EXACT`] smallest
+/// processor ages as they are read (an entry the budget splits leaves
+/// its remainder to the rest), then count the rest onto
+/// [`reference_ages`] in one ascending sweep.
+fn approximate(
+    mut entries: impl DoubleEndedIterator<Item = (f64, u64)> + Clone,
+    dist: &dyn FailureDistribution,
+) -> Vec<(f64, u64)> {
+    let Some((hi, _)) = entries.clone().next_back() else { return Vec::new() };
+    let mut out: Vec<(f64, u64)> = Vec::with_capacity(N_EXACT + N_APPROX);
+    let mut budget = N_EXACT as u64;
+    let mut split = None;
+    while budget > 0 {
+        let Some((age, count)) = entries.next() else { return out };
+        let take = count.min(budget);
+        out.push((age, take));
+        budget -= take;
+        if count > take {
+            split = Some((age, count - take));
         }
     }
-    if rest.is_empty() {
-        return kept;
+    let rest = split.into_iter().chain(entries);
+    let Some((lo, _)) = rest.clone().next() else { return out };
+    let refs = reference_ages(lo, hi, dist);
+    // Each age goes to its nearest reference, ties to the lower one.
+    // `j` is the last reference at or below the age (0 while there is
+    // none), so equal neighbours are stepped past and `refs[j + 1]` is
+    // above the age.
+    let mut counts = vec![0u64; refs.len()];
+    let mut j = 0;
+    for (age, count) in rest {
+        while j + 1 < refs.len() && refs[j + 1] <= age {
+            j += 1;
+        }
+        let up = j + 1 < refs.len() && refs[j + 1] - age < age - refs[j];
+        counts[j + usize::from(up)] += count;
     }
-    let lo = rest.first().expect("non-empty").0;
-    let hi = rest.last().expect("non-empty").0;
+    out.extend(refs.into_iter().zip(counts).filter(|&(_, c)| c > 0));
+    out
+}
+
+/// §3.3's reference ages for remaining ages spanning `[lo, hi]`,
+/// ascending: the endpoints, and survival-interpolated quantiles between.
+fn reference_ages(lo: f64, hi: f64, dist: &dyn FailureDistribution) -> Vec<f64> {
     if hi - lo < 1e-9 {
         // Degenerate spread: everything lands on the endpoints.
-        kept.extend(bucket_onto(&rest, &[lo, hi]));
-        return kept;
+        return vec![lo, hi];
     }
-    // Reference values: endpoints are the extreme remaining ages; interior
-    // values are survival-interpolated quantiles (§3.3).
     let s_lo = dist.survival(lo);
     let s_hi = dist.survival(hi);
     let mut refs = Vec::with_capacity(N_APPROX);
@@ -460,32 +470,7 @@ fn approximate_ages(exact: Vec<(f64, f64)>, dist: &dyn FailureDistribution) -> V
     }
     refs.push(hi);
     refs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    kept.extend(bucket_onto(&rest, &refs));
-    kept.retain(|&(_, c)| c > 0.0);
-    kept
-}
-
-/// Assign each `(age, count)` to the nearest reference value.
-fn bucket_onto(ages: &[(f64, f64)], refs: &[f64]) -> Vec<(f64, f64)> {
-    let mut counts = vec![0.0f64; refs.len()];
-    for &(age, count) in ages {
-        let idx = match refs.binary_search_by(|r| r.partial_cmp(&age).expect("no NaN")) {
-            Ok(i) => i,
-            Err(i) => {
-                if i == 0 {
-                    0
-                } else if i >= refs.len() {
-                    refs.len() - 1
-                } else if (refs[i] - age).abs() < (age - refs[i - 1]).abs() {
-                    i
-                } else {
-                    i - 1
-                }
-            }
-        };
-        counts[idx] += count;
-    }
-    refs.iter().copied().zip(counts).filter(|&(_, c)| c > 0.0).collect()
+    refs
 }
 
 /// Ages at least this many grid time-spans old are folded into the
@@ -1077,6 +1062,100 @@ mod tests {
         DpNextFailureConfig { quanta: Some(quanta) }
     }
 
+    /// Oracle: every distinct age of `ages` with its multiplicity,
+    /// ascending, as a copy with `f64` counts.
+    fn exact_ages(ages: &AgeView) -> Vec<(f64, f64)> {
+        let failed = ages.failed_ages();
+        let mut exact: Vec<(f64, f64)> = Vec::with_capacity(failed.len() + 1);
+        exact.extend(failed.iter().map(|&(a, n)| (a, f64::from(n))));
+        let (pristine_n, pristine_age) = ages.pristine();
+        if pristine_n > 0 {
+            let at = exact.partition_point(|e| e.0 <= pristine_age);
+            exact.insert(at, (pristine_age, pristine_n as f64));
+        }
+        exact
+    }
+
+    /// Oracle: §3.3's scheme on a copied ascending list, split into kept
+    /// and rest vectors, the rest bucketed one binary search per age.
+    fn approximate_ages(exact: Vec<(f64, f64)>, dist: &dyn FailureDistribution) -> Vec<(f64, f64)> {
+        let mut kept: Vec<(f64, f64)> = Vec::new();
+        let mut rest: Vec<(f64, f64)> = Vec::new();
+        let mut budget = N_EXACT as f64;
+        for (age, count) in exact {
+            if budget > 0.0 {
+                let take = count.min(budget);
+                kept.push((age, take));
+                budget -= take;
+                if count > take {
+                    rest.push((age, count - take));
+                }
+            } else {
+                rest.push((age, count));
+            }
+        }
+        let (Some(&(lo, _)), Some(&(hi, _))) = (rest.first(), rest.last()) else { return kept };
+        kept.extend(bucket_onto(&rest, &reference_ages(lo, hi, dist)));
+        kept
+    }
+
+    /// Oracle: assign each `(age, count)` to the nearest reference value.
+    fn bucket_onto(ages: &[(f64, f64)], refs: &[f64]) -> Vec<(f64, f64)> {
+        let mut counts = vec![0.0f64; refs.len()];
+        for &(age, count) in ages {
+            let idx = match refs.binary_search_by(|r| r.partial_cmp(&age).expect("no NaN")) {
+                Ok(i) => i,
+                Err(i) => {
+                    if i == 0 {
+                        0
+                    } else if i >= refs.len() {
+                        refs.len() - 1
+                    } else if (refs[i] - age).abs() < (age - refs[i - 1]).abs() {
+                        i
+                    } else {
+                        i - 1
+                    }
+                }
+            };
+            counts[idx] += count;
+        }
+        refs.iter().copied().zip(counts).filter(|&(_, c)| c > 0.0).collect()
+    }
+
+    /// Oracle: [`compress_ages`] through the copies above.
+    fn oracle_compress(ages: &AgeView, dist: &dyn FailureDistribution) -> Vec<(f64, f64)> {
+        let exact = exact_ages(ages);
+        if exact.len() <= EXACT_AGES_MAX {
+            exact
+        } else {
+            approximate_ages(exact, dist)
+        }
+    }
+
+    /// A compressed state as `(age bits, count)`, equal adjacent ages
+    /// merged: an age on a repeated reference may land on either copy.
+    fn merged<C: Copy>(pairs: &[(f64, C)], count: impl Fn(C) -> u64) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for &(age, c) in pairs {
+            match out.last_mut() {
+                Some(last) if last.0 == age.to_bits() => last.1 += count(c),
+                _ => out.push((age.to_bits(), count(c))),
+            }
+        }
+        out
+    }
+
+    /// An oracle count, which is integral.
+    fn whole(c: f64) -> u64 {
+        assert_eq!(c.fract(), 0.0, "count {c}");
+        c as u64
+    }
+
+    /// `(age, count)` pairs with `f64` counts, for the objective helpers.
+    fn as_f64(pairs: &[(f64, u64)]) -> Vec<(f64, f64)> {
+        pairs.iter().map(|&(a, c)| (a, c as f64)).collect()
+    }
+
     #[test]
     fn auto_quanta_scales_with_mtbf_over_checkpoint() {
         assert!(auto_quanta(600.0, 3_600.0) < auto_quanta(600.0, 7.0 * 86_400.0));
@@ -1169,6 +1248,33 @@ mod tests {
         for shape in [0.5, 0.7, 1.0] {
             assert!(wants(Box::new(Weibull::from_mtbf(shape, mtbf))), "Weibull k = {shape}");
         }
+    }
+
+    #[test]
+    fn wants_ages_only_when_the_next_decision_replans() {
+        let spec = JobSpec::table1_single_processor();
+        let dp = DpNextFailure::new(
+            &spec,
+            Box::new(Weibull::from_mtbf(0.7, DAY)),
+            DAY,
+            small_config(40),
+        );
+        let ages = AgeView::single(0.0);
+        let plan_len = dp.plan(spec.work, &ages).len();
+        assert!(plan_len > 1, "the plan has a middle to walk");
+        let mut s = dp.session();
+        assert!(s.wants_ages(), "a fresh session plans");
+        let mut remaining = spec.work;
+        for taken in 1..=plan_len {
+            remaining -= s.next_chunk(remaining, &ages, 0.0);
+            // Mid-plan decisions read no ages; a walked plan replans.
+            assert_eq!(s.wants_ages(), taken == plan_len, "after {taken} of {plan_len} chunks");
+        }
+        let mut s = dp.session();
+        s.next_chunk(spec.work, &ages, 0.0);
+        assert!(!s.wants_ages(), "mid-plan");
+        s.on_failure();
+        assert!(s.wants_ages(), "a failure invalidates the plan");
     }
 
     proptest! {
@@ -1292,7 +1398,8 @@ mod tests {
         /// replaced — including ties between the pristine and failed ages
         /// and views with no pristine processor — and so the same
         /// compressed state, on both sides of the 128-entry threshold and
-        /// under §3.3's scheme alike.
+        /// under §3.3's scheme alike, whether the scheme reads the view
+        /// in place or the sorted copy.
         #[test]
         fn compress_ages_merge_matches_copy_and_sort(
             failed in proptest::collection::vec((0u32..40, 1u32..4), 0..200),
@@ -1313,13 +1420,104 @@ mod tests {
                 v.iter().map(|&(a, c)| (a.to_bits(), c.to_bits())).collect::<Vec<_>>()
             };
             prop_assert_eq!(bits(&exact_ages(&view)), bits(&sorted));
-            let approximate = approximate_ages(sorted.clone(), &dist);
+            let oracle = approximate_ages(sorted.clone(), &dist);
             prop_assert_eq!(
-                bits(&approximate_ages(exact_ages(&view), &dist)),
-                bits(&approximate)
+                merged(&approximate(age_entries(&view), &dist), |c| c),
+                merged(&oracle, whole)
             );
-            let compressed = if sorted.len() <= EXACT_AGES_MAX { sorted } else { approximate };
-            prop_assert_eq!(bits(&compress_ages(&view, &dist)), bits(&compressed));
+            let compressed = if sorted.len() <= EXACT_AGES_MAX { sorted } else { oracle };
+            prop_assert_eq!(
+                merged(&compress_ages(&view, &dist), |c| c),
+                merged(&compressed, whole)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass compression equals the copy-and-bucket oracle bit
+        /// for bit, and so does the plan key built on it, over random
+        /// failure histories of 1- and 4-processor units on both sides of
+        /// the 128-entry switch. `grid` histories put last failures on 64
+        /// dates, so units fail simultaneously and the pristine age ties
+        /// failed ones; the others put every age past the exact ones on a
+        /// §3.3 reference or halfway between two, the pristine entry too.
+        #[test]
+        fn compress_ages_matches_the_copy_and_bucket_oracle(
+            grid in 0u8..2,
+            units in 1usize..=300,
+            four in 0u8..2,
+            draws in proptest::collection::vec((0usize..64, 0usize..200, 0u8..2), 300),
+            pristine_n in 0u64..6,
+            pristine_draw in 0usize..200,
+            shape in 0.5..1.5f64,
+            spread in 1.0..1e4f64,
+        ) {
+            let dist = Weibull::from_mtbf(shape, 30.0 * DAY);
+            let (grid, per_unit) = (grid == 1, if four == 1 { 4 } else { 1 });
+            let (lo, hi) = (600.0, 600.0 * (1.0 + spread));
+            let refs = reference_ages(lo, hi, &dist);
+            // Ages past the exact ones: on a reference or a midpoint,
+            // held inside [lo, hi] so lo and hi stay the rest's extremes.
+            let on_refs = |k: usize, mid: bool| -> f64 {
+                let k = k % refs.len();
+                let a = if mid && k + 1 < refs.len() { 0.5 * (refs[k] + refs[k + 1]) } else { refs[k] };
+                a.clamp(lo, hi)
+            };
+            let now = 1e7;
+            let failed: Vec<(f64, u32)> = draws[..units]
+                .iter()
+                .enumerate()
+                .map(|(i, &(slot, k, mid))| {
+                    let age = if grid {
+                        now - 250.0 * slot as f64
+                    } else {
+                        // The first units hold the N_EXACT processors below lo
+                        // (a 4-processor unit at lo splits), then lo and hi.
+                        let young = N_EXACT / per_unit as usize;
+                        match i.checked_sub(young) {
+                            None => 10.0 * (i + 1) as f64,
+                            Some(0) => lo,
+                            Some(1) => hi,
+                            Some(_) => on_refs(k, mid == 1),
+                        }
+                    };
+                    (age, per_unit)
+                })
+                .collect();
+            let pristine_age = if grid {
+                now - 250.0 * (pristine_draw % 64) as f64
+            } else {
+                on_refs(pristine_draw, pristine_draw % 2 == 1)
+            };
+            let view = AgeView::new(failed, pristine_n, pristine_age);
+
+            let compressed = compress_ages(&view, &dist);
+            let oracle = oracle_compress(&view, &dist);
+            if oracle.len() <= EXACT_AGES_MAX {
+                let exact: Vec<(f64, u64)> = oracle.iter().map(|&(a, c)| (a, whole(c))).collect();
+                prop_assert_eq!(merged(&compressed, |c| c), merged(&exact, |c| c));
+                prop_assert_eq!(compressed, exact);
+            } else {
+                prop_assert_eq!(merged(&compressed, |c| c), merged(&oracle, whole));
+            }
+
+            let spec = JobSpec::table1_petascale(view.proc_count());
+            let dp = DpNextFailure::with_caches(
+                &spec, Box::new(dist), 30.0 * DAY, small_config(40), DpCaches::private(),
+            );
+            let key = dp.plan_key(spec.work, &view);
+            let u = f64::from_bits(key.u_bits);
+            let mut buckets: Vec<(u64, u64)> = Vec::new();
+            for &(age, count) in &oracle {
+                let id = quantise_age(age, u);
+                match buckets.last_mut() {
+                    Some(last) if last.0 == id => last.1 += whole(count),
+                    _ => buckets.push((id, whole(count))),
+                }
+            }
+            prop_assert_eq!(key.buckets, buckets);
         }
     }
 
@@ -1366,17 +1564,18 @@ mod tests {
         }
 
         /// §3.3's compression depends only on the age *multiset*, not on
-        /// how the input pairs are ordered or grouped.
+        /// how the input pairs are ordered or grouped (past the 128-entry
+        /// threshold, where it merges ages).
         #[test]
         fn compress_ages_invariant_under_permutation(
-            raw in proptest::collection::vec((1.0..5e6f64, 1u32..60), 1..40),
+            raw in proptest::collection::vec((1.0..5e6f64, 1u32..60), 129..200),
             pristine in 0u64..5_000,
             rotate in 0usize..40,
             shape in 0.5..1.2f64,
         ) {
             let dist = Weibull::from_mtbf(shape, 100_000.0);
             let now = 1e7;
-            let compress = |view: &AgeView| approximate_ages(exact_ages(view), &dist);
+            let compress = |view: &AgeView| as_f64(&compress_ages(view, &dist));
             let base = compress(&AgeView::new(raw.clone(), pristine, now));
 
             // Same multiset, re-expressed: rotate the pair list and split
@@ -1576,27 +1775,27 @@ mod tests {
         let dist = Weibull::from_mtbf(0.7, 1000.0);
         let view = AgeView::new(vec![(5.0, 2), (80.0, 1)], 7, 500.0);
         let c = compress_ages(&view, &dist);
-        let total: f64 = c.iter().map(|&(_, n)| n).sum();
-        assert_eq!(total, 10.0);
-        assert_eq!(c[0], (5.0, 2.0));
-        assert_eq!(c.last().copied(), Some((500.0, 7.0)));
+        let total: u64 = c.iter().map(|&(_, n)| n).sum();
+        assert_eq!(total, 10);
+        assert_eq!(c[0], (5.0, 2));
+        assert_eq!(c.last().copied(), Some((500.0, 7)));
     }
 
     #[test]
     fn compression_keeps_smallest_exact() {
         let dist = Weibull::from_mtbf(0.7, 1000.0);
-        let failed: Vec<(f64, u32)> = (0..50).map(|i| (10.0 + i as f64 * 7.0, 1)).collect();
+        let failed: Vec<(f64, u32)> = (0..200).map(|i| (10.0 + i as f64 * 7.0, 1)).collect();
         let view = AgeView::new(failed, 1000, 5_000.0);
-        let c = approximate_ages(exact_ages(&view), &dist);
+        let c = compress_ages(&view, &dist);
         // The ten smallest ages survive exactly.
         for i in 0..10 {
             assert!(c.iter().any(|&(a, _)| (a - (10.0 + i as f64 * 7.0)).abs() < 1e-9));
         }
         // Total processor count is conserved.
-        let total: f64 = c.iter().map(|&(_, n)| n).sum();
-        assert!((total - 1050.0).abs() < 1e-9);
+        let total: u64 = c.iter().map(|&(_, n)| n).sum();
+        assert_eq!(total, 1200);
         // And the state is genuinely compressed.
-        assert!(c.len() < 51, "{} entries", c.len());
+        assert!(c.len() < 201, "{} entries", c.len());
     }
 
     /// Worst relative error of the §3.3-compressed platform success
@@ -1604,7 +1803,7 @@ mod tests {
     /// `longest / 2^i`, i = 0..6. Fails if compression merges nothing.
     fn worst_compression_error(dist: &Weibull, view: &AgeView, longest: f64) -> f64 {
         let exact = exact_ages(view);
-        let approx = approximate_ages(exact.clone(), dist);
+        let approx = as_f64(&approximate(age_entries(view), dist));
         assert!(approx.len() < exact.len(), "compression must merge some ages");
         let psuc = |ages: &[(f64, f64)], x: f64| -> f64 {
             ages.iter()

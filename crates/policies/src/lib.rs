@@ -61,10 +61,11 @@ pub trait PolicySession {
     /// next `next_chunk` call) so schedule-holding sessions can replan.
     fn on_failure(&mut self) {}
 
-    /// Whether this session reads the [`AgeView`]. Periodic policies
-    /// return `false`, letting the simulator skip building the snapshot —
-    /// a measurable saving on failure-dense runs with many candidate
-    /// periods.
+    /// Whether the next [`next_chunk`](Self::next_chunk) call reads the
+    /// [`AgeView`], asked before every decision. Periodic policies always
+    /// return `false` and a schedule-holding session `false` while it
+    /// walks its plan, letting the simulator skip building the snapshot —
+    /// a measurable saving on failure-dense runs.
     fn wants_ages(&self) -> bool {
         true
     }

@@ -23,7 +23,7 @@
 //! large platforms. The paper flags those placements as nonsensical and
 //! plots no result (footnote 2); we reproduce that behaviour by returning
 //! an error from the constructor. (The exact validity boundary depends on
-//! constant conventions in [17], which the paper itself suspects of an
+//! constant conventions in \[17\], which the paper itself suspects of an
 //! error; this re-derivation fails for small shapes and large platforms,
 //! matching the reported shape up to a boundary shift — see DESIGN.md.)
 

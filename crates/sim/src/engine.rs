@@ -222,13 +222,16 @@ fn simulate_impl(
             "simulate: exceeded {} decisions — policy is not making progress",
             options.max_decisions
         );
-        let ages = if session.wants_ages() {
+        let snapshot = session.wants_ages();
+        let ages = if snapshot {
             state.ages_into(spec.procs, procs_per_unit, now, std::mem::take(&mut age_buf))
         } else {
             AgeView::all_pristine(spec.procs, now)
         };
         let chunk = sanitize_chunk(session.next_chunk(remaining, &ages, now - start_time), remaining);
-        age_buf = ages.into_failed();
+        if snapshot {
+            age_buf = ages.into_failed();
+        }
         stats.observe_chunk(chunk);
         let attempt = chunk + spec.checkpoint;
         log.push(now, EventKind::ChunkStart { work: chunk });
@@ -284,7 +287,9 @@ pub fn simulate_traceset(
     )
 }
 
-fn sanitize_chunk(chunk: f64, remaining: f64) -> f64 {
+/// A policy's proposal clamped into `(0, remaining]`: a non-finite or
+/// non-positive one runs the whole remainder.
+pub(crate) fn sanitize_chunk(chunk: f64, remaining: f64) -> f64 {
     if !chunk.is_finite() || chunk <= 0.0 {
         remaining
     } else {

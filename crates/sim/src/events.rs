@@ -1,6 +1,6 @@
 //! Optional per-run event log.
 //!
-//! When [`crate::SimOptions::record_events`] is set, the engine emits a
+//! [`crate::simulate_logged`] runs the engine with a log: it emits a
 //! time-ordered trace of everything that happened — useful for debugging
 //! policies, for visualising executions, and for auditing the engine's
 //! phase accounting.

@@ -14,7 +14,7 @@ use ckpt_workload::JobSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::engine::SimOptions;
+use crate::engine::{sanitize_chunk, SimOptions};
 use crate::stats::RunStats;
 
 /// Execute a job under the rejuvenate-all model.
@@ -46,14 +46,7 @@ pub fn simulate_rejuvenate_all(
             options.max_decisions
         );
         let ages = AgeView::all_pristine(spec.procs, now - rejuv_at);
-        let chunk = {
-            let c = session.next_chunk(remaining, &ages, now);
-            if !c.is_finite() || c <= 0.0 {
-                remaining
-            } else {
-                c.min(remaining)
-            }
-        };
+        let chunk = sanitize_chunk(session.next_chunk(remaining, &ages, now), remaining);
         stats.observe_chunk(chunk);
         let attempt = chunk + spec.checkpoint;
         let fail_abs = rejuv_at + next_failure;
@@ -93,6 +86,7 @@ pub fn simulate_rejuvenate_all(
             stats.chunks_completed += 1;
         }
     }
+    stats.decisions = decisions;
     stats.makespan = now;
     stats
 }
@@ -172,5 +166,18 @@ mod tests {
         let mut s = policy.session();
         let st = simulate_rejuvenate_all(&spec, &mut *s, &d, 3, SimOptions::default());
         assert!((st.accounted() - st.makespan).abs() < 1e-6 * st.makespan);
+    }
+
+    #[test]
+    fn counts_a_decision_per_chunk_attempt() {
+        let spec = JobSpec::sequential(5_000.0, 20.0, 40.0, 5.0);
+        let d = Exponential::from_mtbf(700.0);
+        let policy = FixedPeriod::new("p", 200.0);
+        let mut s = policy.session();
+        let st = simulate_rejuvenate_all(&spec, &mut *s, &d, 3, SimOptions::default());
+        assert!(st.chunks_completed > 0);
+        assert!(st.failures > 0, "a failed attempt is a decision that commits no chunk");
+        assert!(st.decisions >= st.chunks_completed, "{st:?}");
+        assert!(st.decisions > st.chunks_completed);
     }
 }

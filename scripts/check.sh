@@ -16,12 +16,14 @@
 #      exp crates also carry
 #      `#![warn(clippy::unwrap_used, clippy::expect_used)]`, so any
 #      unwrap/expect on their library paths fails this step;
-#   4. the worker-count invariance gate: the golden study runs at
+#   4. rustdoc over the workspace with broken intra-doc links as errors,
+#      so a doc that names a renamed or deleted item fails the gate;
+#   5. the worker-count invariance gate: the golden study runs at
 #      --threads 1, 2, and 8 through the shared-cursor executor, and
 #      every aggregate is byte-compared against results/golden/ — tasks
 #      land on different workers at every count, but the
 #      task-ID-ordered commit must make the results indistinguishable;
-#   5. the kill-and-resume gate: SIGKILL the golden study at ~50%
+#   6. the kill-and-resume gate: SIGKILL the golden study at ~50%
 #      completion (`--kill-at` stops the run before the snapshot that
 #      would cover those items and the CLI kills its own process, so
 #      the exit code is 137), resume it from the surviving snapshot, and
@@ -36,7 +38,7 @@
 #      fig8.md it renders next to its aggregates must equal, byte for
 #      byte, what the in-memory `ckpt-exp fig8` writes at the same trace
 #      count: the resumable path renders the quick command's artefact;
-#   6. the perfbench digest gate: one short seq-weibull run, one short
+#   7. the perfbench digest gate: one short seq-weibull run, one short
 #      exa-exp-study run, one short traced exa-exp-study run
 #      (`--trace 1`: its pipeline, layers and run processes) and one
 #      short peta-weibull run at the reference seed must each report
@@ -81,6 +83,9 @@ cargo test -q
 
 echo "== clippy (-D warnings, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (broken intra-doc links are errors) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
 
 study_tmp=$(mktemp -d)
 trap 'rm -rf "$study_tmp"' EXIT

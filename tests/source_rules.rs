@@ -75,7 +75,7 @@ fn no_work_markers_in_comments() {
 /// scalar. Each file keeps this many audited calls outside its test
 /// module, each with its justification in a comment at the call.
 const HOT_PATH: [(&str, usize); 4] = [
-    ("crates/policies/src/dp_next_failure.rs", 5),
+    ("crates/policies/src/dp_next_failure.rs", 4),
     ("crates/policies/src/dp_makespan.rs", 3),
     ("crates/math/src/simd.rs", 0),
     ("crates/dist/src/kernel.rs", 3),
