@@ -21,6 +21,18 @@
 //! `(a, m)` grid, so each transition's `ln Psuc = G(a', m') − G(a, m)` is
 //! O(1). The per-processor ages `τⱼ` enter only through `G`.
 //!
+//! The recursion is truncated at a chunk-depth ceiling
+//! (`value_chunk_cap`), but a solve first runs it only to a shallow depth
+//! `D` (`start_depth`), filling only the first `D + 1` columns of `G`,
+//! with the states at depth `D` seeded by an upper bound on any
+//! continuation (`continuation_bound`) instead of `V = 0`. A plan that
+//! ends before `D` is then certified: it is the ceiling-depth plan bit
+//! for bit, because its own states are computed from the same cells by
+//! the same operations while every competitor could only look better.
+//! Otherwise the solve doubles `D` in place, up to the ceiling, filling
+//! only the new columns: `G` is packed column by column, so a shallow grid
+//! is a prefix of a deeper one (see `solve_with_rows`).
+//!
 //! The two §3.3 scalability devices are implemented faithfully:
 //!
 //! * **work truncation** — the DP is invoked on
@@ -205,12 +217,20 @@ impl DpNextFailure {
     /// The returned `Arc` slice is shared with the cache: consuming a
     /// plan allocates nothing.
     pub fn plan(&self, remaining: f64, ages: &AgeView) -> Arc<[f64]> {
+        self.plan_from(remaining, ages, &mut start_depth(self.x_max))
+    }
+
+    /// [`plan`](Self::plan) whose solve, if any, runs its first value
+    /// recursion at `depth` (see [`solve_with_rows`]) and leaves in it
+    /// the [`next_depth`] for a plan as deep as the solved one. The depth
+    /// changes the solve's cost, never its plan.
+    fn plan_from(&self, remaining: f64, ages: &AgeView, depth: &mut usize) -> Arc<[f64]> {
         let key = self.plan_key(remaining, ages);
         if let Some(hit) = self.caches.plans.get(&key) {
             return hit;
         }
         let one_age = key.buckets.len() <= 1;
-        let chunks = self.solve_key(&key, !one_age);
+        let chunks = self.solve_key(&key, !one_age, depth);
         if one_age {
             self.caches.plans.insert(key, chunks.clone());
         }
@@ -274,7 +294,7 @@ impl DpNextFailure {
     /// per-bucket log-survival over the DP triangle) come from the shared
     /// row layer: a bucket seen by any earlier solve on the same grid
     /// costs one memoised lookup instead of a triangle of `powf` calls.
-    fn solve_key(&self, key: &PlanKey, cached_rows: bool) -> Arc<[f64]> {
+    fn solve_key(&self, key: &PlanKey, cached_rows: bool, depth: &mut usize) -> Arc<[f64]> {
         let x_max = self.x_max;
         let u = f64::from_bits(key.u_bits);
         let checkpoint = self.spec.checkpoint;
@@ -304,8 +324,16 @@ impl DpNextFailure {
         };
         let rows: Option<&dyn Fn(usize) -> Arc<[f64]>> =
             if cached_rows { Some(&row_for) } else { None };
-        let chunks =
-            solve_with_rows(self.dist.as_ref(), &representative, x_max, u, checkpoint, rows);
+        let chunks = solve_with_rows(
+            self.dist.as_ref(),
+            &representative,
+            x_max,
+            u,
+            checkpoint,
+            rows,
+            depth,
+        );
+        *depth = next_depth(x_max, *depth, chunks.len());
         // §3.3: when the work was truncated, keep only the first half of
         // the chunks to avoid end-of-horizon artefacts.
         if key.truncated && chunks.len() > 1 {
@@ -342,7 +370,8 @@ impl Policy for DpNextFailure {
     }
 
     fn session(&self) -> Box<dyn PolicySession + '_> {
-        Box::new(DpNfSession { policy: self, plan: Vec::new().into(), pos: 0 })
+        let depth = start_depth(self.x_max);
+        Box::new(DpNfSession { policy: self, plan: Vec::new().into(), pos: 0, depth })
     }
 }
 
@@ -353,6 +382,8 @@ struct DpNfSession<'a> {
     policy: &'a DpNextFailure,
     plan: Arc<[f64]>,
     pos: usize,
+    /// First depth of the session's next solve ([`next_depth`]).
+    depth: usize,
 }
 
 impl PolicySession for DpNfSession<'_> {
@@ -365,7 +396,7 @@ impl PolicySession for DpNfSession<'_> {
 
     fn next_chunk(&mut self, remaining: f64, ages: &AgeView, _now: f64) -> f64 {
         if self.pos >= self.plan.len() {
-            self.plan = self.policy.plan(remaining, ages);
+            self.plan = self.policy.plan_from(remaining, ages, &mut self.depth);
             self.pos = 0;
         }
         let chunk = match self.plan.get(self.pos) {
@@ -597,34 +628,62 @@ impl FarFit {
     }
 }
 
-/// Chunk-depth cap of the value recursion: `V(·, n) ≡ 0` for
+/// Chunk-depth ceiling of the value recursion: `V(·, n) ≡ 0` for
 /// `n ≥ value_chunk_cap(x_max)`, and the `G`/`E` triangles stop at
-/// `m = value_chunk_cap`. The quantum is sized so optimal chunks span
-/// ~[`QUANTA_PER_CHUNK`] quanta, and measured plan depths stay below
-/// `0.4·x_max` across the repo's cells (Weibull petascale: ≤ 78 chunks
-/// at `x_max = 256`; LANL log-based: ≤ 21 at `x_max = 55`), so `max(x_max/2, 32)` keeps ≥ 1.5×
-/// headroom while cutting the triangle, the kernel rows, the `E` grid,
-/// and the DP table by ~25% on large windows. A plan that would walk
-/// past the cap flushes its remaining quanta as one final chunk (no
-/// cell we run gets there).
+/// `m = value_chunk_cap`. A plan that would walk past the ceiling
+/// flushes its remaining quanta as one final chunk. The quantum is sized
+/// so optimal chunks span ~[`QUANTA_PER_CHUNK`] quanta, and most cells'
+/// plans end inside `max(x_max/2, 32)` (Table 3's 1-week cell: ≤ 60
+/// chunks at `x_max = 256`; Figure 4's Weibull Petascale cells: ≤ 92 at
+/// `x_max = 256`; LANL log-based: ≤ 21 at `x_max = 55`), but Figure 5's
+/// small shapes reach it. At `fig5 --traces 1` (p = 45,208, `x_max =
+/// 136`, ceiling 68) 10,107 of the 10,537 plans at k = 0.1 flush, 879 of
+/// 1,044 at k = 0.2 and 264 of 347 at k = 0.3, and the deepest plans at
+/// k = 0.4 and 0.5 end on the ceiling column. The window is sized from
+/// the unconditional MTBF, so at small k a plan wants more, finer chunks
+/// than the ceiling allows; ROADMAP item 1's state-sized window should
+/// move these plans off it (`small_k_jaguar_plans_reach_the_chunk_cap`).
 fn value_chunk_cap(x_max: usize) -> usize {
     (x_max / 2).max(32)
 }
 
-/// The `(a, m)` cells the DP reads — `m ≤ min(a + 1, cap)` for
-/// `a = 0..=x_max`, with `cap = value_chunk_cap(x_max)` — packed column
-/// by column: column `m` holds `a = max(m, 1) − 1 ..= x_max`, ascending.
-/// The value recursion scans `a` at fixed `m`, so `G`, its exponential
-/// grid and every kernel row share this one layout and the DP reads
-/// them contiguously.
+/// Depth of a solve's first value recursion: `max(x_max/4, 32)`, half the
+/// ceiling on large windows. [`solve_with_rows`] certifies every plan that
+/// ends before it without filling a deeper column, and grows the rest.
+fn start_depth(x_max: usize) -> usize {
+    (x_max / 4).max(32)
+}
+
+/// First depth of a session's solve after one that certified its plan of
+/// `len` chunks at depth `certified`: that depth again, or the
+/// [`start_depth`] once a plan used at most half of it. A trace's
+/// consecutive replans plan alike, so one whose plans run deep skips the
+/// shallow recursion it would throw away: from the start depth alone,
+/// 10,378 of Figure 5's 10,537 solves at k = 0.1 grew, and their
+/// discarded recursions took ~4 % of `fig5`'s time.
+fn next_depth(x_max: usize, certified: usize, len: usize) -> usize {
+    let start = start_depth(x_max);
+    if len <= start / 2 { start } else { certified }
+}
+
+/// The `(a, m)` cells the DP reads up to column `m_top` — `m ≤ min(a + 1,
+/// m_top)` for `a = 0..=x_max` — packed column by column: column `m`
+/// holds `a = max(m, 1) − 1 ..= x_max`, ascending. The value recursion
+/// scans `a` at fixed `m`, so `G`, its exponential grid and every kernel
+/// row share this one layout and the DP reads them contiguously. A
+/// column's offset does not depend on `m_top`, so a shallow triangle is a
+/// prefix of a deeper one: a solve grows its grids in place, and reads
+/// the ceiling-sized kernel rows as prefixes.
 #[derive(Debug, Clone, Copy)]
 struct Triangle {
     x_max: usize,
-    /// Last column: `min(x_max + 1, cap)`.
+    /// Last column.
     m_top: usize,
 }
 
 impl Triangle {
+    /// The ceiling triangle, up to column `min(x_max + 1, cap)` with
+    /// `cap = value_chunk_cap(x_max)`.
     fn new(x_max: usize) -> Self {
         Self { x_max, m_top: (x_max + 1).min(value_chunk_cap(x_max)) }
     }
@@ -659,26 +718,29 @@ impl Triangle {
 /// Cells per batched log-survival evaluation of [`log_survival_chunks`].
 const ROW_CHUNK: usize = 64;
 
-/// Evaluate one age's log-survival over the triangle in fixed-size
-/// chunks: `ln S(τ + (a·u + m·C))` for each cell, through
-/// [`FailureDistribution::log_survival_batch`] on at most [`ROW_CHUNK`]
-/// cells of one column at a time, handing `f` each chunk's packed
-/// offset and values. The cached row build and the inline solve both
-/// evaluate through here, so they see the same query times and the same
-/// batch kernel — the same bits — without materialising the times or a
-/// whole row. `a` is counted as an `i32` (the same `a as f64` value):
-/// free of the unsigned conversion, the time fill vectorises.
+/// Evaluate one age's log-survival over the columns `cols` of the
+/// triangle in fixed-size chunks: `ln S(τ + (a·u + m·C))` for each cell,
+/// through [`FailureDistribution::log_survival_batch`] on at most
+/// [`ROW_CHUNK`] cells of one column at a time, handing `f` each chunk's
+/// packed offset and values. The cached row build and the inline solve
+/// both evaluate through here, so they see the same query times and the
+/// same batch kernel — the same bits — without materialising the times
+/// or a whole row; chunks never straddle a column, so filling a column
+/// range gives each cell the bits of a whole-triangle pass. `a` is
+/// counted as an `i32` (the same `a as f64` value): free of the unsigned
+/// conversion, the time fill vectorises.
 fn log_survival_chunks(
     dist: &dyn FailureDistribution,
     tau: f64,
     shape: Triangle,
+    cols: std::ops::RangeInclusive<usize>,
     u: f64,
     checkpoint: f64,
     mut f: impl FnMut(usize, &[f64]),
 ) {
     let mut ts = [0.0f64; ROW_CHUNK];
     let mut vals = [0.0f64; ROW_CHUNK];
-    for m in 0..=shape.m_top {
+    for m in cols {
         let mc = m as f64 * checkpoint;
         let mut at = shape.col_start(m);
         let mut a = Triangle::a_lo(m);
@@ -695,7 +757,7 @@ fn log_survival_chunks(
     }
 }
 
-/// One age bucket's exact log-survival over the DP triangle, in
+/// One age bucket's exact log-survival over the ceiling triangle, in
 /// [`Triangle`] order: `row[·] = ln S(τ + a·u + m·C)`. Built through
 /// [`log_survival_chunks`] like the inline solve, so accumulating cached
 /// rows is bit-identical to evaluating in place.
@@ -708,7 +770,7 @@ fn compute_row(
 ) -> Arc<[f64]> {
     let shape = Triangle::new(x_max);
     let mut row = vec![0.0f64; shape.len()];
-    log_survival_chunks(dist, tau, shape, u, checkpoint, |at, vals| {
+    log_survival_chunks(dist, tau, shape, 0..=shape.m_top, u, checkpoint, |at, vals| {
         row[at..at + vals.len()].copy_from_slice(vals);
     });
     row.into()
@@ -724,14 +786,160 @@ fn solve(
     u: f64,
     checkpoint: f64,
 ) -> Vec<f64> {
-    solve_with_rows(dist, ages, x_max, u, checkpoint, None)
+    solve_with_rows(dist, ages, x_max, u, checkpoint, None, &mut start_depth(x_max))
 }
 
-/// [`solve`] with an optional kernel-row source: `rows(i)` returns the
-/// [`Triangle`]-packed log-survival row of `ages[i]` (see
-/// [`compute_row`]). Supplied rows must be exact — the cached-path and
-/// inline-path cell arithmetic is identical, so both produce the same
-/// bits.
+/// Slack of [`continuation_bound`] over the exact Riemann sum: room for
+/// the rounding of the value recursion (~1e-13 relative over 128
+/// columns) and for ulp-level dents in the monotonicity of the computed
+/// `E` grid.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// Seed column `D` of a shallow value recursion with an upper bound on
+/// every continuation from it. `ecol` is column `D` of `E` (`a = D − 1
+/// ..= x_max`), `seed` the states `j = 0..=x_max − D` of column `D`.
+///
+/// From `(j, D)` at `a = x_max − j`, chunks of `i₁, i₂, …` quanta
+/// ending at offsets `s₁ < s₂ < … ≤ j` earn `u·Σₖ iₖ·E(a + sₖ, D + k) /
+/// E(a, D)`. `E` does not rise along `a` or `m` (`ln S` is non-increasing
+/// and the counts are positive), so each term is at most `u·Σ` of
+/// `E(a + l, D)/E(a, D)` over the chunk's own quanta `l ∈ [sₖ₋₁, sₖ)`,
+/// and any schedule earns at most the left Riemann sum
+///
+/// ```text
+/// B(j) = u · Σ_{l<j} E(x_max − j + l, D) / E(x_max − j, D) · (1 + BOUND_SLACK),
+/// ```
+///
+/// or `u·j·(1 + BOUND_SLACK)` (all the work, surely) where `E(x_max − j,
+/// D)` underflows. `B(0) = 0`, as the ceiling's seed.
+fn continuation_bound(ecol: &[f64], u: f64, seed: &mut [f64]) {
+    let mut sum = 0.0;
+    // `ecol` reversed is E(x_max − j, D) for j = 0, 1, …
+    for (j, (b, &e)) in seed.iter_mut().zip(ecol.iter().rev()).enumerate() {
+        if j > 0 {
+            sum += e;
+        }
+        let quanta = if e > 0.0 { sum / e } else { j as f64 };
+        *b = u * quanta * (1.0 + BOUND_SLACK);
+    }
+}
+
+/// Offset of column `n` of the packed value and choice tables: column
+/// `n` holds `x = 0..=x_max − n`, the states the recursion touches.
+fn v_start(x_max: usize, n: usize) -> usize {
+    n * (x_max + 1) - n * n.saturating_sub(1) / 2
+}
+
+/// Where a solve's `G` comes from: the far-age fit and the near ages,
+/// the latter from cached kernel rows when the solve was handed them,
+/// evaluated in place otherwise.
+struct LogSurvivalSum<'a> {
+    dist: &'a dyn FailureDistribution,
+    far: Option<FarFit>,
+    /// `(index into ages, age, count)`.
+    near: Vec<(usize, f64, f64)>,
+    /// One ceiling-sized row per `near` entry, or `None` for inline.
+    rows: Option<Vec<Arc<[f64]>>>,
+    u: f64,
+    checkpoint: f64,
+}
+
+impl LogSurvivalSum<'_> {
+    /// Accumulate `G` into the zeroed columns `cols` of `tri`, laid out
+    /// as `shape` — far-fit values, then one multiply-add pass per near
+    /// age. Per cell this performs the same float operations in the same
+    /// order as a cell-at-a-time fill, whichever columns a call covers.
+    fn fill(&self, tri: &mut [f64], shape: Triangle, cols: std::ops::RangeInclusive<usize>) {
+        const LANES: usize = ckpt_math::simd::LANES;
+        let (u, checkpoint) = (self.u, self.checkpoint);
+        let span = shape.col_start(*cols.start())..shape.col_start(cols.end() + 1);
+        if let Some(fit) = &self.far {
+            // 4 cells per Clenshaw call ([`FarFit::eval4`]); the tail of each
+            // column falls back to the scalar `eval`, whose per-element
+            // operations the lane version reproduces exactly.
+            for m in cols.clone() {
+                let mc = m as f64 * checkpoint;
+                let mut a = Triangle::a_lo(m);
+                let mut cells = tri[shape.col_start(m)..shape.col_start(m + 1)].chunks_exact_mut(LANES);
+                for lanes in &mut cells {
+                    let t = ckpt_math::simd::F64x4([
+                        a as f64 * u + mc,
+                        (a + 1) as f64 * u + mc,
+                        (a + 2) as f64 * u + mc,
+                        (a + 3) as f64 * u + mc,
+                    ]);
+                    fit.eval4(t).write_to(lanes);
+                    a += LANES;
+                }
+                for g in cells.into_remainder() {
+                    *g = fit.eval(a as f64 * u + mc);
+                    a += 1;
+                }
+            }
+        }
+        match &self.rows {
+            Some(rows) => {
+                // Fused lane-width groups: one read-modify-write sweep of the
+                // triangle covers up to LANES cached rows through the
+                // explicit `f64x4` kernel. Per element the additions happen
+                // in row-index order — the same order as sequential
+                // single-row passes, so grouping is bit-invariant — but the
+                // triangle's memory traffic drops by the group width, which
+                // is what bounds this loop (rows and triangle far exceed L2).
+                let acc = &mut tri[span.clone()];
+                for (group, entries) in rows.chunks(LANES).zip(self.near.chunks(LANES)) {
+                    let mut scaled: [(&[f64], f64); LANES] = [(&[], 0.0); LANES];
+                    for ((slot, row), entry) in scaled.iter_mut().zip(group).zip(entries) {
+                        *slot = (&row[span.clone()], entry.2);
+                    }
+                    ckpt_math::simd::accumulate_scaled_rows(acc, &scaled[..group.len()]);
+                }
+            }
+            None => {
+                // Inline build (in production a one-age state: one near age
+                // at most): evaluate each near age chunk by chunk, exactly as
+                // the cached rows are built, and accumulate each chunk
+                // through the same sweep kernel — so supplying cached rows or
+                // none produces identical bits.
+                for &(_, tau, c) in &self.near {
+                    log_survival_chunks(self.dist, tau, shape, cols.clone(), u, checkpoint, |at, vals| {
+                        let acc = &mut tri[at..at + vals.len()];
+                        ckpt_math::simd::accumulate_scaled_rows(acc, &[(vals, c)]);
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// [`solve`] with an optional kernel-row source and a first depth: `rows(i)`
+/// returns the ceiling-[`Triangle`]-packed log-survival row of `ages[i]`
+/// (see [`compute_row`]). Supplied rows must be exact — the cached-path
+/// and inline-path cell arithmetic is identical, so both produce the same
+/// bits. `depth` holds the first depth on entry (a session's
+/// [`next_depth`], else [`start_depth`]) and the depth that certified the
+/// plan on return.
+///
+/// The value recursion runs first to column `D = depth`, on the
+/// triangle's first `D + 1` columns,
+/// with column `D` seeded by [`continuation_bound`] instead of the
+/// ceiling's `V = 0`. If the walked plan ends at or before column `D` it
+/// is the ceiling-depth plan, bit for bit: every state on its path is
+/// computed from the same `E` cells by the same operations, back from
+/// `V(0, ·) = 0`, while every state off it can only look better than at
+/// the ceiling, since its seeded tail bounds the true one from above —
+/// so no competitor the path beat could win at the ceiling, and ties
+/// resolve by the same rule. (That is exact for the maximum; the hull's
+/// pops compare rounded products, so the tests pin it as computed:
+/// `continuation_bound_is_above_the_ceiling_values` and
+/// `grown_solve_matches_the_ceiling_solve_bit_for_bit`.) If the plan
+/// reaches column `D`, the solve
+/// grows `D` to `min(2D, ceiling)` in place: it fills and exponentiates
+/// only the new columns (a column's cells do not depend on the depth:
+/// the far fit spans the ceiling triangle whatever the depth) and reruns
+/// the value recursion. At the ceiling, column `value_chunk_cap` is
+/// `V = 0` and a plan that reaches it flushes, exactly as a solve that
+/// starts there.
 // Every `[]` below is affine in loop bounds sized from `x_max` and
 // `ages.len()`; an out-of-bounds edit panics in the DP tests.
 fn solve_with_rows(
@@ -741,6 +949,7 @@ fn solve_with_rows(
     u: f64,
     checkpoint: f64,
     rows: Option<&dyn Fn(usize) -> Arc<[f64]>>,
+    depth: &mut usize,
 ) -> Vec<f64> {
     assert!(u > 0.0, "quantum must be positive");
     // G(a, m) = Σⱼ countⱼ · ln S(τⱼ + a·u + m·C); m ranges one past x_max
@@ -748,262 +957,35 @@ fn solve_with_rows(
     // have n ≤ x_max − x = a and transitions read (a, n) and (a+i, n+1)
     // with i ≥ 1, so only the triangular region m ≤ a + 1 is ever
     // consulted — the upper half of the grid is never filled — and the
-    // value recursion is truncated at `m_cap` chunks (see
-    // [`value_chunk_cap`]), bounding `m` at `m_cap` too. `G` and its
+    // value recursion is truncated at `n_cap` chunks (see
+    // [`value_chunk_cap`]), bounding `m` at the cap too. `G` and its
     // exponentials are stored column by column ([`Triangle`]) so the DP
-    // inner loop below, which scans `i` at fixed `n`, touches consecutive
+    // inner loop, which scans `i` at fixed `n`, touches consecutive
     // memory.
-    let m_cap = value_chunk_cap(x_max);
-    let shape = Triangle::new(x_max);
-    let t_span = x_max as f64 * u + (shape.m_top + 1) as f64 * checkpoint;
+    let ceiling = Triangle::new(x_max);
+    let n_cap = x_max.min(value_chunk_cap(x_max));
+    let t_span = x_max as f64 * u + (ceiling.m_top + 1) as f64 * checkpoint;
     let mut near: Vec<(usize, f64, f64)> = Vec::with_capacity(ages.len());
     let far = FarFit::build(dist, ages, t_span, &mut near);
-    // The triangle is accumulated in place — far-fit values, then one
-    // multiply-add pass per near age (cached row when available, chunked
-    // in-place evaluation otherwise). Per cell this performs the same
-    // float operations in the same order as a cell-at-a-time fill.
+    let rows = rows.map(|rows| near.iter().map(|&(idx, _, _)| rows(idx)).collect());
+    let sum = LogSurvivalSum { dist, far, near, rows, u, checkpoint };
     SOLVE_SCRATCH.with(|cell| {
-    let mut scratch = cell.borrow_mut();
-    let SolveScratch { tri, egrid, value, choice, hull } = &mut *scratch;
-    tri.clear();
-    tri.resize(shape.len(), 0.0);
-    if let Some(fit) = &far {
-        // 4 cells per Clenshaw call ([`FarFit::eval4`]); the tail of each
-        // column falls back to the scalar `eval`, whose per-element
-        // operations the lane version reproduces exactly.
-        const LANES: usize = ckpt_math::simd::LANES;
-        for m in 0..=shape.m_top {
-            let mc = m as f64 * checkpoint;
-            let mut a = Triangle::a_lo(m);
-            let mut cells = tri[shape.col_start(m)..shape.col_start(m + 1)].chunks_exact_mut(LANES);
-            for lanes in &mut cells {
-                let t = ckpt_math::simd::F64x4([
-                    a as f64 * u + mc,
-                    (a + 1) as f64 * u + mc,
-                    (a + 2) as f64 * u + mc,
-                    (a + 3) as f64 * u + mc,
-                ]);
-                fit.eval4(t).write_to(lanes);
-                a += LANES;
+        let mut scratch = cell.borrow_mut();
+        scratch.tri.clear();
+        scratch.value.clear();
+        *depth = (*depth).clamp(1, n_cap);
+        let mut next_col = 0;
+        loop {
+            let at_ceiling = *depth == n_cap;
+            let shape = if at_ceiling { ceiling } else { Triangle { x_max, m_top: *depth } };
+            scratch.extend(&sum, shape, next_col);
+            next_col = shape.m_top + 1;
+            scratch.recurse(shape, *depth, at_ceiling, u);
+            if let Some(chunks) = scratch.walk(x_max, *depth, at_ceiling, u) {
+                return chunks;
             }
-            for g in cells.into_remainder() {
-                *g = fit.eval(a as f64 * u + mc);
-                a += 1;
-            }
+            *depth = (2 * *depth).min(n_cap);
         }
-    }
-    match rows {
-        Some(rows) => {
-            // Fused lane-width groups: one read-modify-write sweep of the
-            // triangle covers up to LANES cached rows through the
-            // explicit `f64x4` kernel. Per element the additions happen
-            // in row-index order — the same order as sequential
-            // single-row passes, so grouping is bit-invariant — but the
-            // triangle's memory traffic drops by the group width, which
-            // is what bounds this loop (rows and triangle far exceed L2).
-            const LANES: usize = ckpt_math::simd::LANES;
-            let mut k = 0usize;
-            while k < near.len() {
-                let g = (near.len() - k).min(LANES);
-                let mut held: [Option<Arc<[f64]>>; LANES] = [const { None }; LANES];
-                for (slot, h) in held.iter_mut().enumerate().take(g) {
-                    *h = Some(rows(near[k + slot].0));
-                }
-                let mut group: [(&[f64], f64); LANES] = [(&[], 0.0); LANES];
-                for (slot, entry) in group.iter_mut().enumerate().take(g) {
-                    let row: &[f64] = held[slot].as_deref().unwrap_or(&[]);
-                    debug_assert_eq!(row.len(), tri.len(), "row/triangle shape mismatch");
-                    *entry = (row, near[k + slot].2);
-                }
-                ckpt_math::simd::accumulate_scaled_rows(tri, &group[..g]);
-                k += g;
-            }
-        }
-        None => {
-            // Inline build (in production a one-age state: one near age
-            // at most): evaluate each near age chunk by chunk, exactly as
-            // the cached rows are built, and accumulate each chunk
-            // through the same sweep kernel — so supplying cached rows or
-            // none produces identical bits.
-            for &(_, tau, c) in &near {
-                log_survival_chunks(dist, tau, shape, u, checkpoint, |at, vals| {
-                    let acc = &mut tri[at..at + vals.len()];
-                    ckpt_math::simd::accumulate_scaled_rows(acc, &[(vals, c)]);
-                });
-            }
-        }
-    }
-    // The exponentials are taken relative to `G(0, 0) = tri[0]`, the
-    // triangle's maximum (`ln S` is non-increasing and counts are
-    // positive): `E = exp(G − G(0,0))`, in the triangle's own layout.
-    // The DP only ever consumes ratios `E(a', m')/E(a, m)` — one column
-    // read over one division — so the common factor cancels, while the
-    // offset keeps `E` in (0, 1] even when `exp(G)` itself underflows.
-    // Massively-parallel platforms (p ≈ 4096 LANL cells: G ≈ −8000 nats)
-    // previously underflowed *every* state into the scalar log-domain
-    // fallback; with the offset they ride the hull path. The fallback
-    // remains for windows whose G drops more than ~745 nats below
-    // G(0,0).
-    let g_off = if tri[0].is_finite() { tri[0] } else { 0.0 };
-    egrid.resize(tri.len(), 0.0);
-    ckpt_math::simd::exp_shifted(tri, g_off, egrid);
-    let gg = |a: usize, m: usize| tri[shape.at(a, m)];
-
-    // value[n][x] for x ≤ x_max − n (each chunk consumes ≥ 1 quantum).
-    //
-    // The transition value is `exp(G(a+i, n+1) − G(a, n)) · (i·u + succ)`.
-    // The denominator `exp(G(a, n))` is constant across the inner loop, so
-    // the argmax equals that of `T(i) = E(a+i, n+1)·(i·u + succ)` — no
-    // exponentials inside the loop, one division per state; the common
-    // `exp(−G(0,0))` offset factor in `E` cancels in the division. When
-    // `E(a, n)` still underflows (the state's G more than ~745 nats
-    // below G(0,0)) the ratio form stays meaningful, so a log-domain
-    // fallback loop handles those states exactly from the unoffset
-    // triangle.
-    // `value`/`choice` are n-major and packed: column `n` holds
-    // `x = 0..=x_max − n` from `v_start(n)`, the states the recursion
-    // touches, and the hull below reads column n+1 with ascending `j`.
-    //
-    // Inner maximisation via the monotone convex-hull trick: substituting
-    // `j = x − i` (quanta left after the chunk) the transition value is
-    //
-    //   E(x_max−j, n+1)·((x−j)·u + V(j, n+1)) = Q(j) + R(j)·z,
-    //   R(j) = E(x_max−j, n+1),  Q(j) = R(j)·(V(j, n+1) − j·u),  z = x·u.
-    //
-    // Within a column `n` the lines depend only on column n+1 and slopes
-    // `R(j)` increase with `j` (an older platform survives less), so an
-    // incremental upper hull answers every state cheaply — the DP drops
-    // from O(x_max³) to ~O(x_max²). Ties prefer the earlier hull line
-    // (smaller `j` = bigger chunk), matching the direct loop's
-    // tie-to-larger-`i` rule.
-    let v_start = |n: usize| n * (x_max + 1) - n * n.saturating_sub(1) / 2;
-    // Chunk depths `n ≥ n_cap` are truncated: the deepest computed
-    // column reads `V(·, n_cap) = 0`, which the zeroed resize provides.
-    let n_cap = x_max.min(m_cap);
-    // Every column's x = 0 entry is the V(0, ·) = 0 base case and column
-    // `n_cap` is read before any write reaches it, so the whole buffer
-    // is re-zeroed on reuse. `choice` is only ever read at states the
-    // backward pass wrote this solve, so its stale contents don't
-    // matter.
-    value.clear();
-    value.resize(v_start(n_cap + 1), 0.0);
-    choice.resize(v_start(n_cap + 1), 0);
-    // (slope, intercept, j) lines of the current column's hull.
-    hull.clear();
-    for n in (0..n_cap).rev() {
-        let x_hi = x_max - n;
-        // Column n+1 of E starts at a = n.
-        let ecol = &egrid[shape.col_start(n + 1)..shape.col_start(n + 2)];
-        // Columns n (written) and n+1 (read) are disjoint.
-        let (vcur, vnext) = value.split_at_mut(v_start(n + 1));
-        let vcol = &mut vcur[v_start(n)..];
-        let vnext = &vnext[..x_hi];
-        let ccol = &mut choice[v_start(n)..v_start(n + 1)];
-        hull.clear();
-        // Within a column the query point `z = x·u` increases with `x`
-        // and hull slopes increase with insertion order, so the winning
-        // line's index never moves left: a pointer that only advances
-        // (clamped when pops shorten the hull) lands on the same earliest
-        // peak the binary search found, in amortised O(1).
-        let mut best = 0usize;
-        for x in 1..=x_hi {
-            // Line j = x − 1 becomes a valid transition target at this x.
-            let j = x - 1;
-            let r = ecol[x_hi - j];
-            let q = r * (vnext[j] - j as f64 * u);
-            // Equal slopes: keep the better intercept; ties keep the
-            // earlier (smaller-j) line.
-            let mut push = true;
-            if let Some(&(tr, tq, _)) = hull.last() {
-                #[expect(clippy::float_cmp, reason = "equal slopes are exact bits: both are read from the same `ecol` array")]
-                if r == tr {
-                    if q > tq {
-                        hull.pop();
-                    } else {
-                        push = false;
-                    }
-                }
-            }
-            if push {
-                // Pop lines that never win once the new one exists: with
-                // A below B on the stack and C new, B is useless when C
-                // overtakes B no later than B overtakes A.
-                while hull.len() >= 2 {
-                    let (ar, aq, _) = hull[hull.len() - 2];
-                    let (br, bq, _) = hull[hull.len() - 1];
-                    // z_BC ≤ z_AB ⟺ (bq − q)(br − ar) ≤ (aq − bq)(r − br)
-                    if (bq - q) * (br - ar) <= (aq - bq) * (r - br) {
-                        hull.pop();
-                    } else {
-                        break;
-                    }
-                }
-                hull.push((r, q, j as u32));
-            }
-            let z = x as f64 * u;
-            let a = x_max - x;
-            let e_base = egrid[shape.at(a, n)];
-            if e_base > 0.0 {
-                // Hull values at fixed `z` rise to a single peak and then
-                // fall (consecutive differences change sign once); strict
-                // `>` lands on the earliest peak line on exact ties.
-                if best >= hull.len() {
-                    best = hull.len() - 1;
-                }
-                while best + 1 < hull.len() {
-                    let (r0, q0, _) = hull[best];
-                    let (r1, q1, _) = hull[best + 1];
-                    if q1 + r1 * z > q0 + r0 * z {
-                        best += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let (r0, q0, j0) = hull[best];
-                vcol[x] = (q0 + r0 * z) / e_base;
-                ccol[x] = x as u32 - j0;
-            } else {
-                // exp(G(a, n) − G(0,0)) underflowed (state survival more
-                // than ~745 nats below the window's start): fall back to
-                // the exact log-domain ratio form on the unoffset G.
-                let base = gg(a, n);
-                let mut best = f64::NEG_INFINITY;
-                let mut best_i = x as u32;
-                for i in 1..=x {
-                    // ln Psuc of executing i quanta + checkpoint.
-                    let lp = gg(a + i, n + 1) - base;
-                    let succ = if x - i >= 1 { vnext[x - i] } else { 0.0 };
-                    let cur = lp.exp() * (i as f64 * u + succ); // audited log→linear conversion of an exact G row
-                    // `>=` so ties (all-zero survival) prefer big chunks.
-                    if cur >= best {
-                        best = cur;
-                        best_i = i as u32;
-                    }
-                }
-                vcol[x] = best;
-                ccol[x] = best_i;
-            }
-        }
-    }
-
-    // Walk the optimal schedule from (x_max, 0).
-    let mut chunks = Vec::new();
-    let mut x = x_max;
-    let mut n = 0usize;
-    while x > 0 {
-        if n >= n_cap {
-            // Past the truncated value recursion (no plan on our cells
-            // gets here — the cap keeps ≥1.5× headroom over measured
-            // depths): flush the remainder as one final chunk.
-            chunks.push(x as f64 * u);
-            break;
-        }
-        let i = choice[v_start(n) + x] as usize;
-        chunks.push(i as f64 * u);
-        x -= i;
-        n += 1;
-    }
-    chunks
     })
 }
 
@@ -1011,7 +993,9 @@ fn solve_with_rows(
 /// its exponentials in the same layout, and the packed value/choice
 /// tables. Allocating (and kernel-zeroing) them per solve dominated the
 /// solve's own arithmetic, so each thread keeps one set of buffers warm
-/// across solves — ~0.7 MB at `x_max = 256`.
+/// across solves. They are sized to the depth a solve reaches: ~0.4 MB
+/// at `x_max = 256` for a plan certified at the start depth 64, ~0.7 MB
+/// at the ceiling 128.
 #[derive(Default)]
 struct SolveScratch {
     tri: Vec<f64>,
@@ -1019,6 +1003,201 @@ struct SolveScratch {
     value: Vec<f64>,
     choice: Vec<u32>,
     hull: Vec<(f64, f64, u32)>,
+}
+
+impl SolveScratch {
+    /// Grow `G` and `E` to `shape` from its column `m_lo`, where the
+    /// grids held so far end: fill and exponentiate only the new
+    /// columns, since a deeper shape never changes the held ones.
+    fn extend(&mut self, sum: &LogSurvivalSum<'_>, shape: Triangle, m_lo: usize) {
+        let from = shape.col_start(m_lo);
+        debug_assert_eq!(from, self.tri.len(), "the grids end at column {m_lo}");
+        self.tri.resize(shape.len(), 0.0);
+        sum.fill(&mut self.tri, shape, m_lo..=shape.m_top);
+        // The exponentials are taken relative to `G(0, 0) = tri[0]`, the
+        // triangle's maximum (`ln S` is non-increasing and counts are
+        // positive): `E = exp(G − G(0,0))`, in the triangle's own layout.
+        // The DP only ever consumes ratios `E(a', m')/E(a, m)` — one column
+        // read over one division — so the common factor cancels, while the
+        // offset keeps `E` in (0, 1] even when `exp(G)` itself underflows.
+        // Massively-parallel platforms (p ≈ 4096 LANL cells: G ≈ −8000 nats)
+        // previously underflowed *every* state into the scalar log-domain
+        // fallback; with the offset they ride the hull path. The fallback
+        // remains for windows whose G drops more than ~745 nats below
+        // G(0,0). `exp_shifted` is element-wise, so exponentiating a
+        // column range gives the bits of a whole-grid pass.
+        let g_off = if self.tri[0].is_finite() { self.tri[0] } else { 0.0 };
+        self.egrid.resize(self.tri.len(), 0.0);
+        ckpt_math::simd::exp_shifted(&self.tri[from..], g_off, &mut self.egrid[from..]);
+    }
+
+    /// The value recursion over columns `depth − 1` down to 0 of `shape`,
+    /// from column `depth`: `V = 0` at the ceiling, else
+    /// [`continuation_bound`].
+    fn recurse(&mut self, shape: Triangle, depth: usize, at_ceiling: bool, u: f64) {
+        let x_max = shape.x_max;
+        let SolveScratch { tri, egrid, value, choice, hull } = self;
+        let gg = |a: usize, m: usize| tri[shape.at(a, m)];
+
+        // value[n][x] for x ≤ x_max − n (each chunk consumes ≥ 1 quantum).
+        //
+        // The transition value is `exp(G(a+i, n+1) − G(a, n)) · (i·u + succ)`.
+        // The denominator `exp(G(a, n))` is constant across the inner loop, so
+        // the argmax equals that of `T(i) = E(a+i, n+1)·(i·u + succ)` — no
+        // exponentials inside the loop, one division per state; the common
+        // `exp(−G(0,0))` offset factor in `E` cancels in the division. When
+        // `E(a, n)` still underflows (the state's G more than ~745 nats
+        // below G(0,0)) the ratio form stays meaningful, so a log-domain
+        // fallback loop handles those states exactly from the unoffset
+        // triangle.
+        // `value`/`choice` are n-major and packed ([`v_start`]), and the
+        // hull below reads column n+1 with ascending `j`.
+        //
+        // Inner maximisation via the monotone convex-hull trick: substituting
+        // `j = x − i` (quanta left after the chunk) the transition value is
+        //
+        //   E(x_max−j, n+1)·((x−j)·u + V(j, n+1)) = Q(j) + R(j)·z,
+        //   R(j) = E(x_max−j, n+1),  Q(j) = R(j)·(V(j, n+1) − j·u),  z = x·u.
+        //
+        // Within a column `n` the lines depend only on column n+1 and slopes
+        // `R(j)` increase with `j` (an older platform survives less), so an
+        // incremental upper hull answers every state cheaply — the DP drops
+        // from O(x_max³) to ~O(x_max²). Ties prefer the earlier hull line
+        // (smaller `j` = bigger chunk), matching the direct loop's
+        // tie-to-larger-`i` rule.
+        //
+        // Every column's x = 0 entry is the V(0, ·) = 0 base case. The
+        // buffer is zeroed when a solve begins and only grows with the
+        // depth, so a ceiling column `depth` reads the zeros `V = 0`
+        // needs, and a shallow one is seeded here. `choice` is only ever
+        // read at states the backward pass wrote this recursion, so its
+        // stale contents don't matter.
+        value.resize(v_start(x_max, depth + 1), 0.0);
+        choice.resize(v_start(x_max, depth + 1), 0);
+        if !at_ceiling {
+            let ecol = &egrid[shape.col_start(depth)..shape.col_start(depth + 1)];
+            continuation_bound(ecol, u, &mut value[v_start(x_max, depth)..]);
+        }
+        for n in (0..depth).rev() {
+            let x_hi = x_max - n;
+            // Column n+1 of E starts at a = n.
+            let ecol = &egrid[shape.col_start(n + 1)..shape.col_start(n + 2)];
+            // Columns n (written) and n+1 (read) are disjoint.
+            let (vcur, vnext) = value.split_at_mut(v_start(x_max, n + 1));
+            let vcol = &mut vcur[v_start(x_max, n)..];
+            let vnext = &vnext[..x_hi];
+            let ccol = &mut choice[v_start(x_max, n)..v_start(x_max, n + 1)];
+            // (slope, intercept, j) lines of the current column's hull.
+            hull.clear();
+            // Within a column the query point `z = x·u` increases with `x`
+            // and hull slopes increase with insertion order, so the winning
+            // line's index never moves left: a pointer that only advances
+            // (clamped when pops shorten the hull) lands on the same earliest
+            // peak the binary search found, in amortised O(1).
+            let mut best = 0usize;
+            for x in 1..=x_hi {
+                // Line j = x − 1 becomes a valid transition target at this x.
+                let j = x - 1;
+                let r = ecol[x_hi - j];
+                let q = r * (vnext[j] - j as f64 * u);
+                // Equal slopes: keep the better intercept; ties keep the
+                // earlier (smaller-j) line.
+                let mut push = true;
+                if let Some(&(tr, tq, _)) = hull.last() {
+                    #[expect(clippy::float_cmp, reason = "equal slopes are exact bits: both are read from the same `ecol` array")]
+                    if r == tr {
+                        if q > tq {
+                            hull.pop();
+                        } else {
+                            push = false;
+                        }
+                    }
+                }
+                if push {
+                    // Pop lines that never win once the new one exists: with
+                    // A below B on the stack and C new, B is useless when C
+                    // overtakes B no later than B overtakes A.
+                    while hull.len() >= 2 {
+                        let (ar, aq, _) = hull[hull.len() - 2];
+                        let (br, bq, _) = hull[hull.len() - 1];
+                        // z_BC ≤ z_AB ⟺ (bq − q)(br − ar) ≤ (aq − bq)(r − br)
+                        if (bq - q) * (br - ar) <= (aq - bq) * (r - br) {
+                            hull.pop();
+                        } else {
+                            break;
+                        }
+                    }
+                    hull.push((r, q, j as u32));
+                }
+                let z = x as f64 * u;
+                let a = x_max - x;
+                let e_base = egrid[shape.at(a, n)];
+                if e_base > 0.0 {
+                    // Hull values at fixed `z` rise to a single peak and then
+                    // fall (consecutive differences change sign once); strict
+                    // `>` lands on the earliest peak line on exact ties.
+                    if best >= hull.len() {
+                        best = hull.len() - 1;
+                    }
+                    while best + 1 < hull.len() {
+                        let (r0, q0, _) = hull[best];
+                        let (r1, q1, _) = hull[best + 1];
+                        if q1 + r1 * z > q0 + r0 * z {
+                            best += 1;
+                        } else {
+                            break;
+                        }
+                    }
+                    let (r0, q0, j0) = hull[best];
+                    vcol[x] = (q0 + r0 * z) / e_base;
+                    ccol[x] = x as u32 - j0;
+                } else {
+                    // exp(G(a, n) − G(0,0)) underflowed (state survival more
+                    // than ~745 nats below the window's start): fall back to
+                    // the exact log-domain ratio form on the unoffset G.
+                    let base = gg(a, n);
+                    let mut best = f64::NEG_INFINITY;
+                    let mut best_i = x as u32;
+                    for i in 1..=x {
+                        // ln Psuc of executing i quanta + checkpoint.
+                        let lp = gg(a + i, n + 1) - base;
+                        let succ = if x - i >= 1 { vnext[x - i] } else { 0.0 };
+                        let cur = lp.exp() * (i as f64 * u + succ); // audited log→linear conversion of an exact G row
+                        // `>=` so ties (all-zero survival) prefer big chunks.
+                        if cur >= best {
+                            best = cur;
+                            best_i = i as u32;
+                        }
+                    }
+                    vcol[x] = best;
+                    ccol[x] = best_i;
+                }
+            }
+        }
+    }
+
+    /// Walk the optimal schedule from `(x_max, 0)`. A plan that reaches
+    /// column `depth` with work left flushes it as one final chunk at the
+    /// ceiling, and is not certified (`None`) below it.
+    fn walk(&self, x_max: usize, depth: usize, at_ceiling: bool, u: f64) -> Option<Vec<f64>> {
+        let mut chunks = Vec::new();
+        let mut x = x_max;
+        let mut n = 0usize;
+        while x > 0 {
+            if n >= depth {
+                if !at_ceiling {
+                    return None;
+                }
+                chunks.push(x as f64 * u);
+                break;
+            }
+            let i = self.choice[v_start(x_max, n) + x] as usize;
+            chunks.push(i as f64 * u);
+            x -= i;
+            n += 1;
+        }
+        Some(chunks)
+    }
 }
 
 thread_local! {
@@ -1345,9 +1524,9 @@ mod tests {
             prop_assert_eq!((rows.hits, rows.misses, rows.entries), (0, 0, 0));
 
             let bits = |p: &[f64]| p.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-            let inline = dp.solve_key(&aware, false);
+            let inline = dp.solve_key(&aware, false, &mut start_depth(dp.x_max));
             prop_assert_eq!(bits(&planned), bits(&inline));
-            let from_rows = dp.solve_key(&aware, true);
+            let from_rows = dp.solve_key(&aware, true, &mut start_depth(dp.x_max));
             prop_assert!(caches.stats().kernel_rows.misses >= 1, "the near age builds a row");
             prop_assert_eq!(bits(&planned), bits(&from_rows));
         }
@@ -1386,7 +1565,7 @@ mod tests {
 
             let inline = dp.plan(remaining, &ages);
             prop_assert_eq!(caches.stats().kernel_rows.misses, 0);
-            let from_rows = dp.solve_key(&key, true);
+            let from_rows = dp.solve_key(&key, true, &mut start_depth(dp.x_max));
             // One row, or none when the age is old enough for the far fit.
             prop_assert!(caches.stats().kernel_rows.misses <= 1);
             let bits = |p: &[f64]| p.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
@@ -1616,14 +1795,21 @@ mod tests {
     /// The schedule [`DpNextFailure::plan`] halves on a truncated window:
     /// the whole solve of its planning state.
     fn full_schedule(dp: &DpNextFailure, remaining: f64, ages: &AgeView) -> Vec<f64> {
+        let (representative, u) = planning_state(dp, remaining, ages);
+        solve(dp.dist.as_ref(), &representative, dp.x_max, u, dp.spec.checkpoint)
+    }
+
+    /// The representative ages and the quantum [`DpNextFailure::plan`]
+    /// solves for `ages`.
+    fn planning_state(dp: &DpNextFailure, remaining: f64, ages: &AgeView) -> (Vec<(f64, f64)>, f64) {
         let key = dp.plan_key(remaining, ages);
         let u = f64::from_bits(key.u_bits);
-        let representative: Vec<(f64, f64)> = key
+        let representative = key
             .buckets
             .iter()
             .map(|&(id, count)| (representative_age(id, u), count as f64))
             .collect();
-        solve(dp.dist.as_ref(), &representative, dp.x_max, u, dp.spec.checkpoint)
+        (representative, u)
     }
 
     #[test]
@@ -1927,6 +2113,219 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Oracle: the solve at the ceiling depth, with no shallow start.
+    fn solve_at_ceiling(
+        dist: &dyn FailureDistribution,
+        ages: &[(f64, f64)],
+        x_max: usize,
+        u: f64,
+        checkpoint: f64,
+        rows: Option<&dyn Fn(usize) -> Arc<[f64]>>,
+    ) -> Vec<f64> {
+        let mut depth = usize::MAX;
+        solve_with_rows(dist, ages, x_max, u, checkpoint, rows, &mut depth)
+    }
+
+    fn bits(plan: &[f64]) -> Vec<u64> {
+        plan.iter().map(|c| c.to_bits()).collect()
+    }
+
+    /// Figure 5's small shapes reach the chunk cap. At p = 45,208 and
+    /// k = 0.1 a platform a year old plans `value_chunk_cap` chunks, all
+    /// but the last of one quantum (the quantum is coarser than the
+    /// optimal chunk), and flushes the rest of the window as one more; a
+    /// fresh platform at k = 0.5 flushes too, and so do both with 20
+    /// young failed units.
+    /// The solve grown from the start depth, or from depth 1, reproduces
+    /// the ceiling's plan bit for bit. ROADMAP item 1's state-sized
+    /// window is meant to move these plans off the cap: this test pins
+    /// the flush so that the move is made on purpose.
+    #[test]
+    fn small_k_jaguar_plans_reach_the_chunk_cap() {
+        let spec = JobSpec::table1_petascale(45_208);
+        let mtbf = 125.0 * YEAR;
+        let young: Vec<(f64, u32)> = (0..20).map(|i| (600.0 + 4_000.0 * f64::from(i), 1)).collect();
+        for (k, pristine_age) in [(0.1, YEAR), (0.5, 0.0)] {
+            let dp = DpNextFailure::new(
+                &spec,
+                Box::new(Weibull::from_mtbf(k, mtbf)),
+                mtbf,
+                DpNextFailureConfig::default(),
+            );
+            let cap = value_chunk_cap(dp.x_max);
+            assert_eq!((dp.x_max, cap), (136, 68));
+            for view in [
+                AgeView::all_pristine(45_208, pristine_age),
+                AgeView::new(young.clone(), 45_188, pristine_age),
+            ] {
+                let (ages, u) = planning_state(&dp, spec.work, &view);
+                let plan = full_schedule(&dp, spec.work, &view);
+                assert_eq!(plan.len(), cap + 1, "k = {k}: {cap} chunks, then the flush");
+                let planned: f64 = plan[..cap].iter().sum();
+                assert_eq!(plan[cap], (dp.x_max as f64 - planned / u).round() * u, "the flush is the rest");
+                if k < 0.2 {
+                    assert!(plan[..cap - 1].iter().all(|&c| c == u), "one quantum a chunk");
+                }
+                let oracle = solve_at_ceiling(dp.dist.as_ref(), &ages, dp.x_max, u, spec.checkpoint, None);
+                assert_eq!(bits(&plan), bits(&oracle));
+                let mut depth = 1;
+                let grown = solve_with_rows(dp.dist.as_ref(), &ages, dp.x_max, u, spec.checkpoint, None, &mut depth);
+                assert_eq!(bits(&grown), bits(&oracle));
+                assert_eq!(depth, cap, "certified at the ceiling");
+            }
+        }
+    }
+
+    /// The law of a depth-test draw: Exponential, or Weibull of shape
+    /// 0.1, 0.3, 0.7, 1 or 1.5.
+    fn depth_law(draw: usize, mtbf: f64) -> Box<dyn FailureDistribution> {
+        match [None, Some(0.1), Some(0.3), Some(0.7), Some(1.0), Some(1.5)][draw % 6] {
+            None => Box::new(Exponential::from_mtbf(mtbf)),
+            Some(k) => Box::new(Weibull::from_mtbf(k, mtbf)),
+        }
+    }
+
+    /// A drawn planning state for the depth tests: the policy at `x_max`
+    /// quanta, and the representative ages and quantum of the view with
+    /// one age group per entry of `ages`, in multiples of the far fit's
+    /// span `t_span` (the first group holds the pristine processors, the
+    /// others one failed processor each). Ages go through the age-aware
+    /// key whatever the law, as a memoryless key would drop them. Returns
+    /// whether the solve folds an age into a [`FarFit`].
+    fn depth_state(
+        law: usize,
+        procs: u64,
+        platform_mtbf: f64,
+        x_max: usize,
+        endgame: bool,
+        work_frac: f64,
+        ages: &[f64],
+    ) -> (DpNextFailure, Vec<(f64, f64)>, f64, bool) {
+        let spec = JobSpec::table1_petascale(procs);
+        let proc_mtbf = platform_mtbf * procs as f64;
+        let dp = DpNextFailure::with_caches(
+            &spec,
+            depth_law(law, proc_mtbf),
+            proc_mtbf,
+            small_config(x_max),
+            DpCaches::private(),
+        );
+        let window = planning_window(spec.checkpoint, platform_mtbf);
+        let remaining = if endgame { work_frac * window } else { (1.0 + work_frac) * window };
+        let u = remaining.min(window) / x_max as f64;
+        let t_span = x_max as f64 * u + (Triangle::new(x_max).m_top + 1) as f64 * spec.checkpoint;
+        let failed: Vec<(f64, u32)> = ages[1..].iter().map(|&f| (f * t_span, 1)).collect();
+        let view = AgeView::new(failed, procs - (ages.len() as u64 - 1), ages[0] * t_span);
+        let representative: Vec<(f64, f64)> = dp
+            .age_buckets(&view, u)
+            .into_iter()
+            .map(|(id, count)| (representative_age(id, u), count as f64))
+            .collect();
+        let far = FarFit::build(dp.dist.as_ref(), &representative, t_span, &mut Vec::new()).is_some();
+        (dp, representative, u, far)
+    }
+
+    /// The age groups and processor count of a depth-test draw: one group
+    /// (the first far age if any, else the first near one) on 1 or
+    /// 45,208 processors, or every group on 64 or 45,208.
+    fn depth_groups(one_age: bool, wide: bool, near: &[f64], far: &[f64]) -> (Vec<f64>, u64) {
+        let ages = if one_age {
+            vec![far.first().copied().unwrap_or(near[0])]
+        } else {
+            near.iter().chain(far).copied().collect()
+        };
+        let procs = match (wide, one_age) {
+            (true, _) => 45_208,
+            (false, true) => 1,
+            (false, false) => 64,
+        };
+        (ages, procs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// [`continuation_bound`] bounds every value of the ceiling solve
+        /// from above: `V(j, D) ≤ B(j)` for all `j` at `D ∈ {32, 64}`,
+        /// with `B` built from the ceiling's own `E` column (a shallow
+        /// triangle's is the same prefix). States are one-age (one
+        /// processor, or 45,208 of one age) or multi-age (64 or 45,208
+        /// processors in up to five groups), with and without ages past
+        /// twice the span (a [`FarFit`]), under Exponential and Weibull
+        /// laws, in truncated and endgame windows.
+        #[test]
+        fn continuation_bound_is_above_the_ceiling_values(
+            law in 0usize..6,
+            one_age in 0u8..2,
+            wide in 0u8..2,
+            mtbf_hours in 1.0..240.0f64,
+            x_max in 130usize..=256,
+            endgame in 0u8..2,
+            work_frac in 0.01..0.99f64,
+            near in proptest::collection::vec(0.0..1.5f64, 1..4),
+            far_ages in proptest::collection::vec(2.5..40.0f64, 0..3),
+        ) {
+            let (ages, procs) = depth_groups(one_age == 1, wide == 1, &near, &far_ages);
+            let (dp, representative, u, far) =
+                depth_state(law, procs, mtbf_hours * 3_600.0, x_max, endgame == 1, work_frac, &ages);
+            prop_assert_eq!(far, !far_ages.is_empty(), "far ages, and only they, build a fit");
+            let checkpoint = dp.spec.checkpoint;
+            solve_at_ceiling(dp.dist.as_ref(), &representative, x_max, u, checkpoint, None);
+            SOLVE_SCRATCH.with(|cell| {
+                let scratch = cell.borrow();
+                let shape = Triangle::new(x_max);
+                for d in [32, 64] {
+                    let ecol = &scratch.egrid[shape.col_start(d)..shape.col_start(d + 1)];
+                    let values = &scratch.value[v_start(x_max, d)..v_start(x_max, d + 1)];
+                    let mut bound = vec![f64::NAN; values.len()];
+                    continuation_bound(ecol, u, &mut bound);
+                    for (j, (&v, &b)) in values.iter().zip(&bound).enumerate() {
+                        prop_assert!(v <= b, "D = {d}, j = {j}: V = {v} above B = {b}");
+                    }
+                }
+            });
+        }
+
+        /// A solve grown from any first depth returns the ceiling solve's
+        /// plan bit for bit, with rows inline or cached, over the draws of
+        /// the bound test on windows of 40–256 quanta. First depths of
+        /// 1–8 make deep plans grow several times; the small-shape draws
+        /// include plans that flush at the cap (pinned by
+        /// `small_k_jaguar_plans_reach_the_chunk_cap`). The depth the
+        /// solve reports certified the plan: it holds the plan's chunks,
+        /// bar the flush.
+        #[test]
+        fn grown_solve_matches_the_ceiling_solve_bit_for_bit(
+            law in 0usize..6,
+            one_age in 0u8..2,
+            wide in 0u8..2,
+            mtbf_hours in 1.0..240.0f64,
+            x_max in 40usize..=256,
+            endgame in 0u8..2,
+            work_frac in 0.01..0.99f64,
+            near in proptest::collection::vec(0.0..1.5f64, 1..4),
+            far_ages in proptest::collection::vec(2.5..40.0f64, 0..3),
+            first in 1usize..=9,
+        ) {
+            let (ages, procs) = depth_groups(one_age == 1, wide == 1, &near, &far_ages);
+            let (dp, representative, u, _) =
+                depth_state(law, procs, mtbf_hours * 3_600.0, x_max, endgame == 1, work_frac, &ages);
+            let (dist, checkpoint) = (dp.dist.as_ref(), dp.spec.checkpoint);
+            let oracle = solve_at_ceiling(dist, &representative, x_max, u, checkpoint, None);
+            // Draw 9 stands for the production start depth.
+            let first = if first == 9 { start_depth(x_max) } else { first };
+            let row = |i: usize| compute_row(dist, representative[i].0, x_max, u, checkpoint);
+            for rows in [None, Some(&row as &dyn Fn(usize) -> Arc<[f64]>)] {
+                let mut depth = first;
+                let grown = solve_with_rows(dist, &representative, x_max, u, checkpoint, rows, &mut depth);
+                prop_assert_eq!(bits(&grown), bits(&oracle));
+                let n_cap = x_max.min(value_chunk_cap(x_max));
+                prop_assert!(depth >= first.min(n_cap) && depth <= n_cap);
+                prop_assert!(grown.len() <= depth || (depth == n_cap && grown.len() == n_cap + 1));
             }
         }
     }

@@ -50,7 +50,13 @@
 #      per-unit store and of lower_bound_makespan on cached traces, and
 #      the peta-weibull digests are the only pin on multi-unit Weibull
 #      traces (and so on the Weibull first-draw screen of trace
-#      generation) at Petascale widths. The untraced seq-weibull run
+#      generation) at Petascale widths. The seq-weibull and
+#      peta-weibull digests also pin DPNextFailure's shallow-start DP
+#      (a solve certified at a shallow depth, or grown in place to the
+#      ceiling, must give the ceiling's plan bit for bit): seq-weibull
+#      on the one-age endgame path, whose plans certify at the start
+#      depth, and peta-weibull on the multi-age path, whose solves read
+#      cached kernel rows as prefixes and grow. The untraced seq-weibull run
 #      must peak at no more than 14 MB of RSS (metrics.peak_rss_mb):
 #      above the trace floor its memory is the DP working-set layer,
 #      sized to the cells the solvers read (one column-packed
