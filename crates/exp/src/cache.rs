@@ -15,8 +15,8 @@
 //!   events of the widened set, and replaces the entry.
 //!
 //! So the Exascale cells at 2^16, 2^18 and 2^20 processors sample each
-//! unit once, and a repeat `run_scenario` on the same traces generates
-//! nothing. A study releases a `(label, horizon, start)` stream once no
+//! unit once, and a later cell of the study on the same traces
+//! generates nothing. A study releases a `(label, horizon, start)` stream once no
 //! cell of it that reads the stream has a pending item.
 
 use crate::scenario::{BuiltDist, Scenario};

@@ -4,7 +4,7 @@
 //! A study decomposes into typed [`WorkItem`]s (cell × policy ×
 //! trace-block, plus lower-bound, candidate and refine items), numbered
 //! densely in cell order, drains them in id order through the crate's
-//! one wave loop ([`crate::exec::run_waves`]), then commits each cell
+//! one wave loop (`exec::run_waves`), then commits each cell
 //! with the one fold ([`crate::reduce::commit`]). [`run_in_memory`]
 //! does only that; [`run_study`] attaches the checkpoint store, which
 //! adds:
@@ -12,7 +12,7 @@
 //! * a **manifest** — the study's identity, written once per study:
 //!   a header (version, study id, lane width, trace block, golden
 //!   hash), one identity row per cell (scenario label, stem,
-//!   [`DistId`](ckpt_policies::DistId), roster, runner options, grid
+//!   [`DistId`], roster, runner options, grid
 //!   and search shape) and the item *count*. The items themselves are
 //!   rebuilt from the [`StudyDef`] and never written; the content
 //!   **fingerprint** hashes the identity document and then every
@@ -32,7 +32,7 @@
 //!   implicit: pending = items − snapshot. A snapshot whose payloads
 //!   do not fit their items is skipped like a corrupt one;
 //! * **shorter waves**: the loop also ends a wave every
-//!   [`CHUNK_ITEMS`](crate::exec::CHUNK_ITEMS) items, so a checkpoint, a
+//!   `exec::CHUNK_ITEMS` items, so a checkpoint, a
 //!   kill or a progress line can land between any two of them.
 //!
 //! A cell whose distribution cannot be built gets no work items: it
@@ -42,7 +42,7 @@
 //! in item-ID order — regardless of the order items completed in,
 //! before or after any number of kills — so a SIGKILL'd-and-resumed
 //! study writes aggregates byte-identical to an uninterrupted run, to
-//! [`run_in_memory`] and to `run_scenario`, at any worker count
+//! [`run_in_memory`] and to [`crate::exec::execute`], at any worker count
 //! (`tests/study_resume.rs` and `tests/entry_points.rs` pin this).
 //!
 //! Nothing in this module ever stores a wall-clock timestamp: the clock
@@ -1080,7 +1080,7 @@ pub struct StudySummary {
     /// Checkpoint files on disk.
     pub checkpoints: usize,
     /// Aggregate files on disk (`aggregate/*.json`; a `*.json.tmp` left
-    /// by a kill inside [`write_atomic`] is not an aggregate).
+    /// by a kill inside `write_atomic` is not an aggregate).
     pub aggregates: usize,
     /// The manifest's item count (0 when unreadable).
     pub items: u64,
@@ -1132,7 +1132,7 @@ fn files_with_extension(dir: &Path, ext: &str) -> Vec<PathBuf> {
 }
 
 /// Garbage-collect the store: prune every study to `max_checkpoints`
-/// snapshots and delete the `*.tmp` files a kill inside [`write_atomic`]
+/// snapshots and delete the `*.tmp` files a kill inside `write_atomic`
 /// left in its directory or `aggregate/`; `purge` removes one study
 /// directory entirely. Run it on stores no process is writing. Returns a
 /// human-readable action log.

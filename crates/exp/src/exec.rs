@@ -2,22 +2,22 @@
 //! [`WorkItem`]s through one cell context, one item body and one wave
 //! loop.
 //!
-//! * [`CellCtx`] holds what a cell's items need — plan, built
+//! * `CellCtx` holds what a cell's items need — plan, built
 //!   distribution, [`JobSpec`], the `OptExp` base of the `PeriodLB`
 //!   search, the roster (built once per cell per process) and the
 //!   cell's traces, fetched from the shared [`TraceCache`] in one wave
 //!   before its first pending item runs.
-//! * [`CellCtx::run_item`] runs one item and returns its
+//! * `CellCtx::run_item` runs one item and returns its
 //!   [`ItemPayload`]; it is the only code in the crate that simulates.
-//! * [`run_waves`] cuts the pending items into waves ([`waves`]) and
+//! * `run_waves` cuts the pending items into waves (`waves`) and
 //!   drains each through [`steal::run_wave`] (DP policy items claimed
 //!   first), recording the payloads under their item ids, so the output
 //!   is bit-identical at any worker count. A study's traces and DP memos
 //!   are freed after their last pending reader.
 //!
 //! Both study entries ([`crate::checkpoint`]) drain their manifest
-//! through [`run_waves`]; [`execute`] is the same loop over one cell,
-//! then the fold ([`crate::reduce::fold`]). A policy that cannot be
+//! through `run_waves`; [`execute`] is the same loop over one cell,
+//! then the fold (`reduce::fold`). A policy that cannot be
 //! built for the cell (Liu's footnote-2 cases) is a value — an unbuilt
 //! payload, then an [`Error`] in [`ExecOutput::policy_build`] — never a
 //! panic; a cell whose distribution cannot be built has no items.
@@ -126,7 +126,7 @@ impl<'a> CellCtx<'a> {
         let (traces, _) = steal::run_wave(&indices, steal::workers(), |_| false, |_, &i| {
             cache.get_or_generate(scenario, built, i)
         });
-        perf.push_stage("trace_gen", t_stage, plan.traces as u64);
+        perf.push_stage("trace_gen", t_stage);
 
         let spec = scenario.job_spec();
         self.ready = Some(Ready {
@@ -290,7 +290,7 @@ fn drain(
     );
     completed.extend(wave.iter().map(|i| i.id).zip(payloads));
     let refine = wave.iter().any(|i| i.kind == ItemKind::Refine);
-    perf.push_stage(if refine { "period_search" } else { "policy_sims" }, t_stage, wave.len() as u64);
+    perf.push_stage(if refine { "period_search" } else { "policy_sims" }, t_stage);
 }
 
 /// The crate's one wave loop: drain `pending` (the items of `cells` not
@@ -354,7 +354,7 @@ fn release_unread(cells: &[CellCtx<'_>], left: &[usize], dists: &[Option<DistId>
     }
 }
 
-/// Execute one cell in memory: [`run_waves`] over its plan's items with
+/// Execute one cell in memory: `run_waves` over its plan's items with
 /// no store attached, then the fold. The roster, lower-bound and coarse
 /// items form one wave (the `policy_sims` stage); the refine item, which
 /// depends on the coarse columns, is the second (the `period_search`
@@ -368,14 +368,10 @@ pub fn execute(
 ) -> ExecOutput {
     let items = sim_plan.items(0, 0);
     let mut cells = [CellCtx::new(scenario, sim_plan, Some(built), &items)];
-    // The shared plan/kernel-row caches are snapshotted around the loop
-    // so the perf report attributes exactly this run's hits/misses.
-    let caches_before = DpCaches::global().stats();
     let mut completed = BTreeMap::new();
     if let Err(e) = run_waves(&mut cells, &items, &mut completed, None, false, perf) {
         unreachable!("a run without a store has nothing to fail: {e}");
     }
-    perf.plan_cache = DpCaches::global().stats().delta_since(&caches_before).into();
     match crate::reduce::fold(sim_plan, &items, &completed, perf) {
         Ok(out) => out,
         Err(e) => unreachable!("every item ran in this process, so its payload fits: {e}"),
@@ -519,6 +515,24 @@ mod tests {
         assert_eq!(perf_seq.candidate_sims, perf_par.candidate_sims);
         assert_eq!(perf_seq.decisions, perf_par.decisions);
         assert_eq!(perf_seq.failures, perf_par.failures);
+    }
+
+    /// `execute` drains without releasing: the cell's trace streams
+    /// stay in the shared cache after each call, for a later one.
+    #[test]
+    fn execute_leaves_the_cells_traces_cached() {
+        let mut sc = tiny();
+        sc.label = "execute-keeps-traces-cell".into();
+        let opts = RunnerOptions { period_lb: None, lower_bound: false, ..Default::default() };
+        let sim_plan = plan_scenario(&sc, &[PolicyKind::Young], &opts);
+        let built = sc.dist.build();
+        let cache = TraceCache::global();
+        for _ in 0..2 {
+            execute(&sc, &built, &sim_plan, &mut PipelinePerf::default());
+            assert_eq!(cache.streams_of(&sc.label), sc.traces, "one stream per trace");
+        }
+        cache.release(&StreamKey::of(&sc));
+        assert_eq!(cache.streams_of(&sc.label), 0);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! `Scenario → SimPlan → WorkItems → payloads → ExecOutput →
 //! ScenarioResult`. A study drains every cell's work items through the
 //! one wave loop and folds them the same way whether it runs in memory
-//! ([`run_in_memory`]) or with the checkpoint store attached
-//! ([`run_study`]); a single cell ([`run_scenario`]) is the same loop
-//! over one cell:
+//! ([`Study::run_all`], or [`run_in_memory`] for cells that carry their
+//! own rosters) or with the checkpoint store attached ([`run_study`]);
+//! one cell is a one-cell study:
 //!
 //! * [`scenario`] — a fully-specified experimental cell (failure model,
 //!   platform size, job/overhead models, trace count) and its trace
@@ -24,8 +24,7 @@
 //!   task-ID order so output is bit-identical at any worker count;
 //! * [`reduce`] — the fold from item payloads to executor output, and
 //!   pure aggregation into the §4.1 *average makespan degradation* rows;
-//! * [`runner`] — [`run_scenario`] / [`run_scenario_checked`] wiring the
-//!   layers together, plus the user-facing option/result types;
+//! * [`runner`] — the user-facing option and result types;
 //! * [`registry`] — the single `PolicyKind → Box<dyn Policy>`
 //!   construction site (runner, CLI and benches all build here);
 //! * [`policies_spec`] — declarative policy lists instantiated per
@@ -91,9 +90,6 @@ pub use perf::PipelinePerf;
 pub use plan::{plan_scenario, SimPlan, SimTask};
 pub use policies_spec::PolicyKind;
 pub use registry::{build_policy, parse_kind};
-pub use runner::{
-    run_scenario, run_scenario_checked, PolicyOutcome, RunnerOptions,
-    ScenarioResult,
-};
+pub use runner::{PolicyOutcome, RunnerOptions, ScenarioResult};
 pub use scenario::{DistSpec, Scenario};
 pub use study::Study;

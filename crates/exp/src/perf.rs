@@ -1,5 +1,5 @@
 //! Lightweight pipeline instrumentation: per-stage wall-clock and
-//! decision/event counters for the scenario runner, and the crate's one
+//! decision/event counters of a cell's run, and the crate's one
 //! telemetry clock.
 //!
 //! The counters are plain `u64`s accumulated single-threadedly per trace
@@ -26,57 +26,18 @@ pub fn clock_seconds() -> f64 {
     ORIGIN.get_or_init(Instant::now).elapsed().as_secs_f64()
 }
 
-/// Wall-clock and volume of one pipeline stage.
+/// Wall-clock of one pipeline stage.
 #[derive(Debug, Clone)]
 pub struct StagePerf {
     /// Stage name (`trace_gen`, `policy_sims`, `period_search`, `aggregate`).
     pub name: String,
     /// Wall-clock seconds spent in the stage.
     pub seconds: f64,
-    /// Stage-specific volume: traces generated, work items drained, rows
-    /// aggregated.
-    pub items: u64,
 }
 
-/// Flow counters of one shared DP cache layer attributed to a run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CachePerf {
-    /// Lookups served from the cache during the run.
-    pub hits: u64,
-    /// Lookups that had to compute during the run.
-    pub misses: u64,
-    /// Entries dropped by bounded eviction during the run.
-    pub evictions: u64,
-    /// Entries resident when the run finished (a level, not a flow).
-    pub entries: u64,
-}
-
-impl From<ckpt_policies::CacheStats> for CachePerf {
-    fn from(s: ckpt_policies::CacheStats) -> Self {
-        Self { hits: s.hits, misses: s.misses, evictions: s.evictions, entries: s.entries }
-    }
-}
-
-/// Shared DP plan/kernel-row cache activity attributed to one run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PlanCachePerf {
-    /// Whole-plan layer (`PlanKey` → chunk schedule).
-    pub plans: CachePerf,
-    /// Per-age log-survival row layer (`KernelRowKey` → triangle row).
-    pub kernel_rows: CachePerf,
-}
-
-impl From<ckpt_policies::DpCacheStats> for PlanCachePerf {
-    fn from(s: ckpt_policies::DpCacheStats) -> Self {
-        Self { plans: s.plans.into(), kernel_rows: s.kernel_rows.into() }
-    }
-}
-
-/// Instrumentation for one `run_scenario` call.
+/// Work counters and stage timers of one cell's run.
 #[derive(Debug, Clone, Default)]
 pub struct PipelinePerf {
-    /// End-to-end seconds for the scenario.
-    pub total_seconds: f64,
     /// Per-stage breakdown, in execution order.
     pub stages: Vec<StagePerf>,
     /// Simulations run for the policy roster.
@@ -90,20 +51,12 @@ pub struct PipelinePerf {
     pub decisions: u64,
     /// Failures struck across all simulations.
     pub failures: u64,
-    /// Shared DP cache counters accumulated over the item drain (the
-    /// executor snapshots the global caches around it).
-    pub plan_cache: PlanCachePerf,
 }
 
 impl PipelinePerf {
-    /// Record a stage that began at `started` ([`clock_seconds`]) and
-    /// processed `items`.
-    pub fn push_stage(&mut self, name: &str, started: f64, items: u64) {
-        self.stages.push(StagePerf {
-            name: name.to_string(),
-            seconds: clock_seconds() - started,
-            items,
-        });
+    /// Record a stage that began at `started` ([`clock_seconds`]).
+    pub fn push_stage(&mut self, name: &str, started: f64) {
+        self.stages.push(StagePerf { name: name.to_string(), seconds: clock_seconds() - started });
     }
 
     /// Seconds spent in a named stage (0 when absent).
@@ -133,9 +86,9 @@ mod tests {
     fn stage_seconds_sums_by_name() {
         let mut p = PipelinePerf::default();
         let t = clock_seconds();
-        p.push_stage("a", t, 1);
-        p.push_stage("a", t, 1);
-        p.push_stage("b", t, 1);
+        p.push_stage("a", t);
+        p.push_stage("a", t);
+        p.push_stage("b", t);
         assert!(p.stage_seconds("a") >= 0.0);
         assert_eq!(p.stage_seconds("missing"), 0.0);
         assert_eq!(p.stages.len(), 3);
@@ -155,17 +108,16 @@ mod tests {
     #[test]
     fn push_stage_measures_from_the_given_start_and_keeps_order() {
         let mut p = PipelinePerf::default();
-        p.push_stage("trace_gen", clock_seconds() - 0.5, 7);
-        p.push_stage("aggregate", clock_seconds(), 3);
+        p.push_stage("trace_gen", clock_seconds() - 0.5);
+        p.push_stage("aggregate", clock_seconds());
         let names: Vec<&str> = p.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["trace_gen", "aggregate"]);
         assert!(p.stages[0].seconds >= 0.5, "{}", p.stages[0].seconds);
-        assert_eq!((p.stages[0].items, p.stages[1].items), (7, 3));
     }
 
     #[test]
     fn stage_seconds_adds_every_stage_of_the_name() {
-        let stage = |name: &str, seconds: f64| StagePerf { name: name.into(), seconds, items: 1 };
+        let stage = |name: &str, seconds: f64| StagePerf { name: name.into(), seconds };
         let p = PipelinePerf {
             stages: vec![stage("policy_sims", 0.25), stage("aggregate", 4.0), stage("policy_sims", 0.5)],
             ..PipelinePerf::default()
@@ -173,16 +125,5 @@ mod tests {
         assert_eq!(p.stage_seconds("policy_sims"), 0.75);
         assert_eq!(p.stage_seconds("aggregate"), 4.0);
         assert_eq!(p.stage_seconds("Policy_sims"), 0.0, "names match exactly");
-    }
-
-    #[test]
-    fn cache_perf_carries_each_layer_and_counter_over() {
-        use ckpt_policies::{CacheStats, DpCacheStats};
-        let plans = CacheStats { hits: 1, misses: 2, evictions: 3, entries: 4 };
-        let kernel_rows = CacheStats { hits: 5, misses: 6, evictions: 7, entries: 8 };
-        let p = PlanCachePerf::from(DpCacheStats { plans, kernel_rows });
-        let flat = |c: CachePerf| (c.hits, c.misses, c.evictions, c.entries);
-        assert_eq!(flat(p.plans), (1, 2, 3, 4));
-        assert_eq!(flat(p.kernel_rows), (5, 6, 7, 8));
     }
 }

@@ -1,5 +1,5 @@
 //! Live study progress: total/completed/in-flight item counts per
-//! [`WorkItem`](crate::checkpoint::WorkItem) kind, derived from the
+//! [`WorkItem`] kind, derived from the
 //! study's items plus the commit layer, with rates and ETA read through the
 //! crate's one telemetry clock ([`crate::perf::clock_seconds`]).
 //!
@@ -186,7 +186,7 @@ impl StudyProgress {
     }
 
     /// Print one stderr progress line, rate-limited to one per
-    /// [`CONSOLE_PERIOD_SECONDS`] unless `force`. No-op when console
+    /// `CONSOLE_PERIOD_SECONDS` unless `force`. No-op when console
     /// output was not requested.
     pub fn console_tick(&mut self, force: bool) {
         if !self.console {

@@ -1,10 +1,10 @@
 //! Reduction layer: fold item payloads into executor output, and that
 //! into a [`ScenarioResult`].
 //!
-//! [`fold`] is the only route from results to an [`ExecOutput`]: it
+//! `fold` is the only route from results to an [`ExecOutput`]: it
 //! restores one cell's [`ItemPayload`]s in item-ID order into the
 //! per-policy cells, lower bounds and `PeriodLB` columns, plus the work
-//! counters on [`PipelinePerf`]. [`CellFold::search_winner`] picks the search
+//! counters on [`PipelinePerf`]. `CellFold::search_winner` picks the search
 //! winner — column means summed in trace order, then [`plan::winner`] —
 //! for the refine item's incumbent and for the final result alike.
 //! [`crate::exec::execute`] is items → wave loop → fold; [`commit`] (a
@@ -55,7 +55,7 @@ fn degradation_row(
 }
 
 /// Aggregate executor output into the scenario's result rows. Pushes
-/// the `aggregate` perf stage; the caller stamps `total_seconds`.
+/// the `aggregate` perf stage; the caller moves `perf` into the result.
 pub fn reduce(
     scenario: &Scenario,
     sim_plan: &SimPlan,
@@ -136,7 +136,7 @@ pub fn reduce(
             Err(e) => outcomes.push(PolicyOutcome::absent(name, e.to_string())),
         }
     }
-    perf.push_stage("aggregate", t_stage, outcomes.len() as u64);
+    perf.push_stage("aggregate", t_stage);
 
     ScenarioResult {
         label: scenario.label.clone(),
@@ -298,7 +298,7 @@ pub(crate) fn fold(
     Ok(acc.into_output(perf))
 }
 
-/// Commit one cell of a checkpointed study: [`fold`] its persisted
+/// Commit one cell of a checkpointed study: `fold` its persisted
 /// payloads, then [`reduce`]. The result serialises byte-identically to
 /// an in-memory run of the same cell, which folds the same way.
 ///
@@ -396,6 +396,35 @@ mod tests {
             r.outcomes[1].error.as_deref(),
             Some("Liu requires a Weibull (or Exponential) fit")
         );
+    }
+
+    /// A committed result carries the work counters its fold read off
+    /// the payloads, and the `aggregate` stage; the wave loop's stage
+    /// timers stay with the loop.
+    #[test]
+    fn commit_moves_the_fold_counters_into_the_result() {
+        let sc = Scenario::single_processor(DistSpec::Exponential { mtbf: 6.0 * 3_600.0 }, 2);
+        let sim_plan = plan_scenario(
+            &sc,
+            &[crate::policies_spec::PolicyKind::Young],
+            &RunnerOptions { period_lb: None, lower_bound: false, ..RunnerOptions::default() },
+        );
+        let items = sim_plan.items(0, 0);
+        let st = TraceStatsBits {
+            makespan: 2.0f64.to_bits(),
+            failures: 3,
+            decisions: 5,
+            chunk_min: 0,
+            chunk_max: 0,
+        };
+        let payload =
+            ItemPayload::Policy { built: true, reason: String::new(), stats: vec![st; 2] };
+        let completed = BTreeMap::from([(items[0].id, payload)]);
+        let r = commit(&sc, &sim_plan, &items, &completed).expect("the payload fits");
+        let names: Vec<&str> = r.perf.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["aggregate"]);
+        let p = &r.perf;
+        assert_eq!((p.policy_sims, p.candidate_sims, p.decisions, p.failures), (2, 0, 10, 6));
     }
 
     #[test]

@@ -1,23 +1,13 @@
-//! Scenario runner: the thin orchestrator of the plan → execute →
-//! reduce pipeline.
-//!
-//! [`run_scenario_checked`] is three calls:
-//!
-//! 1. [`crate::plan::plan_scenario`] — pure `Scenario → SimPlan`
-//!    (which sims run, on which traces);
-//! 2. [`crate::exec::execute`] — the plan's work items drained through
-//!    the crate's one wave loop against cached traces, with no store
-//!    attached, then folded, with policy-build failures as values;
-//! 3. [`crate::reduce::reduce`] — fold into the §4.1 degradation rows.
-//!
-//! This module keeps the user-facing types: [`RunnerOptions`],
-//! [`PolicyOutcome`], [`ScenarioResult`], and the period factor grids
-//! (re-exported from [`crate::plan`]).
+//! The user-facing types of a scenario run: [`RunnerOptions`] in,
+//! [`ScenarioResult`] of [`PolicyOutcome`] rows out, and the period
+//! factor grids (re-exported from [`crate::plan`]). A cell runs through
+//! the study loop: [`Study::run_all`](crate::Study::run_all), or
+//! [`run_in_memory`](crate::run_in_memory) and
+//! [`run_study`](crate::run_study) for cells that carry their own
+//! rosters.
 
 use crate::error::Error;
-use crate::perf::{clock_seconds, PipelinePerf};
-use crate::policies_spec::PolicyKind;
-use crate::scenario::Scenario;
+use crate::perf::PipelinePerf;
 use ckpt_sim::SimOptions;
 
 pub use crate::plan::{default_period_grid, paper_period_grid};
@@ -105,7 +95,9 @@ pub struct ScenarioResult {
     pub outcomes: Vec<PolicyOutcome>,
     /// The `PeriodLB` winning factor (over the OptExp period), if searched.
     pub period_lb_factor: Option<f64>,
-    /// Pipeline instrumentation for this call.
+    /// Work counters folded from the cell's payloads, and the stages
+    /// timed on the way (`aggregate`; [`crate::exec::execute`] adds its
+    /// own).
     pub perf: PipelinePerf,
 }
 
@@ -128,58 +120,13 @@ impl ScenarioResult {
     }
 }
 
-/// Run `kinds` (plus optional LowerBound / PeriodLB) on a scenario.
-///
-/// Degradation from best (§4.1): for each trace `i`,
-/// `v(i,j) = res(i,j) / min_{j' ≠ LowerBound} res(i,j')`, averaged over
-/// traces. `PeriodLB` participates in the minimum; `LowerBound` does not.
-/// Traces where *no* policy produced a makespan are excluded from the
-/// averages; if that leaves nothing, each row reports an error instead
-/// of panicking.
-///
-/// # Panics
-/// When the scenario itself is malformed (its distribution cannot be
-/// built) — use [`run_scenario_checked`] to handle that as a value.
-/// Per-policy failures never panic; they become error rows.
-pub fn run_scenario(
-    scenario: &Scenario,
-    kinds: &[PolicyKind],
-    options: &RunnerOptions,
-) -> ScenarioResult {
-    match run_scenario_checked(scenario, kinds, options) {
-        Ok(r) => r,
-        Err(e) => panic!("scenario {}: {e}", scenario.label),
-    }
-}
-
-/// [`run_scenario`] with scenario-level failures as values.
-///
-/// # Errors
-/// Anything that prevents the cell from running at all — a distribution
-/// that cannot be built ([`Error::Dist`], [`Error::Trace`]). Per-policy
-/// failures are *not* errors; they surface as rows with
-/// [`PolicyOutcome::error`] set.
-pub fn run_scenario_checked(
-    scenario: &Scenario,
-    kinds: &[PolicyKind],
-    options: &RunnerOptions,
-) -> Result<ScenarioResult, Error> {
-    let t_total = clock_seconds();
-    let mut perf = PipelinePerf::default();
-    let built = scenario.dist.try_build()?;
-    let sim_plan = crate::plan::plan_scenario(scenario, kinds, options);
-    let out = crate::exec::execute(scenario, &built, &sim_plan, &mut perf);
-    let mut result = crate::reduce::reduce(scenario, &sim_plan, &out, &mut perf);
-    perf.total_seconds = clock_seconds() - t_total;
-    result.perf = perf;
-    Ok(result)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::scenario::DistSpec;
+    use crate::policies_spec::PolicyKind;
+    use crate::scenario::{DistSpec, Scenario};
+    use crate::study::Study;
 
     fn tiny_scenario() -> Scenario {
         // Small, fast cell: sequential job, hour-scale MTBF.
@@ -199,11 +146,17 @@ mod tests {
         }
     }
 
+    /// One well-formed cell through the study loop.
+    fn run(sc: &Scenario, kinds: &[PolicyKind], options: &RunnerOptions) -> ScenarioResult {
+        let study = Study::new().with_kinds(kinds).with_options(options.clone());
+        study.run_all(std::slice::from_ref(sc)).remove(0).expect("well-formed cell")
+    }
+
     #[test]
     fn degradation_structure() {
         let sc = tiny_scenario();
         let kinds = [PolicyKind::Young, PolicyKind::OptExp];
-        let r = run_scenario(&sc, &kinds, &fast_options());
+        let r = run(&sc, &kinds, &fast_options());
         assert_eq!(r.traces, 12);
         // LowerBound + PeriodLB + 2 heuristics.
         assert_eq!(r.outcomes.len(), 4);
@@ -216,22 +169,32 @@ mod tests {
         }
     }
 
+    /// `Study::run_all` is the checked form: a cell that cannot run is
+    /// its `Err` beside the others' `Ok`, and an `Ok` is the result the
+    /// plan → execute → reduce pipeline gives the cell, counters too.
     #[test]
     fn checked_form_returns_ok_and_matches() {
         let sc = tiny_scenario();
-        let kinds = [PolicyKind::Young];
-        let a = run_scenario(&sc, &kinds, &fast_options());
-        let b = run_scenario_checked(&sc, &kinds, &fast_options()).expect("well-formed cell");
-        assert_eq!(
-            a.get("Young").expect("row").mean_makespan,
-            b.get("Young").expect("row").mean_makespan
-        );
+        let (kinds, options) = ([PolicyKind::Young], fast_options());
+        let mut bad = sc.clone();
+        bad.dist = DistSpec::LanlLog { cluster: 99 };
+        let study = Study::new().with_kinds(kinds.clone()).with_options(options.clone());
+        let results = study.run_all(&[bad, sc.clone()]);
+        assert!(matches!(results[0], Err(Error::Cell { .. })), "{:?}", results[0]);
+        let checked = results[1].as_ref().expect("well-formed cell");
+
+        let plan = crate::plan::plan_scenario(&sc, &kinds, &options);
+        let mut perf = PipelinePerf::default();
+        let out = crate::exec::execute(&sc, &sc.dist.build(), &plan, &mut perf);
+        let mut piped = crate::reduce::reduce(&sc, &plan, &out, &mut perf);
+        piped.perf = perf;
+        assert_eq!(crate::golden::golden_json(checked), crate::golden::golden_json(&piped));
     }
 
     #[test]
     fn get_is_case_insensitive_and_lookup_names_rows() {
         let sc = tiny_scenario();
-        let r = run_scenario(&sc, &[PolicyKind::Young], &fast_options());
+        let r = run(&sc, &[PolicyKind::Young], &fast_options());
         assert!(r.get("young").is_some());
         assert!(r.get("PERIODLB").is_some());
         assert_eq!(
@@ -250,7 +213,7 @@ mod tests {
         let sc = tiny_scenario();
         // Grid contains factor 1.0 = OptExp itself, so PeriodLB's mean
         // makespan can never exceed OptExp's.
-        let r = run_scenario(&sc, &[PolicyKind::OptExp], &fast_options());
+        let r = run(&sc, &[PolicyKind::OptExp], &fast_options());
         let plb = r.get("PeriodLB").expect("row").mean_makespan.expect("ran");
         let opt = r.get("OptExp").expect("row").mean_makespan.expect("ran");
         assert!(plb <= opt + 1e-6, "PeriodLB {plb} > OptExp {opt}");
@@ -259,7 +222,7 @@ mod tests {
     #[test]
     fn period_lb_row_reports_winning_factor() {
         let sc = tiny_scenario();
-        let r = run_scenario(&sc, &[PolicyKind::OptExp], &fast_options());
+        let r = run(&sc, &[PolicyKind::OptExp], &fast_options());
         let row_factor = r.get("PeriodLB").expect("row").period_factor;
         assert_eq!(row_factor, r.period_lb_factor);
         let f = row_factor.expect("searched");
@@ -276,7 +239,7 @@ mod tests {
             3,
         );
         sc.label = "tiny-weibull".into();
-        let r = run_scenario(
+        let r = run(
             &sc,
             &[PolicyKind::Liu, PolicyKind::Young],
             &RunnerOptions { period_lb: None, ..fast_options() },
@@ -299,7 +262,7 @@ mod tests {
             2,
         );
         sc.label = "all-fail-weibull".into();
-        let r = run_scenario(&sc, &[PolicyKind::Liu], &RunnerOptions {
+        let r = run(&sc, &[PolicyKind::Liu], &RunnerOptions {
             period_lb: None,
             ..fast_options()
         });
@@ -314,8 +277,8 @@ mod tests {
     fn results_are_deterministic() {
         let sc = tiny_scenario();
         let kinds = [PolicyKind::Young];
-        let a = run_scenario(&sc, &kinds, &fast_options());
-        let b = run_scenario(&sc, &kinds, &fast_options());
+        let a = run(&sc, &kinds, &fast_options());
+        let b = run(&sc, &kinds, &fast_options());
         assert_eq!(
             a.get("Young").expect("row").mean_makespan,
             b.get("Young").expect("row").mean_makespan
@@ -331,7 +294,7 @@ mod tests {
         let sc = tiny_scenario();
         let kinds = [PolicyKind::Young, PolicyKind::OptExp];
         let run_with = |threads: usize| {
-            crate::steal::tests::at_workers(threads, || run_scenario(&sc, &kinds, &fast_options()))
+            crate::steal::tests::at_workers(threads, || run(&sc, &kinds, &fast_options()))
         };
         let one = run_with(1);
         let many = run_with(4);
@@ -350,7 +313,7 @@ mod tests {
         // The exhaustive oracle: every factor of the grid as a roster row
         // (the same scaled OptExp a candidate simulates), best mean wins.
         let rows: Vec<PolicyKind> = grid.iter().map(|&f| PolicyKind::OptExpScaled(f)).collect();
-        let full = run_scenario(&sc, &rows, &RunnerOptions {
+        let full = run(&sc, &rows, &RunnerOptions {
             lower_bound: false,
             period_lb: None,
             sim: SimOptions::default(),
@@ -362,7 +325,7 @@ mod tests {
             .iter()
             .map(|o| o.mean_makespan.expect("ran"))
             .fold(f64::INFINITY, f64::min);
-        let coarse = run_scenario(&sc, &[], &RunnerOptions {
+        let coarse = run(&sc, &[], &RunnerOptions {
             lower_bound: false,
             period_lb: Some(grid.clone()),
             sim: SimOptions::default(),
@@ -379,18 +342,22 @@ mod tests {
         );
     }
 
+    /// The plan → execute → reduce path times its stages and counts the
+    /// simulations it ran.
     #[test]
     fn perf_counters_are_populated() {
         let sc = tiny_scenario();
-        let r = run_scenario(&sc, &[PolicyKind::Young], &fast_options());
-        assert!(r.perf.total_seconds > 0.0);
-        let names: Vec<&str> = r.perf.stages.iter().map(|s| s.name.as_str()).collect();
+        let plan = crate::plan::plan_scenario(&sc, &[PolicyKind::Young], &fast_options());
+        let mut perf = PipelinePerf::default();
+        let out = crate::exec::execute(&sc, &sc.dist.build(), &plan, &mut perf);
+        crate::reduce::reduce(&sc, &plan, &out, &mut perf);
+        let names: Vec<&str> = perf.stages.iter().map(|s| s.name.as_str()).collect();
         // A 3-factor grid is searched exhaustively: no refine item, so no
         // `period_search` wave.
         assert_eq!(names, ["trace_gen", "policy_sims", "aggregate"]);
-        assert_eq!(r.perf.policy_sims, sc.traces as u64);
-        assert_eq!(r.perf.candidate_sims, (3 * sc.traces) as u64);
-        assert_eq!(r.perf.candidate_grid_size, 3);
-        assert!(r.perf.decisions > 0);
+        assert_eq!(perf.policy_sims, sc.traces as u64);
+        assert_eq!(perf.candidate_sims, (3 * sc.traces) as u64);
+        assert_eq!(perf.candidate_grid_size, 3);
+        assert!(perf.decisions > 0);
     }
 }

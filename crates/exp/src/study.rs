@@ -1,17 +1,18 @@
 //! Batch experiment API: run many scenarios with one roster and one set
 //! of options.
 //!
-//! A [`Study`] is the declarative front door to the plan → execute →
-//! reduce pipeline: configure the roster and runner options once, then
-//! [`Study::run`] one cell or [`Study::run_all`] a batch. Scenario-level
-//! failures come back as values (`Result` per cell), so one malformed
-//! cell cannot abort a sweep; per-policy failures stay inside each
-//! [`ScenarioResult`] as error rows, exactly as in
-//! [`run_scenario`](crate::runner::run_scenario).
+//! A [`Study`] is the in-memory front door to the study loop: configure
+//! the roster and runner options once, then [`Study::run_all`] a batch
+//! of one or more cells. Scenario-level failures come back as values
+//! (`Result` per cell), so one malformed cell cannot abort a sweep;
+//! per-policy failures stay inside each [`ScenarioResult`] as error
+//! rows. [`Study::to_def`] lowers the same batch for
+//! [`run_study`](crate::checkpoint::run_study), which runs it with the
+//! checkpoint store attached.
 //!
 //! **Where the parallelism lives.** [`Study::run_all`] is
 //! [`run_in_memory`]: every cell's work items, in cell order, through
-//! the crate's one wave loop ([`crate::exec::run_waves`]). A wave ends
+//! the crate's one wave loop (`exec::run_waves`). A wave ends
 //! at each cell boundary and at each refine item, and fans its items out
 //! over the shared-cursor executor ([`crate::steal`]); a cell's waves
 //! already saturate the worker pool, so waves never span cells. Results
@@ -41,13 +42,12 @@
 use crate::checkpoint::{run_in_memory, StudyDef};
 use crate::error::Error;
 use crate::policies_spec::PolicyKind;
-use crate::runner::{run_scenario_checked, RunnerOptions, ScenarioResult};
+use crate::runner::{RunnerOptions, ScenarioResult};
 use crate::scenario::{DistSpec, Scenario};
 
-/// A configured batch of scenario runs. The default study mirrors the
-/// root crate's `quick::degradation_table`: the paper's §4.1 roster, with
-/// `DPMakespan` included only where its makespan table is exact
-/// (sequential jobs or Exponential failures).
+/// A configured batch of scenario runs. The default study runs the
+/// paper's §4.1 roster, with `DPMakespan` included only where its
+/// makespan table is exact (sequential jobs or Exponential failures).
 #[derive(Debug, Clone, Default)]
 pub struct Study {
     kinds: Option<Vec<PolicyKind>>,
@@ -86,15 +86,6 @@ impl Study {
                 PolicyKind::paper_roster(include_dp_makespan)
             }
         }
-    }
-
-    /// Run one scenario.
-    ///
-    /// # Errors
-    /// Scenario-level failures only (a distribution that cannot be
-    /// built); per-policy failures surface as error rows in the result.
-    pub fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, Error> {
-        run_scenario_checked(scenario, &self.roster_for(scenario), &self.options)
     }
 
     /// Run every scenario through [`run_in_memory`], one result per cell
@@ -165,13 +156,15 @@ mod tests {
         let study = Study::new()
             .with_kinds([PolicyKind::Young])
             .with_options(fast_options());
-        let cells = [tiny(6.0 * 3_600.0)];
+        let cells = [tiny(6.0 * 3_600.0), tiny(12.0 * 3_600.0)];
         let batch = study.run_all(&cells);
-        let single = study.run(&cells[0]).expect("runs");
-        assert_eq!(
-            batch[0].as_ref().expect("runs").get("Young").unwrap().mean_makespan,
-            single.get("Young").unwrap().mean_makespan
-        );
+        for (batched, cell) in batch.iter().zip(&cells) {
+            let single = study.run_all(std::slice::from_ref(cell)).remove(0).expect("runs");
+            assert_eq!(
+                crate::golden::golden_json(batched.as_ref().expect("runs")),
+                crate::golden::golden_json(&single)
+            );
+        }
     }
 
     #[test]
@@ -228,6 +221,25 @@ mod tests {
             "{err:?}"
         );
         assert!(err.to_string().starts_with("cell study-bad-cell: "), "{err}");
+    }
+
+    #[test]
+    fn with_kinds_replaces_the_default_roster_on_every_cell() {
+        let study = Study::new()
+            .with_kinds([PolicyKind::OptExp, PolicyKind::Young])
+            .with_options(fast_options());
+        let year = 365.25 * 86_400.0;
+        let peta = Scenario::petascale(
+            DistSpec::Weibull { shape: 0.7, mtbf: 125.0 * year },
+            1 << 10,
+            2,
+        );
+        for sc in [tiny(6.0 * 3_600.0), peta] {
+            assert_eq!(study.roster_for(&sc), [PolicyKind::OptExp, PolicyKind::Young]);
+        }
+        let r = study.run_all(&[tiny(6.0 * 3_600.0)]).remove(0).expect("runs");
+        let names: Vec<&str> = r.outcomes.iter().map(|o| o.name.as_str()).collect();
+        assert_eq!(names, ["LowerBound", "PeriodLB", "OptExp", "Young"]);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! One engine, one study loop, three entry points: a cell run alone
-//! through `run_scenario`, the same cells run as a study through
-//! `run_in_memory`, and through `run_study` with a checkpoint store,
-//! must serialise to byte-identical golden JSON — and the store's
-//! aggregate file must hold those same bytes — at 1 and 2 executor
-//! workers.
+//! One engine, one study loop, four ways in: each cell alone as a
+//! one-cell `Study::run_all`, the cells together as one `run_in_memory`
+//! study, the same study through `run_study` with a checkpoint store,
+//! and the plan → `exec::execute` → `reduce::reduce` pipeline that
+//! perfbench's `pipeline` mode times. All four must serialise to
+//! byte-identical golden JSON — and the store's aggregate file must
+//! hold those same bytes — at 1 and 2 executor workers.
 //!
 //! The cells cover the paths a divergence would hide in: the
 //! age-dependent DPMakespan golden cell, and a coarse-to-fine
@@ -17,9 +18,9 @@ use ckpt_exp::checkpoint::{
     run_in_memory, run_study, CheckpointConfig, ItemKind, StudyCell, StudyDef, StudyOutcome,
 };
 use ckpt_exp::golden::{golden_cells, golden_json};
-use ckpt_exp::runner::run_scenario;
+use ckpt_exp::perf::PipelinePerf;
 use ckpt_exp::steal::set_workers;
-use ckpt_exp::{plan_scenario, DistSpec, PolicyKind, RunnerOptions, Scenario};
+use ckpt_exp::{plan_scenario, DistSpec, PolicyKind, RunnerOptions, Scenario, Study};
 use ckpt_workload::YEAR;
 use std::sync::Mutex;
 
@@ -39,15 +40,32 @@ fn cells() -> Vec<(Scenario, Vec<PolicyKind>, RunnerOptions)> {
     vec![aged, (liu_gap, vec![PolicyKind::Liu, PolicyKind::Young], RunnerOptions::default())]
 }
 
+/// One cell through plan → execute → reduce, with no study around it.
+fn pipeline(sc: &Scenario, kinds: &[PolicyKind], options: &RunnerOptions) -> String {
+    let built = sc.dist.try_build().expect("the cell's distribution builds");
+    let plan = plan_scenario(sc, kinds, options);
+    let mut perf = PipelinePerf::default();
+    let out = ckpt_exp::exec::execute(sc, &built, &plan, &mut perf);
+    let mut result = ckpt_exp::reduce::reduce(sc, &plan, &out, &mut perf);
+    // The work counters are serialised too; the caller moves them in.
+    result.perf = perf;
+    golden_json(&result)
+}
+
 fn check_entry_points_agree(workers: usize) {
     let _serial = WORKER_TESTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     set_workers(workers);
     let cells = cells();
-    let in_memory: Vec<String> = cells
+    let alone: Vec<String> = cells
         .iter()
-        .map(|(sc, kinds, options)| golden_json(&run_scenario(sc, kinds, options)))
+        .map(|(sc, kinds, options)| {
+            let study = Study::new().with_kinds(kinds.clone()).with_options(options.clone());
+            golden_json(&study.run_all(std::slice::from_ref(sc)).remove(0).expect("cell runs"))
+        })
         .collect();
-    assert!(in_memory[1].contains("Liu"), "the Liu row is reported as a gap");
+    assert!(alone[1].contains("Liu"), "the Liu row is reported as a gap");
+    let piped: Vec<String> =
+        cells.iter().map(|(sc, kinds, options)| pipeline(sc, kinds, options)).collect();
 
     let root = std::env::temp_dir()
         .join(format!("ckpt-entry-points-{}-{workers}", std::process::id()));
@@ -66,18 +84,22 @@ fn check_entry_points_agree(workers: usize) {
     };
     set_workers(0);
 
-    for ((((stem, result), store_less), cell), expected) in
-        report.results.iter().zip(&store_less).zip(&def.cells).zip(&in_memory)
+    for (((((stem, result), store_less), cell), expected), piped) in
+        report.results.iter().zip(&store_less).zip(&def.cells).zip(&alone).zip(&piped)
     {
         let via_study = golden_json(result.as_ref().expect("cell commits"));
         assert_eq!(
             &via_study, expected,
-            "run_study diverged from run_scenario on {stem} at {workers} workers"
+            "run_study diverged from a one-cell Study::run_all on {stem} at {workers} workers"
         );
         let via_memory = golden_json(store_less.as_ref().expect("cell commits"));
         assert_eq!(
             &via_memory, expected,
-            "run_in_memory diverged from run_scenario on {stem} at {workers} workers"
+            "run_in_memory diverged from a one-cell Study::run_all on {stem} at {workers} workers"
+        );
+        assert_eq!(
+            piped, expected,
+            "execute → reduce diverged from a one-cell Study::run_all on {stem} at {workers} workers"
         );
         let on_disk = std::fs::read_to_string(
             root.join("entry/aggregate").join(format!("{}.json", cell.stem)),
@@ -89,11 +111,11 @@ fn check_entry_points_agree(workers: usize) {
 }
 
 #[test]
-fn run_scenario_and_run_study_agree_single_threaded() {
+fn studies_and_execute_reduce_serialise_alike_single_threaded() {
     check_entry_points_agree(1);
 }
 
 #[test]
-fn run_scenario_and_run_study_agree_two_workers() {
+fn studies_and_execute_reduce_serialise_alike_two_workers() {
     check_entry_points_agree(2);
 }

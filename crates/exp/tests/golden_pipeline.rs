@@ -18,8 +18,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ckpt_exp::golden::{golden_cells, golden_json};
-use ckpt_exp::runner::run_scenario;
 use ckpt_exp::steal::set_workers;
+use ckpt_exp::{run_in_memory, StudyDef};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -40,12 +40,21 @@ fn check_all_cells_at(workers: usize) {
     set_workers(0);
 }
 
+/// The golden cells carry their own rosters and options, so they run as
+/// one in-memory study.
 fn check_all_cells() {
-    for (stem, scenario, kinds, options) in golden_cells() {
+    let cells = golden_cells();
+    let def = StudyDef::new(
+        "golden",
+        cells.iter().map(|(_, scenario, kinds, options)| {
+            (scenario.clone(), kinds.clone(), options.clone())
+        }),
+    );
+    for ((stem, ..), result) in cells.iter().zip(run_in_memory(&def)) {
         let path = golden_dir().join(format!("{stem}.json"));
         let expected = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        let actual = golden_json(&run_scenario(&scenario, &kinds, &options));
+        let actual = golden_json(&result.expect("golden cells are well-formed"));
         assert_eq!(
             actual, expected,
             "pipeline output diverged from {} at {} workers — bit-identity broken",

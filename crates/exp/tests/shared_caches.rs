@@ -1,15 +1,14 @@
-//! What the process-wide caches buy, read off each run's
-//! `perf.plan_cache` deltas: the first run of a cell misses its DP plans
-//! and generates its traces; a repeat run of the same cell replays the
-//! same lookups, so it misses nothing, generates nothing, and commits
-//! the same bytes. A sequential cell's one-age solves never build a
-//! kernel row, nor does a parallel Exponential cell, whose memoryless
-//! states are one-age too; a parallel Weibull cell's multi-age solves
-//! do, and read them back.
+//! What the process-wide caches buy, read as perfbench reads them: the
+//! `DpCaches::global().stats().delta_since(..)` traffic around a run.
+//! The first copy of a cell in a study misses its DP plans; a second
+//! copy of the same cell replays the same lookups, so it misses
+//! nothing and commits the same bytes. A sequential cell's one-age
+//! solves never build a kernel row, nor does a parallel Exponential
+//! cell, whose memoryless states are one-age too; a parallel Weibull
+//! cell's multi-age solves do, and read them back.
 //!
-//! A study is different: it cannot be repeated mid-run, so once no
-//! cell of it that reads a trace stream has a pending item, the stream
-//! is released.
+//! Once no cell of a study that reads a trace stream or a
+//! distribution's plans has a pending item, they are released.
 //!
 //! Both caches (`DpCaches::global`, `TraceCache::global`) are
 //! process-global, so a run's delta also counts any concurrent run's
@@ -18,13 +17,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ckpt_exp::golden::golden_json;
-use ckpt_exp::runner::{run_scenario, RunnerOptions};
-use ckpt_exp::{run_in_memory, DistSpec, PolicyKind, Scenario, StudyDef, TraceCache};
-use ckpt_policies::DpCaches;
+use ckpt_exp::{run_in_memory, DistSpec, PolicyKind, RunnerOptions, Scenario, Study, StudyDef};
+use ckpt_exp::TraceCache;
+use ckpt_policies::{DpCacheStats, DpCaches};
 use ckpt_sim::SimOptions;
 use ckpt_workload::YEAR;
 use std::sync::Mutex;
-
 static CACHE_TESTS: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -53,24 +51,38 @@ fn kinds() -> [PolicyKind; 2] {
     [PolicyKind::DpNextFailure(Default::default()), PolicyKind::OptExp]
 }
 
+/// The shared DP caches' traffic while `run` runs.
+fn traffic<R>(run: impl FnOnce() -> R) -> (DpCacheStats, R) {
+    let before = DpCaches::global().stats();
+    let out = run();
+    (DpCaches::global().stats().delta_since(&before), out)
+}
+
+/// `cells` through a study of the DP roster, each result unwrapped.
+fn run_dp(cells: &[Scenario], options: RunnerOptions) -> Vec<ckpt_exp::ScenarioResult> {
+    let study = Study::new().with_kinds(kinds()).with_options(options);
+    study.run_all(cells).into_iter().map(|r| r.expect("cell runs")).collect()
+}
+
+/// A study that holds a cell twice solves each of its plans once: the
+/// second copy finds every plan the first solved, so the study misses
+/// no more than a study of the cell alone, and both copies commit the
+/// same bytes.
 #[test]
 fn repeat_run_of_a_cell_is_served_by_the_shared_caches() {
     let _serial = lock();
     let sc = dp_cell("repeat-cell", 23_417.0, 4);
 
-    let cold = run_scenario(&sc, &kinds(), &fast_options());
-    assert!(cold.perf.plan_cache.plans.misses > 0, "a cold cell must solve its DP plans");
-
-    let traces_before = TraceCache::global().streams_of("repeat-cell");
-    let warm = run_scenario(&sc, &kinds(), &fast_options());
-    let plans = warm.perf.plan_cache.plans;
-    assert!(plans.hits > 0, "the repeat run looks its plans up");
-    assert_eq!(plans.misses, 0, "the repeat run must find every plan in the shared cache");
-    assert_eq!(warm.perf.plan_cache.kernel_rows.misses, 0, "no DP solve, so no row build");
-    assert_eq!(traces_before, 4, "run_scenario keeps its streams cached");
-    assert_eq!(TraceCache::global().streams_of("repeat-cell"), 4, "the repeat run generates no trace");
+    let (once, alone) = traffic(|| run_dp(std::slice::from_ref(&sc), fast_options()));
+    assert!(once.plans.misses > 0, "a cold cell must solve its DP plans");
+    let (twice, copies) = traffic(|| run_dp(&[sc.clone(), sc.clone()], fast_options()));
+    assert_eq!(twice.plans.misses, once.plans.misses, "the second copy solves no plan");
+    assert!(twice.plans.hits > once.plans.hits, "the second copy looks its plans up");
+    assert_eq!(twice.kernel_rows.misses, 0, "no DP solve builds a row");
+    assert_eq!(TraceCache::global().streams_of("repeat-cell"), 0, "the study released its stream");
     // Caches serve a pure function of their key: same bytes.
-    assert_eq!(golden_json(&cold), golden_json(&warm));
+    assert_eq!(golden_json(&copies[0]), golden_json(&alone[0]));
+    assert_eq!(golden_json(&copies[1]), golden_json(&alone[0]));
 }
 
 /// A sequential cell plans over one processor age, so every DP solve is
@@ -80,50 +92,26 @@ fn repeat_run_of_a_cell_is_served_by_the_shared_caches() {
 fn cold_sequential_cell_builds_no_kernel_row() {
     let _serial = lock();
     let sc = dp_cell("one-age-cell", 41_113.0, 3);
-    let cold = run_scenario(&sc, &kinds(), &fast_options()).perf.plan_cache;
+    let (cold, _) = traffic(|| run_dp(&[sc], fast_options()));
     assert!(cold.plans.misses > 0, "a cold cell must solve its DP plans");
     assert_eq!(cold.kernel_rows.misses, 0, "a one-age solve builds no cached row");
     assert_eq!(cold.kernel_rows.hits, 0, "a one-age solve reads no cached row");
 }
 
-/// `perf.plan_cache` is the run's own traffic, not the process total:
-/// a second cell run after a first reports exactly the lookups it makes
-/// again when repeated, with another cell's run in between.
-#[test]
-fn plan_cache_perf_is_a_per_run_delta() {
-    let _serial = lock();
-    let first = dp_cell("delta-first-cell", 29_311.0, 3);
-    let second = dp_cell("delta-second-cell", 31_873.0, 3);
-
-    let a = run_scenario(&first, &kinds(), &fast_options()).perf.plan_cache.plans;
-    assert!(a.hits + a.misses > 0, "the first cell makes plan lookups");
-    let b_cold = run_scenario(&second, &kinds(), &fast_options()).perf.plan_cache.plans;
-    run_scenario(&first, &kinds(), &fast_options());
-    let b_warm = run_scenario(&second, &kinds(), &fast_options()).perf.plan_cache.plans;
-
-    assert!(b_cold.misses > 0, "the second cell starts cold");
-    assert_eq!(b_warm.misses, 0);
-    assert_eq!(
-        b_cold.hits + b_cold.misses,
-        b_warm.hits + b_warm.misses,
-        "each run of the second cell counts only its own lookups"
-    );
-}
-
-/// The caches change what a run computes, never what it simulates: a
-/// warm repeat runs the same simulations over the same decisions and
-/// failures as the cold run.
+/// The caches change what a run computes, never what it simulates: the
+/// warm second copy of a cell runs the same simulations over the same
+/// decisions and failures as the cold first copy.
 #[test]
 fn warm_run_simulates_exactly_what_the_cold_run_did() {
     let _serial = lock();
     let sc = dp_cell("counters-cell", 37_591.0, 3);
-    let cold = run_scenario(&sc, &kinds(), &fast_options()).perf;
-    let warm = run_scenario(&sc, &kinds(), &fast_options()).perf;
+    let copies = run_dp(&[sc.clone(), sc], fast_options());
     let counters = |p: &ckpt_exp::PipelinePerf| {
         (p.policy_sims, p.candidate_sims, p.candidate_grid_size, p.decisions, p.failures)
     };
+    let (cold, warm) = (&copies[0].perf, &copies[1].perf);
     assert!(cold.decisions > 0 && cold.policy_sims > 0, "the cell simulates something");
-    assert_eq!(counters(&cold), counters(&warm));
+    assert_eq!(counters(cold), counters(warm));
 }
 
 /// Which parallel cells use the kernel-row layer is a property of the
@@ -137,9 +125,12 @@ fn only_age_dependent_parallel_cells_use_kernel_rows() {
     let dp_only = [PolicyKind::DpNextFailure(Default::default())];
     let options = RunnerOptions { lower_bound: false, period_lb: None, ..fast_options() };
 
+    let study = Study::new().with_kinds(dp_only).with_options(options);
+    let run = |sc: Scenario| traffic(|| study.run_all(&[sc]).remove(0).expect("cell runs")).0;
+
     let mut exp = Scenario::exascale(DistSpec::Exponential { mtbf: 1_171.0 * YEAR }, 1 << 16, 2);
     exp.label = "rows-exa-exp-cell".into();
-    let exp = run_scenario(&exp, &dp_only, &options).perf.plan_cache;
+    let exp = run(exp);
     assert!(exp.plans.misses > 0, "the Exponential cell solves its DP plans");
     assert!(exp.plans.hits > 0, "a memoryless state's plan recurs");
     let rows = exp.kernel_rows;
@@ -148,7 +139,7 @@ fn only_age_dependent_parallel_cells_use_kernel_rows() {
     let weibull = DistSpec::Weibull { shape: 0.7, mtbf: 119.0 * YEAR };
     let mut peta = Scenario::petascale(weibull, 1 << 12, 2);
     peta.label = "rows-peta-weibull-cell".into();
-    let rows = run_scenario(&peta, &dp_only, &options).perf.plan_cache.kernel_rows;
+    let rows = run(peta).kernel_rows;
     assert!(rows.misses > 0, "a Weibull multi-age solve builds kernel rows");
     assert!(rows.hits > 0, "later Weibull solves read the rows back");
 }

@@ -21,11 +21,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ckpt_exp::checkpoint::{
-    build_manifest, checkpoint_json, parse_checkpoint, run_study, CheckpointConfig, ItemPayload,
-    StudyDef, StudyOutcome,
+    build_manifest, checkpoint_json, parse_checkpoint, run_in_memory, run_study,
+    CheckpointConfig, ItemPayload, StudyDef, StudyOutcome,
 };
 use ckpt_exp::golden::golden_json;
-use ckpt_exp::runner::run_scenario;
 use ckpt_exp::{DistSpec, Error, PolicyKind, RunnerOptions, Scenario, TraceCache};
 use ckpt_sim::SimOptions;
 use ckpt_exp::steal::set_workers;
@@ -318,7 +317,7 @@ fn out_of_range_refine_candidate_falls_back_to_the_previous_snapshot() {
 /// An unbuildable cell (LANL cluster 99 is not modelled) next to the
 /// coarse-to-fine cell: no items for it in the manifest, a labelled
 /// `Error::Cell` and no aggregate file from the commit, and the good
-/// cell's aggregate byte-identical to `run_scenario` — uninterrupted
+/// cell's aggregate byte-identical to the cell run alone — uninterrupted
 /// and across a stop and a resume.
 #[test]
 fn unbuildable_cell_commits_its_build_error_and_spares_its_neighbour() {
@@ -334,10 +333,11 @@ fn unbuildable_cell_commits_its_build_error_and_spares_its_neighbour() {
         let d = def("stems");
         (d.cells[0].stem.clone(), d.cells[1].stem.clone())
     };
-    let expected = golden_json(&run_scenario(&good.0, &good.1, &good.2));
+    let alone_def = StudyDef::new("alone", [good.clone()]);
+    let expected = golden_json(&run_in_memory(&alone_def).remove(0).expect("the good cell runs"));
 
     let total = build_manifest(&def("clean"), &config(&root)).items;
-    let alone = build_manifest(&StudyDef::new("alone", [good.clone()]), &config(&root)).items;
+    let alone = build_manifest(&alone_def, &config(&root)).items;
     assert!(total > 0);
     assert_eq!(total, alone, "the unbuildable cell has no items");
 
@@ -352,7 +352,7 @@ fn unbuildable_cell_commits_its_build_error_and_spares_its_neighbour() {
         let agg = root.join(id).join("aggregate");
         assert!(!agg.join(format!("{bad_stem}.json")).exists(), "no aggregate for a failed cell");
         let bytes = std::fs::read_to_string(agg.join(format!("{good_stem}.json"))).expect("read");
-        assert_eq!(bytes, expected, "the good cell's aggregate diverged from run_scenario");
+        assert_eq!(bytes, expected, "the good cell's aggregate diverged from the cell run alone");
     };
 
     at_workers(2, || {

@@ -206,7 +206,7 @@ pub fn exp4(x: F64x4) -> F64x4 {
 
 /// `dst[i] = exp(src[i] − shift)` — the log→linear grid conversion of
 /// the DP solver, with the numerically load-bearing offset applied in
-/// the same pass. Vector body + scalar tail share [`exp_core`], so the
+/// the same pass. Vector body + scalar tail share `exp_core`, so the
 /// result is independent of where the 4-lane boundary falls.
 pub fn exp_shifted(src: &[f64], shift: f64, dst: &mut [f64]) {
     assert_eq!(src.len(), dst.len(), "exp_shifted: length mismatch");

@@ -116,17 +116,6 @@ impl AgeView {
     pub fn psuc(&self, dist: &dyn ckpt_dist::FailureDistribution, x: f64) -> f64 {
         self.log_psuc(dist, x).exp()
     }
-
-    /// Advance every age by `dt` (time passing with no failures).
-    #[must_use]
-    pub fn advanced(&self, dt: f64) -> Self {
-        assert!(dt >= 0.0);
-        Self {
-            failed: self.failed.iter().map(|&(a, n)| (a + dt, n)).collect(),
-            pristine_procs: self.pristine_procs,
-            pristine_age: self.pristine_age + dt,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -180,13 +169,6 @@ mod tests {
         let young = AgeView::all_pristine(100, 1.0);
         let old = AgeView::all_pristine(100, 100_000.0);
         assert!(old.psuc(&d, 50.0) > young.psuc(&d, 50.0));
-    }
-
-    #[test]
-    fn advanced_shifts_all_ages() {
-        let v = AgeView::new(vec![(1.0, 1)], 2, 10.0).advanced(5.0);
-        assert_eq!(v.failed_ages(), &[(6.0, 1)]);
-        assert_eq!(v.pristine(), (2, 15.0));
     }
 
     #[test]

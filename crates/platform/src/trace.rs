@@ -52,20 +52,6 @@ fn sample_dates(dist: &dyn FailureDistribution, horizon: f64, seed: u64, out: &m
     }
 }
 
-impl FailureTrace {
-    /// Date of the last failure strictly before `t`, if any.
-    pub fn last_failure_before(&self, t: f64) -> Option<f64> {
-        let idx = self.failures.partition_point(|&f| f < t);
-        idx.checked_sub(1).map(|i| self.failures[i])
-    }
-
-    /// Date of the first failure at or after `t`, if any.
-    pub fn next_failure_at_or_after(&self, t: f64) -> Option<f64> {
-        let idx = self.failures.partition_point(|&f| f < t);
-        self.failures.get(idx).copied()
-    }
-}
-
 /// One unit's failure dates, borrowed from a [`UnitTraces`] store.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitTrace<'a> {
@@ -458,16 +444,6 @@ mod tests {
         let n: usize = set.units.iter().map(|u| u.failures.len()).sum();
         let avg = n as f64 / 200.0;
         assert!((avg - 100.0).abs() < 3.0, "avg failures {avg}");
-    }
-
-    #[test]
-    fn lookup_helpers() {
-        let tr = FailureTrace { failures: vec![10.0, 20.0, 30.0] };
-        assert_eq!(tr.last_failure_before(5.0), None);
-        assert_eq!(tr.last_failure_before(25.0), Some(20.0));
-        assert_eq!(tr.last_failure_before(30.0), Some(20.0));
-        assert_eq!(tr.next_failure_at_or_after(30.0), Some(30.0));
-        assert_eq!(tr.next_failure_at_or_after(30.1), None);
     }
 
     #[test]

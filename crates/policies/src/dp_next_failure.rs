@@ -193,7 +193,7 @@ impl DpNextFailure {
     /// Public so the solver can be unit-tested and benchmarked directly.
     ///
     /// The plan is computed from the *quantised* state (ages mapped onto a
-    /// geometric bucket grid, [`quantise_age`]), a pure function of its
+    /// geometric bucket grid, `quantise_age`), a pure function of its
     /// [`PlanKey`], so any execution order — and any other policy instance
     /// with the same distribution identity — reproduces the identical
     /// plan for the same key. Every state is looked up in the shared
@@ -202,16 +202,18 @@ impl DpNextFailure {
     /// off:
     ///
     /// * a **one-age** state (at most one bucket) memoises its plan and
-    ///   solves inline. Its plan key fixes its only kernel-row key, so the
-    ///   plan layer always answers before a cached row could be read.
-    ///   Every state of a [memoryless](FailureDistribution::is_memoryless)
-    ///   law is one-age by construction (see [`plan_key`](Self::plan_key)),
-    ///   so its plans recur across decisions and traces.
+    ///   solves inline. Its first lookup claims the key, so workers that
+    ///   reach the state together solve it once. Its plan key fixes its
+    ///   only kernel-row key, so the plan layer always answers before a
+    ///   cached row could be read. Every state of a
+    ///   [memoryless](FailureDistribution::is_memoryless) law is one-age
+    ///   by construction (see `plan_key`), so its plans recur across
+    ///   decisions and traces.
     /// * a **multi-age** state memoises no plan: whole multi-age states
     ///   practically never recur, while their per-bucket rows do, across
     ///   states and traces. It reads and fills the shared kernel rows.
     ///
-    /// Both paths build each row through [`log_survival_chunks`] (the
+    /// Both paths build each row through `log_survival_chunks` (the
     /// law's `log_survival_batch`), so the choice never changes a plan's
     /// bits.
     /// The returned `Arc` slice is shared with the cache: consuming a
@@ -226,15 +228,14 @@ impl DpNextFailure {
     /// changes the solve's cost, never its plan.
     fn plan_from(&self, remaining: f64, ages: &AgeView, depth: &mut usize) -> Arc<[f64]> {
         let key = self.plan_key(remaining, ages);
-        if let Some(hit) = self.caches.plans.get(&key) {
-            return hit;
+        if key.buckets.len() > 1 {
+            // A multi-age plan is never memoised: its lookup is a miss,
+            // counted as the solve that follows.
+            let _never_memoised = self.caches.plans.get(&key);
+            return self.solve_key(&key, true, depth);
         }
-        let one_age = key.buckets.len() <= 1;
-        let chunks = self.solve_key(&key, !one_age, depth);
-        if one_age {
-            self.caches.plans.insert(key, chunks.clone());
-        }
-        chunks
+        let slot = self.caches.plans.get_or_claim(&key);
+        slot.get_or_init(|| self.solve_key(&key, false, depth)).clone()
     }
 
     /// The quantised planning state of [`plan`](Self::plan). The exact
@@ -1388,6 +1389,37 @@ mod tests {
         let again = dp.plan(spec.work, &ages);
         assert!(Arc::ptr_eq(&first, &again), "the repeat is served from the plan layer");
         assert_eq!(caches.stats().plans.hits, 1);
+    }
+
+    /// A multi-age state is never memoised, so two workers that reach
+    /// it together each solve it, and each solve counts its miss; both
+    /// get the same plan bits.
+    #[test]
+    fn racing_sessions_each_solve_a_multi_age_state() {
+        let spec = JobSpec::table1_petascale(45_208);
+        let caches = DpCaches::private();
+        let dp = DpNextFailure::with_caches(
+            &spec,
+            Box::new(Weibull::from_mtbf(0.7, 125.0 * YEAR)),
+            125.0 * YEAR,
+            small_config(40),
+            caches.clone(),
+        );
+        let ages = AgeView::new(vec![(600.0, 1), (50_000.0, 2)], 45_205, YEAR);
+        let start = std::sync::Barrier::new(2);
+        let race = || {
+            start.wait();
+            dp.plan(spec.work, &ages)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(race);
+            let mine = race();
+            (mine, other.join().expect("racing session"))
+        });
+        let s = caches.stats().plans;
+        assert_eq!((s.misses, s.hits, s.entries), (2, 0, 0), "one counted solve per session");
+        let bits = |p: &[f64]| p.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! | [`young`] | periodic | Young 1974 first-order approximation |
 //! | [`daly_low`] | periodic | Daly 2004 lower-order estimate |
 //! | [`daly_high`] | periodic | Daly 2004 higher-order estimate |
-//! | [`OptExp`](optexp::OptExp) | periodic | **Theorem 1 / Proposition 5** (optimal for Exponential) |
-//! | [`Bouguerra`](bouguerra::Bouguerra) | periodic | Bouguerra et al. 2010 (all-rejuvenation assumption) |
-//! | [`Liu`](liu::Liu) | non-periodic | Liu et al. 2008 hazard-frequency placement |
-//! | [`DpMakespan`](dp_makespan::DpMakespan) | dynamic | **Algorithm 1** (quantised optimal Makespan) |
-//! | [`DpNextFailure`](dp_next_failure::DpNextFailure) | dynamic | **Algorithm 2 + §3.3** (maximise work before next failure) |
+//! | [`OptExp`] | periodic | **Theorem 1 / Proposition 5** (optimal for Exponential) |
+//! | [`Bouguerra`] | periodic | Bouguerra et al. 2010 (all-rejuvenation assumption) |
+//! | [`Liu`] | non-periodic | Liu et al. 2008 hazard-frequency placement |
+//! | [`DpMakespan`] | dynamic | **Algorithm 1** (quantised optimal Makespan) |
+//! | [`DpNextFailure`] | dynamic | **Algorithm 2 + §3.3** (maximise work before next failure) |
 //!
 //! The omniscient `LowerBound` and the searched `PeriodLB` are not policies
 //! in this sense — they need the whole failure trace — and live in
@@ -32,7 +32,7 @@ pub use bouguerra::Bouguerra;
 pub use daly::{daly_high, daly_low, young};
 pub use dp_makespan::{DpMakespan, DpMakespanConfig};
 pub use dp_next_failure::{DpNextFailure, DpNextFailureConfig};
-pub use plan_cache::{CacheStats, DistId, DpCacheStats, DpCaches, ShardedCache};
+pub use plan_cache::{CacheStats, DistId, DpCacheStats, DpCaches, PlanSlot, ShardedCache};
 pub use liu::Liu;
 pub use optexp::OptExp;
 pub use periodic::FixedPeriod;

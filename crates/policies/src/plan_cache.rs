@@ -19,7 +19,7 @@
 //!   plus contiguous multiply-adds.
 //!
 //! Distribution identity comes from
-//! [`FailureDistribution::fingerprint`](ckpt_dist::FailureDistribution::fingerprint):
+//! [`FailureDistribution::fingerprint`]:
 //! value-identical distributions share cache entries across instances,
 //! while unfingerprintable families fall back to a per-instance id —
 //! still cached, never shared, never wrong.
@@ -39,9 +39,14 @@
 //! still looks its plan up, so the plan layer's miss count is the DP
 //! solve count.
 //!
+//! The first lookup of an absent one-age plan claims its key
+//! ([`ShardedCache::get_or_claim`]): it alone counts a miss and solves,
+//! and a lookup that races it waits for the plan, so concurrent workers
+//! never solve one state twice.
+//!
 //! Both caches use FIFO eviction with per-shard caps (replacing the old
 //! silent `len() < 100_000` insert drop) and export hit/miss/eviction
-//! counters that the experiment pipeline surfaces in its perf summary.
+//! counters; perfbench reads them as the delta around a run.
 //! A study drops a distribution's entries ([`DpCaches::release`]) once
 //! none of its cells with a pending item plans on that distribution.
 
@@ -220,8 +225,38 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 
     /// Insert, evicting the shard's oldest entries beyond its cap.
     pub fn insert(&self, key: K, value: V) {
-        let shard_lock = self.shard_of(&key);
+        let mut shard = self.shard_of(&key).write().unwrap_or_else(PoisonError::into_inner);
+        self.admit(&mut shard, key, value);
+    }
+
+    /// The value under `key`, or a fresh `V::default()` inserted there
+    /// by this call, the key's claimant. Only the claimant counts a
+    /// miss, so lookups racing on one absent key count one miss and
+    /// share one value.
+    pub fn get_or_claim(&self, key: &K) -> V
+    where
+        V: Default,
+    {
+        let shard_lock = self.shard_of(key);
+        let found = shard_lock.read().unwrap_or_else(PoisonError::into_inner).map.get(key).cloned();
+        if let Some(v) = found {
+            self.hits.fetch_add(1, Relaxed);
+            return v;
+        }
         let mut shard = shard_lock.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(v) = shard.map.get(key) {
+            self.hits.fetch_add(1, Relaxed);
+            return v.clone();
+        }
+        self.misses.fetch_add(1, Relaxed);
+        let v = V::default();
+        self.admit(&mut shard, key.clone(), v.clone());
+        v
+    }
+
+    /// Insert into a locked shard, evicting its oldest entries beyond
+    /// the cap.
+    fn admit(&self, shard: &mut Shard<K, V>, key: K, value: V) {
         if shard.map.insert(key.clone(), value).is_none() {
             shard.order.push_back(key);
             while shard.map.len() > self.cap_per_shard {
@@ -299,13 +334,19 @@ const PLAN_SHARD_CAP: usize = 4096;
 /// `exa-exp-study`'s 91.9 MB peak, fill none.
 const ROW_SHARD_CAP: usize = 64;
 
+/// One memoised chunk schedule: claimed empty by the first lookup of
+/// its key ([`ShardedCache::get_or_claim`]), filled by one solve, and
+/// waited on by every lookup that races it, so a state is solved once
+/// however many workers reach it together.
+pub type PlanSlot = Arc<OnceLock<Arc<[f64]>>>;
+
 /// The two shared memo layers of the DP planners. Cheap to clone (both
-/// layers are `Arc`ed); policies hold a clone, the pipeline snapshots
-/// [`stats`](DpCaches::stats) around its stages.
+/// layers are `Arc`ed); policies hold a clone, and a run's cache traffic
+/// is the [`stats`](DpCaches::stats) delta around it.
 #[derive(Debug, Clone)]
 pub struct DpCaches {
     /// Memoised chunk schedules.
-    pub plans: Arc<ShardedCache<PlanKey, Arc<[f64]>>>,
+    pub plans: Arc<ShardedCache<PlanKey, PlanSlot>>,
     /// Memoised log-survival triangle rows.
     pub kernel_rows: Arc<ShardedCache<KernelRowKey, Arc<[f64]>>>,
 }
@@ -432,6 +473,31 @@ mod tests {
     }
 
     #[test]
+    fn get_or_claim_counts_a_miss_only_for_the_claimant() {
+        let c: ShardedCache<u64, Arc<OnceLock<u64>>> = ShardedCache::new(2, 8);
+        let claimed = c.get_or_claim(&3);
+        let waiter = c.get_or_claim(&3);
+        assert!(Arc::ptr_eq(&claimed, &waiter), "one slot per key");
+        assert_eq!(*waiter.get_or_init(|| 30), 30);
+        assert_eq!(claimed.get(), Some(&30), "the claimant sees the fill");
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn an_evicted_slot_is_claimed_afresh() {
+        let c: ShardedCache<u64, Arc<OnceLock<u64>>> = ShardedCache::new(1, 1);
+        let first = c.get_or_claim(&1);
+        assert_eq!(*first.get_or_init(|| 10), 10);
+        c.get_or_claim(&2);
+        let again = c.get_or_claim(&1);
+        assert!(!Arc::ptr_eq(&first, &again), "the evicted slot is not handed out");
+        assert_eq!(again.get(), None, "the new claimant fills its own slot");
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions, s.entries), (0, 3, 2, 1));
+    }
+
+    #[test]
     fn stats_delta_subtracts_flows_keeps_levels() {
         let c: ShardedCache<u64, u64> = ShardedCache::new(2, 8);
         c.insert(1, 1);
@@ -461,7 +527,7 @@ mod tests {
     #[test]
     fn dp_stats_delta_applies_to_each_layer() {
         let caches = DpCaches::private();
-        caches.plans.insert(plan_key(1), Arc::from(vec![1.0]));
+        caches.plans.insert(plan_key(1), PlanSlot::default());
         let before = caches.stats();
         let _ = caches.plans.get(&plan_key(1));
         let _ = caches.plans.get(&plan_key(2));
@@ -476,8 +542,8 @@ mod tests {
     fn private_caches_share_nothing() {
         let a = DpCaches::private();
         let b = DpCaches::private();
-        a.plans.insert(plan_key(1), Arc::from(vec![1.0]));
-        assert_eq!(b.plans.get(&plan_key(1)), None);
+        a.plans.insert(plan_key(1), PlanSlot::default());
+        assert!(b.plans.get(&plan_key(1)).is_none());
         assert_eq!(a.stats().plans, CacheStats { hits: 0, misses: 0, evictions: 0, entries: 1 });
         assert_eq!(b.stats().plans, CacheStats { hits: 0, misses: 1, evictions: 0, entries: 0 });
         assert!(b.kernel_rows.is_empty());

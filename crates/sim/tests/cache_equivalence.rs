@@ -10,16 +10,17 @@
 //! Weibull scenarios through both configurations (and through a warm
 //! shared cache a second time) and compares the full stats structs.
 
-use ckpt_dist::Weibull;
+use ckpt_dist::{FailureDistribution, Weibull};
 use ckpt_math::SeedSequence;
-use ckpt_platform::{Topology, TraceSet};
+use ckpt_platform::{AgeView, Topology, TraceSet};
 use ckpt_policies::plan_cache::KernelRowKey;
 use ckpt_policies::{DistId, DpCaches, DpNextFailure, DpNextFailureConfig, Policy, ShardedCache};
 use ckpt_sim::engine::simulate_traceset;
 use ckpt_sim::{RunStats, SimOptions};
 use ckpt_workload::JobSpec;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::ThreadId;
 
 fn run(policy: &DpNextFailure, spec: &JobSpec, traces: &TraceSet) -> RunStats {
     let mut session = policy.session();
@@ -210,4 +211,100 @@ fn contended_shared_caches_match_cold_private_baseline() {
         d.kernel_rows.hits + d.plans.hits > 0,
         "threads never actually shared an entry — the contention test tested nothing"
     );
+}
+
+/// A Weibull whose batch evaluation, the first thing a one-age DP solve
+/// does, holds each thread that enters it once armed, until a second
+/// thread enters too or half a second passes: two sessions that both
+/// solve one state are then inside their solves at the same time.
+#[derive(Debug, Clone)]
+struct Rendezvous {
+    law: Weibull,
+    entered: Arc<(Mutex<Option<Vec<ThreadId>>>, Condvar)>,
+}
+
+impl Rendezvous {
+    fn arm(&self) {
+        *self.entered.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(Vec::new());
+    }
+
+    fn meet(&self) {
+        let (lock, met) = &*self.entered;
+        let mut entered = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let me = std::thread::current().id();
+        let Some(threads) = entered.as_mut() else { return };
+        if threads.contains(&me) {
+            return;
+        }
+        threads.push(me);
+        met.notify_all();
+        let deadline = std::time::Duration::from_millis(500);
+        let _ = met
+            .wait_timeout_while(entered, deadline, |t| t.as_ref().is_some_and(|t| t.len() < 2))
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
+impl FailureDistribution for Rendezvous {
+    fn log_survival(&self, t: f64) -> f64 {
+        self.law.log_survival(t)
+    }
+
+    fn log_survival_batch(&self, ts: &[f64], out: &mut [f64]) {
+        self.meet();
+        self.law.log_survival_batch(ts, out);
+    }
+
+    fn mean(&self) -> f64 {
+        self.law.mean()
+    }
+
+    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
+        self.law.sample(rng)
+    }
+
+    fn clone_box(&self) -> Box<dyn FailureDistribution> {
+        Box::new(self.clone())
+    }
+}
+
+/// Two sessions that reach one cold one-age state together solve it
+/// once: the first lookup claims the key and alone counts the miss, the
+/// other waits for the claimant's plan. Both hold the plan a cold
+/// private cache solves, bit for bit.
+#[test]
+fn racing_sessions_solve_a_cold_one_age_state_once() {
+    let spec = JobSpec::sequential(40_000.0, 300.0, 300.0, 60.0);
+    let gate = Rendezvous {
+        law: Weibull::from_mtbf(0.7, 86_400.0),
+        entered: Arc::new((Mutex::new(None), Condvar::new())),
+    };
+    let cfg = DpNextFailureConfig { quanta: Some(30) };
+    let caches = DpCaches::private();
+    let dp =
+        DpNextFailure::with_caches(&spec, Box::new(gate.clone()), 86_400.0, cfg, caches.clone());
+    let ages = AgeView::single(660.0);
+    gate.arm();
+    let start = std::sync::Barrier::new(2);
+    let race = || {
+        start.wait();
+        dp.plan(spec.work, &ages)
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let other = s.spawn(race);
+        let mine = race();
+        (mine, other.join().expect("racing session"))
+    });
+    let plans = caches.stats().plans;
+    assert_eq!((plans.misses, plans.hits, plans.entries), (1, 1, 1), "one solve for one state");
+    assert!(Arc::ptr_eq(&a, &b), "both sessions hold the claimant's plan");
+    let cold = DpNextFailure::with_caches(
+        &spec,
+        Box::new(Weibull::from_mtbf(0.7, 86_400.0)),
+        86_400.0,
+        cfg,
+        DpCaches::private(),
+    );
+    let bits = |p: &[f64]| p.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a), bits(&cold.plan(spec.work, &ages)));
 }

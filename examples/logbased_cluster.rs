@@ -40,8 +40,8 @@ fn main() {
         "\nRunning the §6 roster on p = {procs} ({traces} traces; W(p) = {:.1} days)…\n",
         scenario.job_spec().work / DAY
     );
-    let kinds = PolicyKind::log_based_roster();
-    let result = run_scenario(&scenario, &kinds, &RunnerOptions::default());
+    let study = Study::new().with_kinds(PolicyKind::log_based_roster());
+    let result = study.run_all(&[scenario]).remove(0).expect("the §6 cell runs");
     println!("{}", checkpointing_strategies::exp::output::markdown_table(&result));
 
     let dp = result.get("DPNextFailure").expect("row");

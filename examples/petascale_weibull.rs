@@ -29,7 +29,8 @@ fn main() {
     );
     println!("(shape k = 0.7, processor MTBF = 125 years — §5.2.2)\n");
 
-    let result = checkpointing_strategies::quick::degradation_table(&scenario);
+    // The §4.1 roster (Study's default) on this one cell.
+    let result = Study::new().run_all(&[scenario]).remove(0).expect("the Table 4 cell runs");
     println!("{}", checkpointing_strategies::exp::output::markdown_table(&result));
 
     let dp = result.get("DPNextFailure").expect("DPNextFailure row");

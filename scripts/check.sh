@@ -16,8 +16,10 @@
 #      exp crates also carry
 #      `#![warn(clippy::unwrap_used, clippy::expect_used)]`, so any
 #      unwrap/expect on their library paths fails this step;
-#   4. rustdoc over the workspace with broken intra-doc links as errors,
-#      so a doc that names a renamed or deleted item fails the gate;
+#   4. rustdoc over the workspace with every warning as an error: a doc
+#      that names a renamed or deleted item, links a private item from a
+#      public doc, or spells out a link target rustdoc already resolves
+#      fails the gate;
 #   5. the worker-count invariance gate: the golden study runs at
 #      --threads 1, 2, and 8 through the shared-cursor executor, and
 #      every aggregate is byte-compared against results/golden/ — tasks
@@ -90,8 +92,8 @@ cargo test -q
 echo "== clippy (-D warnings, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== rustdoc (broken intra-doc links are errors) =="
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+echo "== rustdoc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 study_tmp=$(mktemp -d)
 trap 'rm -rf "$study_tmp"' EXIT

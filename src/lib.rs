@@ -29,11 +29,11 @@ pub mod quick;
 
 /// One-import convenience module.
 pub mod prelude {
-    pub use crate::quick::{degradation_table, expected_makespan, optimal_period, Study};
+    pub use crate::quick::{expected_makespan, optimal_period, Study};
     pub use ckpt_dist::{
         Empirical, Exponential, FailureDistribution, KernelTable, MinOf, Mixture, Weibull,
     };
-    pub use ckpt_exp::{run_scenario, DistSpec, PolicyKind, RunnerOptions, Scenario};
+    pub use ckpt_exp::{DistSpec, PolicyKind, RunnerOptions, Scenario};
     pub use ckpt_math::{SeedSequence, Summary};
     pub use ckpt_platform::{AgeView, RejuvenationModel, Topology, TraceSet};
     pub use ckpt_policies::{

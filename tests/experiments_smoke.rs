@@ -99,7 +99,8 @@ fn logbased_mini() {
         period_lb: Some(vec![0.5, 1.0, 2.0]),
         ..Default::default()
     };
-    let r = checkpointing_strategies::exp::run_scenario(&sc, &kinds, &opts);
+    let r = Study::new().with_kinds(kinds).with_options(opts).run_all(&[sc]).remove(0);
+    let r = r.expect("well-formed cell");
     assert!(r.get("DPNextFailure").expect("row").avg_degradation.is_some());
     assert!(r.get("Young").expect("row").avg_degradation.is_some());
     assert!(r.get("LowerBound").expect("row").avg_degradation.is_some());

@@ -4,8 +4,8 @@
 //! Scales are chosen so the whole file runs in a couple of minutes on a
 //! single core; the full-scale sweeps live in the `ckpt-exp` binary.
 
+use checkpointing_strategies::exp::ScenarioResult;
 use checkpointing_strategies::prelude::*;
-use checkpointing_strategies::exp::{run_scenario, DistSpec, PolicyKind, RunnerOptions, Scenario};
 
 /// A small but failure-heavy Weibull platform cell.
 fn weibull_cell(procs: u64, traces: usize) -> Scenario {
@@ -28,6 +28,12 @@ fn test_options() -> RunnerOptions {
     }
 }
 
+/// One cell through a one-cell study.
+fn run(sc: &Scenario, kinds: &[PolicyKind], options: &RunnerOptions) -> ScenarioResult {
+    let study = Study::new().with_kinds(kinds).with_options(options.clone());
+    study.run_all(std::slice::from_ref(sc)).remove(0).expect("well-formed cell")
+}
+
 fn dp(quanta: usize) -> PolicyKind {
     PolicyKind::DpNextFailure(DpNextFailureConfig { quanta: Some(quanta) })
 }
@@ -44,7 +50,7 @@ fn lower_bound_below_every_policy() {
         PolicyKind::Liu,
         dp(60),
     ];
-    let r = run_scenario(&sc, &kinds, &test_options());
+    let r = run(&sc, &kinds, &test_options());
     let lb = r.get("LowerBound").expect("row").avg_degradation.expect("ran");
     for o in &r.outcomes {
         if o.name == "LowerBound" {
@@ -59,7 +65,7 @@ fn lower_bound_below_every_policy() {
 #[test]
 fn all_heuristic_degradations_at_least_one() {
     let sc = weibull_cell(1 << 10, 4);
-    let r = run_scenario(
+    let r = run(
         &sc,
         &[PolicyKind::Young, PolicyKind::OptExp, dp(60)],
         &test_options(),
@@ -86,7 +92,7 @@ fn dp_next_failure_competitive_on_weibull_platform() {
         PolicyKind::OptExp,
         dp(100),
     ];
-    let r = run_scenario(
+    let r = run(
         &sc,
         &kinds,
         &RunnerOptions { period_lb: None, lower_bound: false, ..Default::default() },
@@ -107,7 +113,7 @@ fn bouguerra_suffers_from_rejuvenation_assumption() {
     // Weibull platforms relative to OptExp.
     let sc = weibull_cell(1 << 12, 6);
     let kinds = [PolicyKind::OptExp, PolicyKind::Bouguerra];
-    let r = run_scenario(
+    let r = run(
         &sc,
         &kinds,
         &RunnerOptions { period_lb: None, lower_bound: false, ..Default::default() },
@@ -136,7 +142,7 @@ fn exponential_heuristics_all_near_optimal() {
         PolicyKind::DalyHigh,
         PolicyKind::OptExp,
     ];
-    let r = run_scenario(&sc, &kinds, &test_options());
+    let r = run(&sc, &kinds, &test_options());
     for o in &r.outcomes {
         if o.name == "LowerBound" {
             continue;
@@ -159,7 +165,7 @@ fn log_based_roster_runs_end_to_end() {
         PolicyKind::OptExp,
         dp(60),
     ];
-    let r = run_scenario(
+    let r = run(
         &sc,
         &kinds,
         &RunnerOptions { period_lb: Some(vec![0.5, 1.0, 2.0]), ..Default::default() },
