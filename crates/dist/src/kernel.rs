@@ -99,14 +99,33 @@ impl KernelTable {
     /// `exp(ln S(τ+x) − ln S(τ))` form, with tabulated log-survival).
     #[inline]
     pub fn psuc(&self, x: f64, tau: f64) -> f64 {
+        let tau = tau.max(0.0);
+        self.psuc_from(x, tau, self.log_survival(tau))
+    }
+
+    /// [`Self::psuc`] at an age `tau ≥ 0` whose `ln S(τ)` is `ls_tau`.
+    #[inline]
+    fn psuc_from(&self, x: f64, tau: f64, ls_tau: f64) -> f64 {
         if x <= 0.0 {
             return 1.0;
         }
-        let ls_tau = self.log_survival(tau.max(0.0));
         if ls_tau == f64::NEG_INFINITY { // -inf log-survival sentinel is an exact bit pattern
             return 0.0;
         }
-        (self.log_survival(tau.max(0.0) + x) - ls_tau).exp() // exp of a tabulated log-survival difference; the trait's canonical Psuc form
+        (self.log_survival(tau + x) - ls_tau).exp() // exp of a tabulated log-survival difference; the trait's canonical Psuc form
+    }
+
+    /// The table at one age `τ`: its own terms `ln S(τ)`, `S(τ)` and
+    /// `I(τ)` taken once, for a caller (a DP ladder) that asks `Psuc` and
+    /// `E[Tlost]` of one age at many lengths.
+    pub fn at_age(&self, tau: f64) -> AgeKernel<'_> {
+        AgeKernel {
+            table: self,
+            tau,
+            ls_tau: self.log_survival(tau.max(0.0)),
+            s_tau: self.dist.survival(tau),
+            i_tau: self.survival_integral(tau),
+        }
     }
 
     /// Cumulative survival integral `I(t)`, saturating past the horizon
@@ -124,6 +143,38 @@ impl KernelTable {
             |t| self.dist.survival(t),
             x,
             tau,
+        )
+    }
+}
+
+/// [`KernelTable::psuc`] and [`KernelTable::expected_loss`] at one age
+/// ([`KernelTable::at_age`]), bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct AgeKernel<'a> {
+    table: &'a KernelTable,
+    tau: f64,
+    ls_tau: f64,
+    s_tau: f64,
+    i_tau: f64,
+}
+
+impl AgeKernel<'_> {
+    /// `Psuc(x|τ)`.
+    #[inline]
+    pub fn psuc(&self, x: f64) -> f64 {
+        self.table.psuc_from(x, self.tau.max(0.0), self.ls_tau)
+    }
+
+    /// `E[Tlost(x|τ)]`.
+    pub fn expected_loss(&self, x: f64) -> f64 {
+        let table = self.table;
+        loss::expected_loss_from_integral_at(
+            |t| table.survival_integral(t),
+            |t| table.dist.survival(t),
+            x,
+            self.tau,
+            self.s_tau,
+            self.i_tau,
         )
     }
 }
@@ -220,6 +271,26 @@ mod tests {
                 (got - expect).abs() < 1e-6,
                 "x={x} τ={tau}: table {got} vs exact {expect}"
             );
+        }
+    }
+
+    /// One age's kernel answers what the two-argument queries answer,
+    /// bit for bit: on and off the grid, past the horizon, at age 0 and
+    /// for empty windows.
+    #[test]
+    fn age_kernel_is_the_two_argument_queries() {
+        let (_, k) = weibull_kernel();
+        let h = k.horizon();
+        for tau in [0.0, 100.0, 12_345.6, 0.5 * h, h - 1.0, 2.0 * h] {
+            let age = k.at_age(tau);
+            for x in [0.0, -5.0, 1.0, 600.0, 7_777.7, 0.75 * h, 3.0 * h] {
+                assert_eq!(age.psuc(x).to_bits(), k.psuc(x, tau).to_bits(), "Psuc({x}|{tau})");
+                assert_eq!(
+                    age.expected_loss(x).to_bits(),
+                    k.expected_loss(x, tau).to_bits(),
+                    "E[Tlost({x}|{tau})]"
+                );
+            }
         }
     }
 

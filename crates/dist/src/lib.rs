@@ -32,7 +32,7 @@ pub mod weibull;
 pub use empirical::Empirical;
 pub use error::DistError;
 pub use exponential::Exponential;
-pub use kernel::KernelTable;
+pub use kernel::{AgeKernel, KernelTable};
 pub use min_of::MinOf;
 pub use mixture::Mixture;
 pub use weibull::Weibull;

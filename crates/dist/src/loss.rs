@@ -93,13 +93,29 @@ pub fn expected_loss_from_integral(
     if x <= 0.0 {
         return 0.0;
     }
-    let s_tau = survival(tau);
+    let (s_tau, i_tau) = (survival(tau), integral(tau));
+    expected_loss_from_integral_at(integral, survival, x, tau, s_tau, i_tau)
+}
+
+/// [`expected_loss_from_integral`] given the age's own `S(τ)` and `I(τ)`,
+/// for a caller that asks one age at many lengths `x`.
+pub fn expected_loss_from_integral_at(
+    integral: impl Fn(f64) -> f64,
+    survival: impl Fn(f64) -> f64,
+    x: f64,
+    tau: f64,
+    s_tau: f64,
+    i_tau: f64,
+) -> f64 {
+    if x <= 0.0 {
+        return 0.0;
+    }
     let s_end = survival(tau + x);
     let denom = s_tau - s_end;
     if denom <= 1e-12 * s_tau.max(1e-300) {
         return 0.5 * x;
     }
-    let num = integral(tau + x) - integral(tau) - x * s_end;
+    let num = integral(tau + x) - i_tau - x * s_end;
     (num / denom).clamp(0.0, x)
 }
 

@@ -926,17 +926,17 @@ fn drain_and_commit(
         .zip(plans)
         .map(|(cell, p)| CellCtx::new(&cell.scenario, &p.plan, p.built.as_ref().ok(), &p.items))
         .collect();
-    // Scheduling counters only: each cell's result carries the perf its
-    // commit folds.
-    if !crate::exec::run_waves(&mut cells, &pending, completed, store, true, &mut PipelinePerf::default())? {
+    let mut perfs: Vec<PipelinePerf> = plans.iter().map(|_| PipelinePerf::default()).collect();
+    if !crate::exec::run_waves(&mut cells, &pending, completed, store, true, &mut perfs)? {
         return Ok(None);
     }
     Ok(Some(
         def.cells
             .iter()
             .zip(plans)
-            .map(|(cell, p)| match &p.built {
-                Ok(_) => crate::reduce::commit(&cell.scenario, &p.plan, &p.items, completed),
+            .zip(perfs)
+            .map(|((cell, p), perf)| match &p.built {
+                Ok(_) => crate::reduce::commit(&cell.scenario, &p.plan, &p.items, completed, perf),
                 Err(e) => Err(Error::for_cell(&cell.scenario.label, e.clone())),
             })
             .collect(),

@@ -267,19 +267,18 @@ pub(crate) fn waves(pending: &[WorkItem], store: bool) -> impl Iterator<Item = &
         .flat_map(move |run| run.chunks(chunk))
 }
 
-/// Drain one wave of items: prepare every cell the wave touches, run the
+/// Drain one wave of items (all of one cell): prepare the cell, run the
 /// items through the shared-cursor executor (DP policy items claimed
 /// first), and record each payload under its item id. Pushes the wave's
-/// stage (`period_search` for a refine item, else `policy_sims`).
+/// stage (`period_search` for a refine item, else `policy_sims`) onto
+/// `perf`, the cell's.
 fn drain(
     cells: &mut [CellCtx<'_>],
     wave: &[WorkItem],
     completed: &mut BTreeMap<u64, ItemPayload>,
     perf: &mut PipelinePerf,
 ) {
-    for item in wave {
-        cells[item.cell].prepare(perf);
-    }
+    cells[wave[0].cell].prepare(perf);
     let t_stage = clock_seconds();
     let (cells, done) = (&*cells, &*completed);
     let (payloads, _) = steal::run_wave(
@@ -295,8 +294,9 @@ fn drain(
 
 /// The crate's one wave loop: drain `pending` (the items of `cells` not
 /// yet in `completed`, in id order) wave by wave, with `store` writing
-/// between waves when attached. A cell drops its traces and roster once
-/// it has no pending item; with `release`, so do the shared caches
+/// between waves when attached. Each wave's stages land on the perf of
+/// the cell it ran (`perfs[cell]`). A cell drops its traces and roster
+/// once it has no pending item; with `release`, so do the shared caches
 /// ([`release_unread`]). `Ok(false)`: the stop hook fired.
 ///
 /// # Errors
@@ -307,7 +307,7 @@ pub(crate) fn run_waves(
     completed: &mut BTreeMap<u64, ItemPayload>,
     mut store: Option<&mut Store<'_>>,
     release: bool,
-    perf: &mut PipelinePerf,
+    perfs: &mut [PipelinePerf],
 ) -> Result<bool, Error> {
     let mut left = vec![0usize; cells.len()];
     for item in pending {
@@ -319,7 +319,7 @@ pub(crate) fn run_waves(
         if let Some(store) = store.as_deref_mut() {
             store.begin_wave(wave);
         }
-        drain(cells, wave, completed, perf);
+        drain(cells, wave, completed, &mut perfs[wave[0].cell]);
         for item in wave {
             left[item.cell] -= 1;
             if left[item.cell] == 0 {
@@ -369,7 +369,8 @@ pub fn execute(
     let items = sim_plan.items(0, 0);
     let mut cells = [CellCtx::new(scenario, sim_plan, Some(built), &items)];
     let mut completed = BTreeMap::new();
-    if let Err(e) = run_waves(&mut cells, &items, &mut completed, None, false, perf) {
+    let perfs = std::slice::from_mut(perf);
+    if let Err(e) = run_waves(&mut cells, &items, &mut completed, None, false, perfs) {
         unreachable!("a run without a store has nothing to fail: {e}");
     }
     match crate::reduce::fold(sim_plan, &items, &completed, perf) {

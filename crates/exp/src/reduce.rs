@@ -299,7 +299,8 @@ pub(crate) fn fold(
 }
 
 /// Commit one cell of a checkpointed study: `fold` its persisted
-/// payloads, then [`reduce`]. The result serialises byte-identically to
+/// payloads, then [`reduce`], onto `perf` (the stages the cell's waves
+/// recorded in this process). The result serialises byte-identically to
 /// an in-memory run of the same cell, which folds the same way.
 ///
 /// # Errors
@@ -310,8 +311,8 @@ pub fn commit(
     sim_plan: &SimPlan,
     cell_items: &[WorkItem],
     completed: &BTreeMap<u64, ItemPayload>,
+    mut perf: PipelinePerf,
 ) -> Result<ScenarioResult, Error> {
-    let mut perf = PipelinePerf::default();
     let out = fold(sim_plan, cell_items, completed, &mut perf)?;
     let mut result = reduce(scenario, sim_plan, &out, &mut perf);
     result.perf = perf;
@@ -398,9 +399,9 @@ mod tests {
         );
     }
 
-    /// A committed result carries the work counters its fold read off
-    /// the payloads, and the `aggregate` stage; the wave loop's stage
-    /// timers stay with the loop.
+    /// A committed result carries the stages its waves recorded, then
+    /// the work counters its fold read off the payloads and the
+    /// `aggregate` stage.
     #[test]
     fn commit_moves_the_fold_counters_into_the_result() {
         let sc = Scenario::single_processor(DistSpec::Exponential { mtbf: 6.0 * 3_600.0 }, 2);
@@ -420,9 +421,11 @@ mod tests {
         let payload =
             ItemPayload::Policy { built: true, reason: String::new(), stats: vec![st; 2] };
         let completed = BTreeMap::from([(items[0].id, payload)]);
-        let r = commit(&sc, &sim_plan, &items, &completed).expect("the payload fits");
+        let mut waves = PipelinePerf::default();
+        waves.push_stage("policy_sims", clock_seconds());
+        let r = commit(&sc, &sim_plan, &items, &completed, waves).expect("the payload fits");
         let names: Vec<&str> = r.perf.stages.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["aggregate"]);
+        assert_eq!(names, ["policy_sims", "aggregate"]);
         let p = &r.perf;
         assert_eq!((p.policy_sims, p.candidate_sims, p.decisions, p.failures), (2, 0, 10, 6));
     }
@@ -440,7 +443,7 @@ mod tests {
         );
         let items = sim_plan.items(0, 0);
         let mut completed = BTreeMap::new();
-        let err = commit(&sc, &sim_plan, &items, &completed).expect_err("nothing completed");
+        let err = commit(&sc, &sim_plan, &items, &completed, PipelinePerf::default()).expect_err("nothing completed");
         assert!(err.to_string().contains("incomplete study"), "{err}");
 
         // One stats entry per trace of the block: a short list is never
@@ -452,10 +455,10 @@ mod tests {
         let policy =
             |n| ItemPayload::Policy { built: true, reason: String::new(), stats: vec![st; n] };
         completed.insert(0, policy(2));
-        assert!(commit(&sc, &sim_plan, &items, &completed).is_ok());
+        assert!(commit(&sc, &sim_plan, &items, &completed, PipelinePerf::default()).is_ok());
         for bad in [policy(1), policy(3), ItemPayload::Coarse { stats: vec![st; 2] }] {
             completed.insert(0, bad);
-            let err = commit(&sc, &sim_plan, &items, &completed).expect_err("misshapen payload");
+            let err = commit(&sc, &sim_plan, &items, &completed, PipelinePerf::default()).expect_err("misshapen payload");
             assert!(matches!(err, Error::Checkpoint { .. }), "{err}");
         }
     }

@@ -96,8 +96,8 @@ pub struct ScenarioResult {
     /// The `PeriodLB` winning factor (over the OptExp period), if searched.
     pub period_lb_factor: Option<f64>,
     /// Work counters folded from the cell's payloads, and the stages
-    /// timed on the way (`aggregate`; [`crate::exec::execute`] adds its
-    /// own).
+    /// timed on the way: `trace_gen` and each wave the cell ran in this
+    /// process (`policy_sims`, `period_search`), then `aggregate`.
     pub perf: PipelinePerf,
 }
 
@@ -359,5 +359,26 @@ mod tests {
         assert_eq!(perf.candidate_sims, (3 * sc.traces) as u64);
         assert_eq!(perf.candidate_grid_size, 3);
         assert!(perf.decisions > 0);
+    }
+
+    /// The study loop records the stages `execute` → `reduce` does: each
+    /// wave's stage lands on the cell it ran, with or without a refine
+    /// wave (the default grid searches coarse, then refines).
+    #[test]
+    fn study_results_carry_the_execute_stages() {
+        let sc = tiny_scenario();
+        let names = |perf: &PipelinePerf| -> Vec<String> {
+            perf.stages.iter().map(|s| s.name.clone()).collect()
+        };
+        for options in [fast_options(), RunnerOptions::default()] {
+            let plan = crate::plan::plan_scenario(&sc, &[PolicyKind::Young], &options);
+            let mut perf = PipelinePerf::default();
+            let out = crate::exec::execute(&sc, &sc.dist.build(), &plan, &mut perf);
+            crate::reduce::reduce(&sc, &plan, &out, &mut perf);
+            let study = run(&sc, &[PolicyKind::Young], &options);
+            assert_eq!(names(&study.perf), names(&perf));
+        }
+        let refined = run(&sc, &[PolicyKind::Young], &RunnerOptions::default());
+        assert!(names(&refined.perf).iter().any(|n| n == "period_search"));
     }
 }

@@ -40,14 +40,22 @@
 #      fig8.md it renders next to its aggregates must equal, byte for
 #      byte, what the in-memory `ckpt-exp fig8` writes at the same trace
 #      count: the resumable path renders the quick command's artefact;
-#   7. the perfbench digest gate: one short seq-weibull run, one short
+#   7. the Table 3 pin gate: `run --study table3 --traces 2` must
+#      write aggregates and a table3.md byte-identical to
+#      results/pins/table3/. Table 3 is where DPMakespan runs its
+#      age-dependent table at 1200 / 1019 / 385 quanta (MTBF 1 h /
+#      1 d / 1 w); the proptests reach 120 quanta and the seq-weibull
+#      digests only the 1-week cell, so this is the one pin on the two
+#      larger tables;
+#   8. the perfbench digest gate: one short seq-weibull run, one short
 #      exa-exp-study run, one short traced exa-exp-study run
 #      (`--trace 1`: its pipeline, layers and run processes) and one
 #      short peta-weibull run at the reference seed must each report
-#      "correct": true — at 600 traces the seq-weibull digests are the
-#      only pin on DPMakespan's age-dependent table at the size Table 3
-#      uses, the exa-exp-study digests pin the study path's aggregates
-#      (run_study with a store) at benchmark scale, the traced run's
+#      "correct": true — the seq-weibull digests pin DPMakespan's
+#      age-dependent 1-week table over 600 traces (step 7 pins the
+#      1-hour and 1-day tables at 2), the exa-exp-study digests pin
+#      the study path's aggregates (run_study with a store) at
+#      benchmark scale, the traced run's
 #      layers process is the only consumer of the cached traces'
 #      per-unit store and of lower_bound_makespan on cached traces, and
 #      the peta-weibull digests are the only pin on multi-unit Weibull
@@ -62,8 +70,9 @@
 #      must peak at no more than 14 MB of RSS (metrics.peak_rss_mb):
 #      above the trace floor its memory is the DP working-set layer,
 #      sized to the cells the solvers read (one column-packed
-#      DPNextFailure triangle per worker, DPMakespan ladders grown to the
-#      largest state asked of a row), which peaks near 12.3 MB against
+#      DPNextFailure triangle per worker, DPMakespan ladders and filled
+#      states grown to the largest state asked of a row), which peaks
+#      near 12.3 MB against
 #      ~15.6 MB when the scratch and ladders are allocated in full. The
 #      untraced exa-exp-study run
 #      must also peak at no more than 40 MB of RSS (metrics.peak_rss_mb):
@@ -156,6 +165,21 @@ if ! cmp -s "$study_tmp/fig8mem/fig8.md" "$study_tmp/fig8res/fig8.md"; then
   exit 1
 fi
 echo "resumed fig8 study renders fig8.md byte-identical to ckpt-exp fig8"
+
+echo "== Table 3 pin gate (DPMakespan's large age tables, end to end) =="
+target/release/ckpt-exp run --study table3 --traces 2 --id table3pin \
+  --study-root "$study_tmp" --threads 2
+for f in results/pins/table3/*.json; do
+  if ! cmp -s "$f" "$study_tmp/table3pin/aggregate/$(basename "$f")"; then
+    echo "TABLE 3 DRIFT: $(basename "$f") differs from results/pins/table3/" >&2
+    exit 1
+  fi
+done
+if ! cmp -s results/pins/table3/table3.md "$study_tmp/table3pin/table3.md"; then
+  echo "TABLE 3 DRIFT: table3.md differs from results/pins/table3/" >&2
+  exit 1
+fi
+echo "table3 aggregates and table3.md byte-identical to results/pins/table3/"
 
 echo "== perfbench digest and memory gate (seq-weibull, exa-exp-study, peta-weibull, seed 0) =="
 # perfbench is a cargo package of its own; building it under target/
