@@ -836,8 +836,9 @@ fn payloads_fit(completed: &BTreeMap<u64, ItemPayload>, plans: &[CellPlan]) -> R
 }
 
 /// The checkpoint store attached to a study run: between waves it keeps
-/// the progress snapshot, fires the stop hook and writes the periodic
-/// snapshots.
+/// the progress snapshot (rewritten at each commit, and as a wave starts
+/// at most once per console period), fires the stop hook and writes the
+/// periodic snapshots.
 pub(crate) struct Store<'a> {
     config: &'a CheckpointConfig,
     manifest: &'a StudyManifest,
@@ -855,7 +856,7 @@ impl Store<'_> {
     pub(crate) fn begin_wave(&mut self, wave: &[WorkItem]) {
         self.progress.begin_chunk(wave);
         self.progress.console_tick(false);
-        let _ = self.progress.write(&self.dir);
+        let _ = self.progress.write_if_due(&self.dir);
     }
 
     /// A wave's payloads are in `completed`: stop here when the stop
@@ -1025,7 +1026,7 @@ pub fn run_study(
     let items_resumed = completed.len() as u64;
     write_status(&dir, &format!("running {items_resumed}/{items_total}"))?;
     let all_items = plans.iter().flat_map(|p| &p.items);
-    let progress =
+    let mut progress =
         StudyProgress::new(&def.id, all_items, |id| completed.contains_key(&id), config.progress);
     progress.write(&dir)?;
     let last_snapshot = clock_seconds();

@@ -5,8 +5,8 @@
 //! * `CellCtx` holds what a cell's items need — plan, built
 //!   distribution, [`JobSpec`], the `OptExp` base of the `PeriodLB`
 //!   search, the roster (built once per cell per process) and the
-//!   cell's traces, fetched from the shared [`TraceCache`] in one wave
-//!   before its first pending item runs.
+//!   cell's traces, fetched from the shared [`TraceCache`] by trace
+//!   block before its first pending item runs.
 //! * `CellCtx::run_item` runs one item and returns its
 //!   [`ItemPayload`]; it is the only code in the crate that simulates.
 //! * `run_waves` cuts the pending items into waves (`waves`) and
@@ -111,8 +111,9 @@ impl<'a> CellCtx<'a> {
         Self { scenario, plan, built, items, ready: None }
     }
 
-    /// Generate the cell's traces in one wave (the `trace_gen` stage),
-    /// then build the roster. Idempotent; a cell whose distribution
+    /// Fetch the cell's traces by block (the `trace_gen` stage: the
+    /// blocks' missing units sampled over every worker, then their
+    /// events merged), then build the roster. Idempotent; a cell whose distribution
     /// failed to build has nothing to prepare.
     fn prepare(&mut self, perf: &mut PipelinePerf) {
         let Some(built) = self.built else { return };
@@ -121,11 +122,9 @@ impl<'a> CellCtx<'a> {
         }
         let (scenario, plan) = (self.scenario, self.plan);
         let t_stage = clock_seconds();
-        let cache = TraceCache::global();
-        let indices: Vec<usize> = (0..plan.traces).collect();
-        let (traces, _) = steal::run_wave(&indices, steal::workers(), |_| false, |_, &i| {
-            cache.get_or_generate(scenario, built, i)
-        });
+        let blocks: Vec<_> = plan.trace_blocks().collect();
+        let traces =
+            TraceCache::global().get_or_generate_blocks(scenario, built, &blocks, steal::workers());
         perf.push_stage("trace_gen", t_stage);
 
         let spec = scenario.job_spec();

@@ -152,15 +152,18 @@ pub fn plan_scenario(
 }
 
 impl SimPlan {
+    /// The cell's trace indices in [`TRACE_BLOCK`]s, in order: what its
+    /// blocked items read, and what its traces are generated by.
+    pub fn trace_blocks(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        (0..self.traces).step_by(TRACE_BLOCK).map(|lo| lo..(lo + TRACE_BLOCK).min(self.traces))
+    }
+
     /// The plan's work items for cell `cell`, numbered from `first_id`:
     /// each roster policy over every [`TRACE_BLOCK`] of traces, the
     /// lower-bound blocks, each coarse candidate over every block, then
     /// (with a refine wave) one refine item over all traces.
     pub fn items(&self, cell: usize, first_id: u64) -> Vec<WorkItem> {
-        let blocks: Vec<(usize, usize)> = (0..self.traces)
-            .step_by(TRACE_BLOCK)
-            .map(|lo| (lo, (lo + TRACE_BLOCK).min(self.traces)))
-            .collect();
+        let blocks: Vec<(usize, usize)> = self.trace_blocks().map(|b| (b.start, b.end)).collect();
         let mut kinds: Vec<ItemKind> =
             (0..self.kinds.len()).map(|policy| ItemKind::Policy { policy }).collect();
         if self.lower_bound {

@@ -5,8 +5,10 @@
 //!
 //! Two outputs, one determinism rule:
 //!
-//! * **`progress.json`** in the study store, rewritten atomically at
-//!   chunk boundaries and checkpoint commits. Every field is
+//! * **`progress.json`** in the study store, rewritten atomically when
+//!   the store opens, at each checkpoint commit, at completion, and
+//!   between commits as a wave starts, at most once per
+//!   `CONSOLE_PERIOD_SECONDS`. Every field is
 //!   byte-deterministic at any worker count *except* the ones
 //!   quarantined under the clearly-marked
 //!   `wall_clock_nondeterministic` object (elapsed, rate, ETA).
@@ -25,7 +27,8 @@ use std::path::Path;
 /// Fixed kind order of the `kinds` array (and the console breakdown).
 const KIND_NAMES: [&str; 4] = ["policy", "lower_bound", "coarse", "refine"];
 
-/// Minimum seconds between unforced console lines.
+/// Minimum seconds between unforced console lines, and between
+/// `progress.json` writes that no checkpoint commit asks for.
 const CONSOLE_PERIOD_SECONDS: f64 = 1.0;
 
 /// Map an item kind onto its [`KIND_NAMES`] slot.
@@ -52,6 +55,7 @@ pub struct StudyProgress {
     kind_in_flight: [u64; 4],
     start_seconds: f64,
     last_console: f64,
+    last_write: f64,
     console: bool,
 }
 
@@ -76,6 +80,7 @@ impl StudyProgress {
             kind_in_flight: [0; 4],
             start_seconds: 0.0,
             last_console: 0.0,
+            last_write: 0.0,
             console,
         };
         for item in items {
@@ -90,8 +95,10 @@ impl StudyProgress {
         }
         let now = clock_seconds();
         p.start_seconds = now;
-        // Make the very first tick print immediately.
+        // Make the very first tick print, and the first due write land,
+        // immediately.
         p.last_console = now - CONSOLE_PERIOD_SECONDS;
+        p.last_write = p.last_console;
         p
     }
 
@@ -181,8 +188,21 @@ impl StudyProgress {
     ///
     /// # Errors
     /// [`Error::Checkpoint`] when the write or rename fails.
-    pub fn write(&self, dir: &Path) -> Result<(), Error> {
+    pub fn write(&mut self, dir: &Path) -> Result<(), Error> {
+        self.last_write = clock_seconds();
         crate::checkpoint::write_atomic(&dir.join("progress.json"), &self.snapshot_json())
+    }
+
+    /// [`Self::write`], unless the last write is less than
+    /// `CONSOLE_PERIOD_SECONDS` old.
+    ///
+    /// # Errors
+    /// As [`Self::write`].
+    pub fn write_if_due(&mut self, dir: &Path) -> Result<(), Error> {
+        if clock_seconds() - self.last_write < CONSOLE_PERIOD_SECONDS {
+            return Ok(());
+        }
+        self.write(dir)
     }
 
     /// Print one stderr progress line, rate-limited to one per
@@ -307,11 +327,28 @@ mod tests {
             std::process::id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let p = StudyProgress::new("s", &items(), |_| false, false);
+        let mut p = StudyProgress::new("s", &items(), |_| false, false);
         p.write(&dir).unwrap();
         let src = std::fs::read_to_string(dir.join("progress.json")).unwrap();
         crate::jsonio::parse(&src).expect("written progress.json must parse");
         assert!(!dir.join("progress.json.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unforced_writes_are_rate_limited() {
+        let dir = std::env::temp_dir().join(format!("ckpt-progress-due-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("progress.json");
+        let mut p = StudyProgress::new("s", &items(), |_| false, false);
+        p.write_if_due(&dir).unwrap();
+        assert!(file.exists(), "the first due write lands at once");
+        std::fs::remove_file(&file).unwrap();
+        p.write_if_due(&dir).unwrap();
+        assert!(!file.exists(), "a write inside the period is skipped");
+        p.last_write = clock_seconds() - CONSOLE_PERIOD_SECONDS;
+        p.write_if_due(&dir).unwrap();
+        assert!(file.exists(), "a write a period later lands");
         std::fs::remove_dir_all(&dir).ok();
     }
 

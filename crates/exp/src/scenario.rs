@@ -250,17 +250,8 @@ impl Scenario {
         )?)
     }
 
-    /// The `index`-th trace set of this cell's label, grown from `narrow`
-    /// (an earlier trace set of the same label and index, perhaps of a
-    /// narrower cell) by sampling only the units it lacks. Equals
-    /// [`Self::generate_traces`] by the prefix property.
-    pub fn widen_traces(&self, built: &BuiltDist, index: usize, narrow: &TraceSet) -> TraceSet {
-        let units = built.topology.units_for_procs(self.procs);
-        narrow.widen(built.dist.as_ref(), units, &self.trace_seeds(index))
-    }
-
     /// Seeds of the `index`-th trace set: a function of the label only.
-    fn trace_seeds(&self, index: usize) -> SeedSequence {
+    pub(crate) fn trace_seeds(&self, index: usize) -> SeedSequence {
         SeedSequence::from_label(&self.label).child(index as u64)
     }
 }
@@ -344,7 +335,8 @@ mod tests {
         let ts = small.generate_traces(&built, 3);
         let tl = large.generate_traces(&built, 3);
         assert_eq!(tl.units.prefix(8), ts.units);
-        assert_eq!(large.widen_traces(&built, 3, &ts).units, tl.units);
+        let wide = TraceSet::widen(&[&ts], built.dist.as_ref(), 32, &[large.trace_seeds(3)]);
+        assert_eq!(wide[0].units, tl.units);
     }
 
     #[test]

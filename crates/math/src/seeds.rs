@@ -47,10 +47,25 @@ impl SeedSequence {
         Self::new(h)
     }
 
-    /// Derive the `i`-th child sequence.
+    /// Derive the `i`-th child sequence:
+    /// `self.child_at(SeedSequence::index_term(i))`.
     #[must_use]
     pub fn child(&self, i: u64) -> Self {
-        Self { state: mix_seed(self.state ^ mix_seed(i.wrapping_add(0x51_7c_c1_b7_27_22_0a_95))) }
+        self.child_at(Self::index_term(i))
+    }
+
+    /// The part of [`Self::child`] that depends on the index alone. A
+    /// loop that derives child `i` of many parents mixes it once.
+    #[inline]
+    pub fn index_term(i: u64) -> u64 {
+        mix_seed(i.wrapping_add(0x51_7c_c1_b7_27_22_0a_95))
+    }
+
+    /// The child whose index term ([`Self::index_term`]) is `term`.
+    #[inline]
+    #[must_use]
+    pub fn child_at(&self, term: u64) -> Self {
+        Self { state: mix_seed(self.state ^ term) }
     }
 
     /// The seed value to hand to an RNG.
@@ -78,6 +93,17 @@ mod tests {
         let mut seen = HashSet::new();
         for i in 0..10_000 {
             assert!(seen.insert(root.child(i).seed()));
+        }
+    }
+
+    #[test]
+    fn a_hoisted_index_term_gives_the_same_child() {
+        let parents = [SeedSequence::new(0), SeedSequence::from_label("exa"), SeedSequence::new(7).child(3)];
+        for i in [0, 1, 63, 64, 1 << 20, u64::MAX] {
+            let term = SeedSequence::index_term(i);
+            for p in parents {
+                assert_eq!(p.child_at(term), p.child(i), "child {i} of {p:?}");
+            }
         }
     }
 

@@ -84,6 +84,21 @@ impl UniformTable {
         &self.values
     }
 
+    /// The grid cell of a query at `t > 0`: `(k, frac)` with
+    /// `t = (k + frac)·step` and a sample right of `k`. `None` from the
+    /// last sample on, and for NaN, which no comparison places: a
+    /// query past `2^64` steps takes this branch before the `usize` cast
+    /// could saturate.
+    #[inline]
+    fn cell(&self, t: f64) -> Option<(usize, f64)> {
+        let pos = t / self.step;
+        if pos.is_nan() || pos >= (self.values.len() - 1) as f64 {
+            return None;
+        }
+        let k = pos.floor() as usize;
+        Some((k, pos - k as f64))
+    }
+
     /// Linear interpolation; `None` when `t` lies past the last sample
     /// (the caller falls back to the exact function). `t ≤ 0` returns the
     /// first sample.
@@ -92,12 +107,7 @@ impl UniformTable {
         if t <= 0.0 {
             return Some(self.values[0]);
         }
-        let pos = t / self.step;
-        let k = pos.floor() as usize;
-        if k + 1 >= self.values.len() {
-            return None;
-        }
-        let frac = pos - k as f64;
+        let (k, frac) = self.cell(t)?;
         if frac == 0.0 { // exact on-grid hit; the blend below would turn a −∞ right-neighbour into NaN via −∞·0
             return Some(self.values[k]);
         }
@@ -112,12 +122,9 @@ impl UniformTable {
         if t <= 0.0 {
             return self.values[0];
         }
-        let pos = t / self.step;
-        let k = pos.floor() as usize;
-        if k + 1 >= self.values.len() {
+        let Some((k, frac)) = self.cell(t) else {
             return *self.values.last().unwrap_or(&0.0);
-        }
-        let frac = pos - k as f64;
+        };
         if frac == 0.0 { // exact on-grid hit; the blend below would turn a −∞ right-neighbour into NaN via −∞·0
             return self.values[k];
         }
@@ -168,6 +175,21 @@ mod tests {
         assert!(t.interp_checked(horizon + 1.0).is_none());
         assert_eq!(t.interp_clamped(horizon + 1.0), *t.values().last().expect("non-empty"));
         assert_eq!(t.interp_checked(-3.0), Some(0.0));
+    }
+
+    #[test]
+    fn far_and_nan_queries_take_the_out_of_range_branch() {
+        // `t/step` past 2^64 once saturated the index cast; NaN must not
+        // reach it either.
+        let t = UniformTable::sample(|x| x, 10.0, 0.5);
+        let last = *t.values().last().expect("non-empty");
+        for x in [1e300, f64::MAX, f64::INFINITY, f64::NAN, 2.0f64.powi(64) * 0.5] {
+            assert_eq!(t.interp_checked(x), None, "x = {x}");
+            assert_eq!(t.interp_clamped(x), last, "x = {x}");
+        }
+        // The first position past the last interior cell is out too.
+        assert_eq!(t.interp_checked(t.horizon()), None);
+        assert!(t.interp_checked(t.horizon().next_down()).is_some());
     }
 
     #[test]

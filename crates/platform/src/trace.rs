@@ -9,13 +9,21 @@
 //! A trace set stores its failures compactly ([`UnitTraces`]): a CSR over
 //! the units that fail at least once, so a unit that never fails within
 //! the horizon — almost every one at Exascale — costs nothing but a count.
-//! Sampling screens each unit's first draw against the horizon, so such a
-//! unit also costs only one seeded draw, never a full sampler call.
+//!
+//! Sampling works on a *block* of trace sets at once
+//! ([`UnitTraces::sample_block`]): one pass over the new units screens
+//! every set of the block. A unit's first draw is compared with the
+//! horizon before any sampler runs, and the screen costs two hashes: the
+//! unit's child seed, whose index half is mixed once for the whole
+//! block, and the one word of the generator's state its first output
+//! reads. A unit that passes runs the full sampler from its seed, so the
+//! traces are exactly those of sampling every unit, one at a time.
+//!
 //! The merged [`PlatformEvents`] stream tags each event with its unit's
 //! *slot*, the unit's rank among the failing units, so per-unit state
 //! downstream can be dense in the failing units rather than in `p`.
-//! Slots, like the traces, are prefix-stable, and a set can be widened
-//! ([`TraceSet::widen`]) by sampling only the units it lacks.
+//! Slots, like the traces, are prefix-stable, and sets can be widened
+//! ([`TraceSet::widen`]) by sampling only the units they lack.
 //!
 //! Under the failed-only rejuvenation model a unit's lifetime restarts
 //! exactly at its own failures, so the whole trace can be pre-sampled —
@@ -26,8 +34,8 @@
 
 use crate::error::PlatformError;
 use crate::topology::Topology;
-use ckpt_math::SeedSequence;
-use ckpt_dist::{survival_draw, FailureDistribution};
+use ckpt_math::{mix_seed, SeedSequence};
+use ckpt_dist::FailureDistribution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,6 +58,57 @@ fn sample_dates(dist: &dyn FailureDistribution, horizon: f64, seed: u64, out: &m
         }
         out.push(t);
     }
+}
+
+/// SplitMix64's increment, which `StdRng::seed_from_u64` adds once per
+/// state word.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Units whose index terms [`UnitTraces::sample_block`] mixes at once.
+const UNIT_BLOCK: usize = 256;
+
+/// The first `next_u64` of `StdRng::seed_from_u64(seed)`, from the one
+/// state word it reads: xoshiro256** outputs `rotl(s₁·5, 7)·9`, and the
+/// SplitMix64 seeding makes `s₁` its second output, the finaliser of
+/// `seed + 2γ`, which is `mix_seed(seed + γ)`.
+#[inline]
+fn first_output(seed: u64) -> u64 {
+    mix_seed(seed.wrapping_add(GAMMA)).wrapping_mul(5).rotate_left(7).wrapping_mul(9)
+}
+
+/// The [`survival_draw`](ckpt_dist::survival_draw) of a generator whose first `next_u64` is `x`:
+/// `1 − (x >> 11)·2⁻⁵³`, every step exact.
+fn draw_of(x: u64) -> f64 {
+    1.0 - (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The integer form of the first-draw screen: a first output `x` draws
+/// at least `cutoff` exactly when `x >> 11` is below the returned limit.
+/// The draw falls strictly as `x >> 11` grows, so the limit is the
+/// count of the values that reach the cutoff, found by a search from
+/// the float estimate. The limit is at least 1 even for a cutoff no
+/// draw reaches (above 1, or NaN): an output of 0 comes from a zero
+/// state word, which a generator's guard against an all-zero state may
+/// rewrite, so such a unit always runs the full sampler.
+fn first_draw_limit(cutoff: f64) -> u64 {
+    const SPAN: u64 = 1 << 53;
+    let reaches = |m: u64| draw_of(m << 11) >= cutoff;
+    // The cast saturates: a NaN or negative estimate starts at 0.
+    let mut m = (((1.0 - cutoff) * SPAN as f64) as u64).min(SPAN);
+    while m > 0 && !reaches(m - 1) {
+        m -= 1;
+    }
+    while m < SPAN && reaches(m) {
+        m += 1;
+    }
+    m.max(1)
+}
+
+/// Whether the unit seeded by `seed` may fail within the horizon whose
+/// screen is `limit` ([`first_draw_limit`]).
+#[inline]
+fn may_fail(seed: u64, limit: u64) -> bool {
+    first_output(seed) >> 11 < limit
 }
 
 /// One unit's failure dates, borrowed from a [`UnitTraces`] store.
@@ -118,7 +177,11 @@ impl UnitTraces {
     /// Append one unit with the given failure dates.
     pub fn push(&mut self, failures: &[f64]) {
         self.dates.extend_from_slice(failures);
-        self.close_unit();
+        if !failures.is_empty() {
+            self.ids.push(self.count as u32);
+            self.ends.push(self.dates.len());
+        }
+        self.count += 1;
     }
 
     /// The first `units` units (prefix-coherent; at most [`Self::len`]).
@@ -134,40 +197,86 @@ impl UnitTraces {
         }
     }
 
-    /// Sample units `self.len()..units`, each from its own child seed
-    /// `seeds.child(unit)`, straight into the store.
+    /// A store of `units` units, none failing: the head of a piece that
+    /// [`Self::sample_block`] fills from unit `units` on and
+    /// [`Self::append`] joins onto a store of `units` units.
+    pub fn never_failing(units: usize) -> Self {
+        Self { count: units, ..Self::default() }
+    }
+
+    /// Join `tail`'s units from [`Self::len`] on onto this store.
     ///
-    /// A unit whose first [`survival_draw`] lies below the distribution's
+    /// # Panics
+    /// When `tail` is shorter than this store or has a failing unit
+    /// below its length: `tail` must be a piece begun with
+    /// [`Self::never_failing`] at this store's length or later.
+    pub fn append(&mut self, tail: UnitTraces) {
+        let joins = tail.count >= self.count
+            && tail.ids.first().is_none_or(|&id| id as usize >= self.count);
+        assert!(joins, "a tail of {} units does not continue {} units", tail.count, self.count);
+        let base = self.dates.len();
+        self.ids.extend(tail.ids);
+        self.ends.extend(tail.ends.iter().map(|end| end + base));
+        self.dates.extend(tail.dates);
+        self.count = tail.count;
+    }
+
+    /// The block routine of trace generation: sample, into each store of
+    /// `block`, its units from its own [`Self::len`] up to `units`, unit
+    /// `u` of store `j` from the child seed `seeds[j].child(u)`. A store
+    /// already `units` long is left as it is.
+    ///
+    /// One pass over the new units screens every store. The units go by
+    /// in runs of `UNIT_BLOCK`, whose index terms
+    /// ([`SeedSequence::index_term`]) are mixed once for all the stores.
+    /// A unit whose first [`survival_draw`](ckpt_dist::survival_draw) lies below the distribution's
     /// [`first_draw_cutoff`](FailureDistribution::first_draw_cutoff)
-    /// cannot fail within the horizon: it costs one seeded draw and a
-    /// count. Every other unit runs the full sampler from its seed, so
-    /// the traces are exactly those of sampling every unit. Without a
+    /// cannot fail within the horizon: it costs its child seed and one
+    /// generator word, compared as an integer, and leaves no trace in
+    /// the store. Every other unit runs the full sampler from its seed,
+    /// so the traces are exactly those of sampling every unit. Without a
     /// cutoff (0) every unit is sampled.
-    fn sample_to(
-        &mut self,
+    ///
+    /// # Panics
+    /// When `seeds` does not hold one sequence per store.
+    pub fn sample_block(
+        block: &mut [UnitTraces],
+        seeds: &[SeedSequence],
         dist: &dyn FailureDistribution,
-        units: usize,
         horizon: f64,
-        seeds: &SeedSequence,
+        units: usize,
     ) {
-        let cutoff = dist.first_draw_cutoff(horizon).unwrap_or(0.0);
-        for unit in self.count..units {
-            let seed = seeds.child(unit as u64).seed();
-            if survival_draw(&mut StdRng::seed_from_u64(seed)) >= cutoff {
-                sample_dates(dist, horizon, seed, &mut self.dates);
+        assert_eq!(block.len(), seeds.len(), "one seed sequence per store");
+        let Some(from) = block.iter().map(Self::len).min() else { return };
+        let limit = first_draw_limit(dist.first_draw_cutoff(horizon).unwrap_or(0.0));
+        let mut terms = [0u64; UNIT_BLOCK];
+        for lo in (from..units).step_by(UNIT_BLOCK) {
+            let hi = (lo + UNIT_BLOCK).min(units);
+            for (term, u) in terms.iter_mut().zip(lo..hi) {
+                *term = SeedSequence::index_term(u as u64);
             }
-            self.close_unit();
+            for (store, &seeds) in block.iter_mut().zip(seeds) {
+                let start = store.count.clamp(lo, hi);
+                for (u, &term) in (start..hi).zip(&terms[start - lo..hi - lo]) {
+                    let seed = seeds.child_at(term).seed();
+                    if may_fail(seed, limit) {
+                        store.sample_unit(u, dist, horizon, seed);
+                    }
+                }
+                store.count = store.count.max(hi);
+            }
         }
     }
 
-    /// Close the unit whose dates were just appended: record it as a
-    /// failing unit when it added any.
-    fn close_unit(&mut self) {
-        if self.dates.len() > self.ends.last().copied().unwrap_or(0) {
-            self.ids.push(self.count as u32);
+    /// Run the full sampler for unit `u` from `seed` and record the unit
+    /// as failing when it fails within the horizon.
+    fn sample_unit(&mut self, u: usize, dist: &dyn FailureDistribution, horizon: f64, seed: u64) {
+        let before = self.dates.len();
+        sample_dates(dist, horizon, seed, &mut self.dates);
+        if self.dates.len() > before {
+            self.ids.push(u as u32);
             self.ends.push(self.dates.len());
         }
-        self.count += 1;
     }
 
     fn dates_of(&self, k: usize) -> &[f64] {
@@ -261,23 +370,38 @@ impl TraceSet {
         if !(0.0..horizon).contains(&start_time) {
             return Err(PlatformError::StartOutsideHorizon { start: start_time, horizon });
         }
-        let empty = Self { units: UnitTraces::default(), topology, horizon, start_time };
-        Ok(empty.widen(dist, units, &seeds))
+        let mut store = [UnitTraces::default()];
+        UnitTraces::sample_block(&mut store, &[seeds], dist, horizon, units);
+        let [units] = store;
+        Ok(Self { units, topology, horizon, start_time })
     }
 
-    /// This set grown to `units` units: the existing units are kept and
-    /// only the new ones are sampled, so by the prefix property the result
-    /// equals generating `units` units directly with the same `seeds` and
-    /// `dist`. No-op when `units` does not exceed [`Self::unit_count`].
+    /// [`UnitTraces::sample_block`] over whole sets: each set of `block`
+    /// grown to `units` units, set `j` from `seeds[j]`. The existing units
+    /// are kept and only the new ones are sampled, so by the prefix
+    /// property each result equals generating `units` units directly with
+    /// the same seeds and `dist`; a set already that wide comes back
+    /// unchanged. One set is a block of one.
+    ///
+    /// # Panics
+    /// When `seeds` does not hold one sequence per set, or the sets do
+    /// not share one horizon.
     pub fn widen(
-        &self,
+        block: &[&TraceSet],
         dist: &dyn FailureDistribution,
         units: usize,
-        seeds: &SeedSequence,
-    ) -> Self {
-        let mut wide = self.clone();
-        wide.units.sample_to(dist, units, self.horizon, seeds);
-        wide
+        seeds: &[SeedSequence],
+    ) -> Vec<TraceSet> {
+        let Some(first) = block.first() else { return Vec::new() };
+        let shared = block.iter().all(|s| s.horizon.to_bits() == first.horizon.to_bits());
+        assert!(shared, "the sets of a block share one horizon");
+        let mut stores: Vec<UnitTraces> = block.iter().map(|s| s.units.clone()).collect();
+        UnitTraces::sample_block(&mut stores, seeds, dist, first.horizon, units);
+        block
+            .iter()
+            .zip(stores)
+            .map(|(s, units)| Self { units, topology: s.topology, horizon: s.horizon, start_time: s.start_time })
+            .collect()
     }
 
     /// Number of failure units.
@@ -419,7 +543,8 @@ impl PlatformEvents {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use ckpt_dist::{Exponential, Weibull};
+    use ckpt_dist::{survival_draw, Exponential, Weibull};
+    use rand::RngCore;
 
     fn seeds() -> SeedSequence {
         SeedSequence::from_label("trace-tests")
@@ -459,7 +584,8 @@ mod tests {
                 let small = TraceSet::generate(&d, narrow, t, 500.0, 0.0, seeds());
                 assert_eq!(big.units.prefix(narrow), small.units);
                 assert_eq!(big.prefix(narrow).units, small.units);
-                assert_eq!(small.widen(&d, 64, &seeds()).units, big.units, "mtbf {mtbf}");
+                let wide = TraceSet::widen(&[&small], &d, 64, &[seeds()]);
+                assert_eq!(wide[0].units, big.units, "mtbf {mtbf}");
             }
         }
     }
@@ -637,9 +763,35 @@ mod tests {
         seeds: &SeedSequence,
     ) -> UnitTraces {
         let mut out = UnitTraces::default();
+        let mut dates = Vec::new();
         for unit in 0..units {
-            sample_dates(dist, horizon, seeds.child(unit as u64).seed(), &mut out.dates);
-            out.close_unit();
+            dates.clear();
+            sample_dates(dist, horizon, seeds.child(unit as u64).seed(), &mut dates);
+            out.push(&dates);
+        }
+        out
+    }
+
+    /// The per-unit screen the block routine replaces: `from` grown to
+    /// `units` units, each new unit's first draw taken from its own
+    /// generator and compared with the float cutoff.
+    fn screened_per_unit(
+        dist: &dyn FailureDistribution,
+        from: &UnitTraces,
+        units: usize,
+        horizon: f64,
+        seeds: &SeedSequence,
+    ) -> UnitTraces {
+        let cutoff = dist.first_draw_cutoff(horizon).unwrap_or(0.0);
+        let mut out = from.clone();
+        let mut dates = Vec::new();
+        for unit in from.len()..units {
+            let seed = seeds.child(unit as u64).seed();
+            dates.clear();
+            if survival_draw(&mut StdRng::seed_from_u64(seed)) >= cutoff {
+                sample_dates(dist, horizon, seed, &mut dates);
+            }
+            out.push(&dates);
         }
         out
     }
@@ -701,9 +853,10 @@ mod tests {
                     assert_bit_identical(&set.units, &want, &format!("{dist:?} at {n} units"));
                     // Widening from narrower sets gives the same traces.
                     for from in [1, 30, 64, 100].into_iter().filter(|&w| w < n) {
-                        let wide = set.prefix(from).widen(dist.as_ref(), n, &seeds());
+                        let narrow = set.prefix(from);
+                        let wide = TraceSet::widen(&[&narrow], dist.as_ref(), n, &[seeds()]);
                         let what = format!("{dist:?} widened {from} → {n}");
-                        assert_bit_identical(&wide.units, &want, &what);
+                        assert_bit_identical(&wide[0].units, &want, &what);
                     }
                 }
             }
@@ -784,5 +937,215 @@ mod tests {
         let c = TraceSet::generate(&d, 8, t, 1_000.0, 0.0, SeedSequence::from_label("other"));
         assert_eq!(a.units, b.units);
         assert_ne!(a.units, c.units);
+    }
+
+    /// The inverse of [`mix_seed`]: undo the finaliser's xor-shifts and
+    /// odd multipliers, then the increment.
+    fn unmix(mut z: u64) -> u64 {
+        fn unshift(y: u64, by: u32) -> u64 {
+            let mut x = y;
+            for _ in 0..64 / by {
+                x = y ^ (x >> by);
+            }
+            x
+        }
+        fn inverse(c: u64) -> u64 {
+            (0..6).fold(c, |inv, _| inv.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(inv))))
+        }
+        z = unshift(z, 31).wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        z = unshift(z, 27).wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        unshift(z, 30).wrapping_sub(GAMMA)
+    }
+
+    /// A seed whose generator's first `next_u64` is `x`, or whose
+    /// second state word is 0 for `x = 0` read as a word.
+    fn seed_with_word(word: u64) -> u64 {
+        unmix(word).wrapping_sub(GAMMA)
+    }
+
+    fn seed_with_first_output(x: u64) -> u64 {
+        let inv = |c: u64| (0..6).fold(c, |i: u64, _| i.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(i))));
+        seed_with_word(x.wrapping_mul(inv(9)).rotate_right(7).wrapping_mul(inv(5)))
+    }
+
+    /// A root whose child `unit` has the child seed `seed`.
+    fn root_with_child(unit: u64, seed: u64) -> SeedSequence {
+        SeedSequence::new(unmix(unmix(seed) ^ SeedSequence::index_term(unit)))
+    }
+
+    #[test]
+    fn the_crafting_helpers_invert_the_seeding() {
+        for z in [0, 1, GAMMA, u64::MAX, 0x0123_4567_89ab_cdef] {
+            assert_eq!(mix_seed(unmix(z)), z);
+            assert_eq!(StdRng::seed_from_u64(seed_with_first_output(z)).next_u64(), z);
+        }
+        let root = root_with_child(5, 42);
+        assert_eq!(root.child(5).seed(), 42);
+    }
+
+    #[test]
+    fn first_output_is_the_generators_first_draw() {
+        let seeds = (0..50_000u64).chain((0..50_000).map(mix_seed)).chain([u64::MAX, GAMMA]);
+        for seed in seeds {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let want = survival_draw(&mut StdRng::seed_from_u64(seed));
+            let x = first_output(seed);
+            assert_eq!(x, rng.next_u64(), "seed {seed:#x}");
+            assert_eq!(draw_of(x).to_bits(), want.to_bits(), "seed {seed:#x}");
+        }
+        // `seed + 2γ = 0`: the second SplitMix64 output, the word the first
+        // output reads, is the finaliser of 0, which is 0.
+        let zero = 0u64.wrapping_sub(2u64.wrapping_mul(GAMMA));
+        assert_eq!(zero, seed_with_word(0));
+        assert_eq!(first_output(zero), 0);
+        assert_eq!(StdRng::seed_from_u64(zero).next_u64(), 0);
+        assert_eq!(survival_draw(&mut StdRng::seed_from_u64(zero)), 1.0);
+    }
+
+    #[test]
+    fn a_zero_word_passes_every_screen() {
+        let zero = seed_with_word(0);
+        for c in [0.0, 0.5, 1.0, 1.0f64.next_up(), 2.0, f64::INFINITY, f64::NAN] {
+            let limit = first_draw_limit(c);
+            assert!(may_fail(zero, limit), "cutoff {c}: a zero word runs the full sampler");
+            if c.is_nan() || c > 1.0 {
+                // No draw reaches the cutoff: only outputs below 2^11 pass.
+                assert!(!may_fail(seed_with_first_output(1 << 11), limit), "cutoff {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_integer_screen_is_the_float_screen_at_its_limit() {
+        let h = 1_000.0;
+        let mut cutoffs = vec![0.0, 0.5, 1.0, 1.0f64.next_up(), f64::NAN, 1.0 / (1u64 << 53) as f64];
+        cutoffs.push(1.0 - 1.0 / (1u64 << 53) as f64);
+        for l in [1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 30.0] {
+            cutoffs.extend(laws_at(l, h).iter().filter_map(|d| d.first_draw_cutoff(h)));
+        }
+        for c in cutoffs {
+            let limit = first_draw_limit(c);
+            assert!(limit <= 1 << 53, "cutoff {c}: limit {limit}");
+            for m in limit.saturating_sub(4)..=(limit + 4).min((1 << 53) - 1) {
+                // Either extreme of the low bits the draw drops.
+                for low in [0, 0x7ff] {
+                    let seed = seed_with_first_output(m << 11 | low);
+                    let draw = survival_draw(&mut StdRng::seed_from_u64(seed));
+                    // Outputs below 2^11, the zero word's among them, pass
+                    // even a cutoff no draw reaches.
+                    let want = draw >= c || m == 0;
+                    assert_eq!(may_fail(seed, limit), want, "cutoff {c}: x = {m} << 11 | {low:#x}, limit {limit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_word_unit_runs_the_full_sampler() {
+        // Unit 3's generator word is 0: its first draw is 1, which the
+        // Exponential sampler turns into a failure at time 0.
+        let seeds = root_with_child(3, seed_with_word(0));
+        let d = Exponential::new(0.1 / 1_000.0);
+        let set = TraceSet::generate(&d, 8, Topology::per_processor(), 1_000.0, 0.0, seeds);
+        let want = screened_per_unit(&d, &UnitTraces::default(), 8, 1_000.0, &seeds);
+        assert_bit_identical(&set.units, &want, "zero word");
+        let failing: Vec<u32> = set.units.failing().map(|(id, _)| id).collect();
+        assert!(failing.contains(&3), "failing units {failing:?}");
+        assert_eq!(set.units.failing().find(|&(id, _)| id == 3).map(|(_, d)| d[0]), Some(0.0));
+    }
+
+    #[test]
+    fn pieces_append_in_unit_order() {
+        let d = Weibull::from_mtbf(0.7, 20_000.0);
+        let (h, n) = (1_000.0, 700);
+        let whole = TraceSet::generate(&d, n, Topology::per_processor(), h, 0.0, seeds());
+        for cuts in [&[0, 700][..], &[0, 256, 700], &[0, 1, 255, 513, 700], &[0, 699, 700]] {
+            let mut joined = UnitTraces::default();
+            for w in cuts.windows(2) {
+                let mut piece = [UnitTraces::never_failing(w[0])];
+                UnitTraces::sample_block(&mut piece, &[seeds()], &d, h, w[1]);
+                let [piece] = piece;
+                joined.append(piece);
+            }
+            assert_bit_identical(&joined, &whole.units, &format!("cuts {cuts:?}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not continue")]
+    fn a_piece_that_overlaps_the_store_is_refused() {
+        let mut store = UnitTraces::never_failing(10);
+        store.append(vec![FailureTrace { failures: vec![1.0] }].into());
+    }
+
+    /// A law without a first-draw cutoff, so every unit is sampled.
+    fn uncut_law() -> Box<dyn FailureDistribution> {
+        let durations = (1..=200).map(|i| 3_600.0 * f64::from(i).powf(1.7)).collect();
+        Box::new(ckpt_dist::Empirical::from_durations(durations))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The block routine against the per-unit screen it replaces, and
+        /// against sampling every unit: stores and event streams equal bit
+        /// for bit, for blocks of 1–4 sets of mixed narrow widths (0 and
+        /// wider than the block included), unit counts on both sides of
+        /// `UNIT_BLOCK`, and
+        /// laws with and without a cutoff; cut at a unit and joined, the
+        /// pieces give the same stores.
+        #[test]
+        fn block_sampling_is_the_per_unit_screen(
+            label in 0u32..1_000_000,
+            law in 0usize..4,
+            l_exp in -4.0..0.7f64,
+            units in 0usize..700,
+            widths in proptest::collection::vec(0.0..1.3f64, 1..=4),
+            cut in 0.0..1.0f64,
+        ) {
+            let h = 1.0e7;
+            let l = 10f64.powf(l_exp);
+            let dist: Box<dyn FailureDistribution> = match law {
+                0 => Box::new(Exponential::new(l / h)),
+                1 => Box::new(Weibull::new(0.7, h / l.powf(1.0 / 0.7))),
+                2 => Box::new(Weibull::new(1.5, h / l.powf(1.0 / 1.5))),
+                _ => uncut_law(),
+            };
+            let dist = dist.as_ref();
+            let root = SeedSequence::from_label(&format!("block-{label}"));
+            let seeds: Vec<SeedSequence> = (0..widths.len() as u64).map(|i| root.child(i)).collect();
+            let t = Topology::per_processor();
+            let narrow: Vec<TraceSet> = widths
+                .iter()
+                .zip(&seeds)
+                .map(|(&w, &s)| {
+                    // A tenth of the draws start from no unit; some start
+                    // wider than the block is grown.
+                    let width = if w < 0.1 { 0 } else { (w * units as f64) as usize };
+                    let units = screened_per_unit(dist, &UnitTraces::default(), width, h, &s);
+                    TraceSet { units, topology: t, horizon: h, start_time: 0.0 }
+                })
+                .collect();
+            let refs: Vec<&TraceSet> = narrow.iter().collect();
+            let wide = TraceSet::widen(&refs, dist, units, &seeds);
+            let cut = ((cut * units as f64) as usize).max(narrow.iter().map(TraceSet::unit_count).min().unwrap_or(0));
+            for (j, (set, s)) in narrow.iter().zip(&seeds).enumerate() {
+                let what = format!("{dist:?}, set {j} of {}: {} → {units} units", widths.len(), set.unit_count());
+                let want = screened_per_unit(dist, &set.units, units, h, s);
+                assert_bit_identical(&wide[j].units, &want, &what);
+                if set.unit_count() <= units {
+                    assert_bit_identical(&wide[j].units, &unscreened(dist, units, h, s), &what);
+                }
+                // Split at `cut`: the head grown in place, the tail a piece.
+                let mut head = [set.units.clone()];
+                UnitTraces::sample_block(&mut head, &[*s], dist, h, cut);
+                let [mut head] = head;
+                let mut tail = [UnitTraces::never_failing(cut.max(set.unit_count()))];
+                UnitTraces::sample_block(&mut tail, &[*s], dist, h, units);
+                let [tail] = tail;
+                head.append(tail);
+                assert_bit_identical(&head, &want, &format!("{what}, cut at {cut}"));
+            }
+        }
     }
 }

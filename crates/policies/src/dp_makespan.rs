@@ -1111,6 +1111,8 @@ mod tests {
         // unevaluated successor keys their ladders name — never ~τ/u.
         let added = dp.lock().rows.len() - before;
         assert!(added < 4 * 40, "{added} rows for one far-age query");
+        // Past 2^64 steps of the kernel tables, the exact law answers.
+        assert_matches_reference(&dp, &mut reference, 1e300);
     }
 
     /// The memoryless backbone and flat column against the scalar
